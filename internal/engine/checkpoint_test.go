@@ -11,7 +11,6 @@ import (
 	"nephelix/internal/ckpt"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
-	"nephelix/internal/qos"
 	"nephelix/internal/ring"
 	"nephelix/internal/workload"
 )
@@ -423,27 +422,13 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 // panics and the unprocessed remainder of its batch are lost; already-
 // completed records are not.
 func TestLostRecordsMidBatchPanic(t *testing.T) {
-	ex := &execution{
-		cfg:   Config{}.withDefaults(),
-		modes: map[string]model.LatencyMode{"v": model.LatencyReadReady},
-	}
-	id := model.TaskID{Vertex: "v", Index: 0}
-	tk := &task{
-		id:       id,
-		ex:       ex,
-		reporter: qos.NewTaskReporter(id),
-		chanReps: make(map[model.ChannelID]*qos.ChannelReporter),
-	}
-	tke := &emitter{t: tk}
-	tk.emitters = []*emitter{tke}
-	tk.ctx = Context{t: tk, e: tke}
 	var processed int
-	tk.udf = UDFFunc(func(*Context, Record) {
+	tk, ex := newBareTask(UDFFunc(func(*Context, Record) {
 		processed++
 		if processed == 3 {
 			panic("mid-batch")
 		}
-	})
+	}))
 	b := batch{items: make([]Record, 5), oldestBuf: time.Now(), shipped: time.Now()}
 
 	func() {

@@ -210,16 +210,16 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	ex := &execution{
-		cfg:       e.cfg,
-		spec:      spec,
-		probes:    probes,
-		rm:        rm,
-		scheduler: cluster.NewScheduler(rm),
-		manager:   qos.NewManager(managerConfigFor(e.cfg)),
-		vertices:  make(map[string]*vertexState),
-		edgePos:   make(map[model.EdgeKey]int),
-		modes:     make(map[string]model.LatencyMode),
-		deadlines: make(map[model.EdgeKey]time.Duration),
+		cfg:         e.cfg,
+		spec:        spec,
+		probes:      probes,
+		rm:          rm,
+		scheduler:   cluster.NewScheduler(rm),
+		manager:     qos.NewManager(managerConfigFor(e.cfg)),
+		vertices:    make(map[string]*vertexState),
+		edgePos:     make(map[model.EdgeKey]int),
+		modes:       make(map[string]model.LatencyMode),
+		deadlines:   make(map[model.EdgeKey]time.Duration),
 		reports:     make(chan any, 4096),
 		failures:    make(chan taskFailure, 1024),
 		restarts:    make(chan string, 1024),
@@ -477,9 +477,6 @@ func (ex *execution) currentDeadline(edge model.EdgeKey) (time.Duration, bool) {
 	return d, ok
 }
 
-// latencyMode returns a vertex's latency mode.
-func (ex *execution) latencyMode(vertex string) model.LatencyMode { return ex.modes[vertex] }
-
 // parallelismOf returns a vertex's live task count (lock-free).
 func (ex *execution) parallelismOf(vertex string) int {
 	if vs, ok := ex.vertices[vertex]; ok {
@@ -695,6 +692,13 @@ func (ex *execution) masterLoop() {
 				stableRounds = 0
 			}
 			lastProcessed = cur
+			if stableRounds == 1 {
+				// The pipeline has gone quiet: ship what size-only gates
+				// still hold. A tail that reaches a consumer moves the
+				// processed count and so restarts the stable run; finish
+				// follows only a run in which nothing was left to ship.
+				ex.flushTails()
+			}
 			if stableRounds >= 3 {
 				finish()
 				return
@@ -1257,10 +1261,36 @@ func (ex *execution) applyDeadlines(deadlines map[model.EdgeKey]float64) {
 					// Wheel entries armed under the old deadline may now be
 					// stale; a flush pass re-evaluates the buffers and
 					// re-arms at the new deadlines.
-					e.flushReq.Store(true)
-					e.wake()
+					e.requestFlush()
 				}
 			}
+		}
+	}
+}
+
+// flushTails force-drains the gates of every worker task once a stopping
+// job's processed count has stopped moving. A size-only (BatchingFixed)
+// gate ships full batches only, so without this up to MaxBatchRecords−1
+// records per consumer would sit in it until the force-quit and vanish
+// uncounted. No more input is coming, so such gates have nothing left to
+// wait for: they switch to instant flush — records still trickling
+// through later hops cannot strand again — and their owners are asked
+// for a flush pass. Sources drain their own gates when they exit.
+func (ex *execution) flushTails() {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	for _, name := range ex.order {
+		for _, t := range ex.vertices[name].tasks {
+			if t.src != nil {
+				continue
+			}
+			e := t.emitters[0]
+			for _, g := range e.gates {
+				if g.deadline() == noDeadline {
+					g.setDeadline(0)
+				}
+			}
+			e.requestFlush()
 		}
 	}
 }

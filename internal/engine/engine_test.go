@@ -625,6 +625,46 @@ func TestEngineFixedBatching(t *testing.T) {
 	}
 }
 
+// TestEngineFixedBatchingDeliversTail: size-only gates ship full batches
+// only, so the last records of a job — fewer than a batch per consumer —
+// used to sit in the workers' gates until the force-quit and vanish with
+// no counter moved. The master now drains them once the stopping
+// pipeline has gone quiet.
+func TestEngineFixedBatchingDeliversTail(t *testing.T) {
+	const total = 64*9 + 37 // not a multiple of the batch size
+	g := buildChain(t, 2, 2, model.PatternKeyBased)
+	var emitted, received atomic.Int64
+	spec := NewJobSpec(g).
+		SetSource("src", SourceSpec{
+			Schedule: &workload.ConstantSchedule{RatePerSecond: 5000, Length: 0.5},
+			Emit: func(ctx *Context) {
+				if n := emitted.Add(1); n <= total {
+					ctx.Emit(0, Record{Key: uint64(n)})
+				} else {
+					emitted.Add(-1)
+				}
+			},
+		}).
+		SetUDF("work", func(int) UDF { return &forwarder{} }).
+		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} }).
+		SetEdgeBatching("src", "work", BatchingFixed).
+		SetEdgeBatching("work", "sink", BatchingFixed)
+	exec, err := New(Config{Seed: 15, MaxBatchRecords: 64, SourceShards: 1, MeasurementInterval: 50 * time.Millisecond}).Submit(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, exec, 20*time.Second)
+	if emitted.Load() != total {
+		t.Fatalf("source emitted %d records, want %d", emitted.Load(), total)
+	}
+	if received.Load() != total {
+		t.Errorf("delivered %d of %d records: the tail of a fixed-batching job was lost", received.Load(), total)
+	}
+	if l, d := exec.LostRecords(), exec.DroppedNoConsumer(); l != 0 || d != 0 {
+		t.Errorf("LostRecords = %d, DroppedNoConsumer = %d, want 0", l, d)
+	}
+}
+
 // TestEngineCPUUtilization: the utilization metric reflects UDF busy time.
 func TestEngineCPUUtilization(t *testing.T) {
 	g := buildChain(t, 1, 1, model.PatternRoundRobin)

@@ -67,21 +67,29 @@ type task struct {
 
 	// Consumer-side reporters, owned by the task goroutine; interval
 	// aggregates are sent to the master over ex.reports. Source shards
-	// carry their own reporters (emitter.reporter).
+	// carry their own reporters (emitter.reporter). inChans holds one
+	// entry per inbound channel, keyed by what every batch carries.
 	reporter  *qos.TaskReporter
-	chanReps  map[model.ChannelID]*qos.ChannelReporter
+	inChans   map[chanKey]*inChannel
 	lastFlush time.Time
 
-	// inEdges is the vertex's inbound edge list, snapshotted once so the
-	// per-batch edge resolution never re-allocates it from the graph.
+	// inEdges is the vertex's inbound edge list, snapshotted once so edge
+	// resolution never re-allocates it from the graph.
 	inEdges []model.EdgeKey
-	// edgeNames caches EdgeKey.String() per inbound edge for trace hops.
-	edgeNames map[model.EdgeKey]string
 
-	// now is the task's amortized wall clock: refreshed once per
-	// delivered batch, per UDF service completion and per park wakeup —
+	// rw caches whether the vertex measures read-write task latency.
+	rw bool
+
+	// now is the task's amortized wall clock: refreshed at every clock
+	// read of handleBatch (batch arrival, batch end, and inside a batch
+	// once clockBudget of work has accumulated) and per park wakeup —
 	// never per emitted record. Task-goroutine-only state.
 	now time.Time
+
+	// stride is how many records handleBatch processes between clock
+	// reads: clockBudget over the per-record time it measured last,
+	// clamped to [1, maxStride]. Task-goroutine-only state.
+	stride int
 
 	// dedup is the sink vertex's shared dedup table (guarantees only).
 	dedup *sinkDedup
@@ -180,6 +188,28 @@ type emitter struct {
 	ctx Context
 }
 
+// chanKey identifies an inbound channel by the two fields every batch
+// carries: the edge's position at the producer vertex and the
+// producer's task index.
+type chanKey struct{ edgePos, producer int }
+
+// inChannel is the consumer-side state of one inbound channel, resolved
+// once when the channel's first batch arrives.
+type inChannel struct {
+	rep      *qos.ChannelReporter
+	edgeName string // EdgeKey.String(), for trace hops
+}
+
+// clockBudget is how much work handleBatch lets accumulate between two
+// clock reads inside a batch, and so how stale the task's amortized
+// clock can get (plus one UDF call). Flush deadlines are ≥ 1 ms.
+const clockBudget = 2 * time.Microsecond
+
+// maxStride caps the records between two clock reads however cheap the
+// UDF measures, which bounds how long a UDF that suddenly turns slow
+// runs unobserved.
+const maxStride = 64
+
 // idleSpins is how many empty polls a consumer or source loop burns
 // (with Gosched) before parking on its wake channel.
 const idleSpins = 64
@@ -205,16 +235,14 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 		dead:     make(chan struct{}),
 		wakeCh:   make(chan struct{}, 1),
 		reporter: qos.NewTaskReporter(id),
-		chanReps: make(map[model.ChannelID]*qos.ChannelReporter),
+		inChans:  make(map[chanKey]*inChannel),
+		rw:       ex.modes[id.Vertex] == model.LatencyReadWrite,
+		stride:   1,
 		poolHint: int(ex.poolSeq.Add(1)),
 	}
 	empty := make([]*ring.SPSC[batch], 0)
 	t.inRings.Store(&empty)
 	t.inEdges = ex.spec.graph.InEdges(id.Vertex)
-	t.edgeNames = make(map[model.EdgeKey]string, len(t.inEdges))
-	for _, ek := range t.inEdges {
-		t.edgeNames[ek] = ek.String()
-	}
 	shards := 1
 	if src != nil {
 		t.shardAbort = make(chan struct{})
@@ -334,6 +362,13 @@ func (e *emitter) wake() {
 		default:
 		}
 	}
+}
+
+// requestFlush asks the emitter's owning goroutine for a flush pass over
+// its gates (wheel fires, deadline changes, end-of-job tail flush).
+func (e *emitter) requestFlush() {
+	e.flushReq.Store(true)
+	e.wake()
 }
 
 // isDead reports whether the consumer's goroutine has exited.
@@ -552,36 +587,35 @@ func (t *task) maybeReport(now time.Time) {
 	}
 	t.lastFlush = now
 	t.ex.offerReport(taskReportMsg{report: t.reporter.Flush()})
-	for id, cr := range t.chanReps {
-		rep := cr.Flush()
+	for _, ch := range t.inChans {
+		rep := ch.rep.Flush()
 		if !rep.Empty() {
 			t.ex.offerReport(channelReportMsg{report: rep})
 		}
-		_ = id
 	}
 }
 
 // handleBatch processes one delivered batch and recycles its slice. The
-// wall clock is read once at batch arrival and once per completed UDF
-// call (the completion time is also the next record's arrival time), so
-// the whole loop costs one time.Now() per record instead of three plus
-// one per emission.
+// wall clock is read at batch arrival, at batch end, and in between only
+// when about clockBudget of work has accumulated: every t.stride records,
+// and after any record whose own timing is used (a trace span, a sampled
+// read-write record). Each read accounts the n records since the previous
+// one together (account), so counts, Σ service, Σ interarrival and busyNs
+// are exact while the n samples of a group share its mean. A UDF slower
+// than the budget keeps stride 1 and is timed record by record.
 func (t *task) handleBatch(b batch) {
 	now := time.Now()
 	t.now = now
 	e := t.emitters[0]
 	e.now = now
 	// Channel-level QoS: one sample per batch against the oldest record.
-	chID := model.ChannelID{Edge: t.inEdge(b), Producer: b.producer, Consumer: t.id.Index}
-	cr := t.chanReps[chID]
-	if cr == nil {
-		cr = qos.NewChannelReporter(chID)
-		t.chanReps[chID] = cr
-	}
-	cr.RecordTransfer(now.Sub(b.oldestBuf).Seconds(), b.shipped.Sub(b.oldestBuf).Seconds())
+	ch := t.inChannel(&b)
+	ch.rep.RecordTransfer(now.Sub(b.oldestBuf).Seconds(), b.shipped.Sub(b.oldestBuf).Seconds())
 
-	rw := t.ex.latencyMode(t.id.Vertex) == model.LatencyReadWrite
-	done := 0
+	// done counts records finished with (processed or suppressed); the
+	// last n of them ran after the clock read at `last` and are not yet
+	// accounted.
+	done, n, last := 0, 0, now
 	defer func() {
 		if r := recover(); r != nil {
 			// A panicking UDF kills the record it was processing and the
@@ -589,12 +623,13 @@ func (t *task) handleBatch(b batch) {
 			// let the supervisor defer in run() handle the crash. The
 			// batch slice dies with them — never recycle a batch whose
 			// consumption did not complete.
+			t.processed.Add(int64(n))
 			t.ex.lostRecords.Add(int64(len(b.items) - done))
 			panic(r)
 		}
 	}()
-	cur := now
-	for _, rec := range b.items {
+	for i := range b.items {
+		rec := &b.items[i]
 		if t.dedup != nil && rec.srcID != 0 && !t.dedup.admit(rec.srcID, rec.offset) && t.ex.suppressDups {
 			// Replay duplicate under exactly-once: suppressed before the
 			// UDF sees it, but still counted for quiescence detection and
@@ -603,51 +638,84 @@ func (t *task) handleBatch(b batch) {
 			done++
 			continue
 		}
-		t.reporter.RecordArrival(nowSeconds(cur))
 		e.curSpan = rec.span
 		e.curSrcID, e.curOffset = rec.srcID, rec.offset
-		t.udf.Process(&t.ctx, rec)
-		e.curSpan = nil
-		e.curSrcID, e.curOffset = 0, 0
-		end := time.Now()
-		t.now = end
-		e.now = end
-		service := end.Sub(cur)
-		t.busyNs.Add(int64(service))
-		t.reporter.RecordService(service.Seconds())
-		if rw {
-			if rec.Sampled && len(e.rwPending) < 64 {
-				e.rwPending = append(e.rwPending, cur)
-			}
-		} else {
-			t.reporter.RecordTaskLatency(service.Seconds())
-		}
-		if rec.span != nil {
-			// Per-hop decomposition: time buffered at the producer, no
-			// separable network transit (in-process rings), then wait
-			// from ship to service start.
-			batchDelay := b.shipped.Sub(b.oldestBuf).Seconds()
-			wait := cur.Sub(b.shipped).Seconds()
-			rec.span.Hop(t.id.Vertex, t.edgeNames[chID.Edge], batchDelay, 0, wait, service.Seconds())
-			t.ex.cfg.Telemetry.ObserveHop(nowSeconds(end), t.id.Vertex, t.edgeNames[chID.Edge], batchDelay, 0, wait, service.Seconds())
-			if len(e.gates) == 0 {
-				endS := nowSeconds(end)
-				rec.span.Finish(endS)
-				t.ex.cfg.Telemetry.ObserveE2E(endS, endS-rec.span.Start())
-			}
-		}
-		t.processed.Add(1)
+		t.udf.Process(&t.ctx, *rec)
 		done++
-		cur = end
-		// One slow-UDF batch can span several measurement intervals;
-		// flush interval reports mid-batch so the master's freshness
-		// gating keeps seeing this task while it grinds through a
-		// backlog (maybeReport is cheap when the interval hasn't lapsed).
-		if done&63 == 0 {
-			t.maybeReport(cur)
+		n++
+		if n >= t.stride || rec.span != nil || (t.rw && rec.Sampled) {
+			last, n = t.account(&b, ch, rec, last, n), 0
 		}
 	}
+	if n > 0 {
+		t.account(&b, ch, nil, last, n)
+	}
+	e.curSpan = nil
+	e.curSrcID, e.curOffset = 0, 0
 	t.ex.pool.put(b.poolHint, b.items)
+}
+
+// account reads the clock and books the n records processed since the
+// read at `last` as n equal shares of the elapsed time: n evenly spaced
+// arrivals, n service (and read-ready task-latency) samples. rec is the
+// record that forced the read when its own timing is wanted (span hop,
+// read-write sample), nil at batch end. It sets the next stride from the
+// per-record time just measured, flushes due interval reports — a slow
+// UDF batch can span several measurement intervals, and the master's
+// freshness gating must keep seeing the task — and returns the read.
+func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n int) time.Time {
+	end := time.Now()
+	t.now = end
+	e := t.emitters[0]
+	e.now = end
+	group := end.Sub(last)
+	t.busyNs.Add(int64(group))
+	t.processed.Add(int64(n))
+	per := group.Seconds() / float64(n)
+	start := end.Add(-group / time.Duration(n)) // of the last record's share
+	// Arrival times count from the execution's start: a float64 of Unix
+	// seconds resolves 238 ns, coarser than the sub-µs spacing within a
+	// group.
+	t.reporter.RecordArrivalN(last.Sub(t.ex.start).Seconds(), per, n)
+	t.reporter.RecordServiceN(per, n)
+	if !t.rw {
+		t.reporter.RecordTaskLatencyN(per, n)
+	} else if rec != nil && rec.Sampled && len(e.rwPending) < 64 {
+		e.rwPending = append(e.rwPending, start)
+	}
+	if rec != nil && rec.span != nil {
+		// Per-hop decomposition: time buffered at the producer, no
+		// separable network transit (in-process rings), then wait
+		// from ship to service start.
+		batchDelay := b.shipped.Sub(b.oldestBuf).Seconds()
+		wait := start.Sub(b.shipped).Seconds()
+		endS := nowSeconds(end)
+		rec.span.Hop(t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
+		t.ex.cfg.Telemetry.ObserveHop(endS, t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
+		if len(e.gates) == 0 {
+			rec.span.Finish(endS)
+			t.ex.cfg.Telemetry.ObserveE2E(endS, endS-rec.span.Start())
+		}
+	}
+	t.stride = int(min(max(int64(clockBudget)*int64(n)/max(int64(group), 1), 1), maxStride))
+	t.maybeReport(end)
+	return end
+}
+
+// inChannel returns the consumer-side state of the channel a batch
+// arrived on, creating it on the channel's first batch.
+func (t *task) inChannel(b *batch) *inChannel {
+	k := chanKey{b.edgePos, b.producer}
+	ch := t.inChans[k]
+	if ch == nil {
+		ek := t.inEdge(*b)
+		ch = &inChannel{
+			rep:      qos.NewChannelReporter(model.ChannelID{Edge: ek, Producer: b.producer, Consumer: t.id.Index}),
+			edgeName: ek.String(),
+		}
+		t.inChans[k] = ch
+	}
+	return ch
 }
 
 // inEdge reconstructs the job edge a batch arrived on from its edge
@@ -724,11 +792,11 @@ func (t *task) run() {
 		for _, r := range t.ringsSnapshot() {
 			// Bounded pops per ring per scan: a saturated producer must not
 			// pin the loop inside one ring, both for fairness across inputs
-			// and because flush servicing and QoS reporting only happen
-			// between scans — an unbounded drain starves maybeReport, the
-			// master marks the task's reports stale, and coverage gating
-			// then disables the scaler exactly when the task is the
-			// bottleneck it should resolve.
+			// and because timers and flush requests are only serviced
+			// between scans. (Interval reports do not wait for the scan to
+			// end: handleBatch flushes them at its clock reads, so the
+			// master's freshness gating keeps seeing a task that is the
+			// bottleneck.)
 			for popped := 0; popped < maxPopsPerScan; popped++ {
 				b, ok := r.Pop()
 				if !ok {
@@ -743,10 +811,6 @@ func (t *task) run() {
 					t.handleBatch(b)
 				}
 				worked = true
-				// Rate-limited (one clock compare when not due): a slow
-				// UDF over small batches must still deliver interval
-				// reports while a backlog keeps the rings non-empty.
-				t.maybeReport(t.now)
 			}
 		}
 		if sawClosed {
@@ -957,12 +1021,9 @@ func (e *emitter) runSourceShard() {
 			cost := end.Sub(now)
 			t.busyNs.Add(int64(cost))
 			per := cost.Seconds() / float64(burst)
-			ts := nowSeconds(now)
-			for i := 0; i < burst; i++ {
-				e.reporter.RecordArrival(ts)
-				e.reporter.RecordService(per)
-				e.reporter.RecordTaskLatency(per)
-			}
+			e.reporter.RecordArrivalN(nowSeconds(now), 0, burst)
+			e.reporter.RecordServiceN(per, burst)
+			e.reporter.RecordTaskLatencyN(per, burst)
 			ex.emitted.Add(int64(burst))
 			t.processed.Add(int64(burst))
 			e.emitCount.Add(int64(burst))

@@ -171,6 +171,5 @@ func (w *flushWheel) fire(e *emitter) {
 	w.armed.Add(-1)
 	w.fires.Add(1)
 	e.armedUntil.Store(0)
-	e.flushReq.Store(true)
-	e.wake()
+	e.requestFlush()
 }

@@ -45,7 +45,7 @@ type DataplaneResult struct {
 	// the run (interval counts, onsets, final state).
 	Statuses []obs.BackpressureStatus
 	// Snapshot is the last data-plane sample.
-	Snapshot *obs.DataplaneSnapshot
+	Snapshot  *obs.DataplaneSnapshot
 	Telemetry *obs.Telemetry
 	Recorder  *obs.Recorder
 }

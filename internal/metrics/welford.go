@@ -24,6 +24,20 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
+// AddN incorporates n samples that all equal x in O(1): the weighted
+// form of Add (AddN(x, 1) performs the same arithmetic), for callers
+// that measured n events as one span and account them as n equal
+// shares. n <= 0 is a no-op.
+func (w *Welford) AddN(x float64, n int64) {
+	if n <= 0 {
+		return
+	}
+	w.n += n
+	delta := x - w.mean
+	w.mean += delta * float64(n) / float64(w.n)
+	w.m2 += delta * (x - w.mean) * float64(n)
+}
+
 // Count returns the number of samples seen.
 func (w *Welford) Count() int64 { return w.n }
 

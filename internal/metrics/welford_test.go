@@ -133,3 +133,44 @@ func TestWelfordReset(t *testing.T) {
 		t.Error("Reset did not clear state")
 	}
 }
+
+// TestWelfordAddNMatchesRepeatedAdd: AddN(x, n) is n calls of Add(x) to
+// 1e-12 relative, n = 0 changes nothing, and n = 1 is Add bit for bit.
+func TestWelfordAddNMatchesRepeatedAdd(t *testing.T) {
+	relClose := func(a, b float64) bool {
+		return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+	}
+	rng := rand.New(rand.NewSource(14))
+	var one, grouped, single Welford
+	for step := 0; step < 400; step++ {
+		// Service-time-sized values (tens of ns to ms, in seconds) in
+		// groups of 0..64, as handleBatch produces them.
+		x := math.Exp(rng.Float64()*12-17) * (1 + rng.Float64())
+		n := int64(rng.Intn(65))
+		before := grouped
+		for i := int64(0); i < n; i++ {
+			one.Add(x)
+		}
+		grouped.AddN(x, n)
+		if n == 0 && grouped != before {
+			t.Fatalf("step %d: AddN(x, 0) changed the accumulator", step)
+		}
+		if one.Count() != grouped.Count() {
+			t.Fatalf("step %d: count %d vs %d", step, one.Count(), grouped.Count())
+		}
+		if !relClose(one.Mean(), grouped.Mean()) || !relClose(one.Variance(), grouped.Variance()) {
+			t.Fatalf("step %d: Add ×%d (mean %v var %v) vs AddN (mean %v var %v)",
+				step, n, one.Mean(), one.Variance(), grouped.Mean(), grouped.Variance())
+		}
+		ref := single
+		ref.Add(x)
+		single.AddN(x, 1)
+		if single != ref {
+			t.Fatalf("step %d: AddN(x, 1) = %+v, Add(x) = %+v", step, single, ref)
+		}
+	}
+	grouped.AddN(1, -3)
+	if grouped.Count() != one.Count() {
+		t.Error("negative n must be a no-op")
+	}
+}

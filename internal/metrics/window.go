@@ -11,6 +11,9 @@ type IntervalStats struct {
 // Add incorporates one sample into the current interval.
 func (s *IntervalStats) Add(x float64) { s.w.Add(x) }
 
+// AddN incorporates n samples of value x into the current interval.
+func (s *IntervalStats) AddN(x float64, n int64) { s.w.AddN(x, n) }
+
 // Snapshot returns the interval's (count, mean, cv) and resets the
 // accumulator for the next interval.
 func (s *IntervalStats) Snapshot() (count int64, mean, cv float64) {

@@ -44,6 +44,10 @@ type taskHistory struct {
 // channelHistory is the rolling window of recent interval reports for one
 // channel.
 type channelHistory struct {
+	id model.ChannelID
+	// key is id.String(), rendered once: PartialSummary iterates channels
+	// in the order of this string.
+	key     string
 	reports []ChannelReport
 	idle    int
 }
@@ -97,7 +101,7 @@ func (m *Manager) ReportChannel(r ChannelReport) {
 	}
 	h := m.channels[r.Channel]
 	if h == nil {
-		h = &channelHistory{}
+		h = &channelHistory{id: r.Channel, key: r.Channel.String()}
 		m.channels[r.Channel] = h
 	}
 	h.reports = append(h.reports, r)
@@ -200,13 +204,7 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			p.MarkTaskFresh(id.Vertex)
 		}
 	}
-	chanIDs := make([]model.ChannelID, 0, len(m.channels))
-	for id := range m.channels {
-		chanIDs = append(chanIDs, id)
-	}
-	sort.Slice(chanIDs, func(i, j int) bool { return chanIDs[i].String() < chanIDs[j].String() })
-	for _, id := range chanIDs {
-		h := m.channels[id]
+	for _, h := range m.sortedChannels() {
 		if len(h.reports) == 0 {
 			continue
 		}
@@ -233,13 +231,25 @@ func (m *Manager) PartialSummary() *PartialSummary {
 		if oblN > 0 {
 			obl = oblSum / oblN
 		}
-		p.AddChannel(id.Edge, lat, obl, samples)
+		p.AddChannel(h.id.Edge, lat, obl, samples)
 		if h.idle == 0 {
-			p.MarkChannelFresh(id.Edge)
+			p.MarkChannelFresh(h.id.Edge)
 		}
 	}
 	m.ageOut()
 	return p
+}
+
+// sortedChannels returns the channel histories ordered by the string
+// form of their ids ("a[10]->b[2]" before "a[2]->b[10]"): the order the
+// summary's floating-point sums have always been accumulated in.
+func (m *Manager) sortedChannels() []*channelHistory {
+	chans := make([]*channelHistory, 0, len(m.channels))
+	for _, h := range m.channels {
+		chans = append(chans, h)
+	}
+	sort.Slice(chans, func(i, j int) bool { return chans[i].key < chans[j].key })
+	return chans
 }
 
 // ageOut increments idle counters and evicts long-idle histories.

@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"nephelix/internal/model"
@@ -140,5 +142,74 @@ func TestMergePartialsAcrossManagers(t *testing.T) {
 	e, ok := global.Edge(model.EdgeKey{Source: "u", Target: "v"})
 	if !ok || !almostEqual(e.QueueWait(), 0.008, 1e-12) {
 		t.Errorf("edge stats: %+v ok=%v", e, ok)
+	}
+}
+
+// TestPartialSummaryChannelOrder pins the iteration order PartialSummary
+// accumulates channels in: the order of ChannelID.String(), in which
+// "a[10]->b[2]" sorts before "a[2]->b[10]". Floating-point sums — and so
+// every simulator figure — depend on it.
+func TestPartialSummaryChannelOrder(t *testing.T) {
+	m := NewManager(DefaultManagerConfig())
+	var want []string
+	for _, pc := range [][2]int{{2, 10}, {10, 2}, {1, 1}, {10, 10}, {9, 0}, {100, 3}} {
+		id := model.ChannelID{Edge: model.EdgeKey{Source: "a", Target: "b"}, Producer: pc[0], Consumer: pc[1]}
+		m.ReportChannel(ChannelReport{Channel: id, LatencyCount: 1, LatencyMean: 0.001})
+		want = append(want, id.String())
+	}
+	other := model.ChannelID{Edge: model.EdgeKey{Source: "a", Target: "B"}, Producer: 3, Consumer: 3}
+	m.ReportChannel(ChannelReport{Channel: other, LatencyCount: 1, LatencyMean: 0.001})
+	want = append(want, other.String())
+	sort.Strings(want)
+
+	var got []string
+	for _, h := range m.sortedChannels() {
+		got = append(got, h.id.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("channel order\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestTaskReporterWeightedRecords checks the N-forms against n single
+// calls: same counts, same means, same interarrival chain.
+func TestTaskReporterWeightedRecords(t *testing.T) {
+	one, grouped := NewTaskReporter(taskID("v", 0)), NewTaskReporter(taskID("v", 0))
+	one.EnableTailTracking(0)
+	grouped.EnableTailTracking(0)
+	for _, r := range []*TaskReporter{one, grouped} {
+		r.RecordArrival(1.0)
+		r.RecordService(0.5)
+	}
+	const n, first, gap, d = 7, 2.0, 0.25, 0.003
+	for i := 0; i < n; i++ {
+		one.RecordArrival(first + gap*float64(i))
+		one.RecordService(d)
+		one.RecordTaskLatency(d)
+	}
+	grouped.RecordArrivalN(first, gap, n)
+	grouped.RecordServiceN(d, n)
+	grouped.RecordTaskLatencyN(d, n)
+	grouped.RecordArrivalN(9, 1, 0) // no-op
+	grouped.RecordServiceN(9, 0)
+	grouped.RecordTaskLatencyN(9, 0)
+	for _, r := range []*TaskReporter{one, grouped} {
+		r.RecordArrival(4.0) // the chain continues from the group's last arrival
+	}
+	if a, b := one.ServiceTail().Count(), grouped.ServiceTail().Count(); a != b {
+		t.Errorf("tail sketch count: single %d, weighted %d", a, b)
+	}
+	a, b := one.Flush(), grouped.Flush()
+	if a.ServiceCount != b.ServiceCount || a.InterarrivalCount != b.InterarrivalCount || a.TaskLatencyCount != b.TaskLatencyCount {
+		t.Fatalf("counts differ: single %+v, weighted %+v", a, b)
+	}
+	for _, p := range [][2]float64{
+		{a.ServiceMean, b.ServiceMean}, {a.ServiceCV, b.ServiceCV},
+		{a.InterarrivalMean, b.InterarrivalMean}, {a.InterarrivalCV, b.InterarrivalCV},
+		{a.TaskLatencyMean, b.TaskLatencyMean},
+	} {
+		if !almostEqual(p[0], p[1], 1e-12) {
+			t.Errorf("single %v != weighted %v\nsingle   %+v\nweighted %+v", p[0], p[1], a, b)
+		}
 	}
 }

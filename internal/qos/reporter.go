@@ -118,6 +118,40 @@ func (r *TaskReporter) RecordTaskLatency(d float64) {
 	}
 }
 
+// RecordArrivalN notes n arrivals spaced gap apart, the first at time
+// first: the weighted form of RecordArrival for a caller that timed a
+// group of items with one pair of clock reads. The interarrival chain
+// continues from the group's last arrival, so the sum of interarrival
+// samples — and with it the arrival rate — is what n single calls would
+// have produced.
+func (r *TaskReporter) RecordArrivalN(first, gap float64, n int) {
+	if n <= 0 {
+		return
+	}
+	r.RecordArrival(first)
+	if n > 1 && gap >= 0 {
+		r.interarrival.AddN(gap, int64(n-1))
+		r.lastArrival = first + gap*float64(n-1)
+	}
+}
+
+// RecordServiceN records n service times of d each.
+func (r *TaskReporter) RecordServiceN(d float64, n int) {
+	if d >= 0 && n > 0 {
+		r.service.AddN(d, int64(n))
+		if r.tail != nil {
+			r.tail.AddN(d, uint64(n))
+		}
+	}
+}
+
+// RecordTaskLatencyN records n task latencies of d each.
+func (r *TaskReporter) RecordTaskLatencyN(d float64, n int) {
+	if d >= 0 {
+		r.taskLatency.AddN(d, int64(n))
+	}
+}
+
 // Flush emits the interval report and resets the interval accumulators.
 // The interarrival chain (time of last arrival) survives the flush so the
 // first arrival of the next interval still yields a sample.

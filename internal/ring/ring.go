@@ -67,9 +67,11 @@ type SPSC[T any] struct {
 
 // Stats is a sampled snapshot of the ring's hot-path counters. Each
 // field is read with an individual atomic load — never torn — but the
-// fields are not mutually consistent (the producer may land a push
-// between two loads). Counters are cumulative; samplers diff
-// consecutive snapshots to derive rates.
+// fields are not one instant's values (the producer may land a push
+// between two loads). One ordering does hold in every sample:
+// Pops ≤ Pushes, because Push counts an item before publishing it and
+// Stats loads Pops before Pushes. Counters are cumulative; samplers
+// diff consecutive snapshots to derive rates.
 type Stats struct {
 	Pushes    uint64 // successful Push calls
 	PushFails uint64 // Push attempts rejected by a full ring (stalls)
@@ -116,8 +118,11 @@ func (r *SPSC[T]) Push(v T) bool {
 		}
 	}
 	r.buf[tail&r.mask] = v
-	r.tail.Store(tail + 1)
+	// Counted before it is published: the consumer can pop (and count) an
+	// item the instant tail moves, and a sampler must never see more pops
+	// than pushes.
 	r.pushes.Store(r.pushes.Load() + 1)
+	r.tail.Store(tail + 1)
 	if occ := tail + 1 - r.cachedHead; occ > r.highWater.Load() {
 		r.highWater.Store(occ)
 	}
@@ -145,10 +150,11 @@ func (r *SPSC[T]) Pop() (T, bool) {
 // Stats samples the hot-path counters. Callable from any goroutine;
 // see the Stats type for the (non-)consistency contract.
 func (r *SPSC[T]) Stats() Stats {
+	pops := r.pops.Load() // before pushes: every counted pop's push is already counted
 	return Stats{
 		Pushes:    r.pushes.Load(),
 		PushFails: r.pushFails.Load(),
-		Pops:      r.pops.Load(),
+		Pops:      pops,
 		HighWater: r.highWater.Load(),
 	}
 }

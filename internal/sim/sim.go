@@ -210,17 +210,17 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s := &Sim{
-		cfg:           &cfg,
-		opFree:        -1,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		vertices:      make(map[string]*simVertex),
-		edgePatterns:  make(map[string][]model.WiringPattern),
-		edgePos:       make(map[model.EdgeKey]int),
-		rm:            rm,
-		scheduler:     cluster.NewScheduler(rm),
-		probes:        probes,
-		batching:      qos.NewBatchingController(cfg.Scaler.Strategy.Batching),
-		deadlines:     make(map[model.EdgeKey]float64),
+		cfg:          &cfg,
+		opFree:       -1,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		vertices:     make(map[string]*simVertex),
+		edgePatterns: make(map[string][]model.WiringPattern),
+		edgePos:      make(map[model.EdgeKey]int),
+		rm:           rm,
+		scheduler:    cluster.NewScheduler(rm),
+		probes:       probes,
+		batching:     qos.NewBatchingController(cfg.Scaler.Strategy.Batching),
+		deadlines:    make(map[model.EdgeKey]float64),
 	}
 	for i := 0; i < cfg.ManagerCount; i++ {
 		mcfg := qos.DefaultManagerConfig()
