@@ -256,6 +256,7 @@ func BuildVertexModel(jv *model.JobVertex, seq *model.Sequence, s *qos.Summary, 
 						e = 1
 					}
 					if opts.ErrorCoefficientMax > 0 && e > opts.ErrorCoefficientMax {
+						notes = append(notes, fmt.Sprintf("error coefficient %g capped at %g", e, opts.ErrorCoefficientMax))
 						e = opts.ErrorCoefficientMax
 					}
 				}

@@ -243,6 +243,9 @@ func TestBuildVertexModelCapsErrorCoefficient(t *testing.T) {
 	if vm.E != 5 {
 		t.Errorf("capped error coefficient: got %v, want 5", vm.E)
 	}
+	if len(vm.Notes) != 1 || vm.Notes[0] != "error coefficient 100 capped at 5" {
+		t.Errorf("capped fit must leave one audit note, got %q", vm.Notes)
+	}
 }
 
 func TestBuildVertexModelMissingMeasurements(t *testing.T) {

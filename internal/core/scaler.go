@@ -88,6 +88,10 @@ type Decision struct {
 	// applied after ScaleReactively (dead band, scale-down clamp, low
 	// coverage); nil when ScaleReactively is called directly.
 	Holds []Hold
+	// TailFit is the tail fitter's state after ElasticScaler.Decide folded
+	// the summary's queue-wait windows in; nil without percentile
+	// constraints.
+	TailFit []TailFitSnapshot
 }
 
 // Hold records one gating intervention: the optimizer proposed Proposed
@@ -285,41 +289,39 @@ func NewElasticScaler(cfg ScalerConfig, g *model.JobGraph, constraints []*model.
 	if cfg.InactivityIntervals < 0 {
 		cfg.InactivityIntervals = 0
 	}
-	// Percentile constraints need a tail fitter; create one tracking all
-	// target quantiles unless the caller supplied its own. The runtime
-	// binds it to telemetry, which feeds it windowed queue-wait quantiles
-	// each adjustment interval.
-	if cfg.Strategy.Model.Tail == nil {
-		var qs []float64
-		for _, c := range constraints {
-			if c.IsPercentile() {
-				qs = append(qs, c.Quantile)
-			}
-		}
-		if len(qs) > 0 {
-			cfg.Strategy.Model.Tail = NewTailFitter(DefaultTailFitterConfig(), qs...)
+	// Percentile constraints need a tail fitter; create one unless the
+	// caller supplied its own. Decide feeds it the summary's queue-wait
+	// windows each adjustment interval.
+	for _, c := range constraints {
+		if c.IsPercentile() && cfg.Strategy.Model.Tail == nil {
+			cfg.Strategy.Model.Tail = NewTailFitter(DefaultTailFitterConfig())
 		}
 	}
 	return &ElasticScaler{cfg: cfg, graph: g, constraints: constraints}, nil
 }
 
 // TailFitter returns the scaler's tail-coefficient fitter, or nil when
-// no percentile constraint needs one. The runtime hands it to telemetry
-// so measured queue-wait windows flow into the fit.
+// no percentile constraint needs one.
 func (e *ElasticScaler) TailFitter() *TailFitter { return e.cfg.Strategy.Model.Tail }
 
 // Decide consumes one fresh global summary and returns the scaling actions
 // to apply, or nil during an inactivity phase (or when nothing changes).
-// current maps vertices to their present parallelism.
+// current maps vertices to their present parallelism. The summary's
+// queue-wait windows are folded into the tail fit after the decision (and
+// during an inactivity phase too), so interval n is planned with the κ of
+// the windows up to n−1: its own window is what the plan is scored on.
 func (e *ElasticScaler) Decide(s *qos.Summary, current map[string]int) (*Decision, error) {
 	if e.cooldown > 0 {
 		e.cooldown--
+		e.fitTail(s)
 		return nil, nil
 	}
 	d, err := ScaleReactively(e.cfg.Strategy, e.graph, e.constraints, s, current)
+	e.fitTail(s)
 	if err != nil {
 		return nil, err
 	}
+	d.TailFit = e.TailFitter().Snapshot()
 	e.applyDeadBand(d, current)
 	e.clampScaleDowns(d, current)
 	e.holdLowCoverageScaleDowns(d, s, current)
@@ -335,6 +337,34 @@ func (e *ElasticScaler) Decide(s *qos.Summary, current map[string]int) (*Decisio
 		e.cooldown = e.cfg.InactivityIntervals
 	}
 	return d, nil
+}
+
+// fitTail closes one fit window: for every vertex of a percentile
+// constraint it hands the fitter the q-quantile of the vertex's queue-wait
+// window over the mean queue wait of the constraint's ingoing edge — the
+// mean BuildVertexModel fits e on, so κ·e·W^K reproduces the measured
+// quantile at the current parallelism.
+func (e *ElasticScaler) fitTail(s *qos.Summary) {
+	f := e.TailFitter()
+	for _, c := range e.constraints {
+		if !c.IsPercentile() {
+			continue
+		}
+		for _, name := range c.Sequence.Vertices() {
+			win := s.Vertices[name].WaitWindow
+			mean := win.Mean()
+			if key, ok := c.Sequence.IngoingEdge(name); ok {
+				if es, ok := s.Edge(key); ok {
+					mean = es.QueueWait()
+				}
+			}
+			f.Observe(name, c.Quantile, TailWindow{
+				Count:    win.Count(),
+				MeanWait: mean,
+				TailWait: win.Quantile(c.Quantile),
+			})
+		}
+	}
 }
 
 // applyDeadBand drops desired changes smaller than the configured

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
 	"nephelix/internal/qos"
 )
@@ -407,5 +408,70 @@ func TestElasticScalerDeadBandKeepsBottleneckUps(t *testing.T) {
 	}
 	if !d.HasScaleUp() {
 		t.Error("dead band suppressed a bottleneck scale-up")
+	}
+}
+
+// TestElasticScalerFitsTailFromSummary: Decide is the tail fitter's only
+// feed. It folds the summary's queue-wait window in after planning — also
+// during an inactivity phase — with κ's denominator the ingoing edge's
+// QueueWait(), the mean e is fitted on, so the κ-inflated model reproduces
+// the window's quantile at the current parallelism.
+func TestElasticScalerFitsTailFromSummary(t *testing.T) {
+	f := newScalerFixture(t, 50, 0.01, 8, 200*time.Millisecond)
+	f.constraint.Quantile = 0.99
+	win := sketch.NewDefault()
+	for i := 1; i <= 100; i++ {
+		win.Add(float64(i) * 1e-4) // p99 = 9.9 ms, mean 5.05 ms
+	}
+	vs := f.summary.Vertices["work"]
+	vs.WaitWindow = win
+	f.summary.Vertices["work"] = vs
+	cfg := DefaultScalerConfig()
+	cfg.InactivityIntervals = 1
+	sc, err := NewElasticScaler(cfg, f.g, []*model.Constraint{f.constraint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := map[string]int{"work": 8}
+
+	// Interval 1 is planned on the mean model: no window was folded yet.
+	d, err := sc.Decide(f.summary, cur)
+	if err != nil || d == nil {
+		t.Fatalf("first decision: d=%v err=%v", d, err)
+	}
+	if vm := d.PerConstraint[0].Models[0]; vm.Kappa != 1 || vm.TailFit != TailFitMean {
+		t.Errorf("first plan used κ=%v (%s), want the mean fallback", vm.Kappa, vm.TailFit)
+	}
+	// QueueWait(src->work) = 4 ms − 2 ms, not the window's own 5.05 ms.
+	want := win.Quantile(0.99) / 0.002
+	if len(d.TailFit) != 1 || d.TailFit[0].Vertex != "work" || !almostEqual(d.TailFit[0].Kappa, want, 1e-9) {
+		t.Fatalf("decision's tail fit = %+v, want κ(work) = %v", d.TailFit, want)
+	}
+
+	// Interval 2 plans with it: the model's wait at the current
+	// parallelism is the measured quantile.
+	d, err = sc.Decide(f.summary, cur)
+	if err != nil || d == nil {
+		t.Fatalf("second decision: d=%v err=%v", d, err)
+	}
+	vm := d.PerConstraint[0].Models[0]
+	if vm.TailFit != TailFitFresh || !almostEqual(vm.Wait(8), win.Quantile(0.99), 1e-9) {
+		t.Errorf("second plan: fit %q, W(8) = %v, want the window's p99 %v", vm.TailFit, vm.Wait(8), win.Quantile(0.99))
+	}
+
+	// An inactivity interval returns no decision but still closes its
+	// window.
+	f.summary.Vertices["work"] = qos.VertexStats{
+		ServiceTimeMean: 0.01, InterarrivalMean: 1.0 / 150, Parallelism: 8, FreshTasks: 8, WaitWindow: win,
+	}
+	if d, err = sc.Decide(f.summary, cur); err != nil || d == nil || !d.HasScaleUp() {
+		t.Fatalf("bottleneck decision: d=%v err=%v", d, err)
+	}
+	before := sc.TailFitter().Snapshot()[0].Windows
+	if d, err = sc.Decide(f.summary, cur); err != nil || d != nil {
+		t.Fatalf("inactivity interval: d=%v err=%v", d, err)
+	}
+	if got := sc.TailFitter().Snapshot()[0].Windows; got != before+1 {
+		t.Errorf("windows folded across the inactivity interval: %d -> %d, want +1", before, got)
 	}
 }

@@ -74,13 +74,13 @@ const (
 type TailFitter struct {
 	mu    sync.Mutex
 	cfg   TailFitterConfig
-	qs    []float64
 	cells map[tailKey]*tailCell
 }
 
-// NewTailFitter returns a fitter tracking the given target quantiles
-// (out-of-range values are dropped, duplicates collapsed).
-func NewTailFitter(cfg TailFitterConfig, quantiles ...float64) *TailFitter {
+// NewTailFitter returns an empty fitter. A (vertex, quantile) cell is
+// created by its first Observe, so the target quantiles a caller names
+// need no registration.
+func NewTailFitter(cfg TailFitterConfig, _ ...float64) *TailFitter {
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = DefaultTailFitterConfig().MinSamples
 	}
@@ -90,24 +90,7 @@ func NewTailFitter(cfg TailFitterConfig, quantiles ...float64) *TailFitter {
 	if cfg.Smoothing <= 0 || cfg.Smoothing > 1 {
 		cfg.Smoothing = DefaultTailFitterConfig().Smoothing
 	}
-	f := &TailFitter{cfg: cfg, cells: make(map[tailKey]*tailCell)}
-	seen := make(map[float64]bool)
-	for _, q := range quantiles {
-		if q > 0 && q < 1 && !seen[q] {
-			seen[q] = true
-			f.qs = append(f.qs, q)
-		}
-	}
-	sort.Float64s(f.qs)
-	return f
-}
-
-// Quantiles returns the target quantiles the fitter tracks (sorted).
-func (f *TailFitter) Quantiles() []float64 {
-	if f == nil {
-		return nil
-	}
-	return f.qs
+	return &TailFitter{cfg: cfg, cells: make(map[tailKey]*tailCell)}
 }
 
 // Observe folds one fit window for (vertex, q) into the coefficient.

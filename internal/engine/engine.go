@@ -256,15 +256,6 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 			return nil, err
 		}
 		ex.scaler = sc
-		// Percentile constraints: telemetry feeds the scaler's tail
-		// fitter with windowed queue-wait quantiles each interval. The
-		// fit windows are filled from sampled hop decompositions, so a
-		// tail-constrained run needs a tracer even when the caller
-		// configured none.
-		e.cfg.Telemetry.BindTailFitter(sc.TailFitter())
-		if sc.TailFitter() != nil && ex.cfg.Tracer == nil {
-			ex.cfg.Tracer = obs.NewTracer(obs.DefaultTailSampleEvery)
-		}
 	}
 	if err := ex.bootstrap(); err != nil {
 		return nil, err
@@ -295,6 +286,9 @@ type vertexState struct {
 	tasks     []*task
 	nextIndex int
 	count     atomic.Int32
+	// tail marks a vertex under a percentile constraint: its tasks report
+	// the distribution of their queue waits, not only the mean.
+	tail bool
 }
 
 // refreshCount recomputes the live-task count (caller holds ex.mu).
@@ -489,12 +483,13 @@ func (ex *execution) parallelismOf(vertex string) int {
 // goroutine).
 func (ex *execution) bootstrap() error {
 	g := ex.spec.graph
+	tail := qos.TailVertices(ex.spec.constraints)
 	for _, jv := range g.Vertices() {
 		ex.modes[jv.Name] = jv.LatencyMode
 		for pos, ek := range g.OutEdges(jv.Name) {
 			ex.edgePos[ek] = pos
 		}
-		ex.vertices[jv.Name] = &vertexState{jv: jv}
+		ex.vertices[jv.Name] = &vertexState{jv: jv, tail: tail[jv.Name]}
 		ex.order = append(ex.order, jv.Name)
 	}
 	for _, name := range ex.order {
@@ -553,6 +548,9 @@ func (ex *execution) createTask(vertex string) (*task, error) {
 		return nil, fmt.Errorf("engine: placing %s: %w", id, err)
 	}
 	t := newTask(ex, id, udf, src, ex.cfg.Seed+int64(len(vs.tasks))*7919+int64(vs.nextIndex))
+	if vs.tail {
+		t.reporter.TrackQueueWait()
+	}
 	vs.tasks = append(vs.tasks, t)
 	vs.refreshCount()
 	return t, nil
@@ -1105,39 +1103,6 @@ func (ex *execution) recordTick() {
 	ex.rowsMu.Unlock()
 }
 
-// observeSLOs feeds per-constraint SLO accounting each adjustment
-// interval. Bounded probes see the ground-truth per-path latency
-// stream, so each drives its own SLO cell; without bounded probes the
-// telemetry falls back to its sampled end-to-end sketch against the
-// spec's constraints.
-func (ex *execution) observeSLOs() {
-	if ex.cfg.Telemetry == nil {
-		return
-	}
-	now := time.Since(ex.start).Seconds()
-	fed := false
-	for _, name := range ex.probes.Names() {
-		p := ex.probes.Probe(name)
-		if p.BoundSeconds <= 0 {
-			continue
-		}
-		q := obs.DefaultSLOQuantile
-		if p.Quantile > 0 && p.Quantile < 1 {
-			q = p.Quantile // percentile constraint: track its own quantile
-		}
-		count, bad, est := p.TailState(q)
-		ex.cfg.Telemetry.ObserveSLO(now, obs.SLOTarget{
-			Constraint:   name,
-			Quantile:     q,
-			BoundSeconds: p.BoundSeconds,
-		}, count, bad, est, ex.cfg.Recorder)
-		fed = true
-	}
-	if !fed {
-		ex.cfg.Telemetry.ObserveSLOs(now, ex.sloTargets, ex.cfg.Recorder)
-	}
-}
-
 // adjustTick runs one adjustment interval: summary, batching deadlines,
 // scaling.
 func (ex *execution) adjustTick() {
@@ -1193,7 +1158,7 @@ func (ex *execution) adjustTick() {
 	drift := ex.cfg.Telemetry.ObserveInterval(time.Since(ex.start).Seconds(), summary, decision, par)
 	ex.scrapeShardGauges()
 	ex.scrapeDataplane()
-	ex.observeSLOs()
+	ex.cfg.Telemetry.ObserveSLOs(time.Since(ex.start).Seconds(), ex.probes, ex.sloTargets, ex.cfg.Recorder)
 	if decision == nil {
 		return
 	}

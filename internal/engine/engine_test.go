@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nephelix/internal/core"
 	"nephelix/internal/model"
 	"nephelix/internal/probe"
 	"nephelix/internal/workload"
@@ -812,5 +813,50 @@ func TestEngineTimeSeries(t *testing.T) {
 		if rows[i].Elapsed <= rows[i-1].Elapsed {
 			t.Fatalf("rows out of order at %d", i)
 		}
+	}
+}
+
+// TestEngineTailFitWithoutObservability: under a percentile constraint the
+// scaler's tail fit is fed by the QoS plane alone. With no telemetry, no
+// tracer and no recorder configured, κ at the constrained worker leaves
+// the mean fallback within a few adjustment intervals.
+func TestEngineTailFitWithoutObservability(t *testing.T) {
+	g := buildChain(t, 2, 4, model.PatternRoundRobin)
+	var received atomic.Int64
+	seq, err := model.ParseSequence(g, "src->work", "work", "work->sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := NewJobSpec(g).
+		SetSource("src", SourceSpec{
+			Schedule: &workload.ConstantSchedule{RatePerSecond: 1000, Length: 1.5},
+			Emit: func(ctx *Context) {
+				ctx.Emit(0, Record{EmitTime: time.Now()})
+			},
+		}).
+		SetUDF("work", func(int) UDF { return &forwarder{} }).
+		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} }).
+		AddConstraint(&model.Constraint{
+			Name: "c", Sequence: seq, Bound: 50 * time.Millisecond, Window: 10 * time.Second, Quantile: 0.99,
+		})
+
+	exec, err := New(Config{
+		Seed:                9,
+		Elastic:             true,
+		MeasurementInterval: 50 * time.Millisecond,
+		AdjustmentInterval:  200 * time.Millisecond,
+	}).Submit(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := false
+	for !fit && !exec.Done() {
+		_, state := exec.ex.scaler.TailFitter().Kappa("work", 0.99)
+		fit = state == core.TailFitFresh
+		time.Sleep(20 * time.Millisecond)
+	}
+	waitDone(t, exec, 30*time.Second)
+	if !fit {
+		t.Errorf("tail fit at \"work\" never left the mean fallback: %+v", exec.ex.scaler.TailFitter().Snapshot())
 	}
 }

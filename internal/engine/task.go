@@ -678,6 +678,8 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 	// group.
 	t.reporter.RecordArrivalN(last.Sub(t.ex.start).Seconds(), per, n)
 	t.reporter.RecordServiceN(per, n)
+	wait := start.Sub(b.shipped).Seconds() // ship to service start
+	t.reporter.RecordQueueWaitN(wait, n)
 	if !t.rw {
 		t.reporter.RecordTaskLatencyN(per, n)
 	} else if rec != nil && rec.Sampled && len(e.rwPending) < 64 {
@@ -685,10 +687,8 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 	}
 	if rec != nil && rec.span != nil {
 		// Per-hop decomposition: time buffered at the producer, no
-		// separable network transit (in-process rings), then wait
-		// from ship to service start.
+		// separable network transit (in-process rings), then the wait.
 		batchDelay := b.shipped.Sub(b.oldestBuf).Seconds()
-		wait := start.Sub(b.shipped).Seconds()
 		endS := nowSeconds(end)
 		rec.span.Hop(t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
 		t.ex.cfg.Telemetry.ObserveHop(endS, t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)

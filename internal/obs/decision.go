@@ -44,6 +44,7 @@ func NewScalingDecision(interval int, d *core.Decision, current map[string]int) 
 				Current:     vm.Current,
 				Min:         vm.Min,
 				Max:         vm.Max,
+				Notes:       vm.Notes,
 			})
 		}
 		for _, st := range cd.Steps {

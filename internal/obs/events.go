@@ -123,6 +123,8 @@ type VertexModelInputs struct {
 	Current int     `json:"current"`
 	Min     int     `json:"min"`
 	Max     int     `json:"max"`
+	// Notes lists the inputs the fit clamped (see core.VertexModel.Notes).
+	Notes []string `json:"notes,omitempty"`
 }
 
 // RebalanceStep is one gradient-descent iteration of Algorithm 1: the

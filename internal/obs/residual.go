@@ -130,9 +130,9 @@ type pendingPrediction struct {
 	edge      model.EdgeKey
 	predicted float64
 	// quantile > 0 marks a tail prediction (κ-inflated model): it is
-	// scored against the measured q-quantile queue wait of the vertex's
-	// fit window, not the summary's mean — the drift flags then cover
-	// the tail fit with the same thresholds as the mean model.
+	// scored against the q-quantile of the vertex's queue-wait window in
+	// the summary, not the edge's mean — the drift flags then cover the
+	// tail fit with the same thresholds as the mean model.
 	quantile float64
 	// bound is the constraint bound in seconds; it scales the sign-bias
 	// deadband.
@@ -160,22 +160,6 @@ type ResidualMonitor struct {
 	mu      sync.Mutex
 	cells   map[ResidualKey]*residualCell
 	pending []pendingPrediction
-
-	// tailMeasure resolves a vertex's measured q-quantile queue wait for
-	// the interval being scored (set by Telemetry from its per-vertex fit
-	// windows). Nil leaves tail predictions unscoreable.
-	tailMeasure func(vertex string, q float64) (float64, bool)
-}
-
-// SetTailMeasure installs the measured-tail lookup used to score
-// percentile predictions.
-func (m *ResidualMonitor) SetTailMeasure(fn func(vertex string, q float64) (float64, bool)) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.tailMeasure = fn
-	m.mu.Unlock()
 }
 
 // NewResidualMonitor returns a monitor with the given thresholds (zero
@@ -205,14 +189,11 @@ func (m *ResidualMonitor) Observe(now float64, s *qos.Summary, d *core.Decision)
 		for _, p := range m.pending {
 			var measured float64
 			if p.quantile > 0 {
-				if m.tailMeasure == nil {
-					continue // no tail lookup bound: unscoreable
+				win := s.Vertices[p.key.Vertex].WaitWindow
+				if win.Count() == 0 {
+					continue // no queue wait recorded this interval: unscoreable
 				}
-				tw, ok := m.tailMeasure(p.key.Vertex, p.quantile)
-				if !ok {
-					continue // fit window too sparse this interval
-				}
-				measured = tw
+				measured = win.Quantile(p.quantile)
 			} else {
 				es, ok := s.Edge(p.edge)
 				if !ok {

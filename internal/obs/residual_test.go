@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nephelix/internal/core"
+	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
 	"nephelix/internal/qos"
 )
@@ -106,6 +107,32 @@ func TestObsResidualPairing(t *testing.T) {
 	scored, _ = m.Observe(30, summaryWithQueueWait(1, 0), nil)
 	if len(scored) != 0 {
 		t.Errorf("pending must clear after scoring, got %v", scored)
+	}
+}
+
+// TestObsResidualTailPairing: a κ-inflated model's prediction is scored
+// against the quantile of the vertex's queue-wait window in the next
+// summary, not the edge mean; an interval without a window scores
+// nothing.
+func TestObsResidualTailPairing(t *testing.T) {
+	c := residualTestConstraint(t)
+	m := NewResidualMonitor(ResidualConfig{})
+	vm := &core.VertexModel{Name: "server", Current: 4, A: 0.04, B: 2, TailQuantile: 0.9}
+	d := residualTestDecision(c, vm, map[string]int{"server": 6}, nil)
+	m.Observe(10, qos.NewSummary(), d)
+	if scored, _ := m.Observe(20, summaryWithQueueWait(0.025, 0.010), d); len(scored) != 0 {
+		t.Fatalf("no wait window in the summary: scored %v, want none", scored)
+	}
+
+	win := sketch.NewDefault()
+	for i := 1; i <= 10; i++ {
+		win.Add(float64(i) * 0.01)
+	}
+	s := summaryWithQueueWait(0.025, 0.010)
+	s.Vertices["server"] = qos.VertexStats{WaitWindow: win}
+	scored, _ := m.Observe(30, s, nil)
+	if len(scored) != 1 || scored[0].Predicted != 0.01 || scored[0].Measured != win.Quantile(0.9) {
+		t.Fatalf("scored %+v, want W(6) = 0.01 against the window's p90 %v", scored, win.Quantile(0.9))
 	}
 }
 

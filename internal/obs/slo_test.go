@@ -11,6 +11,7 @@ import (
 	"nephelix/internal/core"
 	"nephelix/internal/model"
 	"nephelix/internal/obs/ts"
+	"nephelix/internal/probe"
 )
 
 // TestObsSLOTrackerBudget pins the error-budget arithmetic: budget is
@@ -167,7 +168,8 @@ func TestObsTelemetrySLOViolationEvent(t *testing.T) {
 }
 
 // TestObsTelemetrySLOFallback: ObserveSLOs derives counts from the
-// telemetry's own e2e sketch when no probe feeds the target.
+// telemetry's own e2e sketch when no probe has a bound, and from the
+// bounded probes alone — at their own quantile — once one does.
 func TestObsTelemetrySLOFallback(t *testing.T) {
 	tel := NewTelemetry(64)
 	rec := NewRecorder(16)
@@ -176,7 +178,22 @@ func TestObsTelemetrySLOFallback(t *testing.T) {
 	}
 	tel.ObserveE2E(1, 0.500) // one bad record over a 100ms bound
 	targets := []SLOTarget{{Constraint: "c", Quantile: 0.99, BoundSeconds: 0.1}}
-	tel.ObserveSLOs(2, targets, rec)
+	probes := probe.NewProbeSet()
+	probes.Probe("unbounded").Record(0.3)
+	(*Telemetry)(nil).ObserveSLOs(2, probes, targets, rec)
+	tel.ObserveSLOs(2, probes, targets, rec)
+
+	probed := NewTelemetry(64)
+	probes.SetBound("path", 0.1)
+	probes.SetQuantile("path", 0.9)
+	for i := 0; i < 10; i++ {
+		probes.Probe("path").Record(0.2)
+	}
+	probed.ObserveSLOs(2, probes, targets, nil)
+	if snap := probed.SLOSnapshot(); len(snap) != 1 || snap[0].Constraint != "path" ||
+		snap[0].Quantile != 0.9 || snap[0].Count != 10 || snap[0].Bad != 10 {
+		t.Errorf("probe-driven snapshot %+v, want one cell for \"path\" at q=0.9 with 10/10 bad", snap)
+	}
 
 	snap := tel.SLOSnapshot()
 	if len(snap) != 1 {
@@ -393,26 +410,16 @@ func TestObsSketchSeriesKind(t *testing.T) {
 	}
 }
 
-// TestObsTailFitGauges: binding a tail fitter publishes the
-// percentile-constraint gauges — κ and the measured tail wait — per
-// vertex and quantile once a fit window closes, and percentile
-// constraints carry their own quantile into the SLO targets.
+// TestObsTailFitGauges: a decision's tail-fit snapshot is published as
+// the percentile-constraint gauges — κ and the measured tail wait — per
+// vertex and quantile, and percentile constraints carry their own
+// quantile into the SLO targets.
 func TestObsTailFitGauges(t *testing.T) {
 	tel := NewTelemetry(64)
 	fit := core.NewTailFitter(core.DefaultTailFitterConfig(), 0.99)
-	tel.BindTailFitter(fit)
-	for i := 1; i <= 100; i++ {
-		tel.ObserveHop(1, "worker", "src->worker", 0, 0, float64(i)*0.001, 0.004)
-	}
-	tel.ObserveInterval(2, nil, nil, nil)
-
-	kappa, state := fit.Kappa("worker", 0.99)
-	if state != core.TailFitFresh {
-		t.Fatalf("fitter state = %q, want %q", state, core.TailFitFresh)
-	}
-	if kappa <= 1 {
-		t.Errorf("κ = %v, want > 1 for a spread wait window", kappa)
-	}
+	fit.Observe("worker", 0.99, core.TailWindow{Count: 100, MeanWait: 0.05, TailWait: 0.099})
+	tel.ObserveInterval(2, nil, &core.Decision{TailFit: fit.Snapshot()}, nil)
+	kappa, _ := fit.Kappa("worker", 0.99)
 
 	got := map[string]float64{}
 	for _, s := range tel.Snapshot("nephelix_tail_", 0, 10).Series {

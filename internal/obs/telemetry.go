@@ -11,8 +11,8 @@ import (
 	"sync"
 
 	"nephelix/internal/core"
-	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/obs/ts"
+	"nephelix/internal/probe"
 	"nephelix/internal/qos"
 )
 
@@ -54,24 +54,15 @@ type Telemetry struct {
 
 	// slo accumulates per-constraint error-budget state; sloHandles
 	// caches the per-constraint gauge/counter series.
-	slo     *SLOTracker
-	sloMu   sync.Mutex
-	sloOut  map[string]*sloSeries
-	targets []SLOTarget // last targets observed, for /slo on quiet runs
+	slo    *SLOTracker
+	sloMu  sync.Mutex
+	sloOut map[string]*sloSeries
 
 	// Per-hop latency sketches, cached per edge/vertex identity so the
 	// sampled data-plane path does only map lookups (no allocation).
 	hopMu      sync.Mutex
 	hopEdges   map[string]*hopSeries
 	hopService map[string]*ts.Series
-
-	// Tail-fit state: when a TailFitter is bound, winWait keeps one
-	// windowed queue-wait sketch per vertex (fed in ObserveHop, reset
-	// after each interval's fit), so the scaler's κ coefficients and the
-	// residual monitor's tail scoring both see the same fit windows.
-	// Guarded by hopMu alongside the hop maps.
-	tailFit *core.TailFitter
-	winWait map[string]*sketch.Sketch
 
 	mu       sync.Mutex
 	resHists map[ResidualKey]*ts.Series
@@ -200,41 +191,6 @@ func (t *Telemetry) Residuals() *ResidualMonitor {
 	return t.res
 }
 
-// BindTailFitter connects the scaler's tail-coefficient fitter: from
-// now on ObserveHop also feeds per-vertex windowed queue-wait sketches,
-// ObserveInterval fits κ from them (publishing the percentile-constraint
-// gauges) and the residual monitor scores tail predictions against the
-// same windows. A nil fitter (no percentile constraints) is a no-op.
-func (t *Telemetry) BindTailFitter(f *core.TailFitter) {
-	if t == nil || f == nil {
-		return
-	}
-	t.hopMu.Lock()
-	t.tailFit = f
-	if t.winWait == nil {
-		t.winWait = make(map[string]*sketch.Sketch)
-	}
-	t.hopMu.Unlock()
-	t.res.SetTailMeasure(t.measuredTailWait)
-}
-
-// measuredTailWait returns the current fit window's q-quantile queue
-// wait for a vertex, and whether the window has enough observations to
-// be meaningful (the fitter's MinSamples would reject it anyway, so an
-// empty window reports not-ok).
-func (t *Telemetry) measuredTailWait(vertex string, q float64) (float64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.hopMu.Lock()
-	defer t.hopMu.Unlock()
-	sk := t.winWait[vertex]
-	if sk == nil || sk.Count() == 0 {
-		return 0, false
-	}
-	return sk.Quantile(q), true
-}
-
 // ObserveE2E feeds one sampled end-to-end record latency (seconds) into
 // the e2e histogram and the e2e quantile sketch. Called at span finish;
 // allocation-free after the first observation.
@@ -273,14 +229,6 @@ func (t *Telemetry) ObserveHop(now float64, vertex, edge string, batch, transit,
 			map[string]string{"vertex": vertex}, 0)
 		t.hopService[vertex] = sv
 	}
-	if t.tailFit != nil {
-		ws := t.winWait[vertex]
-		if ws == nil {
-			ws = sketch.NewDefault()
-			t.winWait[vertex] = ws
-		}
-		ws.Add(wait)
-	}
 	t.hopMu.Unlock()
 	hs.batch.Observe(now, batch)
 	hs.transit.Observe(now, transit)
@@ -315,18 +263,34 @@ func (t *Telemetry) ObserveSLO(now float64, target SLOTarget, count, bad uint64,
 	}
 }
 
-// ObserveSLOs folds one interval's tail state for every target against
-// the telemetry's own end-to-end sketch (the sampled sink stream).
-// Runtimes with per-constraint probes call ObserveSLO directly with
-// probe-derived counts instead.
-func (t *Telemetry) ObserveSLOs(now float64, targets []SLOTarget, rec *Recorder) {
-	if t == nil || len(targets) == 0 {
+// ObserveSLOs folds one adjustment interval's tail state for every
+// constraint. Bounded probes carry the ground-truth per-path latency
+// stream and the constraint bound, so each drives its own SLO cell (at its
+// own quantile under a percentile constraint); when no probe has a bound,
+// the fallback targets are scored against the telemetry's sampled
+// end-to-end sketch.
+func (t *Telemetry) ObserveSLOs(now float64, probes *probe.ProbeSet, fallback []SLOTarget, rec *Recorder) {
+	if t == nil {
 		return
 	}
-	t.sloMu.Lock()
-	t.targets = targets
-	t.sloMu.Unlock()
-	for _, tg := range targets {
+	fed := false
+	for _, name := range probes.Names() {
+		p := probes.Probe(name)
+		if p.BoundSeconds <= 0 {
+			continue
+		}
+		q := DefaultSLOQuantile
+		if p.Quantile > 0 && p.Quantile < 1 {
+			q = p.Quantile
+		}
+		count, bad, est := p.TailState(q)
+		t.ObserveSLO(now, SLOTarget{Constraint: name, Quantile: q, BoundSeconds: p.BoundSeconds}, count, bad, est, rec)
+		fed = true
+	}
+	if fed {
+		return
+	}
+	for _, tg := range fallback {
 		count := t.e2eTail.SketchCount()
 		bad := t.e2eTail.CountAbove(tg.BoundSeconds)
 		est := t.e2eTail.Quantile(tg.Quantile)
@@ -386,44 +350,12 @@ func (t *Telemetry) ObserveInterval(now float64, s *qos.Summary, d *core.Decisio
 	for _, sc := range scored {
 		t.residualHist(sc.Constraint, sc.Vertex).Observe(now, math.Abs(sc.Measured-sc.Predicted))
 	}
-	t.fitTail(now)
 	t.scrapeResiduals(now)
 	t.scrapeSummary(now, s, par)
 	t.scrapeDecision(now, d)
 	t.scrapeTail(now)
 	t.scrapeRuntime(now)
 	return flags
-}
-
-// fitTail closes one tail-fit window: every vertex's windowed
-// queue-wait sketch is folded into the bound fitter at each target
-// quantile, the percentile-constraint gauges (κ and measured tail wait)
-// are published, and the windows are reset for the next interval. It
-// must run after the residual monitor scored the interval (tail
-// predictions read the same windows) and is a no-op without a fitter.
-func (t *Telemetry) fitTail(now float64) {
-	t.hopMu.Lock()
-	f := t.tailFit
-	if f == nil {
-		t.hopMu.Unlock()
-		return
-	}
-	for vertex, sk := range t.winWait {
-		for _, q := range f.Quantiles() {
-			f.Observe(vertex, q, core.TailWindow{
-				Count:    sk.Count(),
-				MeanWait: sk.Mean(),
-				TailWait: sk.Quantile(q),
-			})
-		}
-		sk.Reset()
-	}
-	t.hopMu.Unlock()
-	for _, cell := range f.Snapshot() {
-		labels := map[string]string{"vertex": cell.Vertex, "q": quantileLabel(cell.Quantile)}
-		t.store.Gauge("nephelix_tail_kappa", labels).Set(now, cell.Kappa)
-		t.store.Gauge("nephelix_tail_wait_seconds", labels).Set(now, cell.LastTail)
-	}
 }
 
 // scrapeTail publishes the e2e sketch's quantiles as per-interval
@@ -541,6 +473,11 @@ func (t *Telemetry) scrapeDecision(now float64, d *core.Decision) {
 	}
 	if infeasible > 0 {
 		t.infeas.Add(now, float64(infeasible))
+	}
+	for _, cell := range d.TailFit {
+		labels := map[string]string{"vertex": cell.Vertex, "q": quantileLabel(cell.Quantile)}
+		t.store.Gauge("nephelix_tail_kappa", labels).Set(now, cell.Kappa)
+		t.store.Gauge("nephelix_tail_wait_seconds", labels).Set(now, cell.LastTail)
 	}
 }
 

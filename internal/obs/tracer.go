@@ -49,11 +49,6 @@ type edgeTrace struct {
 	channelSk *sketch.Sketch  // tail decomposition of the channel latency
 }
 
-// DefaultTailSampleEvery is the head-sampling stride the runtimes fall
-// back to when a percentile constraint needs hop decompositions (the
-// tail fitter's queue-wait windows) but no tracer was configured.
-const DefaultTailSampleEvery = 8
-
 // NewTracer returns a tracer sampling every Nth source emission.
 // every <= 0 disables sampling (StartSpan always returns nil).
 func NewTracer(every int) *Tracer {

@@ -157,3 +157,18 @@ func (p BatchingPolicy) FlushDeadlines(s *Summary, constraints []*model.Constrai
 	}
 	return deadlines
 }
+
+// TailVertices returns the vertices whose tasks must track queue waits:
+// those in the sequence of a percentile constraint.
+func TailVertices(constraints []*model.Constraint) map[string]bool {
+	out := make(map[string]bool)
+	for _, c := range constraints {
+		if !c.IsPercentile() {
+			continue
+		}
+		for _, name := range c.Sequence.Vertices() {
+			out[name] = true
+		}
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package qos
 import (
 	"sort"
 
+	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
 )
 
@@ -64,6 +65,11 @@ type Manager struct {
 	channels        map[model.ChannelID]*channelHistory
 	agedOutTasks    int64
 	agedOutChannels int64
+	// waits is the current adjustment interval's queue-wait window per
+	// vertex, merged from the task reports that carry one; the next
+	// PartialSummary takes it. Unlike the mean histories it holds no
+	// earlier interval, so a task that stopped reporting adds nothing.
+	waits map[string]*sketch.Sketch
 }
 
 // NewManager creates a manager with the given configuration.
@@ -79,6 +85,17 @@ func NewManager(cfg ManagerConfig) *Manager {
 // ReportTask folds one task interval report into the manager's history.
 // Empty reports are ignored (the task saw no data this interval).
 func (m *Manager) ReportTask(r TaskReport) {
+	if r.QueueWait != nil {
+		if m.waits == nil {
+			m.waits = make(map[string]*sketch.Sketch)
+		}
+		if w := m.waits[r.Task.Vertex]; w != nil {
+			w.Merge(r.QueueWait)
+		} else {
+			m.waits[r.Task.Vertex] = r.QueueWait
+		}
+		r.QueueWait = nil // the history below keeps means only
+	}
 	if r.Empty() {
 		return
 	}
@@ -236,6 +253,7 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			p.MarkChannelFresh(h.id.Edge)
 		}
 	}
+	p.waits, m.waits = m.waits, nil
 	m.ageOut()
 	return p
 }

@@ -175,8 +175,8 @@ func TestPartialSummaryChannelOrder(t *testing.T) {
 // calls: same counts, same means, same interarrival chain.
 func TestTaskReporterWeightedRecords(t *testing.T) {
 	one, grouped := NewTaskReporter(taskID("v", 0)), NewTaskReporter(taskID("v", 0))
-	one.EnableTailTracking(0)
-	grouped.EnableTailTracking(0)
+	one.TrackQueueWait()
+	grouped.TrackQueueWait()
 	for _, r := range []*TaskReporter{one, grouped} {
 		r.RecordArrival(1.0)
 		r.RecordService(0.5)
@@ -186,20 +186,23 @@ func TestTaskReporterWeightedRecords(t *testing.T) {
 		one.RecordArrival(first + gap*float64(i))
 		one.RecordService(d)
 		one.RecordTaskLatency(d)
+		one.RecordQueueWaitN(d, 1)
 	}
 	grouped.RecordArrivalN(first, gap, n)
 	grouped.RecordServiceN(d, n)
 	grouped.RecordTaskLatencyN(d, n)
+	grouped.RecordQueueWaitN(d, n)
 	grouped.RecordArrivalN(9, 1, 0) // no-op
 	grouped.RecordServiceN(9, 0)
 	grouped.RecordTaskLatencyN(9, 0)
+	grouped.RecordQueueWaitN(9, 0)
 	for _, r := range []*TaskReporter{one, grouped} {
 		r.RecordArrival(4.0) // the chain continues from the group's last arrival
 	}
-	if a, b := one.ServiceTail().Count(), grouped.ServiceTail().Count(); a != b {
-		t.Errorf("tail sketch count: single %d, weighted %d", a, b)
-	}
 	a, b := one.Flush(), grouped.Flush()
+	if a.QueueWait.Count() != n || b.QueueWait.Count() != n {
+		t.Errorf("queue-wait window count: single %d, weighted %d, want %d", a.QueueWait.Count(), b.QueueWait.Count(), n)
+	}
 	if a.ServiceCount != b.ServiceCount || a.InterarrivalCount != b.InterarrivalCount || a.TaskLatencyCount != b.TaskLatencyCount {
 		t.Fatalf("counts differ: single %+v, weighted %+v", a, b)
 	}

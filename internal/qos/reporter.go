@@ -22,6 +22,10 @@ type TaskReport struct {
 	InterarrivalCount int64
 	InterarrivalMean  float64
 	InterarrivalCV    float64
+
+	// QueueWait is the interval's queue-wait distribution, nil unless the
+	// reporter tracks it (TrackQueueWait). The report owns the sketch.
+	QueueWait *sketch.Sketch
 }
 
 // Empty reports whether the interval carried no measurements at all.
@@ -56,27 +60,16 @@ type TaskReporter struct {
 	interarrival metrics.IntervalStats
 	lastArrival  float64
 	hasArrival   bool
-	// tail, when enabled, accumulates the run-cumulative service-time
-	// distribution in a mergeable quantile sketch — the per-task tail
-	// substrate for percentile-aware scaling. Off by default: the
-	// interval reports stay mean-only and the fast path untouched.
-	tail *sketch.Sketch
+	// wait is the interval's queue-wait sketch: the fit window of the
+	// tail model. Nil for tasks of vertices under no percentile
+	// constraint, which keeps their reports mean-only.
+	wait *sketch.Sketch
 }
 
-// EnableTailTracking attaches a cumulative service-time quantile sketch
-// with relative-error bound alpha (sketch.DefaultAlpha when <= 0).
-// Unlike the interval accumulators it is NOT reset by Flush; merge
-// sketches across tasks with ServiceTail().Merge for an exact vertex
-// distribution.
-func (r *TaskReporter) EnableTailTracking(alpha float64) {
-	if r.tail == nil {
-		r.tail = sketch.New(alpha)
-	}
-}
-
-// ServiceTail returns the cumulative service-time sketch, or nil when
-// tail tracking is disabled.
-func (r *TaskReporter) ServiceTail() *sketch.Sketch { return r.tail }
+// TrackQueueWait makes the reporter keep the distribution, not only the
+// channel-level mean, of the queue waits handed to RecordQueueWaitN. The
+// runtimes call it for tasks of TailVertices.
+func (r *TaskReporter) TrackQueueWait() { r.wait = sketch.NewDefault() }
 
 // NewTaskReporter creates a reporter for the given task.
 func NewTaskReporter(task model.TaskID) *TaskReporter {
@@ -103,9 +96,6 @@ func (r *TaskReporter) RecordArrival(now float64) {
 func (r *TaskReporter) RecordService(d float64) {
 	if d >= 0 {
 		r.service.Add(d)
-		if r.tail != nil {
-			r.tail.Add(d)
-		}
 	}
 }
 
@@ -139,9 +129,6 @@ func (r *TaskReporter) RecordArrivalN(first, gap float64, n int) {
 func (r *TaskReporter) RecordServiceN(d float64, n int) {
 	if d >= 0 && n > 0 {
 		r.service.AddN(d, int64(n))
-		if r.tail != nil {
-			r.tail.AddN(d, uint64(n))
-		}
 	}
 }
 
@@ -149,6 +136,15 @@ func (r *TaskReporter) RecordServiceN(d float64, n int) {
 func (r *TaskReporter) RecordTaskLatencyN(d float64, n int) {
 	if d >= 0 {
 		r.taskLatency.AddN(d, int64(n))
+	}
+}
+
+// RecordQueueWaitN records n queue waits of d each: the time a data item
+// spent in the task's input queue before its service began. A no-op
+// unless the reporter tracks queue waits.
+func (r *TaskReporter) RecordQueueWaitN(d float64, n int) {
+	if n > 0 {
+		r.wait.AddN(d, uint64(n)) // nil-safe
 	}
 }
 
@@ -160,6 +156,11 @@ func (r *TaskReporter) Flush() TaskReport {
 	rep.TaskLatencyCount, rep.TaskLatencyMean, _ = r.taskLatency.Snapshot()
 	rep.ServiceCount, rep.ServiceMean, rep.ServiceCV = r.service.Snapshot()
 	rep.InterarrivalCount, rep.InterarrivalMean, rep.InterarrivalCV = r.interarrival.Snapshot()
+	if r.wait.Count() > 0 {
+		// The report may outlive the interval on its way to the manager,
+		// so it takes the sketch and the reporter starts a new one.
+		rep.QueueWait, r.wait = r.wait, sketch.NewDefault()
+	}
 	return rep
 }
 
@@ -169,23 +170,7 @@ type ChannelReporter struct {
 	channel      model.ChannelID
 	latency      metrics.IntervalStats
 	batchLatency metrics.IntervalStats
-	// tail mirrors TaskReporter.tail for the channel-latency
-	// distribution; nil unless EnableTailTracking was called.
-	tail *sketch.Sketch
 }
-
-// EnableTailTracking attaches a cumulative channel-latency quantile
-// sketch with relative-error bound alpha (sketch.DefaultAlpha when
-// <= 0). Not reset by Flush; mergeable across channels.
-func (r *ChannelReporter) EnableTailTracking(alpha float64) {
-	if r.tail == nil {
-		r.tail = sketch.New(alpha)
-	}
-}
-
-// LatencyTail returns the cumulative channel-latency sketch, or nil
-// when tail tracking is disabled.
-func (r *ChannelReporter) LatencyTail() *sketch.Sketch { return r.tail }
 
 // NewChannelReporter creates a reporter for the given channel.
 func NewChannelReporter(channel model.ChannelID) *ChannelReporter {
@@ -201,9 +186,6 @@ func (r *ChannelReporter) Channel() model.ChannelID { return r.channel }
 func (r *ChannelReporter) RecordTransfer(latency, batchLatency float64) {
 	if latency >= 0 {
 		r.latency.Add(latency)
-		if r.tail != nil {
-			r.tail.Add(latency)
-		}
 	}
 	if batchLatency >= 0 {
 		r.batchLatency.Add(batchLatency)

@@ -27,3 +27,29 @@ func TestReporterFastPathAllocs(t *testing.T) {
 		t.Errorf("reporter fast path allocates: %.2f allocs/record, want 0", allocs)
 	}
 }
+
+// TestReporterTailFastPathAllocs pins the same contract with the
+// queue-wait window tracked, in steady state (after the sketch's bucket
+// store has grown to cover the value range). Flush allocates the next
+// interval's sketch.
+func TestReporterTailFastPathAllocs(t *testing.T) {
+	tr := NewTaskReporter(model.TaskID{Vertex: "v", Index: 0})
+	tr.TrackQueueWait()
+	for i := 1; i <= 100; i++ {
+		tr.RecordQueueWaitN(float64(i)*0.0001, 1)
+	}
+
+	now, i := 0.0, 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		now += 0.001
+		i = (i % 100) + 1
+		v := float64(i) * 0.0001
+		tr.RecordArrival(now)
+		tr.RecordService(v)
+		tr.RecordTaskLatency(v)
+		tr.RecordQueueWaitN(v, 1)
+		tr.RecordQueueWaitN(v, 8)
+	}); allocs != 0 {
+		t.Errorf("window-tracking reporter fast path allocates: %.2f allocs/record, want 0", allocs)
+	}
+}

@@ -9,113 +9,134 @@ import (
 	"nephelix/internal/model"
 )
 
-// TestReporterTailTracking covers the opt-in cumulative tail sketches on
-// the QoS reporters: nil when disabled, fed by the record fast path when
-// enabled, surviving Flush, and merging across reporters byte-identically
-// to a single-stream ingest.
+// TestReporterTailTracking covers the queue-wait window on the task
+// reporter: absent unless tracked, fed by RecordQueueWaitN, handed to the
+// interval report by Flush and started afresh.
 func TestReporterTailTracking(t *testing.T) {
 	tr := NewTaskReporter(model.TaskID{Vertex: "v", Index: 0})
-	cr := NewChannelReporter(model.ChannelID{Edge: model.EdgeKey{Source: "a", Target: "b"}})
-	if tr.ServiceTail() != nil || cr.LatencyTail() != nil {
-		t.Fatal("tail sketches must be nil before EnableTailTracking")
-	}
 	tr.RecordService(0.01)
-	cr.RecordTransfer(0.02, 0.001)
-
-	tr.EnableTailTracking(0)
-	cr.EnableTailTracking(0)
-	tr.EnableTailTracking(0) // idempotent
-	if tr.ServiceTail() == nil || cr.LatencyTail() == nil {
-		t.Fatal("tail sketches missing after EnableTailTracking")
-	}
-	if tr.ServiceTail().Alpha() != sketch.DefaultAlpha {
-		t.Fatalf("alpha = %v, want DefaultAlpha", tr.ServiceTail().Alpha())
+	tr.RecordQueueWaitN(0.02, 1)
+	if rep := tr.Flush(); rep.QueueWait != nil {
+		t.Fatal("an untracked reporter must flush mean-only reports")
 	}
 
+	tr.TrackQueueWait()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		tr.RecordService(0.001 + rng.Float64()*0.1)
-		cr.RecordTransfer(0.002+rng.Float64()*0.05, 0.001)
+		tr.RecordService(0.001)
+		tr.RecordQueueWaitN(0.001+rng.Float64()*0.1, 1)
 	}
-	if got := tr.ServiceTail().Count(); got != 500 {
-		t.Fatalf("service tail count = %d, want 500 (pre-enable samples excluded)", got)
+	rep := tr.Flush()
+	if got := rep.QueueWait.Count(); got != 500 {
+		t.Fatalf("window count = %d, want 500 (pre-tracking samples excluded)", got)
 	}
-	if got := cr.LatencyTail().Count(); got != 500 {
-		t.Fatalf("latency tail count = %d, want 500", got)
-	}
-
-	// Flush resets the interval accumulators but not the tail sketch.
-	tr.Flush()
-	cr.Flush()
-	if tr.ServiceTail().Count() != 500 || cr.LatencyTail().Count() != 500 {
-		t.Fatal("Flush must not reset the cumulative tail sketches")
+	if rep.QueueWait.Alpha() != sketch.DefaultAlpha {
+		t.Fatalf("alpha = %v, want DefaultAlpha", rep.QueueWait.Alpha())
 	}
 
-	// Negative samples are rejected on the same guard as the interval stats.
-	tr.RecordService(-1)
-	cr.RecordTransfer(-1, 0.001)
-	if tr.ServiceTail().Count() != 500 || cr.LatencyTail().Count() != 500 {
-		t.Fatal("negative samples must not reach the tail sketch")
+	// The report owns its sketch: the next interval starts empty and
+	// recording into it leaves the flushed window alone.
+	tr.RecordService(0.001)
+	if next := tr.Flush(); next.QueueWait != nil {
+		t.Fatalf("interval without waits flushed a window of %d", next.QueueWait.Count())
 	}
-
-	// Merging two task reporters' tails is byte-identical to ingesting
-	// the concatenated stream into one sketch.
-	a := NewTaskReporter(model.TaskID{Vertex: "v", Index: 1})
-	b := NewTaskReporter(model.TaskID{Vertex: "v", Index: 2})
-	a.EnableTailTracking(0)
-	b.EnableTailTracking(0)
-	whole := sketch.NewDefault()
-	rng = rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		v := 0.0005 + rng.Float64()*0.2
-		if i%2 == 0 {
-			a.RecordService(v)
-		} else {
-			b.RecordService(v)
-		}
-		whole.Add(v)
+	tr.RecordQueueWaitN(0.5, 3)
+	if rep.QueueWait.Count() != 500 {
+		t.Fatal("recording after Flush reached the flushed window")
 	}
-	merged := a.ServiceTail().Clone()
-	merged.Merge(b.ServiceTail())
-	mb, err := merged.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := whole.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mb, wb) {
-		t.Fatal("merged per-task tails differ from single-stream sketch")
+	if next := tr.Flush(); next.QueueWait.Count() != 3 {
+		t.Fatalf("second window count = %d, want 3", next.QueueWait.Count())
 	}
 }
 
-// TestReporterTailFastPathAllocs pins that enabling tail tracking keeps
-// the per-record path allocation-free in steady state (after the sketch
-// bucket slab has grown to cover the value range).
-func TestReporterTailFastPathAllocs(t *testing.T) {
-	tr := NewTaskReporter(model.TaskID{Vertex: "v", Index: 0})
-	cr := NewChannelReporter(model.ChannelID{Edge: model.EdgeKey{Source: "a", Target: "b"}})
-	tr.EnableTailTracking(0)
-	cr.EnableTailTracking(0)
+// waitReports builds one interval report per task of vertex "v", each
+// carrying its own slice of a shared random wait stream, and the sketch of
+// the whole stream.
+func waitReports(tasks, perTask int) ([]TaskReport, *sketch.Sketch) {
+	whole := sketch.NewDefault()
+	rng := rand.New(rand.NewSource(11))
+	reps := make([]TaskReport, tasks)
+	for i := range reps {
+		tr := NewTaskReporter(model.TaskID{Vertex: "v", Index: i})
+		tr.TrackQueueWait()
+		for j := 0; j < perTask; j++ {
+			w := 0.0005 + rng.Float64()*0.2
+			tr.RecordService(0.001)
+			tr.RecordQueueWaitN(w, 1)
+			whole.Add(w)
+		}
+		reps[i] = tr.Flush()
+	}
+	return reps, whole
+}
 
-	// Warm up: let the sketches allocate buckets for the value range.
-	for i := 1; i <= 100; i++ {
-		v := float64(i) * 0.0001
-		tr.RecordService(v)
-		cr.RecordTransfer(v, v)
+// TestWaitWindowAcrossManagers: the vertex window of the global summary
+// is the same whether the tasks report to one manager or are spread over
+// four, and equals the sketch of the concatenated stream.
+func TestWaitWindowAcrossManagers(t *testing.T) {
+	var windows [][]byte
+	for _, managers := range []int{1, 4} {
+		reps, whole := waitReports(8, 100)
+		ms := make([]*Manager, managers)
+		for i := range ms {
+			ms[i] = NewManager(DefaultManagerConfig())
+		}
+		for i, r := range reps {
+			ms[i%managers].ReportTask(r)
+		}
+		partials := make([]*PartialSummary, managers)
+		for i, m := range ms {
+			partials[i] = m.PartialSummary()
+		}
+		win := MergePartials(map[string]int{"v": 8}, partials...).Vertices["v"].WaitWindow
+		if win.Count() != 800 || win.Quantile(0.99) != whole.Quantile(0.99) {
+			t.Errorf("%d managers: window n=%d p99=%v, want n=800 p99=%v",
+				managers, win.Count(), win.Quantile(0.99), whole.Quantile(0.99))
+		}
+		b, err := win.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows = append(windows, b)
+		// Merging must not have written into the partials' own windows.
+		again := MergePartials(map[string]int{"v": 8}, partials...).Vertices["v"].WaitWindow
+		if again.Count() != 800 {
+			t.Errorf("%d managers: second merge of the same partials counts %d", managers, again.Count())
+		}
+	}
+	if !bytes.Equal(windows[0], windows[1]) {
+		t.Error("1-manager and 4-manager windows differ")
+	}
+}
+
+// TestWaitWindowIsOneInterval: a task that stopped reporting keeps
+// contributing its mean history until it ages out, but its waits are in
+// no window after the one they were reported in.
+func TestWaitWindowIsOneInterval(t *testing.T) {
+	m := NewManager(DefaultManagerConfig())
+	reps, _ := waitReports(2, 50)
+	m.ReportTask(reps[0])
+	m.ReportTask(reps[1])
+	if win := m.PartialSummary().Finalize(nil).Vertices["v"].WaitWindow; win.Count() != 100 {
+		t.Fatalf("first window count = %d, want 100", win.Count())
 	}
 
-	now, i := 0.0, 0
-	if allocs := testing.AllocsPerRun(1000, func() {
-		now += 0.001
-		i = (i % 100) + 1
-		v := float64(i) * 0.0001
-		tr.RecordArrival(now)
-		tr.RecordService(v)
-		tr.RecordTaskLatency(v)
-		cr.RecordTransfer(v, v)
-	}); allocs != 0 {
-		t.Errorf("tail-enabled reporter fast path allocates: %.2f allocs/record, want 0", allocs)
+	// Task 1 crashed; only task 0 reports in the next interval.
+	live := NewTaskReporter(model.TaskID{Vertex: "v", Index: 0})
+	live.TrackQueueWait()
+	live.RecordService(0.001)
+	live.RecordQueueWaitN(0.004, 7)
+	m.ReportTask(live.Flush())
+	vs := m.PartialSummary().Finalize(nil).Vertices["v"]
+	if vs.Tasks != 2 || vs.FreshTasks != 1 {
+		t.Errorf("tasks=%d fresh=%d, want the stale history kept (2) and one fresh", vs.Tasks, vs.FreshTasks)
+	}
+	if vs.WaitWindow.Count() != 7 {
+		t.Errorf("second window count = %d, want only the live task's 7", vs.WaitWindow.Count())
+	}
+
+	// No report at all: the vertex has means, but no window.
+	if win := m.PartialSummary().Finalize(nil).Vertices["v"].WaitWindow; win != nil {
+		t.Errorf("silent interval produced a window of %d", win.Count())
 	}
 }

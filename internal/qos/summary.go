@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
 )
 
@@ -44,6 +45,11 @@ type VertexStats struct {
 	// but FreshTasks drops immediately — the scaler uses the gap between
 	// FreshTasks and Parallelism to detect partial measurements.
 	FreshTasks int
+	// WaitWindow is the distribution of the queue waits the vertex's tasks
+	// recorded during the last adjustment interval: the window the tail
+	// model is fitted on and scored against. Nil for vertices under no
+	// percentile constraint. Read-only; not serialised.
+	WaitWindow *sketch.Sketch `json:"-"`
 }
 
 // ArrivalRate returns λ_jv = 1/Ā_jv, the mean per-task data item arrival
@@ -230,6 +236,9 @@ type PartialSummary struct {
 	// parallelism is the vertex parallelism observed by the reporting
 	// manager (informational; the master knows the authoritative value).
 	parallelism map[string]int
+	// waits holds the adjustment interval's queue-wait window per vertex
+	// (see Manager.waits); nil when no task tracks queue waits.
+	waits map[string]*sketch.Sketch
 }
 
 // NewPartialSummary returns an empty partial summary.
@@ -354,6 +363,16 @@ func (p *PartialSummary) Merge(o *PartialSummary) {
 			p.parallelism[name] = par
 		}
 	}
+	for name, w := range o.waits {
+		if p.waits == nil {
+			p.waits = make(map[string]*sketch.Sketch, len(o.waits))
+		}
+		if cur := p.waits[name]; cur != nil {
+			cur.Merge(w)
+		} else {
+			p.waits[name] = w.Clone() // o keeps its own
+		}
+	}
 }
 
 // Finalize converts the (merged) partial summary into a global summary.
@@ -384,6 +403,7 @@ func (p *PartialSummary) Finalize(parallelism map[string]int) *Summary {
 			Tasks:            vp.taskCount,
 			Samples:          vp.samples,
 			FreshTasks:       vp.freshCount,
+			WaitWindow:       p.waits[name],
 		}
 	}
 	for key, ep := range p.edges {

@@ -613,6 +613,9 @@ func (s *Sim) serviceDone(t *simTask) {
 	t.busyAccum += st
 	t.vtx.processed++
 	t.reporter.RecordService(st)
+	if it.src != nil {
+		t.reporter.RecordQueueWaitN((s.now-st)-it.arrive, 1)
+	}
 	if t.latencyModeRW() {
 		if it.Sampled && len(t.rwPending) < 64 {
 			t.rwPending = append(t.rwPending, s.now-st)

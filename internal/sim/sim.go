@@ -236,15 +236,6 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		s.scaler = sc
-		// Percentile constraints: telemetry feeds the scaler's tail
-		// fitter with windowed queue-wait quantiles each interval. The
-		// fit windows are filled from sampled hop decompositions, so a
-		// tail-constrained run needs a tracer even when the caller
-		// configured none.
-		cfg.Telemetry.BindTailFitter(sc.TailFitter())
-		if sc.TailFitter() != nil && s.cfg.Tracer == nil {
-			s.cfg.Tracer = obs.NewTracer(obs.DefaultTailSampleEvery)
-		}
 	}
 	s.sloTargets = obs.SLOTargetsFromConstraints(cfg.Constraints)
 	s.initGuarantees()
@@ -252,38 +243,6 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// observeSLOs feeds per-constraint SLO accounting each adjustment
-// interval. Probes carry the ground-truth per-path latency stream and
-// the constraint bound, so any bounded probe drives its own SLO cell;
-// when no probe has a bound, the telemetry falls back to its sampled
-// end-to-end sketch against the configured constraints.
-func (s *Sim) observeSLOs() {
-	if s.cfg.Telemetry == nil {
-		return
-	}
-	fed := false
-	for _, name := range s.probes.Names() {
-		p := s.probes.Probe(name)
-		if p.BoundSeconds <= 0 {
-			continue
-		}
-		q := obs.DefaultSLOQuantile
-		if p.Quantile > 0 && p.Quantile < 1 {
-			q = p.Quantile // percentile constraint: track its own quantile
-		}
-		count, bad, est := p.TailState(q)
-		s.cfg.Telemetry.ObserveSLO(s.now, obs.SLOTarget{
-			Constraint:   name,
-			Quantile:     q,
-			BoundSeconds: p.BoundSeconds,
-		}, count, bad, est, s.cfg.Recorder)
-		fed = true
-	}
-	if !fed {
-		s.cfg.Telemetry.ObserveSLOs(s.now, s.sloTargets, s.cfg.Recorder)
-	}
 }
 
 // nextManager assigns reporters to managers round-robin.
@@ -300,6 +259,7 @@ func (s *Sim) outEdgePos(edge model.EdgeKey) int { return s.edgePos[edge] }
 // bootstrap creates the initial tasks and channels.
 func (s *Sim) bootstrap() error {
 	g := s.cfg.Graph
+	tail := qos.TailVertices(s.cfg.Constraints)
 	for _, jv := range g.Vertices() {
 		outs := g.OutEdges(jv.Name)
 		patterns := make([]model.WiringPattern, len(outs))
@@ -318,6 +278,7 @@ func (s *Sim) bootstrap() error {
 			draining: make(map[*simTask]struct{}),
 			outEdges: outs,
 			inEdges:  g.InEdges(jv.Name),
+			tail:     tail[jv.Name],
 		}
 		s.vertices[jv.Name] = v
 		s.vertexOrder = append(s.vertexOrder, jv.Name)
@@ -548,7 +509,7 @@ func (s *Sim) adjustmentTick() {
 	// event can embed the residual monitor's current drift flags.
 	drift := s.cfg.Telemetry.ObserveInterval(s.now, global, decision, par)
 	s.scrapeDataplane()
-	s.observeSLOs()
+	s.cfg.Telemetry.ObserveSLOs(s.now, s.probes, s.sloTargets, s.cfg.Recorder)
 	if decision != nil && s.cfg.Recorder != nil {
 		sd := obs.NewScalingDecision(s.adjustRounds, decision, par)
 		sd.Drift = drift

@@ -30,6 +30,9 @@ type simVertex struct {
 	// outEdges / inEdges cache the vertex's edge order.
 	outEdges []model.EdgeKey
 	inEdges  []model.EdgeKey
+	// tail marks a vertex under a percentile constraint: its tasks report
+	// the distribution of their queue waits, not only the mean.
+	tail bool
 
 	// emitted (sources) and processed count items across all tasks of
 	// the vertex; the last* values mark the previous record interval.
@@ -56,6 +59,9 @@ func (v *simVertex) newTask() (*simTask, error) {
 		isSource: v.cfg.Source != nil,
 		reporter: qos.NewTaskReporter(id),
 		mgr:      s.nextManager(),
+	}
+	if v.tail {
+		t.reporter.TrackQueueWait()
 	}
 	t.ctx = TaskContext{s: s, t: t}
 	t.slot = int32(len(s.taskSlots))
