@@ -1,8 +1,10 @@
-// Package ckpt holds the processing-guarantee primitives shared by the
-// live engine and the virtual-time simulator: the guarantee ladder
-// (at-most-once → at-least-once → effective exactly-once), global
-// checkpoint metadata with pluggable stores, and the bounded
-// (source, offset) dedup tables that make sinks idempotent.
+// Package ckpt is the processing-guarantee protocol, written once for
+// the live engine and the virtual-time simulator: the guarantee ladder
+// (at-most-once → at-least-once → effective exactly-once), the source
+// offset logs and their registry (Log, Registry), the barrier-checkpoint
+// coordinator with its commit sequence (Coordinator), per-task counting
+// alignment (Aligner), checkpoint metadata with pluggable stores, and
+// the bounded (source, offset) dedup tables that make sinks idempotent.
 //
 // The ladder follows the classic fault-tolerance progression: sources
 // tag every record with a monotonically increasing per-source offset
@@ -10,14 +12,22 @@
 // checkpoints commit a global offset watermark; on a crash the sources
 // rewind to the last committed watermark (at-least-once); deduplicating
 // sinks drop the replay-induced duplicates (effective exactly-once).
+//
+// Nothing here knows a transport or reads a clock. A driver supplies
+// what differs between the two layers: how a barrier is shipped, when
+// injection is allowed, and how a replay re-emits. Times cross the
+// boundary as float64 seconds since run start. The shared types (Log,
+// Registry, Coordinator, DedupTable, the stores) are safe for concurrent
+// use themselves; the single-threaded simulator pays for their
+// uncontended locks only when a guarantee is enabled.
 package ckpt
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -88,17 +98,14 @@ type Checkpoint struct {
 	LostRecords int64 `json:"lost_records"`
 }
 
-// totalOffsets sums the committed watermarks (audit convenience).
-func (c Checkpoint) totalOffsets() uint64 {
+// TotalOffsets sums the committed watermarks across sources.
+func (c Checkpoint) TotalOffsets() uint64 {
 	var n uint64
 	for _, off := range c.SourceOffsets {
 		n += off
 	}
 	return n
 }
-
-// TotalOffsets sums the committed watermarks across sources.
-func (c Checkpoint) TotalOffsets() uint64 { return c.totalOffsets() }
 
 // Store persists committed checkpoints. Implementations must be safe
 // for one writer; Latest may be called concurrently with Save.
@@ -188,11 +195,25 @@ func OpenFileStore(path string) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("ckpt: scan %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ckpt: seek %s: %w", path, err)
 	}
 	s.w = bufio.NewWriter(f)
+	if end > 0 {
+		// A crash can tear the final record; the next one must start on a
+		// fresh line or it is glued to the fragment and lost with it.
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], end-1); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("ckpt: read %s: %w", path, err)
+		}
+		if last[0] != '\n' {
+			// Buffered, so it cannot fail here; it lands with the first Save.
+			_ = s.w.WriteByte('\n')
+		}
+	}
 	return s, nil
 }
 
@@ -235,15 +256,4 @@ func (s *FileStore) Close() error {
 		}
 	}
 	return s.f.Close()
-}
-
-// SortedSources returns the checkpoint's source names in stable order
-// (reporting convenience).
-func (c Checkpoint) SortedSources() []string {
-	names := make([]string, 0, len(c.SourceOffsets))
-	for n := range c.SourceOffsets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -179,5 +180,58 @@ func TestOffsetWindowUnalignedPrune(t *testing.T) {
 	if holes := w.prune(301); holes != 99 {
 		// 201..299 were never set: 99 holes.
 		t.Fatalf("second prune holes = %d, want 99", holes)
+	}
+}
+
+// TestFileStoreTornTailThenSave: a crash mid-Save leaves a partial final
+// line. The first checkpoint saved after recovery must not be glued onto
+// the fragment, or the next open discards it as torn and Latest falls
+// back past it.
+func TestFileStoreTornTailThenSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{1, 2} {
+		if err := s.Save(Checkpoint{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":3,"at"`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, ok, _ := s.Latest(); !ok || last.ID != 2 {
+		t.Fatalf("Latest after torn tail = %+v, %v; want 2", last, ok)
+	}
+	if err := s.Save(Checkpoint{ID: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if last, ok, _ := s.Latest(); !ok || last.ID != 4 {
+		t.Fatalf("Latest after save-behind-torn-tail and reopen = %+v, %v; want 4", last, ok)
 	}
 }

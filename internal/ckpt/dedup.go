@@ -1,6 +1,9 @@
 package ckpt
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // DedupTable tracks which (source, offset) pairs a sink vertex has
 // delivered, so replayed records can be detected (at-least-once) or
@@ -11,9 +14,13 @@ import "math/bits"
 // base is a duplicate by definition. Window size is therefore capped by
 // the source replay-buffer bound, not the stream length.
 //
-// The table is not goroutine-safe; the engine wraps it in a per-sink
-// mutex and the single-threaded simulator uses it directly.
+// One table serves a whole sink vertex — rotation rerouting can deliver
+// a replayed record to a different task than the original — so it is
+// safe for concurrent use: the engine's sink tasks admit while the
+// master prunes. The bitmap windows keep a steady-state Admit
+// allocation-free.
 type DedupTable struct {
+	mu       sync.Mutex
 	windows  map[int32]*OffsetWindow
 	distinct int64
 	dups     int64
@@ -28,6 +35,8 @@ func NewDedupTable() *DedupTable {
 // Admit records a delivery of (src, off) and reports whether it is the
 // first one (true) or a duplicate (false).
 func (d *DedupTable) Admit(src int32, off uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	w := d.windows[src]
 	if w == nil {
 		w = &OffsetWindow{}
@@ -48,26 +57,38 @@ func (d *DedupTable) Admit(src int32, off uint64) bool {
 // every tracked sink) holes mean lost-but-committed records, the exact
 // quantity the zero-loss assertions check.
 func (d *DedupTable) Prune(src int32, watermark uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	w := d.windows[src]
 	if w == nil {
-		w = &OffsetWindow{base: watermark}
+		w = &OffsetWindow{}
 		d.windows[src] = w
-		d.holes += int64(watermark)
-		return
 	}
 	d.holes += w.prune(watermark)
 }
 
 // Distinct returns the number of first-time deliveries admitted.
-func (d *DedupTable) Distinct() int64 { return d.distinct }
+func (d *DedupTable) Distinct() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.distinct
+}
 
 // Dups returns the number of duplicate deliveries observed.
-func (d *DedupTable) Dups() int64 { return d.dups }
+func (d *DedupTable) Dups() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dups
+}
 
 // Holes returns the cumulative committed-but-never-delivered offsets
 // observed by Prune (0 under a correct at-least-once run over an
 // offset-complete pipeline).
-func (d *DedupTable) Holes() int64 { return d.holes }
+func (d *DedupTable) Holes() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.holes
+}
 
 // OffsetWindow is a dense bitmap over one source's offsets, starting at
 // the committed watermark.

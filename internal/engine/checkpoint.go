@@ -1,376 +1,103 @@
 package engine
 
 import (
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nephelix/internal/ckpt"
+	"nephelix/internal/obs"
 )
 
-// This file is the engine half of the processing-guarantees subsystem
-// (see internal/ckpt for the shared primitives and DESIGN.md
-// "Processing guarantees" for the protocol):
-//
-//   - sourceLog gives every source task a monotonically increasing
-//     offset sequence and a bounded replay buffer of un-checkpointed
-//     records. Logs survive their task: a crashed source's log is
-//     orphaned to the vertex and reattached to the supervised
-//     replacement, which replays the uncommitted suffix.
-//   - ckptCoordinator tracks one in-flight barrier checkpoint: the
-//     master computes each task's expected barrier count at injection,
-//     tasks acknowledge alignment from their own goroutines, and the
-//     full ack set completes the checkpoint back to the master loop.
-//   - sinkDedup wraps a ckpt.DedupTable per sink vertex (shared across
-//     the vertex's tasks, because rotation rerouting can deliver a
-//     replayed record to a different task than the original).
+// This file is the engine's driver of the checkpoint protocol. The
+// protocol itself — offset logs and their registry, the barrier
+// coordinator, counting alignment, the commit sequence, sink dedup —
+// lives once in internal/ckpt and is shared with the simulator (see
+// DESIGN.md "Processing guarantees"). What is engine-specific, here and
+// in engine.go/task.go, is how the protocol meets goroutines and rings:
+// the master injects barriers and requests replays through per-shard
+// atomics the shard goroutine services between emission rounds,
+// barriers travel as gate.barrierShipments, replays re-emit through
+// emitter.emit, the completing ack reaches the master over a channel,
+// and an exhausted source lingers until its tail is committed.
 
-// logEntry is one buffered source emission: the record as emitted plus
-// the out-edge it left on, so a replay retraces the original routing.
+// logEntry is what a source shard's ckpt.Log retains per emission: the
+// record as emitted (trace span cleared) plus the out-edge it left on,
+// so a replay retraces the original routing.
 type logEntry struct {
 	rec  Record
 	edge int32
 }
 
-// sourceLog is one source partition's offset authority and replay
-// buffer. The owning source goroutine stamps and appends on emit and
-// replays on request; the master commits watermarks and reads the next
-// offset — all under mu (uncontended in steady state).
-type sourceLog struct {
-	id   int32  // stable partition id, survives task restarts
-	name string // stable partition name for checkpoint metadata
-	cap  int    // advisory bound: sources pause emission when full
-
-	mu   sync.Mutex
-	next uint64 // next offset to assign
-	base uint64 // committed watermark == offset of buf[0]
-	buf  []logEntry
-
-	// replayReq asks the owning goroutine to re-emit the uncommitted
-	// suffix (set by the master after a restart landed, or at orphan
-	// reattachment).
-	replayReq atomic.Int32
-	// stalls counts emissions deferred because the buffer was full.
-	stalls atomic.Int64
+// sinkDedups builds one dedup table per sink vertex (no out-edges),
+// shared by all the vertex's tasks.
+func sinkDedups(spec *JobSpec) (byVertex map[string]*ckpt.DedupTable, all []*ckpt.DedupTable) {
+	byVertex = make(map[string]*ckpt.DedupTable)
+	for _, jv := range spec.graph.Vertices() {
+		if len(spec.graph.OutEdges(jv.Name)) == 0 {
+			d := ckpt.NewDedupTable()
+			byVertex[jv.Name] = d
+			all = append(all, d)
+		}
+	}
+	return byVertex, all
 }
 
-// stamp assigns the next offset to rec and appends it to the replay
-// buffer (source goroutine only).
-func (l *sourceLog) stamp(rec *Record, edge int32) {
-	l.mu.Lock()
-	rec.srcID = l.id
-	rec.offset = l.next
-	l.next++
-	e := logEntry{rec: *rec, edge: edge}
-	e.rec.span = nil // replays re-trace nothing; don't pin spans
-	l.buf = append(l.buf, e)
-	l.mu.Unlock()
-}
+// sinceStart is the protocol's clock: seconds since execution start.
+func (ex *execution) sinceStart(t time.Time) float64 { return t.Sub(ex.start).Seconds() }
 
-// nextOffset returns the snapshot watermark for a barrier emitted now:
-// every offset below it was shipped before the barrier.
-func (l *sourceLog) nextOffset() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
-// commitTo advances the committed watermark, releasing the buffered
-// prefix (master loop).
-func (l *sourceLog) commitTo(watermark uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if watermark <= l.base {
+// roundDone hands a completed round to the master loop (any task
+// goroutine: the one whose ack completed it).
+func (ex *execution) roundDone(r ckpt.Round, complete bool) {
+	if !complete {
 		return
 	}
-	drop := watermark - l.base
-	if drop > uint64(len(l.buf)) {
-		drop = uint64(len(l.buf))
-	}
-	n := copy(l.buf, l.buf[drop:])
-	for i := n; i < len(l.buf); i++ {
-		l.buf[i] = logEntry{}
-	}
-	l.buf = l.buf[:n]
-	l.base = watermark
-}
-
-// uncommitted returns the replay-buffer length.
-func (l *sourceLog) uncommitted() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
-// full reports whether the buffer reached its advisory bound.
-func (l *sourceLog) full() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf) >= l.cap
-}
-
-// copyUncommitted appends the uncommitted entries to dst (replay
-// snapshot; the caller re-emits outside the lock).
-func (l *sourceLog) copyUncommitted(dst []logEntry) []logEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append(dst, l.buf...)
-}
-
-// ckptResult is a completed checkpoint's payload back to the master.
-type ckptResult struct {
-	id       int64
-	gen      int64 // topology generation at injection
-	started  time.Time
-	offsets  map[int32]uint64 // source id → snapshot watermark
-	maxStall time.Duration    // worst barrier-alignment stall
-}
-
-// ckptCoordinator tracks the single in-flight barrier checkpoint. The
-// master begins and aborts; task goroutines acknowledge. All state is
-// guarded by mu; completion is handed to the master over done.
-type ckptCoordinator struct {
-	mu       sync.Mutex
-	id       int64 // in-flight checkpoint id (0 = none)
-	gen      int64
-	started  time.Time
-	expect   map[*task]int // per worker task: barriers to align
-	pending  int           // unacked tasks (sources + workers)
-	offsets  map[int32]uint64
-	maxStall time.Duration
-
-	done chan ckptResult
-}
-
-func newCkptCoordinator() *ckptCoordinator {
-	return &ckptCoordinator{done: make(chan ckptResult, 1)}
-}
-
-// begin arms the coordinator for checkpoint id (master, no checkpoint
-// in flight).
-func (c *ckptCoordinator) begin(id, gen int64, expect map[*task]int, pending int) {
-	c.mu.Lock()
-	c.id = id
-	c.gen = gen
-	c.started = time.Now()
-	c.expect = expect
-	c.pending = pending
-	c.offsets = make(map[int32]uint64, 4)
-	c.maxStall = 0
-	c.mu.Unlock()
-}
-
-// inFlight returns the current checkpoint id (0 when idle).
-func (c *ckptCoordinator) inFlight() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.id
-}
-
-// abort discards checkpoint id if it is still in flight.
-func (c *ckptCoordinator) abort(id int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id == 0 || c.id != id {
-		return false
-	}
-	c.id = 0
-	c.expect = nil
-	return true
-}
-
-// expected returns how many barriers task t must align for checkpoint
-// id, or -1 when id is not in flight or t is not part of it (created
-// after injection, or already acked).
-func (c *ckptCoordinator) expected(id int64, t *task) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.id != id {
-		return -1
-	}
-	exp, ok := c.expect[t]
-	if !ok {
-		return -1
-	}
-	return exp
-}
-
-// ackSource acknowledges a source's barrier emission with its snapshot
-// watermark (source goroutine).
-func (c *ckptCoordinator) ackSource(id int64, src int32, watermark uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.id != id {
-		return
-	}
-	if _, dup := c.offsets[src]; dup {
-		return
-	}
-	c.offsets[src] = watermark
-	c.finishAckLocked()
-}
-
-// ackWorker acknowledges a worker task's completed alignment (task
-// goroutine).
-func (c *ckptCoordinator) ackWorker(id int64, t *task, stall time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.id != id {
-		return
-	}
-	if _, ok := c.expect[t]; !ok {
-		return
-	}
-	delete(c.expect, t)
-	if stall > c.maxStall {
-		c.maxStall = stall
-	}
-	c.finishAckLocked()
-}
-
-// finishAckLocked completes the checkpoint once every task acked.
-func (c *ckptCoordinator) finishAckLocked() {
-	c.pending--
-	if c.pending > 0 {
-		return
-	}
-	res := ckptResult{id: c.id, gen: c.gen, started: c.started, offsets: c.offsets, maxStall: c.maxStall}
-	c.id = 0
-	c.expect = nil
-	c.offsets = nil
 	select {
-	case c.done <- res:
+	case ex.ckptDone <- r:
 	default:
 		// The master has an uncollected completion (cannot happen with a
 		// single in-flight checkpoint, but never block a task goroutine).
 	}
 }
 
-// sinkDedup is one sink vertex's shared (source, offset) dedup table.
-// Shared across the vertex's tasks and pruned by the master, hence the
-// mutex; the bitmap windows keep the steady-state admit allocation-free.
-type sinkDedup struct {
-	mu  sync.Mutex
-	tab *ckpt.DedupTable
-}
-
-func newSinkDedup() *sinkDedup { return &sinkDedup{tab: ckpt.NewDedupTable()} }
-
-// admit reports whether (src, off) is a first delivery.
-func (d *sinkDedup) admit(src int32, off uint64) bool {
-	d.mu.Lock()
-	ok := d.tab.Admit(src, off)
-	d.mu.Unlock()
-	return ok
-}
-
-// pruneAll advances every source window to its committed watermark.
-func (d *sinkDedup) pruneAll(offsets map[int32]uint64) {
-	d.mu.Lock()
-	for src, off := range offsets {
-		d.tab.Prune(src, off)
+// reportCheckpoint forwards what became of a round, if anything did, to
+// telemetry and the flight recorder (master loop only).
+func (ex *execution) reportCheckpoint(o ckpt.Outcome, ok bool) {
+	if !ok {
+		return
 	}
-	d.mu.Unlock()
-}
-
-// stats returns the table counters.
-func (d *sinkDedup) stats() (distinct, dups, holes int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tab.Distinct(), d.tab.Dups(), d.tab.Holes()
-}
-
-// ---- execution-side plumbing (called from engine.go) ----
-
-// takeSourceLog attaches a log to a new source task of vertex: a
-// crashed predecessor's orphaned log when one exists (its uncommitted
-// suffix is scheduled for replay), a fresh one otherwise. Caller may
-// hold ex.mu; srcMu is leaf-level.
-func (ex *execution) takeSourceLog(vertex string) *sourceLog {
-	ex.srcMu.Lock()
-	defer ex.srcMu.Unlock()
-	if logs := ex.orphanLogs[vertex]; len(logs) > 0 {
-		l := logs[len(logs)-1]
-		ex.orphanLogs[vertex] = logs[:len(logs)-1]
-		if len(l.buf) > 0 {
-			l.replayReq.Store(1)
-		}
-		return l
+	ex.cfg.Telemetry.ObserveCheckpoint(ex.sinceStart(time.Now()), o.Duration, o.Interval, o.MaxStall, o.Committed)
+	if !o.Committed {
+		ex.recordLifecycle(obs.KindCheckpointAbort, obs.Lifecycle{CheckpointID: o.ID, Reason: o.Reason})
+		return
 	}
-	ex.nextSrcID++
-	l := &sourceLog{
-		id:   ex.nextSrcID,
-		name: vertex + "#" + strconv.Itoa(int(ex.nextSrcID)),
-		cap:  ex.cfg.ReplayBufferRecords,
+	ex.recordLifecycle(obs.KindCheckpointCommit, obs.Lifecycle{
+		CheckpointID: o.ID, DurationSeconds: o.Duration, CommittedOffsets: o.Offsets,
+	})
+}
+
+// logTotals is the registry's totals, zero with guarantees disabled.
+func (ex *execution) logTotals() (assigned uint64, uncommitted, stalls int64) {
+	if ex.logs == nil {
+		return 0, 0, 0
 	}
-	ex.srcLogs[l.id] = l
-	return l
+	return ex.logs.Totals()
 }
 
-// orphanSourceLog parks a crashed source's log for the replacement task.
-func (ex *execution) orphanSourceLog(vertex string, l *sourceLog) {
-	ex.srcMu.Lock()
-	ex.orphanLogs[vertex] = append(ex.orphanLogs[vertex], l)
-	ex.srcMu.Unlock()
-}
-
-// requestReplayAll asks every source log's owner to re-emit its
-// uncommitted suffix (master, after a restart landed). Logs whose
-// source already exited cleanly are empty; the flag is harmless there.
+// requestReplayAll asks every live source shard to re-emit its log's
+// uncommitted suffix (master, after a restart landed). A shard attached
+// later inherits its request from the orphaned log (newTask).
 func (ex *execution) requestReplayAll() {
-	ex.srcMu.Lock()
-	for _, l := range ex.srcLogs {
-		l.replayReq.Store(1)
-	}
-	ex.srcMu.Unlock()
-	// Parked source shards only act on the flag once awake; ex.mu after
-	// srcMu matches the established lock order (srcMu is a leaf).
 	ex.mu.Lock()
+	defer ex.mu.Unlock()
 	for _, name := range ex.order {
 		for _, t := range ex.vertices[name].tasks {
 			if t.src == nil {
 				continue
 			}
 			for _, e := range t.emitters {
+				e.replayReq.Store(true)
+				// Parked source shards only act on the flag once awake.
 				e.wake()
 			}
 		}
 	}
-	ex.mu.Unlock()
-}
-
-// sourceRecords sums the distinct offsets ever emitted across sources.
-func (ex *execution) sourceRecords() int64 {
-	ex.srcMu.Lock()
-	defer ex.srcMu.Unlock()
-	var total int64
-	for _, l := range ex.srcLogs {
-		l.mu.Lock()
-		total += int64(l.next)
-		l.mu.Unlock()
-	}
-	return total
-}
-
-// replayStalls sums emissions deferred on full replay buffers.
-func (ex *execution) replayStalls() int64 {
-	ex.srcMu.Lock()
-	defer ex.srcMu.Unlock()
-	var total int64
-	for _, l := range ex.srcLogs {
-		total += l.stalls.Load()
-	}
-	return total
-}
-
-// sinkStats sums the dedup counters over all sink vertices.
-func (ex *execution) sinkStats() (distinct, dups, holes int64) {
-	for _, d := range ex.dedups {
-		di, du, ho := d.stats()
-		distinct += di
-		dups += du
-		holes += ho
-	}
-	return
 }

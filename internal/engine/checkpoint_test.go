@@ -279,7 +279,7 @@ func TestEngineGuaranteeChurnAlignment(t *testing.T) {
 		// lands: either the abort-in-flight path or the commit-time
 		// generation check must discard it.
 		waitUntil(t, "a checkpoint in flight", 5*time.Second, func() bool {
-			return exec.ex.coord.inFlight() != 0
+			return exec.ex.coord.InFlight() != 0
 		})
 		churn()
 		hold.Store(false)
@@ -358,7 +358,7 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 				t.Error("sharded source emitter has no source log")
 				continue
 			}
-			shardIDs[e.srcLog.id] = true
+			shardIDs[e.srcLog.ID()] = true
 		}
 	}
 	exec.ex.mu.Unlock()
@@ -377,7 +377,7 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 			return blocked.Load() >= base+workers
 		})
 		waitUntil(t, "a checkpoint in flight", 5*time.Second, func() bool {
-			return exec.ex.coord.inFlight() != 0
+			return exec.ex.coord.InFlight() != 0
 		})
 		churn()
 		hold.Store(false)

@@ -235,17 +235,12 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 	if ex.guarantee.Enabled() {
 		ex.suppressDups = ex.guarantee.Dedup()
 		ex.ckptStore = e.cfg.CheckpointStore
-		ex.coord = newCkptCoordinator()
-		ex.srcLogs = make(map[int32]*sourceLog)
-		ex.orphanLogs = make(map[string][]*sourceLog)
-		// Sink vertices (no out-edges) each get one dedup table, shared by
-		// all their tasks; must exist before bootstrap creates tasks.
-		ex.dedups = make(map[string]*sinkDedup)
-		for _, jv := range spec.graph.Vertices() {
-			if len(spec.graph.OutEdges(jv.Name)) == 0 {
-				ex.dedups[jv.Name] = newSinkDedup()
-			}
-		}
+		// Logs and dedup tables must exist before bootstrap creates tasks.
+		ex.logs = ckpt.NewRegistry[logEntry](e.cfg.ReplayBufferRecords)
+		var dedups []*ckpt.DedupTable
+		ex.dedups, dedups = sinkDedups(spec)
+		ex.coord = ckpt.NewCoordinator[*task](ex.ckptStore, ex.logs, dedups)
+		ex.ckptDone = make(chan ckpt.Round, 1)
 	}
 	if e.cfg.Elastic {
 		if len(spec.constraints) == 0 {
@@ -261,7 +256,6 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		return nil, err
 	}
 	ex.start = time.Now()
-	ex.lastCommit = ex.start
 	ex.meter.Advance(0, 0, 0)
 	go ex.wheel.run()
 	ex.launchAll()
@@ -364,32 +358,24 @@ type execution struct {
 	taskRestarts atomic.Int64
 	lostRecords  atomic.Int64
 
-	// Processing guarantees (nil/zero when cfg.Guarantee is AtMostOnce).
-	// guarantee and suppressDups are immutable after Submit; coord owns the
-	// in-flight checkpoint; topoGen counts topology changes so a commit
-	// racing churn is detected and discarded.
+	// Processing guarantees (nil/zero when cfg.Guarantee is AtMostOnce),
+	// all immutable after Submit. The protocol state lives in internal/ckpt:
+	// coord owns the rounds, the topology generation and the commit; logs
+	// the source offset logs (its lock is a leaf under ex.mu); dedups maps
+	// sink vertex → shared dedup table. The task goroutine whose ack
+	// completes a round hands it to the master over ckptDone.
 	guarantee    ckpt.Guarantee
 	suppressDups bool
 	ckptStore    ckpt.Store
-	coord        *ckptCoordinator
-	topoGen      atomic.Int64
-	// Master-loop-only checkpoint state.
-	ckptSeq      int64
-	lastCommit   time.Time
+	coord        *ckpt.Coordinator[*task]
+	ckptDone     chan ckpt.Round
+	logs         *ckpt.Registry[logEntry]
+	dedups       map[string]*ckpt.DedupTable
+	// lastDupCount is master-loop-only (telemetry delta).
 	lastDupCount int64
-	// srcMu guards the source-log registry; leaf lock under ex.mu.
-	srcMu      sync.Mutex
-	srcLogs    map[int32]*sourceLog
-	orphanLogs map[string][]*sourceLog
-	nextSrcID  int32
-	// dedups maps sink vertex → shared dedup table (immutable map after
-	// Submit; the tables themselves are mutex-guarded).
-	dedups map[string]*sinkDedup
 
-	checkpointsCommitted atomic.Int64
-	checkpointsAborted   atomic.Int64
-	replayedRecords      atomic.Int64
-	lingerTimeouts       atomic.Int64
+	replayedRecords atomic.Int64
+	lingerTimeouts  atomic.Int64
 	// dropNoConsumer counts records dropped because a gate had no
 	// consumers; gates hold a pointer to it (they have no execution
 	// back-pointer). Zero in healthy executions.
@@ -633,12 +619,10 @@ func (ex *execution) masterLoop() {
 		recordC = record.C
 	}
 	var ckptC <-chan time.Time
-	var ckptDone <-chan ckptResult
 	if ex.guarantee.Enabled() {
 		ckptTicker := time.NewTicker(ex.cfg.CheckpointInterval)
 		defer ckptTicker.Stop()
 		ckptC = ckptTicker.C
-		ckptDone = ex.coord.done
 	}
 
 	var lastProcessed int64
@@ -677,8 +661,11 @@ func (ex *execution) masterLoop() {
 			if !stopping {
 				ex.startCheckpoint()
 			}
-		case res := <-ckptDone:
-			ex.commitCheckpoint(res)
+		case r := <-ex.ckptDone:
+			// Persist, then prune (ckpt.Coordinator.Commit); a round that
+			// raced churn or whose store failed comes back as an abort.
+			now := ex.sinceStart(time.Now())
+			ex.reportCheckpoint(ex.coord.Commit(r, now, ex.emitted.Load(), ex.lostRecords.Load()), true)
 		case <-quiesce.C:
 			if !stopping {
 				continue
@@ -726,13 +713,10 @@ func (ex *execution) startCheckpoint() {
 	if ex.pendingRecovery.Load() != 0 {
 		return
 	}
-	if id := ex.coord.inFlight(); id != 0 {
-		ex.abortCheckpoint(id, "superseded by next interval")
-	}
+	ex.reportCheckpoint(ex.coord.Abort("superseded by next interval"))
 	ex.mu.Lock()
 	var sourceEmitters []*emitter
 	expect := make(map[*task]int)
-	pending := 0
 	for _, name := range ex.order {
 		for _, t := range ex.vertices[name].tasks {
 			if t.draining.Load() {
@@ -743,10 +727,7 @@ func (ex *execution) startCheckpoint() {
 				// One barrier per offset shard: each shard emitter injects
 				// the marker into its own rings and acks its own log's
 				// watermark.
-				for _, e := range t.emitters {
-					sourceEmitters = append(sourceEmitters, e)
-					pending++
-				}
+				sourceEmitters = append(sourceEmitters, t.emitters...)
 				continue
 			}
 			// A worker aligns one barrier per live upstream producer
@@ -761,16 +742,13 @@ func (ex *execution) startCheckpoint() {
 				}
 			}
 			expect[t] = exp
-			pending++
 		}
 	}
 	if len(sourceEmitters) == 0 {
 		ex.mu.Unlock()
 		return
 	}
-	ex.ckptSeq++
-	id := ex.ckptSeq
-	ex.coord.begin(id, ex.topoGen.Load(), expect, pending)
+	id := ex.coord.Begin(ex.sinceStart(time.Now()), expect, len(sourceEmitters))
 	for _, e := range sourceEmitters {
 		e.barrierReq.Store(id)
 		e.wake()
@@ -779,87 +757,12 @@ func (ex *execution) startCheckpoint() {
 	ex.recordLifecycle(obs.KindCheckpointStart, obs.Lifecycle{CheckpointID: id})
 }
 
-// commitCheckpoint finalizes a fully-acked checkpoint (master loop
-// only): validate the topology generation, persist the source offsets,
-// then prune replay buffers and dedup windows up to the committed
-// watermarks. Persist-then-prune: a crash between the two replays a
-// committed suffix — duplicates, which the guarantee ladder absorbs —
-// whereas the reverse order could lose records.
-func (ex *execution) commitCheckpoint(res ckptResult) {
-	now := time.Since(ex.start).Seconds()
-	dur := time.Since(res.started).Seconds()
-	if res.gen != ex.topoGen.Load() {
-		// The topology changed while the final acks were in flight: the
-		// barrier cut may straddle rewired channels, so discard it.
-		ex.checkpointsAborted.Add(1)
-		ex.recordLifecycle(obs.KindCheckpointAbort, obs.Lifecycle{
-			CheckpointID: res.id, Reason: "topology changed during alignment",
-		})
-		ex.cfg.Telemetry.ObserveCheckpoint(now, dur, 0, res.maxStall.Seconds(), false)
-		return
-	}
-	ck := ckpt.Checkpoint{
-		ID:            res.id,
-		At:            now,
-		SourceOffsets: make(map[string]uint64, len(res.offsets)),
-		Emitted:       ex.emitted.Load(),
-		LostRecords:   ex.lostRecords.Load(),
-	}
-	ex.srcMu.Lock()
-	for srcID, off := range res.offsets {
-		if l := ex.srcLogs[srcID]; l != nil {
-			ck.SourceOffsets[l.name] = off
-		}
-	}
-	ex.srcMu.Unlock()
-	if err := ex.ckptStore.Save(ck); err != nil {
-		ex.checkpointsAborted.Add(1)
-		ex.recordLifecycle(obs.KindCheckpointAbort, obs.Lifecycle{
-			CheckpointID: res.id, Reason: "store: " + err.Error(),
-		})
-		ex.cfg.Telemetry.ObserveCheckpoint(now, dur, 0, res.maxStall.Seconds(), false)
-		return
-	}
-	ex.srcMu.Lock()
-	for srcID, off := range res.offsets {
-		if l := ex.srcLogs[srcID]; l != nil {
-			l.commitTo(off)
-		}
-	}
-	ex.srcMu.Unlock()
-	for _, d := range ex.dedups {
-		d.pruneAll(res.offsets)
-	}
-	ex.checkpointsCommitted.Add(1)
-	interval := time.Since(ex.lastCommit).Seconds()
-	ex.lastCommit = time.Now()
-	ex.cfg.Telemetry.ObserveCheckpoint(now, dur, interval, res.maxStall.Seconds(), true)
-	ex.recordLifecycle(obs.KindCheckpointCommit, obs.Lifecycle{
-		CheckpointID: res.id, DurationSeconds: dur, CommittedOffsets: ck.TotalOffsets(),
-	})
-}
-
-// abortCheckpoint discards in-flight checkpoint id (master loop only).
-func (ex *execution) abortCheckpoint(id int64, reason string) {
-	if !ex.coord.abort(id) {
-		return
-	}
-	ex.checkpointsAborted.Add(1)
-	ex.recordLifecycle(obs.KindCheckpointAbort, obs.Lifecycle{CheckpointID: id, Reason: reason})
-	ex.cfg.Telemetry.ObserveCheckpoint(time.Since(ex.start).Seconds(), 0, 0, 0, false)
-}
-
-// noteChurn records a topology change (master loop only): the
-// generation bump invalidates any checkpoint begun before it — an
-// in-flight one is aborted now, a completed-but-uncommitted one is
-// discarded by commitCheckpoint's generation check.
+// noteChurn records a topology change (master loop only): an in-flight
+// checkpoint is aborted now, a completed-but-uncommitted one is discarded
+// by the commit's generation check.
 func (ex *execution) noteChurn(reason string) {
-	if !ex.guarantee.Enabled() {
-		return
-	}
-	ex.topoGen.Add(1)
-	if id := ex.coord.inFlight(); id != 0 {
-		ex.abortCheckpoint(id, reason)
+	if ex.guarantee.Enabled() {
+		ex.reportCheckpoint(ex.coord.Churn(reason))
 	}
 }
 
@@ -902,7 +805,7 @@ func (ex *execution) handleTaskFailure(f taskFailure, stopping bool) {
 			// Park the dead source shard's offset log for its replacement,
 			// which replays the uncommitted suffix (harmless while stopping:
 			// the log is simply never reattached).
-			ex.orphanSourceLog(f.t.id.Vertex, e.srcLog)
+			ex.logs.Orphan(e.srcLog)
 		}
 		// The dying goroutine's defer closed these rings already; repeat
 		// for any consumer that was wired in mid-crash (Close is
@@ -1134,7 +1037,7 @@ func (ex *execution) adjustTick() {
 
 	if ex.guarantee.Enabled() {
 		// Push the interval's suppressed-duplicate delta to telemetry.
-		_, dups, _ := ex.sinkStats()
+		_, dups, _ := ex.coord.Deliveries()
 		if d := dups - ex.lastDupCount; d > 0 {
 			ex.cfg.Telemetry.AddDeduped(time.Since(ex.start).Seconds(), d)
 		}
@@ -1453,7 +1356,10 @@ func (e *Execution) Guarantee() ckpt.Guarantee { return e.ex.guarantee }
 // Checkpoints returns how many barrier checkpoints committed and how
 // many aborted (superseded, topology churn, or store failure).
 func (e *Execution) Checkpoints() (committed, aborted int64) {
-	return e.ex.checkpointsCommitted.Load(), e.ex.checkpointsAborted.Load()
+	if e.ex.coord == nil {
+		return 0, 0
+	}
+	return e.ex.coord.Counts()
 }
 
 // ReplayedRecords returns how many buffered records sources re-emitted
@@ -1465,7 +1371,10 @@ func (e *Execution) ReplayedRecords() int64 { return e.ex.replayedRecords.Load()
 // assigned — the denominator for loss accounting under guarantees
 // (replays re-emit existing offsets and do not move it). Zero when
 // guarantees are disabled.
-func (e *Execution) SourceRecords() int64 { return e.ex.sourceRecords() }
+func (e *Execution) SourceRecords() int64 {
+	assigned, _, _ := e.ex.logTotals()
+	return int64(assigned)
+}
 
 // SinkDeliveries returns the sink-side dedup accounting: distinct
 // (source, offset) pairs delivered, duplicate deliveries observed
@@ -1474,12 +1383,18 @@ func (e *Execution) SourceRecords() int64 { return e.ex.sourceRecords() }
 // reached a sink, i.e. actual loss under guarantees. All zero when
 // guarantees are disabled.
 func (e *Execution) SinkDeliveries() (distinct, dups, holes int64) {
-	return e.ex.sinkStats()
+	if e.ex.coord == nil {
+		return 0, 0, 0
+	}
+	return e.ex.coord.Deliveries()
 }
 
 // ReplayStalls returns how many emissions sources deferred because the
 // replay buffer was at capacity (backpressure, not loss).
-func (e *Execution) ReplayStalls() int64 { return e.ex.replayStalls() }
+func (e *Execution) ReplayStalls() int64 {
+	_, _, stalls := e.ex.logTotals()
+	return stalls
+}
 
 // LingerTimeouts returns how many exhausted sources gave up waiting for
 // a final checkpoint to commit their replay buffer; non-zero means the

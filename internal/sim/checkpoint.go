@@ -1,122 +1,47 @@
 package sim
 
 import (
-	"fmt"
-	"sort"
-
 	"nephelix/internal/ckpt"
 	"nephelix/internal/obs"
 )
 
-// Processing guarantees, simulator mirror. The engine's barrier-
-// checkpoint protocol (internal/engine/checkpoint.go) is replayed here
-// under virtual time with the same semantics, single-threaded:
-//
-//   - every source task owns a simSrcLog assigning monotonically
-//     increasing per-source offsets and retaining the uncommitted
-//     suffix for replay;
-//   - a recurring evCheckpoint event injects numbered barriers at the
-//     sources; barriers ride the regular channels as special items, so
-//     per-channel FIFO makes the cut consistent; consumers align by
-//     counting producer barriers, forward, and acknowledge;
-//   - when every task acknowledged, the checkpoint commits: source
-//     logs prune their committed prefixes and sink dedup windows
-//     advance. Topology churn (scaling, kills, respawns) during
-//     alignment aborts the checkpoint via a generation counter, exactly
-//     like the engine;
-//   - a fault respawn replays every source's uncommitted suffix
-//     (at-least-once); sink-vertex ckpt.DedupTables detect the
-//     duplicates and, under exactly-once, suppress their Process call.
-//
-// Everything runs on the simulation's deterministic event loop: the
-// same seed yields byte-identical results, guarantees included.
+// This file is the simulator's driver of the checkpoint protocol. The
+// protocol itself — offset logs and their registry, the barrier
+// coordinator, counting alignment, the commit sequence, sink dedup —
+// lives once in internal/ckpt and is shared with the engine (see
+// DESIGN.md "Processing guarantees"). What is simulator-specific is how
+// the protocol meets the event loop: a recurring evCheckpoint event
+// injects, barriers are special items shipped through Sim.ship (clamped
+// to per-channel FIFO) and consumed at the queue head at zero service
+// cost, a task blocked in a send defers its barrier to resume(), the
+// completing ack commits inline, and a respawn replays through
+// Sim.emit. All on the deterministic event loop: the same seed yields
+// byte-identical results, guarantees included.
 
-// simSrcLog is one source task's offset log: offsets base..next()-1 are
-// assigned; buf holds the uncommitted suffix (buf[i] is offset base+i).
-type simSrcLog struct {
-	id   int32
-	name string
-	cap  int
-	base uint64
-	buf  []replayItem
-}
-
-// replayItem is one logged emission: the item as the behavior emitted
-// it (sim-internal pointers stripped) and its out-edge index.
+// replayItem is what a source's ckpt.Log retains per emission: the item
+// as the behavior emitted it (sim-internal pointers stripped) and its
+// out-edge index.
 type replayItem struct {
 	it   Item
 	edge int8
 }
 
-// next returns the offset the next emission will receive.
-func (l *simSrcLog) next() uint64 { return l.base + uint64(len(l.buf)) }
-
-// full reports whether the replay buffer reached its bound.
-func (l *simSrcLog) full() bool { return len(l.buf) >= l.cap }
-
-// commitTo drops the committed prefix below watermark.
-func (l *simSrcLog) commitTo(watermark uint64) {
-	if watermark <= l.base {
-		return
-	}
-	n := int(watermark - l.base)
-	if n >= len(l.buf) {
-		n = len(l.buf)
-	}
-	rest := copy(l.buf, l.buf[n:])
-	for i := rest; i < len(l.buf); i++ {
-		l.buf[i] = replayItem{} // release Origins references
-	}
-	l.buf = l.buf[:rest]
-	l.base = watermark
-}
-
-// simCkpt is one in-flight barrier checkpoint.
-type simCkpt struct {
-	id      int64
-	gen     int64
-	started float64
-	// expect is the number of producer barriers each task must count
-	// before acknowledging; pending is the not-yet-acknowledged set.
-	expect  map[*simTask]int
-	pending map[*simTask]bool
-	// offsets are the source watermarks snapshotted at injection.
-	offsets map[*simSrcLog]uint64
-	// maxStall is the worst first-to-last barrier gap any task saw.
-	maxStall float64
-}
-
 // guarState is the per-run processing-guarantee state (nil on Sim when
 // guarantees are disabled, keeping the default data path untouched).
 type guarState struct {
-	level    ckpt.Guarantee
 	suppress bool
-	interval float64
-	bufCap   int
-
-	seq      int64 // checkpoint id allocator
-	gen      int64 // topology generation; churn bumps it
-	inflight *simCkpt
+	logs     *ckpt.Registry[replayItem]
+	coord    *ckpt.Coordinator[*simTask]
+	// store holds the last commit (Result.CommittedOffsets reads it).
+	store *ckpt.MemStore
+	// dedups tracks (source, offset) deliveries per sink vertex.
+	dedups map[string]*ckpt.DedupTable
 
 	// pendingResp counts scheduled-but-not-yet-executed respawns;
 	// injection waits for recovery to settle, like the engine master.
 	pendingResp int
 
-	lastCommit  float64
-	lastID      int64
-	lastOffsets uint64
-
-	committed    int
-	aborted      int
-	replayed     int64
-	replayStalls int64
-
-	nextSrcID int32
-	logs      []*simSrcLog
-	// dedups tracks (source, offset) deliveries per sink vertex;
-	// dedupOrder fixes the iteration order for determinism.
-	dedups     map[string]*ckpt.DedupTable
-	dedupOrder []string
+	replayed int64
 }
 
 // initGuarantees builds the guarantee state from the config (New).
@@ -125,56 +50,59 @@ func (s *Sim) initGuarantees() {
 		return
 	}
 	g := &guarState{
-		level:    s.cfg.Guarantee,
 		suppress: s.cfg.Guarantee.Dedup(),
-		interval: s.cfg.CheckpointInterval,
-		bufCap:   s.cfg.ReplayBufferItems,
+		logs:     ckpt.NewRegistry[replayItem](s.cfg.ReplayBufferItems),
+		store:    ckpt.NewMemStore(1),
 		dedups:   make(map[string]*ckpt.DedupTable),
 	}
+	var dedups []*ckpt.DedupTable
 	for _, jv := range s.cfg.Graph.Vertices() {
 		if len(s.cfg.Graph.OutEdges(jv.Name)) == 0 {
 			g.dedups[jv.Name] = ckpt.NewDedupTable()
-			g.dedupOrder = append(g.dedupOrder, jv.Name)
+			dedups = append(dedups, g.dedups[jv.Name])
 		}
 	}
-	sort.Strings(g.dedupOrder)
+	g.coord = ckpt.NewCoordinator[*simTask](g.store, g.logs, dedups)
 	s.guar = g
 }
 
-// attachSrcLog gives a new source task its offset log: a reattached
-// orphan (offset continuity across a respawn) or a fresh one.
-func (s *Sim) attachSrcLog(t *simTask) {
-	g := s.guar
-	if g == nil || !t.isSource {
-		return
+// detachSrcLog parks a removed or killed source task's offset log for
+// the vertex's next task, which keeps offsets monotonic across respawns
+// and scale cycles and the uncommitted suffix replayable.
+func (s *Sim) detachSrcLog(t *simTask) {
+	if t.srcLog != nil {
+		s.guar.logs.Orphan(t.srcLog)
+		t.srcLog = nil
 	}
-	v := t.vtx
-	if n := len(v.orphanLogs); n > 0 {
-		t.srcLog = v.orphanLogs[n-1]
-		v.orphanLogs[n-1] = nil
-		v.orphanLogs = v.orphanLogs[:n-1]
-		return
-	}
-	g.nextSrcID++
-	l := &simSrcLog{
-		id:   g.nextSrcID,
-		name: fmt.Sprintf("%s#%d", v.jv.Name, g.nextSrcID),
-		cap:  g.bufCap,
-	}
-	g.logs = append(g.logs, l)
-	t.srcLog = l
 }
 
-// noteSimChurn records a topology change: the generation bumps and any
-// in-flight checkpoint aborts, because its barrier cut no longer
-// matches the routing it was injected into.
-func (s *Sim) noteSimChurn(reason string) {
-	g := s.guar
-	if g == nil {
+// reportCkpt forwards what became of a round to telemetry and the
+// flight recorder.
+func (s *Sim) reportCkpt(o ckpt.Outcome, ok bool) {
+	if !ok {
 		return
 	}
-	g.gen++
-	s.abortCkpt(reason)
+	s.cfg.Telemetry.ObserveCheckpoint(s.now, o.Duration, o.Interval, o.MaxStall, o.Committed)
+	if s.cfg.Recorder == nil {
+		return
+	}
+	if !o.Committed {
+		s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointAbort,
+			obs.Lifecycle{CheckpointID: o.ID, Reason: o.Reason})
+		return
+	}
+	s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointCommit, obs.Lifecycle{
+		CheckpointID: o.ID, DurationSeconds: o.Duration, CommittedOffsets: o.Offsets,
+	})
+}
+
+// noteSimChurn records a topology change: any in-flight checkpoint
+// aborts, because its barrier cut no longer matches the routing it was
+// injected into.
+func (s *Sim) noteSimChurn(reason string) {
+	if s.guar != nil {
+		s.reportCkpt(s.guar.coord.Churn(reason))
+	}
 }
 
 // checkpointTick injects one barrier checkpoint at the sources
@@ -182,22 +110,16 @@ func (s *Sim) noteSimChurn(reason string) {
 // or a drain is in progress; an unfinished predecessor is superseded.
 func (s *Sim) checkpointTick() {
 	g := s.guar
-	if g == nil {
+	if g == nil || g.pendingResp > 0 {
 		return
 	}
-	if g.pendingResp > 0 {
-		return
-	}
-	if g.inflight != nil {
-		s.abortCkpt("superseded by next interval")
-	}
+	s.reportCkpt(g.coord.Abort("superseded by next interval"))
 	for _, name := range s.vertexOrder {
 		if len(s.vertices[name].draining) > 0 {
 			return
 		}
 	}
 	expect := make(map[*simTask]int)
-	pending := make(map[*simTask]bool)
 	var sources []*simTask
 	for _, name := range s.vertexOrder {
 		v := s.vertices[name]
@@ -211,46 +133,28 @@ func (s *Sim) checkpointTick() {
 				n += len(s.vertices[ek.Source].tasks)
 			}
 			expect[t] = n
-			pending[t] = true
 		}
 	}
 	if len(sources) == 0 {
 		return
 	}
-	g.seq++
-	ck := &simCkpt{
-		id:      g.seq,
-		gen:     g.gen,
-		started: s.now,
-		expect:  expect,
-		pending: pending,
-		offsets: make(map[*simSrcLog]uint64, len(sources)),
-	}
-	g.inflight = ck
-	for _, t := range sources {
-		// The watermark is snapshotted now; a blocked source cannot
-		// emit (srcPendingEmit defers), so deferring its barrier to
-		// resume() keeps the snapshot consistent.
-		ck.offsets[t.srcLog] = t.srcLog.next()
-		if t.blockedOut > 0 {
-			t.pendingBarrier = ck.id
-		} else {
-			s.forwardBarrier(t, ck.id)
-		}
-	}
+	id := g.coord.Begin(s.now, expect, len(sources))
 	if s.cfg.Recorder != nil {
 		s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointStart,
-			obs.Lifecycle{CheckpointID: ck.id})
+			obs.Lifecycle{CheckpointID: id})
 	}
-	if len(ck.pending) == 0 {
-		s.commitCkpt() // degenerate source-only topology
+	for _, t := range sources {
+		s.forwardBarrier(t, id)
 	}
 }
 
 // forwardBarrier flushes t's gates (pre-barrier data must precede the
 // marker in channel FIFO order) and ships one barrier item to every
 // consumer channel — all of them regardless of wiring pattern, because
-// alignment counts producers, not partitions.
+// alignment counts producers, not partitions. A task blocked in a send
+// defers to resume(). A source acknowledges here, at emission, with its
+// log's next offset as the snapshot watermark (a blocked source cannot
+// emit, so deferring moves the barrier, not the watermark).
 func (s *Sim) forwardBarrier(t *simTask, id int64) {
 	if t.blockedOut > 0 {
 		t.pendingBarrier = id
@@ -265,6 +169,9 @@ func (s *Sim) forwardBarrier(t *simTask, id int64) {
 			s.ship(ch, b, 0)
 		}
 	}
+	if t.srcLog != nil {
+		s.commitCkpt(s.guar.coord.AckSource(id, t.srcLog.ID(), t.srcLog.Next()))
+	}
 }
 
 // handleBarrier processes one barrier item reaching the head of t's
@@ -273,97 +180,23 @@ func (s *Sim) forwardBarrier(t *simTask, id int64) {
 // the queue, serviced — before the marker, so counting to the expected
 // producer total makes the local cut consistent.
 func (s *Sim) handleBarrier(t *simTask, id int64) {
-	g := s.guar
-	ck := g.inflight
-	if ck == nil || id != ck.id {
-		return // stale barrier of an aborted or superseded checkpoint
+	coord := s.guar.coord
+	aligned, stall := t.align.Arrive(id, s.now, coord.Expected(id, t))
+	if !aligned {
+		return // still counting, or a stale or late marker
 	}
-	if t.alignID != id {
-		t.alignID = id
-		t.alignSeen = 0
-		t.alignStart = s.now
-	}
-	t.alignSeen++
-	if t.alignSeen < ck.expect[t] {
-		return
-	}
-	if stall := s.now - t.alignStart; stall > ck.maxStall {
-		ck.maxStall = stall
-	}
-	if !ck.pending[t] {
-		return
-	}
-	delete(ck.pending, t)
 	s.forwardBarrier(t, id)
-	if len(ck.pending) == 0 {
-		s.commitCkpt()
-	}
+	s.commitCkpt(coord.AckWorker(id, t, stall))
 }
 
-// commitCkpt finishes the in-flight checkpoint once every task
-// acknowledged: logs prune their committed prefixes and sink dedup
-// windows advance. A checkpoint whose generation no longer matches the
-// topology is discarded as aborted — its cut spans a routing that no
-// longer exists.
-func (s *Sim) commitCkpt() {
-	g := s.guar
-	ck := g.inflight
-	g.inflight = nil
-	if ck.gen != g.gen {
-		g.aborted++
-		s.cfg.Telemetry.ObserveCheckpoint(s.now, 0, 0, 0, false)
-		if s.cfg.Recorder != nil {
-			s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointAbort, obs.Lifecycle{
-				CheckpointID: ck.id, Reason: "topology changed during alignment",
-			})
-		}
+// commitCkpt commits the round the last ack completed (persist to the
+// run's store, prune logs and dedup windows: ckpt.Coordinator.Commit).
+func (s *Sim) commitCkpt(r ckpt.Round, complete bool) {
+	if !complete {
 		return
 	}
-	logs := make([]*simSrcLog, 0, len(ck.offsets))
-	for l := range ck.offsets {
-		logs = append(logs, l)
-	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i].id < logs[j].id })
-	var total uint64
-	for _, l := range logs {
-		w := ck.offsets[l]
-		l.commitTo(w)
-		total += w
-	}
-	for _, name := range g.dedupOrder {
-		d := g.dedups[name]
-		for _, l := range logs {
-			d.Prune(l.id, ck.offsets[l])
-		}
-	}
-	g.committed++
-	dur := s.now - ck.started
-	interval := s.now - g.lastCommit
-	g.lastCommit = s.now
-	g.lastID = ck.id
-	g.lastOffsets = total
-	s.cfg.Telemetry.ObserveCheckpoint(s.now, dur, interval, ck.maxStall, true)
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointCommit, obs.Lifecycle{
-			CheckpointID: ck.id, DurationSeconds: dur, CommittedOffsets: total,
-		})
-	}
-}
-
-// abortCkpt discards the in-flight checkpoint, if any.
-func (s *Sim) abortCkpt(reason string) {
-	g := s.guar
-	ck := g.inflight
-	if ck == nil {
-		return
-	}
-	g.inflight = nil
-	g.aborted++
-	s.cfg.Telemetry.ObserveCheckpoint(s.now, 0, 0, 0, false)
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointAbort,
-			obs.Lifecycle{CheckpointID: ck.id, Reason: reason})
-	}
+	emitted, _, _ := s.guar.logs.Totals()
+	s.reportCkpt(s.guar.coord.Commit(r, s.now, int64(emitted), s.killedItems), true)
 }
 
 // replayAll re-emits the uncommitted suffix of every live source log
@@ -376,9 +209,8 @@ func (s *Sim) replayAll() {
 		return
 	}
 	for _, name := range s.vertexOrder {
-		v := s.vertices[name]
-		for _, t := range v.tasks {
-			if t.srcLog != nil && len(t.srcLog.buf) > 0 {
+		for _, t := range s.vertices[name].tasks {
+			if t.srcLog != nil {
 				s.replayLog(t)
 			}
 		}
@@ -389,11 +221,16 @@ func (s *Sim) replayAll() {
 // Replayed items keep their original (source, offset) lineage; emit
 // skips stamping and logging while t.replaying is set.
 func (s *Sim) replayLog(t *simTask) {
-	l := t.srcLog
-	n := int64(len(l.buf))
+	suffix, first := t.srcLog.Uncommitted(nil)
+	n := int64(len(suffix))
+	if n == 0 {
+		return
+	}
 	t.replaying = true
-	for i := range l.buf {
-		s.emit(t, int(l.buf[i].edge), l.buf[i].it)
+	for i := range suffix {
+		it := suffix[i].it
+		it.Offset = first + uint64(i)
+		s.emit(t, int(suffix[i].edge), it)
 	}
 	t.replaying = false
 	s.guar.replayed += n

@@ -237,3 +237,90 @@ func TestSimGuaranteeDisabledUntouched(t *testing.T) {
 		t.Errorf("guarantee fields non-zero in a disabled run: %+v", res)
 	}
 }
+
+// statefulServer is a pass-through worker with operator state: how many
+// items this instance has processed, and when it saw the first and last.
+type statefulServer struct {
+	testServer
+	seen        int64
+	first, last float64
+}
+
+func (b *statefulServer) Process(ctx *TaskContext, it Item) {
+	if b.seen == 0 {
+		b.first = ctx.Now()
+	}
+	b.seen++
+	b.last = ctx.Now()
+	b.testServer.Process(ctx, it)
+}
+
+// TestSimGuaranteeOperatorStateNotSnapshotted states the promise the
+// guarantee ladder does not make: checkpoints cover source offsets, not
+// operator state. Across a worker kill and respawn under ExactlyOnce the
+// sink sees every record exactly once, but the killed worker's state is
+// gone — its replacement starts empty — and the replay passes records
+// through the surviving workers' state a second time.
+func TestSimGuaranteeOperatorStateNotSnapshotted(t *testing.T) {
+	const killAt, delay = 20.0, 1.0
+	probes := NewProbeSet()
+	var sinkCalls int64
+	cfg := guaranteeConfig(t, probes, ckpt.ExactlyOnce, &FaultPlan{
+		TaskKills:    []TaskKill{{At: killAt, Vertex: "server", Count: 1}},
+		Respawn:      true,
+		RestartDelay: delay,
+	}, &sinkCalls)
+	var servers []*statefulServer
+	cfg.Vertices["server"] = VertexConfig{NewBehavior: func(int) Behavior {
+		b := &statefulServer{testServer: testServer{mean: 0.012}}
+		servers = append(servers, b)
+		return b
+	}}
+	s, err := New(cfg, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// What is promised holds: no loss, no duplicate reaches the sink UDF.
+	emitted := res.Emitted["src"]
+	if res.SinkHoles != 0 || res.SinkDistinct != emitted || sinkCalls != emitted {
+		t.Fatalf("sink: holes %d, distinct %d, Process calls %d; want 0, %d, %d",
+			res.SinkHoles, res.SinkDistinct, sinkCalls, emitted, emitted)
+	}
+	if res.KilledTasks != 1 || res.RespawnedTasks != 1 || res.ReplayedItems == 0 {
+		t.Fatalf("killed/respawned/replayed = %d/%d/%d; the scenario exercises nothing",
+			res.KilledTasks, res.RespawnedTasks, res.ReplayedItems)
+	}
+
+	// What is not: the replacement is a fresh Behavior instance whose
+	// state begins after the respawn, and nothing restored what the
+	// killed instance had accumulated.
+	if len(servers) != 5 {
+		t.Fatalf("%d server instances created, want 4 + 1 respawned", len(servers))
+	}
+	respawned := servers[4]
+	if respawned.seen == 0 || respawned.first < killAt+delay {
+		t.Errorf("respawned instance: %d items from t=%.2f, want a fresh start after t=%.0f",
+			respawned.seen, respawned.first, killAt+delay)
+	}
+	var applied, lost int64
+	for _, b := range servers[:4] {
+		if b.last <= killAt {
+			lost += b.seen // the killed instance: state dropped with the task
+		}
+		applied += b.seen
+	}
+	applied += respawned.seen
+	if lost == 0 {
+		t.Error("the killed worker held no state — the scenario exercises nothing")
+	}
+	// Replayed records the workers had already processed before the kill
+	// update operator state twice: at-least-once below the sinks.
+	if applied <= emitted {
+		t.Errorf("worker state saw %d updates for %d records; want more (replay re-applies)", applied, emitted)
+	}
+}

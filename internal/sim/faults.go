@@ -220,12 +220,7 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 	if t.isSource {
 		t.srcStopped = true
 	}
-	if t.srcLog != nil {
-		// The uncommitted suffix survives the crash in the orphaned
-		// log; a respawned task reattaches and replays it.
-		v.orphanLogs = append(v.orphanLogs, t.srcLog)
-		t.srcLog = nil
-	}
+	s.detachSrcLog(t)
 
 	// Queued input dies with the task (barrier markers are control
 	// traffic, not lost records).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"nephelix/internal/ckpt"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/qos"
@@ -162,15 +163,15 @@ type simTask struct {
 
 	// Processing-guarantee state. srcLog is the source offset log (nil
 	// for non-sources or when disabled); replaying suppresses stamping
-	// during a replay re-emission. alignID/alignSeen/alignStart track
-	// barrier alignment; pendingBarrier defers a barrier forward while
-	// the task is blocked in a send. curSrc/curOff is the lineage of
-	// the item being processed, inherited by its emissions.
-	srcLog         *simSrcLog
+	// during a replay re-emission. dedup is the sink vertex's shared
+	// table (nil otherwise). align counts inbound barriers;
+	// pendingBarrier defers a barrier forward while the task is blocked
+	// in a send. curSrc/curOff is the lineage of the item being
+	// processed, inherited by its emissions.
+	srcLog         *ckpt.Log[replayItem]
 	replaying      bool
-	alignID        int64
-	alignSeen      int
-	alignStart     float64
+	dedup          *ckpt.DedupTable
+	align          ckpt.Aligner
 	pendingBarrier int64
 	curSrc         int32
 	curOff         uint64
@@ -254,12 +255,11 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it Item) {
 	if s.guar != nil {
 		if t.isSource {
 			if l := t.srcLog; l != nil && !t.replaying {
-				it.Src = l.id
-				it.Offset = l.next()
+				it.Src = l.ID()
 				stored := it
 				stored.src = nil
 				stored.span = nil // the log must not pin trace spans
-				l.buf = append(l.buf, replayItem{it: stored, edge: int8(edgeIdx)})
+				it.Offset = l.Append(replayItem{it: stored, edge: int8(edgeIdx)})
 			}
 		} else {
 			it.Src = t.curSrc
@@ -533,7 +533,7 @@ func (s *Sim) resume(t *simTask) {
 		// send; it must ship before any new emission so the cut stays
 		// consistent.
 		t.pendingBarrier = 0
-		if g := s.guar; g != nil && g.inflight != nil && g.inflight.id == id {
+		if s.guar.coord.InFlight() == id {
 			s.forwardBarrier(t, id)
 		}
 	}
@@ -637,16 +637,14 @@ func (s *Sim) serviceDone(t *simTask) {
 			s.cfg.Telemetry.ObserveE2E(s.now, s.now-it.span.Start())
 		}
 	}
-	if g := s.guar; g != nil && len(t.gates) == 0 && it.Src != 0 {
+	if t.dedup != nil && it.Src != 0 && !t.dedup.Admit(it.Src, it.Offset) {
 		// Sink dedup: replays re-deliver records that already arrived
 		// before the crash. Detection runs at every guarantee level;
 		// suppression (skipping Process) only under exactly-once.
-		if d := g.dedups[t.vtx.jv.Name]; d != nil && !d.Admit(it.Src, it.Offset) {
-			s.cfg.Telemetry.AddDeduped(s.now, 1)
-			if g.suppress {
-				s.maybeStart(t)
-				return
-			}
+		s.cfg.Telemetry.AddDeduped(s.now, 1)
+		if s.guar.suppress {
+			s.maybeStart(t)
+			return
 		}
 	}
 	t.curSrc, t.curOff = it.Src, it.Offset

@@ -370,11 +370,11 @@ func (s *Sim) sourceEmit(t *simTask) {
 		t.srcPendingEmit = true
 		return
 	}
-	if t.srcLog != nil && t.srcLog.full() {
+	if t.srcLog != nil && t.srcLog.Full() {
 		// The replay buffer is at its bound: emitting more would make
 		// the uncommitted suffix unreplayable. Stall until a checkpoint
 		// commit frees space.
-		s.guar.replayStalls++
+		t.srcLog.Stall()
 		s.q.push(event{at: s.now + 0.01, kind: evSourceEmit, tslot: t.slot})
 		return
 	}
@@ -774,20 +774,14 @@ func (s *Sim) Run() (*Result, error) {
 		}
 	}
 	if g := s.guar; g != nil {
-		res.CheckpointsCommitted = g.committed
-		res.CheckpointsAborted = g.aborted
-		res.CommittedOffsets = g.lastOffsets
+		committed, aborted := g.coord.Counts()
+		res.CheckpointsCommitted, res.CheckpointsAborted = int(committed), int(aborted)
+		if last, ok, _ := g.store.Latest(); ok { // a MemStore cannot fail
+			res.CommittedOffsets = last.TotalOffsets()
+		}
 		res.ReplayedItems = g.replayed
-		res.ReplayStalls = g.replayStalls
-		for _, l := range g.logs {
-			res.UncommittedItems += int64(len(l.buf))
-		}
-		for _, name := range g.dedupOrder {
-			d := g.dedups[name]
-			res.SinkDistinct += d.Distinct()
-			res.SinkDuplicates += d.Dups()
-			res.SinkHoles += d.Holes()
-		}
+		_, res.UncommittedItems, res.ReplayStalls = g.logs.Totals()
+		res.SinkDistinct, res.SinkDuplicates, res.SinkHoles = g.coord.Deliveries()
 	}
 	// Run-wide CPU utilization.
 	busySum := s.retiredBusy

@@ -19,10 +19,6 @@ type simVertex struct {
 	tasks    []*simTask
 	draining map[*simTask]struct{}
 
-	// orphanLogs holds source offset logs of killed tasks until a
-	// respawned task reattaches them (processing guarantees).
-	orphanLogs []*simSrcLog
-
 	// nextIndex allocates unique task indices so QoS history never mixes
 	// a removed task with its successor.
 	nextIndex int
@@ -69,7 +65,13 @@ func (v *simVertex) newTask() (*simTask, error) {
 	if v.cfg.NewBehavior != nil {
 		t.behavior = v.cfg.NewBehavior(id.Index)
 	}
-	s.attachSrcLog(t)
+	if g := s.guar; g != nil {
+		if t.isSource {
+			// A reattached log's suffix waits for the next replayAll.
+			t.srcLog, _ = g.logs.Attach(id.Vertex)
+		}
+		t.dedup = g.dedups[id.Vertex]
+	}
 	t.gates = make([]*outGate, len(v.outEdges))
 	for pos, ek := range v.outEdges {
 		ec := s.cfg.edgeConfig(ek)
@@ -228,12 +230,7 @@ func (v *simVertex) finalizeRemoval(t *simTask) {
 	s.accountUsage() // integrate usage before the task count drops
 	s.retiredBusy += t.busyAccum
 	delete(v.draining, t)
-	if t.srcLog != nil {
-		// Keep the offset log for a future task of this vertex, so
-		// offsets stay monotonic across scale-down/up cycles.
-		v.orphanLogs = append(v.orphanLogs, t.srcLog)
-		t.srcLog = nil
-	}
+	s.detachSrcLog(t)
 	if err := s.scheduler.Unplace(t.id); err != nil {
 		s.fail("unplacing %s: %v", t.id, err)
 	}
