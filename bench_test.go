@@ -16,7 +16,6 @@ import (
 	"nephelix/internal/core"
 	"nephelix/internal/experiments"
 	"nephelix/internal/model"
-	"nephelix/internal/obs"
 	"nephelix/internal/qos"
 	"nephelix/internal/sim"
 	"nephelix/internal/workload"
@@ -301,37 +300,6 @@ func benchSummary(p int) (*model.JobGraph, []*model.Constraint, *qos.Summary) {
 	return g, cons, s
 }
 
-// BenchmarkScaleReactively measures one full Algorithm 2 decision.
-func BenchmarkScaleReactively(b *testing.B) {
-	g, cons, s := benchSummary(256)
-	cur := map[string]int{"work": 256}
-	cfg := core.DefaultStrategyConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ScaleReactively(cfg, g, cons, s, cur); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRebalance measures the gradient descent on a 5-vertex problem.
-func BenchmarkRebalance(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	sm := &core.SequenceModel{}
-	for i := 0; i < 5; i++ {
-		sm.Vertices = append(sm.Vertices, &core.VertexModel{
-			Name: string(rune('a' + i)), Current: 16, Min: 1, Max: 512,
-			A: 0.01 + rng.Float64()*0.2, B: rng.Float64() * 100, E: 1,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Rebalance(sm, 0.004, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchSink keeps benchmark results alive against dead-code elimination.
 var benchSink float64
 
@@ -351,110 +319,6 @@ func BenchmarkBatchingControllerUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Update(s, cons)
-	}
-}
-
-// BenchmarkSummaryMerge measures merging 8 partial summaries of 64 tasks
-// each into a global summary (the master's per-adjustment work).
-func BenchmarkSummaryMerge(b *testing.B) {
-	partials := make([]*qos.PartialSummary, 8)
-	for i := range partials {
-		m := qos.NewManager(qos.DefaultManagerConfig())
-		for t := 0; t < 64; t++ {
-			m.ReportTask(qos.TaskReport{
-				Task:         model.TaskID{Vertex: "work", Index: i*64 + t},
-				ServiceCount: 100, ServiceMean: 0.003, ServiceCV: 0.5,
-				InterarrivalCount: 100, InterarrivalMean: 0.006, InterarrivalCV: 1.0,
-				TaskLatencyCount: 100, TaskLatencyMean: 0.003,
-			})
-		}
-		partials[i] = m.PartialSummary()
-	}
-	par := map[string]int{"work": 512}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qos.MergePartials(par, partials...)
-	}
-}
-
-// BenchmarkSimulatorEvents measures raw simulator throughput: a saturated
-// single-server pipeline, reported in processed items per second of
-// wall-clock time.
-func BenchmarkSimulatorEvents(b *testing.B) {
-	benchSimulatorEvents(b, nil)
-}
-
-// BenchmarkSimulatorEventsObsDisabled runs the same workload with a
-// disabled tracer (sample rate 0), an attached recorder and a nil
-// telemetry plane. Compare against BenchmarkSimulatorEvents: the
-// observability hooks must not cost measurable throughput when off.
-func BenchmarkSimulatorEventsObsDisabled(b *testing.B) {
-	benchSimulatorEvents(b, func(cfg *sim.Config) {
-		cfg.Tracer = obs.NewTracer(0)
-		cfg.Recorder = obs.NewRecorder(0)
-		cfg.Telemetry = nil
-	})
-}
-
-// BenchmarkSimulatorEventsTelemetry runs the workload with an enabled
-// telemetry plane (time-series store + residual monitor) to expose the
-// cost of live scraping relative to BenchmarkSimulatorEvents.
-func BenchmarkSimulatorEventsTelemetry(b *testing.B) {
-	benchSimulatorEvents(b, func(cfg *sim.Config) {
-		cfg.Telemetry = obs.NewTelemetry(0)
-	})
-}
-
-func benchSimulatorEvents(b *testing.B, configure func(*sim.Config)) {
-	for i := 0; i < b.N; i++ {
-		opts := apps.ScalePrimeTesterOptions(apps.PrimeTesterOptions{
-			Sources: 32, Sinks: 32, PrimeTesters: 64,
-			Schedule: &workload.StepSchedule{
-				WarmUpRate: 10000, StepDelta: 10000, IncrementSteps: 1, StepDuration: 10,
-			},
-			Mode:        sim.BatchInstant,
-			WorkerNodes: 130, SlotsPerNode: 5, Seed: int64(i),
-		}, 16)
-		cfg, probes, err := apps.BuildPrimeTester(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if configure != nil {
-			configure(&cfg)
-		}
-		s, err := sim.New(cfg, probes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Emitted[apps.PTSource]), "items-simulated")
-	}
-}
-
-// BenchmarkEngineThroughput measures the live engine's data plane:
-// delivered records per second of a saturated src→work→sink pipeline for
-// every output-batching mode × wiring pattern. One iteration runs about
-// a second of wall-clock time; run with -benchtime 1x. The allocation
-// columns cover the whole run (setup amortized by ~10^5 records), so
-// B/op and allocs/op track the pooled data plane's steady-state budget.
-func BenchmarkEngineThroughput(b *testing.B) {
-	for _, c := range experiments.EngineBenchCases() {
-		c := c
-		b.Run(c.Name, func(b *testing.B) {
-			var m map[string]float64
-			for i := 0; i < b.N; i++ {
-				var err error
-				m, err = experiments.RunEngineBench(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(m["records/s"], "records/s")
-			b.ReportMetric(m["records"], "records-delivered")
-		})
 	}
 }
 

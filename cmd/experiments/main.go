@@ -10,20 +10,16 @@
 // Usage:
 //
 //	experiments [-out DIR] [-paper] [-guarantee MODE] [-ckpt.interval S]
-//	            [fig3|fig5|fig6|taskhours|fig8|faults|guarantees|tails|tailscaler|dataplane|bench|all]
+//	            [fig3|fig5|fig6|taskhours|fig8|faults|guarantees|tails|tailscaler|dataplane|all]
 //
 // Without -paper the quick (laptop-scale) variants run; -paper uses the
 // full 130-node topology and 60 s steps (minutes of wall-clock time).
 // -guarantee (at-most-once | at-least-once | exactly-once) and
 // -ckpt.interval apply to the faults experiment; the guarantees
 // subcommand sweeps all modes and intervals regardless.
-// The bench subcommand (not part of all) runs the micro-benchmark suite
-// and writes BENCH_sim.json plus the engine data-plane suite's
-// BENCH_engine.json for CI artifact diffing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -55,7 +51,7 @@ func main() {
 	ckptInterval := flag.Float64("ckpt.interval", 1, "checkpoint interval in virtual seconds (guaranteed faults run)")
 	obsAddr := flag.String("obs.addr", "", "serve introspection endpoints (/healthz, /metrics, /timeseries, /slo, /dataplane, /dash, /debug/pprof, /scaler/decisions) on this address")
 	obsLinger := flag.Duration("obs.linger", 0, "keep the introspection server alive this long after the experiments finish (for scraping a completed run)")
-	engine.RegisterFlags(flag.CommandLine) // -engine.shards, -engine.wheel (live-engine bench runs)
+	engine.RegisterFlags(flag.CommandLine) // -engine.shards, -engine.wheel (the live-engine dataplane run)
 	flag.Parse()
 
 	if *obsAddr != "" {
@@ -89,9 +85,6 @@ func main() {
 func run(outDir string, paper bool, which string, guarantee ckpt.Guarantee, ckptInterval float64) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
-	}
-	if which == "bench" {
-		return runBench(outDir)
 	}
 	all := which == "all"
 	failures := 0
@@ -167,7 +160,7 @@ func run(outDir string, paper bool, which string, guarantee ckpt.Guarantee, ckpt
 		failures += n
 	}
 	if !all && which != "fig3" && which != "fig5" && which != "fig6" && which != "taskhours" && which != "fig8" && which != "faults" && which != "guarantees" && which != "tails" && which != "tailscaler" && which != "dataplane" {
-		return fmt.Errorf("unknown experiment %q (want fig3|fig5|fig6|taskhours|fig8|faults|guarantees|tails|tailscaler|dataplane|bench|all)", which)
+		return fmt.Errorf("unknown experiment %q (want fig3|fig5|fig6|taskhours|fig8|faults|guarantees|tails|tailscaler|dataplane|all)", which)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d shape check(s) failed", failures)
@@ -368,38 +361,6 @@ func runGuarantees(outDir string, paper bool) (int, error) {
 	}
 	fmt.Printf("  wrote %s (%d series)\n", tsPath, telemetry.Store().Len())
 	return n, nil
-}
-
-func runBench(outDir string) error {
-	start := time.Now()
-	suite, err := experiments.RunBenchSuite()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== bench suite (%s) ===\n%s", time.Since(start).Round(time.Millisecond), suite)
-	if err := writeBenchJSON(outDir, "BENCH_sim.json", suite); err != nil {
-		return err
-	}
-	start = time.Now()
-	engineSuite, err := experiments.RunEngineBenchSuite()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== engine bench suite (%s) ===\n%s", time.Since(start).Round(time.Millisecond), engineSuite)
-	return writeBenchJSON(outDir, "BENCH_engine.json", engineSuite)
-}
-
-func writeBenchJSON(outDir, name string, suite *experiments.BenchSuite) error {
-	path := filepath.Join(outDir, name)
-	data, err := json.MarshalIndent(suite, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", path)
-	return nil
 }
 
 func runTails(outDir string, paper bool) (int, error) {

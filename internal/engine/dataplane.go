@@ -14,33 +14,15 @@ import (
 // flush wheel's fire/park accounting and the batch pool's hit/miss
 // counts. It runs on the master goroutine only; all cross-goroutine
 // reads go through the counters' own atomic (or mutex) snapshots, so
-// sampling adds no synchronization to the hot path. Rates are the
-// difference of consecutive cumulative samples over the elapsed
-// interval, with negative deltas clamped to zero (rings and tasks come
-// and go under scaling and churn).
+// sampling adds no synchronization to the hot path. The per-edge rates
+// are derived by obs.DataplaneRates, shared with the simulator; the
+// lane, wheel and pool deltas below exist only here.
 type dataplaneScraper struct {
 	lastAt    time.Time
-	prevEdges map[model.EdgeKey]edgeTotals
-	prevBusy  map[string]int64 // per-task cumulative busyNs, keyed by TaskID string
+	rates     obs.DataplaneRates
 	prevEmit  map[string]int64 // per-lane cumulative emitted, keyed by task/shard
 	prevWheel wheelStats
 	prevPool  [poolShards]poolShardStats
-}
-
-// edgeTotals is one edge's summed cumulative ring counters.
-type edgeTotals struct {
-	pushes uint64
-	fails  uint64
-	pops   uint64
-}
-
-// edgeSample accumulates one edge's walk state before derivation.
-type edgeSample struct {
-	rings     int
-	occupancy int
-	capacity  int
-	highWater int
-	totals    edgeTotals
 }
 
 // scrapeDataplane samples the data plane and feeds telemetry (master
@@ -50,12 +32,7 @@ func (ex *execution) scrapeDataplane() {
 		return
 	}
 	if ex.dp == nil {
-		ex.dp = &dataplaneScraper{
-			lastAt:    ex.start,
-			prevEdges: make(map[model.EdgeKey]edgeTotals),
-			prevBusy:  make(map[string]int64),
-			prevEmit:  make(map[string]int64),
-		}
+		ex.dp = &dataplaneScraper{lastAt: ex.start, prevEmit: make(map[string]int64)}
 	}
 	dp := ex.dp
 	now := time.Now()
@@ -72,49 +49,30 @@ func (ex *execution) scrapeDataplane() {
 	ex.mu.Lock()
 	// Per-edge ring walk: every producer emitter's gates hold the rings
 	// into each consumer; aggregate them per job edge.
-	edges := make(map[model.EdgeKey]*edgeSample)
-	busyNow := make(map[string]int64)
-	vertexBusy := make(map[string]float64)
+	edges := make(map[model.EdgeKey]*obs.DataplaneEdge)
+	var busy []obs.TaskBusy
 	for _, name := range ex.order {
-		vs := ex.vertices[name]
-		var busyDelta int64
-		for _, t := range vs.tasks {
-			b := t.busyNs.Load()
-			id := t.id.String()
-			busyNow[id] = b
-			if prev, ok := dp.prevBusy[id]; ok && b >= prev {
-				busyDelta += b - prev
-			} else {
-				busyDelta += b
-			}
+		for _, t := range ex.vertices[name].tasks {
+			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: float64(t.busyNs.Load()) / 1e9})
 			for _, e := range t.emitters {
 				for _, g := range e.gates {
-					es := edges[g.edge]
-					if es == nil {
-						es = &edgeSample{}
-						edges[g.edge] = es
+					de := edges[g.edge]
+					if de == nil {
+						de = &obs.DataplaneEdge{Edge: g.edge.String(), Producer: g.edge.Source, Consumer: g.edge.Target}
+						edges[g.edge] = de
 					}
-					for _, ref := range g.snapshot() {
+					for _, ref := range g.Consumers() {
 						st := ref.ring.Stats()
-						es.rings++
-						es.occupancy += ref.ring.Len()
-						es.capacity += ref.ring.Cap()
-						if hw := int(st.HighWater); hw > es.highWater {
-							es.highWater = hw
-						}
-						es.totals.pushes += st.Pushes
-						es.totals.fails += st.PushFails
-						es.totals.pops += st.Pops
+						de.Rings++
+						de.Occupancy += ref.ring.Len()
+						de.Capacity += ref.ring.Cap()
+						de.HighWater = max(de.HighWater, int(st.HighWater))
+						de.Pushes += st.Pushes
+						de.PushFails += st.PushFails
+						de.Pops += st.Pops
 					}
 				}
 			}
-		}
-		if n := len(vs.tasks); n > 0 {
-			frac := float64(busyDelta) / (interval * 1e9 * float64(n))
-			if frac > 1 {
-				frac = 1
-			}
-			vertexBusy[name] = frac
 		}
 	}
 
@@ -164,46 +122,14 @@ func (ex *execution) scrapeDataplane() {
 		}
 	}
 	ex.mu.Unlock()
-	dp.prevBusy = busyNow
 
-	// Derive per-edge interval rates in deterministic edge order.
-	g := ex.spec.graph
-	for _, e := range g.Edges() {
-		ek := e.Key()
-		es := edges[ek]
-		if es == nil {
-			continue
+	// Per-edge interval rates, in deterministic edge order.
+	for _, e := range ex.spec.graph.Edges() {
+		if de := edges[e.Key()]; de != nil {
+			snap.Edges = append(snap.Edges, *de)
 		}
-		prev := dp.prevEdges[ek]
-		dp.prevEdges[ek] = es.totals
-		de := obs.DataplaneEdge{
-			Edge:      ek.String(),
-			Producer:  ek.Source,
-			Consumer:  ek.Target,
-			Rings:     es.rings,
-			Occupancy: es.occupancy,
-			Capacity:  es.capacity,
-			HighWater: es.highWater,
-			Pushes:    es.totals.pushes,
-			PushFails: es.totals.fails,
-			Pops:      es.totals.pops,
-		}
-		de.PushRate = counterRate(es.totals.pushes, prev.pushes, interval)
-		de.PopRate = counterRate(es.totals.pops, prev.pops, interval)
-		de.StallRate = counterRate(es.totals.fails, prev.fails, interval)
-		attempts := de.PushRate + de.StallRate
-		if attempts > 0 {
-			de.StallFrac = de.StallRate / attempts
-		}
-		if es.capacity > 0 {
-			de.OccupancyFrac = float64(es.occupancy) / float64(es.capacity)
-		}
-		if de.PopRate > 0 {
-			de.RingWaitSeconds = float64(es.occupancy) / de.PopRate
-		}
-		de.ConsumerBusy = vertexBusy[ek.Target]
-		snap.Edges = append(snap.Edges, de)
 	}
+	dp.rates.Derive(snap.Edges, busy, interval)
 
 	ws := ex.wheel.stats(now.UnixNano())
 	parked := float64(ws.parkedNs-dp.prevWheel.parkedNs) / (interval * 1e9)
@@ -232,12 +158,4 @@ func (ex *execution) scrapeDataplane() {
 	dp.lastAt = now
 
 	ex.cfg.Telemetry.ObserveDataplane(snap, ex.cfg.Recorder)
-}
-
-// counterRate is the clamped per-second delta of a cumulative counter.
-func counterRate(cur, prev uint64, interval float64) float64 {
-	if cur <= prev || interval <= 0 {
-		return 0
-	}
-	return float64(cur-prev) / interval
 }

@@ -507,7 +507,7 @@ func (ex *execution) bootstrap() error {
 func (ex *execution) connect(p *task, pos int, ek model.EdgeKey, c *task) {
 	for _, e := range p.emitters {
 		r := ring.New[batch](ex.cfg.QueueCapacity)
-		e.gates[pos].addConsumer(&channelRef{
+		e.gates[pos].Add(&channelRef{
 			id:   model.ChannelID{Edge: ek, Producer: p.id.Index, Consumer: c.id.Index},
 			to:   c,
 			ring: r,

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	gatepkg "nephelix/internal/gate"
 	"nephelix/internal/model"
 	"nephelix/internal/ring"
 )
@@ -21,30 +22,24 @@ type channelRef struct {
 	ring *ring.SPSC[batch]
 }
 
-// gate is a task's output side for one outgoing job edge: a producer-side
-// batch buffer flushed to the next consumer in rotation (round-robin), to
-// all consumers (broadcast), or per key partition (key-based, one buffer
-// per consumer). The buffer is owned by the producing task goroutine; the
-// consumer list and the flush deadline are updated by the master and read
-// via atomics. Buffer slices cycle through the execution's batchPool (see
-// pool.go for the ownership contract), so the steady-state flush path
-// allocates nothing.
+// gate is the engine's transport around one output gate: routing,
+// batching and churn decisions are internal/gate's (embedded); this
+// type turns its verdicts into shipments over rings. Buffer slices
+// cycle through the execution's batchPool (see pool.go for the
+// ownership contract), so the steady-state flush path allocates
+// nothing. Churn policy: key buffers stranded by a consumer that left
+// the routing table (scale-down or crash) are re-partitioned over the
+// live consumers, so no buffered record is shipped to a removed task.
 type gate struct {
-	edge    model.EdgeKey
-	pos     int
-	pattern model.WiringPattern
+	*gatepkg.Gate[*channelRef, Record, time.Time, time.Duration]
 
-	// consumers is the active consumer snapshot (copy-on-write by the
-	// master).
-	consumers atomic.Pointer[[]*channelRef]
+	edge     model.EdgeKey
+	pos      int
+	producer int
+
 	// deadlineNs is the adaptive flush deadline (0 = instant flush,
-	// math.MaxInt64 = size-only).
+	// noDeadline = size-only), written by the master.
 	deadlineNs atomic.Int64
-
-	// consumerGen counts consumer-set changes (master-incremented); the
-	// producer re-draws its rotation offset and reconciles key-pinned
-	// buffers when it observes a change.
-	consumerGen atomic.Int64
 
 	// drops points at the owning execution's no-consumer drop counter.
 	drops *atomic.Int64
@@ -55,48 +50,38 @@ type gate struct {
 	poolHint int
 
 	// owner is the emitter whose goroutine drives this gate; push arms
-	// the execution's flush wheel through it on empty→non-empty buffer
-	// transitions. Nil in gate-level unit tests (no wheel — callers
+	// the execution's flush wheel through it when a buffer goes
+	// empty→non-empty. Nil in gate-level unit tests (no wheel — callers
 	// flush via explicit due calls).
 	owner *emitter
 
-	// Producer-goroutine-owned state. out is the reusable shipment
-	// scratch every flush entry point (push, due, drainAll) returns; it
-	// is valid until the next gate call, which the single-producer
-	// discipline guarantees is after the caller shipped it.
-	rng      *rand.Rand
-	rr       int
-	rrGen    int64
-	rrInit   bool
-	keyGen   int64
-	buf      []Record
-	out      []shipment
-	oldest   time.Time
-	perKey   map[*channelRef][]Record
-	perKeyT  map[*channelRef]time.Time
-	producer int
-	maxBatch int
+	// out is the reusable shipment scratch every flush entry point
+	// (push, due, drainAll, barrierShipments) returns; it is valid until
+	// the next gate call, which the single-producer discipline
+	// guarantees is after the caller shipped it.
+	out []shipment
 }
+
+// shipment is one batch addressed to one consumer.
+type shipment struct {
+	ref *channelRef
+	b   batch
+}
+
+// noDeadline marks size-only flushing.
+const noDeadline = time.Duration(math.MaxInt64)
 
 // newGate builds a gate for a producer task.
 func newGate(edge model.EdgeKey, pos, producer int, pattern model.WiringPattern, maxBatch int, drops *atomic.Int64, pool *batchPool) *gate {
-	g := &gate{
+	rng := rand.New(rand.NewSource(int64(producer)*2654435761 + int64(pos) + 1))
+	return &gate{
+		Gate:     gatepkg.New[*channelRef, Record, time.Time](pattern, maxBatch, noDeadline, rng),
 		edge:     edge,
 		pos:      pos,
-		pattern:  pattern,
 		producer: producer,
-		maxBatch: maxBatch,
 		drops:    drops,
 		pool:     pool,
-		rng:      rand.New(rand.NewSource(int64(producer)*2654435761 + int64(pos) + 1)),
 	}
-	if pattern == model.PatternKeyBased {
-		g.perKey = make(map[*channelRef][]Record)
-		g.perKeyT = make(map[*channelRef]time.Time)
-	}
-	empty := make([]*channelRef, 0)
-	g.consumers.Store(&empty)
-	return g
 }
 
 // deadline returns the current flush deadline.
@@ -112,269 +97,110 @@ func (g *gate) setDeadline(d time.Duration) {
 	g.deadlineNs.Store(int64(d))
 }
 
-// snapshot returns the current consumer list.
-func (g *gate) snapshot() []*channelRef { return *g.consumers.Load() }
-
-// addConsumer appends a consumer (master only).
-func (g *gate) addConsumer(ref *channelRef) {
-	cur := g.snapshot()
-	next := make([]*channelRef, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = ref
-	g.consumers.Store(&next)
-	g.consumerGen.Add(1)
-}
-
-// removeConsumer drops a consumer task's channel (master only). Key
-// buffers pinned to the removed channel are reconciled by the producer
-// goroutine the next time it observes the generation change (push, due
-// or drainAll) — the master must not touch producer-owned maps.
+// removeConsumer drops a consumer task's channel (master only).
 func (g *gate) removeConsumer(t *task) {
-	cur := g.snapshot()
-	next := make([]*channelRef, 0, len(cur))
-	for _, ref := range cur {
-		if ref.to != t {
-			next = append(next, ref)
+	for _, ref := range g.Consumers() {
+		if ref.to == t {
+			g.Remove(ref)
 		}
 	}
-	g.consumers.Store(&next)
-	g.consumerGen.Add(1)
-}
-
-// refLive reports whether ref is in the consumer snapshot.
-func refLive(consumers []*channelRef, ref *channelRef) bool {
-	for _, c := range consumers {
-		if c == ref {
-			return true
-		}
-	}
-	return false
-}
-
-// reconcileKeys re-partitions key buffers stranded on consumers that
-// left the routing table (scale-down or crash) across the live consumer
-// set, so no buffered record is ever shipped to a removed task. Runs on
-// the producer goroutine; in steady state it costs one atomic load.
-func (g *gate) reconcileKeys(now time.Time) {
-	gen := g.consumerGen.Load()
-	if gen == g.keyGen {
-		return
-	}
-	g.keyGen = gen
-	if len(g.perKey) == 0 {
-		return
-	}
-	consumers := g.snapshot()
-	for ref, buf := range g.perKey {
-		if refLive(consumers, ref) {
-			continue
-		}
-		oldest := g.perKeyT[ref]
-		delete(g.perKey, ref)
-		delete(g.perKeyT, ref)
-		if len(consumers) == 0 {
-			g.drops.Add(int64(len(buf)))
-			g.pool.put(g.poolHint, buf)
-			continue
-		}
-		for _, rec := range buf {
-			nref := consumers[int(mix64(rec.Key)%uint64(len(consumers)))]
-			nbuf := g.perKey[nref]
-			if nbuf == nil {
-				nbuf = g.pool.get(g.poolHint)
-			}
-			g.perKey[nref] = append(nbuf, rec)
-			// The moved records keep their buffered age so the flush
-			// deadline still fires on time.
-			if t, ok := g.perKeyT[nref]; !ok || oldest.Before(t) {
-				g.perKeyT[nref] = oldest
-			}
-		}
-		g.pool.put(g.poolHint, buf)
-	}
-}
-
-// armOwner arms the owning emitter's flush-wheel entry when a buffer
-// just went empty→non-empty under a finite deadline (producer
-// goroutine). Without it the batch would sit until the next size-cap
-// flush.
-func (g *gate) armOwner(now time.Time) {
-	if g.owner == nil {
-		return
-	}
-	dl := g.deadline()
-	if dl <= 0 || dl == noDeadline {
-		return
-	}
-	g.owner.armFlush(now.Add(dl))
 }
 
 // push buffers a record and returns batches due for shipping (producer
-// goroutine only). The caller ships them (possibly blocking); the
-// returned slice is gate-owned scratch, valid until the next gate call.
-func (g *gate) push(rec Record, now time.Time) []shipment {
-	consumers := g.snapshot()
-	if len(consumers) == 0 {
-		g.drops.Add(1)
-		return nil
-	}
-	if g.pattern == model.PatternKeyBased {
-		g.reconcileKeys(now)
-		ref := consumers[int(mix64(rec.Key)%uint64(len(consumers)))]
-		buf := g.perKey[ref]
-		if len(buf) == 0 {
-			if buf == nil {
-				buf = g.pool.get(g.poolHint)
-			}
-			g.perKeyT[ref] = now
-			g.armOwner(now)
-		}
-		buf = append(buf, rec)
-		g.perKey[ref] = buf
-		if g.deadline() <= 0 || len(buf) >= g.maxBatch {
-			g.out = g.takeKeyed(ref, now, g.out[:0])
-			return g.out
-		}
-		return nil
-	}
-	if len(g.buf) == 0 {
-		g.oldest = now
-		g.armOwner(now)
-	}
-	g.buf = append(g.buf, rec)
-	if g.deadline() <= 0 || len(g.buf) >= g.maxBatch {
-		g.out = g.takeShared(now, g.out[:0])
-		return g.out
-	}
-	return nil
-}
-
-// shipment is one batch addressed to one consumer.
-type shipment struct {
-	ref *channelRef
-	b   batch
-}
-
-// takeShared drains the shared buffer into shipments appended to dst,
-// per the pattern.
-func (g *gate) takeShared(now time.Time, dst []shipment) []shipment {
-	if len(g.buf) == 0 {
-		return dst
-	}
-	consumers := g.snapshot()
-	if len(consumers) == 0 {
-		g.drops.Add(int64(len(g.buf)))
-		g.resetBuf()
-		return dst
-	}
-	items := g.buf
-	b := batch{items: items, producer: g.producer, edgePos: g.pos, oldestBuf: g.oldest, shipped: now, poolHint: g.poolHint}
-	if g.pattern == model.PatternBroadcast {
-		// Uniform ownership: every consumer gets its own pooled copy and
-		// the gate keeps its buffer. Handing any consumer the original
-		// would let a record-mutating UDF corrupt the other copies'
-		// source — and under pooling, alias a recycled slice.
-		for _, ref := range consumers {
-			bb := b
-			bb.items = append(g.pool.get(g.poolHint), items...)
-			dst = append(dst, shipment{ref: ref, b: bb})
-		}
-		g.resetBuf()
-		return dst
-	}
-	// Rotation: the single addressee takes ownership of the buffer; the
-	// gate refills from the pool.
-	g.buf = g.pool.get(g.poolHint)
-	if gen := g.consumerGen.Load(); !g.rrInit || gen != g.rrGen {
-		// (Re-)start the rotation at a random offset on every consumer-
-		// set change so producer sweeps never phase-lock (see the
-		// simulator's gate for the full rationale).
-		g.rr = g.rng.Intn(len(consumers))
-		g.rrInit = true
-		g.rrGen = gen
-	}
-	if g.rr >= len(consumers) {
-		g.rr = 0
-	}
-	ref := consumers[g.rr]
-	g.rr = (g.rr + 1) % len(consumers)
-	return append(dst, shipment{ref: ref, b: b})
-}
-
-// resetBuf empties the shared buffer in place, zeroing dropped or copied
-// records so retained capacity pins no payloads or spans.
-func (g *gate) resetBuf() {
-	for i := range g.buf {
-		g.buf[i] = Record{}
-	}
-	g.buf = g.buf[:0]
-}
-
-// takeKeyed drains one key-pinned buffer into dst.
-func (g *gate) takeKeyed(ref *channelRef, now time.Time, dst []shipment) []shipment {
-	buf := g.perKey[ref]
-	if len(buf) == 0 {
-		return dst
-	}
-	delete(g.perKey, ref)
-	oldest := g.perKeyT[ref]
-	delete(g.perKeyT, ref)
-	return append(dst, shipment{ref: ref, b: batch{items: buf, producer: g.producer, edgePos: g.pos, oldestBuf: oldest, shipped: now, poolHint: g.poolHint}})
-}
-
-// due returns all shipments whose oldest buffered record has exceeded the
-// deadline (called from the producer's flush tick). The returned slice
-// is gate-owned scratch, valid until the next gate call.
-func (g *gate) due(now time.Time) []shipment {
+// goroutine only). The caller ships them (possibly blocking).
+func (g *gate) push(rec *Record, now time.Time) []shipment {
 	dl := g.deadline()
-	out := g.out[:0]
-	if len(g.buf) > 0 && now.Sub(g.oldest) >= dl {
-		out = g.takeShared(now, out)
+	k, v := g.Push(rec, rec.Key, 1, now, dl)
+	if v == 0 {
+		return nil
 	}
-	if g.perKey != nil {
-		g.reconcileKeys(now)
-		for ref, buf := range g.perKey {
-			if len(buf) > 0 && now.Sub(g.perKeyT[ref]) >= dl {
-				out = g.takeKeyed(ref, now, out)
-			}
-		}
+	out := g.out[:0]
+	switch {
+	case v&gatepkg.Flush != 0:
+		out = g.take(k, now, out)
+	case v&gatepkg.Started != 0 && g.owner != nil:
+		// Without the wheel the batch would sit until the next size-cap
+		// flush.
+		g.owner.armFlush(now.Add(dl))
+	case v&gatepkg.Dropped != 0:
+		g.drops.Add(1)
+	}
+	if v&gatepkg.Churn != 0 {
+		g.rehashStranded()
 	}
 	g.out = out
 	return out
 }
 
-// nextDue returns the earliest moment a currently buffered record's
-// flush deadline lapses (producer goroutine; used to re-arm the flush
-// wheel after a fire). ok is false when nothing is buffered or the
-// gate's deadline is not finite.
-func (g *gate) nextDue() (at time.Time, ok bool) {
-	dl := g.deadline()
-	if dl <= 0 || dl == noDeadline {
-		return time.Time{}, false
+// rehashStranded applies the engine's churn policy to the key buffers
+// the gate handed back (producer goroutine).
+func (g *gate) rehashStranded() {
+	for _, b := range g.Stranded() {
+		g.drops.Add(int64(g.Rehash(b, routeRecord)))
+		g.pool.put(g.poolHint, b.Recs)
 	}
-	if len(g.buf) > 0 {
-		at, ok = g.oldest.Add(dl), true
+}
+
+func routeRecord(r *Record) (key uint64, weight int) { return r.Key, 1 }
+
+// take detaches slot k into shipments appended to dst. A single
+// addressee takes ownership of the buffer and the gate refills from the
+// pool; under broadcast the last consumer takes it and the others get
+// pooled copies, all made here, before anything ships.
+func (g *gate) take(k int, now time.Time, dst []shipment) []shipment {
+	f := g.Take(k, g.pool.get(g.poolHint))
+	if len(f.To) == 0 {
+		g.drops.Add(int64(len(f.Recs)))
+		g.pool.put(g.poolHint, f.Recs)
+		return dst
 	}
-	for ref, buf := range g.perKey {
-		if len(buf) == 0 {
-			continue
-		}
-		if t := g.perKeyT[ref].Add(dl); !ok || t.Before(at) {
-			at, ok = t, true
-		}
+	b := batch{items: f.Recs, producer: g.producer, edgePos: g.pos, oldestBuf: f.Oldest, shipped: now, poolHint: g.poolHint}
+	last := len(f.To) - 1
+	for _, ref := range f.To[:last] {
+		bb := b
+		bb.items = append(g.pool.get(g.poolHint), f.Recs...)
+		dst = append(dst, shipment{ref: ref, b: bb})
 	}
-	return at, ok
+	return append(dst, shipment{ref: f.To[last], b: b})
+}
+
+// due returns all shipments whose flush trigger holds at now (called
+// from the producer's flush pass).
+func (g *gate) due(now time.Time) []shipment {
+	g.catchUp()
+	return g.takeAll(g.Due(now, g.deadline()), now)
+}
+
+// drainAll force-flushes everything buffered (task shutdown, barriers).
+func (g *gate) drainAll(now time.Time) []shipment {
+	g.catchUp()
+	return g.takeAll(g.NonEmpty(), now)
+}
+
+// catchUp observes the current consumer set and settles what it
+// stranded, so the slots that follow are chosen over the live set.
+func (g *gate) catchUp() {
+	g.Observe()
+	g.rehashStranded()
+}
+
+func (g *gate) takeAll(slots []int, now time.Time) []shipment {
+	out := g.out[:0]
+	for _, k := range slots {
+		out = g.take(k, now, out)
+	}
+	g.out = out
+	return out
 }
 
 // barrierShipments returns one barrier batch addressed to every
 // current consumer — all of them regardless of wiring pattern, because
 // alignment counts producers, not partitions. The caller must drain the
 // gate first so buffered pre-barrier records precede the marker in
-// channel FIFO order. Like due, the returned slice is gate-owned
-// scratch, valid until the next gate call.
+// channel FIFO order.
 func (g *gate) barrierShipments(id int64, now time.Time) []shipment {
 	out := g.out[:0]
-	for _, ref := range g.snapshot() {
+	for _, ref := range g.Consumers() {
 		out = append(out, shipment{ref: ref, b: batch{
 			producer: g.producer, edgePos: g.pos, barrier: id,
 			oldestBuf: now, shipped: now,
@@ -383,31 +209,3 @@ func (g *gate) barrierShipments(id int64, now time.Time) []shipment {
 	g.out = out
 	return out
 }
-
-// drainAll force-flushes everything buffered (task shutdown). Like due,
-// the returned slice is gate-owned scratch.
-func (g *gate) drainAll(now time.Time) []shipment {
-	out := g.out[:0]
-	out = g.takeShared(now, out)
-	if g.perKey != nil {
-		g.reconcileKeys(now)
-		for ref := range g.perKey {
-			out = g.takeKeyed(ref, now, out)
-		}
-	}
-	g.out = out
-	return out
-}
-
-// mix64 is a splitmix64 finalizer used for key partitioning.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// noDeadline marks size-only flushing.
-const noDeadline = time.Duration(math.MaxInt64)

@@ -16,11 +16,12 @@ import "sync"
 //
 // Ownership contract (see DESIGN.md "Engine data plane"):
 //
-//   - A gate owns its buffer slices (buf, perKey values) exclusively;
-//     only the producing emitter's goroutine touches them.
-//   - takeShared/takeKeyed transfer ownership of the flushed slice to the
-//     shipment's batch. Broadcast shipments each own a pooled copy; the
-//     gate keeps (and re-uses) its buffer.
+//   - A gate owns its buffer slices exclusively; only the producing
+//     emitter's goroutine touches them.
+//   - gate.take transfers ownership of the flushed slice to the
+//     shipment's batch and hands the gate a replacement from the pool.
+//     Under broadcast the last consumer gets the original, the others
+//     pooled copies.
 //   - Exactly one party returns every shipped slice: the consumer after
 //     handleBatch, the producer when the consumer is dead, or the master
 //     when it drains a crashed task's rings. After put the slice must

@@ -454,7 +454,7 @@ func (e *emitter) emit(edgeIdx int, rec Record) {
 		}
 		e.rwPending = e.rwPending[:0]
 	}
-	e.ship(e.gates[edgeIdx].push(rec, now))
+	e.ship(e.gates[edgeIdx].push(&rec, now))
 }
 
 // ship pushes shipments into the addressees' rings, spinning (then
@@ -536,7 +536,7 @@ func (e *emitter) flushDue(now time.Time) {
 	var nextAt time.Time
 	for _, g := range e.gates {
 		e.ship(g.due(now))
-		if at, ok := g.nextDue(); ok && (nextAt.IsZero() || at.Before(nextAt)) {
+		if at, ok := g.NextDue(g.deadline()); ok && (nextAt.IsZero() || at.Before(nextAt)) {
 			nextAt = at
 		}
 	}
@@ -557,7 +557,7 @@ func (e *emitter) drainGates(now time.Time) {
 // closed rings once drained; idempotent.
 func (e *emitter) closeOutRings() {
 	for _, g := range e.gates {
-		for _, ref := range g.snapshot() {
+		for _, ref := range g.Consumers() {
 			if ref.ring != nil {
 				ref.ring.Close()
 			}

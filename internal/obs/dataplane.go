@@ -112,6 +112,78 @@ type DataplaneSnapshot struct {
 	Backpressure []BackpressureStatus `json:"backpressure"`
 }
 
+// TaskBusy is one task's cumulative busy time, as a scraper reads it.
+type TaskBusy struct {
+	Vertex  string
+	Task    string
+	Seconds float64
+}
+
+// DataplaneRates turns the cumulative counters both runtimes' scrapers
+// read into the per-interval rates and fractions of a DataplaneEdge. It
+// keeps the previous sample; rates are the difference of consecutive
+// cumulative samples over the elapsed interval, with negative deltas
+// clamped to zero (rings and tasks come and go under scaling and
+// churn). The zero value is ready to use.
+type DataplaneRates struct {
+	prevEdges map[string]edgeTotals
+	prevBusy  map[string]float64 // by TaskBusy.Task
+}
+
+type edgeTotals struct{ pushes, fails, pops uint64 }
+
+// Derive fills PushRate, PopRate, StallRate, StallFrac, OccupancyFrac,
+// RingWaitSeconds and ConsumerBusy of every edge from its cumulative
+// Pushes/PushFails/Pops, its Occupancy and Capacity, and the busy
+// totals of the consumer vertex's tasks (a task seen for the first time
+// contributes its whole total).
+func (r *DataplaneRates) Derive(edges []DataplaneEdge, busy []TaskBusy, interval float64) {
+	busyNow := make(map[string]float64, len(busy))
+	busyDelta := make(map[string]float64)
+	tasks := make(map[string]int)
+	for _, b := range busy {
+		busyNow[b.Task] = b.Seconds
+		d := b.Seconds
+		if prev, ok := r.prevBusy[b.Task]; ok && b.Seconds >= prev {
+			d -= prev
+		}
+		busyDelta[b.Vertex] += d
+		tasks[b.Vertex]++
+	}
+	r.prevBusy = busyNow
+	if r.prevEdges == nil {
+		r.prevEdges = make(map[string]edgeTotals)
+	}
+	for i := range edges {
+		e := &edges[i]
+		prev := r.prevEdges[e.Edge]
+		r.prevEdges[e.Edge] = edgeTotals{e.Pushes, e.PushFails, e.Pops}
+		e.PushRate = counterRate(e.Pushes, prev.pushes, interval)
+		e.PopRate = counterRate(e.Pops, prev.pops, interval)
+		e.StallRate = counterRate(e.PushFails, prev.fails, interval)
+		if attempts := e.PushRate + e.StallRate; attempts > 0 {
+			e.StallFrac = e.StallRate / attempts
+		}
+		if e.Capacity > 0 {
+			e.OccupancyFrac = float64(e.Occupancy) / float64(e.Capacity)
+		}
+		if e.PopRate > 0 {
+			e.RingWaitSeconds = float64(e.Occupancy) / e.PopRate
+		}
+		if n := tasks[e.Consumer]; n > 0 {
+			e.ConsumerBusy = min(1, busyDelta[e.Consumer]/(interval*float64(n)))
+		}
+	}
+}
+
+// counterRate is the clamped per-second delta of a cumulative counter.
+func counterRate(cur, prev uint64, interval float64) float64 {
+	if cur <= prev || interval <= 0 {
+		return 0
+	}
+	return float64(cur-prev) / interval
+}
+
 // dataplaneEdgeSeries caches one edge's gauge handles.
 type dataplaneEdgeSeries struct {
 	occupancy *ts.Series

@@ -208,3 +208,28 @@ func TestSourceShardEmittedExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestDataplaneRatesDerive pins the derivation both scrapers share:
+// rates are deltas of consecutive cumulative samples, a counter that
+// went backwards (a ring that left) clamps to zero, a task seen for the
+// first time contributes its whole busy total, and the busy fraction is
+// per consumer task and capped at 1.
+func TestDataplaneRatesDerive(t *testing.T) {
+	var r DataplaneRates
+	sample := func(pushes, fails, pops uint64, occ int, busy ...TaskBusy) DataplaneEdge {
+		edges := []DataplaneEdge{{Edge: "a->b", Consumer: "b", Pushes: pushes, PushFails: fails, Pops: pops, Occupancy: occ, Capacity: 40}}
+		r.Derive(edges, busy, 2)
+		return edges[0]
+	}
+	e := sample(100, 0, 80, 20, TaskBusy{"b", "b[0]", 1}, TaskBusy{"b", "b[1]", 0.5})
+	if e.PushRate != 50 || e.PopRate != 40 || e.StallFrac != 0 || e.OccupancyFrac != 0.5 || e.RingWaitSeconds != 0.5 || e.ConsumerBusy != 1.5/4 {
+		t.Fatalf("first sample: %+v", e)
+	}
+	e = sample(160, 20, 180, 0, TaskBusy{"b", "b[0]", 2.5}, TaskBusy{"b", "b[2]", 3})
+	if e.PushRate != 30 || e.StallRate != 10 || e.StallFrac != 0.25 || e.PopRate != 50 || e.ConsumerBusy != 1 {
+		t.Fatalf("second sample: %+v", e)
+	}
+	if e = sample(10, 20, 180, 0); e.PushRate != 0 || e.PopRate != 0 || e.ConsumerBusy != 0 {
+		t.Fatalf("counters that went backwards must clamp to zero: %+v", e)
+	}
+}

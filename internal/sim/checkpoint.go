@@ -164,7 +164,7 @@ func (s *Sim) forwardBarrier(t *simTask, id int64) {
 		s.flushGate(g)
 	}
 	for _, g := range t.gates {
-		for _, ch := range g.channels {
+		for _, ch := range g.Consumers() {
 			b := append(s.getBatch(), Item{barrier: id, BufferTime: s.now, ShipTime: s.now})
 			s.ship(ch, b, 0)
 		}

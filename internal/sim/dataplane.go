@@ -5,23 +5,15 @@ import (
 	"nephelix/internal/obs"
 )
 
-// simDataplane holds the scraper's previous cumulative samples so each
-// adjustment tick can derive interval rates, mirroring the engine's
-// dataplaneScraper. Virtual time stands in for wall time; counters are
-// item-grained (the sim moves items, the engine moves batches), which
-// keeps the fractions the backpressure heuristic classifies on
-// comparable across layers.
+// simDataplane holds the scraper's state between adjustment ticks: the
+// previous sample time and obs.DataplaneRates, which derives interval
+// rates exactly as for the engine. Virtual time stands in for wall
+// time; counters are item-grained (the sim moves items, the engine
+// moves batches), which keeps the fractions the backpressure heuristic
+// classifies on comparable across layers.
 type simDataplane struct {
-	lastAt    float64
-	prevEdges map[model.EdgeKey]simEdgeTotals
-	prevBusy  map[string]float64 // per-task cumulative busy seconds, keyed by TaskID string
-}
-
-// simEdgeTotals is one edge's summed cumulative channel counters.
-type simEdgeTotals struct {
-	accepted   uint64
-	stallItems uint64
-	popped     uint64
+	lastAt float64
+	rates  obs.DataplaneRates
 }
 
 // scrapeDataplane samples the simulated data plane and feeds telemetry
@@ -38,10 +30,7 @@ func (s *Sim) scrapeDataplane() {
 		return
 	}
 	if s.dp == nil {
-		s.dp = &simDataplane{
-			prevEdges: make(map[model.EdgeKey]simEdgeTotals),
-			prevBusy:  make(map[string]float64),
-		}
+		s.dp = &simDataplane{}
 	}
 	dp := s.dp
 	interval := s.now - dp.lastAt
@@ -54,120 +43,51 @@ func (s *Sim) scrapeDataplane() {
 		IntervalSeconds: interval,
 	}
 
-	type edgeAcc struct {
-		rings     int
-		occupancy int64
-		highWater int64
-		totals    simEdgeTotals
-	}
-	edges := make(map[model.EdgeKey]*edgeAcc)
+	edges := make(map[model.EdgeKey]*obs.DataplaneEdge)
 	for _, ch := range s.channels {
-		ea := edges[ch.edge]
-		if ea == nil {
-			ea = &edgeAcc{}
-			edges[ch.edge] = ea
+		de := edges[ch.edge]
+		if de == nil {
+			de = &obs.DataplaneEdge{Edge: ch.edgeName, Producer: ch.edge.Source, Consumer: ch.edge.Target}
+			edges[ch.edge] = de
 		}
-		ea.totals.accepted += uint64(ch.accepted)
-		ea.totals.stallItems += uint64(ch.stallItems)
-		ea.totals.popped += uint64(ch.popped)
+		de.Pushes += uint64(ch.accepted)
+		de.PushFails += uint64(ch.stallItems)
+		de.Pops += uint64(ch.popped)
 		if ch.closed {
 			continue
 		}
-		ea.rings++
-		if occ := ch.accepted - ch.popped; occ > 0 {
-			ea.occupancy += occ
-		}
+		de.Rings++
+		de.Occupancy += int(max(0, ch.accepted-ch.popped))
 		for _, b := range ch.stalled {
-			ea.occupancy += int64(len(b))
+			de.Occupancy += len(b)
 		}
-		if ch.highWater > ea.highWater {
-			ea.highWater = ch.highWater
-		}
+		de.HighWater = max(de.HighWater, int(ch.highWater))
 	}
 
-	// Consumer busy fraction: per-vertex busy-second deltas over the
-	// virtual interval, normalized by task count.
-	busyNow := make(map[string]float64)
-	vertexBusy := make(map[string]float64)
+	// Busy totals of every live task (active, then draining).
+	var busy []obs.TaskBusy
 	for _, name := range s.vertexOrder {
 		v := s.vertices[name]
-		var busyDelta float64
-		n := 0
-		account := func(t *simTask) {
-			n++
-			id := t.id.String()
-			busyNow[id] = t.busyAccum
-			if prev, ok := dp.prevBusy[id]; ok && t.busyAccum >= prev {
-				busyDelta += t.busyAccum - prev
-			} else {
-				busyDelta += t.busyAccum
-			}
-		}
 		for _, t := range v.tasks {
-			account(t)
+			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: t.busyAccum})
 		}
 		for t := range v.draining {
-			account(t)
-		}
-		if n > 0 {
-			frac := busyDelta / (interval * float64(n))
-			if frac > 1 {
-				frac = 1
-			}
-			vertexBusy[name] = frac
+			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: t.busyAccum})
 		}
 	}
-	dp.prevBusy = busyNow
 
 	for _, e := range s.cfg.Graph.Edges() {
-		ek := e.Key()
-		ea := edges[ek]
-		if ea == nil {
+		de := edges[e.Key()]
+		if de == nil {
 			continue
 		}
-		prev := dp.prevEdges[ek]
-		dp.prevEdges[ek] = ea.totals
-		capacity := 0
-		if v := s.vertices[ek.Target]; v != nil {
-			capacity = s.cfg.QueueCapacityItems * len(v.tasks)
+		if v := s.vertices[de.Consumer]; v != nil {
+			de.Capacity = s.cfg.QueueCapacityItems * len(v.tasks)
 		}
-		de := obs.DataplaneEdge{
-			Edge:      ek.String(),
-			Producer:  ek.Source,
-			Consumer:  ek.Target,
-			Rings:     ea.rings,
-			Occupancy: int(ea.occupancy),
-			Capacity:  capacity,
-			HighWater: int(ea.highWater),
-			Pushes:    ea.totals.accepted,
-			PushFails: ea.totals.stallItems,
-			Pops:      ea.totals.popped,
-		}
-		de.PushRate = counterRate(ea.totals.accepted, prev.accepted, interval)
-		de.PopRate = counterRate(ea.totals.popped, prev.popped, interval)
-		de.StallRate = counterRate(ea.totals.stallItems, prev.stallItems, interval)
-		attempts := de.PushRate + de.StallRate
-		if attempts > 0 {
-			de.StallFrac = de.StallRate / attempts
-		}
-		if capacity > 0 {
-			de.OccupancyFrac = float64(ea.occupancy) / float64(capacity)
-		}
-		if de.PopRate > 0 {
-			de.RingWaitSeconds = float64(ea.occupancy) / de.PopRate
-		}
-		de.ConsumerBusy = vertexBusy[ek.Target]
-		snap.Edges = append(snap.Edges, de)
+		snap.Edges = append(snap.Edges, *de)
 	}
+	dp.rates.Derive(snap.Edges, busy, interval)
 	dp.lastAt = s.now
 
 	s.cfg.Telemetry.ObserveDataplane(snap, s.cfg.Recorder)
-}
-
-// counterRate is the clamped per-second delta of a cumulative counter.
-func counterRate(cur, prev uint64, interval float64) float64 {
-	if cur <= prev || interval <= 0 {
-		return 0
-	}
-	return float64(cur-prev) / interval
 }

@@ -24,9 +24,8 @@ const (
 	evSourceEmit
 	// evTimer is one TimerBehavior tick of task t.
 	evTimer
-	// evFlushTimer is a deadline flush check of gate g's buffer buf
-	// (pinned consumer ch for key-based buffers, nil for shared ones);
-	// gen detects buffers flushed since the timer was armed.
+	// evFlushTimer is a deadline flush check of gate g; gen detects
+	// gates flushed since the timer was armed.
 	evFlushTimer
 	// evDeliver is the arrival of batch at the consumer end of ch.
 	evDeliver
@@ -79,7 +78,6 @@ type event struct {
 type evOp struct {
 	ch    *simChannel
 	g     *outGate
-	buf   *gateBuf
 	v     *simVertex
 	batch []Item
 	gen   uint64
@@ -202,7 +200,7 @@ func (s *Sim) dispatch(ev *event) {
 		s.timerFire(s.taskSlots[ev.tslot])
 	case evFlushTimer:
 		op := s.takeOp(ev.n)
-		s.flushTimerFire(op.g, op.buf, op.ch, op.gen)
+		s.flushTimerFire(op.g, op.gen)
 	case evDeliver:
 		op := s.takeOp(ev.n)
 		s.deliver(op.ch, op.batch)

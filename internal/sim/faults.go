@@ -242,7 +242,7 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 			ch.from.blockedOut--
 			resumed = append(resumed, ch.from)
 		}
-		s.unrouteChannelKilled(ch)
+		s.unrouteChannel(ch, true)
 		ch.closed = true
 	}
 	t.in = nil
@@ -251,19 +251,8 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 	// Outbound gates: buffered output and batches stalled at consumers
 	// die; channels close and leave the consumers' in-lists.
 	for _, g := range t.gates {
-		if g.shared != nil {
-			s.killedItems += int64(len(g.shared.items))
-			s.recycleBatch(g.shared.items)
-			g.shared.items = nil
-			g.shared.bytes = 0
-		}
-		for _, buf := range g.perChan {
-			s.killedItems += int64(len(buf.items))
-			s.recycleBatch(buf.items)
-			buf.items = nil
-		}
-		g.perChan = nil
-		for _, ch := range g.channels {
+		s.killedItems += int64(g.Buffered())
+		for _, ch := range g.Consumers() {
 			if len(ch.stalled) > 0 {
 				for _, b := range ch.stalled {
 					s.killedItems += dataItems(b)
@@ -281,8 +270,8 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 				}
 			}
 		}
-		g.channels = nil
 	}
+	t.gates = nil
 
 	s.retiredBusy += t.busyAccum
 	if unplace {
@@ -303,30 +292,5 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 	s.compactChannels()
 	for _, p := range resumed {
 		s.resume(p)
-	}
-}
-
-// unrouteChannelKilled removes ch from its producer's gate. Unlike the
-// scale-down unroute, key-pinned buffered items are not flushed — their
-// consumer is dead, so they are lost and counted.
-func (s *Sim) unrouteChannelKilled(ch *simChannel) {
-	p := ch.from
-	for _, g := range p.gates {
-		if g.edge != ch.edge {
-			continue
-		}
-		for i, c := range g.channels {
-			if c == ch {
-				g.channels = append(g.channels[:i], g.channels[i+1:]...)
-				g.rrInit = false // consumer set changed: re-draw offset
-				if buf, ok := g.perChan[ch]; ok {
-					s.killedItems += int64(len(buf.items))
-					s.recycleBatch(buf.items)
-					buf.items = nil
-					delete(g.perChan, ch)
-				}
-				return
-			}
-		}
 	}
 }

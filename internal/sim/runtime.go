@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 
 	"nephelix/internal/ckpt"
+	"nephelix/internal/gate"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/qos"
@@ -52,53 +52,37 @@ type simChannel struct {
 	highWater  int64
 }
 
-// gateBuf is one output buffer within a gate.
-type gateBuf struct {
-	items    []Item
-	bytes    int
+// vtime is virtual seconds as the output gate's time type.
+type vtime float64
+
+func (t vtime) Add(d float64) vtime { return t + vtime(d) }
+func (t vtime) Before(u vtime) bool { return t < u }
+
+// outGate is the simulator's transport around one output gate: routing,
+// batching and churn decisions are internal/gate's (embedded), sized in
+// bytes against the edge's BufferBytes; this type adds what only the
+// event loop knows — the edge's batching mode and current deadline, the
+// one outstanding evFlushTimer, and the flush a blocked producer had to
+// defer. Following Nephele's design, round-robin and broadcast edges
+// batch in a single producer-side buffer and key-based edges keep one
+// buffer per consumer.
+type outGate struct {
+	*gate.Gate[*simChannel, Item, vtime, float64]
+
+	t    *simTask
+	edge model.EdgeKey
+	mode BatchMode
+	// deadline is the adaptive flush deadline (0 = instant, +Inf =
+	// size-only).
+	deadline float64
+
+	// timerSet marks an evFlushTimer in the queue; gen counts flushes so
+	// the timer can tell the gate shipped since it was armed.
 	timerSet bool
 	gen      uint64
 	// pending marks a size/deadline-triggered flush deferred because the
-	// producer is blocked in a send.
+	// producer is blocked in a send; resume ships the whole gate.
 	pending bool
-}
-
-// outGate is a task's output side for one outgoing job edge. Following
-// Nephele's design, round-robin and broadcast edges batch in a single
-// producer-side buffer: a full (or due) buffer ships as one batch to the
-// next consumer in rotation (round-robin) or to all consumers
-// (broadcast). Key-based edges keep one buffer per consumer, since items
-// are pinned to their key's partition.
-type outGate struct {
-	t       *simTask
-	pos     int
-	edge    model.EdgeKey
-	pattern model.WiringPattern
-	mode    BatchMode
-	// bufferBytes is the flush threshold; deadline the adaptive flush
-	// deadline (0 = instant, +Inf = size-only).
-	bufferBytes int
-	deadline    float64
-
-	channels []*simChannel // active consumer channels
-	rr       int
-	rrInit   bool
-
-	shared  *gateBuf                 // round-robin and broadcast edges
-	perChan map[*simChannel]*gateBuf // key-based edges
-}
-
-// hasBacklog reports whether data is still buffered in the gate.
-func (g *outGate) hasBacklog() bool {
-	if g.shared != nil && len(g.shared.items) > 0 {
-		return true
-	}
-	for _, b := range g.perChan {
-		if len(b.items) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // simTask is one task of the runtime graph: a single-server queueing
@@ -249,7 +233,7 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it Item) {
 		t.rwPending = t.rwPending[:0]
 	}
 	g := t.gates[edgeIdx]
-	if len(g.channels) == 0 {
+	if len(g.Consumers()) == 0 {
 		return // all consumers gone (drained); drop
 	}
 	if s.guar != nil {
@@ -273,124 +257,75 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it Item) {
 		// source emission), so derived items keep the trace alive.
 		it.span = t.curSpan
 	}
+	if k, v := g.Push(&it, it.Key, int(it.Size), vtime(s.now), g.deadline); v&gate.Flush != 0 {
+		s.flushSlot(g, k)
+	} else if !g.timerSet {
+		s.armFlushTimer(g)
+	}
+}
 
-	var buf *gateBuf
-	if g.pattern == model.PatternKeyBased {
-		ch := g.channels[int(mix64(it.Key)%uint64(len(g.channels)))]
-		buf = g.perChan[ch]
-		if buf == nil {
-			buf = &gateBuf{}
-			g.perChan[ch] = buf
-		}
-		s.appendToBuf(g, buf, ch, it)
+// armFlushTimer schedules a deadline flush check at the gate's earliest
+// lapsing deadline, if it has a finite one and holds records.
+func (s *Sim) armFlushTimer(g *outGate) {
+	at, ok := g.NextDue(g.deadline)
+	if !ok {
 		return
 	}
-	buf = g.shared
-	s.appendToBuf(g, buf, nil, it)
-}
-
-// appendToBuf adds an item to a gate buffer and triggers flushes. ch is
-// the pinned consumer for key-based buffers, nil for shared buffers.
-func (s *Sim) appendToBuf(g *outGate, buf *gateBuf, ch *simChannel, it Item) {
-	buf.items = append(buf.items, it)
-	buf.bytes += int(it.Size)
-	switch {
-	case g.mode == BatchInstant || g.deadline <= 0:
-		s.flushBuf(g, buf, ch)
-	case buf.bytes >= g.bufferBytes:
-		s.flushBuf(g, buf, ch)
-	case !math.IsInf(g.deadline, 1) && !buf.timerSet:
-		s.armFlushTimer(g, buf, ch, buf.items[0].BufferTime+g.deadline)
-	}
-}
-
-// armFlushTimer schedules a deadline flush check for a gate buffer.
-func (s *Sim) armFlushTimer(g *outGate, buf *gateBuf, ch *simChannel, at float64) {
-	buf.timerSet = true
+	g.timerSet = true
 	i := s.allocOp()
-	s.ops[i] = evOp{g: g, buf: buf, ch: ch, gen: buf.gen}
-	s.q.push(event{at: at, kind: evFlushTimer, n: i})
+	s.ops[i] = evOp{g: g, gen: g.gen}
+	s.q.push(event{at: float64(at), kind: evFlushTimer, n: i})
 }
 
-// flushTimerFire runs one deadline flush check; gen detects buffers
+// flushTimerFire runs one deadline flush check; gen detects gates
 // flushed (or re-filled) since the timer was armed.
-func (s *Sim) flushTimerFire(g *outGate, buf *gateBuf, ch *simChannel, gen uint64) {
-	buf.timerSet = false
-	if buf.gen != gen || len(buf.items) == 0 || g.t.disposed {
+func (s *Sim) flushTimerFire(g *outGate, gen uint64) {
+	g.timerSet = false
+	if g.gen != gen || g.t.disposed {
 		return
 	}
-	due := buf.items[0].BufferTime + g.deadline
-	if s.now+1e-12 >= due {
-		s.flushBuf(g, buf, ch)
-		return
+	due := g.Due(vtime(s.now+1e-12), g.deadline)
+	for _, k := range due {
+		s.flushSlot(g, k)
 	}
-	s.armFlushTimer(g, buf, ch, due)
+	if len(due) == 0 || !g.pending {
+		s.armFlushTimer(g) // whatever is still buffered and not deferred
+	}
 }
 
-// mix64 is a splitmix64 finalizer used for key partitioning.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// flushBuf ships a gate buffer: to the next consumer in rotation
-// (round-robin), to its pinned consumer (key-based), or to every consumer
-// (broadcast). A blocked producer defers the flush until it resumes.
-func (s *Sim) flushBuf(g *outGate, buf *gateBuf, pinned *simChannel) {
-	if len(buf.items) == 0 {
-		return
-	}
+// flushSlot ships one gate buffer to whoever the gate addresses it to:
+// the next consumer in rotation, its pinned consumer (key-based), or
+// every consumer (broadcast — the last takes the original, the others
+// copies). A blocked producer defers the flush until it resumes.
+func (s *Sim) flushSlot(g *outGate, k int) {
 	if g.t.blockedOut > 0 {
 		// The producer is stuck in a send; ship once it resumes.
-		buf.pending = true
+		g.pending = true
 		return
 	}
-	batch := buf.items
-	buf.items = s.getBatch() // detach; refill from the free list
-	buf.bytes = 0
-	buf.gen++
-	buf.pending = false
+	f := g.Take(k, s.getBatch()) // detach; refill from the free list
+	g.gen++
+	s.shipBatch(f.To, f.Recs)
+}
 
+// shipBatch stamps a detached buffer and ships it to every addressee;
+// with none left the items die with their consumer.
+func (s *Sim) shipBatch(to []*simChannel, batch []Item) {
 	bytes := 0
 	for i := range batch {
 		batch[i].ShipTime = s.now
 		bytes += int(batch[i].Size)
 	}
-
-	switch {
-	case pinned != nil:
-		s.ship(pinned, batch, bytes)
-	case g.pattern == model.PatternBroadcast:
-		for i, ch := range g.channels {
-			if i == len(g.channels)-1 {
-				s.ship(ch, batch, bytes) // last consumer takes the original
-			} else {
-				cp := append(s.getBatch(), batch...)
-				s.ship(ch, cp, bytes)
-			}
-		}
-	default: // round-robin: the whole batch goes to the next consumer
-		if !g.rrInit {
-			// (Re-)start the rotation at a random offset. Without this,
-			// producers sweep their consumers in near-lockstep — and
-			// after a scale-up appends the same consumers to every gate,
-			// all rotation phases cluster inside the old index range,
-			// hitting each new consumer with synchronized waves. The
-			// offset is re-drawn on every consumer-set change.
-			g.rr = s.rng.Intn(len(g.channels))
-			g.rrInit = true
-		}
-		if g.rr >= len(g.channels) {
-			g.rr = 0
-		}
-		ch := g.channels[g.rr]
-		g.rr = (g.rr + 1) % len(g.channels)
-		s.ship(ch, batch, bytes)
+	if len(to) == 0 {
+		s.killedItems += int64(len(batch))
+		s.recycleBatch(batch)
+		return
 	}
+	last := len(to) - 1
+	for _, ch := range to[:last] {
+		s.ship(ch, append(s.getBatch(), batch...), bytes)
+	}
+	s.ship(to[last], batch, bytes)
 }
 
 // ship charges the producer the flush CPU cost and schedules delivery
@@ -417,31 +352,12 @@ func (s *Sim) ship(ch *simChannel, batch []Item, bytes int) {
 	s.q.push(event{at: at, kind: evDeliver, n: i})
 }
 
-// flushGate flushes everything buffered in a gate (drain support).
-// Keyed buffers flush in channel-id order for run determinism.
+// flushGate flushes everything buffered in a gate (drain, barriers, a
+// resumed producer), keyed buffers in consumer order.
 func (s *Sim) flushGate(g *outGate) {
-	if g.shared != nil && len(g.shared.items) > 0 {
-		s.flushBuf(g, g.shared, nil)
-	}
-	for _, ch := range sortedKeyedChannels(g.perChan) {
-		if buf := g.perChan[ch]; len(buf.items) > 0 {
-			s.flushBuf(g, buf, ch)
-		}
-	}
-}
-
-// flushPendingGates ships buffers whose flush was deferred by a blocked
-// producer (keyed buffers in channel-id order for determinism).
-func (s *Sim) flushPendingGates(t *simTask) {
-	for _, g := range t.gates {
-		if g.shared != nil && g.shared.pending {
-			s.flushBuf(g, g.shared, nil)
-		}
-		for _, ch := range sortedKeyedChannels(g.perChan) {
-			if buf := g.perChan[ch]; buf.pending {
-				s.flushBuf(g, buf, ch)
-			}
-		}
+	g.pending = false
+	for _, k := range g.NonEmpty() {
+		s.flushSlot(g, k)
 	}
 }
 
@@ -524,7 +440,11 @@ func (s *Sim) resume(t *simTask) {
 	if t.blockedOut > 0 || t.disposed {
 		return
 	}
-	s.flushPendingGates(t)
+	for _, g := range t.gates {
+		if g.pending {
+			s.flushGate(g)
+		}
+	}
 	if t.blockedOut > 0 {
 		return // the pending flush stalled again immediately
 	}
@@ -663,15 +583,13 @@ func (s *Sim) tryDispose(t *simTask) {
 		return
 	}
 	for _, g := range t.gates {
-		if g.hasBacklog() {
-			s.flushGate(g)
-		}
+		s.flushGate(g)
 	}
 	if t.blockedOut > 0 {
 		return // stalled outgoing batches must deliver first
 	}
 	for _, g := range t.gates {
-		if g.hasBacklog() {
+		if g.Buffered() > 0 {
 			return // a deferred flush is still pending
 		}
 	}

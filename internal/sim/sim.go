@@ -556,16 +556,6 @@ func (s *Sim) adjustmentTick() {
 // diverge between processes.
 func (s *Sim) applyDeadlines(deadlines map[model.EdgeKey]float64) {
 	s.deadlines = deadlines
-	apply := func(g *outGate, buf *gateBuf, ch *simChannel, dl float64) {
-		if len(buf.items) == 0 {
-			return
-		}
-		if dl <= 0 {
-			s.flushBuf(g, buf, ch)
-		} else if !buf.timerSet && !math.IsInf(dl, 1) {
-			s.armFlushTimer(g, buf, ch, buf.items[0].BufferTime+dl)
-		}
-	}
 	forTask := func(t *simTask) {
 		for _, g := range t.gates {
 			if g.mode != BatchAdaptive {
@@ -576,11 +566,10 @@ func (s *Sim) applyDeadlines(deadlines map[model.EdgeKey]float64) {
 				continue
 			}
 			g.deadline = dl
-			if g.shared != nil {
-				apply(g, g.shared, nil, dl)
-			}
-			for _, ch := range sortedKeyedChannels(g.perChan) {
-				apply(g, g.perChan[ch], ch, dl)
+			if dl <= 0 {
+				s.flushGate(g)
+			} else if !g.timerSet {
+				s.armFlushTimer(g)
 			}
 		}
 	}
@@ -593,19 +582,6 @@ func (s *Sim) applyDeadlines(deadlines map[model.EdgeKey]float64) {
 			forTask(t)
 		}
 	}
-}
-
-// sortedKeyedChannels returns a keyed gate's channels in id order.
-func sortedKeyedChannels(m map[*simChannel]*gateBuf) []*simChannel {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]*simChannel, 0, len(m))
-	for ch := range m {
-		out = append(out, ch)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id.String() < out[j].id.String() })
-	return out
 }
 
 // sortedDraining returns draining tasks in id order.

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 
+	"nephelix/internal/gate"
 	"nephelix/internal/model"
 	"nephelix/internal/qos"
 )
@@ -75,21 +76,13 @@ func (v *simVertex) newTask() (*simTask, error) {
 	t.gates = make([]*outGate, len(v.outEdges))
 	for pos, ek := range v.outEdges {
 		ec := s.cfg.edgeConfig(ek)
-		g := &outGate{
-			t:           t,
-			pos:         pos,
-			edge:        ek,
-			pattern:     s.cfg.Graph.Edge(ek).Pattern,
-			mode:        ec.Mode,
-			bufferBytes: ec.BufferBytes,
-			deadline:    s.initialGateDeadline(ec, ek),
+		t.gates[pos] = &outGate{
+			Gate:     gate.New[*simChannel, Item, vtime](s.cfg.Graph.Edge(ek).Pattern, ec.BufferBytes, math.Inf(1), s.rng),
+			t:        t,
+			edge:     ek,
+			mode:     ec.Mode,
+			deadline: s.initialGateDeadline(ec, ek),
 		}
-		if g.pattern == model.PatternKeyBased {
-			g.perChan = make(map[*simChannel]*gateBuf)
-		} else {
-			g.shared = &gateBuf{}
-		}
-		t.gates[pos] = g
 	}
 	if _, err := s.scheduler.Place(id); err != nil {
 		return nil, err
@@ -127,8 +120,8 @@ func (s *Sim) connect(edge model.EdgeKey, p, c *simTask, outPos int) {
 	}
 	ch.reporter = qos.NewChannelReporter(ch.id)
 	g := p.gates[outPos]
-	g.channels = append(g.channels, ch)
-	g.rrInit = false // consumer set changed: re-draw the rotation offset
+	g.Add(ch)
+	g.Observe()
 	c.in = append(c.in, ch)
 	s.channels = append(s.channels, ch)
 }
@@ -189,7 +182,7 @@ func (v *simVertex) removeTasks(n int) {
 		// Unroute: remove the channels leading to t from every producer's
 		// gate. The channels stay alive for in-flight data.
 		for _, ch := range t.in {
-			s.unrouteChannel(ch)
+			s.unrouteChannel(ch, false)
 		}
 		if t.isSource {
 			t.srcStopped = true
@@ -200,25 +193,23 @@ func (v *simVertex) removeTasks(n int) {
 }
 
 // unrouteChannel removes ch from its producer gate's active consumer
-// list; key-pinned buffered items are flushed to their original target so
-// nothing is stranded.
-func (s *Sim) unrouteChannel(ch *simChannel) {
-	p := ch.from
-	for _, g := range p.gates {
+// list. The simulator's churn policy for the key buffer pinned to ch: a
+// scale-down ships it to its original, now draining target so nothing
+// is stranded; after a kill the consumer is dead, so the items are lost
+// and counted.
+func (s *Sim) unrouteChannel(ch *simChannel, killed bool) {
+	for _, g := range ch.from.gates {
 		if g.edge != ch.edge {
 			continue
 		}
-		for i, c := range g.channels {
-			if c == ch {
-				g.channels = append(g.channels[:i], g.channels[i+1:]...)
-				g.rrInit = false // consumer set changed: re-draw offset
-				if buf, ok := g.perChan[ch]; ok {
-					if len(buf.items) > 0 {
-						s.flushBuf(g, buf, ch)
-					}
-					delete(g.perChan, ch)
-				}
-				return
+		g.Remove(ch)
+		g.Observe()
+		for _, b := range g.Stranded() {
+			if killed {
+				s.killedItems += int64(len(b.Recs))
+				s.recycleBatch(b.Recs)
+			} else {
+				s.shipBatch(b.To, b.Recs)
 			}
 		}
 	}
@@ -241,7 +232,7 @@ func (v *simVertex) finalizeRemoval(t *simTask) {
 		ch.mgr.ForgetChannel(ch.id)
 	}
 	for _, g := range t.gates {
-		for _, ch := range g.channels {
+		for _, ch := range g.Consumers() {
 			ch.closed = true
 			ch.mgr.ForgetChannel(ch.id)
 			// Remove from the consumer's in-list.
