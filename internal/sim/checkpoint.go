@@ -230,7 +230,7 @@ func (s *Sim) replayLog(t *simTask) {
 	for i := range suffix {
 		it := suffix[i].it
 		it.Offset = first + uint64(i)
-		s.emit(t, int(suffix[i].edge), it)
+		s.emit(t, int(suffix[i].edge), &it)
 	}
 	t.replaying = false
 	s.guar.replayed += n

@@ -12,6 +12,11 @@
 // virtual time, so cluster-scale experiments run on a laptop.
 package sim
 
+import (
+	"math"
+	"math/bits"
+)
+
 // eventKind discriminates the typed simulator events. Events are plain
 // records dispatched by Sim.dispatch — no closures — so scheduling an
 // action allocates nothing in steady state: the event lives in the
@@ -52,9 +57,10 @@ const (
 // (at, seq); seq is a FIFO tie-break for equal timestamps, so the pop
 // order is a strict total order independent of heap shape.
 //
-// The record is deliberately small (32 bytes) and pointer-free: heap
-// sifts copy events around, so every extra field costs a move and any
-// pointer field would cost GC write-barrier work per move. Task-addressed
+// The record is deliberately small (32 bytes) and pointer-free: the
+// queue copies events in and out of its arena and heap sifts move them
+// around, so every extra field costs a move and any pointer field would
+// cost GC write-barrier work per move. Task-addressed
 // events carry the task's arena slot (Sim.taskSlots — slots are never
 // reused, so a stale event resolves to the same, now-disposed task a
 // pointer would have); events with wider operand sets (deliveries, flush
@@ -69,6 +75,7 @@ type event struct {
 	// the FaultPlan entry index (evTaskKill, evNodeKill).
 	n    int32
 	kind eventKind
+	next int32 // the queue's list link; it fits the record's padding
 }
 
 // evOp holds the operands of events that need more than a task pointer.
@@ -104,15 +111,55 @@ func (s *Sim) takeOp(i int32) evOp {
 	return op
 }
 
-// eventQueue is a flat 4-ary min-heap of events ordered by (at, seq).
-// Hand-rolled and monomorphic: no interface boxing on push/pop, sift
-// moves elements with index arithmetic, and the backing array is reused
-// across the whole run. The wider fan-out halves tree depth versus a
-// binary heap, trading cheap comparisons for fewer element moves — the
-// right trade for ~100-byte events.
+// The wheel has wheelSize buckets of 1/wheelRate virtual seconds (15 µs;
+// a 62.5 ms window), both powers of two so that scaling is exact and a
+// slot is a mask. On the benchmark's PrimeTester job four inserts in
+// five find their bucket empty and two pushes in a thousand lie beyond
+// the window; maxBucket keeps absurd times (1e300, +Inf) ordered, in one
+// far bucket, instead of overflowing int64.
+const (
+	wheelSize = 1 << 12
+	wheelMask = wheelSize - 1
+	wheelRate = 1 << 16
+	maxBucket = 1 << 62
+)
+
+// bucketOf maps a time to its wheel bucket. Scaling by a power of two,
+// truncating and saturating are each monotone in at, so an earlier
+// bucket never holds a later event.
+func bucketOf(at float64) int64 {
+	x := at * wheelRate
+	if x >= maxBucket {
+		return maxBucket
+	}
+	return int64(x)
+}
+
+// eventQueue pops events in (at, seq) order. Events within the window of
+// the one popped last — nearly all: service completions, deliveries,
+// flush deadlines and source intervals lie milliseconds ahead — go into a
+// timing wheel: one (at, seq)-sorted list per bucket, linked by index
+// through a node arena, and a bitmap of the non-empty slots. bucketOf is
+// monotone, so draining the buckets in order pops exactly the order a
+// heap would. Events beyond the window (control ticks, source retries,
+// respawns) wait in a flat 4-ary min-heap and move into the wheel, seq
+// unchanged, as soon as the window reaches them — before anything is
+// compared against them. The zero value is an empty queue.
 type eventQueue struct {
-	items   []event
 	nextSeq uint64
+	// cur is the bucket the window starts at: wheel events have buckets
+	// in [cur, cur+wheelSize), one slot each (an earlier event is filed
+	// under cur, where the sorted list still puts it first), far events
+	// buckets from cur+wheelSize on.
+	cur  int64
+	near int // events in the wheel
+	// head (per slot) and free (the free list) are arena index + 1, so
+	// zero means none and nothing is set up; event.next links both.
+	head  [wheelSize]int32
+	occ   [wheelSize / 64]uint64
+	nodes []event
+	free  int32
+	far   []event
 }
 
 // eventLess orders events by (at, seq).
@@ -123,34 +170,117 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push schedules ev, assigning its FIFO sequence number.
-func (q *eventQueue) push(ev event) {
+// push schedules an event, assigning its FIFO sequence number; at must
+// not be NaN (Sim.schedule rejects it). push and insert take the fields
+// and pop fills a caller's variable because a six-field struct is not
+// register-allocated: passing one spills it with narrow stores and
+// copies it with wide loads, a stall dearer than the list splice.
+func (q *eventQueue) push(at float64, kind eventKind, tslot, n int32) {
 	q.nextSeq++
-	ev.seq = q.nextSeq
-	i := len(q.items)
-	q.items = append(q.items, ev)
+	if b := bucketOf(at); b < q.cur+wheelSize {
+		q.insert(b, at, q.nextSeq, kind, tslot, n)
+	} else {
+		q.pushFar(event{at: at, seq: q.nextSeq, kind: kind, tslot: tslot, n: n})
+	}
+}
+
+// insert files an event into the wheel under bucket b.
+func (q *eventQueue) insert(b int64, at float64, seq uint64, kind eventKind, tslot, n int32) {
+	if b < q.cur {
+		b = q.cur
+	}
+	i := q.free - 1
+	if i >= 0 {
+		q.free = q.nodes[i].next
+	} else {
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, event{})
+	}
+	slot := b & wheelMask
+	// Splice after every event ordered before this one.
+	link := &q.head[slot]
+	for *link != 0 {
+		p := &q.nodes[*link-1]
+		if p.at > at || p.at == at && p.seq > seq {
+			break
+		}
+		link = &p.next
+	}
+	nd := &q.nodes[i] // field by field, not a literal: see push
+	nd.at, nd.seq, nd.kind, nd.tslot, nd.n, nd.next = at, seq, kind, tslot, n, *link
+	*link = i + 1
+	q.occ[slot>>6] |= 1 << (slot & 63)
+	q.near++
+}
+
+// nextOccupied returns the first non-empty bucket at or after cur; the
+// wheel must not be empty.
+func (q *eventQueue) nextOccupied() int64 {
+	slot := q.cur & wheelMask
+	w, off := slot>>6, slot&63
+	if m := q.occ[w] >> off; m != 0 {
+		return q.cur + int64(bits.TrailingZeros64(m))
+	}
+	// Whole words from here on; after a full turn this reaches w again,
+	// whose low bits are the window's last buckets.
+	for b := q.cur + 64 - off; ; b += 64 {
+		w = (w + 1) & (wheelSize/64 - 1)
+		if m := q.occ[w]; m != 0 {
+			return b + int64(bits.TrailingZeros64(m))
+		}
+	}
+}
+
+// pop moves the earliest event into *ev; it reports false when empty.
+func (q *eventQueue) pop(ev *event) bool {
+	if q.near > 0 {
+		q.cur = q.nextOccupied()
+	} else if len(q.far) > 0 {
+		q.cur = bucketOf(q.far[0].at) // idle gap: jump the window
+	} else {
+		return false
+	}
+	for len(q.far) > 0 && bucketOf(q.far[0].at) < q.cur+wheelSize {
+		f := q.popFar()
+		q.insert(bucketOf(f.at), f.at, f.seq, f.kind, f.tslot, f.n)
+	}
+	slot := q.cur & wheelMask
+	i := q.head[slot] - 1
+	nd := &q.nodes[i]
+	*ev = *nd
+	ev.next = 0
+	q.head[slot] = nd.next
+	if nd.next == 0 {
+		q.occ[slot>>6] &^= 1 << (slot & 63)
+	}
+	nd.next = q.free
+	q.free = i + 1
+	q.near--
+	return true
+}
+
+// pushFar and popFar are the far level: a flat 4-ary min-heap, sifting
+// with index arithmetic in a backing array reused across the run.
+func (q *eventQueue) pushFar(ev event) {
+	i := len(q.far)
+	q.far = append(q.far, ev)
 	// Sift up: move parents down into the hole until ev's slot is found.
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(&ev, &q.items[p]) {
+		if !eventLess(&ev, &q.far[p]) {
 			break
 		}
-		q.items[i] = q.items[p]
+		q.far[i] = q.far[p]
 		i = p
 	}
-	q.items[i] = ev
+	q.far[i] = ev
 }
 
-// pop removes and returns the earliest event; ok is false when empty.
-func (q *eventQueue) pop() (event, bool) {
-	n := len(q.items)
-	if n == 0 {
-		return event{}, false
-	}
-	top := q.items[0]
-	n--
-	last := q.items[n]
-	q.items = q.items[:n] // events are pointer-free: no clear needed
+func (q *eventQueue) popFar() event {
+	top := q.far[0]
+	n := len(q.far) - 1
+	last := q.far[n]
+	q.far = q.far[:n] // events are pointer-free: no clear needed
 	if n > 0 {
 		// Sift last down from the root: pull the smallest child up into
 		// the hole until last's slot is found.
@@ -166,27 +296,51 @@ func (q *eventQueue) pop() (event, bool) {
 				end = n
 			}
 			for j := c + 1; j < end; j++ {
-				if eventLess(&q.items[j], &q.items[m]) {
+				if eventLess(&q.far[j], &q.far[m]) {
 					m = j
 				}
 			}
-			if !eventLess(&q.items[m], &last) {
+			if !eventLess(&q.far[m], &last) {
 				break
 			}
-			q.items[i] = q.items[m]
+			q.far[i] = q.far[m]
 			i = m
 		}
-		q.items[i] = last
+		q.far[i] = last
 	}
-	return top, true
+	return top
 }
 
-// peekTime returns the earliest event time; ok is false when empty.
-func (q *eventQueue) peekTime() (float64, bool) {
-	if len(q.items) == 0 {
-		return 0, false
+// eventKindNames names the kinds for schedule's error.
+var eventKindNames = [...]string{
+	evNone: "none", evSourceEmit: "source-emit", evTimer: "timer", evFlushTimer: "flush-timer",
+	evDeliver: "deliver", evServiceDone: "service-done", evMeasure: "measure", evAdjust: "adjust",
+	evRecord: "record", evTaskKill: "task-kill", evNodeKill: "node-kill", evRespawn: "respawn",
+	evCheckpoint: "checkpoint",
+}
+
+// schedule is the one place events enter the queue; t is the task the
+// event is for (nil for control-plane and fault events), n its operand
+// index. A time that is NaN, infinite or in the past — from a
+// Behavior's service time, a source interval or a transit cost — would
+// scramble the pop order or leave a task busy forever, so it fails the
+// run instead. One past time is legitimate: when the QoS plane shortens
+// a deadline, the oldest buffered record's flush may already be overdue,
+// and that timer fires first, at its own time.
+func (s *Sim) schedule(at float64, kind eventKind, t *simTask, n int32) {
+	if !(at <= math.MaxFloat64 && (at >= s.now || kind == evFlushTimer && at >= 0)) {
+		who := "the control plane"
+		if t != nil {
+			who = t.id.String()
+		}
+		s.fail("%s event of %s scheduled at %g: event times must be finite and not in the past", eventKindNames[kind], who, at)
+		return
 	}
-	return q.items[0].at, true
+	tslot := int32(0)
+	if t != nil {
+		tslot = t.slot
+	}
+	s.q.push(at, kind, tslot, n)
 }
 
 // dispatch executes one popped event. The switch replaces the former
@@ -209,17 +363,17 @@ func (s *Sim) dispatch(ev *event) {
 	case evMeasure:
 		s.measurementTick()
 		if t := s.now + s.cfg.MeasurementInterval; t <= s.cfg.Duration {
-			s.q.push(event{at: t, kind: evMeasure})
+			s.schedule(t, evMeasure, nil, 0)
 		}
 	case evAdjust:
 		s.adjustmentTick()
 		if t := s.now + s.cfg.AdjustmentInterval; t <= s.cfg.Duration {
-			s.q.push(event{at: t, kind: evAdjust})
+			s.schedule(t, evAdjust, nil, 0)
 		}
 	case evRecord:
 		s.recordTick()
 		if t := s.now + s.cfg.RecordInterval; t <= s.cfg.Duration {
-			s.q.push(event{at: t, kind: evRecord})
+			s.schedule(t, evRecord, nil, 0)
 		}
 	case evTaskKill:
 		s.injectTaskKill(s.cfg.Faults.TaskKills[ev.n], s.cfg.Faults)
@@ -231,7 +385,7 @@ func (s *Sim) dispatch(ev *event) {
 	case evCheckpoint:
 		s.checkpointTick()
 		if t := s.now + s.cfg.CheckpointInterval; t <= s.cfg.Duration {
-			s.q.push(event{at: t, kind: evCheckpoint})
+			s.schedule(t, evCheckpoint, nil, 0)
 		}
 	}
 }

@@ -85,10 +85,10 @@ func (p *FaultPlan) validate(c *Config) error {
 // s.cfg.Faults.
 func (s *Sim) scheduleFaults(p *FaultPlan) {
 	for i := range p.TaskKills {
-		s.q.push(event{at: p.TaskKills[i].At, kind: evTaskKill, n: int32(i)})
+		s.schedule(p.TaskKills[i].At, evTaskKill, nil, int32(i))
 	}
 	for i := range p.NodeKills {
-		s.q.push(event{at: p.NodeKills[i].At, kind: evNodeKill, n: int32(i)})
+		s.schedule(p.NodeKills[i].At, evNodeKill, nil, int32(i))
 	}
 }
 
@@ -153,7 +153,7 @@ func (s *Sim) scheduleRespawn(v *simVertex, n int, delay float64) {
 	}
 	i := s.allocOp()
 	s.ops[i] = evOp{v: v, count: int32(n)}
-	s.q.push(event{at: s.now + delay, kind: evRespawn, n: i})
+	s.schedule(s.now+delay, evRespawn, nil, i)
 }
 
 // respawn executes one evRespawn: places n replacement tasks on v.

@@ -170,25 +170,20 @@ type simTask struct {
 // queueLen returns the current input queue length.
 func (t *simTask) queueLen() int { return len(t.queue) - t.qHead }
 
-// pushQueue appends an item to the input queue.
-func (t *simTask) pushQueue(it Item) {
-	t.queue = append(t.queue, it)
-}
-
-// popQueue removes the oldest queued item.
-func (t *simTask) popQueue() Item {
-	it := t.queue[t.qHead]
-	if it.src != nil {
-		it.src.popped++
+// popQueue moves the oldest queued item into *dst.
+func (t *simTask) popQueue(dst *Item) {
+	head := &t.queue[t.qHead]
+	if head.src != nil {
+		head.src.popped++
 	}
-	t.queue[t.qHead] = Item{} // release Origins references
+	*dst = *head
+	*head = Item{} // release Origins references
 	t.qHead++
 	if t.qHead > 1024 && t.qHead*2 >= len(t.queue) {
 		n := copy(t.queue, t.queue[t.qHead:])
 		t.queue = t.queue[:n]
 		t.qHead = 0
 	}
-	return it
 }
 
 // TaskContext is the API surface a Behavior sees while processing.
@@ -213,14 +208,15 @@ func (c *TaskContext) Parallelism() int { return len(c.t.vtx.tasks) }
 // (ordered as in JobGraph.OutEdges). The wiring pattern of the edge
 // selects the consumer(s).
 func (c *TaskContext) Emit(edgeIdx int, it Item) {
-	c.s.emit(c.t, edgeIdx, it)
+	c.s.emit(c.t, edgeIdx, &it)
 }
 
 // OutEdges returns the number of outgoing job edges.
 func (c *TaskContext) OutEdges() int { return len(c.t.gates) }
 
-// emit routes an item from task t into its edgeIdx-th output gate.
-func (s *Sim) emit(t *simTask, edgeIdx int, it Item) {
+// emit stamps *it and routes it from task t into its edgeIdx-th output
+// gate, which copies it into the buffer.
+func (s *Sim) emit(t *simTask, edgeIdx int, it *Item) {
 	if edgeIdx < 0 || edgeIdx >= len(t.gates) {
 		s.fail("emit on invalid edge index %d from %s", edgeIdx, t.id)
 		return
@@ -240,7 +236,7 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it Item) {
 		if t.isSource {
 			if l := t.srcLog; l != nil && !t.replaying {
 				it.Src = l.ID()
-				stored := it
+				stored := *it
 				stored.src = nil
 				stored.span = nil // the log must not pin trace spans
 				it.Offset = l.Append(replayItem{it: stored, edge: int8(edgeIdx)})
@@ -257,7 +253,7 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it Item) {
 		// source emission), so derived items keep the trace alive.
 		it.span = t.curSpan
 	}
-	if k, v := g.Push(&it, it.Key, int(it.Size), vtime(s.now), g.deadline); v&gate.Flush != 0 {
+	if k, v := g.Push(it, it.Key, int(it.Size), vtime(s.now), g.deadline); v&gate.Flush != 0 {
 		s.flushSlot(g, k)
 	} else if !g.timerSet {
 		s.armFlushTimer(g)
@@ -274,7 +270,7 @@ func (s *Sim) armFlushTimer(g *outGate) {
 	g.timerSet = true
 	i := s.allocOp()
 	s.ops[i] = evOp{g: g, gen: g.gen}
-	s.q.push(event{at: float64(at), kind: evFlushTimer, n: i})
+	s.schedule(float64(at), evFlushTimer, g.t, i)
 }
 
 // flushTimerFire runs one deadline flush check; gen detects gates
@@ -349,7 +345,7 @@ func (s *Sim) ship(ch *simChannel, batch []Item, bytes int) {
 	ch.to.inflightIn++
 	i := s.allocOp()
 	s.ops[i] = evOp{ch: ch, batch: batch}
-	s.q.push(event{at: at, kind: evDeliver, n: i})
+	s.schedule(at, evDeliver, ch.from, i)
 }
 
 // flushGate flushes everything buffered in a gate (drain, barriers, a
@@ -401,8 +397,8 @@ func (s *Sim) acceptBatch(ch *simChannel, batch []Item) {
 			// workload and must not skew the QoS plane's rates.
 			to.reporter.RecordArrival(s.now)
 		}
-		to.pushQueue(batch[i])
 	}
+	to.queue = append(to.queue, batch...)
 	ch.accepted += int64(len(batch))
 	if occ := ch.accepted - ch.popped; occ > ch.highWater {
 		ch.highWater = occ
@@ -477,7 +473,8 @@ func (s *Sim) maybeStart(t *simTask) {
 	// logic at zero service cost; every pre-barrier item of the
 	// barrier's producer was queued — and therefore serviced — first.
 	for t.queueLen() > 0 && t.queue[t.qHead].barrier != 0 {
-		it := t.popQueue()
+		var it Item
+		t.popQueue(&it)
 		s.handleBarrier(t, it.barrier)
 		if t.busy || t.disposed || t.blockedOut > 0 {
 			return
@@ -492,8 +489,8 @@ func (s *Sim) maybeStart(t *simTask) {
 	// Park the item on the task before the ServiceTime interface call:
 	// passing a pointer to a stack local through the interface would
 	// force a per-item heap allocation.
-	t.svcItem = t.popQueue()
 	it := &t.svcItem
+	t.popQueue(it)
 	if it.src != nil && it.src.reporter != nil {
 		it.src.reporter.RecordTransfer(s.now-it.BufferTime, it.ShipTime-it.BufferTime)
 	}
@@ -507,7 +504,7 @@ func (s *Sim) maybeStart(t *simTask) {
 	// service on this task.
 	t.busy = true
 	t.svcTime = st
-	s.q.push(event{at: s.now + st, kind: evServiceDone, tslot: t.slot})
+	s.schedule(s.now+st, evServiceDone, t, 0)
 	s.retryStalled(t)
 }
 
@@ -520,12 +517,12 @@ func (t *simTask) latencyModeRW() bool {
 // serviceDone finishes the item in service on t: records metrics, runs
 // the behavior, and starts the next item.
 func (s *Sim) serviceDone(t *simTask) {
-	it := t.svcItem
+	it := &t.svcItem
 	st := t.svcTime
-	t.svcItem = Item{} // release Origins/span references
 	if t.disposed {
 		// The task was killed mid-service; the in-progress item dies
 		// with it.
+		*it = Item{}
 		s.killedItems++
 		return
 	}
@@ -563,13 +560,17 @@ func (s *Sim) serviceDone(t *simTask) {
 		// suppression (skipping Process) only under exactly-once.
 		s.cfg.Telemetry.AddDeduped(s.now, 1)
 		if s.guar.suppress {
+			*it = Item{}
 			s.maybeStart(t)
 			return
 		}
 	}
 	t.curSrc, t.curOff = it.Src, it.Offset
 	t.curSpan = it.span
-	t.behavior.Process(&t.ctx, it)
+	// Process's by-value parameter is the one copy. Nothing it can reach
+	// starts a service on t, so the slot is released after the call.
+	t.behavior.Process(&t.ctx, *it)
+	*it = Item{}
 	t.curSpan = nil
 	t.curSrc, t.curOff = 0, 0
 	s.maybeStart(t)

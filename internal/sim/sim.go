@@ -293,6 +293,7 @@ func (s *Sim) bootstrap() error {
 			}
 			v.tasks = append(v.tasks, t)
 		}
+		v.peak = len(v.tasks)
 	}
 	for _, e := range g.Edges() {
 		pos := s.edgePos[e.Key()]
@@ -320,7 +321,7 @@ func (s *Sim) startTask(t *simTask) {
 		if rate > 0 {
 			offset = s.rng.Float64() * float64(len(t.vtx.tasks)+1) / rate
 		}
-		s.q.push(event{at: s.now + offset, kind: evSourceEmit, tslot: t.slot})
+		s.schedule(s.now+offset, evSourceEmit, t, 0)
 		return
 	}
 	if tb, ok := t.behavior.(TimerBehavior); ok {
@@ -330,7 +331,7 @@ func (s *Sim) startTask(t *simTask) {
 			return
 		}
 		t.timerInterval = interval
-		s.q.push(event{at: s.now + s.rng.Float64()*interval, kind: evTimer, tslot: t.slot})
+		s.schedule(s.now+s.rng.Float64()*interval, evTimer, t, 0)
 	}
 }
 
@@ -346,7 +347,7 @@ func (s *Sim) timerFire(t *simTask) {
 	tb.OnTimer(&t.ctx)
 	// ±5% dither keeps window emissions from aliasing with batched
 	// arrivals and other periodic activity.
-	s.q.push(event{at: s.now + t.timerInterval*(0.95+0.1*s.rng.Float64()), kind: evTimer, tslot: t.slot})
+	s.schedule(s.now+t.timerInterval*(0.95+0.1*s.rng.Float64()), evTimer, t, 0)
 }
 
 // Sample reports whether the next source emission should be tagged for
@@ -375,14 +376,14 @@ func (s *Sim) sourceEmit(t *simTask) {
 		// the uncommitted suffix unreplayable. Stall until a checkpoint
 		// commit frees space.
 		t.srcLog.Stall()
-		s.q.push(event{at: s.now + 0.01, kind: evSourceEmit, tslot: t.slot})
+		s.schedule(s.now+0.01, evSourceEmit, t, 0)
 		return
 	}
 	src := t.vtx.cfg.Source
 	rate := src.Schedule.Rate(s.now)
 	if rate <= 0 {
 		if s.now < src.Schedule.Duration() {
-			s.q.push(event{at: s.now + 0.5, kind: evSourceEmit, tslot: t.slot})
+			s.schedule(s.now+0.5, evSourceEmit, t, 0)
 		} else {
 			t.srcStopped = true
 		}
@@ -422,7 +423,7 @@ func (s *Sim) sourceEmit(t *simTask) {
 		// cluster arrivals.
 		next = cost * (0.95 + 0.1*s.rng.Float64())
 	}
-	s.q.push(event{at: s.now + next, kind: evSourceEmit, tslot: t.slot})
+	s.schedule(s.now+next, evSourceEmit, t, 0)
 }
 
 // fail aborts the run with an error.
@@ -673,46 +674,34 @@ func integrateRate(rate func(float64) float64, t0, t1 float64) float64 {
 func (s *Sim) Run() (*Result, error) {
 	dur := s.cfg.Duration
 	// Recurring control-plane ticks; each reschedules itself in dispatch.
-	s.q.push(event{at: s.cfg.MeasurementInterval, kind: evMeasure})
-	s.q.push(event{at: s.cfg.AdjustmentInterval, kind: evAdjust})
-	s.q.push(event{at: s.cfg.RecordInterval, kind: evRecord})
+	s.schedule(s.cfg.MeasurementInterval, evMeasure, nil, 0)
+	s.schedule(s.cfg.AdjustmentInterval, evAdjust, nil, 0)
+	s.schedule(s.cfg.RecordInterval, evRecord, nil, 0)
 	if s.guar != nil {
-		s.q.push(event{at: s.cfg.CheckpointInterval, kind: evCheckpoint})
+		s.schedule(s.cfg.CheckpointInterval, evCheckpoint, nil, 0)
 	}
 	if s.cfg.Faults != nil {
 		s.scheduleFaults(s.cfg.Faults)
 	}
 	s.accountUsage()
 
-	peak := s.parallelismMap()
-	lastPeakCheck := 0.0
-	for {
-		ev, ok := s.q.pop()
-		if !ok || ev.at > dur {
-			break
-		}
+	var ev event
+	for s.err == nil && s.q.pop(&ev) && ev.at <= dur {
 		s.now = ev.at
 		s.dispatch(&ev)
-		if s.err != nil {
-			return nil, s.err
-		}
-		// Track peak parallelism at coarse granularity, without building
-		// a throwaway map on the hot loop.
-		if s.now-lastPeakCheck >= 1 {
-			lastPeakCheck = s.now
-			for _, name := range s.vertexOrder {
-				if p := s.vertices[name].parallelism(); p > peak[name] {
-					peak[name] = p
-				}
-			}
-		}
+	}
+	if s.err != nil {
+		return nil, s.err
 	}
 	s.now = dur
 	s.accountUsage()
 
 	emitted := make(map[string]int64, s.sourceCount)
+	peak := make(map[string]int, len(s.vertexOrder))
 	for _, name := range s.vertexOrder {
-		if v := s.vertices[name]; v.cfg.Source != nil {
+		v := s.vertices[name]
+		peak[name] = v.peak
+		if v.cfg.Source != nil {
 			emitted[name] = v.emitted
 		}
 	}

@@ -16,9 +16,10 @@ type simVertex struct {
 	cfg VertexConfig
 
 	// tasks are the active tasks; draining tasks have been removed from
-	// routing but still process their queues.
+	// routing but still process their queues; peak is the most tasks held.
 	tasks    []*simTask
 	draining map[*simTask]struct{}
+	peak     int
 
 	// nextIndex allocates unique task indices so QoS history never mixes
 	// a removed task with its successor.
@@ -155,6 +156,9 @@ func (v *simVertex) addTasks(n int) int {
 			}
 		}
 		v.tasks = append(v.tasks, t)
+		if len(v.tasks) > v.peak {
+			v.peak = len(v.tasks)
+		}
 		added++
 		// Start source emission / timers for the new task.
 		s.startTask(t)
