@@ -127,7 +127,7 @@ func (primeTestBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 }
 
 // Process forwards the tested candidate to the sinks.
-func (primeTestBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
+func (primeTestBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	ctx.Emit(0, it)
 }
 
@@ -140,7 +140,7 @@ var _ sim.Behavior = (*primeSinkBehavior)(nil)
 
 func (primeSinkBehavior) ServiceTime(_ *rand.Rand, _ *sim.Item) float64 { return 20e-6 }
 
-func (b primeSinkBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
+func (b primeSinkBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	if it.Sampled {
 		b.probe.Record(ctx.Now() - it.EmitTime)
 	}
@@ -223,7 +223,7 @@ func BuildPrimeTester(opts PrimeTesterOptions) (sim.Config, *sim.ProbeSet, error
 					Schedule: opts.Schedule,
 					EmitCost: 50e-6,
 					Emit: func(ctx *sim.TaskContext, now float64) {
-						ctx.Emit(0, sim.Item{
+						ctx.Emit(0, &sim.Item{
 							EmitTime: now,
 							Size:     primeItemBytes,
 							Key:      ctx.Rand().Uint64() | 1,

@@ -180,6 +180,7 @@ type hotTopicsBehavior struct {
 	// origins collects sampled tweet emit times for read-write sequence
 	// latency probing across the aggregation.
 	origins []float64
+	scratch []topicWeight[int]
 }
 
 var _ sim.TimerBehavior = (*hotTopicsBehavior)(nil)
@@ -188,7 +189,7 @@ func (b *hotTopicsBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 	return htServicePerTweet * (0.7 + 0.6*rng.Float64())
 }
 
-func (b *hotTopicsBehavior) Process(_ *sim.TaskContext, it sim.Item) {
+func (b *hotTopicsBehavior) Process(_ *sim.TaskContext, it *sim.Item) {
 	b.counts[it.Key]++
 	if it.Sampled && len(b.origins) < 32 {
 		b.origins = append(b.origins, it.EmitTime)
@@ -203,7 +204,7 @@ func (b *hotTopicsBehavior) OnTimer(ctx *sim.TaskContext) {
 	if len(b.counts) == 0 {
 		return
 	}
-	top := topKKeys(b.counts, b.k)
+	top := topKKeys(b.counts, b.k, &b.scratch)
 	it := sim.Item{
 		EmitTime: ctx.Now(),
 		Size:     topicListBytes,
@@ -212,9 +213,9 @@ func (b *hotTopicsBehavior) OnTimer(ctx *sim.TaskContext) {
 		Sampled:  len(b.origins) > 0,
 	}
 	it.Key = b.payloads.put(top)
-	b.counts = make(map[uint64]int, len(b.counts))
+	clear(b.counts)
 	b.origins = nil
-	ctx.Emit(0, it)
+	ctx.Emit(0, &it)
 }
 
 // topicListPayloads carries full top-k lists out of band, keyed by a
@@ -251,16 +252,21 @@ func (p *topicListPayloads) get(token uint64) []uint64 {
 	return p.lists[token]
 }
 
-// topKKeys returns the k highest-count keys.
-func topKKeys(counts map[uint64]int, k int) []uint64 {
-	type kv struct {
-		key uint64
-		n   int
-	}
-	all := make([]kv, 0, len(counts))
+// topicWeight is one ranking candidate of topKKeys.
+type topicWeight[N int | float64] struct {
+	key uint64
+	n   N
+}
+
+// topKKeys returns the k highest-weight keys, ties broken by key (so map
+// iteration order never shows), in a fresh slice; *scratch is the
+// caller's reusable candidate buffer.
+func topKKeys[N int | float64](counts map[uint64]N, k int, scratch *[]topicWeight[N]) []uint64 {
+	all := (*scratch)[:0]
 	for key, n := range counts {
-		all = append(all, kv{key, n})
+		all = append(all, topicWeight[N]{key, n})
 	}
+	*scratch = all
 	// Partial selection sort: k is small (10).
 	if k > len(all) {
 		k = len(all)
@@ -292,6 +298,7 @@ type mergerBehavior struct {
 	k        int
 	counts   map[uint64]float64
 	payloads *topicListPayloads
+	scratch  []topicWeight[float64]
 }
 
 var _ sim.Behavior = (*mergerBehavior)(nil)
@@ -303,7 +310,7 @@ func (b *mergerBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 	return htmServicePerList * (0.7 + 0.6*rng.Float64())
 }
 
-func (b *mergerBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
+func (b *mergerBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	for key, w := range b.counts {
 		w *= mergerDecay
 		if w < 0.05 {
@@ -318,7 +325,7 @@ func (b *mergerBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
 	if len(b.counts) == 0 {
 		return
 	}
-	top := topKFloatKeys(b.counts, b.k)
+	top := topKKeys(b.counts, b.k, &b.scratch)
 	out := sim.Item{
 		EmitTime: ctx.Now(),
 		Size:     topicListBytes,
@@ -327,36 +334,7 @@ func (b *mergerBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
 		Sampled:  it.Sampled,
 	}
 	out.Key = b.payloads.put(top)
-	ctx.Emit(0, out)
-}
-
-// topKFloatKeys returns the k highest-weight keys.
-func topKFloatKeys(counts map[uint64]float64, k int) []uint64 {
-	type kv struct {
-		key uint64
-		w   float64
-	}
-	all := make([]kv, 0, len(counts))
-	for key, w := range counts {
-		all = append(all, kv{key, w})
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].w > all[best].w || (all[j].w == all[best].w && all[j].key < all[best].key) {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-	}
-	keys := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		keys[i] = all[i].key
-	}
-	return keys
+	ctx.Emit(0, &out)
 }
 
 // filterBehavior is the F task: it keeps the latest global hot list and
@@ -378,9 +356,9 @@ func (b *filterBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
 	return filterServiceTweet * (0.7 + 0.6*rng.Float64())
 }
 
-func (b *filterBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
+func (b *filterBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	if it.Kind == kindTopicList {
-		b.hot = make(map[uint64]struct{})
+		clear(b.hot) // membership only, never iterated: refilling is the same set
 		for _, key := range b.payloads.get(it.Key) {
 			b.hot[key] = struct{}{}
 		}
@@ -404,11 +382,10 @@ func (sentimentBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 	return sentimentService * (0.6 + 0.8*rng.Float64())
 }
 
-func (sentimentBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
-	out := it
-	out.Kind = kindScored
-	out.Size = scoredBytes
-	ctx.Emit(0, out)
+func (sentimentBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
+	it.Kind = kindScored
+	it.Size = scoredBytes
+	ctx.Emit(0, it)
 }
 
 // sinkBehavior is the SI task: it tracks per-topic sentiment and
@@ -425,7 +402,7 @@ func (b *sinkBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
 	return sinkServicePerScore * (0.7 + 0.6*rng.Float64())
 }
 
-func (b *sinkBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
+func (b *sinkBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	if it.Sampled {
 		b.probe.Record(ctx.Now() - it.EmitTime)
 	}
@@ -597,8 +574,8 @@ func newReplayEmitter(replay *workload.TweetReplay) sim.SourceFunc {
 			Key:      topic,
 			Sampled:  ctx.Sample(),
 		}
-		ctx.Emit(1, tweet) // e4 → HotTopics
-		ctx.Emit(0, tweet) // e1 → Filter
+		ctx.Emit(1, &tweet) // e4 → HotTopics
+		ctx.Emit(0, &tweet) // e1 → Filter
 	}
 }
 
@@ -621,7 +598,7 @@ func newTweetEmitter(sched *workload.DiurnalSchedule, topics int, seed int64) si
 			Key:      topic,
 			Sampled:  sampled,
 		}
-		ctx.Emit(1, tweet) // e4 → HotTopics
-		ctx.Emit(0, tweet) // e1 → Filter
+		ctx.Emit(1, &tweet) // e4 → HotTopics
+		ctx.Emit(0, &tweet) // e1 → Filter
 	}
 }

@@ -177,13 +177,22 @@ func TestDefaultTweetTracePeak(t *testing.T) {
 
 func TestTopKKeys(t *testing.T) {
 	counts := map[uint64]int{1: 5, 2: 9, 3: 1, 4: 9, 5: 3}
-	top := topKKeys(counts, 3)
+	var scratch []topicWeight[int]
+	top := topKKeys(counts, 3, &scratch)
 	if len(top) != 3 || top[0] != 2 || top[1] != 4 || top[2] != 1 {
 		t.Errorf("topK: got %v, want [2 4 1] (count desc, key asc ties)", top)
 	}
-	// k larger than the map.
-	if got := topKKeys(map[uint64]int{7: 1}, 5); len(got) != 1 || got[0] != 7 {
+	// k larger than the map; the scratch is reused, the result is not
+	// carved out of it (payloads keep the result).
+	got := topKKeys(map[uint64]int{7: 1}, 5, &scratch)
+	if len(got) != 1 || got[0] != 7 {
 		t.Errorf("small map: %v", got)
+	}
+	if top[0] != 2 {
+		t.Errorf("earlier result overwritten through the scratch: %v", top)
+	}
+	if f := topKKeys(map[uint64]float64{1: 0.5, 2: 0.5, 3: 2}, 2, new([]topicWeight[float64])); len(f) != 2 || f[0] != 3 || f[1] != 1 {
+		t.Errorf("float weights: got %v, want [3 1]", f)
 	}
 }
 
@@ -250,5 +259,36 @@ func TestBuildTwitterSentimentNeedsScheduleOrReplay(t *testing.T) {
 	opts.Schedule = nil
 	if _, _, err := BuildTwitterSentiment(opts); err == nil {
 		t.Error("missing schedule and replay accepted")
+	}
+}
+
+// TestTwitterSentimentAllocsPerItem puts the job's behaviours — window
+// timers, the merger's ranking, the broadcast hot list, the filter's
+// topic set — under an allocation budget: whole-run allocations per
+// emitted tweet, set-up and per-row bookkeeping included. What is left
+// per item is the payload lists (one per window and per merge) and the
+// sampled Origins slices (0.22 at this scale); the job sat at 0.42 while
+// the filter rebuilt its set with make(map) for every list.
+func TestTwitterSentimentAllocsPerItem(t *testing.T) {
+	var items float64
+	allocs := testing.AllocsPerRun(1, func() {
+		cfg, probes, err := BuildTwitterSentiment(quickTSOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sim.New(cfg, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = float64(res.Emitted[TSSource])
+	})
+	perItem := allocs / items
+	t.Logf("%.0f tweets, %.3f allocs/item", items, perItem)
+	if perItem > 0.3 {
+		t.Errorf("TwitterSentiment allocates %.3f allocs/item, want ≤ 0.3", perItem)
 	}
 }

@@ -56,7 +56,7 @@ func TestEngineSimCrossCheck(t *testing.T) {
 					Schedule: &workload.ConstantSchedule{RatePerSecond: rate, Length: 60},
 					EmitCost: 20e-6,
 					Emit: func(ctx *sim.TaskContext, now float64) {
-						ctx.Emit(0, sim.Item{EmitTime: now, Size: 64, Sampled: ctx.Sample()})
+						ctx.Emit(0, &sim.Item{EmitTime: now, Size: 64, Sampled: ctx.Sample()})
 					},
 				},
 				SampleProbability: 0.5,
@@ -186,14 +186,14 @@ func (s crossServer) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 	return s.mean * (0.9 + 0.2*rng.Float64())
 }
 
-func (s crossServer) Process(ctx *sim.TaskContext, it sim.Item) { ctx.Emit(0, it) }
+func (s crossServer) Process(ctx *sim.TaskContext, it *sim.Item) { ctx.Emit(0, it) }
 
 // crossSink records end-to-end latency.
 type crossSink struct{ probe *sim.Probe }
 
 func (crossSink) ServiceTime(*rand.Rand, *sim.Item) float64 { return 1e-5 }
 
-func (s crossSink) Process(ctx *sim.TaskContext, it sim.Item) {
+func (s crossSink) Process(ctx *sim.TaskContext, it *sim.Item) {
 	if it.Sampled {
 		s.probe.Record(ctx.Now() - it.EmitTime)
 	}

@@ -121,7 +121,7 @@ func (b countingBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
 	return b.inner.ServiceTime(rng, it)
 }
 
-func (b countingBehavior) Process(ctx *sim.TaskContext, it sim.Item) {
+func (b countingBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	*b.n++
 	b.inner.Process(ctx, it)
 }

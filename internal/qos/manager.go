@@ -38,8 +38,20 @@ func (c *ManagerConfig) sanitize() {
 // taskHistory is the rolling window of recent interval reports for one
 // task.
 type taskHistory struct {
-	reports []TaskReport // ring, newest appended; len <= HistoryLength
+	reports []TaskReport // oldest first; len <= HistoryLength (see slide)
 	idle    int          // adjustment intervals without a non-empty report
+}
+
+// slide appends *r to a window of at most max reports, oldest first. A
+// full window shifts down in place, so the backing array its history
+// was created with serves it for life.
+func slide[R any](w []R, r *R, max int) []R {
+	if len(w) < max {
+		return append(w, *r)
+	}
+	copy(w, w[1:])
+	w[len(w)-1] = *r
+	return w
 }
 
 // channelHistory is the rolling window of recent interval reports for one
@@ -101,13 +113,10 @@ func (m *Manager) ReportTask(r TaskReport) {
 	}
 	h := m.tasks[r.Task]
 	if h == nil {
-		h = &taskHistory{}
+		h = &taskHistory{reports: make([]TaskReport, 0, m.cfg.HistoryLength)}
 		m.tasks[r.Task] = h
 	}
-	h.reports = append(h.reports, r)
-	if len(h.reports) > m.cfg.HistoryLength {
-		h.reports = h.reports[len(h.reports)-m.cfg.HistoryLength:]
-	}
+	h.reports = slide(h.reports, &r, m.cfg.HistoryLength)
 	h.idle = 0
 }
 
@@ -118,13 +127,10 @@ func (m *Manager) ReportChannel(r ChannelReport) {
 	}
 	h := m.channels[r.Channel]
 	if h == nil {
-		h = &channelHistory{id: r.Channel, key: r.Channel.String()}
+		h = &channelHistory{id: r.Channel, key: r.Channel.String(), reports: make([]ChannelReport, 0, m.cfg.HistoryLength)}
 		m.channels[r.Channel] = h
 	}
-	h.reports = append(h.reports, r)
-	if len(h.reports) > m.cfg.HistoryLength {
-		h.reports = h.reports[len(h.reports)-m.cfg.HistoryLength:]
-	}
+	h.reports = slide(h.reports, &r, m.cfg.HistoryLength)
 	h.idle = 0
 }
 
@@ -180,7 +186,8 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			samples        int64
 			taskContribute bool
 		)
-		for _, r := range h.reports {
+		for i := range h.reports {
+			r := &h.reports[i]
 			if r.TaskLatencyCount > 0 {
 				latSum += r.TaskLatencyMean
 				latN++
@@ -227,7 +234,8 @@ func (m *Manager) PartialSummary() *PartialSummary {
 		}
 		var latSum, latN, oblSum, oblN float64
 		var samples int64
-		for _, r := range h.reports {
+		for i := range h.reports {
+			r := &h.reports[i]
 			if r.LatencyCount > 0 {
 				latSum += r.LatencyMean
 				latN++

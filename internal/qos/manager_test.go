@@ -64,7 +64,7 @@ func TestChannelReporter(t *testing.T) {
 	if rep.BatchLatencyCount != 2 || !almostEqual(rep.BatchLatencyMean, 0.005, 1e-12) {
 		t.Errorf("batch latency: count=%d mean=%v", rep.BatchLatencyCount, rep.BatchLatencyMean)
 	}
-	if !r.Flush().Empty() {
+	if rep = r.Flush(); !rep.Empty() {
 		t.Error("second flush must be empty")
 	}
 }

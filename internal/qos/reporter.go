@@ -29,7 +29,7 @@ type TaskReport struct {
 }
 
 // Empty reports whether the interval carried no measurements at all.
-func (r TaskReport) Empty() bool {
+func (r *TaskReport) Empty() bool {
 	return r.TaskLatencyCount == 0 && r.ServiceCount == 0 && r.InterarrivalCount == 0
 }
 
@@ -46,7 +46,7 @@ type ChannelReport struct {
 }
 
 // Empty reports whether the interval carried no measurements.
-func (r ChannelReport) Empty() bool {
+func (r *ChannelReport) Empty() bool {
 	return r.LatencyCount == 0 && r.BatchLatencyCount == 0
 }
 
@@ -192,9 +192,16 @@ func (r *ChannelReporter) RecordTransfer(latency, batchLatency float64) {
 	}
 }
 
-// Flush emits the interval report and resets the accumulators.
-func (r *ChannelReporter) Flush() ChannelReport {
-	rep := ChannelReport{Channel: r.channel}
+// Flush emits the interval report and resets the accumulators. An idle
+// channel gets the zero report, which is Empty, without its id (two
+// strings) being copied in.
+func (r *ChannelReporter) Flush() (rep ChannelReport) {
+	ln, _, _ := r.latency.Peek()
+	bn, _, _ := r.batchLatency.Peek()
+	if ln == 0 && bn == 0 {
+		return rep
+	}
+	rep.Channel = r.channel
 	rep.LatencyCount, rep.LatencyMean, _ = r.latency.Snapshot()
 	rep.BatchLatencyCount, rep.BatchLatencyMean, _ = r.batchLatency.Snapshot()
 	return rep

@@ -53,3 +53,41 @@ func TestReporterTailFastPathAllocs(t *testing.T) {
 		t.Errorf("window-tracking reporter fast path allocates: %.2f allocs/record, want 0", allocs)
 	}
 }
+
+// TestManagerReportSteadyStateAllocFree pins the history windows: a task
+// or channel that keeps reporting reuses the window it was created with
+// (append-then-reslice walked the backing array forward and reallocated
+// every few reports, forever), an idle channel's Flush is Empty, and the
+// window still holds exactly the newest HistoryLength reports, oldest
+// first.
+func TestManagerReportSteadyStateAllocFree(t *testing.T) {
+	m := NewManager(ManagerConfig{HistoryLength: 3, EvictAfter: 10})
+	task := model.TaskID{Vertex: "v", Index: 0}
+	ch := model.ChannelID{Edge: model.EdgeKey{Source: "a", Target: "v"}}
+	cr := NewChannelReporter(ch)
+	n := 0.0
+	report := func() {
+		n++
+		m.ReportTask(TaskReport{Task: task, ServiceCount: 1, ServiceMean: n})
+		cr.RecordTransfer(n, n/2)
+		m.ReportChannel(cr.Flush())
+		m.ReportChannel(cr.Flush()) // idle by now
+	}
+	for i := 0; i < 3; i++ {
+		report()
+	}
+	if allocs := testing.AllocsPerRun(1000, report); allocs != 0 {
+		t.Errorf("steady-state reports allocate: %.2f allocs per interval, want 0", allocs)
+	}
+	if rep := cr.Flush(); !rep.Empty() || rep.Channel != (model.ChannelID{}) {
+		t.Errorf("idle flush = %+v, want the zero report", rep)
+	}
+	for i, r := range m.tasks[task].reports {
+		if want := n - 2 + float64(i); r.ServiceMean != want {
+			t.Errorf("task window[%d] = %v, want %v (newest three, oldest first)", i, r.ServiceMean, want)
+		}
+	}
+	if w := m.channels[ch].reports; len(w) != 3 || w[0].LatencyMean != n-2 || w[2].LatencyMean != n {
+		t.Errorf("channel window = %+v, want means %v..%v", w, n-2, n)
+	}
+}

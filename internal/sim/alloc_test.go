@@ -45,14 +45,16 @@ func allocsPerItem(t *testing.T, configure func(*Config)) float64 {
 }
 
 // TestSteadyStateAllocsPerItem pins the allocation-free hot path: with
-// pooled batches, typed events and per-task service slots, the simulator
-// must stay well under one allocation per item even counting setup and
-// per-row bookkeeping. The seed implementation sat near 19 allocs/item;
-// this guards against closures, boxing or per-item maps creeping back in.
+// pooled batches queued as they arrive, typed events, per-task service
+// slots and QoS history windows that shift in place, what is left is
+// setup and per-row bookkeeping — 0.09 allocs/item amortized over this
+// run's 24 000 items. The seed implementation sat near 19; this guards
+// against closures, boxing or per-item maps creeping back in.
 func TestSteadyStateAllocsPerItem(t *testing.T) {
 	perItem := allocsPerItem(t, nil)
-	if perItem > 0.5 {
-		t.Errorf("steady-state allocations: %.3f allocs/item, want ≤ 0.5", perItem)
+	t.Logf("%.4f allocs/item", perItem)
+	if perItem > 0.15 {
+		t.Errorf("steady-state allocations: %.3f allocs/item, want ≤ 0.15", perItem)
 	}
 }
 
@@ -91,7 +93,7 @@ func TestObsDisabledTelemetryAddsNoAllocs(t *testing.T) {
 // TestObsEnabledTelemetryAllocsBounded keeps the enabled plane honest:
 // per-item recording reuses pre-allocated rings, so the only allocation
 // growth is the per-adjustment-interval scrape, which must amortize far
-// below the simulator's 0.5 allocs/item budget on this workload.
+// below one allocation per item on this workload.
 func TestObsEnabledTelemetryAllocsBounded(t *testing.T) {
 	base := allocsPerItem(t, nil)
 	withTel := allocsPerItem(t, func(cfg *Config) {

@@ -253,14 +253,3 @@ func dataItems(batch []Item) int64 {
 	}
 	return n
 }
-
-// queueDataItems counts the non-barrier items queued at t.
-func (t *simTask) queueDataItems() int64 {
-	n := int64(0)
-	for i := t.qHead; i < len(t.queue); i++ {
-		if t.queue[i].barrier == 0 {
-			n++
-		}
-	}
-	return n
-}

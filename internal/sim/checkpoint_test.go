@@ -19,7 +19,7 @@ type countingSink struct {
 
 func (b *countingSink) ServiceTime(_ *rand.Rand, _ *Item) float64 { return 1e-9 }
 
-func (b *countingSink) Process(ctx *TaskContext, it Item) {
+func (b *countingSink) Process(ctx *TaskContext, it *Item) {
 	*b.count++
 	if b.probe != nil && it.Sampled {
 		b.probe.Record(ctx.Now() - it.EmitTime)
@@ -246,7 +246,7 @@ type statefulServer struct {
 	first, last float64
 }
 
-func (b *statefulServer) Process(ctx *TaskContext, it Item) {
+func (b *statefulServer) Process(ctx *TaskContext, it *Item) {
 	if b.seen == 0 {
 		b.first = ctx.Now()
 	}

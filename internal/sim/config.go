@@ -80,13 +80,16 @@ func DefaultCostModel() CostModel {
 
 // Behavior is the simulated stand-in for a task's UDF: it supplies the
 // per-item service time and produces output items. One Behavior instance
-// exists per task, so implementations may keep per-task state.
+// exists per task, so implementations may keep per-task state. Both
+// methods see the item in the task's service slot: the pointer is valid
+// for the call only — a behavior may rewrite the item and emit it, but
+// copies whatever it keeps.
 type Behavior interface {
 	// ServiceTime returns the CPU seconds the task spends on the item.
 	ServiceTime(rng *rand.Rand, it *Item) float64
 	// Process handles the item and emits results via ctx.Emit. It runs at
 	// service completion time.
-	Process(ctx *TaskContext, it Item)
+	Process(ctx *TaskContext, it *Item)
 }
 
 // TimerBehavior is implemented by window-style behaviors that emit on a

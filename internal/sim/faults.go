@@ -224,9 +224,10 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 
 	// Queued input dies with the task (barrier markers are control
 	// traffic, not lost records).
-	s.killedItems += t.queueDataItems()
-	t.queue = nil
-	t.qHead = 0
+	s.killedItems += t.queue.dataItems()
+	for _, b := range t.queue.drain() {
+		s.recycleBatch(b)
+	}
 
 	// Inbound channels: stalled batches die, their producers unblock and
 	// resume; the channel leaves the producer's routing and stops

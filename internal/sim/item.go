@@ -3,7 +3,8 @@ package sim
 import "nephelix/internal/obs"
 
 // Item is one simulated data item flowing through the runtime graph.
-// Items are passed by value in batches to keep allocation low.
+// An item is written once, into its producer's gate buffer; the buffer's
+// array then travels to the consumer, which reads the item in place.
 type Item struct {
 	// EmitTime is the virtual time the item (or its oldest ancestor)
 	// entered the constrained sequence at a source; end-to-end latency
@@ -58,3 +59,9 @@ type Item struct {
 	// the traced queue wait is measured from it.
 	arrive float64
 }
+
+// release drops the references an item slot holds (Origins, the trace
+// span, the delivering channel) once its item has moved on, so a slot
+// awaiting reuse pins nothing; the scalar fields are left to be
+// overwritten.
+func (it *Item) release() { it.Origins, it.src, it.span = nil, nil, nil }

@@ -1,10 +1,11 @@
 package sim
 
 // Batch slice pooling: every flush detaches the gate buffer's []Item as
-// the in-flight batch, and every consumed (or dropped) batch returns its
-// backing array to a per-Sim free list. In steady state a run cycles a
-// small working set of slices instead of allocating one per flush. The
-// Sim is single-threaded, so the free list needs no locking.
+// the in-flight batch, the consumer queues that same array, and it
+// returns to a per-Sim free list when its last item has been popped (or
+// the batch is dropped). In steady state a run cycles a small working
+// set of slices instead of allocating one per flush. The Sim is
+// single-threaded, so the free list needs no locking.
 
 // maxPooledBatches bounds the free list so a transient backpressure
 // spike (many stalled batches released at once) cannot pin an arbitrary
@@ -24,17 +25,20 @@ func (s *Sim) getBatch() []Item {
 	return nil
 }
 
-// recycleBatch returns a fully consumed batch to the free list. Items
-// are cleared first so recycled capacity does not pin Origins slices,
-// trace spans or channel references.
+// recycleBatch returns a dropped batch to the free list. Its items are
+// released first so recycled capacity does not pin Origins slices, trace
+// spans or channel references.
 func (s *Sim) recycleBatch(b []Item) {
-	if cap(b) == 0 {
-		return
-	}
 	for i := range b {
-		b[i] = Item{}
+		b[i].release()
 	}
-	if len(s.batchPool) >= maxPooledBatches {
+	s.poolBatch(b)
+}
+
+// poolBatch puts an array whose every slot has been released on the free
+// list.
+func (s *Sim) poolBatch(b []Item) {
+	if cap(b) == 0 || len(s.batchPool) >= maxPooledBatches {
 		return
 	}
 	s.batchPool = append(s.batchPool, b[:0])

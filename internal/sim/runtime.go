@@ -96,9 +96,8 @@ type simTask struct {
 	behavior Behavior
 	ctx      TaskContext
 
-	// queue is the input queue (ring via head index).
-	queue []Item
-	qHead int
+	// queue is the input queue, counted in items.
+	queue taskQueue
 
 	busy     bool
 	draining bool
@@ -167,22 +166,21 @@ type simTask struct {
 	busyAccum float64
 }
 
-// queueLen returns the current input queue length.
-func (t *simTask) queueLen() int { return len(t.queue) - t.qHead }
+// queueLen returns the current input queue length in items.
+func (t *simTask) queueLen() int { return t.queue.n }
 
-// popQueue moves the oldest queued item into *dst.
-func (t *simTask) popQueue(dst *Item) {
-	head := &t.queue[t.qHead]
-	if head.src != nil {
-		head.src.popped++
+// popQueue takes the oldest item off t's queue, copying it into *dst
+// unless dst is nil. The slot it lay in drops its references at once; the
+// array goes back to the pool with its last item.
+func (s *Sim) popQueue(t *simTask, dst *Item) {
+	head := t.queue.peek()
+	head.src.popped++
+	if dst != nil {
+		*dst = *head
 	}
-	*dst = *head
-	*head = Item{} // release Origins references
-	t.qHead++
-	if t.qHead > 1024 && t.qHead*2 >= len(t.queue) {
-		n := copy(t.queue, t.queue[t.qHead:])
-		t.queue = t.queue[:n]
-		t.qHead = 0
+	head.release()
+	if b := t.queue.advance(); b != nil {
+		s.poolBatch(b)
 	}
 }
 
@@ -206,9 +204,11 @@ func (c *TaskContext) Parallelism() int { return len(c.t.vtx.tasks) }
 
 // Emit sends an item along the task's edgeIdx-th outgoing job edge
 // (ordered as in JobGraph.OutEdges). The wiring pattern of the edge
-// selects the consumer(s).
-func (c *TaskContext) Emit(edgeIdx int, it Item) {
-	c.s.emit(c.t, edgeIdx, &it)
+// selects the consumer(s). Emit stamps *it (buffer time, lineage, span)
+// and copies it into the gate buffer — the item's one write; nothing
+// keeps the pointer, so the caller may emit the item again or reuse it.
+func (c *TaskContext) Emit(edgeIdx int, it *Item) {
+	c.s.emit(c.t, edgeIdx, it)
 }
 
 // OutEdges returns the number of outgoing job edges.
@@ -398,12 +398,11 @@ func (s *Sim) acceptBatch(ch *simChannel, batch []Item) {
 			to.reporter.RecordArrival(s.now)
 		}
 	}
-	to.queue = append(to.queue, batch...)
+	to.queue.push(batch) // the array itself: popQueue returns it to the pool
 	ch.accepted += int64(len(batch))
 	if occ := ch.accepted - ch.popped; occ > ch.highWater {
 		ch.highWater = occ
 	}
-	s.recycleBatch(batch) // items copied into the queue; reuse the array
 	s.maybeStart(to)
 }
 
@@ -472,10 +471,10 @@ func (s *Sim) maybeStart(t *simTask) {
 	// Barrier markers at the queue head are consumed by the alignment
 	// logic at zero service cost; every pre-barrier item of the
 	// barrier's producer was queued — and therefore serviced — first.
-	for t.queueLen() > 0 && t.queue[t.qHead].barrier != 0 {
-		var it Item
-		t.popQueue(&it)
-		s.handleBarrier(t, it.barrier)
+	for t.queueLen() > 0 && t.queue.peek().barrier != 0 {
+		id := t.queue.peek().barrier
+		s.popQueue(t, nil)
+		s.handleBarrier(t, id)
 		if t.busy || t.disposed || t.blockedOut > 0 {
 			return
 		}
@@ -490,8 +489,8 @@ func (s *Sim) maybeStart(t *simTask) {
 	// passing a pointer to a stack local through the interface would
 	// force a per-item heap allocation.
 	it := &t.svcItem
-	t.popQueue(it)
-	if it.src != nil && it.src.reporter != nil {
+	s.popQueue(t, it)
+	if it.src.reporter != nil {
 		it.src.reporter.RecordTransfer(s.now-it.BufferTime, it.ShipTime-it.BufferTime)
 	}
 	st := t.behavior.ServiceTime(s.rng, it) + t.pendingOverhead
@@ -522,7 +521,7 @@ func (s *Sim) serviceDone(t *simTask) {
 	if t.disposed {
 		// The task was killed mid-service; the in-progress item dies
 		// with it.
-		*it = Item{}
+		it.release()
 		s.killedItems++
 		return
 	}
@@ -560,17 +559,17 @@ func (s *Sim) serviceDone(t *simTask) {
 		// suppression (skipping Process) only under exactly-once.
 		s.cfg.Telemetry.AddDeduped(s.now, 1)
 		if s.guar.suppress {
-			*it = Item{}
+			it.release()
 			s.maybeStart(t)
 			return
 		}
 	}
 	t.curSrc, t.curOff = it.Src, it.Offset
 	t.curSpan = it.span
-	// Process's by-value parameter is the one copy. Nothing it can reach
-	// starts a service on t, so the slot is released after the call.
-	t.behavior.Process(&t.ctx, *it)
-	*it = Item{}
+	// Process reads the service slot in place. Nothing it can reach starts
+	// a service on t, so the slot is released after the call.
+	t.behavior.Process(&t.ctx, it)
+	it.release()
 	t.curSpan = nil
 	t.curSrc, t.curOff = 0, 0
 	s.maybeStart(t)

@@ -19,7 +19,7 @@ type keyTracker struct {
 
 func (k *keyTracker) ServiceTime(*rand.Rand, *Item) float64 { return 1e-4 }
 
-func (k *keyTracker) Process(ctx *TaskContext, it Item) {
+func (k *keyTracker) Process(ctx *TaskContext, it *Item) {
 	if prev, ok := k.owners[it.Key]; ok && prev != ctx.TaskIndex() {
 		*k.bad++
 	}
@@ -45,7 +45,7 @@ func TestSimKeyBasedRouting(t *testing.T) {
 	n := uint64(0)
 	cfg.Vertices["src"].Source.Emit = func(ctx *TaskContext, now float64) {
 		n++
-		ctx.Emit(0, Item{EmitTime: now, Size: 64, Key: n % 32})
+		ctx.Emit(0, &Item{EmitTime: now, Size: 64, Key: n % 32})
 	}
 	cfg.Graph.Edge(model.EdgeKey{Source: "src", Target: "server"}).Pattern = model.PatternKeyBased
 	s, err := New(cfg, probes)
@@ -271,7 +271,7 @@ func TestSimElasticSourceVertex(t *testing.T) {
 				Schedule: &workload.ConstantSchedule{RatePerSecond: 200, Length: 90},
 				EmitCost: 1e-5,
 				Emit: func(ctx *TaskContext, now float64) {
-					ctx.Emit(0, Item{EmitTime: now, Size: 64, Sampled: ctx.Sample()})
+					ctx.Emit(0, &Item{EmitTime: now, Size: 64, Sampled: ctx.Sample()})
 				},
 			}},
 			"server": {NewBehavior: func(int) Behavior { return &testServer{mean: 0.002} }},

@@ -27,7 +27,7 @@ func (b *testServer) ServiceTime(rng *rand.Rand, _ *Item) float64 {
 	return b.mean
 }
 
-func (b *testServer) Process(ctx *TaskContext, it Item) {
+func (b *testServer) Process(ctx *TaskContext, it *Item) {
 	if ctx.OutEdges() > 0 {
 		ctx.Emit(0, it)
 		return
@@ -45,12 +45,12 @@ func lightCosts() CostModel {
 
 // pipelineConfig builds src(1) -> server(p) -> sink(1) with the given
 // service behavior and schedule.
-func pipelineConfig(t *testing.T, probes *ProbeSet, sched workload.Schedule, poisson bool, serverP int, newServer func(int) Behavior) Config {
+func pipelineConfig(t testing.TB, probes *ProbeSet, sched workload.Schedule, poisson bool, serverP int, newServer func(int) Behavior) Config {
 	t.Helper()
 	g := model.NewJobGraph()
 	for _, v := range []model.JobVertex{
 		{Name: "src", Parallelism: 1},
-		{Name: "server", Parallelism: serverP, MinParallelism: 1, MaxParallelism: 64},
+		{Name: "server", Parallelism: serverP, MinParallelism: 1, MaxParallelism: max(64, serverP)},
 		{Name: "sink", Parallelism: 1},
 	} {
 		if err := g.AddVertex(v); err != nil {
@@ -73,7 +73,7 @@ func pipelineConfig(t *testing.T, probes *ProbeSet, sched workload.Schedule, poi
 					EmitCost: 1e-9,
 					Poisson:  poisson,
 					Emit: func(ctx *TaskContext, now float64) {
-						ctx.Emit(0, Item{EmitTime: now, Size: 64, Sampled: ctx.Sample()})
+						ctx.Emit(0, &Item{EmitTime: now, Size: 64, Sampled: ctx.Sample()})
 					},
 				},
 				SampleProbability: 1,
@@ -374,7 +374,7 @@ type windowCollector struct {
 
 func (w *windowCollector) ServiceTime(*rand.Rand, *Item) float64 { return 1e-6 }
 
-func (w *windowCollector) Process(_ *TaskContext, it Item) {
+func (w *windowCollector) Process(_ *TaskContext, it *Item) {
 	w.count++
 }
 
@@ -387,7 +387,7 @@ func (w *windowCollector) OnTimer(ctx *TaskContext) {
 	out := Item{EmitTime: ctx.Now(), Size: 128}
 	w.count = 0
 	if ctx.OutEdges() > 0 {
-		ctx.Emit(0, out)
+		ctx.Emit(0, &out)
 	}
 }
 
@@ -418,12 +418,12 @@ func TestSimTimerBehavior(t *testing.T) {
 				Schedule: &workload.ConstantSchedule{RatePerSecond: 100, Length: 30},
 				EmitCost: 1e-9,
 				Emit: func(ctx *TaskContext, now float64) {
-					ctx.Emit(0, Item{EmitTime: now, Size: 64})
+					ctx.Emit(0, &Item{EmitTime: now, Size: 64})
 				},
 			}},
 			"win": {NewBehavior: func(int) Behavior { return &windowCollector{} }},
 			"sink": {NewBehavior: func(int) Behavior {
-				return behaviorFunc(func(ctx *TaskContext, it Item) {
+				return behaviorFunc(func(ctx *TaskContext, it *Item) {
 					receivedWindows++
 					sink.Record(ctx.Now() - it.EmitTime)
 				})
@@ -453,7 +453,7 @@ func TestSimTimerBehavior(t *testing.T) {
 
 // behaviorFunc adapts a function to the Behavior interface (fixed tiny
 // service time).
-type behaviorFunc func(ctx *TaskContext, it Item)
+type behaviorFunc func(ctx *TaskContext, it *Item)
 
 func (behaviorFunc) ServiceTime(*rand.Rand, *Item) float64 { return 1e-6 }
-func (f behaviorFunc) Process(ctx *TaskContext, it Item)   { f(ctx, it) }
+func (f behaviorFunc) Process(ctx *TaskContext, it *Item)  { f(ctx, it) }
