@@ -175,7 +175,7 @@ const (
 type hotTopicsBehavior struct {
 	window   float64
 	k        int
-	counts   map[uint64]int
+	counts   topicCounts
 	payloads *topicListPayloads
 	// origins collects sampled tweet emit times for read-write sequence
 	// latency probing across the aggregation.
@@ -185,26 +185,32 @@ type hotTopicsBehavior struct {
 
 var _ sim.TimerBehavior = (*hotTopicsBehavior)(nil)
 
+// maxOrigins caps the sampled emit times one window's list carries.
+const maxOrigins = 32
+
 func (b *hotTopicsBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 	return htServicePerTweet * (0.7 + 0.6*rng.Float64())
 }
 
 func (b *hotTopicsBehavior) Process(_ *sim.TaskContext, it *sim.Item) {
-	b.counts[it.Key]++
-	if it.Sampled && len(b.origins) < 32 {
+	b.counts.add(it.Key)
+	if it.Sampled && len(b.origins) < maxOrigins {
+		if b.origins == nil {
+			b.origins = make([]float64, 0, 8) // a typical window's samples; leaves with its list item
+		}
 		b.origins = append(b.origins, it.EmitTime)
 	}
 }
 
 func (b *hotTopicsBehavior) TimerInterval() float64 { return b.window }
 
-// OnTimer emits the partial hot-topic list. Top-k extraction is modeled
-// by keeping the counts map bounded; the list item carries the top keys.
+// OnTimer emits the partial hot-topic list: the item carries the top
+// keys of the window's counts.
 func (b *hotTopicsBehavior) OnTimer(ctx *sim.TaskContext) {
-	if len(b.counts) == 0 {
+	if len(b.counts.seen) == 0 {
 		return
 	}
-	top := topKKeys(b.counts, b.k, &b.scratch)
+	top := b.counts.top(b.k, &b.scratch)
 	it := sim.Item{
 		EmitTime: ctx.Now(),
 		Size:     topicListBytes,
@@ -213,7 +219,7 @@ func (b *hotTopicsBehavior) OnTimer(ctx *sim.TaskContext) {
 		Sampled:  len(b.origins) > 0,
 	}
 	it.Key = b.payloads.put(top)
-	clear(b.counts)
+	b.counts.reset()
 	b.origins = nil
 	ctx.Emit(0, &it)
 }
@@ -252,14 +258,52 @@ func (p *topicListPayloads) get(token uint64) []uint64 {
 	return p.lists[token]
 }
 
+// maxTopics bounds topic ids: per-topic state is indexed by them. A
+// replayed tweet tagged beyond it counts as untagged.
+const maxTopics = 1 << 20
+
+// topicCounts counts tweets per topic over one window: indexed by topic
+// (grown for a replayed trace's stray one), with the topics it has seen
+// listed, so a window costs what it saw.
+type topicCounts struct {
+	n    []int
+	seen []uint64 // topics with n > 0
+}
+
+func (c *topicCounts) add(topic uint64) {
+	if topic >= uint64(len(c.n)) {
+		c.n = append(c.n, make([]int, topic+1-uint64(len(c.n)))...)
+	}
+	if c.n[topic] == 0 {
+		c.seen = append(c.seen, topic)
+	}
+	c.n[topic]++
+}
+
+// top returns the k most counted topics (see topK).
+func (c *topicCounts) top(k int, scratch *[]topicWeight[int]) []uint64 {
+	all := (*scratch)[:0]
+	for _, topic := range c.seen {
+		all = append(all, topicWeight[int]{topic, c.n[topic]})
+	}
+	*scratch = all
+	return topK(all, k)
+}
+
+func (c *topicCounts) reset() {
+	for _, topic := range c.seen {
+		c.n[topic] = 0
+	}
+	c.seen = c.seen[:0]
+}
+
 // topicWeight is one ranking candidate of topKKeys.
 type topicWeight[N int | float64] struct {
 	key uint64
 	n   N
 }
 
-// topKKeys returns the k highest-weight keys, ties broken by key (so map
-// iteration order never shows), in a fresh slice; *scratch is the
+// topKKeys returns the k highest-weight keys of a map; *scratch is the
 // caller's reusable candidate buffer.
 func topKKeys[N int | float64](counts map[uint64]N, k int, scratch *[]topicWeight[N]) []uint64 {
 	all := (*scratch)[:0]
@@ -267,6 +311,13 @@ func topKKeys[N int | float64](counts map[uint64]N, k int, scratch *[]topicWeigh
 		all = append(all, topicWeight[N]{key, n})
 	}
 	*scratch = all
+	return topK(all, k)
+}
+
+// topK returns the keys of the k highest-weight candidates, ties broken
+// by key (so the candidates' order never shows), in a fresh slice. It
+// reorders all.
+func topK[N int | float64](all []topicWeight[N], k int) []uint64 {
 	// Partial selection sort: k is small (10).
 	if k > len(all) {
 		k = len(all)
@@ -342,7 +393,7 @@ func (b *mergerBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 // It terminates constraint (1) — list items record their origins'
 // latency here.
 type filterBehavior struct {
-	hot      map[uint64]struct{}
+	hot      []bool // by topic
 	payloads *topicListPayloads
 	probeHot *sim.Probe
 }
@@ -358,16 +409,19 @@ func (b *filterBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
 
 func (b *filterBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 	if it.Kind == kindTopicList {
-		clear(b.hot) // membership only, never iterated: refilling is the same set
+		clear(b.hot)
 		for _, key := range b.payloads.get(it.Key) {
-			b.hot[key] = struct{}{}
+			if key >= uint64(len(b.hot)) {
+				b.hot = append(b.hot, make([]bool, key+1-uint64(len(b.hot)))...)
+			}
+			b.hot[key] = true
 		}
 		for _, origin := range it.Origins {
 			b.probeHot.Record(ctx.Now() - origin)
 		}
 		return
 	}
-	if _, ok := b.hot[it.Key]; ok {
+	if it.Key < uint64(len(b.hot)) && b.hot[it.Key] {
 		ctx.Emit(0, it)
 	}
 }
@@ -505,8 +559,20 @@ func BuildTwitterSentiment(opts TwitterSentimentOptions) (sim.Config, *sim.Probe
 		{Name: "constraint-2", Sequence: seq2, Bound: opts.Bound2, Window: 10 * time.Second, Quantile: opts.ConstraintQuantile},
 	}
 
+	// Topic ids are dense — below Topics, or a burst's — so the per-topic
+	// state of the HotTopics and Filter tasks is indexed, not hashed, and
+	// sized here once.
+	topicSpan := opts.Topics
 	var sched workload.Schedule = opts.Schedule
 	emit := newTweetEmitter(opts.Schedule, opts.Topics, opts.Seed+1000)
+	if opts.Replay == nil {
+		for _, b := range opts.Schedule.Bursts {
+			if b.Topic < 0 || b.Topic >= maxTopics {
+				return sim.Config{}, nil, fmt.Errorf("apps: burst topic %d outside [0, %d)", b.Topic, maxTopics)
+			}
+			topicSpan = max(topicSpan, b.Topic+1)
+		}
+	}
 	if opts.Replay != nil {
 		sched = opts.Replay
 		emit = newReplayEmitter(opts.Replay)
@@ -524,13 +590,13 @@ func BuildTwitterSentiment(opts TwitterSentimentOptions) (sim.Config, *sim.Probe
 				SampleProbability: opts.SampleProbability,
 			},
 			TSHotTopics: {NewBehavior: func(int) sim.Behavior {
-				return &hotTopicsBehavior{window: opts.WindowSeconds, k: opts.HotK, counts: make(map[uint64]int), payloads: payloads}
+				return &hotTopicsBehavior{window: opts.WindowSeconds, k: opts.HotK, counts: topicCounts{n: make([]int, topicSpan)}, payloads: payloads}
 			}},
 			TSTopicsMerger: {NewBehavior: func(int) sim.Behavior {
 				return &mergerBehavior{k: opts.HotK, counts: make(map[uint64]float64), payloads: payloads}
 			}},
 			TSFilter: {NewBehavior: func(int) sim.Behavior {
-				return &filterBehavior{hot: make(map[uint64]struct{}), payloads: payloads, probeHot: probeHot}
+				return &filterBehavior{hot: make([]bool, topicSpan), payloads: payloads, probeHot: probeHot}
 			}},
 			TSSentiment: {NewBehavior: func(int) sim.Behavior { return sentimentBehavior{} }},
 			TSSink:      {NewBehavior: func(int) sim.Behavior { return &sinkBehavior{probe: probeSent} }},
@@ -563,7 +629,7 @@ func newReplayEmitter(replay *workload.TweetReplay) sim.SourceFunc {
 		tw := replay.Next()
 		topic := uint64(0)
 		if len(tw.Topics) > 0 {
-			if idx, ok := workload.TopicIndex(tw.Topics[0]); ok {
+			if idx, ok := workload.TopicIndex(tw.Topics[0]); ok && idx >= 0 && idx < maxTopics {
 				topic = uint64(idx)
 			}
 		}
@@ -587,7 +653,7 @@ func newTweetEmitter(sched *workload.DiurnalSchedule, topics int, seed int64) si
 	zipf := rand.NewZipf(zipfRng, 1.2, 1, uint64(topics-1))
 	return func(ctx *sim.TaskContext, now float64) {
 		topic := zipf.Uint64()
-		if burstTopic, w := sched.BurstWeight(now); w > 0 && ctx.Rand().Float64() < w {
+		if burstTopic, w := sched.BurstWeightOf(now, ctx.EmitRate()); w > 0 && ctx.Rand().Float64() < w {
 			topic = uint64(burstTopic)
 		}
 		sampled := ctx.Sample()

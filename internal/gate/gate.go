@@ -66,6 +66,8 @@ type Batch[C comparable, R, T any] struct {
 	To     []C
 	Recs   []R
 	Oldest T
+	// Weight is the sum of the weights Recs were pushed with.
+	Weight int
 }
 
 // snapshot is one immutable consumer list; its address is the
@@ -186,7 +188,7 @@ func (g *Gate[C, R, T, D]) observe(set *snapshot[C]) (v Verdict) {
 		if j := slices.Index(set.consumers, old[i]); j >= 0 {
 			next[j] = s
 		} else if len(s.recs) > 0 {
-			g.stranded = append(g.stranded, Batch[C, R, T]{To: old[i : i+1 : i+1], Recs: s.recs, Oldest: s.oldest})
+			g.stranded = append(g.stranded, Batch[C, R, T]{To: old[i : i+1 : i+1], Recs: s.recs, Oldest: s.oldest, Weight: s.weight})
 			v = Churn
 		}
 	}
@@ -260,7 +262,7 @@ func (g *Gate[C, R, T, D]) NonEmpty() []int {
 // set, and installs fresh as the slot's empty buffer.
 func (g *Gate[C, R, T, D]) Take(k int, fresh []R) Batch[C, R, T] {
 	s := &g.slots[k]
-	b := Batch[C, R, T]{Recs: s.recs, Oldest: s.oldest}
+	b := Batch[C, R, T]{Recs: s.recs, Oldest: s.oldest, Weight: s.weight}
 	s.recs, s.weight = fresh[:0], 0
 	cons := g.seen.consumers
 	switch {

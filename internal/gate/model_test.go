@@ -111,8 +111,9 @@ func (h *harness) take(k int) {
 	for _, r := range b.Recs {
 		got = append(got, r.id)
 	}
-	if !slices.Equal(got, mb.ids) || b.Oldest != mb.oldest {
-		h.t.Fatalf("slot %d: took %v aged %d, model has %v aged %d", k, got, b.Oldest, mb.ids, mb.oldest)
+	if !slices.Equal(got, mb.ids) || b.Oldest != mb.oldest || b.Weight != mb.weight {
+		h.t.Fatalf("slot %d: took %v aged %d weighing %d, model has %v aged %d weighing %d",
+			k, got, b.Oldest, b.Weight, mb.ids, mb.oldest, mb.weight)
 	}
 	delete(h.bufs, own)
 	switch {
@@ -156,8 +157,8 @@ func (h *harness) settle() {
 	for _, b := range h.g.Stranded() {
 		own := b.To[0]
 		mb := h.bufs[own]
-		if slices.Contains(h.observed, own) || mb == nil || len(mb.ids) != len(b.Recs) {
-			h.t.Fatalf("stranded buffer of %d (%d records): observed %v, model %v", own, len(b.Recs), h.observed, mb)
+		if slices.Contains(h.observed, own) || mb == nil || len(mb.ids) != len(b.Recs) || mb.weight != b.Weight {
+			h.t.Fatalf("stranded buffer of %d (%d records weighing %d): observed %v, model %v", own, len(b.Recs), b.Weight, h.observed, mb)
 		}
 		delete(h.bufs, own)
 		if h.handBack {

@@ -46,7 +46,11 @@ type Sketch struct {
 	zero   uint64   // observations in [0, minIndexedValue)
 	count  uint64   // total observations, including the zero bucket
 	offset int      // bucket index of store[0]
-	store  []uint64 // dense bucket counts
+	store  []uint64 // dense bucket counts: the window of buckets offset..offset+len-1
+	// lo..hi are the lowest and highest bucket with a count (lo > hi when
+	// there is none): readers, Merge and Reset touch only that span of
+	// the window, which Reset keeps.
+	lo, hi int
 }
 
 // New returns a sketch with relative accuracy alpha (0 < alpha < 1);
@@ -60,6 +64,8 @@ func New(alpha float64) *Sketch {
 		alpha:       alpha,
 		gamma:       gamma,
 		invLogGamma: 1 / math.Log(gamma),
+		lo:          math.MaxInt,
+		hi:          math.MinInt,
 	}
 }
 
@@ -100,6 +106,32 @@ func (s *Sketch) AddN(v float64, n uint64) {
 	s.bump(s.index(v), n)
 }
 
+// AddAll records v once in each sketch. Sketches of the first one's α —
+// the usual case: one stream feeding an interval, a run and a window
+// sketch — share one bucket lookup, the logarithm being most of what Add
+// costs.
+func AddAll(v float64, sketches ...*Sketch) {
+	if len(sketches) == 0 || math.IsNaN(v) {
+		return
+	}
+	first, i := sketches[0], 0
+	if v >= minIndexedValue {
+		i = first.index(v)
+	}
+	for _, s := range sketches {
+		switch {
+		case s.alpha != first.alpha:
+			s.AddN(v, 1)
+		case v < minIndexedValue:
+			s.count++
+			s.zero++
+		default:
+			s.count++
+			s.bump(i, 1)
+		}
+	}
+}
+
 // index maps a value ≥ minIndexedValue to its bucket: the unique i with
 // γ^(i−1) < v ≤ γ^i.
 func (s *Sketch) index(v float64) int {
@@ -113,41 +145,45 @@ func (s *Sketch) value(i int) float64 {
 	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
 }
 
-// bump adds n to bucket i, growing the dense store as needed. Growth
-// doubles capacity so steady-state recording is allocation-free once
-// the observed value range stabilizes.
+// bump adds n > 0 to bucket i.
 func (s *Sketch) bump(i int, n uint64) {
+	if i < s.offset || i >= s.offset+len(s.store) {
+		s.cover(i, i)
+	}
+	s.store[i-s.offset] += n
+	if i < s.lo {
+		s.lo = i
+	}
+	if i > s.hi {
+		s.hi = i
+	}
+}
+
+// cover makes the window span buckets lo..hi, keeping what it holds.
+// Growth doubles capacity, and Reset keeps the window, so recording is
+// allocation- and shift-free once the observed value range stabilizes.
+func (s *Sketch) cover(lo, hi int) {
 	if len(s.store) == 0 {
-		if cap(s.store) == 0 {
-			s.store = make([]uint64, 1, 32)
-		} else {
-			s.store = s.store[:1]
-		}
-		s.offset = i
-		s.store[0] = n
+		need := hi - lo + 1
+		s.store, s.offset = make([]uint64, need, nextCap(need)), lo
 		return
 	}
-	if i < s.offset {
-		grow := s.offset - i
+	if lo < s.offset {
+		grow := s.offset - lo
 		if grow <= cap(s.store)-len(s.store) {
 			s.store = s.store[:len(s.store)+grow]
 			copy(s.store[grow:], s.store[:len(s.store)-grow])
-			for j := 0; j < grow; j++ {
-				s.store[j] = 0
-			}
+			clear(s.store[:grow])
 		} else {
 			ns := make([]uint64, len(s.store)+grow, nextCap(len(s.store)+grow))
 			copy(ns[grow:], s.store)
 			s.store = ns
 		}
-		s.offset = i
-	} else if i >= s.offset+len(s.store) {
-		need := i - s.offset + 1
+		s.offset = lo
+	}
+	if need := hi - s.offset + 1; need > len(s.store) {
 		if need <= cap(s.store) {
-			tail := s.store[len(s.store):need]
-			for j := range tail {
-				tail[j] = 0
-			}
+			clear(s.store[len(s.store):need])
 			s.store = s.store[:need]
 		} else {
 			ns := make([]uint64, need, nextCap(need))
@@ -155,7 +191,6 @@ func (s *Sketch) bump(i int, n uint64) {
 			s.store = ns
 		}
 	}
-	s.store[i-s.offset] += n
 }
 
 // nextCap doubles from the minimum required capacity, floored at 32.
@@ -179,15 +214,16 @@ func (s *Sketch) Quantile(q float64) float64 {
 		return 0
 	}
 	cum := s.zero
-	for j, c := range s.store {
+	buckets, first := s.trimmed()
+	for j, c := range buckets {
 		cum += c
 		if cum >= rank {
-			return s.value(s.offset + j)
+			return s.value(first + j)
 		}
 	}
 	// Unreachable when counts are consistent; fall back to the top
 	// bucket.
-	return s.value(s.offset + len(s.store) - 1)
+	return s.value(s.hi)
 }
 
 // CountAbove returns the number of observations recorded in buckets
@@ -199,11 +235,12 @@ func (s *Sketch) CountAbove(x float64) uint64 {
 		return 0
 	}
 	var n uint64
-	for j := len(s.store) - 1; j >= 0; j-- {
-		if s.value(s.offset+j) <= x {
+	buckets, first := s.trimmed()
+	for j := len(buckets) - 1; j >= 0; j-- {
+		if s.value(first+j) <= x {
 			break
 		}
-		n += s.store[j]
+		n += buckets[j]
 	}
 	return n
 }
@@ -216,9 +253,10 @@ func (s *Sketch) Sum() float64 {
 		return 0
 	}
 	sum := 0.0
-	for j, c := range s.store {
+	buckets, first := s.trimmed()
+	for j, c := range buckets {
 		if c > 0 {
-			sum += float64(c) * s.value(s.offset+j)
+			sum += float64(c) * s.value(first+j)
 		}
 	}
 	return sum
@@ -242,23 +280,27 @@ func (s *Sketch) Merge(o *Sketch) {
 	if s == nil || o == nil || o.count == 0 {
 		return
 	}
+	buckets, first := o.trimmed()
 	if o.alpha != s.alpha {
 		s.count += o.zero
 		s.zero += o.zero
-		for j, c := range o.store {
+		for j, c := range buckets {
 			if c > 0 {
 				s.count += c
-				s.bump(s.index(o.value(o.offset+j)), c)
+				s.bump(s.index(o.value(first+j)), c)
 			}
 		}
 		return
 	}
 	s.count += o.count
 	s.zero += o.zero
-	for j, c := range o.store {
-		if c > 0 {
-			s.bump(o.offset+j, c)
+	if len(buckets) > 0 {
+		s.cover(o.lo, o.hi)
+		dst := s.store[first-s.offset:]
+		for j, c := range buckets {
+			dst[j] += c
 		}
+		s.lo, s.hi = min(s.lo, o.lo), max(s.hi, o.hi)
 	}
 }
 
@@ -272,31 +314,29 @@ func (s *Sketch) Clone() *Sketch {
 	return &c
 }
 
-// Reset discards all observations, keeping the bucket store's capacity
-// so subsequent recording stays allocation-free.
+// Reset discards all observations but keeps the bucket window — the span
+// of indices the store covers, now all zero — so a sketch reused for the
+// next interval of the same stream neither allocates nor shifts. No
+// result depends on the window: readers see the occupied span only.
 func (s *Sketch) Reset() {
 	if s == nil {
 		return
 	}
 	s.zero = 0
 	s.count = 0
-	s.offset = 0
-	s.store = s.store[:0]
+	buckets, _ := s.trimmed()
+	clear(buckets)
+	s.lo, s.hi = math.MaxInt, math.MinInt
 }
 
-// trimmed returns the non-empty bucket range [lo, hi) of the store and
-// the index of the first retained bucket, normalizing away leading and
-// trailing zero buckets so equal contents serialize identically no
-// matter how the store grew.
+// trimmed returns the buckets lo..hi — the window without its leading and
+// trailing empty buckets, so equal contents read and serialize identically
+// no matter how the window grew — and the index of the first.
 func (s *Sketch) trimmed() (buckets []uint64, firstIndex int) {
-	lo, hi := 0, len(s.store)
-	for lo < hi && s.store[lo] == 0 {
-		lo++
+	if s.lo > s.hi {
+		return nil, 0
 	}
-	for hi > lo && s.store[hi-1] == 0 {
-		hi--
-	}
-	return s.store[lo:hi], s.offset + lo
+	return s.store[s.lo-s.offset : s.hi-s.offset+1], s.lo
 }
 
 // MarshalBinary serializes the sketch deterministically: two sketches

@@ -7,6 +7,43 @@ package metrics
 
 import "math"
 
+// Mean accumulates count and mean only: Welford's mean recurrence without
+// the second moment, for streams whose variance nobody reads. Fed the same
+// samples in the same order, its mean equals Welford's bit for bit. The
+// zero value is ready to use.
+type Mean struct {
+	n    int64
+	mean float64
+}
+
+// Add incorporates one sample.
+func (m *Mean) Add(x float64) {
+	m.n++
+	m.mean += (x - m.mean) / float64(m.n)
+}
+
+// AddN incorporates n samples that all equal x (see Welford.AddN).
+func (m *Mean) AddN(x float64, n int64) {
+	if n <= 0 {
+		return
+	}
+	m.n += n
+	m.mean += (x - m.mean) * float64(n) / float64(m.n)
+}
+
+// Count returns the number of samples seen.
+func (m *Mean) Count() int64 { return m.n }
+
+// Mean returns the sample mean, or 0 with no samples.
+func (m *Mean) Mean() float64 { return m.mean }
+
+// Take returns count and mean and resets the accumulator.
+func (m *Mean) Take() (count int64, mean float64) {
+	count, mean = m.n, m.mean
+	*m = Mean{}
+	return count, mean
+}
+
 // Welford accumulates count, mean and variance of a stream of samples
 // using Welford's numerically stable online algorithm. The zero value is
 // ready to use.

@@ -127,7 +127,11 @@ type TaskBusy struct {
 // churn). The zero value is ready to use.
 type DataplaneRates struct {
 	prevEdges map[string]edgeTotals
-	prevBusy  map[string]float64 // by TaskBusy.Task
+	// prevBusy and nowBusy (by TaskBusy.Task) swap roles every Derive;
+	// busyDelta and tasks (by vertex) are its scratch.
+	prevBusy, nowBusy map[string]float64
+	busyDelta         map[string]float64
+	tasks             map[string]int
 }
 
 type edgeTotals struct{ pushes, fails, pops uint64 }
@@ -138,9 +142,15 @@ type edgeTotals struct{ pushes, fails, pops uint64 }
 // totals of the consumer vertex's tasks (a task seen for the first time
 // contributes its whole total).
 func (r *DataplaneRates) Derive(edges []DataplaneEdge, busy []TaskBusy, interval float64) {
-	busyNow := make(map[string]float64, len(busy))
-	busyDelta := make(map[string]float64)
-	tasks := make(map[string]int)
+	if r.prevEdges == nil {
+		r.prevEdges = make(map[string]edgeTotals)
+		r.prevBusy, r.nowBusy = make(map[string]float64), make(map[string]float64)
+		r.busyDelta, r.tasks = make(map[string]float64), make(map[string]int)
+	}
+	busyNow, busyDelta, tasks := r.nowBusy, r.busyDelta, r.tasks
+	clear(busyNow)
+	clear(busyDelta)
+	clear(tasks)
 	for _, b := range busy {
 		busyNow[b.Task] = b.Seconds
 		d := b.Seconds
@@ -150,10 +160,7 @@ func (r *DataplaneRates) Derive(edges []DataplaneEdge, busy []TaskBusy, interval
 		busyDelta[b.Vertex] += d
 		tasks[b.Vertex]++
 	}
-	r.prevBusy = busyNow
-	if r.prevEdges == nil {
-		r.prevEdges = make(map[string]edgeTotals)
-	}
+	r.prevBusy, r.nowBusy = busyNow, r.prevBusy
 	for i := range edges {
 		e := &edges[i]
 		prev := r.prevEdges[e.Edge]

@@ -5,12 +5,12 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"nephelix/internal/core"
+	"nephelix/internal/model"
 	"nephelix/internal/obs/ts"
 	"nephelix/internal/probe"
 	"nephelix/internal/qos"
@@ -64,8 +64,15 @@ type Telemetry struct {
 	hopEdges   map[string]*hopSeries
 	hopService map[string]*ts.Series
 
-	mu       sync.Mutex
-	resHists map[ResidualKey]*ts.Series
+	// Per-interval series, resolved once per identity and then written
+	// through the handle: a scrape builds no label map and no series key.
+	// mu serializes scrapes.
+	mu        sync.Mutex
+	vertexOut map[string]*vertexSeries
+	edgeOut   map[model.EdgeKey]*edgeSeries
+	resOut    map[ResidualKey]*residualSeries
+	tailOut   map[tailKey]*tailSeries
+	goOut     [4]*ts.Series
 
 	// Data-plane X-ray state: the backpressure monitor, the latest
 	// sampled snapshot (served by /dataplane and the SSE stream), and
@@ -88,6 +95,24 @@ type hopSeries struct {
 	transit *ts.Series
 	wait    *ts.Series
 }
+
+// vertexSeries, edgeSeries, residualSeries and tailSeries bundle the
+// per-interval series of one vertex, edge, (constraint, vertex) cell and
+// (vertex, quantile) tail-fit cell.
+type vertexSeries struct {
+	parallelism, utilization, serviceMean, arrivalRate, taskLatency, freshTasks *ts.Series
+}
+
+type edgeSeries struct{ queueWait, channelLatency, batchLatency *ts.Series }
+
+type residualSeries struct{ abs, mean, stddev, relErr, signBias, drift *ts.Series }
+
+type tailKey struct {
+	vertex   string
+	quantile float64
+}
+
+type tailSeries struct{ kappa, wait *ts.Series }
 
 // sloSeries bundles one constraint's SLO output series.
 type sloSeries struct {
@@ -123,7 +148,10 @@ func NewTelemetry(pointsPerSeries int) *Telemetry {
 		scaleDown:  st.Counter("nephelix_scaler_scale_downs_total", nil),
 		holds:      st.Counter("nephelix_scaler_holds_total", nil),
 		infeas:     st.Counter("nephelix_scaler_infeasible_total", nil),
-		resHists:   make(map[ResidualKey]*ts.Series),
+		vertexOut:  make(map[string]*vertexSeries),
+		edgeOut:    make(map[model.EdgeKey]*edgeSeries),
+		resOut:     make(map[ResidualKey]*residualSeries),
+		tailOut:    make(map[tailKey]*tailSeries),
 
 		ckptDur:       st.Gauge("nephelix_checkpoint_duration_seconds", nil),
 		ckptInterval:  st.Gauge("nephelix_checkpoint_interval_seconds", nil),
@@ -346,9 +374,11 @@ func (t *Telemetry) ObserveInterval(now float64, s *qos.Summary, d *core.Decisio
 	if t == nil {
 		return nil
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	scored, flags := t.res.Observe(now, s, d)
 	for _, sc := range scored {
-		t.residualHist(sc.Constraint, sc.Vertex).Observe(now, math.Abs(sc.Measured-sc.Predicted))
+		t.residualSeriesFor(sc.Constraint, sc.Vertex).abs.Observe(now, math.Abs(sc.Measured-sc.Predicted))
 	}
 	t.scrapeResiduals(now)
 	t.scrapeSummary(now, s, par)
@@ -369,34 +399,39 @@ func (t *Telemetry) scrapeTail(now float64) {
 	}
 }
 
-// residualHist returns the per-cell |residual| histogram, cached.
-func (t *Telemetry) residualHist(constraint, vertex string) *ts.Series {
+// residualSeriesFor returns the series of one monitored cell.
+func (t *Telemetry) residualSeriesFor(constraint, vertex string) *residualSeries {
 	key := ResidualKey{Constraint: constraint, Vertex: vertex}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.resHists[key]
-	if h == nil {
-		h = t.store.Histogram("nephelix_model_abs_residual_seconds",
-			map[string]string{"constraint": constraint, "vertex": vertex}, ts.LatencyBuckets)
-		t.resHists[key] = h
+	out := t.resOut[key]
+	if out == nil {
+		labels := map[string]string{"constraint": constraint, "vertex": vertex}
+		out = &residualSeries{
+			abs:      t.store.Histogram("nephelix_model_abs_residual_seconds", labels, ts.LatencyBuckets),
+			mean:     t.store.Gauge("nephelix_model_residual_mean_seconds", labels),
+			stddev:   t.store.Gauge("nephelix_model_residual_stddev_seconds", labels),
+			relErr:   t.store.Gauge("nephelix_model_rel_err_mean", labels),
+			signBias: t.store.Gauge("nephelix_model_sign_bias", labels),
+			drift:    t.store.Gauge("nephelix_model_drift", labels),
+		}
+		t.resOut[key] = out
 	}
-	return h
+	return out
 }
 
 // scrapeResiduals publishes the monitor's aggregate statistics as
 // gauge series.
 func (t *Telemetry) scrapeResiduals(now float64) {
 	for _, rs := range t.res.Snapshot() {
-		labels := map[string]string{"constraint": rs.Constraint, "vertex": rs.Vertex}
-		t.store.Gauge("nephelix_model_residual_mean_seconds", labels).Set(now, rs.ResidualMean)
-		t.store.Gauge("nephelix_model_residual_stddev_seconds", labels).Set(now, rs.ResidualStdDev)
-		t.store.Gauge("nephelix_model_rel_err_mean", labels).Set(now, rs.MeanAbsRelErr)
-		t.store.Gauge("nephelix_model_sign_bias", labels).Set(now, rs.SignBias)
+		out := t.residualSeriesFor(rs.Constraint, rs.Vertex)
+		out.mean.Set(now, rs.ResidualMean)
+		out.stddev.Set(now, rs.ResidualStdDev)
+		out.relErr.Set(now, rs.MeanAbsRelErr)
+		out.signBias.Set(now, rs.SignBias)
 		drift := 0.0
 		if rs.Drift {
 			drift = 1
 		}
-		t.store.Gauge("nephelix_model_drift", labels).Set(now, drift)
+		out.drift.Set(now, drift)
 	}
 }
 
@@ -405,39 +440,45 @@ func (t *Telemetry) scrapeSummary(now float64, s *qos.Summary, par map[string]in
 	if s == nil {
 		return
 	}
-	names := make([]string, 0, len(s.Vertices))
-	for name := range s.Vertices {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		vs := s.Vertices[name]
-		labels := map[string]string{"vertex": name}
+	for name, vs := range s.Vertices {
+		out := t.vertexOut[name]
+		if out == nil {
+			labels := map[string]string{"vertex": name}
+			out = &vertexSeries{
+				parallelism: t.store.Gauge("nephelix_vertex_parallelism", labels),
+				utilization: t.store.Gauge("nephelix_vertex_utilization", labels),
+				serviceMean: t.store.Gauge("nephelix_vertex_service_mean_seconds", labels),
+				arrivalRate: t.store.Gauge("nephelix_vertex_arrival_rate", labels),
+				taskLatency: t.store.Gauge("nephelix_vertex_task_latency_seconds", labels),
+				freshTasks:  t.store.Gauge("nephelix_vertex_fresh_tasks", labels),
+			}
+			t.vertexOut[name] = out
+		}
 		p := vs.Parallelism
 		if live, ok := par[name]; ok {
 			p = live
 		}
-		t.store.Gauge("nephelix_vertex_parallelism", labels).Set(now, float64(p))
-		t.store.Gauge("nephelix_vertex_utilization", labels).Set(now, vs.Utilization())
-		t.store.Gauge("nephelix_vertex_service_mean_seconds", labels).Set(now, vs.ServiceTimeMean)
-		t.store.Gauge("nephelix_vertex_arrival_rate", labels).Set(now, vs.ArrivalRate())
-		t.store.Gauge("nephelix_vertex_task_latency_seconds", labels).Set(now, vs.TaskLatency)
-		t.store.Gauge("nephelix_vertex_fresh_tasks", labels).Set(now, float64(vs.FreshTasks))
+		out.parallelism.Set(now, float64(p))
+		out.utilization.Set(now, vs.Utilization())
+		out.serviceMean.Set(now, vs.ServiceTimeMean)
+		out.arrivalRate.Set(now, vs.ArrivalRate())
+		out.taskLatency.Set(now, vs.TaskLatency)
+		out.freshTasks.Set(now, float64(vs.FreshTasks))
 	}
-	edges := make([]string, 0, len(s.Edges))
-	byName := make(map[string]qos.EdgeStats, len(s.Edges))
 	for key, es := range s.Edges {
-		name := key.String()
-		edges = append(edges, name)
-		byName[name] = es
-	}
-	sort.Strings(edges)
-	for _, name := range edges {
-		es := byName[name]
-		labels := map[string]string{"edge": name}
-		t.store.Gauge("nephelix_edge_queue_wait_seconds", labels).Set(now, es.QueueWait())
-		t.store.Gauge("nephelix_edge_channel_latency_seconds", labels).Set(now, es.ChannelLatency)
-		t.store.Gauge("nephelix_edge_batch_latency_seconds", labels).Set(now, es.OutputBatchLatency)
+		out := t.edgeOut[key]
+		if out == nil {
+			labels := map[string]string{"edge": key.String()}
+			out = &edgeSeries{
+				queueWait:      t.store.Gauge("nephelix_edge_queue_wait_seconds", labels),
+				channelLatency: t.store.Gauge("nephelix_edge_channel_latency_seconds", labels),
+				batchLatency:   t.store.Gauge("nephelix_edge_batch_latency_seconds", labels),
+			}
+			t.edgeOut[key] = out
+		}
+		out.queueWait.Set(now, es.QueueWait())
+		out.channelLatency.Set(now, es.ChannelLatency)
+		out.batchLatency.Set(now, es.OutputBatchLatency)
 	}
 }
 
@@ -475,9 +516,18 @@ func (t *Telemetry) scrapeDecision(now float64, d *core.Decision) {
 		t.infeas.Add(now, float64(infeasible))
 	}
 	for _, cell := range d.TailFit {
-		labels := map[string]string{"vertex": cell.Vertex, "q": quantileLabel(cell.Quantile)}
-		t.store.Gauge("nephelix_tail_kappa", labels).Set(now, cell.Kappa)
-		t.store.Gauge("nephelix_tail_wait_seconds", labels).Set(now, cell.LastTail)
+		key := tailKey{cell.Vertex, cell.Quantile}
+		out := t.tailOut[key]
+		if out == nil {
+			labels := map[string]string{"vertex": cell.Vertex, "q": quantileLabel(cell.Quantile)}
+			out = &tailSeries{
+				kappa: t.store.Gauge("nephelix_tail_kappa", labels),
+				wait:  t.store.Gauge("nephelix_tail_wait_seconds", labels),
+			}
+			t.tailOut[key] = out
+		}
+		out.kappa.Set(now, cell.Kappa)
+		out.wait.Set(now, cell.LastTail)
 	}
 }
 
@@ -486,10 +536,18 @@ func (t *Telemetry) scrapeDecision(now float64, d *core.Decision) {
 func (t *Telemetry) scrapeRuntime(now float64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	t.store.Gauge("nephelix_go_heap_alloc_bytes", nil).Set(now, float64(ms.HeapAlloc))
-	t.store.Gauge("nephelix_go_gc_pause_total_seconds", nil).Set(now, float64(ms.PauseTotalNs)/1e9)
-	t.store.Gauge("nephelix_go_gcs_total", nil).Set(now, float64(ms.NumGC))
-	t.store.Gauge("nephelix_go_goroutines", nil).Set(now, float64(runtime.NumGoroutine()))
+	if t.goOut[0] == nil {
+		t.goOut = [4]*ts.Series{
+			t.store.Gauge("nephelix_go_heap_alloc_bytes", nil),
+			t.store.Gauge("nephelix_go_gc_pause_total_seconds", nil),
+			t.store.Gauge("nephelix_go_gcs_total", nil),
+			t.store.Gauge("nephelix_go_goroutines", nil),
+		}
+	}
+	t.goOut[0].Set(now, float64(ms.HeapAlloc))
+	t.goOut[1].Set(now, float64(ms.PauseTotalNs)/1e9)
+	t.goOut[2].Set(now, float64(ms.NumGC))
+	t.goOut[3].Set(now, float64(runtime.NumGoroutine()))
 }
 
 // ExpositionMetrics renders the store for /metrics: counters and gauges

@@ -86,10 +86,11 @@ type Series struct {
 	labels map[string]string
 	kind   Kind
 
-	mu   sync.Mutex
-	ring []Point
-	next int
-	full bool
+	mu     sync.Mutex
+	points int     // ring capacity
+	ring   []Point // allocated by the first push: a series never written costs no ring
+	next   int
+	full   bool
 
 	total  float64        // counters: running sum
 	bounds []float64      // histograms: bucket upper bounds (sorted)
@@ -223,6 +224,9 @@ func (s *Series) Value() float64 {
 // push appends to the ring, overwriting the oldest point when full.
 // Callers hold s.mu.
 func (s *Series) push(t, v float64) {
+	if s.ring == nil {
+		s.ring = make([]Point, s.points)
+	}
 	s.ring[s.next] = Point{T: t, V: v}
 	s.next++
 	if s.next == len(s.ring) {
@@ -378,7 +382,7 @@ func (st *Store) series(name string, labels map[string]string, kind Kind, bounds
 				key:    key,
 				labels: copyLabels(labels),
 				kind:   kind,
-				ring:   make([]Point, st.points),
+				points: st.points,
 			}
 			switch kind {
 			case Histogram:

@@ -38,10 +38,10 @@ type Probe struct {
 
 	mu sync.Mutex
 
-	adj   metrics.Welford // per adjustment interval
-	adjSk *sketch.Sketch  // per adjustment interval (tail fulfillment)
+	adj   metrics.Mean   // per adjustment interval
+	adjSk *sketch.Sketch // per adjustment interval (tail fulfillment)
 
-	rec    metrics.Welford    // per record interval
+	rec    metrics.Mean       // per record interval
 	recRes *metrics.Reservoir // per record interval (raw samples)
 	recSk  *sketch.Sketch     // per record interval (p95)
 
@@ -50,7 +50,7 @@ type Probe struct {
 	fulfilled     int
 	tailFulfilled int // intervals whose q-quantile met the bound
 
-	total metrics.Welford
+	total metrics.Mean
 	all   *metrics.Reservoir // run-wide raw samples
 	allSk *sketch.Sketch     // run-wide quantiles + SLO accounting
 }
@@ -63,13 +63,11 @@ func (p *Probe) Record(latency float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.adj.Add(latency)
-	p.adjSk.Add(latency)
 	p.rec.Add(latency)
-	p.recRes.Add(latency)
-	p.recSk.Add(latency)
 	p.total.Add(latency)
+	p.recRes.Add(latency)
 	p.all.Add(latency)
-	p.allSk.Add(latency)
+	sketch.AddAll(latency, p.adjSk, p.recSk, p.allSk) // equal α: one bucket lookup
 	if p.Tap != nil {
 		p.Tap(latency)
 	}
@@ -92,7 +90,7 @@ func (p *Probe) AdjSnapshot() {
 			p.tailFulfilled++
 		}
 	}
-	p.adj.Reset()
+	p.adj = metrics.Mean{}
 	p.adjSk.Reset()
 }
 
@@ -102,9 +100,8 @@ func (p *Probe) AdjSnapshot() {
 func (p *Probe) RecSnapshot() (count int64, mean, p95 float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	count, mean = p.rec.Count(), p.rec.Mean()
+	count, mean = p.rec.Take()
 	p95 = p.recSk.Quantile(0.95)
-	p.rec.Reset()
 	p.recRes.Reset()
 	p.recSk.Reset()
 	return count, mean, p95

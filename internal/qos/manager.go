@@ -1,7 +1,8 @@
 package qos
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
@@ -35,34 +36,128 @@ func (c *ManagerConfig) sanitize() {
 	}
 }
 
-// taskHistory is the rolling window of recent interval reports for one
-// task.
-type taskHistory struct {
-	reports []TaskReport // oldest first; len <= HistoryLength (see slide)
-	idle    int          // adjustment intervals without a non-empty report
+// history is the window of the newest interval reports of one task or
+// channel — a ring, so a report costs one store — listed, in its set's
+// summation order and by id, from its first non-empty report until it
+// ages out or is forgotten; a later report lists it again, empty.
+type history[ID comparable, R any] struct {
+	set     *historySet[ID, R]
+	id      ID
+	key     string // channels: id.String(), rendered when first compared
+	reports []R    // len <= HistoryLength; once full, reports[oldest] is the oldest
+	oldest  int
+	idle    int // adjustment intervals without a non-empty report
+	listed  bool
 }
 
-// slide appends *r to a window of at most max reports, oldest first. A
-// full window shifts down in place, so the backing array its history
-// was created with serves it for life.
-func slide[R any](w []R, r *R, max int) []R {
-	if len(w) < max {
-		return append(w, *r)
+type (
+	taskHistory    = history[model.TaskID, TaskReport]
+	channelHistory = history[model.ChannelID, ChannelReport]
+)
+
+// TaskHandle is a task reporter's registration with a manager
+// (RegisterTask): it finds the task's history once, at the first report
+// that carries data, and reports into it without a lookup from then on.
+// A reporter reports through its handle or by id (ReportTask), not both.
+type TaskHandle struct {
+	m *Manager
+	h *taskHistory
+}
+
+// ChannelHandle is a channel reporter's registration (RegisterChannel).
+type ChannelHandle struct {
+	m *Manager
+	h *channelHistory
+}
+
+// historySet is a manager's listed histories of one kind, in the order
+// PartialSummary sums them — so floating-point accumulation is the same
+// in every run — and by id.
+type historySet[ID comparable, R any] struct {
+	cfg     ManagerConfig
+	list    []*history[ID, R]
+	byID    map[ID]*history[ID, R]
+	compare func(a, b *history[ID, R]) int
+	agedOut int64
+}
+
+// get returns the listed history of id, or a new unlisted one.
+func (s *historySet[ID, R]) get(id ID) *history[ID, R] {
+	if h := s.byID[id]; h != nil {
+		return h
 	}
-	copy(w, w[1:])
-	w[len(w)-1] = *r
-	return w
+	return &history[ID, R]{set: s, id: id}
 }
 
-// channelHistory is the rolling window of recent interval reports for one
-// channel.
-type channelHistory struct {
-	id model.ChannelID
-	// key is id.String(), rendered once: PartialSummary iterates channels
-	// in the order of this string.
-	key     string
-	reports []ChannelReport
-	idle    int
+// add puts *r into the window, dropping the oldest report from a full
+// one, and lists the history if it is not.
+func (h *history[ID, R]) add(r *R) {
+	s := h.set
+	if !h.listed {
+		h.listed = true
+		i, _ := slices.BinarySearchFunc(s.list, h, s.compare)
+		s.list = slices.Insert(s.list, i, h)
+		s.byID[h.id] = h
+	}
+	h.idle = 0
+	switch max := s.cfg.HistoryLength; {
+	case h.reports == nil:
+		h.reports = append(make([]R, 0, max), *r)
+	case len(h.reports) < max:
+		h.reports = append(h.reports, *r)
+	default:
+		h.reports[h.oldest] = *r
+		h.oldest = (h.oldest + 1) % max
+	}
+}
+
+// at returns the k-th report of the window, oldest first.
+func (h *history[ID, R]) at(k int) *R { return &h.reports[(h.oldest+k)%len(h.reports)] }
+
+// forget unlists the history and empties it.
+func (h *history[ID, R]) forget() {
+	if s := h.set; h.listed {
+		i, _ := slices.BinarySearchFunc(s.list, h, s.compare)
+		s.list = slices.Delete(s.list, i, i+1)
+		h.unlist()
+	}
+}
+
+// unlist empties the history, window included (most histories that age
+// out never return); the caller takes it off the list.
+func (h *history[ID, R]) unlist() {
+	delete(h.set.byID, h.id)
+	h.reports, h.oldest, h.idle, h.listed = nil, 0, 0, false
+}
+
+// ageOut increments idle counters and evicts long-idle histories.
+func (s *historySet[ID, R]) ageOut() {
+	s.list = slices.DeleteFunc(s.list, func(h *history[ID, R]) bool {
+		if h.idle++; h.idle <= s.cfg.EvictAfter {
+			return false
+		}
+		h.unlist()
+		s.agedOut++
+		return true
+	})
+}
+
+// Tasks are summed by (vertex, index), channels by the string form of
+// their id ("a[10]->b[2]" before "a[2]->b[10]").
+func compareTasks(a, b *taskHistory) int {
+	if c := strings.Compare(a.id.Vertex, b.id.Vertex); c != 0 {
+		return c
+	}
+	return a.id.Index - b.id.Index
+}
+
+func compareChannels(a, b *channelHistory) int {
+	for _, h := range [2]*channelHistory{a, b} {
+		if h.key == "" {
+			h.key = h.id.String()
+		}
+	}
+	return strings.Compare(a.key, b.key)
 }
 
 // Manager is a QoS manager: it receives the interval reports of the QoS
@@ -72,11 +167,8 @@ type channelHistory struct {
 // access (the engine runs one manager goroutine, the simulator is
 // single-threaded).
 type Manager struct {
-	cfg             ManagerConfig
-	tasks           map[model.TaskID]*taskHistory
-	channels        map[model.ChannelID]*channelHistory
-	agedOutTasks    int64
-	agedOutChannels int64
+	tasks    historySet[model.TaskID, TaskReport]
+	channels historySet[model.ChannelID, ChannelReport]
 	// waits is the current adjustment interval's queue-wait window per
 	// vertex, merged from the task reports that carry one; the next
 	// PartialSummary takes it. Unlike the mean histories it holds no
@@ -87,58 +179,108 @@ type Manager struct {
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg ManagerConfig) *Manager {
 	cfg.sanitize()
-	return &Manager{
-		cfg:      cfg,
-		tasks:    make(map[model.TaskID]*taskHistory),
-		channels: make(map[model.ChannelID]*channelHistory),
+	m := &Manager{}
+	m.tasks = historySet[model.TaskID, TaskReport]{cfg: cfg, byID: make(map[model.TaskID]*taskHistory), compare: compareTasks}
+	m.channels = historySet[model.ChannelID, ChannelReport]{cfg: cfg, byID: make(map[model.ChannelID]*channelHistory), compare: compareChannels}
+	return m
+}
+
+// RegisterTask returns the handle a task's reporter reports through.
+func (m *Manager) RegisterTask() TaskHandle { return TaskHandle{m: m} }
+
+// RegisterChannel returns the handle a channel's reporter reports through.
+func (m *Manager) RegisterChannel() ChannelHandle { return ChannelHandle{m: m} }
+
+// Report folds one task interval report into the manager's history.
+// Empty reports are ignored (the task saw no data this interval).
+func (h *TaskHandle) Report(r *TaskReport) {
+	if h.h == nil {
+		if r.QueueWait == nil && r.Empty() {
+			return
+		}
+		h.h = h.m.tasks.get(r.Task)
+	}
+	h.m.reportTask(h.h, r)
+}
+
+// Forget drops the task's history (e.g. after scale-down removed it).
+func (h *TaskHandle) Forget() {
+	if h.h != nil {
+		h.h.forget()
+		h.h = nil
 	}
 }
 
-// ReportTask folds one task interval report into the manager's history.
-// Empty reports are ignored (the task saw no data this interval).
-func (m *Manager) ReportTask(r TaskReport) {
-	if r.QueueWait != nil {
+// reportTask merges the report's queue-wait sketch, if any, into the
+// vertex window and recycles it; the history keeps means only.
+func (m *Manager) reportTask(h *taskHistory, r *TaskReport) {
+	id := h.id
+	if w := r.QueueWait; w != nil {
 		if m.waits == nil {
 			m.waits = make(map[string]*sketch.Sketch)
 		}
-		if w := m.waits[r.Task.Vertex]; w != nil {
-			w.Merge(r.QueueWait)
-		} else {
-			m.waits[r.Task.Vertex] = r.QueueWait
+		win := m.waits[id.Vertex]
+		if win == nil {
+			// The window leaves with the summary, whose readers may keep
+			// it: it is never a recycled sketch.
+			win = sketch.NewDefault()
+			m.waits[id.Vertex] = win
 		}
-		r.QueueWait = nil // the history below keeps means only
+		win.Merge(w)
+		w.Reset()
+		waitSketches.Put(w)
+		r.QueueWait = nil
 	}
+	if !r.Empty() {
+		h.add(r)
+	}
+}
+
+// Report folds one channel interval report into the history.
+func (h *ChannelHandle) Report(r *ChannelReport) {
 	if r.Empty() {
 		return
 	}
-	h := m.tasks[r.Task]
-	if h == nil {
-		h = &taskHistory{reports: make([]TaskReport, 0, m.cfg.HistoryLength)}
-		m.tasks[r.Task] = h
+	if h.h == nil {
+		h.h = h.m.channels.get(r.Channel)
 	}
-	h.reports = slide(h.reports, &r, m.cfg.HistoryLength)
-	h.idle = 0
+	h.h.add(r)
 }
 
-// ReportChannel folds one channel interval report into the history.
+// Forget drops the channel's history.
+func (h *ChannelHandle) Forget() {
+	if h.h != nil {
+		h.h.forget()
+		h.h = nil
+	}
+}
+
+// ReportTask is Report for a reporter that never registered (the
+// engine's report channel): the history is found by id every time.
+func (m *Manager) ReportTask(r TaskReport) {
+	h := TaskHandle{m: m}
+	h.Report(&r)
+}
+
+// ReportChannel is the by-id form of ChannelHandle.Report.
 func (m *Manager) ReportChannel(r ChannelReport) {
-	if r.Empty() {
-		return
-	}
-	h := m.channels[r.Channel]
-	if h == nil {
-		h = &channelHistory{id: r.Channel, key: r.Channel.String(), reports: make([]ChannelReport, 0, m.cfg.HistoryLength)}
-		m.channels[r.Channel] = h
-	}
-	h.reports = slide(h.reports, &r, m.cfg.HistoryLength)
-	h.idle = 0
+	h := ChannelHandle{m: m}
+	h.Report(&r)
 }
 
-// Forget drops the history of a task (e.g. after scale-down removed it).
-func (m *Manager) Forget(task model.TaskID) { delete(m.tasks, task) }
+// Forget drops the history of a task by id.
+func (m *Manager) Forget(task model.TaskID) {
+	if h := m.tasks.byID[task]; h != nil {
+		h.forget()
+	}
+}
 
-// ForgetChannel drops the history of a channel.
-func (m *Manager) ForgetChannel(ch model.ChannelID) { delete(m.channels, ch) }
+// ForgetChannel drops the history of a channel by id.
+func (m *Manager) ForgetChannel(ch model.ChannelID) {
+	if h := m.channels.byID[ch]; h != nil {
+		h.forget()
+	}
+}
 
 // AgedOut returns how many task and channel histories ageOut has evicted
 // since the manager was created. Histories age out when their reporter
@@ -146,48 +288,37 @@ func (m *Manager) ForgetChannel(ch model.ChannelID) { delete(m.channels, ch) }
 // malign one — so a climbing counter with stable parallelism is the
 // observable symptom of dead reporters.
 func (m *Manager) AgedOut() (tasks, channels int64) {
-	return m.agedOutTasks, m.agedOutChannels
+	return m.tasks.agedOut, m.channels.agedOut
 }
 
 // TrackedTasks returns the number of tasks with live history.
-func (m *Manager) TrackedTasks() int { return len(m.tasks) }
+func (m *Manager) TrackedTasks() int { return len(m.tasks.list) }
 
 // TrackedChannels returns the number of channels with live history.
-func (m *Manager) TrackedChannels() int { return len(m.channels) }
+func (m *Manager) TrackedChannels() int { return len(m.channels.list) }
 
 // PartialSummary aggregates the current histories into a partial summary
 // (one entry per job vertex / job edge, averaged over the tasks and
 // channels this manager observes) and ages out idle histories.
-// Iteration is in sorted id order so that floating-point accumulation is
-// deterministic across runs.
 func (m *Manager) PartialSummary() *PartialSummary {
 	p := NewPartialSummary()
-	taskIDs := make([]model.TaskID, 0, len(m.tasks))
-	for id := range m.tasks {
-		taskIDs = append(taskIDs, id)
-	}
-	sort.Slice(taskIDs, func(i, j int) bool {
-		if taskIDs[i].Vertex != taskIDs[j].Vertex {
-			return taskIDs[i].Vertex < taskIDs[j].Vertex
-		}
-		return taskIDs[i].Index < taskIDs[j].Index
-	})
-	for _, id := range taskIDs {
-		h := m.tasks[id]
-		if len(h.reports) == 0 {
-			continue
+	// Neighbours in the summation order mostly share their vertex or edge:
+	// its accumulator is looked up when it changes, not per history.
+	var vp *vertexPartial
+	for i, h := range m.tasks.list { // a listed history holds at least one report
+		if i == 0 || h.id.Vertex != m.tasks.list[i-1].id.Vertex {
+			vp = p.vertex(h.id.Vertex)
 		}
 		var (
-			latSum, latN   float64
-			svcSum, svcCV  float64
-			svcN           float64
-			arrSum, arrCV  float64
-			arrN           float64
-			samples        int64
-			taskContribute bool
+			latSum, latN  float64
+			svcSum, svcCV float64
+			svcN          float64
+			arrSum, arrCV float64
+			arrN          float64
+			samples       int64
 		)
-		for i := range h.reports {
-			r := &h.reports[i]
+		for k := range h.reports {
+			r := h.at(k)
 			if r.TaskLatencyCount > 0 {
 				latSum += r.TaskLatencyMean
 				latN++
@@ -203,10 +334,6 @@ func (m *Manager) PartialSummary() *PartialSummary {
 				arrN++
 			}
 			samples += r.TaskLatencyCount + r.ServiceCount + r.InterarrivalCount
-			taskContribute = true
-		}
-		if !taskContribute {
-			continue
 		}
 		var lat, svc, scv, arr, acv float64
 		if latN > 0 {
@@ -220,22 +347,23 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			arr = arrSum / arrN
 			acv = arrCV / arrN
 		}
-		p.AddTask(id.Vertex, lat, svc, scv, arr, acv, samples)
+		vp.addTask(lat, svc, scv, arr, acv, samples)
 		// idle is reset on every report and incremented once per
 		// adjustment interval by ageOut, so idle == 0 means the task
 		// reported within the current interval.
 		if h.idle == 0 {
-			p.MarkTaskFresh(id.Vertex)
+			vp.freshCount++
 		}
 	}
-	for _, h := range m.sortedChannels() {
-		if len(h.reports) == 0 {
-			continue
+	var ep *edgePartial
+	for i, h := range m.channels.list {
+		if i == 0 || h.id.Edge != m.channels.list[i-1].id.Edge {
+			ep = p.edge(h.id.Edge)
 		}
 		var latSum, latN, oblSum, oblN float64
 		var samples int64
-		for i := range h.reports {
-			r := &h.reports[i]
+		for k := range h.reports {
+			r := h.at(k)
 			if r.LatencyCount > 0 {
 				latSum += r.LatencyMean
 				latN++
@@ -256,44 +384,15 @@ func (m *Manager) PartialSummary() *PartialSummary {
 		if oblN > 0 {
 			obl = oblSum / oblN
 		}
-		p.AddChannel(h.id.Edge, lat, obl, samples)
+		ep.addChannel(lat, obl, samples)
 		if h.idle == 0 {
-			p.MarkChannelFresh(h.id.Edge)
+			ep.freshCount++
 		}
 	}
 	p.waits, m.waits = m.waits, nil
-	m.ageOut()
+	m.tasks.ageOut()
+	m.channels.ageOut()
 	return p
-}
-
-// sortedChannels returns the channel histories ordered by the string
-// form of their ids ("a[10]->b[2]" before "a[2]->b[10]"): the order the
-// summary's floating-point sums have always been accumulated in.
-func (m *Manager) sortedChannels() []*channelHistory {
-	chans := make([]*channelHistory, 0, len(m.channels))
-	for _, h := range m.channels {
-		chans = append(chans, h)
-	}
-	sort.Slice(chans, func(i, j int) bool { return chans[i].key < chans[j].key })
-	return chans
-}
-
-// ageOut increments idle counters and evicts long-idle histories.
-func (m *Manager) ageOut() {
-	for id, h := range m.tasks {
-		h.idle++
-		if h.idle > m.cfg.EvictAfter {
-			delete(m.tasks, id)
-			m.agedOutTasks++
-		}
-	}
-	for id, h := range m.channels {
-		h.idle++
-		if h.idle > m.cfg.EvictAfter {
-			delete(m.channels, id)
-			m.agedOutChannels++
-		}
-	}
 }
 
 // MergePartials merges any number of partial summaries and finalizes them

@@ -163,7 +163,7 @@ func TestPartialSummaryChannelOrder(t *testing.T) {
 	sort.Strings(want)
 
 	var got []string
-	for _, h := range m.sortedChannels() {
+	for _, h := range m.channels.list {
 		got = append(got, h.id.String())
 	}
 	if !reflect.DeepEqual(got, want) {

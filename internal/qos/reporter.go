@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"sync"
+
 	"nephelix/internal/metrics"
 	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
@@ -24,9 +26,21 @@ type TaskReport struct {
 	InterarrivalCV    float64
 
 	// QueueWait is the interval's queue-wait distribution, nil unless the
-	// reporter tracks it (TrackQueueWait). The report owns the sketch.
+	// reporter tracks it (TrackQueueWait). The report owns the sketch until
+	// a manager takes the report: the manager merges it into the vertex
+	// window and recycles it (see waitSketches), so it must not be read
+	// after ReportTask.
 	QueueWait *sketch.Sketch
 }
+
+// waitSketches is the free list queue-wait sketches cycle through:
+// reporter (records an interval) → report → manager (merges, resets) →
+// free list → the next Flush of any reporter. A recycled sketch keeps its
+// bucket window, so a steady stream's intervals neither allocate nor
+// grow one. Exactly one party holds a sketch at any time; the pool is
+// what makes the hand-over safe between the engine's task goroutines
+// and its manager goroutine.
+var waitSketches = sync.Pool{New: func() any { return sketch.NewDefault() }}
 
 // Empty reports whether the interval carried no measurements at all.
 func (r *TaskReport) Empty() bool {
@@ -54,8 +68,11 @@ func (r *ChannelReport) Empty() bool {
 // use: it is owned by the goroutine (or simulator event loop) executing
 // the task. Latencies are recorded in seconds.
 type TaskReporter struct {
-	task         model.TaskID
-	taskLatency  metrics.IntervalStats
+	task model.TaskID
+	// taskLatency is read for its mean only; a read-ready task leaves it
+	// empty and reports its service time instead (ReadReady).
+	taskLatency  metrics.Mean
+	readReady    bool
 	service      metrics.IntervalStats
 	interarrival metrics.IntervalStats
 	lastArrival  float64
@@ -69,7 +86,12 @@ type TaskReporter struct {
 // TrackQueueWait makes the reporter keep the distribution, not only the
 // channel-level mean, of the queue waits handed to RecordQueueWaitN. The
 // runtimes call it for tasks of TailVertices.
-func (r *TaskReporter) TrackQueueWait() { r.wait = sketch.NewDefault() }
+func (r *TaskReporter) TrackQueueWait() { r.wait = waitSketches.Get().(*sketch.Sketch) }
+
+// ReadReady declares the task's UDF read-ready: its task latency is its
+// service time, sample for sample, so Flush reports the one from the
+// other and the caller records only the service time.
+func (r *TaskReporter) ReadReady() { r.readReady = true }
 
 // NewTaskReporter creates a reporter for the given task.
 func NewTaskReporter(task model.TaskID) *TaskReporter {
@@ -100,8 +122,8 @@ func (r *TaskReporter) RecordService(d float64) {
 }
 
 // RecordTaskLatency records one sampled task latency; for read-ready UDFs
-// this equals the service time, for read-write UDFs it is the
-// consume-to-next-write time.
+// this equals the service time (see ReadReady), for read-write UDFs it is
+// the consume-to-next-write time.
 func (r *TaskReporter) RecordTaskLatency(d float64) {
 	if d >= 0 {
 		r.taskLatency.Add(d)
@@ -153,13 +175,17 @@ func (r *TaskReporter) RecordQueueWaitN(d float64, n int) {
 // first arrival of the next interval still yields a sample.
 func (r *TaskReporter) Flush() TaskReport {
 	rep := TaskReport{Task: r.task}
-	rep.TaskLatencyCount, rep.TaskLatencyMean, _ = r.taskLatency.Snapshot()
 	rep.ServiceCount, rep.ServiceMean, rep.ServiceCV = r.service.Snapshot()
+	if r.readReady {
+		rep.TaskLatencyCount, rep.TaskLatencyMean = rep.ServiceCount, rep.ServiceMean
+	} else {
+		rep.TaskLatencyCount, rep.TaskLatencyMean = r.taskLatency.Take()
+	}
 	rep.InterarrivalCount, rep.InterarrivalMean, rep.InterarrivalCV = r.interarrival.Snapshot()
 	if r.wait.Count() > 0 {
 		// The report may outlive the interval on its way to the manager,
-		// so it takes the sketch and the reporter starts a new one.
-		rep.QueueWait, r.wait = r.wait, sketch.NewDefault()
+		// so it takes the sketch and the reporter continues on a free one.
+		rep.QueueWait, r.wait = r.wait, waitSketches.Get().(*sketch.Sketch)
 	}
 	return rep
 }
@@ -168,8 +194,8 @@ func (r *TaskReporter) Flush() TaskReport {
 // owned by one goroutine (the consumer side records transfers).
 type ChannelReporter struct {
 	channel      model.ChannelID
-	latency      metrics.IntervalStats
-	batchLatency metrics.IntervalStats
+	latency      metrics.Mean
+	batchLatency metrics.Mean
 }
 
 // NewChannelReporter creates a reporter for the given channel.
@@ -196,13 +222,11 @@ func (r *ChannelReporter) RecordTransfer(latency, batchLatency float64) {
 // channel gets the zero report, which is Empty, without its id (two
 // strings) being copied in.
 func (r *ChannelReporter) Flush() (rep ChannelReport) {
-	ln, _, _ := r.latency.Peek()
-	bn, _, _ := r.batchLatency.Peek()
-	if ln == 0 && bn == 0 {
+	if r.latency.Count() == 0 && r.batchLatency.Count() == 0 {
 		return rep
 	}
 	rep.Channel = r.channel
-	rep.LatencyCount, rep.LatencyMean, _ = r.latency.Snapshot()
-	rep.BatchLatencyCount, rep.BatchLatencyMean, _ = r.batchLatency.Snapshot()
+	rep.LatencyCount, rep.LatencyMean = r.latency.Take()
+	rep.BatchLatencyCount, rep.BatchLatencyMean = r.batchLatency.Take()
 	return rep
 }

@@ -30,8 +30,7 @@ func TestReporterFastPathAllocs(t *testing.T) {
 
 // TestReporterTailFastPathAllocs pins the same contract with the
 // queue-wait window tracked, in steady state (after the sketch's bucket
-// store has grown to cover the value range). Flush allocates the next
-// interval's sketch.
+// store has grown to cover the value range).
 func TestReporterTailFastPathAllocs(t *testing.T) {
 	tr := NewTaskReporter(model.TaskID{Vertex: "v", Index: 0})
 	tr.TrackQueueWait()
@@ -82,12 +81,52 @@ func TestManagerReportSteadyStateAllocFree(t *testing.T) {
 	if rep := cr.Flush(); !rep.Empty() || rep.Channel != (model.ChannelID{}) {
 		t.Errorf("idle flush = %+v, want the zero report", rep)
 	}
-	for i, r := range m.tasks[task].reports {
-		if want := n - 2 + float64(i); r.ServiceMean != want {
-			t.Errorf("task window[%d] = %v, want %v (newest three, oldest first)", i, r.ServiceMean, want)
+	for i := range m.tasks.byID[task].reports {
+		if got, want := m.tasks.byID[task].at(i).ServiceMean, n-2+float64(i); got != want {
+			t.Errorf("task window[%d] = %v, want %v (newest three, oldest first)", i, got, want)
 		}
 	}
-	if w := m.channels[ch].reports; len(w) != 3 || w[0].LatencyMean != n-2 || w[2].LatencyMean != n {
-		t.Errorf("channel window = %+v, want means %v..%v", w, n-2, n)
+	if w := m.channels.byID[ch]; len(w.reports) != 3 || w.at(0).LatencyMean != n-2 || w.at(2).LatencyMean != n {
+		t.Errorf("channel window = %+v from %d, want means %v..%v", w.reports, w.oldest, n-2, n)
+	}
+}
+
+// TestHandleReportSteadyStateAllocFree is the same contract on the path
+// the simulator takes, with a tail-tracked task: flush, report through the
+// handle, and the queue-wait sketch comes back through the free list with
+// its window — a whole measurement interval allocates nothing once warm.
+// (The adjustment interval's vertex window is allocated: it leaves with
+// the summary.)
+func TestHandleReportSteadyStateAllocFree(t *testing.T) {
+	m := NewManager(ManagerConfig{HistoryLength: 3, EvictAfter: 10})
+	id := model.TaskID{Vertex: "v", Index: 0}
+	tr, th := NewTaskReporter(id), m.RegisterTask()
+	tr.TrackQueueWait()
+	chID := model.ChannelID{Edge: model.EdgeKey{Source: "a", Target: "v"}}
+	cr, ch := NewChannelReporter(chID), m.RegisterChannel()
+	now := 0.0
+	interval := func() {
+		for i := 1; i <= 50; i++ {
+			now += 0.001
+			tr.RecordArrival(now)
+			tr.RecordService(0.0005)
+			tr.RecordQueueWaitN(float64(i)*0.0001, 1)
+			cr.RecordTransfer(0.002, 0.001)
+		}
+		rep := tr.Flush()
+		th.Report(&rep)
+		crep := cr.Flush()
+		ch.Report(&crep)
+	}
+	for i := 0; i < 5; i++ {
+		interval()
+	}
+	m.PartialSummary() // takes the window; the next interval starts one
+	interval()
+	if allocs := testing.AllocsPerRun(200, interval); allocs != 0 && !raceBuild {
+		t.Errorf("a warm measurement interval allocates %.2f times, want 0", allocs)
+	}
+	if win := m.PartialSummary().Finalize(nil).Vertices["v"].WaitWindow; win.Count() != 50*202 {
+		t.Errorf("window holds %d waits, want %d", win.Count(), 50*202)
 	}
 }

@@ -253,11 +253,30 @@ func NewPartialSummary() *PartialSummary {
 // AddTask folds one task's interval statistics into the partial summary.
 // All values are per-task means over the manager's measurement history.
 func (p *PartialSummary) AddTask(vertex string, taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV float64, samples int64) {
-	vp := p.vertices[vertex]
+	p.vertex(vertex).addTask(taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV, samples)
+}
+
+// vertex returns the vertex's accumulator, creating it on first use.
+func (p *PartialSummary) vertex(name string) *vertexPartial {
+	vp := p.vertices[name]
 	if vp == nil {
 		vp = &vertexPartial{}
-		p.vertices[vertex] = vp
+		p.vertices[name] = vp
 	}
+	return vp
+}
+
+// edge returns the edge's accumulator, creating it on first use.
+func (p *PartialSummary) edge(key model.EdgeKey) *edgePartial {
+	ep := p.edges[key]
+	if ep == nil {
+		ep = &edgePartial{}
+		p.edges[key] = ep
+	}
+	return ep
+}
+
+func (vp *vertexPartial) addTask(taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV float64, samples int64) {
 	vp.taskCount++
 	vp.sumTaskLatency += taskLatency
 	vp.sumServiceMean += serviceMean
@@ -270,11 +289,10 @@ func (p *PartialSummary) AddTask(vertex string, taskLatency, serviceMean, servic
 // AddChannel folds one channel's interval statistics into the partial
 // summary.
 func (p *PartialSummary) AddChannel(edge model.EdgeKey, channelLatency, batchLatency float64, samples int64) {
-	ep := p.edges[edge]
-	if ep == nil {
-		ep = &edgePartial{}
-		p.edges[edge] = ep
-	}
+	p.edge(edge).addChannel(channelLatency, batchLatency, samples)
+}
+
+func (ep *edgePartial) addChannel(channelLatency, batchLatency float64, samples int64) {
 	ep.channelCount++
 	ep.sumChannelLatency += channelLatency
 	ep.sumBatchLatency += batchLatency
@@ -284,25 +302,11 @@ func (p *PartialSummary) AddChannel(edge model.EdgeKey, channelLatency, batchLat
 // MarkTaskFresh records that one of the vertex's tasks delivered a
 // report within the current adjustment interval. Callers invoke it next
 // to AddTask for tasks whose history is not stale.
-func (p *PartialSummary) MarkTaskFresh(vertex string) {
-	vp := p.vertices[vertex]
-	if vp == nil {
-		vp = &vertexPartial{}
-		p.vertices[vertex] = vp
-	}
-	vp.freshCount++
-}
+func (p *PartialSummary) MarkTaskFresh(vertex string) { p.vertex(vertex).freshCount++ }
 
 // MarkChannelFresh records that one of the edge's channels delivered a
 // report within the current adjustment interval.
-func (p *PartialSummary) MarkChannelFresh(edge model.EdgeKey) {
-	ep := p.edges[edge]
-	if ep == nil {
-		ep = &edgePartial{}
-		p.edges[edge] = ep
-	}
-	ep.freshCount++
-}
+func (p *PartialSummary) MarkChannelFresh(edge model.EdgeKey) { p.edge(edge).freshCount++ }
 
 // FreshTaskCount returns the number of fresh tasks recorded for a vertex.
 func (p *PartialSummary) FreshTaskCount(vertex string) int {

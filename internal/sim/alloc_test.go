@@ -47,7 +47,7 @@ func allocsPerItem(t *testing.T, configure func(*Config)) float64 {
 // TestSteadyStateAllocsPerItem pins the allocation-free hot path: with
 // pooled batches queued as they arrive, typed events, per-task service
 // slots and QoS history windows that shift in place, what is left is
-// setup and per-row bookkeeping — 0.09 allocs/item amortized over this
+// setup and per-row bookkeeping — 0.07 allocs/item amortized over this
 // run's 24 000 items. The seed implementation sat near 19; this guards
 // against closures, boxing or per-item maps creeping back in.
 func TestSteadyStateAllocsPerItem(t *testing.T) {
@@ -91,15 +91,17 @@ func TestObsDisabledTelemetryAddsNoAllocs(t *testing.T) {
 }
 
 // TestObsEnabledTelemetryAllocsBounded keeps the enabled plane honest:
-// per-item recording reuses pre-allocated rings, so the only allocation
-// growth is the per-adjustment-interval scrape, which must amortize far
-// below one allocation per item on this workload.
+// per-item recording reuses pre-allocated rings and a scrape writes
+// through series it resolved once, so what telemetry adds is its own
+// construction, each series' first sight and the snapshots it keeps per
+// adjustment interval — 0.04 allocs/item on this run's 24 000 items
+// (0.19 while every scrape rebuilt label maps and series keys).
 func TestObsEnabledTelemetryAllocsBounded(t *testing.T) {
 	base := allocsPerItem(t, nil)
 	withTel := allocsPerItem(t, func(cfg *Config) {
 		cfg.Telemetry = obs.NewTelemetry(256)
 	})
-	if withTel > base+0.25 {
-		t.Errorf("enabled telemetry allocates %.4f allocs/item over the %.4f base, want ≤ +0.25", withTel-base, base)
+	if withTel > base+0.05 {
+		t.Errorf("enabled telemetry allocates %.4f allocs/item over the %.4f base, want ≤ +0.05", withTel-base, base)
 	}
 }

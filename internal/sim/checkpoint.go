@@ -165,7 +165,7 @@ func (s *Sim) forwardBarrier(t *simTask, id int64) {
 	}
 	for _, g := range t.gates {
 		for _, ch := range g.Consumers() {
-			b := append(s.getBatch(), Item{barrier: id, BufferTime: s.now, ShipTime: s.now})
+			b := append(s.getBatch(), Item{barrier: id, BufferTime: s.now})
 			s.ship(ch, b, 0)
 		}
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"nephelix/internal/model"
-	"nephelix/internal/obs"
-)
+import "nephelix/internal/obs"
 
 // simDataplane holds the scraper's state between adjustment ticks: the
 // previous sample time and obs.DataplaneRates, which derives interval
@@ -14,6 +11,7 @@ import (
 type simDataplane struct {
 	lastAt float64
 	rates  obs.DataplaneRates
+	busy   []obs.TaskBusy // scratch, reused across scrapes
 }
 
 // scrapeDataplane samples the simulated data plane and feeds telemetry
@@ -43,12 +41,13 @@ func (s *Sim) scrapeDataplane() {
 		IntervalSeconds: interval,
 	}
 
-	edges := make(map[model.EdgeKey]*obs.DataplaneEdge)
+	// One entry per job edge, in graph order (the snapshot keeps the
+	// slice); an edge no channel was ever made for stays unnamed.
+	edges := make([]obs.DataplaneEdge, len(s.cfg.Graph.Edges()))
 	for _, ch := range s.channels {
-		de := edges[ch.edge]
-		if de == nil {
-			de = &obs.DataplaneEdge{Edge: ch.edgeName, Producer: ch.edge.Source, Consumer: ch.edge.Target}
-			edges[ch.edge] = de
+		de := &edges[ch.graphEdge]
+		if de.Edge == "" {
+			de.Edge, de.Producer, de.Consumer = ch.edgeName, ch.edge.Source, ch.edge.Target
 		}
 		de.Pushes += uint64(ch.accepted)
 		de.PushFails += uint64(ch.stallItems)
@@ -59,32 +58,39 @@ func (s *Sim) scrapeDataplane() {
 		de.Rings++
 		de.Occupancy += int(max(0, ch.accepted-ch.popped))
 		for _, b := range ch.stalled {
-			de.Occupancy += len(b)
+			de.Occupancy += len(b.items)
 		}
 		de.HighWater = max(de.HighWater, int(ch.highWater))
 	}
 
 	// Busy totals of every live task (active, then draining).
-	var busy []obs.TaskBusy
+	busy := dp.busy[:0]
+	add := func(t *simTask) {
+		if t.name == "" {
+			t.name = t.id.String()
+		}
+		busy = append(busy, obs.TaskBusy{Vertex: t.id.Vertex, Task: t.name, Seconds: t.busyAccum})
+	}
 	for _, name := range s.vertexOrder {
 		v := s.vertices[name]
 		for _, t := range v.tasks {
-			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: t.busyAccum})
+			add(t)
 		}
 		for t := range v.draining {
-			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: t.busyAccum})
+			add(t)
 		}
 	}
+	dp.busy = busy
 
-	for _, e := range s.cfg.Graph.Edges() {
-		de := edges[e.Key()]
-		if de == nil {
+	snap.Edges = edges[:0]
+	for _, de := range edges {
+		if de.Edge == "" {
 			continue
 		}
 		if v := s.vertices[de.Consumer]; v != nil {
 			de.Capacity = s.cfg.QueueCapacityItems * len(v.tasks)
 		}
-		snap.Edges = append(snap.Edges, *de)
+		snap.Edges = append(snap.Edges, de)
 	}
 	dp.rates.Derive(snap.Edges, busy, interval)
 	dp.lastAt = s.now

@@ -32,7 +32,7 @@ const (
 	// evFlushTimer is a deadline flush check of gate g; gen detects
 	// gates flushed since the timer was armed.
 	evFlushTimer
-	// evDeliver is the arrival of batch at the consumer end of ch.
+	// evDeliver is the arrival of batch at the consumer end of its channel.
 	evDeliver
 	// evServiceDone is the service completion of task t; the item in
 	// service and its service time ride on the task (svcItem, svcTime).
@@ -83,10 +83,9 @@ type event struct {
 // they are allocated once and recycled, and — unlike fields on the event
 // itself — never move while the heap sifts.
 type evOp struct {
-	ch    *simChannel
+	batch batch // evDeliver: the batch under way to batch.src
 	g     *outGate
 	v     *simVertex
-	batch []Item
 	gen   uint64
 	count int32
 	next  int32 // free-list link
@@ -357,7 +356,7 @@ func (s *Sim) dispatch(ev *event) {
 		s.flushTimerFire(op.g, op.gen)
 	case evDeliver:
 		op := s.takeOp(ev.n)
-		s.deliver(op.ch, op.batch)
+		s.deliver(op.batch)
 	case evServiceDone:
 		s.serviceDone(s.taskSlots[ev.tslot])
 	case evMeasure:

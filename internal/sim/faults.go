@@ -226,7 +226,7 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 	// traffic, not lost records).
 	s.killedItems += t.queue.dataItems()
 	for _, b := range t.queue.drain() {
-		s.recycleBatch(b)
+		s.recycleBatch(b.items)
 	}
 
 	// Inbound channels: stalled batches die, their producers unblock and
@@ -236,8 +236,8 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 	for _, ch := range t.in {
 		if len(ch.stalled) > 0 {
 			for _, b := range ch.stalled {
-				s.killedItems += dataItems(b)
-				s.recycleBatch(b)
+				s.killedItems += dataItems(b.items)
+				s.recycleBatch(b.items)
 			}
 			ch.stalled = nil
 			ch.from.blockedOut--
@@ -256,9 +256,9 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 		for _, ch := range g.Consumers() {
 			if len(ch.stalled) > 0 {
 				for _, b := range ch.stalled {
-					s.killedItems += dataItems(b)
+					s.killedItems += dataItems(b.items)
 					ch.to.stalledInBatches--
-					s.recycleBatch(b)
+					s.recycleBatch(b.items)
 				}
 				ch.stalled = nil
 			}

@@ -5,6 +5,8 @@ import "nephelix/internal/obs"
 // Item is one simulated data item flowing through the runtime graph.
 // An item is written once, into its producer's gate buffer; the buffer's
 // array then travels to the consumer, which reads the item in place.
+// What is true of the whole array — when it shipped, on which channel,
+// when it arrived — is in its batch header, not here.
 type Item struct {
 	// EmitTime is the virtual time the item (or its oldest ancestor)
 	// entered the constrained sequence at a source; end-to-end latency
@@ -13,9 +15,6 @@ type Item struct {
 	// BufferTime is the time the item was placed into the current output
 	// buffer; channel latency l_e is measured from it.
 	BufferTime float64
-	// ShipTime is the time the flush carrying the item started; output
-	// batch latency obl_e = ShipTime − BufferTime.
-	ShipTime float64
 	// Size is the item's serialized size in bytes; it drives buffer-full
 	// flushes and per-byte network cost.
 	Size int32
@@ -46,22 +45,38 @@ type Item struct {
 	// the alignment logic instead of the behavior.
 	barrier int64
 
-	// src is the channel that delivered the item to the current task; the
-	// consumer records channel latency against it at dequeue time.
-	src *simChannel
-
 	// span is the item's trace span (nil unless the item descends from a
 	// head-sampled emission and tracing is on). It travels with the
 	// value copy and is inherited by items emitted while processing a
 	// traced item.
 	span *obs.Span
-	// arrive is the time the item was enqueued at the current consumer;
-	// the traced queue wait is measured from it.
-	arrive float64
 }
 
 // release drops the references an item slot holds (Origins, the trace
-// span, the delivering channel) once its item has moved on, so a slot
-// awaiting reuse pins nothing; the scalar fields are left to be
-// overwritten.
-func (it *Item) release() { it.Origins, it.src, it.span = nil, nil, nil }
+// span) once its item has moved on, so a slot awaiting reuse pins
+// nothing; the scalar fields are left to be overwritten.
+func (it *Item) release() { it.Origins, it.span = nil, nil }
+
+// batchHeader is what every item of a shipped batch has in common. Each
+// stamp is written once, for the batch: shipped and src by ship, arrive
+// by acceptBatch. The header travels with the array — event operand,
+// stalled list, queue entry — and is copied to the consumer's service
+// slot with the item being served.
+type batchHeader struct {
+	// shipped is the time the flush carrying the batch started; output
+	// batch latency obl_e = shipped − Item.BufferTime.
+	shipped float64
+	// src is the channel delivering the batch; the consumer records
+	// channel latency against it at dequeue time.
+	src *simChannel
+	// arrive is the time the consumer's queue accepted the batch; queue
+	// wait is measured from it.
+	arrive float64
+}
+
+// batch is a detached gate buffer on its way to, or in, a consumer's
+// queue.
+type batch struct {
+	items []Item
+	batchHeader
+}

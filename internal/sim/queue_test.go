@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nephelix/internal/obs"
@@ -13,8 +14,9 @@ import (
 // queueHarness drives the input side of one consumer task by hand —
 // deliver, pop, retry, kill, drain, through the simulator's own
 // functions — next to a reference model that keeps the queue the way
-// the simulator did before it queued batch arrays: one flat slice of
-// item copies. The consumer is the sink of a src(1)→server(2)→sink(1)
+// the simulator did before it queued batch arrays under a header: one
+// flat slice of item copies, each stamped with its own ship time,
+// delivering channel and arrival time. The consumer is the sink of a src(1)→server(2)→sink(1)
 // pipeline, so it has two inbound channels; it is pinned busy, which
 // leaves every pop to the harness.
 type queueHarness struct {
@@ -25,9 +27,11 @@ type queueHarness struct {
 	span *obs.Span
 	next uint64 // item id counter
 
-	// The model: queued items with the array each lies in, stalled
-	// batches per channel, the channel counters, and every array seen.
+	// The model: queued items, each under its own stamps, with the array
+	// each lies in, stalled batches per channel, the channel counters, and
+	// every array seen.
 	queue    []Item
+	stamps   []batchHeader
 	queueArr []*Item
 	stalled  [][]modelBatch
 	accepted []int64
@@ -38,11 +42,12 @@ type queueHarness struct {
 	arrays   map[*Item]bool
 }
 
-// modelBatch is a stalled batch in the model: copies of its items and
-// the array the simulator holds them in.
+// modelBatch is a stalled batch in the model: copies of its items, the
+// time it shipped and the array the simulator holds them in.
 type modelBatch struct {
-	items []Item
-	arr   *Item
+	items   []Item
+	shipped float64
+	arr     *Item
 }
 
 const harnessCapacity = 100
@@ -56,6 +61,9 @@ func newQueueHarness(t *testing.T) *queueHarness {
 	s, err := New(cfg, probes)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var ev event
+	for s.q.pop(&ev) { // the start-up events: from here on the harness alone makes events
 	}
 	to := s.vertices["sink"].tasks[0]
 	to.busy = true
@@ -71,19 +79,18 @@ func newQueueHarness(t *testing.T) *queueHarness {
 
 func arrayOf(b []Item) *Item { return &b[:1][0] }
 
-// deliver ships a batch of n items on channel c as the gates build it
-// (appended onto a pooled array); barrierAt < n makes that item a marker.
-func (h *queueHarness) deliver(c, n, barrierAt int) {
-	h.s.now++
+// build makes a batch of n items as the gates build it (appended onto a
+// pooled array); barrierAt < n makes that item a marker.
+func (h *queueHarness) build(n, barrierAt int) []Item {
 	b := h.s.getBatch()
 	if cap(b) > 0 {
 		delete(h.arrays, arrayOf(b)) // re-registered below unless append outgrows it
 	}
 	for i := 0; i < n; i++ {
 		h.next++
-		it := Item{EmitTime: float64(h.next), BufferTime: h.s.now - 0.5, ShipTime: h.s.now - 0.25,
+		it := Item{EmitTime: float64(h.next), BufferTime: h.s.now - 0.5,
 			Size: int32(h.next % 97), Kind: uint8(h.next), Sampled: h.next%3 == 0, Key: h.next,
-			Src: int32(c + 1), Offset: h.next}
+			Src: int32(h.next%2 + 1), Offset: h.next}
 		if h.next%2 == 0 {
 			it.Origins = []float64{float64(h.next)}
 		}
@@ -91,29 +98,66 @@ func (h *queueHarness) deliver(c, n, barrierAt int) {
 			it.span = h.span
 		}
 		if i == barrierAt {
-			it = Item{barrier: int64(h.next), BufferTime: h.s.now, ShipTime: h.s.now}
+			it = Item{barrier: int64(h.next), BufferTime: h.s.now}
 		}
 		b = append(b, it)
 	}
 	h.arrays[arrayOf(b)] = true
-	model := modelBatch{items: append([]Item(nil), b...), arr: arrayOf(b)}
+	return b
+}
+
+// deliver hands the consumer a batch of n items on channel c, shipped a
+// quarter second ago.
+func (h *queueHarness) deliver(c, n, barrierAt int) {
+	h.s.now++
+	b := h.build(n, barrierAt)
+	model := modelBatch{items: append([]Item(nil), b...), shipped: h.s.now - 0.25, arr: arrayOf(b)}
 	h.to.inflightIn++
-	h.s.deliver(h.chs[c], b)
+	before := len(h.queue)
+	h.s.deliver(batch{items: b, batchHeader: batchHeader{shipped: model.shipped, src: h.chs[c]}})
+	h.delivered(c, model, before)
+}
+
+// delivered is the model's side of one delivery: lost at a disposed
+// consumer, stalled at a queue that had no room for it, else accepted.
+func (h *queueHarness) delivered(c int, b modelBatch, queuedBefore int) {
 	switch {
 	case h.to.disposed:
-		h.lost += dataItems(model.items)
-	case harnessCapacity-len(h.queue) < n:
-		h.stalled[c] = append(h.stalled[c], model)
-		h.stallN[c] += int64(n)
+		h.lost += dataItems(b.items)
+	case harnessCapacity-queuedBefore < len(b.items):
+		h.stalled[c] = append(h.stalled[c], b)
+		h.stallN[c] += int64(len(b.items))
 	default:
-		h.accept(c, model)
+		h.accept(c, b)
+	}
+}
+
+// broadcast ships one batch to both channels through shipBatch — the
+// last addressee gets the array, the other a copy, both under one ship
+// time — and runs the two deliveries it schedules.
+func (h *queueHarness) broadcast(n, barrierAt int) {
+	h.s.now++
+	b, shipped := h.build(n, barrierAt), h.s.now
+	if p := h.s.batchPool; len(p) > 0 {
+		delete(h.arrays, arrayOf(p[len(p)-1])) // the copy's array; re-registered on arrival
+	}
+	h.s.shipBatch(h.chs, b, 0)
+	var ev event
+	for h.s.q.pop(&ev) {
+		arriving := h.s.ops[ev.n].batch
+		h.arrays[arrayOf(arriving.items)] = true
+		model := modelBatch{items: append([]Item(nil), arriving.items...), shipped: shipped, arr: arrayOf(arriving.items)}
+		before := len(h.queue)
+		h.s.now = ev.at
+		h.s.dispatch(&ev)
+		h.delivered(slices.Index(h.chs, arriving.src), model, before)
 	}
 }
 
 func (h *queueHarness) accept(c int, b modelBatch) {
 	for _, it := range b.items {
-		it.src, it.arrive = h.chs[c], h.s.now
 		h.queue = append(h.queue, it)
+		h.stamps = append(h.stamps, batchHeader{shipped: b.shipped, src: h.chs[c], arrive: h.s.now})
 		h.queueArr = append(h.queueArr, b.arr)
 	}
 	h.accepted[c] += int64(len(b.items))
@@ -129,27 +173,33 @@ func (h *queueHarness) pop() {
 		return
 	}
 	h.s.now++
-	want := h.queue[0]
-	h.queue, h.queueArr = h.queue[1:], h.queueArr[1:]
+	want, stamp := h.queue[0], h.stamps[0]
+	h.queue, h.stamps, h.queueArr = h.queue[1:], h.stamps[1:], h.queueArr[1:]
 	for c, ch := range h.chs {
-		if want.src == ch {
+		if stamp.src == ch {
 			h.popped[c]++
 		}
 	}
-	slot := h.to.queue.peek()
+	slot, _ := h.to.queue.peek()
 	if slot.barrier != want.barrier {
 		h.t.Fatalf("head barrier = %d, model %d", slot.barrier, want.barrier)
 	}
 	if want.barrier != 0 {
-		h.s.popQueue(h.to, nil)
+		h.s.popQueue(h.to, false)
 	} else {
-		var got Item
-		h.s.popQueue(h.to, &got)
-		if !reflect.DeepEqual(got, want) {
+		h.s.popQueue(h.to, true)
+		if got := h.to.svcItem; !reflect.DeepEqual(got, want) {
 			h.t.Fatalf("pop = %+v, model %+v", got, want)
 		}
+		if got := h.to.svcHdr; got != stamp {
+			h.t.Fatalf("popped item's batch header = %+v, the model stamped the item %+v", got, stamp)
+		}
+		h.to.endService()
+		if it, hdr := h.to.svcItem, h.to.svcHdr; it.Origins != nil || it.span != nil || hdr.src != nil {
+			h.t.Fatalf("emptied service slot still pins references: %+v %+v", it, hdr)
+		}
 	}
-	if slot.Origins != nil || slot.span != nil || slot.src != nil {
+	if slot.Origins != nil || slot.span != nil {
 		h.t.Fatalf("popped slot still pins references: %+v", *slot)
 	}
 	h.s.retryStalled(h.to)
@@ -178,7 +228,7 @@ func (h *queueHarness) kill() {
 		}
 		h.stalled[c] = nil
 	}
-	h.queue, h.queueArr = nil, nil
+	h.queue, h.stamps, h.queueArr = nil, nil, nil
 	h.s.killTask(h.to, true)
 }
 
@@ -230,6 +280,13 @@ func (h *queueHarness) check() {
 	if !h.to.disposed && h.to.stalledInBatches != stalledBatches {
 		t.Fatalf("stalledInBatches = %d, channels hold %d", h.to.stalledInBatches, stalledBatches)
 	}
+	// A consumed queue entry keeps neither its array nor its channel.
+	q := &h.to.queue
+	for i, b := range q.batches[:cap(q.batches)] {
+		if (i < q.head || i >= len(q.batches)) && (b.items != nil || b.src != nil) {
+			t.Fatalf("queue entry %d is consumed but still holds %+v", i, b)
+		}
+	}
 	// Arrays an item can still be read from: queued and stalled ones.
 	live := make(map[*Item]bool)
 	for _, arr := range h.queueArr {
@@ -251,7 +308,7 @@ func (h *queueHarness) check() {
 		}
 		pooled[arr] = true
 		for i, it := range b[:cap(b)] {
-			if it.Origins != nil || it.span != nil || it.src != nil {
+			if it.Origins != nil || it.span != nil {
 				t.Fatalf("pooled array %p slot %d pins references", arr, i)
 			}
 		}
@@ -264,20 +321,22 @@ func (h *queueHarness) check() {
 // FuzzTaskQueue is the differential test of the consumer queue. One
 // byte is one operation: 00nnnnnn pops n&7+1 items, 01nnnnnn / 10nnnnnn
 // deliver n+1 items on channel 0 / 1, 11nnnnnn makes item n of the next
-// delivery a barrier marker — except n = 62 (drain) and n = 63 (kill).
+// delivery a barrier marker — except n = 61 (the next delivery is a
+// broadcast to both channels), n = 62 (drain) and n = 63 (kill).
 func FuzzTaskQueue(f *testing.F) {
 	pop, ch0, ch1, mark := byte(0<<6), byte(1<<6), byte(2<<6), byte(3<<6)
-	f.Add([]byte{ch0 | 2, pop | 2, ch1 | 1, pop | 1, ch0 | 0, pop})                // empty, then refill
-	f.Add([]byte{mark | 3, ch0 | 3, ch1 | 0, pop | 7})                             // a barrier as a batch's last item
-	f.Add([]byte{ch0 | 7, pop | 3, mark | 63, ch1 | 4})                            // kill with a half-consumed head batch
-	f.Add([]byte{ch0 | 63, ch1 | 63, ch0 | 9, ch1 | 1, pop | 7, pop | 7, pop | 7}) // stall and retry
-	f.Add([]byte{ch0 | 5, mark | 62, pop | 5, mark | 62, ch1 | 2})                 // drain, dispose, late delivery
+	f.Add([]byte{ch0 | 2, pop | 2, ch1 | 1, pop | 1, ch0 | 0, pop})                    // empty, then refill
+	f.Add([]byte{mark | 3, ch0 | 3, ch1 | 0, pop | 7})                                 // a barrier as a batch's last item
+	f.Add([]byte{ch0 | 7, pop | 3, mark | 63, ch1 | 4})                                // kill with a half-consumed head batch
+	f.Add([]byte{ch0 | 63, ch1 | 63, ch0 | 9, ch1 | 1, pop | 7, pop | 7, pop | 7})     // stall and retry
+	f.Add([]byte{ch0 | 5, mark | 62, pop | 5, mark | 62, ch1 | 2})                     // drain, dispose, late delivery
+	f.Add([]byte{mark | 61, ch0 | 3, pop | 1, ch1 | 63, mark | 61, ch0 | 40, pop | 7}) // broadcast copies, the second stalling
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
 		h := newQueueHarness(t)
-		barrierAt := -1
+		barrierAt, broadcast := -1, false
 		for _, c := range ops {
 			n := int(c & 63)
 			switch c >> 6 {
@@ -286,14 +345,20 @@ func FuzzTaskQueue(f *testing.F) {
 					h.pop()
 				}
 			case 1, 2:
-				h.deliver(int(c>>6)-1, n+1, barrierAt)
-				barrierAt = -1
+				if broadcast {
+					h.broadcast(n+1, barrierAt)
+				} else {
+					h.deliver(int(c>>6)-1, n+1, barrierAt)
+				}
+				barrierAt, broadcast = -1, false
 			default:
 				switch n {
 				case 63:
 					h.kill()
 				case 62:
 					h.drain()
+				case 61:
+					broadcast = true
 				default:
 					barrierAt = n
 				}
@@ -339,9 +404,9 @@ func TestQueueWorkingSetBounded(t *testing.T) {
 
 	// A queue that never empties but stays short slides down in place.
 	var q taskQueue
-	q.push(make([]Item, 2))
+	q.push(batch{items: make([]Item, 2)})
 	for i := 0; i < 100_000; i++ {
-		q.push(make([]Item, 2))
+		q.push(batch{items: make([]Item, 2)})
 		q.advance()
 		q.advance()
 	}

@@ -17,14 +17,16 @@ type simChannel struct {
 	id   model.ChannelID
 	edge model.EdgeKey
 	// edgeName caches edge.String() so per-sample tracing does not
-	// re-render (and re-allocate) the key on the hot path.
-	edgeName string
-	from     *simTask
-	to       *simTask
+	// re-render (and re-allocate) the key on the hot path; graphEdge is
+	// the edge's position in the job graph's edge list.
+	edgeName  string
+	graphEdge int
+	from      *simTask
+	to        *simTask
 
 	// stalled holds batches that arrived at a full consumer queue; the
 	// producer is blocked while any batch is stalled.
-	stalled [][]Item
+	stalled []batch
 
 	established bool
 	closed      bool
@@ -35,8 +37,8 @@ type simChannel struct {
 	// ones (per-channel FIFO, the engine's channel ordering).
 	lastArrive float64
 
-	reporter *qos.ChannelReporter
-	mgr      *qos.Manager
+	reporter qos.ChannelReporter
+	history  qos.ChannelHandle // the reporter's registration with its manager
 
 	// Data-plane mirror counters (plain int64: the simulator is
 	// single-threaded). accepted and popped count items through the
@@ -71,7 +73,9 @@ type outGate struct {
 
 	t    *simTask
 	edge model.EdgeKey
-	mode BatchMode
+	// graphEdge is the edge's position in the job graph's edge list.
+	graphEdge int
+	mode      BatchMode
 	// deadline is the adaptive flush deadline (0 = instant, +Inf =
 	// size-only).
 	deadline float64
@@ -88,8 +92,9 @@ type outGate struct {
 // simTask is one task of the runtime graph: a single-server queueing
 // station with an input queue and output gates per out-edge.
 type simTask struct {
-	id  model.TaskID
-	vtx *simVertex
+	id   model.TaskID
+	name string // id.String(), rendered at the first data-plane scrape
+	vtx  *simVertex
 	// slot is the task's index in Sim.taskSlots (see event.tslot).
 	slot int32
 
@@ -121,19 +126,23 @@ type simTask struct {
 	inflightIn       int
 	stalledInBatches int
 
-	// source state
+	// source state; srcRate is the schedule's rate at the emission in
+	// progress.
 	isSource       bool
 	srcPendingEmit bool
 	srcStopped     bool
+	srcRate        float64
 
 	// rwPending holds consume times of sampled items awaiting the next
 	// write (read-write task latency).
 	rwPending []float64
 
-	// svcItem and svcTime hold the item currently in service and its
-	// service time; a task serves one item at a time, so the pending
-	// evServiceDone event carries only the task.
+	// svcItem, svcHdr and svcTime hold the item currently in service, the
+	// header of the batch it came in and its service time; a task serves
+	// one item at a time, so the pending evServiceDone event carries only
+	// the task.
 	svcItem Item
+	svcHdr  batchHeader
 	svcTime float64
 
 	// timerInterval caches TimerBehavior.TimerInterval for evTimer
@@ -159,8 +168,8 @@ type simTask struct {
 	curSrc         int32
 	curOff         uint64
 
-	reporter *qos.TaskReporter
-	mgr      *qos.Manager
+	reporter qos.TaskReporter
+	history  qos.TaskHandle // the reporter's registration with its manager
 
 	// busyAccum integrates busy time for CPU-utilization reporting.
 	busyAccum float64
@@ -169,19 +178,27 @@ type simTask struct {
 // queueLen returns the current input queue length in items.
 func (t *simTask) queueLen() int { return t.queue.n }
 
-// popQueue takes the oldest item off t's queue, copying it into *dst
-// unless dst is nil. The slot it lay in drops its references at once; the
-// array goes back to the pool with its last item.
-func (s *Sim) popQueue(t *simTask, dst *Item) {
-	head := t.queue.peek()
-	head.src.popped++
-	if dst != nil {
-		*dst = *head
+// popQueue takes the oldest item off t's queue, copying it and its
+// batch's header into t's service slot if serve is set. The slot it lay
+// in drops its references at once; the array goes back to the pool with
+// its last item.
+func (s *Sim) popQueue(t *simTask, serve bool) {
+	head, hdr := t.queue.peek()
+	hdr.src.popped++
+	if serve {
+		t.svcItem, t.svcHdr = *head, *hdr
 	}
 	head.release()
 	if b := t.queue.advance(); b != nil {
 		s.poolBatch(b)
 	}
+}
+
+// endService empties the service slot: it pins the item's references and
+// the delivering channel only while the item is in service.
+func (t *simTask) endService() {
+	t.svcItem.release()
+	t.svcHdr.src = nil
 }
 
 // TaskContext is the API surface a Behavior sees while processing.
@@ -192,6 +209,12 @@ type TaskContext struct {
 
 // Now returns the current virtual time in seconds.
 func (c *TaskContext) Now() float64 { return c.s.now }
+
+// EmitRate returns the source schedule's rate at the emission in progress
+// — Schedule.Rate(now) as the simulator has just evaluated it for the
+// SourceFunc's now — so an emitter whose output depends on the rate need
+// not evaluate the schedule a second time.
+func (c *TaskContext) EmitRate() float64 { return c.t.srcRate }
 
 // Rand returns the simulation's deterministic random source.
 func (c *TaskContext) Rand() *rand.Rand { return c.s.rng }
@@ -237,7 +260,6 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it *Item) {
 			if l := t.srcLog; l != nil && !t.replaying {
 				it.Src = l.ID()
 				stored := *it
-				stored.src = nil
 				stored.span = nil // the log must not pin trace spans
 				it.Offset = l.Append(replayItem{it: stored, edge: int8(edgeIdx)})
 			}
@@ -247,7 +269,6 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it *Item) {
 		}
 	}
 	it.BufferTime = s.now
-	it.src = nil
 	if it.span == nil {
 		// Inherit the span of the item being processed (or of the traced
 		// source emission), so derived items keep the trace alive.
@@ -301,32 +322,27 @@ func (s *Sim) flushSlot(g *outGate, k int) {
 	}
 	f := g.Take(k, s.getBatch()) // detach; refill from the free list
 	g.gen++
-	s.shipBatch(f.To, f.Recs)
+	s.shipBatch(f.To, f.Recs, f.Weight)
 }
 
-// shipBatch stamps a detached buffer and ships it to every addressee;
-// with none left the items die with their consumer.
-func (s *Sim) shipBatch(to []*simChannel, batch []Item) {
-	bytes := 0
-	for i := range batch {
-		batch[i].ShipTime = s.now
-		bytes += int(batch[i].Size)
-	}
+// shipBatch ships a detached buffer of the given byte size to every
+// addressee; with none left the items die with their consumer.
+func (s *Sim) shipBatch(to []*simChannel, items []Item, bytes int) {
 	if len(to) == 0 {
-		s.killedItems += int64(len(batch))
-		s.recycleBatch(batch)
+		s.killedItems += int64(len(items))
+		s.recycleBatch(items)
 		return
 	}
 	last := len(to) - 1
 	for _, ch := range to[:last] {
-		s.ship(ch, append(s.getBatch(), batch...), bytes)
+		s.ship(ch, append(s.getBatch(), items...), bytes)
 	}
-	s.ship(to[last], batch, bytes)
+	s.ship(to[last], items, bytes)
 }
 
-// ship charges the producer the flush CPU cost and schedules delivery
-// after the network transit time.
-func (s *Sim) ship(ch *simChannel, batch []Item, bytes int) {
+// ship charges the producer the flush CPU cost, stamps the batch shipped
+// now on ch and schedules delivery after the network transit time.
+func (s *Sim) ship(ch *simChannel, items []Item, bytes int) {
 	ch.from.pendingOverhead += s.cfg.Costs.FlushCPU
 	transit := s.cfg.Costs.NetFixed + s.cfg.Costs.NetPerByte*float64(bytes)
 	if !ch.established {
@@ -344,7 +360,7 @@ func (s *Sim) ship(ch *simChannel, batch []Item, bytes int) {
 	}
 	ch.to.inflightIn++
 	i := s.allocOp()
-	s.ops[i] = evOp{ch: ch, batch: batch}
+	s.ops[i].batch = batch{items: items, batchHeader: batchHeader{shipped: s.now, src: ch}}
 	s.schedule(at, evDeliver, ch.from, i)
 }
 
@@ -359,47 +375,52 @@ func (s *Sim) flushGate(g *outGate) {
 
 // deliver attempts to enqueue a batch at the consumer; a full queue
 // stalls the batch and blocks the producer (backpressure).
-func (s *Sim) deliver(ch *simChannel, batch []Item) {
+func (s *Sim) deliver(b batch) {
+	ch := b.src
 	ch.to.inflightIn--
 	if ch.to.disposed {
 		// The consumer is gone: finished draining before the batch
 		// arrived, or killed by a fault. Account accordingly (barrier
 		// markers are control traffic, not lost records).
 		if ch.to.killed {
-			s.killedItems += dataItems(batch)
+			s.killedItems += dataItems(b.items)
 		} else {
-			s.droppedItems += dataItems(batch)
+			s.droppedItems += dataItems(b.items)
 		}
-		s.recycleBatch(batch)
+		s.recycleBatch(b.items)
 		return
 	}
-	if s.cfg.QueueCapacityItems-ch.to.queueLen() < len(batch) {
+	if s.cfg.QueueCapacityItems-ch.to.queueLen() < len(b.items) {
 		if len(ch.stalled) == 0 {
 			ch.from.blockedOut++
 		}
-		ch.stalled = append(ch.stalled, batch)
+		ch.stalled = append(ch.stalled, b)
 		ch.to.stalledInBatches++
-		ch.stallItems += int64(len(batch))
+		ch.stallItems += int64(len(b.items))
 		return
 	}
-	s.acceptBatch(ch, batch)
+	s.acceptBatch(b)
 }
 
-// acceptBatch enqueues a delivered batch and kicks the consumer.
-func (s *Sim) acceptBatch(ch *simChannel, batch []Item) {
+// acceptBatch stamps a delivered batch arrived now, enqueues it and kicks
+// the consumer.
+func (s *Sim) acceptBatch(b batch) {
+	ch := b.src
 	to := ch.to
 	to.pendingOverhead += s.cfg.Costs.ReceiveCPU
-	for i := range batch {
-		batch[i].src = ch
-		batch[i].arrive = s.now
-		if batch[i].barrier == 0 {
-			// Barrier markers skip arrival accounting: they are not
-			// workload and must not skew the QoS plane's rates.
-			to.reporter.RecordArrival(s.now)
-		}
+	b.arrive = s.now
+	// Every data item is one arrival. Barrier markers, which exist only
+	// under a guarantee, are not workload and must not skew the QoS
+	// plane's rates.
+	arrivals := len(b.items)
+	if s.guar != nil {
+		arrivals = int(dataItems(b.items))
 	}
-	to.queue.push(batch) // the array itself: popQueue returns it to the pool
-	ch.accepted += int64(len(batch))
+	for ; arrivals > 0; arrivals-- {
+		to.reporter.RecordArrival(s.now)
+	}
+	to.queue.push(b) // the array itself: popQueue returns it to the pool
+	ch.accepted += int64(len(b.items))
 	if occ := ch.accepted - ch.popped; occ > ch.highWater {
 		ch.highWater = occ
 	}
@@ -414,14 +435,14 @@ func (s *Sim) retryStalled(to *simTask) {
 	}
 	for _, ch := range to.in {
 		for len(ch.stalled) > 0 {
-			batch := ch.stalled[0]
-			if s.cfg.QueueCapacityItems-to.queueLen() < len(batch) {
+			b := ch.stalled[0]
+			if s.cfg.QueueCapacityItems-to.queueLen() < len(b.items) {
 				return
 			}
-			ch.stalled[0] = nil
+			ch.stalled[0] = batch{}
 			ch.stalled = ch.stalled[1:]
 			to.stalledInBatches--
-			s.acceptBatch(ch, batch)
+			s.acceptBatch(b)
 			if len(ch.stalled) == 0 {
 				ch.from.blockedOut--
 				s.resume(ch.from)
@@ -471,9 +492,13 @@ func (s *Sim) maybeStart(t *simTask) {
 	// Barrier markers at the queue head are consumed by the alignment
 	// logic at zero service cost; every pre-barrier item of the
 	// barrier's producer was queued — and therefore serviced — first.
-	for t.queueLen() > 0 && t.queue.peek().barrier != 0 {
-		id := t.queue.peek().barrier
-		s.popQueue(t, nil)
+	for t.queueLen() > 0 {
+		head, _ := t.queue.peek()
+		id := head.barrier
+		if id == 0 {
+			break
+		}
+		s.popQueue(t, false)
 		s.handleBarrier(t, id)
 		if t.busy || t.disposed || t.blockedOut > 0 {
 			return
@@ -488,11 +513,9 @@ func (s *Sim) maybeStart(t *simTask) {
 	// Park the item on the task before the ServiceTime interface call:
 	// passing a pointer to a stack local through the interface would
 	// force a per-item heap allocation.
-	it := &t.svcItem
-	s.popQueue(t, it)
-	if it.src.reporter != nil {
-		it.src.reporter.RecordTransfer(s.now-it.BufferTime, it.ShipTime-it.BufferTime)
-	}
+	s.popQueue(t, true)
+	it, hdr := &t.svcItem, &t.svcHdr
+	hdr.src.reporter.RecordTransfer(s.now-it.BufferTime, hdr.shipped-it.BufferTime)
 	st := t.behavior.ServiceTime(s.rng, it) + t.pendingOverhead
 	t.pendingOverhead = 0
 	if st < 0 {
@@ -516,38 +539,34 @@ func (t *simTask) latencyModeRW() bool {
 // serviceDone finishes the item in service on t: records metrics, runs
 // the behavior, and starts the next item.
 func (s *Sim) serviceDone(t *simTask) {
-	it := &t.svcItem
+	it, hdr := &t.svcItem, &t.svcHdr
 	st := t.svcTime
 	if t.disposed {
 		// The task was killed mid-service; the in-progress item dies
 		// with it.
-		it.release()
+		t.endService()
 		s.killedItems++
 		return
 	}
 	t.busy = false
 	t.busyAccum += st
 	t.vtx.processed++
+	// A read-ready task's latency is this service time: its reporter
+	// derives the one from the other (ReadReady).
 	t.reporter.RecordService(st)
-	if it.src != nil {
-		t.reporter.RecordQueueWaitN((s.now-st)-it.arrive, 1)
+	t.reporter.RecordQueueWaitN((s.now-st)-hdr.arrive, 1)
+	if t.latencyModeRW() && it.Sampled && len(t.rwPending) < 64 {
+		t.rwPending = append(t.rwPending, s.now-st)
 	}
-	if t.latencyModeRW() {
-		if it.Sampled && len(t.rwPending) < 64 {
-			t.rwPending = append(t.rwPending, s.now-st)
-		}
-	} else {
-		t.reporter.RecordTaskLatency(st)
-	}
-	if it.span != nil && it.src != nil {
+	if it.span != nil {
 		// Decompose the hop into the Table I latency pieces: time spent in
 		// the producer's output buffer, network transit, queue wait at this
 		// task, and the service time itself.
-		batchDelay := it.ShipTime - it.BufferTime
-		transit := it.arrive - it.ShipTime
-		wait := (s.now - st) - it.arrive
-		it.span.Hop(t.vtx.jv.Name, it.src.edgeName, batchDelay, transit, wait, st)
-		s.cfg.Telemetry.ObserveHop(s.now, t.vtx.jv.Name, it.src.edgeName, batchDelay, transit, wait, st)
+		batchDelay := hdr.shipped - it.BufferTime
+		transit := hdr.arrive - hdr.shipped
+		wait := (s.now - st) - hdr.arrive
+		it.span.Hop(t.vtx.jv.Name, hdr.src.edgeName, batchDelay, transit, wait, st)
+		s.cfg.Telemetry.ObserveHop(s.now, t.vtx.jv.Name, hdr.src.edgeName, batchDelay, transit, wait, st)
 		if len(t.gates) == 0 {
 			it.span.Finish(s.now)
 			s.cfg.Telemetry.ObserveE2E(s.now, s.now-it.span.Start())
@@ -559,7 +578,7 @@ func (s *Sim) serviceDone(t *simTask) {
 		// suppression (skipping Process) only under exactly-once.
 		s.cfg.Telemetry.AddDeduped(s.now, 1)
 		if s.guar.suppress {
-			it.release()
+			t.endService()
 			s.maybeStart(t)
 			return
 		}
@@ -569,7 +588,7 @@ func (s *Sim) serviceDone(t *simTask) {
 	// Process reads the service slot in place. Nothing it can reach starts
 	// a service on t, so the slot is released after the call.
 	t.behavior.Process(&t.ctx, it)
-	it.release()
+	t.endService()
 	t.curSpan = nil
 	t.curSrc, t.curOff = 0, 0
 	s.maybeStart(t)

@@ -26,9 +26,11 @@ type Sim struct {
 	channels    []*simChannel
 
 	// edgePatterns[vertex][outPos] is the wiring pattern of the vertex's
-	// outPos-th outgoing edge; edgePos maps an edge to its position.
+	// outPos-th outgoing edge; edgePos maps an edge to its position there,
+	// graphEdge to its position in the graph's edge list.
 	edgePatterns map[string][]model.WiringPattern
 	edgePos      map[model.EdgeKey]int
+	graphEdge    map[model.EdgeKey]int
 
 	managers  []*qos.Manager
 	managerRR int
@@ -216,6 +218,7 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		vertices:     make(map[string]*simVertex),
 		edgePatterns: make(map[string][]model.WiringPattern),
 		edgePos:      make(map[model.EdgeKey]int),
+		graphEdge:    make(map[model.EdgeKey]int),
 		rm:           rm,
 		scheduler:    cluster.NewScheduler(rm),
 		probes:       probes,
@@ -260,6 +263,9 @@ func (s *Sim) outEdgePos(edge model.EdgeKey) int { return s.edgePos[edge] }
 func (s *Sim) bootstrap() error {
 	g := s.cfg.Graph
 	tail := qos.TailVertices(s.cfg.Constraints)
+	for i, e := range g.Edges() {
+		s.graphEdge[e.Key()] = i
+	}
 	for _, jv := range g.Vertices() {
 		outs := g.OutEdges(jv.Name)
 		patterns := make([]model.WiringPattern, len(outs))
@@ -398,8 +404,8 @@ func (s *Sim) sourceEmit(t *simTask) {
 	// making producer-bound edges visible to the batching controller.
 	t.reporter.RecordArrival(s.now)
 	t.reporter.RecordService(cost)
-	t.reporter.RecordTaskLatency(cost)
 	t.curSpan = s.cfg.Tracer.StartSpan(s.now)
+	t.srcRate = rate
 	src.Emit(&t.ctx, s.now)
 	t.curSpan = nil
 	t.vtx.emitted++
@@ -463,15 +469,18 @@ func (s *Sim) measurementTick() {
 	for _, name := range s.vertexOrder {
 		v := s.vertices[name]
 		for _, t := range v.tasks {
-			t.mgr.ReportTask(t.reporter.Flush())
+			rep := t.reporter.Flush()
+			t.history.Report(&rep)
 		}
 		for _, t := range sortedDraining(v.draining) {
-			t.mgr.ReportTask(t.reporter.Flush())
+			rep := t.reporter.Flush()
+			t.history.Report(&rep)
 		}
 	}
 	for _, ch := range s.channels {
 		if !ch.closed {
-			ch.mgr.ReportChannel(ch.reporter.Flush())
+			rep := ch.reporter.Flush()
+			ch.history.Report(&rep)
 		}
 	}
 }

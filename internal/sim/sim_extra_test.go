@@ -305,3 +305,31 @@ func TestSimElasticSourceVertex(t *testing.T) {
 		t.Errorf("dropped %d items", res.DroppedItems)
 	}
 }
+
+// TestEmitRateIsTheScheduleRate: inside a SourceFunc, EmitRate is the
+// schedule's rate at the emission's own time — the value the simulator
+// paced the emission by, not a re-evaluation.
+func TestEmitRateIsTheScheduleRate(t *testing.T) {
+	probes := NewProbeSet()
+	sched := &workload.StepSchedule{WarmUpRate: 50, StepDelta: 75, IncrementSteps: 2, StepDuration: 5}
+	cfg := pipelineConfig(t, probes, sched, true, 2, func(int) Behavior { return &testServer{mean: 0.001} })
+	emissions := 0
+	src := cfg.Vertices["src"]
+	src.Source.Emit = func(ctx *TaskContext, now float64) {
+		emissions++
+		if got, want := ctx.EmitRate(), sched.Rate(now); got != want {
+			t.Errorf("t=%v: EmitRate = %v, the schedule says %v", now, got, want)
+		}
+		ctx.Emit(0, &Item{EmitTime: now, Size: 64})
+	}
+	s, err := New(cfg, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if emissions < 1000 {
+		t.Fatalf("only %d emissions", emissions)
+	}
+}

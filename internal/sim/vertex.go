@@ -55,11 +55,16 @@ func (v *simVertex) newTask() (*simTask, error) {
 		id:       id,
 		vtx:      v,
 		isSource: v.cfg.Source != nil,
-		reporter: qos.NewTaskReporter(id),
-		mgr:      s.nextManager(),
+		reporter: *qos.NewTaskReporter(id),
+		history:  s.nextManager().RegisterTask(),
 	}
 	if v.tail {
 		t.reporter.TrackQueueWait()
+	}
+	if t.isSource || !t.latencyModeRW() {
+		// A source's production cost and a read-ready task's service time
+		// are their task latency.
+		t.reporter.ReadReady()
 	}
 	t.ctx = TaskContext{s: s, t: t}
 	t.slot = int32(len(s.taskSlots))
@@ -78,11 +83,12 @@ func (v *simVertex) newTask() (*simTask, error) {
 	for pos, ek := range v.outEdges {
 		ec := s.cfg.edgeConfig(ek)
 		t.gates[pos] = &outGate{
-			Gate:     gate.New[*simChannel, Item, vtime](s.cfg.Graph.Edge(ek).Pattern, ec.BufferBytes, math.Inf(1), s.rng),
-			t:        t,
-			edge:     ek,
-			mode:     ec.Mode,
-			deadline: s.initialGateDeadline(ec, ek),
+			Gate:      gate.New[*simChannel, Item, vtime](s.cfg.Graph.Edge(ek).Pattern, ec.BufferBytes, math.Inf(1), s.rng),
+			t:         t,
+			edge:      ek,
+			graphEdge: s.graphEdge[ek],
+			mode:      ec.Mode,
+			deadline:  s.initialGateDeadline(ec, ek),
 		}
 	}
 	if _, err := s.scheduler.Place(id); err != nil {
@@ -111,16 +117,17 @@ func (s *Sim) initialGateDeadline(ec EdgeConfig, edge model.EdgeKey) float64 {
 // connect wires a channel from producer p (through its outPos gate) to
 // consumer c and registers it with the simulator.
 func (s *Sim) connect(edge model.EdgeKey, p, c *simTask, outPos int) {
-	ch := &simChannel{
-		id:       model.ChannelID{Edge: edge, Producer: p.id.Index, Consumer: c.id.Index},
-		edge:     edge,
-		edgeName: edge.String(),
-		from:     p,
-		to:       c,
-		mgr:      s.nextManager(),
-	}
-	ch.reporter = qos.NewChannelReporter(ch.id)
 	g := p.gates[outPos]
+	ch := &simChannel{
+		id:        model.ChannelID{Edge: edge, Producer: p.id.Index, Consumer: c.id.Index},
+		edge:      edge,
+		edgeName:  edge.String(),
+		graphEdge: g.graphEdge,
+		from:      p,
+		to:        c,
+	}
+	ch.reporter = *qos.NewChannelReporter(ch.id)
+	ch.history = s.nextManager().RegisterChannel()
 	g.Add(ch)
 	g.Observe()
 	c.in = append(c.in, ch)
@@ -213,7 +220,7 @@ func (s *Sim) unrouteChannel(ch *simChannel, killed bool) {
 				s.killedItems += int64(len(b.Recs))
 				s.recycleBatch(b.Recs)
 			} else {
-				s.shipBatch(b.To, b.Recs)
+				s.shipBatch(b.To, b.Recs, b.Weight)
 			}
 		}
 	}
@@ -229,16 +236,16 @@ func (v *simVertex) finalizeRemoval(t *simTask) {
 	if err := s.scheduler.Unplace(t.id); err != nil {
 		s.fail("unplacing %s: %v", t.id, err)
 	}
-	t.mgr.Forget(t.id)
+	t.history.Forget()
 	// Close and unregister the task's channels (both directions).
 	for _, ch := range t.in {
 		ch.closed = true
-		ch.mgr.ForgetChannel(ch.id)
+		ch.history.Forget()
 	}
 	for _, g := range t.gates {
 		for _, ch := range g.Consumers() {
 			ch.closed = true
-			ch.mgr.ForgetChannel(ch.id)
+			ch.history.Forget()
 			// Remove from the consumer's in-list.
 			to := ch.to
 			for i, c := range to.in {

@@ -236,7 +236,12 @@ func (d *DiurnalSchedule) Rate(t float64) float64 {
 // the given burst, so the tweet generator can attribute burst traffic to
 // the burst's topic.
 func (d *DiurnalSchedule) BurstWeight(t float64) (topic int, weight float64) {
-	total := d.Rate(t)
+	return d.BurstWeightOf(t, d.Rate(t))
+}
+
+// BurstWeightOf is BurstWeight for a caller that already holds
+// total = Rate(t).
+func (d *DiurnalSchedule) BurstWeightOf(t, total float64) (topic int, weight float64) {
 	if total <= 0 {
 		return 0, 0
 	}

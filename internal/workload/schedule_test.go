@@ -133,6 +133,27 @@ func TestDiurnalScheduleBurst(t *testing.T) {
 	}
 }
 
+// TestBurstWeightOfReusesTheRate: handed Rate(t), BurstWeightOf is
+// BurstWeight bit for bit — overlapping bursts, noise and the schedule's
+// ends included — so a source that already holds the emission's rate may
+// pass it on.
+func TestBurstWeightOfReusesTheRate(t *testing.T) {
+	d := &DiurnalSchedule{
+		BaseRate: 900, DailyAmplitude: 3600, CycleLength: 430, Length: 3000, NoiseAmplitude: 0.12, Seed: 42,
+		Bursts: []Burst{
+			{Start: 900, Length: 120, ExtraRate: 1200, Topic: 17},
+			{Start: 960, Length: 300, ExtraRate: 2600, Topic: 3},
+			{Start: 2990, Length: 50, ExtraRate: 500, Topic: 8},
+		},
+	}
+	for x := -5.0; x < 3010; x += 0.37 {
+		topic, w := d.BurstWeight(x)
+		if gt, gw := d.BurstWeightOf(x, d.Rate(x)); gt != topic || gw != w {
+			t.Fatalf("t=%v: BurstWeightOf = (%d, %v), BurstWeight = (%d, %v)", x, gt, gw, topic, w)
+		}
+	}
+}
+
 func TestDiurnalScheduleNoiseDeterministicAndBounded(t *testing.T) {
 	d1 := &DiurnalSchedule{BaseRate: 1000, DailyAmplitude: 1000, CycleLength: 400, Length: 4000, NoiseAmplitude: 0.1, Seed: 13}
 	d2 := &DiurnalSchedule{BaseRate: 1000, DailyAmplitude: 1000, CycleLength: 400, Length: 4000, NoiseAmplitude: 0.1, Seed: 13}
