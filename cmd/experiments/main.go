@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"nephelix/internal/ckpt"
-	"nephelix/internal/engine"
 	"nephelix/internal/experiments"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
@@ -51,7 +50,6 @@ func main() {
 	ckptInterval := flag.Float64("ckpt.interval", 1, "checkpoint interval in virtual seconds (guaranteed faults run)")
 	obsAddr := flag.String("obs.addr", "", "serve introspection endpoints (/healthz, /metrics, /timeseries, /slo, /dataplane, /dash, /debug/pprof, /scaler/decisions) on this address")
 	obsLinger := flag.Duration("obs.linger", 0, "keep the introspection server alive this long after the experiments finish (for scraping a completed run)")
-	engine.RegisterFlags(flag.CommandLine) // -engine.shards, -engine.wheel (the live-engine dataplane run)
 	flag.Parse()
 
 	if *obsAddr != "" {

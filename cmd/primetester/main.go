@@ -19,7 +19,6 @@ import (
 
 	"nephelix/internal/apps"
 	"nephelix/internal/ckpt"
-	"nephelix/internal/engine"
 	"nephelix/internal/experiments"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
@@ -42,7 +41,6 @@ func main() {
 	obsAddr := flag.String("obs.addr", "", "serve introspection endpoints (/healthz, /metrics, /timeseries, /slo, /dataplane, /dash, /debug/pprof, /scaler/decisions) on this address")
 	decisionsPath := flag.String("decisions", "", "write the scaler's decision audit trail to this JSONL file")
 	timeseriesPath := flag.String("timeseries", "", "write the telemetry time series and residual stats to this JSON file")
-	engine.RegisterFlags(flag.CommandLine) // -engine.shards, -engine.wheel (live-engine runs)
 	flag.Parse()
 
 	g, err := ckpt.ParseGuarantee(*guarantee)

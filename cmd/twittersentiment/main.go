@@ -17,7 +17,6 @@ import (
 
 	"nephelix/internal/apps"
 	"nephelix/internal/ckpt"
-	"nephelix/internal/engine"
 	"nephelix/internal/experiments"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
@@ -38,7 +37,6 @@ func main() {
 	quantile := flag.Float64("constraint.quantile", 0, "percentile constraints: bound this latency quantile instead of the mean, e.g. 0.99 for p99 (0 = paper's mean semantics)")
 	guarantee := flag.String("guarantee", "at-most-once", "processing guarantee: at-most-once | at-least-once | exactly-once")
 	ckptInterval := flag.Float64("ckpt.interval", 1, "checkpoint interval in virtual seconds (guaranteed runs)")
-	engine.RegisterFlags(flag.CommandLine) // -engine.shards, -engine.wheel (live-engine runs)
 	flag.Parse()
 
 	g, err := ckpt.ParseGuarantee(*guarantee)

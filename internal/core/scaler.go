@@ -385,11 +385,11 @@ func (e *ElasticScaler) applyDeadBand(d *Decision, current map[string]int) {
 		}
 	}
 	changed := false
-	for name, to := range d.Desired {
-		from, ok := current[name]
-		if !ok || to == from {
-			continue
-		}
+	// d.Actions is the diff of current against d.Desired sorted by vertex:
+	// walking it instead of the map keeps the order of Holds, and so the
+	// audit trail, independent of map iteration.
+	for _, a := range d.Actions {
+		name, from, to := a.Vertex, a.From, a.To
 		if to > from && bottleneck[name] {
 			continue // never delay bottleneck resolution
 		}
@@ -416,9 +416,9 @@ func (e *ElasticScaler) clampScaleDowns(d *Decision, current map[string]int) {
 		return
 	}
 	changed := false
-	for name, to := range d.Desired {
-		from, ok := current[name]
-		if !ok || to >= from {
+	for _, a := range d.Actions { // sorted by vertex, see applyDeadBand
+		name, from, to := a.Vertex, a.From, a.To
+		if to >= from {
 			continue
 		}
 		maxDown := int(math.Ceil(f * float64(from)))

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"nephelix/internal/ckpt"
 	"nephelix/internal/obs"
 )
@@ -12,12 +10,12 @@ import (
 // coordinator, counting alignment, the commit sequence, sink dedup —
 // lives once in internal/ckpt and is shared with the simulator (see
 // DESIGN.md "Processing guarantees"). What is engine-specific, here and
-// in engine.go/task.go, is how the protocol meets goroutines and rings:
-// the master injects barriers and requests replays through per-shard
-// atomics the shard goroutine services between emission rounds,
-// barriers travel as gate.barrierShipments, replays re-emit through
-// emitter.emit, the completing ack reaches the master over a channel,
-// and an exhausted source lingers until its tail is committed.
+// in master.go/worker.go/source.go, is how the protocol meets goroutines
+// and rings: the master injects barriers and requests replays through
+// per-shard atomics the shard goroutine services between emission
+// rounds, barriers travel as gate.barrierShipments, replays re-emit
+// through emitter.emit, the completing ack reaches the master over a
+// channel, and an exhausted source lingers until its tail is committed.
 
 // logEntry is what a source shard's ckpt.Log retains per emission: the
 // record as emitted (trace span cleared) plus the out-edge it left on,
@@ -41,9 +39,6 @@ func sinkDedups(spec *JobSpec) (byVertex map[string]*ckpt.DedupTable, all []*ckp
 	return byVertex, all
 }
 
-// sinceStart is the protocol's clock: seconds since execution start.
-func (ex *execution) sinceStart(t time.Time) float64 { return t.Sub(ex.start).Seconds() }
-
 // roundDone hands a completed round to the master loop (any task
 // goroutine: the one whose ack completed it).
 func (ex *execution) roundDone(r ckpt.Round, complete bool) {
@@ -64,7 +59,7 @@ func (ex *execution) reportCheckpoint(o ckpt.Outcome, ok bool) {
 	if !ok {
 		return
 	}
-	ex.cfg.Telemetry.ObserveCheckpoint(ex.sinceStart(time.Now()), o.Duration, o.Interval, o.MaxStall, o.Committed)
+	ex.cfg.Telemetry.ObserveCheckpoint(ex.Now(), o.Duration, o.Interval, o.MaxStall, o.Committed)
 	if !o.Committed {
 		ex.recordLifecycle(obs.KindCheckpointAbort, obs.Lifecycle{CheckpointID: o.ID, Reason: o.Reason})
 		return

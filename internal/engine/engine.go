@@ -3,9 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +11,7 @@ import (
 	"nephelix/internal/ckpt"
 	"nephelix/internal/cluster"
 	"nephelix/internal/core"
+	"nephelix/internal/master"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/probe"
@@ -136,9 +135,6 @@ func (c Config) withDefaults() Config {
 		c.FlushTick = time.Millisecond
 	}
 	if c.SourceShards <= 0 {
-		c.SourceShards = flagSourceShards // -engine.shards (see flags.go)
-	}
-	if c.SourceShards <= 0 {
 		s := runtime.GOMAXPROCS(0) / 2
 		if s < 1 {
 			s = 1
@@ -147,9 +143,6 @@ func (c Config) withDefaults() Config {
 			s = 4
 		}
 		c.SourceShards = s
-	}
-	if c.WheelResolution <= 0 {
-		c.WheelResolution = flagWheelResolution // -engine.wheel (see flags.go)
 	}
 	if c.WheelResolution <= 0 {
 		c.WheelResolution = c.FlushTick
@@ -215,7 +208,7 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		probes:      probes,
 		rm:          rm,
 		scheduler:   cluster.NewScheduler(rm),
-		manager:     qos.NewManager(managerConfigFor(e.cfg)),
+		manager:     qos.NewManager(master.ManagerConfig(e.cfg.AdjustmentInterval.Seconds(), e.cfg.MeasurementInterval.Seconds())),
 		vertices:    make(map[string]*vertexState),
 		edgePos:     make(map[model.EdgeKey]int),
 		modes:       make(map[string]model.LatencyMode),
@@ -224,13 +217,11 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		failures:    make(chan taskFailure, 1024),
 		restarts:    make(chan string, 1024),
 		supervisors: make(map[string]*supervisor),
+		stepErrs:    make(map[string]bool),
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
 	}
 	ex.wheel = newFlushWheel(e.cfg.WheelResolution)
-	ex.sloTargets = obs.SLOTargetsFromConstraints(spec.constraints)
-	ex.controller = qos.NewBatchingController(e.cfg.Scaler.Strategy.Batching)
-	ex.controller.SetElastic(e.cfg.Elastic)
 	ex.guarantee = e.cfg.Guarantee
 	if ex.guarantee.Enabled() {
 		ex.suppressDups = ex.guarantee.Dedup()
@@ -242,15 +233,8 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		ex.coord = ckpt.NewCoordinator[*task](ex.ckptStore, ex.logs, dedups)
 		ex.ckptDone = make(chan ckpt.Round, 1)
 	}
-	if e.cfg.Elastic {
-		if len(spec.constraints) == 0 {
-			return nil, fmt.Errorf("engine: elastic execution needs at least one constraint")
-		}
-		sc, err := core.NewElasticScaler(e.cfg.Scaler, spec.graph, spec.constraints)
-		if err != nil {
-			return nil, err
-		}
-		ex.scaler = sc
+	if ex.loop, err = ex.newLoop(); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if err := ex.bootstrap(); err != nil {
 		return nil, err
@@ -261,15 +245,6 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 	ex.launchAll()
 	go ex.masterLoop()
 	return &Execution{ex: ex}, nil
-}
-
-// managerConfigFor derives the QoS history length from the intervals.
-func managerConfigFor(cfg Config) qos.ManagerConfig {
-	m := qos.DefaultManagerConfig()
-	if n := int(cfg.AdjustmentInterval / cfg.MeasurementInterval); n >= 1 {
-		m.HistoryLength = n
-	}
-	return m
 }
 
 // vertexState groups a vertex's tasks (master-owned; count holds the
@@ -315,17 +290,16 @@ type execution struct {
 	edgePos map[model.EdgeKey]int
 	modes   map[string]model.LatencyMode
 
-	deadlines  map[model.EdgeKey]time.Duration
-	controller *qos.BatchingController
-	manager    *qos.Manager
-	scaler     *core.ElasticScaler
+	deadlines map[model.EdgeKey]time.Duration
+	manager   *qos.Manager
+	// loop is the master's adjustment interval (internal/master); the
+	// execution is its Runtime under wall time (master.go). stepErrs holds
+	// the step errors already audited, one event per distinct message.
+	loop     *master.Loop
+	stepErrs map[string]bool
 
 	probes  *probe.ProbeSet
 	reports chan any
-
-	// sloTargets are the per-constraint SLO targets derived from the job
-	// spec's constraints, used when no bounded probe covers them.
-	sloTargets []obs.SLOTarget
 
 	// pool recycles batch slices across all tasks of the execution (see
 	// pool.go for the ownership contract); poolSeq hands out shard hints
@@ -392,10 +366,6 @@ type execution struct {
 	// master loop before doneCh closes, read after Wait returns.
 	failErr error
 
-	// adjustRounds counts adjustment ticks (master loop only); it is the
-	// interval ordinal on recorded scaling decisions.
-	adjustRounds int
-
 	rowsMu sync.Mutex
 	rows   []Row
 
@@ -404,19 +374,6 @@ type execution struct {
 	stopOnce    sync.Once
 	stopCh      chan struct{}
 	doneCh      chan struct{}
-}
-
-// taskFailure is a task goroutine's dying message to the master.
-type taskFailure struct {
-	t      *task
-	reason any
-}
-
-// supervisor is the master's per-vertex restart state.
-type supervisor struct {
-	backoff     *Backoff
-	lastFailure time.Time
-	degraded    bool
 }
 
 // Row is one record-interval sample of a live execution's time series.
@@ -440,6 +397,7 @@ type ProbeSample struct {
 
 // report messages from tasks to the master.
 type taskReportMsg struct{ report qos.TaskReport }
+
 type channelReportMsg struct{ report qos.ChannelReport }
 
 // offerReport enqueues a report without ever blocking a task.
@@ -449,12 +407,6 @@ func (ex *execution) offerReport(msg any) {
 	default:
 		ex.droppedReports.Add(1)
 	}
-}
-
-// currentDeadline returns the master's current deadline for an edge.
-func (ex *execution) currentDeadline(edge model.EdgeKey) (time.Duration, bool) {
-	d, ok := ex.deadlines[edge]
-	return d, ok
 }
 
 // parallelismOf returns a vertex's live task count (lock-free).
@@ -555,8 +507,11 @@ func (ex *execution) launchAll() {
 // recorder (no-op when none is set). Event time is seconds since
 // execution start, matching the simulator's virtual clock convention.
 func (ex *execution) recordLifecycle(kind string, lc obs.Lifecycle) {
-	ex.cfg.Recorder.RecordLifecycle(time.Since(ex.start).Seconds(), kind, lc)
+	ex.cfg.Recorder.RecordLifecycle(ex.Now(), kind, lc)
 }
+
+// Now is the execution's clock, seconds since its start (master.Runtime).
+func (ex *execution) Now() float64 { return time.Since(ex.start).Seconds() }
 
 // launch starts one task goroutine.
 func (ex *execution) launch(t *task) {
@@ -603,325 +558,7 @@ func (ex *execution) accountUsageLocked() {
 	for _, name := range ex.order {
 		total += len(ex.vertices[name].tasks)
 	}
-	ex.meter.Advance(time.Since(ex.start).Seconds(), total, ex.rm.Leased())
-}
-
-// masterLoop runs the control plane until shutdown.
-func (ex *execution) masterLoop() {
-	adjust := time.NewTicker(ex.cfg.AdjustmentInterval)
-	defer adjust.Stop()
-	quiesce := time.NewTicker(ex.cfg.MeasurementInterval)
-	defer quiesce.Stop()
-	var recordC <-chan time.Time
-	if ex.cfg.RecordInterval > 0 {
-		record := time.NewTicker(ex.cfg.RecordInterval)
-		defer record.Stop()
-		recordC = record.C
-	}
-	var ckptC <-chan time.Time
-	if ex.guarantee.Enabled() {
-		ckptTicker := time.NewTicker(ex.cfg.CheckpointInterval)
-		defer ckptTicker.Stop()
-		ckptC = ckptTicker.C
-	}
-
-	var lastProcessed int64
-	stableRounds := 0
-	stopping := false
-
-	finish := func() {
-		ex.stopAllTasks()
-		ex.wg.Wait()
-		ex.drainReports()
-		ex.mu.Lock()
-		ex.accountUsageLocked()
-		ex.mu.Unlock()
-		ex.recordLifecycle(obs.KindDropCounters, obs.Lifecycle{
-			LostRecords:       ex.lostRecords.Load(),
-			DroppedReports:    ex.droppedReports.Load(),
-			DroppedNoConsumer: ex.dropNoConsumer.Load(),
-		})
-		ex.wheel.stop()
-		close(ex.doneCh)
-	}
-
-	for {
-		select {
-		case msg := <-ex.reports:
-			ex.consumeReport(msg)
-		case f := <-ex.failures:
-			ex.handleTaskFailure(f, stopping)
-		case vertex := <-ex.restarts:
-			ex.restartTask(vertex, stopping)
-		case <-adjust.C:
-			ex.adjustTick()
-		case <-recordC:
-			ex.recordTick()
-		case <-ckptC:
-			if !stopping {
-				ex.startCheckpoint()
-			}
-		case r := <-ex.ckptDone:
-			// Persist, then prune (ckpt.Coordinator.Commit); a round that
-			// raced churn or whose store failed comes back as an abort.
-			now := ex.sinceStart(time.Now())
-			ex.reportCheckpoint(ex.coord.Commit(r, now, ex.emitted.Load(), ex.lostRecords.Load()), true)
-		case <-quiesce.C:
-			if !stopping {
-				continue
-			}
-			cur := ex.totalProcessed()
-			if cur == lastProcessed {
-				stableRounds++
-			} else {
-				stableRounds = 0
-			}
-			lastProcessed = cur
-			if stableRounds == 1 {
-				// The pipeline has gone quiet: ship what size-only gates
-				// still hold. A tail that reaches a consumer moves the
-				// processed count and so restarts the stable run; finish
-				// follows only a run in which nothing was left to ship.
-				ex.flushTails()
-			}
-			if stableRounds >= 3 {
-				finish()
-				return
-			}
-		case <-ex.stopCh:
-			stopping = true
-			// Force path: stop sources immediately; workers drain via the
-			// quiescence checks above.
-			ex.stopSources()
-		}
-		// pendingRecovery keeps a crashed source counted until its
-		// replacement launches, so a transient sourcesLeft == 0 during a
-		// restart cannot end the job early.
-		if !stopping && ex.sourcesLeft.Load() == 0 && ex.pendingRecovery.Load() == 0 {
-			stopping = true
-		}
-	}
-}
-
-// startCheckpoint injects one barrier checkpoint at the sources (master
-// loop only). Injection needs a quiet topology: no crashed task awaiting
-// restart, no draining task, at least one live source — otherwise this
-// tick is skipped and the next one retries. A predecessor still in
-// flight is superseded first (its alignment counts are stale anyway if
-// it has not completed within a full interval).
-func (ex *execution) startCheckpoint() {
-	if ex.pendingRecovery.Load() != 0 {
-		return
-	}
-	ex.reportCheckpoint(ex.coord.Abort("superseded by next interval"))
-	ex.mu.Lock()
-	var sourceEmitters []*emitter
-	expect := make(map[*task]int)
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			if t.draining.Load() {
-				ex.mu.Unlock()
-				return
-			}
-			if t.src != nil {
-				// One barrier per offset shard: each shard emitter injects
-				// the marker into its own rings and acks its own log's
-				// watermark.
-				sourceEmitters = append(sourceEmitters, t.emitters...)
-				continue
-			}
-			// A worker aligns one barrier per live upstream producer
-			// emitter, on every inbound edge (barriers broadcast to all
-			// consumers regardless of wiring pattern). No task is draining
-			// here — the loop above bailed otherwise — so every producer
-			// counts.
-			exp := 0
-			for _, ek := range ex.spec.graph.InEdges(name) {
-				for _, p := range ex.vertices[ek.Source].tasks {
-					exp += len(p.emitters)
-				}
-			}
-			expect[t] = exp
-		}
-	}
-	if len(sourceEmitters) == 0 {
-		ex.mu.Unlock()
-		return
-	}
-	id := ex.coord.Begin(ex.sinceStart(time.Now()), expect, len(sourceEmitters))
-	for _, e := range sourceEmitters {
-		e.barrierReq.Store(id)
-		e.wake()
-	}
-	ex.mu.Unlock()
-	ex.recordLifecycle(obs.KindCheckpointStart, obs.Lifecycle{CheckpointID: id})
-}
-
-// noteChurn records a topology change (master loop only): an in-flight
-// checkpoint is aborted now, a completed-but-uncommitted one is discarded
-// by the commit's generation check.
-func (ex *execution) noteChurn(reason string) {
-	if ex.guarantee.Enabled() {
-		ex.reportCheckpoint(ex.coord.Churn(reason))
-	}
-}
-
-// reportFailure is called from a dying task goroutine's recover handler,
-// before taskDone tears the task down. It must never block forever: if
-// the failure queue is full (pathological crash storm) the failure is
-// counted but the task stays down.
-func (ex *execution) reportFailure(t *task, reason any) {
-	ex.taskFailures.Add(1)
-	ex.recordLifecycle(obs.KindTaskPanic, obs.Lifecycle{
-		Vertex: t.id.Vertex, Task: t.id.String(), Reason: fmt.Sprint(reason),
-	})
-	ex.pendingRecovery.Add(1)
-	select {
-	case ex.failures <- taskFailure{t: t, reason: reason}:
-	default:
-		ex.pendingRecovery.Add(-1)
-	}
-}
-
-// handleTaskFailure processes one crash on the master loop: the dead task
-// leaves all routing tables, its queued records are counted as lost, and
-// its vertex either gets a delayed restart or — past the restart cap —
-// degrades and fails the job.
-func (ex *execution) handleTaskFailure(f taskFailure, stopping bool) {
-	ex.mu.Lock()
-	g := ex.spec.graph
-	for _, ek := range g.InEdges(f.t.id.Vertex) {
-		pos := ex.edgePos[ek]
-		for _, p := range ex.vertices[ek.Source].tasks {
-			for _, pe := range p.emitters {
-				pe.gates[pos].removeConsumer(f.t)
-			}
-		}
-	}
-	ex.mu.Unlock()
-	ex.noteChurn("task failure")
-	for _, e := range f.t.emitters {
-		if e.srcLog != nil {
-			// Park the dead source shard's offset log for its replacement,
-			// which replays the uncommitted suffix (harmless while stopping:
-			// the log is simply never reattached).
-			ex.logs.Orphan(e.srcLog)
-		}
-		// The dying goroutine's defer closed these rings already; repeat
-		// for any consumer that was wired in mid-crash (Close is
-		// idempotent).
-		e.closeOutRings()
-	}
-	// Whatever was queued for the dead task is gone with it; the batch
-	// slices never reached a consumer, so the master recycles them.
-	// Close first so producers stop pushing, then drain: the dead task's
-	// goroutine no longer pops (reportFailure runs during its unwind), so
-	// Drain cannot race a Pop.
-	lostByEdge := make(map[model.EdgeKey]int64)
-	for _, r := range f.t.ringsSnapshot() {
-		r.Close()
-		for {
-			b, ok := r.Drain()
-			if !ok {
-				break
-			}
-			if b.barrier == 0 {
-				ex.lostRecords.Add(int64(len(b.items)))
-				lostByEdge[f.t.inEdge(b)] += int64(len(b.items))
-				ex.pool.put(b.poolHint, b.items)
-			}
-		}
-	}
-	// Audit the reclaim: one ring_drain event per inbound edge that lost
-	// queued records, so the flight recorder shows where a crash cost
-	// data instead of a bare execution-wide counter.
-	for _, ek := range g.InEdges(f.t.id.Vertex) {
-		if lost := lostByEdge[ek]; lost > 0 {
-			ex.recordLifecycle(obs.KindRingDrain, obs.Lifecycle{
-				Vertex:      f.t.id.Vertex,
-				Task:        f.t.id.String(),
-				Edge:        ek.String(),
-				LostRecords: lost,
-			})
-		}
-	}
-	if stopping {
-		ex.pendingRecovery.Add(-1)
-		return
-	}
-	ex.superviseFailure(f.t.id.Vertex, f.reason)
-}
-
-// superviseFailure advances a vertex's restart state (master loop only):
-// schedule a backoff-delayed restart, or degrade past the cap. The
-// caller has already incremented pendingRecovery for this failure.
-func (ex *execution) superviseFailure(vertex string, reason any) {
-	sup := ex.supervisors[vertex]
-	if sup == nil {
-		sup = &supervisor{backoff: NewBackoff(
-			ex.cfg.RestartBackoff, ex.cfg.RestartBackoffCap, 0.2,
-			rand.NewSource(ex.cfg.Seed^int64(len(vertex))*1099511628211),
-		)}
-		ex.supervisors[vertex] = sup
-	}
-	sup.lastFailure = time.Now()
-	if sup.degraded || sup.backoff.Attempts() >= ex.cfg.MaxTaskRestarts {
-		sup.degraded = true
-		ex.recordLifecycle(obs.KindVertexDegraded, obs.Lifecycle{
-			Vertex: vertex, Reason: fmt.Sprint(reason), Attempts: sup.backoff.Attempts(),
-		})
-		ex.pendingRecovery.Add(-1)
-		if ex.failErr == nil {
-			ex.failErr = fmt.Errorf("engine: vertex %q degraded after %d failed restarts (last failure: %v)",
-				vertex, ex.cfg.MaxTaskRestarts, reason)
-		}
-		ex.stopOnce.Do(func() { close(ex.stopCh) })
-		return
-	}
-	delay := sup.backoff.Next()
-	ex.recordLifecycle(obs.KindTaskRestart, obs.Lifecycle{
-		Vertex: vertex, Attempts: sup.backoff.Attempts(), BackoffSeconds: delay.Seconds(),
-	})
-	time.AfterFunc(delay, func() {
-		select {
-		case ex.restarts <- vertex:
-		case <-ex.doneCh:
-		}
-	})
-}
-
-// restartTask replaces one crashed task of a vertex (master loop only).
-func (ex *execution) restartTask(vertex string, stopping bool) {
-	if stopping {
-		ex.pendingRecovery.Add(-1)
-		return
-	}
-	ex.mu.Lock()
-	ex.accountUsageLocked()
-	t, err := ex.createTask(vertex)
-	if err == nil {
-		ex.wireTaskLocked(t)
-	}
-	ex.mu.Unlock()
-	if err != nil {
-		// Placement failed (pool exhausted by concurrent scale-ups):
-		// treat as another failure so the backoff keeps climbing toward
-		// the degradation cap instead of spinning.
-		ex.superviseFailure(vertex, err)
-		return
-	}
-	ex.taskRestarts.Add(1)
-	ex.launch(t)
-	ex.noteChurn("restart rewired topology")
-	if ex.guarantee.Enabled() {
-		// At-least-once recovery: every source replays its uncommitted
-		// suffix, re-covering whatever died queued at or in flight to the
-		// crashed task. Flags are set before pendingRecovery drops so no
-		// barrier can be injected ahead of the replays (sources service
-		// replay requests before barrier requests).
-		ex.requestReplayAll()
-	}
-	ex.pendingRecovery.Add(-1)
+	ex.meter.Advance(ex.Now(), total, ex.rm.Leased())
 }
 
 // wireTaskLocked connects a fresh task to live upstream producers and
@@ -945,312 +582,6 @@ func (ex *execution) wireTaskLocked(t *task) {
 				continue
 			}
 			ex.connect(t, pos, ek, c)
-		}
-	}
-}
-
-// consumeReport feeds one task/channel report into the manager.
-func (ex *execution) consumeReport(msg any) {
-	switch m := msg.(type) {
-	case taskReportMsg:
-		ex.manager.ReportTask(m.report)
-	case channelReportMsg:
-		ex.manager.ReportChannel(m.report)
-	}
-}
-
-// drainReports empties the report queue after tasks exited.
-func (ex *execution) drainReports() {
-	for {
-		select {
-		case msg := <-ex.reports:
-			ex.consumeReport(msg)
-		default:
-			return
-		}
-	}
-}
-
-// totalProcessed sums all live tasks' processed counters.
-func (ex *execution) totalProcessed() int64 {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	var total int64
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			total += t.processed.Load()
-		}
-	}
-	return total
-}
-
-// recordTick appends one time-series row.
-func (ex *execution) recordTick() {
-	row := Row{
-		Elapsed:     time.Since(ex.start),
-		Probes:      make(map[string]ProbeSample),
-		Parallelism: make(map[string]int),
-		Emitted:     ex.emitted.Load(),
-	}
-	for _, name := range ex.probes.Names() {
-		count, mean, p95 := ex.probes.Probe(name).RecSnapshot()
-		row.Probes[name] = ProbeSample{Count: count, Mean: mean, P95: p95}
-	}
-	ex.mu.Lock()
-	for _, name := range ex.order {
-		row.Parallelism[name] = int(ex.vertices[name].count.Load())
-	}
-	ex.mu.Unlock()
-	ex.rowsMu.Lock()
-	ex.rows = append(ex.rows, row)
-	ex.rowsMu.Unlock()
-}
-
-// adjustTick runs one adjustment interval: summary, batching deadlines,
-// scaling.
-func (ex *execution) adjustTick() {
-	for _, name := range ex.probes.Names() {
-		ex.probes.Probe(name).AdjSnapshot()
-	}
-	// Current parallelism counts only live (non-draining) tasks: draining
-	// tasks left the routing tables and must not be double-counted by
-	// consecutive scale-down decisions.
-	ex.mu.Lock()
-	par := make(map[string]int, len(ex.order))
-	for _, name := range ex.order {
-		par[name] = int(ex.vertices[name].count.Load())
-	}
-	ex.mu.Unlock()
-
-	summary := qos.MergePartials(par, ex.manager.PartialSummary())
-	ex.lastSummary.Store(summary)
-
-	// Reset-on-success: a vertex that stayed up for BackoffResetAfter
-	// since its last crash earns its base backoff back (adjustTick runs
-	// on the master loop, same goroutine as the supervisors).
-	for _, sup := range ex.supervisors {
-		if !sup.degraded && !sup.lastFailure.IsZero() &&
-			time.Since(sup.lastFailure) >= ex.cfg.BackoffResetAfter {
-			sup.backoff.Reset()
-		}
-	}
-
-	if ex.guarantee.Enabled() {
-		// Push the interval's suppressed-duplicate delta to telemetry.
-		_, dups, _ := ex.coord.Deliveries()
-		if d := dups - ex.lastDupCount; d > 0 {
-			ex.cfg.Telemetry.AddDeduped(time.Since(ex.start).Seconds(), d)
-		}
-		ex.lastDupCount = dups
-	}
-
-	if len(ex.spec.constraints) > 0 {
-		deadlines := ex.controller.Update(summary, ex.spec.constraints)
-		ex.applyDeadlines(deadlines)
-	}
-
-	var decision *core.Decision
-	if ex.scaler != nil {
-		ex.adjustRounds++
-		if d, err := ex.scaler.Decide(summary, par); err == nil {
-			decision = d
-		}
-	}
-	// Telemetry scrapes even without an elastic scaler (decision nil),
-	// and before recording so the audit event carries the drift flags.
-	drift := ex.cfg.Telemetry.ObserveInterval(time.Since(ex.start).Seconds(), summary, decision, par)
-	ex.scrapeShardGauges()
-	ex.scrapeDataplane()
-	ex.cfg.Telemetry.ObserveSLOs(time.Since(ex.start).Seconds(), ex.probes, ex.sloTargets, ex.cfg.Recorder)
-	if decision == nil {
-		return
-	}
-	sd := obs.NewScalingDecision(ex.adjustRounds, decision, par)
-	sd.Drift = drift
-	ex.cfg.Recorder.RecordDecision(time.Since(ex.start).Seconds(), sd)
-	for _, a := range decision.Actions {
-		if d := a.Delta(); d > 0 {
-			ex.scaleUp(a.Vertex, d)
-			ex.scaleUps.Add(1)
-		} else if d < 0 {
-			ex.scaleDown(a.Vertex, -d)
-			ex.scaleDowns.Add(1)
-		}
-	}
-}
-
-// scrapeShardGauges publishes per-shard source emission counters each
-// adjustment interval so the dash can show shard balance.
-func (ex *execution) scrapeShardGauges() {
-	store := ex.cfg.Telemetry.Store()
-	if store == nil {
-		return
-	}
-	now := time.Since(ex.start).Seconds()
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			if t.src == nil {
-				continue
-			}
-			for _, e := range t.emitters {
-				store.Gauge("nephelix_source_shard_emitted", map[string]string{
-					"vertex": name,
-					"task":   t.id.String(),
-					"shard":  strconv.Itoa(e.shard),
-				}).Set(now, float64(e.emitCount.Load()))
-			}
-		}
-	}
-}
-
-// applyDeadlines publishes new flush deadlines to all gates.
-func (ex *execution) applyDeadlines(deadlines map[model.EdgeKey]float64) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for key, dl := range deadlines {
-		ex.deadlines[key] = time.Duration(dl * float64(time.Second))
-	}
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			for _, e := range t.emitters {
-				changed := false
-				for _, g := range e.gates {
-					if ex.spec.edgeBatching(g.edge) != BatchingAdaptive {
-						continue
-					}
-					if d, ok := ex.deadlines[g.edge]; ok {
-						g.setDeadline(d)
-						changed = true
-					}
-				}
-				if changed {
-					// Wheel entries armed under the old deadline may now be
-					// stale; a flush pass re-evaluates the buffers and
-					// re-arms at the new deadlines.
-					e.requestFlush()
-				}
-			}
-		}
-	}
-}
-
-// flushTails force-drains the gates of every worker task once a stopping
-// job's processed count has stopped moving. A size-only (BatchingFixed)
-// gate ships full batches only, so without this up to MaxBatchRecords−1
-// records per consumer would sit in it until the force-quit and vanish
-// uncounted. No more input is coming, so such gates have nothing left to
-// wait for: they switch to instant flush — records still trickling
-// through later hops cannot strand again — and their owners are asked
-// for a flush pass. Sources drain their own gates when they exit.
-func (ex *execution) flushTails() {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			if t.src != nil {
-				continue
-			}
-			e := t.emitters[0]
-			for _, g := range e.gates {
-				if g.deadline() == noDeadline {
-					g.setDeadline(0)
-				}
-			}
-			e.requestFlush()
-		}
-	}
-}
-
-// scaleUp adds n tasks to a vertex and wires them in.
-func (ex *execution) scaleUp(vertex string, n int) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	ex.accountUsageLocked()
-	for i := 0; i < n; i++ {
-		t, err := ex.createTask(vertex)
-		if err != nil {
-			return // pool exhausted; keep what we have
-		}
-		ex.wireTaskLocked(t)
-		ex.launch(t)
-		ex.noteChurn("scale-up")
-	}
-}
-
-// scaleDown marks the newest n tasks of a vertex as draining and removes
-// them from all routing tables; they exit on their own after draining.
-func (ex *execution) scaleDown(vertex string, n int) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	vs := ex.vertices[vertex]
-	g := ex.spec.graph
-	live := make([]*task, 0, len(vs.tasks))
-	for _, t := range vs.tasks {
-		if !t.draining.Load() {
-			live = append(live, t)
-		}
-	}
-	// Never drain below the vertex's minimum parallelism (and never to
-	// zero): the routing tables must always have a live consumer.
-	floor := vs.jv.MinParallelism
-	if floor < 1 {
-		floor = 1
-	}
-	for i := 0; i < n && len(live) > floor; i++ {
-		t := live[len(live)-1]
-		live = live[:len(live)-1]
-		// Unroute from upstream producers.
-		for _, ek := range g.InEdges(vertex) {
-			pos := ex.edgePos[ek]
-			for _, p := range ex.vertices[ek.Source].tasks {
-				for _, pe := range p.emitters {
-					pe.gates[pos].removeConsumer(t)
-				}
-			}
-		}
-		t.draining.Store(true)
-		// Wake the drained task so its park ends and the drain-idle clock
-		// starts now rather than at the next housekeeping timeout.
-		t.wake()
-		for _, e := range t.emitters {
-			e.wake()
-		}
-		ex.noteChurn("scale-down")
-	}
-	vs.refreshCount()
-}
-
-// stopSources asks all source tasks to finish.
-func (ex *execution) stopSources() {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			if t.src != nil {
-				t.draining.Store(true)
-				for _, e := range t.emitters {
-					e.wake()
-				}
-			}
-		}
-	}
-}
-
-// stopAllTasks force-quits every remaining task.
-func (ex *execution) stopAllTasks() {
-	ex.mu.Lock()
-	tasks := make([]*task, 0)
-	for _, name := range ex.order {
-		tasks = append(tasks, ex.vertices[name].tasks...)
-	}
-	ex.mu.Unlock()
-	for _, t := range tasks {
-		select {
-		case <-t.quit:
-		default:
-			close(t.quit)
 		}
 	}
 }

@@ -851,12 +851,12 @@ func TestEngineTailFitWithoutObservability(t *testing.T) {
 	}
 	fit := false
 	for !fit && !exec.Done() {
-		_, state := exec.ex.scaler.TailFitter().Kappa("work", 0.99)
+		_, state := exec.ex.loop.TailFitter().Kappa("work", 0.99)
 		fit = state == core.TailFitFresh
 		time.Sleep(20 * time.Millisecond)
 	}
 	waitDone(t, exec, 30*time.Second)
 	if !fit {
-		t.Errorf("tail fit at \"work\" never left the mean fallback: %+v", exec.ex.scaler.TailFitter().Snapshot())
+		t.Errorf("tail fit at \"work\" never left the mean fallback: %+v", exec.ex.loop.TailFitter().Snapshot())
 	}
 }

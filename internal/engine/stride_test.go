@@ -10,9 +10,10 @@ import (
 	"nephelix/internal/qos"
 )
 
-// newBareTask builds a sink task around udf that handleBatch can be
-// driven on directly: no rings, no gates, no master. Interval reports
-// are pushed an hour out so the reporter accumulates the whole test.
+// newBareTask builds a read-ready sink task around udf that handleBatch
+// can be driven on directly: no rings, no gates, no master. Interval
+// reports are pushed an hour out so the reporter accumulates the whole
+// test.
 func newBareTask(udf UDF) (*task, *execution) {
 	ex := &execution{cfg: Config{MeasurementInterval: time.Hour}.withDefaults(), start: time.Now()}
 	id := model.TaskID{Vertex: "v", Index: 0}
@@ -25,6 +26,7 @@ func newBareTask(udf UDF) (*task, *execution) {
 		stride:    1,
 		lastFlush: time.Now(),
 	}
+	tk.reporter.ReadReady() // as newTask does for !rw
 	e := &emitter{t: tk, reporter: tk.reporter}
 	tk.emitters = []*emitter{e}
 	tk.ctx = Context{t: tk, e: e}
@@ -214,6 +216,8 @@ func TestStrideForcedReads(t *testing.T) {
 	t.Run("sampled read-write", func(t *testing.T) {
 		tk, _ := newBareTask(nil)
 		tk.rw = true
+		tk.reporter = qos.NewTaskReporter(tk.id) // not read-ready
+		tk.emitters[0].reporter = tk.reporter
 		b := testBatch(16)
 		b.items[9].Sampled = true
 		tk.stride = maxStride

@@ -192,36 +192,9 @@ type emitter struct {
 	ctx Context
 }
 
-// chanKey identifies an inbound channel by the two fields every batch
-// carries: the edge's position at the producer vertex and the
-// producer's task index.
-type chanKey struct{ edgePos, producer int }
-
-// inChannel is the consumer-side state of one inbound channel, resolved
-// once when the channel's first batch arrives.
-type inChannel struct {
-	rep      *qos.ChannelReporter
-	edgeName string // EdgeKey.String(), for trace hops
-}
-
-// clockBudget is how much work handleBatch lets accumulate between two
-// clock reads inside a batch, and so how stale the task's amortized
-// clock can get (plus one UDF call). Flush deadlines are ≥ 1 ms.
-const clockBudget = 2 * time.Microsecond
-
-// maxStride caps the records between two clock reads however cheap the
-// UDF measures, which bounds how long a UDF that suddenly turns slow
-// runs unobserved.
-const maxStride = 64
-
 // idleSpins is how many empty polls a consumer or source loop burns
 // (with Gosched) before parking on its wake channel.
 const idleSpins = 64
-
-// maxPopsPerScan caps how many batches one worker scan takes from a
-// single input ring before moving on, so a saturated producer cannot
-// starve other rings or the between-scan flush/report servicing.
-const maxPopsPerScan = 64
 
 // shipSpins is how many failed pushes a producer burns before backing
 // off with a short sleep (sustained backpressure).
@@ -244,6 +217,11 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 		stride:   1,
 		poolHint: int(ex.poolSeq.Add(1)),
 	}
+	if !t.rw {
+		// A read-ready task's service time is its task latency; the
+		// reporter derives the one from the other.
+		t.reporter.ReadReady()
+	}
 	empty := make([]*ring.SPSC[batch], 0)
 	t.inRings.Store(&empty)
 	t.inEdges = ex.spec.graph.InEdges(id.Vertex)
@@ -265,6 +243,7 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 		}
 		if src != nil {
 			e.reporter = qos.NewTaskReporter(id)
+			e.reporter.ReadReady() // a shard's production cost is its task latency
 			e.wakeCh = make(chan struct{}, 1)
 			e.parked = &e.ownParked
 		} else {
@@ -281,9 +260,9 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 			case BatchingFixed:
 				g.setDeadline(noDeadline)
 			case BatchingInstant:
-				// Stays at 0; applyDeadlines never touches non-adaptive edges.
+				// Stays at 0; SetDeadlines never touches non-adaptive edges.
 			default:
-				if d, ok := ex.currentDeadline(ek); ok {
+				if d, ok := ex.deadlines[ek]; ok {
 					g.setDeadline(d)
 				}
 			}
@@ -305,8 +284,6 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 	t.ctx = Context{t: t, e: t.emitters[0]}
 	return t
 }
-
-// ---- consumer-side ring plumbing ----
 
 // ringsSnapshot returns the current in-ring set (lock-free read).
 func (t *task) ringsSnapshot() []*ring.SPSC[batch] { return *t.inRings.Load() }
@@ -416,8 +393,6 @@ func (t *task) abortClosed() bool {
 func (t *task) abortShards() {
 	t.abortOnce.Do(func() { close(t.shardAbort) })
 }
-
-// ---- producer side (emitter) ----
 
 // emit routes a record into the edgeIdx-th gate, shipping due batches.
 // It runs on the emitter's goroutine and may block under backpressure.
@@ -570,608 +545,6 @@ func (e *emitter) forwardBarrier(id int64, now time.Time) {
 	for _, g := range e.gates {
 		e.ship(g.barrierShipments(id, now))
 	}
-}
-
-// maybeReport flushes a source shard's interval report to the master.
-func (e *emitter) maybeReport(now time.Time) {
-	if now.Sub(e.lastFlush) < e.t.ex.cfg.MeasurementInterval {
-		return
-	}
-	e.lastFlush = now
-	rep := e.reporter.Flush()
-	// The vertex's true arrival process is the union of its shards'
-	// interleaved streams; scale the per-shard interarrival so the
-	// task-level rate the QoS manager derives stays honest.
-	if s := len(e.t.emitters); s > 1 && rep.InterarrivalCount > 0 {
-		rep.InterarrivalMean /= float64(s)
-	}
-	e.t.ex.offerReport(taskReportMsg{report: rep})
-}
-
-// ---- consumer-side processing ----
-
-// maybeReport flushes interval reports to the master (worker/sink
-// goroutine).
-func (t *task) maybeReport(now time.Time) {
-	if now.Sub(t.lastFlush) < t.ex.cfg.MeasurementInterval {
-		return
-	}
-	t.lastFlush = now
-	t.ex.offerReport(taskReportMsg{report: t.reporter.Flush()})
-	for _, ch := range t.inChans {
-		rep := ch.rep.Flush()
-		if !rep.Empty() {
-			t.ex.offerReport(channelReportMsg{report: rep})
-		}
-	}
-}
-
-// handleBatch processes one delivered batch and recycles its slice. The
-// wall clock is read at batch arrival, at batch end, and in between only
-// when about clockBudget of work has accumulated: every t.stride records,
-// and after any record whose own timing is used (a trace span, a sampled
-// read-write record). Each read accounts the n records since the previous
-// one together (account), so counts, Σ service, Σ interarrival and busyNs
-// are exact while the n samples of a group share its mean. A UDF slower
-// than the budget keeps stride 1 and is timed record by record.
-func (t *task) handleBatch(b batch) {
-	now := time.Now()
-	t.now = now
-	e := t.emitters[0]
-	e.now = now
-	// Channel-level QoS: one sample per batch against the oldest record.
-	ch := t.inChannel(&b)
-	ch.rep.RecordTransfer(now.Sub(b.oldestBuf).Seconds(), b.shipped.Sub(b.oldestBuf).Seconds())
-
-	// done counts records finished with (processed or suppressed); the
-	// last n of them ran after the clock read at `last` and are not yet
-	// accounted.
-	done, n, last := 0, 0, now
-	defer func() {
-		if r := recover(); r != nil {
-			// A panicking UDF kills the record it was processing and the
-			// unprocessed remainder of the batch; count them as lost and
-			// let the supervisor defer in run() handle the crash. The
-			// batch slice dies with them — never recycle a batch whose
-			// consumption did not complete.
-			t.processed.Add(int64(n))
-			t.ex.lostRecords.Add(int64(len(b.items) - done))
-			panic(r)
-		}
-	}()
-	for i := range b.items {
-		rec := &b.items[i]
-		if t.dedup != nil && rec.srcID != 0 && !t.dedup.Admit(rec.srcID, rec.offset) && t.ex.suppressDups {
-			// Replay duplicate under exactly-once: suppressed before the
-			// UDF sees it, but still counted for quiescence detection and
-			// the panic-remainder accounting.
-			t.processed.Add(1)
-			done++
-			continue
-		}
-		e.curSpan = rec.span
-		e.curSrcID, e.curOffset = rec.srcID, rec.offset
-		t.udf.Process(&t.ctx, *rec)
-		done++
-		n++
-		if n >= t.stride || rec.span != nil || (t.rw && rec.Sampled) {
-			last, n = t.account(&b, ch, rec, last, n), 0
-		}
-	}
-	if n > 0 {
-		t.account(&b, ch, nil, last, n)
-	}
-	e.curSpan = nil
-	e.curSrcID, e.curOffset = 0, 0
-	t.ex.pool.put(b.poolHint, b.items)
-}
-
-// account reads the clock and books the n records processed since the
-// read at `last` as n equal shares of the elapsed time: n evenly spaced
-// arrivals, n service (and read-ready task-latency) samples. rec is the
-// record that forced the read when its own timing is wanted (span hop,
-// read-write sample), nil at batch end. It sets the next stride from the
-// per-record time just measured, flushes due interval reports — a slow
-// UDF batch can span several measurement intervals, and the master's
-// freshness gating must keep seeing the task — and returns the read.
-func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n int) time.Time {
-	end := time.Now()
-	t.now = end
-	e := t.emitters[0]
-	e.now = end
-	group := end.Sub(last)
-	t.busyNs.Add(int64(group))
-	t.processed.Add(int64(n))
-	per := group.Seconds() / float64(n)
-	start := end.Add(-group / time.Duration(n)) // of the last record's share
-	// Arrival times count from the execution's start: a float64 of Unix
-	// seconds resolves 238 ns, coarser than the sub-µs spacing within a
-	// group.
-	t.reporter.RecordArrivalN(last.Sub(t.ex.start).Seconds(), per, n)
-	t.reporter.RecordServiceN(per, n)
-	wait := start.Sub(b.shipped).Seconds() // ship to service start
-	t.reporter.RecordQueueWaitN(wait, n)
-	if !t.rw {
-		t.reporter.RecordTaskLatencyN(per, n)
-	} else if rec != nil && rec.Sampled && len(e.rwPending) < 64 {
-		e.rwPending = append(e.rwPending, start)
-	}
-	if rec != nil && rec.span != nil {
-		// Per-hop decomposition: time buffered at the producer, no
-		// separable network transit (in-process rings), then the wait.
-		batchDelay := b.shipped.Sub(b.oldestBuf).Seconds()
-		endS := nowSeconds(end)
-		rec.span.Hop(t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
-		t.ex.cfg.Telemetry.ObserveHop(endS, t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
-		if len(e.gates) == 0 {
-			rec.span.Finish(endS)
-			t.ex.cfg.Telemetry.ObserveE2E(endS, endS-rec.span.Start())
-		}
-	}
-	t.stride = int(min(max(int64(clockBudget)*int64(n)/max(int64(group), 1), 1), maxStride))
-	t.maybeReport(end)
-	return end
-}
-
-// inChannel returns the consumer-side state of the channel a batch
-// arrived on, creating it on the channel's first batch.
-func (t *task) inChannel(b *batch) *inChannel {
-	k := chanKey{b.edgePos, b.producer}
-	ch := t.inChans[k]
-	if ch == nil {
-		ek := t.inEdge(*b)
-		ch = &inChannel{
-			rep:      qos.NewChannelReporter(model.ChannelID{Edge: ek, Producer: b.producer, Consumer: t.id.Index}),
-			edgeName: ek.String(),
-		}
-		t.inChans[k] = ch
-	}
-	return ch
-}
-
-// inEdge reconstructs the job edge a batch arrived on from its edge
-// position at the producer, matched against the consumer vertex's
-// snapshotted inbound edge list.
-func (t *task) inEdge(b batch) model.EdgeKey {
-	for _, ek := range t.inEdges {
-		if t.ex.edgePos[ek] == b.edgePos {
-			return ek
-		}
-	}
-	return model.EdgeKey{Target: t.id.Vertex}
-}
-
-// resetTimer safely re-arms a timer owned by this goroutine.
-func resetTimer(tm *time.Timer, d time.Duration) {
-	if !tm.Stop() {
-		select {
-		case <-tm.C:
-		default:
-		}
-	}
-	tm.Reset(d)
-}
-
-// parkTimeout is how long an idle consumer sleeps before housekeeping
-// (report flush, drain-idle check) when nothing wakes it.
-func (t *task) parkTimeout() time.Duration {
-	if t.draining.Load() {
-		d := t.ex.cfg.DrainIdle / 4
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		return d
-	}
-	return t.ex.cfg.MeasurementInterval
-}
-
-// run is the worker-task main loop: poll the input rings round-robin,
-// process, then spin briefly and park. A panicking UDF does not crash
-// the process: the supervisor defer (LIFO: it runs before taskDone)
-// reports the crash to the master, which unroutes the dead task and
-// schedules a backoff-delayed replacement.
-func (t *task) run() {
-	defer t.ex.taskDone(t)
-	defer func() {
-		if r := recover(); r != nil {
-			t.ex.reportFailure(t, r)
-		}
-	}()
-	e := t.emitters[0]
-	defer e.closeOutRings()
-
-	var timerC <-chan time.Time
-	if tu, ok := t.udf.(TimerUDF); ok {
-		timerTicker := time.NewTicker(tu.TimerInterval())
-		timerC = timerTicker.C
-		defer timerTicker.Stop()
-	}
-	parkTimer := time.NewTimer(time.Hour)
-	defer parkTimer.Stop()
-	resetTimer(parkTimer, time.Hour)
-
-	t.now = time.Now()
-	e.now = t.now
-	lastItem := t.now
-	spins := 0
-	for {
-		if t.quitClosed() {
-			return
-		}
-		worked := false
-		sawClosed := false
-		for _, r := range t.ringsSnapshot() {
-			// Bounded pops per ring per scan: a saturated producer must not
-			// pin the loop inside one ring, both for fairness across inputs
-			// and because timers and flush requests are only serviced
-			// between scans. (Interval reports do not wait for the scan to
-			// end: handleBatch flushes them at its clock reads, so the
-			// master's freshness gating keeps seeing a task that is the
-			// bottleneck.)
-			for popped := 0; popped < maxPopsPerScan; popped++ {
-				b, ok := r.Pop()
-				if !ok {
-					if r.Closed() {
-						sawClosed = true
-					}
-					break
-				}
-				if b.barrier != 0 {
-					t.onBarrier(b)
-				} else {
-					t.handleBatch(b)
-				}
-				worked = true
-			}
-		}
-		if sawClosed {
-			t.pruneClosedRings()
-		}
-		if worked {
-			lastItem = t.now
-		}
-		if timerC != nil {
-			select {
-			case <-timerC:
-				t.now = time.Now()
-				e.now = t.now
-				t.udf.(TimerUDF).OnTimer(&t.ctx)
-			default:
-			}
-		}
-		if e.flushReq.Swap(false) {
-			t.now = time.Now()
-			e.now = t.now
-			e.flushDue(t.now)
-		}
-		t.maybeReport(t.now)
-		if t.draining.Load() && t.now.Sub(lastItem) > t.ex.cfg.DrainIdle {
-			// Drain leftovers that raced the idle check, flush gates, and
-			// exit. Stray barriers are dropped: a draining task is outside
-			// the barrier flow (the master pauses injection while any task
-			// drains).
-			for _, r := range t.ringsSnapshot() {
-				for {
-					b, ok := r.Pop()
-					if !ok {
-						break
-					}
-					if b.barrier == 0 {
-						t.handleBatch(b)
-					}
-				}
-			}
-			t.now = time.Now()
-			e.now = t.now
-			e.drainGates(t.now)
-			return
-		}
-		if worked {
-			spins = 0
-			continue
-		}
-		spins++
-		if spins < idleSpins {
-			runtime.Gosched()
-			continue
-		}
-		// Park: publish parked, re-check the rings (the push-then-load
-		// protocol makes a missed wake impossible), then block.
-		t.parked.Store(true)
-		if t.ringsNonEmpty() || e.flushReq.Load() {
-			t.parked.Store(false)
-			spins = 0
-			continue
-		}
-		t.parks.Add(1)
-		resetTimer(parkTimer, t.parkTimeout())
-		onTimer := false
-		select {
-		case <-t.wakeCh:
-		case <-timerC:
-			onTimer = true
-		case <-parkTimer.C:
-		case <-t.quit:
-			t.parked.Store(false)
-			return
-		}
-		t.parked.Store(false)
-		t.now = time.Now()
-		e.now = t.now
-		if onTimer {
-			t.udf.(TimerUDF).OnTimer(&t.ctx)
-		}
-		spins = 0
-	}
-}
-
-// runSource is the source-task supervisor loop: it runs the task's
-// shard emitters as goroutines and dies as a unit when one panics (the
-// first panic aborts the siblings and is re-raised here, so the master
-// sees exactly one failure per task, as with workers).
-func (t *task) runSource() {
-	defer t.ex.taskDone(t)
-	defer func() {
-		if r := recover(); r != nil {
-			t.ex.reportFailure(t, r)
-		}
-	}()
-	var firstPanic any
-	var panicOnce sync.Once
-	var wg sync.WaitGroup
-	for _, e := range t.emitters {
-		wg.Add(1)
-		go func(e *emitter) {
-			defer wg.Done()
-			defer e.closeOutRings()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { firstPanic = r })
-					t.abortShards()
-				}
-			}()
-			e.runSourceShard()
-		}(e)
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-}
-
-// spinWait is the pacing threshold below which a source shard busy-
-// polls instead of parking on a timer: OS timer granularity would
-// otherwise cap the emission rate at a few thousand rounds per second.
-const spinWait = 100 * time.Microsecond
-
-// maxBurst bounds how many emissions one pacing round performs, so
-// guarantees servicing and flush requests stay responsive under
-// saturating schedules.
-const maxBurst = 1024
-
-// runSourceShard is one source shard's pacing loop. Emission is
-// batched: every round emits all records that came due since the last
-// round (up to maxBurst), with per-emission schedule jitter, so the
-// per-round timer and clock overhead amortizes across the burst — this
-// is what breaks the one-timer-wakeup-per-record ceiling of the old
-// source loop. Behind schedule the shard does not try to catch up a
-// backlog (next = now), which keeps backpressure semantics intact.
-func (e *emitter) runSourceShard() {
-	t := e.t
-	ex := t.ex
-	start := ex.start
-	sched := t.src.Schedule
-	shards := len(t.emitters)
-
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	resetTimer(timer, time.Hour)
-
-	next := time.Now()
-	for {
-		if t.quitClosed() || t.abortClosed() {
-			return
-		}
-		now := time.Now()
-		e.now = now
-		e.serviceGuarantees(now)
-		if e.flushReq.Swap(false) {
-			e.flushDue(now)
-		}
-		if t.draining.Load() {
-			e.drainGates(now)
-			return
-		}
-		elapsed := now.Sub(start).Seconds()
-		rate := sched.Rate(elapsed)
-		if rate <= 0 {
-			if elapsed >= sched.Duration() {
-				if e.lingerForCommit(now) {
-					// Uncommitted replay buffer: stay alive (servicing
-					// barriers and replays) until a checkpoint commits it, so
-					// a late downstream crash can still be replayed.
-					e.park(timer, ex.cfg.FlushTick)
-					continue
-				}
-				e.drainGates(now)
-				return
-			}
-			e.park(timer, 50*time.Millisecond)
-			continue
-		}
-		if e.srcLog != nil && e.srcLog.Full() {
-			// Replay buffer at capacity: pause emission until a commit
-			// prunes it — backpressure, never loss.
-			e.srcLog.Stall()
-			e.park(timer, ex.cfg.FlushTick)
-			continue
-		}
-		// The shard's share of the schedule: the vertex rate divides by
-		// live tasks × shards per task.
-		n := ex.parallelismOf(t.id.Vertex)
-		if n < 1 {
-			n = 1
-		}
-		perEmit := float64(n*shards) / rate
-		burst := 0
-		for burst < maxBurst && !next.After(now) {
-			e.curSpan = ex.cfg.Tracer.StartSpan(nowSeconds(e.now))
-			t.src.Emit(&e.ctx)
-			e.curSpan = nil
-			burst++
-			// ±10% jitter keeps source shards out of lockstep.
-			jitter := 0.9 + 0.2*e.rng.Float64()
-			next = next.Add(time.Duration(perEmit * jitter * float64(time.Second)))
-			if e.srcLog != nil && e.srcLog.Full() {
-				break
-			}
-		}
-		if burst > 0 {
-			end := time.Now()
-			e.now = end
-			cost := end.Sub(now)
-			t.busyNs.Add(int64(cost))
-			per := cost.Seconds() / float64(burst)
-			e.reporter.RecordArrivalN(nowSeconds(now), 0, burst)
-			e.reporter.RecordServiceN(per, burst)
-			e.reporter.RecordTaskLatencyN(per, burst)
-			ex.emitted.Add(int64(burst))
-			t.processed.Add(int64(burst))
-			e.emitCount.Add(int64(burst))
-			now = end
-			if next.Before(now) {
-				// Backpressure or saturation pushed us behind schedule; do
-				// not try to catch up a backlog.
-				next = now
-			}
-		}
-		e.maybeReport(now)
-		if wait := next.Sub(now); wait > spinWait {
-			e.park(timer, wait)
-		} else if burst == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// park blocks a source shard for d, or until the master or the flush
-// wheel wakes it (barrier/replay/flush requests raised before the
-// parked flag became visible are caught by the re-check).
-func (e *emitter) park(timer *time.Timer, d time.Duration) {
-	e.parked.Store(true)
-	if e.flushReq.Load() || e.barrierReq.Load() != 0 || e.replayReq.Load() || e.t.draining.Load() {
-		e.parked.Store(false)
-		return
-	}
-	e.parks.Add(1)
-	resetTimer(timer, d)
-	select {
-	case <-timer.C:
-	case <-e.wakeCh:
-	case <-e.t.quit:
-	case <-e.t.shardAbort:
-	}
-	e.parked.Store(false)
-}
-
-// onBarrier aligns one inbound checkpoint barrier (worker goroutine).
-// Counting alignment: the task forwards the barrier once markers from
-// every live upstream producer emitter arrived, without blocking any
-// ring (at-least-once alignment — replay duplicates are the dedup
-// sinks' job). Expected counts come from the coordinator, which arms
-// them at injection; barriers of superseded checkpoints simply never
-// complete.
-func (t *task) onBarrier(b batch) {
-	id := b.barrier
-	now := time.Now()
-	aligned, stall := t.align.Arrive(id, t.ex.sinceStart(now), t.ex.coord.Expected(id, t))
-	if !aligned {
-		return
-	}
-	t.now = now
-	e := t.emitters[0]
-	e.now = now
-	// Flush buffered pre-barrier output before forwarding so the marker
-	// stays behind everything this task derived from pre-barrier input.
-	e.drainGates(now)
-	e.forwardBarrier(id, now)
-	t.ex.roundDone(t.ex.coord.AckWorker(id, t, stall))
-}
-
-// serviceGuarantees handles a source shard's pending replay and barrier
-// requests (shard goroutine). Replay runs first: a barrier injected
-// after a recovery must trail the re-emitted records, so the commit's
-// "everything below the watermark was delivered" claim covers them.
-func (e *emitter) serviceGuarantees(now time.Time) {
-	if e.srcLog == nil {
-		return
-	}
-	if e.replayReq.Swap(false) {
-		e.replayLog(now)
-	}
-	if id := e.barrierReq.Swap(0); id != 0 {
-		e.drainGates(now)
-		e.forwardBarrier(id, now)
-		e.t.ex.roundDone(e.t.ex.coord.AckSource(id, e.srcLog.ID(), e.srcLog.Next()))
-	}
-}
-
-// replayLog re-emits the log's uncommitted suffix through the gates
-// with the original offsets (shard goroutine). Downstream this looks
-// like fresh traffic; sinks dedup on (source, offset).
-func (e *emitter) replayLog(now time.Time) {
-	var first uint64
-	e.replayScratch, first = e.srcLog.Uncommitted(e.replayScratch[:0])
-	n := len(e.replayScratch)
-	if n == 0 {
-		return
-	}
-	e.replaying = true
-	for i := range e.replayScratch {
-		rec := e.replayScratch[i].rec
-		rec.offset = first + uint64(i)
-		e.emit(int(e.replayScratch[i].edge), rec)
-		e.replayScratch[i] = logEntry{} // drop payload references
-	}
-	e.replaying = false
-	e.t.ex.replayedRecords.Add(int64(n))
-	e.t.ex.recordLifecycle(obs.KindReplay, obs.Lifecycle{
-		Vertex: e.t.id.Vertex, Task: e.t.id.String(), CommittedOffsets: uint64(n),
-	})
-	e.t.ex.cfg.Telemetry.AddReplayed(nowSeconds(now), int64(n))
-}
-
-// lingerForCommit reports whether an exhausted source shard should keep
-// running so a final checkpoint can commit its replay buffer — records
-// are only safe from a downstream crash once committed. Bounded so a
-// pipeline that can no longer commit (e.g. a degraded vertex) cannot
-// hang shutdown forever.
-func (e *emitter) lingerForCommit(now time.Time) bool {
-	if e.srcLog == nil || e.srcLog.Len() == 0 {
-		return false
-	}
-	if e.lingerStart.IsZero() {
-		e.lingerStart = now
-	}
-	cap := 10 * e.t.ex.cfg.CheckpointInterval
-	if cap < 2*time.Second {
-		cap = 2 * time.Second
-	}
-	if now.Sub(e.lingerStart) > cap {
-		e.t.ex.lingerTimeouts.Add(1)
-		return false
-	}
-	return true
-}
-
-// Sample reports whether the next source emission should be tagged for
-// latency probing.
-func (c *Context) Sample() bool {
-	p := 0.1
-	if c.t.src != nil && c.t.src.SampleProbability > 0 {
-		p = c.t.src.SampleProbability
-	}
-	return c.e.rng.Float64() < p
 }
 
 // nowSeconds converts a wall-clock time to float64 seconds.

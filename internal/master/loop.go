@@ -1,0 +1,170 @@
+// Package master is the job master's adjustment interval (§IV, Alg. 2):
+// merge the QoS summary, redistribute batching slack, run the elastic
+// scaler, apply the actions. It exists once; the live engine and the
+// simulator drive it through Runtime with wall and virtual time. It
+// imports no observability: instruments attach as Observers, which see a
+// fixed decision and cannot return anything into the loop.
+package master
+
+import (
+	"fmt"
+	"math"
+
+	"nephelix/internal/core"
+	"nephelix/internal/model"
+	"nephelix/internal/probe"
+	"nephelix/internal/qos"
+)
+
+// Runtime is what one adjustment interval asks of the layer running the
+// job.
+type Runtime interface {
+	// Now is seconds since the job started.
+	Now() float64
+	// Parallelism is the live (non-draining) task count per vertex.
+	Parallelism() map[string]int
+	// Partials is one partial summary per QoS manager.
+	Partials() []*qos.PartialSummary
+	// SetDeadlines publishes new flush deadlines to the adaptive gates.
+	SetDeadlines(map[model.EdgeKey]float64)
+	// Scale adds (delta > 0) or drains (delta < 0) tasks of a vertex.
+	Scale(vertex string, delta int) error
+}
+
+// Interval is what one Step computed, handed to every Observer after the
+// decision is fixed and before it is applied. Observers must not modify
+// what it points to.
+type Interval struct {
+	// Round is the 1-based ordinal of the Step.
+	Round int
+	Now   float64
+	// Summary is the interval's global QoS summary.
+	Summary     *qos.Summary
+	Parallelism map[string]int
+	// Deadlines are the flush deadlines in force (nil without constraints).
+	Deadlines map[model.EdgeKey]float64
+	// Decision is nil without an elastic scaler, during its inactivity
+	// phase, and when Decide failed.
+	Decision *core.Decision
+}
+
+// Observer sees every interval, in registration order.
+type Observer func(Interval)
+
+// Loop is the control state that outlives an interval. It is not safe for
+// concurrent use: one goroutine (or event loop) calls Step.
+type Loop struct {
+	constraints []*model.Constraint
+	probes      *probe.ProbeSet
+	batching    *qos.BatchingController
+	scaler      *core.ElasticScaler // nil when not elastic
+	observers   []Observer
+	deadlines   map[model.EdgeKey]float64
+	round       int
+	infeasible  int
+}
+
+// New builds the loop of one job. Nil observers are skipped, so a layer
+// passes its optional hooks unconditionally.
+func New(g *model.JobGraph, constraints []*model.Constraint, scaler core.ScalerConfig, elastic bool,
+	probes *probe.ProbeSet, observers ...Observer) (*Loop, error) {
+	l := &Loop{
+		constraints: constraints,
+		probes:      probes,
+		batching:    qos.NewBatchingController(scaler.Strategy.Batching),
+		observers:   make([]Observer, 0, len(observers)),
+	}
+	l.batching.SetElastic(elastic)
+	if elastic {
+		sc, err := core.NewElasticScaler(scaler, g, constraints)
+		if err != nil {
+			return nil, err
+		}
+		l.scaler = sc
+	}
+	for _, o := range observers {
+		if o != nil {
+			l.observers = append(l.observers, o)
+		}
+	}
+	return l, nil
+}
+
+// ManagerConfig is the QoS manager configuration both layers use: the
+// summary averages over the measurement intervals of one adjustment
+// interval.
+func ManagerConfig(adjustment, measurement float64) qos.ManagerConfig {
+	m := qos.DefaultManagerConfig()
+	if adjustment > 0 && measurement > 0 {
+		m.HistoryLength = int(math.Max(1, math.Round(adjustment/measurement)))
+	}
+	return m
+}
+
+// Step runs one adjustment interval against rt. A Decide error is
+// returned after the observers ran (the interval's measurements are still
+// worth recording) and nothing is scaled; what to do about it is the
+// layer's policy.
+func (l *Loop) Step(rt Runtime) error {
+	for _, name := range l.probes.Names() {
+		l.probes.Probe(name).AdjSnapshot()
+	}
+	par := rt.Parallelism()
+	return l.step(rt, par, qos.MergePartials(par, rt.Partials()...))
+}
+
+// step is the interval from the merged summary on: a pure function of
+// (loop state, summary, par) as far as rt's SetDeadlines and Scale calls
+// go, which is what the replay tests drive.
+func (l *Loop) step(rt Runtime, par map[string]int, summary *qos.Summary) error {
+	if len(l.constraints) > 0 {
+		l.deadlines = l.batching.Update(summary, l.constraints)
+		rt.SetDeadlines(l.deadlines)
+	}
+	l.round++
+	var decision *core.Decision
+	var err error
+	if l.scaler != nil {
+		decision, err = l.scaler.Decide(summary, par)
+	}
+	iv := Interval{
+		Round: l.round, Now: rt.Now(), Summary: summary,
+		Parallelism: par, Deadlines: l.deadlines, Decision: decision,
+	}
+	for _, o := range l.observers {
+		o(iv)
+	}
+	if err != nil {
+		return fmt.Errorf("scaler: %w", err)
+	}
+	if decision == nil {
+		return nil
+	}
+	for _, cd := range decision.PerConstraint {
+		if cd.Infeasible {
+			l.infeasible++
+		}
+	}
+	for _, a := range decision.Actions {
+		if err := rt.Scale(a.Vertex, a.Delta()); err != nil {
+			return fmt.Errorf("scaling %s: %w", a, err)
+		}
+	}
+	return nil
+}
+
+// Round is the number of Steps taken.
+func (l *Loop) Round() int { return l.round }
+
+// Infeasible counts constraint decisions that were infeasible even at
+// maximum scale-out.
+func (l *Loop) Infeasible() int { return l.infeasible }
+
+// TailFitter is the scaler's tail-coefficient fitter, nil when the loop
+// is not elastic or has no percentile constraint.
+func (l *Loop) TailFitter() *core.TailFitter {
+	if l.scaler == nil {
+		return nil
+	}
+	return l.scaler.TailFitter()
+}

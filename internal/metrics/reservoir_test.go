@@ -157,60 +157,3 @@ func seq(lo, hi int) []float64 {
 	}
 	return out
 }
-
-func TestSamplerProbabilities(t *testing.T) {
-	tests := []struct {
-		p       float64
-		wantLo  int
-		wantHi  int
-		samples int
-	}{
-		{p: 0, wantLo: 0, wantHi: 0, samples: 10000},
-		{p: 1, wantLo: 10000, wantHi: 10000, samples: 10000},
-		{p: 0.1, wantLo: 700, wantHi: 1300, samples: 10000},
-	}
-	for _, tt := range tests {
-		s := NewSampler(tt.p, rand.New(rand.NewSource(7)))
-		n := 0
-		for i := 0; i < tt.samples; i++ {
-			if s.Sample() {
-				n++
-			}
-		}
-		if n < tt.wantLo || n > tt.wantHi {
-			t.Errorf("p=%v: sampled %d of %d, want in [%d, %d]", tt.p, n, tt.samples, tt.wantLo, tt.wantHi)
-		}
-	}
-}
-
-func TestSamplerClamping(t *testing.T) {
-	s := NewSampler(2.0, rand.New(rand.NewSource(8)))
-	for i := 0; i < 100; i++ {
-		if !s.Sample() {
-			t.Fatal("p clamped to 1 must always sample")
-		}
-	}
-	s = NewSampler(-1, rand.New(rand.NewSource(9)))
-	for i := 0; i < 100; i++ {
-		if s.Sample() {
-			t.Fatal("p clamped to 0 must never sample")
-		}
-	}
-}
-
-func TestStridedSampler(t *testing.T) {
-	s := NewStridedSampler(3)
-	var picks []int
-	for i := 1; i <= 9; i++ {
-		if s.Sample() {
-			picks = append(picks, i)
-		}
-	}
-	if len(picks) != 3 || picks[0] != 3 || picks[1] != 6 || picks[2] != 9 {
-		t.Errorf("stride 3 picks: got %v, want [3 6 9]", picks)
-	}
-	s = NewStridedSampler(0) // clamps to 1
-	if !s.Sample() {
-		t.Error("stride clamped to 1 must always sample")
-	}
-}

@@ -33,45 +33,3 @@ func TestIntervalStatsPeekDoesNotReset(t *testing.T) {
 		t.Error("Peek reset the interval")
 	}
 }
-
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(100.0)
-	m.Mark(50)
-	if m.Count() != 50 {
-		t.Errorf("Count: got %d, want 50", m.Count())
-	}
-	rate := m.Snapshot(110.0) // 50 events over 10 s
-	if rate != 5 {
-		t.Errorf("rate: got %v, want 5", rate)
-	}
-	if m.Count() != 0 {
-		t.Error("Snapshot did not reset the counter")
-	}
-	// Zero elapsed time yields zero rate, not a division by zero.
-	m.Mark(10)
-	if rate := m.Snapshot(110.0); rate != 0 {
-		t.Errorf("zero-interval rate: got %v, want 0", rate)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Error("fresh EWMA must not be initialized")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Errorf("first sample: got %v, want 10", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Errorf("second sample: got %v, want 15", e.Value())
-	}
-	// Invalid alpha falls back to 0.5.
-	e2 := NewEWMA(-3)
-	e2.Add(0)
-	e2.Add(10)
-	if e2.Value() != 5 {
-		t.Errorf("fallback alpha: got %v, want 5", e2.Value())
-	}
-}

@@ -205,8 +205,9 @@ type dataplaneEdgeSeries struct {
 
 // dataplaneShardSeries caches one emitter lane's gauge handles.
 type dataplaneShardSeries struct {
-	lag   *ts.Series
-	parks *ts.Series
+	emitted *ts.Series
+	lag     *ts.Series
+	parks   *ts.Series
 }
 
 // backpressureStateValue maps a classification onto the numeric gauge
@@ -283,11 +284,13 @@ func (t *Telemetry) ObserveDataplane(snap DataplaneSnapshot, rec *Recorder) {
 				"vertex": sh.Vertex, "task": sh.Task, "shard": strconv.Itoa(sh.Shard),
 			}
 			ss = &dataplaneShardSeries{
-				lag:   t.store.Gauge("nephelix_dataplane_shard_lag_frac", labels),
-				parks: t.store.Gauge("nephelix_dataplane_shard_parks_total", labels),
+				emitted: t.store.Gauge("nephelix_source_shard_emitted", labels),
+				lag:     t.store.Gauge("nephelix_dataplane_shard_lag_frac", labels),
+				parks:   t.store.Gauge("nephelix_dataplane_shard_parks_total", labels),
 			}
 			t.dpShards[key] = ss
 		}
+		ss.emitted.Set(now, float64(sh.Emitted))
 		ss.lag.Set(now, sh.LagFrac)
 		ss.parks.Set(now, float64(sh.Parks))
 	}

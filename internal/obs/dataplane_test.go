@@ -187,13 +187,15 @@ func TestObsDataplaneEndpoint(t *testing.T) {
 	}
 }
 
-// TestSourceShardEmittedExposition: the per-shard source gauge renders
-// with registry HELP/TYPE and its full vertex/task/shard label set.
+// TestSourceShardEmittedExposition: the per-shard source gauge, written
+// from the data-plane snapshot's shard entries, renders with registry
+// HELP/TYPE and its full vertex/task/shard label set.
 func TestSourceShardEmittedExposition(t *testing.T) {
 	tel := NewTelemetry(64)
-	tel.Store().Gauge("nephelix_source_shard_emitted", map[string]string{
-		"vertex": "src", "task": "src[0]", "shard": "1",
-	}).Set(1, 4096)
+	tel.ObserveDataplane(DataplaneSnapshot{
+		At: 1, Layer: "engine", IntervalSeconds: 1,
+		Shards: []DataplaneShard{{Vertex: "src", Task: "src[0]", Shard: 1, Emitted: 4096}},
+	}, nil)
 
 	var b strings.Builder
 	writeMetrics(&b, tel.ExpositionMetrics())

@@ -45,6 +45,10 @@ const (
 	// KindRingDrain audits the master reclaiming a dead task's input
 	// rings: one event per inbound edge that lost queued records.
 	KindRingDrain = "ring_drain"
+	// KindScalerError audits an adjustment interval whose scaling step
+	// failed in the live engine (the job keeps running unscaled); Reason
+	// carries the error, recorded once per distinct message.
+	KindScalerError = "scaler_error"
 )
 
 // Event is one entry of the flight recorder. Time is seconds since the

@@ -6,6 +6,7 @@ import (
 
 	"nephelix/internal/ckpt"
 	"nephelix/internal/core"
+	"nephelix/internal/master"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/qos"
@@ -217,12 +218,7 @@ type Config struct {
 }
 
 // AdjustmentInfo is the control-plane state passed to Config.OnAdjust.
-type AdjustmentInfo struct {
-	Now       float64
-	Summary   *qos.Summary
-	Deadlines map[model.EdgeKey]float64
-	Decision  *core.Decision
-}
+type AdjustmentInfo = master.Interval
 
 // withDefaults fills zero values and validates.
 func (c *Config) withDefaults() error {

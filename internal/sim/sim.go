@@ -2,12 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"nephelix/internal/cluster"
-	"nephelix/internal/core"
+	"nephelix/internal/master"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/qos"
@@ -35,16 +34,14 @@ type Sim struct {
 	managers  []*qos.Manager
 	managerRR int
 
-	scaler    *core.ElasticScaler
+	// loop is the master's adjustment interval (internal/master); the
+	// simulator is its Runtime under virtual time (simRuntime).
+	loop      *master.Loop
 	scheduler *cluster.Scheduler
 	rm        *cluster.ResourceManager
 	meter     cluster.UsageMeter
 
 	probes *ProbeSet
-
-	// sloTargets are the per-constraint SLO targets derived from the
-	// config's constraints, used when no bounded probe covers them.
-	sloTargets []obs.SLOTarget
 
 	// batchPool is the free list of batch slices (see pool.go).
 	batchPool [][]Item
@@ -57,16 +54,16 @@ type Sim struct {
 	// still resolves to that (disposed) task — same semantics a pointer
 	// field would have, without putting a pointer in every heap element.
 	taskSlots []*simTask
-	// partialsScratch is reused across adjustment ticks.
-	partialsScratch []*qos.PartialSummary
+	// partials is reused across adjustment ticks.
+	partials []*qos.PartialSummary
 	// dp is the data-plane scraper state (lazily built; nil until the
 	// first adjustment tick with telemetry configured).
 	dp *simDataplane
 	// sourceCount sizes the per-row source-rate maps.
 	sourceCount int
 
-	// batching control state
-	batching  *qos.BatchingController
+	// deadlines are the flush deadlines the loop last published; gates of
+	// tasks created later start from them.
 	deadlines map[model.EdgeKey]float64
 
 	// guar holds the processing-guarantee state (nil when disabled, so
@@ -84,8 +81,6 @@ type Sim struct {
 	closedChannels      int
 	scaleUps            int
 	scaleDowns          int
-	infeasible          int
-	adjustRounds        int
 	retiredBusy         float64
 	lastBusySum         float64
 	lastTaskSeconds     float64
@@ -222,25 +217,17 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		rm:           rm,
 		scheduler:    cluster.NewScheduler(rm),
 		probes:       probes,
-		batching:     qos.NewBatchingController(cfg.Scaler.Strategy.Batching),
-		deadlines:    make(map[model.EdgeKey]float64),
 	}
+	mcfg := master.ManagerConfig(cfg.AdjustmentInterval, cfg.MeasurementInterval)
 	for i := 0; i < cfg.ManagerCount; i++ {
-		mcfg := qos.DefaultManagerConfig()
-		if cfg.AdjustmentInterval > 0 && cfg.MeasurementInterval > 0 {
-			mcfg.HistoryLength = int(math.Max(1, math.Round(cfg.AdjustmentInterval/cfg.MeasurementInterval)))
-		}
 		s.managers = append(s.managers, qos.NewManager(mcfg))
 	}
-	s.batching.SetElastic(cfg.Elastic)
-	if cfg.Elastic {
-		sc, err := core.NewElasticScaler(cfg.Scaler, cfg.Graph, cfg.Constraints)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		s.scaler = sc
+	s.loop, err = master.New(cfg.Graph, cfg.Constraints, cfg.Scaler, cfg.Elastic, probes,
+		obs.IntervalObserver(cfg.Telemetry, cfg.Recorder, probes, cfg.Constraints, s.scrapeDataplane),
+		cfg.OnAdjust)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s.sloTargets = obs.SLOTargetsFromConstraints(cfg.Constraints)
 	s.initGuarantees()
 	if err := s.bootstrap(); err != nil {
 		return nil, err
@@ -485,86 +472,54 @@ func (s *Sim) measurementTick() {
 	}
 }
 
-// adjustmentTick builds the global summary, reconfigures adaptive
-// batching, and runs the elastic scaler.
+// adjustmentTick runs the master's adjustment interval; a failed step
+// (the scaler could not decide, an action named an unknown vertex) fails
+// the run.
 func (s *Sim) adjustmentTick() {
-	for _, name := range s.probes.Names() {
-		s.probes.Probe(name).AdjSnapshot()
-	}
-	par := s.parallelismMap()
-	if s.partialsScratch == nil {
-		s.partialsScratch = make([]*qos.PartialSummary, 0, len(s.managers))
-	}
-	partials := s.partialsScratch[:0]
-	for _, m := range s.managers {
-		partials = append(partials, m.PartialSummary())
-	}
-	s.partialsScratch = partials[:0]
-	global := qos.MergePartials(par, partials...)
-
-	// Adaptive output batching: distribute constraint slack as flush
-	// deadlines (primary constraint enforcement mechanism).
-	if len(s.cfg.Constraints) > 0 {
-		deadlines := s.batching.Update(global, s.cfg.Constraints)
-		s.applyDeadlines(deadlines)
-	}
-
-	s.adjustRounds++
-	var decision *core.Decision
-	var decErr error
-	if s.scaler != nil {
-		decision, decErr = s.scaler.Decide(global, par)
-	}
-	// Telemetry observes before the decision is recorded so the audit
-	// event can embed the residual monitor's current drift flags.
-	drift := s.cfg.Telemetry.ObserveInterval(s.now, global, decision, par)
-	s.scrapeDataplane()
-	s.cfg.Telemetry.ObserveSLOs(s.now, s.probes, s.sloTargets, s.cfg.Recorder)
-	if decision != nil && s.cfg.Recorder != nil {
-		sd := obs.NewScalingDecision(s.adjustRounds, decision, par)
-		sd.Drift = drift
-		s.cfg.Recorder.RecordDecision(s.now, sd)
-	}
-	if s.cfg.OnAdjust != nil {
-		s.cfg.OnAdjust(AdjustmentInfo{Now: s.now, Summary: global, Deadlines: s.deadlines, Decision: decision})
-	}
-	if decErr != nil {
-		s.fail("scaler: %v", decErr)
-		return
-	}
-	if decision == nil {
-		return
-	}
-	for _, cd := range decision.PerConstraint {
-		if cd.Infeasible {
-			s.infeasible++
-		}
-	}
-	if len(decision.Actions) == 0 {
-		return
-	}
-	s.accountUsage()
-	for _, a := range decision.Actions {
-		v := s.vertices[a.Vertex]
-		if v == nil {
-			s.fail("scaling action for unknown vertex %q", a.Vertex)
-			return
-		}
-		if d := a.Delta(); d > 0 {
-			v.addTasks(d)
-			s.scaleUps++
-		} else {
-			v.removeTasks(-d)
-			s.scaleDowns++
-		}
+	if err := s.loop.Step(simRuntime{s}); err != nil {
+		s.fail("%v", err)
 	}
 }
 
-// applyDeadlines pushes new flush deadlines to adaptive output gates.
+// simRuntime is the simulator as the master loop's Runtime.
+type simRuntime struct{ s *Sim }
+
+func (r simRuntime) Now() float64 { return r.s.now }
+
+func (r simRuntime) Parallelism() map[string]int { return r.s.parallelismMap() }
+
+func (r simRuntime) Partials() []*qos.PartialSummary {
+	s := r.s
+	s.partials = s.partials[:0]
+	for _, m := range s.managers {
+		s.partials = append(s.partials, m.PartialSummary())
+	}
+	return s.partials
+}
+
+func (r simRuntime) Scale(vertex string, delta int) error {
+	s := r.s
+	v := s.vertices[vertex]
+	if v == nil {
+		return fmt.Errorf("unknown vertex %q", vertex)
+	}
+	s.accountUsage()
+	if delta > 0 {
+		v.addTasks(delta)
+		s.scaleUps++
+	} else {
+		v.removeTasks(-delta)
+		s.scaleDowns++
+	}
+	return nil
+}
+
+// SetDeadlines pushes new flush deadlines to adaptive output gates.
 // Gates are visited in deterministic order: any flush events created here
 // consume the shared RNG, and map-ordered iteration would make runs
 // diverge between processes.
-func (s *Sim) applyDeadlines(deadlines map[model.EdgeKey]float64) {
+func (r simRuntime) SetDeadlines(deadlines map[model.EdgeKey]float64) {
+	s := r.s
 	s.deadlines = deadlines
 	forTask := func(t *simTask) {
 		for _, g := range t.gates {
@@ -724,7 +679,7 @@ func (s *Sim) Run() (*Result, error) {
 		PeakParallelism:     peak,
 		ScaleUps:            s.scaleUps,
 		ScaleDowns:          s.scaleDowns,
-		InfeasibleDecisions: s.infeasible,
+		InfeasibleDecisions: s.loop.Infeasible(),
 		PoolExhausted:       s.poolExhaustedEvents,
 		DroppedItems:        s.droppedItems,
 		KilledTasks:         s.killedTasks,

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"nephelix/internal/core"
 	"nephelix/internal/model"
+	"nephelix/internal/qos"
 	"nephelix/internal/workload"
 )
 
@@ -331,5 +333,60 @@ func TestEmitRateIsTheScheduleRate(t *testing.T) {
 	}
 	if emissions < 1000 {
 		t.Fatalf("only %d emissions", emissions)
+	}
+}
+
+// TestSimFailsRunOnDecideError: the simulator's policy for a master step
+// that fails is to fail the run. The constraint names a vertex the job
+// graph does not have; reports injected for it make the summary cover the
+// sequence, so the scaler's Decide returns an error at the first
+// adjustment interval — after the observers saw that interval.
+func TestSimFailsRunOnDecideError(t *testing.T) {
+	probes := NewProbeSet()
+	cfg := pipelineConfig(t, probes,
+		&workload.ConstantSchedule{RatePerSecond: 200, Length: 30}, false, 2,
+		func(int) Behavior { return &testServer{mean: 0.002} })
+	other := model.NewJobGraph()
+	for _, name := range []string{"src", "ghost", "sink"} {
+		if err := other.AddVertex(model.JobVertex{Name: name, Parallelism: 1, MinParallelism: 1, MaxParallelism: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"src", "ghost"}, {"ghost", "sink"}} {
+		if err := other.AddEdge(e[0], e[1], model.PatternRoundRobin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, err := model.ParseSequence(other, "src->ghost", "ghost", "ghost->sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Constraints = []*model.Constraint{{Name: "c", Sequence: seq, Bound: 20 * time.Millisecond, Window: 10 * time.Second}}
+	cfg.Elastic = true
+	cfg.Scaler = core.DefaultScalerConfig()
+	var seen []AdjustmentInfo
+	cfg.OnAdjust = func(info AdjustmentInfo) { seen = append(seen, info) }
+	s, err := New(cfg, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.managers[0]
+	m.ReportTask(qos.TaskReport{
+		Task:         model.TaskID{Vertex: "ghost"},
+		ServiceCount: 10, ServiceMean: 0.001, TaskLatencyCount: 10, TaskLatencyMean: 0.001,
+		InterarrivalCount: 10, InterarrivalMean: 0.01, InterarrivalCV: 1,
+	})
+	for _, ek := range seq.Edges() {
+		m.ReportChannel(qos.ChannelReport{
+			Channel:      model.ChannelID{Edge: ek},
+			LatencyCount: 10, LatencyMean: 0.002, BatchLatencyCount: 10, BatchLatencyMean: 0.001,
+		})
+	}
+	_, err = s.Run()
+	if err == nil || !strings.Contains(err.Error(), "scaler:") || !strings.Contains(err.Error(), `"ghost"`) {
+		t.Fatalf("Run error = %v, want the scaler's error about the ghost vertex", err)
+	}
+	if len(seen) != 1 || seen[0].Round != 1 || seen[0].Decision != nil || seen[0].Now != 5 { // the default adjustment interval
+		t.Errorf("observed %+v, want exactly the failing first interval", seen)
 	}
 }
