@@ -84,80 +84,34 @@ func run(outDir string, paper bool, which string, guarantee ckpt.Guarantee, ckpt
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	all := which == "all"
-	failures := 0
-
-	if all || which == "fig3" {
-		n, err := runFig3(outDir, paper)
+	table := []struct {
+		name string
+		run  func() (int, error)
+	}{
+		{"fig3", func() (int, error) { return runFig3(outDir, paper) }},
+		{"fig5", func() (int, error) { return runFig5(outDir) }},
+		{"fig6", func() (int, error) { return runFig6(outDir, paper) }},
+		{"taskhours", func() (int, error) { return runTaskHours(outDir, paper) }},
+		{"fig8", func() (int, error) { return runFig8(outDir, paper) }},
+		{"faults", func() (int, error) { return runFaults(outDir, paper, guarantee, ckptInterval) }},
+		{"guarantees", func() (int, error) { return runGuarantees(outDir, paper) }},
+		{"tails", func() (int, error) { return runTails(outDir, paper) }},
+		{"tailscaler", func() (int, error) { return runTailScaler(outDir) }},
+		{"dataplane", func() (int, error) { return runDataplane(outDir) }},
+	}
+	failures, known := 0, which == "all"
+	for _, e := range table {
+		if which != "all" && which != e.name {
+			continue
+		}
+		known = true
+		n, err := e.run()
 		if err != nil {
 			return err
 		}
 		failures += n
 	}
-	if all || which == "fig5" {
-		n, err := runFig5(outDir)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "fig6" {
-		n, err := runFig6(outDir, paper)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "taskhours" {
-		n, err := runTaskHours(outDir, paper)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "fig8" {
-		n, err := runFig8(outDir, paper)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "faults" {
-		n, err := runFaults(outDir, paper, guarantee, ckptInterval)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "guarantees" {
-		n, err := runGuarantees(outDir, paper)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "tails" {
-		n, err := runTails(outDir, paper)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "tailscaler" {
-		n, err := runTailScaler(outDir)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if all || which == "dataplane" {
-		n, err := runDataplane(outDir)
-		if err != nil {
-			return err
-		}
-		failures += n
-	}
-	if !all && which != "fig3" && which != "fig5" && which != "fig6" && which != "taskhours" && which != "fig8" && which != "faults" && which != "guarantees" && which != "tails" && which != "tailscaler" && which != "dataplane" {
+	if !known {
 		return fmt.Errorf("unknown experiment %q (want fig3|fig5|fig6|taskhours|fig8|faults|guarantees|tails|tailscaler|dataplane|all)", which)
 	}
 	if failures > 0 {
@@ -294,28 +248,10 @@ func runFaults(outDir string, paper bool, guarantee ckpt.Guarantee, ckptInterval
 	if err := writeCSV(filepath.Join(outDir, "faults.csv"), res.Rows, float64(opts.Scale)); err != nil {
 		return n, err
 	}
-	path := filepath.Join(outDir, "faults_decisions.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := experiments.WriteDecisions(filepath.Join(outDir, "faults_decisions.jsonl"), recorder, "  "); err != nil {
 		return n, err
 	}
-	defer f.Close()
-	if err := recorder.WriteJSONL(f); err != nil {
-		return n, err
-	}
-	fmt.Printf("  wrote %s (%d decision events)\n", path, len(recorder.Decisions()))
-
-	tsPath := filepath.Join(outDir, "faults_timeseries.json")
-	tf, err := os.Create(tsPath)
-	if err != nil {
-		return n, err
-	}
-	defer tf.Close()
-	if err := telemetry.WriteJSON(tf); err != nil {
-		return n, err
-	}
-	fmt.Printf("  wrote %s (%d series)\n", tsPath, telemetry.Store().Len())
-	return n, nil
+	return n, experiments.WriteTimeseries(filepath.Join(outDir, "faults_timeseries.json"), telemetry, "  ")
 }
 
 func runGuarantees(outDir string, paper bool) (int, error) {
@@ -348,17 +284,7 @@ func runGuarantees(outDir string, paper bool) (int, error) {
 	}
 	fmt.Printf("  wrote %s (%d runs, kill at t=%.0fs)\n", path, len(res.Runs), res.KillTime)
 
-	tsPath := filepath.Join(outDir, "guarantees_timeseries.json")
-	tf, err := os.Create(tsPath)
-	if err != nil {
-		return n, err
-	}
-	defer tf.Close()
-	if err := telemetry.WriteJSON(tf); err != nil {
-		return n, err
-	}
-	fmt.Printf("  wrote %s (%d series)\n", tsPath, telemetry.Store().Len())
-	return n, nil
+	return n, experiments.WriteTimeseries(filepath.Join(outDir, "guarantees_timeseries.json"), telemetry, "  ")
 }
 
 func runTails(outDir string, paper bool) (int, error) {
@@ -392,17 +318,7 @@ func runTails(outDir string, paper bool) (int, error) {
 	}
 	fmt.Printf("  wrote %s (%d hops)\n", path, len(res.Attribution.Hops))
 
-	tsPath := filepath.Join(outDir, "tails_timeseries.json")
-	tf, err := os.Create(tsPath)
-	if err != nil {
-		return n, err
-	}
-	defer tf.Close()
-	if err := telemetry.WriteJSON(tf); err != nil {
-		return n, err
-	}
-	fmt.Printf("  wrote %s (%d series)\n", tsPath, telemetry.Store().Len())
-	return n, nil
+	return n, experiments.WriteTimeseries(filepath.Join(outDir, "tails_timeseries.json"), telemetry, "  ")
 }
 
 func runTailScaler(outDir string) (int, error) {
@@ -431,17 +347,7 @@ func runTailScaler(outDir string) (int, error) {
 	}
 	fmt.Printf("  wrote %s (3 variants)\n", path)
 
-	tsPath := filepath.Join(outDir, "tailscaler_timeseries.json")
-	tf, err := os.Create(tsPath)
-	if err != nil {
-		return n, err
-	}
-	defer tf.Close()
-	if err := res.Tail.Telemetry.WriteJSON(tf); err != nil {
-		return n, err
-	}
-	fmt.Printf("  wrote %s (%d series)\n", tsPath, res.Tail.Telemetry.Store().Len())
-	return n, nil
+	return n, experiments.WriteTimeseries(filepath.Join(outDir, "tailscaler_timeseries.json"), res.Tail.Telemetry, "  ")
 }
 
 func runDataplane(outDir string) (int, error) {
@@ -472,17 +378,7 @@ func runDataplane(outDir string) (int, error) {
 	}
 	fmt.Printf("  wrote %s (%d edges)\n", path, len(res.Statuses))
 
-	tsPath := filepath.Join(outDir, "dataplane_timeseries.json")
-	tf, err := os.Create(tsPath)
-	if err != nil {
-		return n, err
-	}
-	defer tf.Close()
-	if err := telemetry.WriteJSON(tf); err != nil {
-		return n, err
-	}
-	fmt.Printf("  wrote %s (%d series)\n", tsPath, telemetry.Store().Len())
-	return n, nil
+	return n, experiments.WriteTimeseries(filepath.Join(outDir, "dataplane_timeseries.json"), telemetry, "  ")
 }
 
 func runFig8(outDir string, paper bool) (int, error) {

@@ -158,26 +158,14 @@ func run(config string, elastic bool, scale, steps int, stepdur float64, boundMS
 		fmt.Printf("wrote %s (%d rows)\n", csvPath, len(res.Rows))
 	}
 	if decisionsPath != "" {
-		f, err := os.Create(decisionsPath)
-		if err != nil {
+		if err := experiments.WriteDecisions(decisionsPath, recorder, ""); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := recorder.WriteJSONL(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d decision events)\n", decisionsPath, len(recorder.Decisions()))
 	}
 	if timeseriesPath != "" {
-		f, err := os.Create(timeseriesPath)
-		if err != nil {
+		if err := experiments.WriteTimeseries(timeseriesPath, telemetry, ""); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := telemetry.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d series)\n", timeseriesPath, telemetry.Store().Len())
 	}
 	if drift := telemetry.Residuals().DriftFlags(); len(drift) > 0 {
 		fmt.Printf("model drift detected in %d constraint/vertex cells:\n", len(drift))

@@ -19,9 +19,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/telemetry.* from
 // TestTelemetryGolden pins what an operator scrapes: the /metrics
 // exposition text and the /timeseries JSON of one seeded TwitterSentiment
 // run (p99 constraints, tracing and the flight recorder on) must equal the
-// files recorded at commit 28549a5, before telemetry resolved its series
-// once — byte for byte: names, label order, HELP, values. Only the Go
-// runtime series (heap, GC, goroutines) are left out.
+// recorded files byte for byte — names, label order, HELP, values. Only
+// the Go runtime series (heap, GC, goroutines) are left out. A series is
+// added by adding a row to obs/registry.go; -update then changes exactly
+// that row's lines.
 func TestTelemetryGolden(t *testing.T) {
 	opts := quickTSOptions()
 	opts.ConstraintQuantile = 0.99
@@ -39,6 +40,12 @@ func TestTelemetryGolden(t *testing.T) {
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	// A family declared without HELP text would render a bare # TYPE.
+	for _, sn := range cfg.Telemetry.Store().Snapshot() {
+		if sn.Help == "" {
+			t.Errorf("series %s has no HELP text: give its declaration in obs/registry.go one", sn.Name)
+		}
 	}
 	h := obs.NewHandler(obs.ServerConfig{Recorder: cfg.Recorder, Tracer: cfg.Tracer, Telemetry: cfg.Telemetry})
 	get := func(url string) []byte {

@@ -229,7 +229,7 @@ func RunPredictionQualitySweep(scale int, seeds []int64) (*PredictionQualityResu
 	if err != nil {
 		return nil, err
 	}
-	res := &PredictionQualityResult{monitor: obs.NewResidualMonitor(obs.ResidualConfig{})}
+	res := &PredictionQualityResult{monitor: obs.NewResidualMonitor()}
 	for _, r := range perSeed {
 		res.Samples = append(res.Samples, r.Samples...)
 		// Merge in seed order: the Welford merge result is order-

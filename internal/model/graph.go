@@ -235,13 +235,6 @@ func (g *JobGraph) Vertices() []*JobVertex {
 	return vs
 }
 
-// VertexNames returns all vertex names in insertion order.
-func (g *JobGraph) VertexNames() []string {
-	names := make([]string, len(g.order))
-	copy(names, g.order)
-	return names
-}
-
 // Edges returns all edges in insertion order.
 func (g *JobGraph) Edges() []*JobEdge {
 	es := make([]*JobEdge, 0, len(g.edgeKeys))

@@ -28,142 +28,6 @@ func (c ChannelID) String() string {
 	return fmt.Sprintf("%s[%d]->%s[%d]", c.Edge.Source, c.Producer, c.Edge.Target, c.Consumer)
 }
 
-// RuntimeGraph is the parallelized version of a job graph G = (V, E):
-// each job vertex jv expands into p_jv tasks and each job edge into the
-// full bipartite set of channels between producer and consumer tasks
-// (all wiring patterns use the complete channel set; the pattern only
-// selects which channel carries a given data item).
-//
-// The runtime graph supports re-parallelization: SetParallelism changes a
-// vertex's task count, with tasks always indexed 0..p-1 so that scale-down
-// removes the highest-indexed tasks.
-type RuntimeGraph struct {
-	job *JobGraph
-	par map[string]int
-}
-
-// NewRuntimeGraph expands a validated job graph into its runtime graph
-// using the current degrees of parallelism.
-func NewRuntimeGraph(job *JobGraph) (*RuntimeGraph, error) {
-	if err := job.Validate(); err != nil {
-		return nil, fmt.Errorf("model: expanding invalid job graph: %w", err)
-	}
-	par := make(map[string]int, len(job.order))
-	for _, v := range job.Vertices() {
-		par[v.Name] = v.Parallelism
-	}
-	return &RuntimeGraph{job: job, par: par}, nil
-}
-
-// Job returns the job graph this runtime graph was expanded from.
-func (r *RuntimeGraph) Job() *JobGraph { return r.job }
-
-// Parallelism returns the current task count of the named vertex.
-func (r *RuntimeGraph) Parallelism(vertex string) int { return r.par[vertex] }
-
-// Parallelisms returns a copy of the current vertex-to-parallelism map.
-func (r *RuntimeGraph) Parallelisms() map[string]int {
-	out := make(map[string]int, len(r.par))
-	for k, v := range r.par {
-		out[k] = v
-	}
-	return out
-}
-
-// SetParallelism changes the task count of the named vertex, clamped to
-// the vertex's [min, max] range. It returns the parallelism actually set.
-func (r *RuntimeGraph) SetParallelism(vertex string, p int) (int, error) {
-	v := r.job.Vertex(vertex)
-	if v == nil {
-		return 0, fmt.Errorf("model: unknown vertex %q", vertex)
-	}
-	p = v.ClampParallelism(p)
-	r.par[vertex] = p
-	return p, nil
-}
-
-// Tasks returns the task ids of the named vertex, ordered by index.
-func (r *RuntimeGraph) Tasks(vertex string) []TaskID {
-	p := r.par[vertex]
-	tasks := make([]TaskID, p)
-	for i := 0; i < p; i++ {
-		tasks[i] = TaskID{Vertex: vertex, Index: i}
-	}
-	return tasks
-}
-
-// AllTasks returns every task in the runtime graph, ordered by vertex
-// insertion order, then index.
-func (r *RuntimeGraph) AllTasks() []TaskID {
-	var tasks []TaskID
-	for _, name := range r.job.order {
-		tasks = append(tasks, r.Tasks(name)...)
-	}
-	return tasks
-}
-
-// Channels returns the channel ids of the given job edge: the complete
-// bipartite product of producer and consumer tasks, ordered by producer
-// then consumer index.
-func (r *RuntimeGraph) Channels(edge EdgeKey) ([]ChannelID, error) {
-	if r.job.Edge(edge) == nil {
-		return nil, fmt.Errorf("model: unknown edge %s", edge)
-	}
-	np, nc := r.par[edge.Source], r.par[edge.Target]
-	channels := make([]ChannelID, 0, np*nc)
-	for p := 0; p < np; p++ {
-		for c := 0; c < nc; c++ {
-			channels = append(channels, ChannelID{Edge: edge, Producer: p, Consumer: c})
-		}
-	}
-	return channels, nil
-}
-
-// TaskCount returns the total number of tasks in the runtime graph.
-func (r *RuntimeGraph) TaskCount() int {
-	total := 0
-	for _, p := range r.par {
-		total += p
-	}
-	return total
-}
-
-// ChannelCount returns the total number of channels in the runtime graph.
-func (r *RuntimeGraph) ChannelCount() int {
-	total := 0
-	for _, e := range r.job.Edges() {
-		total += r.par[e.Source] * r.par[e.Target]
-	}
-	return total
-}
-
-// RuntimeSequences enumerates the runtime sequences induced by a job
-// sequence: for sequences beginning with a vertex (or edge), one runtime
-// sequence per combination of task choices along the path. Because the
-// number of combinations is exponential, this is intended for tests and
-// small graphs; the QoS plane never materializes runtime sequences.
-func (r *RuntimeGraph) RuntimeSequences(seq *Sequence) [][]TaskID {
-	vertices := seq.Vertices()
-	if len(vertices) == 0 {
-		return nil
-	}
-	combos := [][]TaskID{{}}
-	for _, name := range vertices {
-		p := r.par[name]
-		next := make([][]TaskID, 0, len(combos)*p)
-		for _, c := range combos {
-			for i := 0; i < p; i++ {
-				nc := make([]TaskID, len(c), len(c)+1)
-				copy(nc, c)
-				nc = append(nc, TaskID{Vertex: name, Index: i})
-				next = append(next, nc)
-			}
-		}
-		combos = next
-	}
-	return combos
-}
-
 // ScalingAction describes a change of a vertex's degree of parallelism
 // decided by the elastic scaler.
 type ScalingAction struct {

@@ -1,91 +1,6 @@
 package model
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestRuntimeGraphExpansion(t *testing.T) {
-	g := chain(t) // src(2) -> mid(3) -> sink(2)
-	rg, err := NewRuntimeGraph(g)
-	if err != nil {
-		t.Fatalf("NewRuntimeGraph: %v", err)
-	}
-	if got := rg.TaskCount(); got != 7 {
-		t.Errorf("TaskCount: got %d, want 7", got)
-	}
-	// Channels: 2*3 + 3*2 = 12.
-	if got := rg.ChannelCount(); got != 12 {
-		t.Errorf("ChannelCount: got %d, want 12", got)
-	}
-	chans, err := rg.Channels(EdgeKey{Source: "src", Target: "mid"})
-	if err != nil {
-		t.Fatalf("Channels: %v", err)
-	}
-	if len(chans) != 6 {
-		t.Fatalf("Channels(src->mid): got %d, want 6", len(chans))
-	}
-	if chans[0].Producer != 0 || chans[0].Consumer != 0 || chans[5].Producer != 1 || chans[5].Consumer != 2 {
-		t.Errorf("channel ordering unexpected: %v", chans)
-	}
-	if _, err := rg.Channels(EdgeKey{Source: "src", Target: "sink"}); err == nil {
-		t.Error("Channels on unknown edge: want error")
-	}
-}
-
-func TestRuntimeGraphSetParallelism(t *testing.T) {
-	g := chain(t)
-	rg, err := NewRuntimeGraph(g)
-	if err != nil {
-		t.Fatalf("NewRuntimeGraph: %v", err)
-	}
-	got, err := rg.SetParallelism("mid", 100)
-	if err != nil {
-		t.Fatalf("SetParallelism: %v", err)
-	}
-	if got != 10 {
-		t.Errorf("SetParallelism clamp: got %d, want 10 (vertex max)", got)
-	}
-	if rg.Parallelism("mid") != 10 {
-		t.Errorf("Parallelism after set: got %d, want 10", rg.Parallelism("mid"))
-	}
-	if _, err := rg.SetParallelism("ghost", 1); err == nil {
-		t.Error("SetParallelism on unknown vertex: want error")
-	}
-	tasks := rg.Tasks("mid")
-	if len(tasks) != 10 || tasks[9].Index != 9 {
-		t.Errorf("Tasks after scale-up: got %v", tasks)
-	}
-}
-
-func TestRuntimeGraphInvalidJob(t *testing.T) {
-	g := NewJobGraph()
-	if _, err := NewRuntimeGraph(g); err == nil {
-		t.Error("NewRuntimeGraph accepted empty job graph")
-	}
-}
-
-func TestRuntimeSequences(t *testing.T) {
-	g := chain(t)
-	rg, err := NewRuntimeGraph(g)
-	if err != nil {
-		t.Fatalf("NewRuntimeGraph: %v", err)
-	}
-	seq, err := ParseSequence(g, "src->mid", "mid", "mid->sink", "sink")
-	if err != nil {
-		t.Fatalf("ParseSequence: %v", err)
-	}
-	combos := rg.RuntimeSequences(seq)
-	// mid has 3 tasks, sink has 2: 6 runtime sequences.
-	if len(combos) != 6 {
-		t.Fatalf("RuntimeSequences: got %d, want 6", len(combos))
-	}
-	for _, c := range combos {
-		if len(c) != 2 || c[0].Vertex != "mid" || c[1].Vertex != "sink" {
-			t.Errorf("unexpected runtime sequence %v", c)
-		}
-	}
-}
+import "testing"
 
 func TestDiffParallelism(t *testing.T) {
 	current := map[string]int{"a": 2, "b": 5, "c": 1}
@@ -108,32 +23,5 @@ func TestDiffParallelismDeterministicOrder(t *testing.T) {
 		if len(actions) != 3 || actions[0].Vertex != "x" || actions[1].Vertex != "y" || actions[2].Vertex != "z" {
 			t.Fatalf("actions not sorted: %v", actions)
 		}
-	}
-}
-
-// TestTaskCountMatchesParallelisms is a property test: for any set of
-// parallelism updates within bounds, TaskCount equals the sum of the
-// per-vertex parallelism.
-func TestTaskCountMatchesParallelisms(t *testing.T) {
-	g := chain(t)
-	rg, err := NewRuntimeGraph(g)
-	if err != nil {
-		t.Fatalf("NewRuntimeGraph: %v", err)
-	}
-	prop := func(pMid, pSrc uint8) bool {
-		if _, err := rg.SetParallelism("mid", int(pMid%12)+1); err != nil {
-			return false
-		}
-		if _, err := rg.SetParallelism("src", int(pSrc%4)+1); err != nil {
-			return false
-		}
-		sum := 0
-		for _, p := range rg.Parallelisms() {
-			sum += p
-		}
-		return sum == rg.TaskCount() && len(rg.AllTasks()) == sum
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }

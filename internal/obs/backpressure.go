@@ -33,32 +33,16 @@ func backpressured(s BackpressureState) bool {
 	return s == BackpressureConsumerLimited || s == BackpressureRingSaturated
 }
 
-// BackpressureConfig tunes the classification thresholds.
-type BackpressureConfig struct {
-	// StallFrac: an edge whose failed-push fraction exceeds this is
-	// backpressured (default 0.05).
-	StallFrac float64
-	// OccupancyFrac: an edge whose ring occupancy fraction reaches this
-	// is backpressured even without observed stalls (default 0.75).
-	OccupancyFrac float64
-	// BusyFrac: with backpressure present, a consumer at least this
-	// busy is the attributed culprit; below it the ring itself is
-	// (default 0.5).
-	BusyFrac float64
-}
-
-func (c BackpressureConfig) withDefaults() BackpressureConfig {
-	if c.StallFrac <= 0 {
-		c.StallFrac = 0.05
-	}
-	if c.OccupancyFrac <= 0 {
-		c.OccupancyFrac = 0.75
-	}
-	if c.BusyFrac <= 0 {
-		c.BusyFrac = 0.5
-	}
-	return c
-}
+// The classification thresholds: an edge is backpressured when its
+// failed-push fraction exceeds bpStallFrac, or its ring occupancy
+// fraction reaches bpOccupancyFrac even without observed stalls; a
+// consumer at least bpBusyFrac busy is then the culprit, below it the
+// ring itself.
+const (
+	bpStallFrac     = 0.05
+	bpOccupancyFrac = 0.75
+	bpBusyFrac      = 0.5
+)
 
 // BackpressureStatus is one edge's current classification plus episode
 // history.
@@ -89,25 +73,19 @@ type bpCell struct {
 // backpressure_cleared flight-recorder events with the attributed
 // culprit vertex on episode transitions. All methods are nil-safe.
 type BackpressureMonitor struct {
-	cfg BackpressureConfig
-
 	mu    sync.Mutex
 	edges map[string]*bpCell
 }
 
-// NewBackpressureMonitor returns a monitor with the given thresholds
-// (zero fields filled with defaults).
-func NewBackpressureMonitor(cfg BackpressureConfig) *BackpressureMonitor {
-	return &BackpressureMonitor{
-		cfg:   cfg.withDefaults(),
-		edges: make(map[string]*bpCell),
-	}
+// NewBackpressureMonitor returns an empty monitor.
+func NewBackpressureMonitor() *BackpressureMonitor {
+	return &BackpressureMonitor{edges: make(map[string]*bpCell)}
 }
 
 // classify maps one edge's interval sample onto a state + culprit.
-func (m *BackpressureMonitor) classify(e DataplaneEdge) (BackpressureState, string) {
-	if e.StallFrac > m.cfg.StallFrac || e.OccupancyFrac >= m.cfg.OccupancyFrac {
-		if e.ConsumerBusy >= m.cfg.BusyFrac {
+func classify(e DataplaneEdge) (BackpressureState, string) {
+	if e.StallFrac > bpStallFrac || e.OccupancyFrac >= bpOccupancyFrac {
+		if e.ConsumerBusy >= bpBusyFrac {
 			return BackpressureConsumerLimited, e.Consumer
 		}
 		return BackpressureRingSaturated, e.Consumer
@@ -136,7 +114,7 @@ func (m *BackpressureMonitor) Observe(now float64, edges []DataplaneEdge, rec *R
 			cell = &bpCell{state: BackpressureIdle, intervals: make(map[string]int64)}
 			m.edges[e.Edge] = cell
 		}
-		state, culprit := m.classify(e)
+		state, culprit := classify(e)
 		cell.intervals[string(state)]++
 		wasBP, isBP := backpressured(cell.state), backpressured(state)
 		switch {

@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"strconv"
-
-	"nephelix/internal/obs/ts"
-)
-
 // The data-plane X-ray: both runtimes sample their queueing layer once
 // per adjustment interval — ring counters, emitter pacing, flush-wheel
 // and batch-pool state in the engine; the mirrored queue-depth walk in
@@ -191,25 +185,6 @@ func counterRate(cur, prev uint64, interval float64) float64 {
 	return float64(cur-prev) / interval
 }
 
-// dataplaneEdgeSeries caches one edge's gauge handles.
-type dataplaneEdgeSeries struct {
-	occupancy *ts.Series
-	occFrac   *ts.Series
-	highWater *ts.Series
-	pushRate  *ts.Series
-	stallRate *ts.Series
-	stallFrac *ts.Series
-	ringWait  *ts.Series
-	bpState   *ts.Series
-}
-
-// dataplaneShardSeries caches one emitter lane's gauge handles.
-type dataplaneShardSeries struct {
-	emitted *ts.Series
-	lag     *ts.Series
-	parks   *ts.Series
-}
-
 // backpressureStateValue maps a classification onto the numeric gauge
 // nephelix_dataplane_backpressure_state (0 idle, 1 producer-limited,
 // 2 consumer-limited, 3 ring-saturated).
@@ -249,77 +224,23 @@ func (t *Telemetry) ObserveDataplane(snap DataplaneSnapshot, rec *Recorder) {
 	snap.Backpressure = statuses
 
 	now := snap.At
-	t.dpMu.Lock()
-	for i := range snap.Edges {
-		de := &snap.Edges[i]
-		es := t.dpEdges[de.Edge]
-		if es == nil {
-			labels := map[string]string{"edge": de.Edge}
-			es = &dataplaneEdgeSeries{
-				occupancy: t.store.Gauge("nephelix_dataplane_ring_occupancy", labels),
-				occFrac:   t.store.Gauge("nephelix_dataplane_ring_occupancy_frac", labels),
-				highWater: t.store.Gauge("nephelix_dataplane_ring_high_water", labels),
-				pushRate:  t.store.Gauge("nephelix_dataplane_ring_push_rate", labels),
-				stallRate: t.store.Gauge("nephelix_dataplane_ring_stall_rate", labels),
-				stallFrac: t.store.Gauge("nephelix_dataplane_ring_stall_frac", labels),
-				ringWait:  t.store.Gauge("nephelix_dataplane_ring_wait_seconds", labels),
-				bpState:   t.store.Gauge("nephelix_dataplane_backpressure_state", labels),
-			}
-			t.dpEdges[de.Edge] = es
-		}
-		es.occupancy.Set(now, float64(de.Occupancy))
-		es.occFrac.Set(now, de.OccupancyFrac)
-		es.highWater.Set(now, float64(de.HighWater))
-		es.pushRate.Set(now, de.PushRate)
-		es.stallRate.Set(now, de.StallRate)
-		es.stallFrac.Set(now, de.StallFrac)
-		es.ringWait.Set(now, de.RingWaitSeconds)
-		es.bpState.Set(now, backpressureStateValue(BackpressureState(de.State)))
+	t.mu.Lock()
+	for _, de := range snap.Edges {
+		t.dpEdges.set(now, de, de.Edge)
 	}
 	for _, sh := range snap.Shards {
-		key := sh.Task + "/" + strconv.Itoa(sh.Shard)
-		ss := t.dpShards[key]
-		if ss == nil {
-			labels := map[string]string{
-				"vertex": sh.Vertex, "task": sh.Task, "shard": strconv.Itoa(sh.Shard),
-			}
-			ss = &dataplaneShardSeries{
-				emitted: t.store.Gauge("nephelix_source_shard_emitted", labels),
-				lag:     t.store.Gauge("nephelix_dataplane_shard_lag_frac", labels),
-				parks:   t.store.Gauge("nephelix_dataplane_shard_parks_total", labels),
-			}
-			t.dpShards[key] = ss
-		}
-		ss.emitted.Set(now, float64(sh.Emitted))
-		ss.lag.Set(now, sh.LagFrac)
-		ss.parks.Set(now, float64(sh.Parks))
+		t.dpShards.set(now, sh, shardKey{sh.Vertex, sh.Task, sh.Shard})
 	}
 	if snap.Wheel != nil {
-		if t.dpWheelFires == nil {
-			t.dpWheelFires = t.store.Gauge("nephelix_dataplane_wheel_fires_total", nil)
-			t.dpWheelArmed = t.store.Gauge("nephelix_dataplane_wheel_armed", nil)
-			t.dpWheelParked = t.store.Gauge("nephelix_dataplane_wheel_parked_frac", nil)
-		}
-		t.dpWheelFires.Set(now, float64(snap.Wheel.Fires))
-		t.dpWheelArmed.Set(now, float64(snap.Wheel.Armed))
-		t.dpWheelParked.Set(now, snap.Wheel.ParkedFrac)
+		t.dpWheel.set(now, *snap.Wheel, struct{}{})
 	}
 	for _, ps := range snap.Pool {
-		s := t.dpPool[ps.Shard]
-		if s == nil {
-			s = t.store.Gauge("nephelix_dataplane_pool_hit_rate",
-				map[string]string{"shard": strconv.Itoa(ps.Shard)})
-			t.dpPool[ps.Shard] = s
-		}
-		s.Set(now, ps.HitRate)
+		t.dpPool.set(now, ps, ps.Shard)
 	}
-	t.dpMu.Unlock()
+	t.dpLast = &snap
+	t.mu.Unlock()
 
 	t.crossCheckWaits(now, snap.Edges)
-
-	t.dpMu.Lock()
-	t.dpLast = &snap
-	t.dpMu.Unlock()
 }
 
 // crossCheckWaits compares the data-plane-measured ring wait per edge
@@ -339,21 +260,11 @@ func (t *Telemetry) crossCheckWaits(now float64, edges []DataplaneEdge) {
 			predicted[rs.Vertex] = rs.LastPredicted
 		}
 	}
-	t.dpMu.Lock()
-	defer t.dpMu.Unlock()
 	for i := range edges {
 		de := &edges[i]
-		p, ok := predicted[de.Consumer]
-		if !ok || de.RingWaitSeconds <= 0 {
-			continue
+		if p, ok := predicted[de.Consumer]; ok && de.RingWaitSeconds > 0 {
+			t.waitRatio.With(de.Edge).Set(now, de.RingWaitSeconds/p)
 		}
-		s := t.dpWaitRatio[de.Edge]
-		if s == nil {
-			s = t.store.Gauge("nephelix_dataplane_wait_vs_predicted_ratio",
-				map[string]string{"edge": de.Edge})
-			t.dpWaitRatio[de.Edge] = s
-		}
-		s.Set(now, de.RingWaitSeconds/p)
 	}
 }
 
@@ -363,8 +274,8 @@ func (t *Telemetry) Dataplane() *DataplaneSnapshot {
 	if t == nil {
 		return nil
 	}
-	t.dpMu.Lock()
-	defer t.dpMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.dpLast
 }
 
@@ -375,13 +286,4 @@ func (t *Telemetry) Backpressure() *BackpressureMonitor {
 		return nil
 	}
 	return t.bp
-}
-
-// dpMuInit initializes the dataplane handle caches (NewTelemetry).
-func (t *Telemetry) dpInit() {
-	t.bp = NewBackpressureMonitor(BackpressureConfig{})
-	t.dpEdges = make(map[string]*dataplaneEdgeSeries)
-	t.dpShards = make(map[string]*dataplaneShardSeries)
-	t.dpPool = make(map[int]*ts.Series)
-	t.dpWaitRatio = make(map[string]*ts.Series)
 }

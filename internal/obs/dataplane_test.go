@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"nephelix/internal/obs/ts"
 )
 
 // TestBackpressureClassify pins the attribution heuristic: stall rate or
@@ -13,7 +15,6 @@ import (
 // separates consumer-limited from ring-saturated, and quiet edges are
 // idle rather than producer-limited.
 func TestBackpressureClassify(t *testing.T) {
-	m := NewBackpressureMonitor(BackpressureConfig{})
 	cases := []struct {
 		name    string
 		edge    DataplaneEdge
@@ -32,7 +33,7 @@ func TestBackpressureClassify(t *testing.T) {
 		{"no traffic", DataplaneEdge{Edge: "a->b"}, BackpressureIdle, ""},
 	}
 	for _, c := range cases {
-		state, culprit := m.classify(c.edge)
+		state, culprit := classify(c.edge)
 		if state != c.state || culprit != c.culprit {
 			t.Errorf("%s: got (%s, %q), want (%s, %q)", c.name, state, culprit, c.state, c.culprit)
 		}
@@ -44,7 +45,7 @@ func TestBackpressureClassify(t *testing.T) {
 // continues the episode, and leaving it records one cleared event with
 // the episode duration.
 func TestBackpressureTransitions(t *testing.T) {
-	m := NewBackpressureMonitor(BackpressureConfig{})
+	m := NewBackpressureMonitor()
 	rec := NewRecorder(16)
 	hot := DataplaneEdge{Edge: "a->b", Consumer: "b", Pushes: 1, PushRate: 100, StallFrac: 0.5, ConsumerBusy: 0.9}
 	saturated := hot
@@ -114,7 +115,7 @@ func TestObserveDataplane(t *testing.T) {
 	}
 
 	var b strings.Builder
-	writeMetrics(&b, tel.ExpositionMetrics())
+	ts.WriteExposition(&b, tel.Store().Snapshot())
 	body := b.String()
 	for _, want := range []string{
 		`nephelix_dataplane_ring_occupancy{edge="src->work"} 12`,
@@ -125,6 +126,24 @@ func TestObserveDataplane(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	checkHelpBeforeType(t, body)
+}
+
+// checkHelpBeforeType fails for every # TYPE line of an exposition that
+// does not follow a # HELP line for the same name. The golden run covers
+// the families a simulated job produces; the tests of the engine-only
+// ones (wheel, pool, emitter shards) call this.
+func checkHelpBeforeType(t *testing.T, body string) {
+	t.Helper()
+	lines := strings.Split(body, "\n")
+	for i, line := range lines {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if i == 0 || !strings.HasPrefix(lines[i-1], "# HELP "+name+" ") {
+				t.Errorf("family %s has no # HELP line", name)
+			}
 		}
 	}
 }
@@ -198,7 +217,7 @@ func TestSourceShardEmittedExposition(t *testing.T) {
 	}, nil)
 
 	var b strings.Builder
-	writeMetrics(&b, tel.ExpositionMetrics())
+	ts.WriteExposition(&b, tel.Store().Snapshot())
 	body := b.String()
 	for _, want := range []string{
 		"# HELP nephelix_source_shard_emitted Records emitted by one source emitter shard (cumulative, labeled vertex/task/shard).",
@@ -209,6 +228,7 @@ func TestSourceShardEmittedExposition(t *testing.T) {
 			t.Errorf("exposition missing %q in:\n%s", want, body)
 		}
 	}
+	checkHelpBeforeType(t, body)
 }
 
 // TestDataplaneRatesDerive pins the derivation both scrapers share:

@@ -3,51 +3,14 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
+
+	"nephelix/internal/obs/ts"
 )
-
-// Metric is one sample exposed on /metrics in Prometheus text format.
-type Metric struct {
-	// Name is the metric name (e.g. "nephelix_vertex_parallelism").
-	Name string
-	// Help is the one-line # HELP text (optional).
-	Help string
-	// Type is "gauge", "counter", "histogram" or "summary" (default
-	// "gauge").
-	Type string
-	// Labels are rendered sorted by key, with values escaped per the
-	// exposition format.
-	Labels map[string]string
-	Value  float64
-	// Histogram samples (Type "histogram") render _bucket/_sum/_count
-	// lines from these fields instead of Value; summaries (Type
-	// "summary") render Quantiles plus _sum/_count.
-	Buckets     []BucketCount
-	Quantiles   []SummaryQuantile
-	Sum         float64
-	SampleCount uint64
-}
-
-// BucketCount is one cumulative histogram bucket: CumulativeCount
-// observations were <= UpperBound. The +Inf bucket is implicit.
-type BucketCount struct {
-	UpperBound      float64
-	CumulativeCount uint64
-}
-
-// SummaryQuantile is one φ-quantile sample of a summary metric.
-type SummaryQuantile struct {
-	Quantile float64
-	Value    float64
-}
 
 // ServerConfig wires the introspection endpoints to a run's state. All
 // fields are optional; absent ones degrade to empty responses.
@@ -58,11 +21,8 @@ type ServerConfig struct {
 	// Tracer contributes span counters to /metrics.
 	Tracer *Tracer
 	// Telemetry backs /timeseries and the /dash SSE dashboard, and
-	// contributes its store (including histograms) to /metrics.
+	// contributes its store to /metrics.
 	Telemetry *Telemetry
-	// Metrics, when set, supplies additional application metrics per
-	// scrape (e.g. from a GaugeSet).
-	Metrics func() []Metric
 }
 
 // NewHandler returns the introspection mux: /healthz, /metrics
@@ -78,7 +38,8 @@ func NewHandler(cfg ServerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, collectMetrics(cfg))
+		// One point per series is all the exposition reads.
+		ts.WriteExposition(w, append(builtinMetrics(cfg), cfg.Telemetry.Store().Query("", 0, 1)...))
 	})
 	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -132,148 +93,32 @@ func NewHandler(cfg ServerConfig) http.Handler {
 	return mux
 }
 
-// collectMetrics assembles the built-in recorder/tracer metrics, the
-// telemetry store, and the application's.
-func collectMetrics(cfg ServerConfig) []Metric {
-	var ms []Metric
+// builtinMetrics renders the recorder's and the tracer's own counters as
+// snapshots, ahead of the telemetry store's on /metrics.
+func builtinMetrics(cfg ServerConfig) []ts.SeriesSnapshot {
+	counter := func(name, help string, v float64) ts.SeriesSnapshot {
+		return ts.SeriesSnapshot{Name: name, Help: help, Kind: ts.Counter.String(), Total: v}
+	}
+	gauge := func(name, help string, v float64) ts.SeriesSnapshot {
+		return ts.SeriesSnapshot{Name: name, Help: help, Kind: ts.Gauge.String(), Points: []ts.Point{{V: v}}}
+	}
+	var ms []ts.SeriesSnapshot
 	if cfg.Recorder != nil {
 		ms = append(ms,
-			Metric{Name: "nephelix_obs_events_total", Help: "Events recorded by the flight recorder.", Type: "counter", Value: float64(cfg.Recorder.Total())},
-			Metric{Name: "nephelix_obs_events_buffered", Help: "Events currently held in the ring buffer.", Value: float64(cfg.Recorder.Len())},
+			counter("nephelix_obs_events_total", "Events recorded by the flight recorder.", float64(cfg.Recorder.Total())),
+			gauge("nephelix_obs_events_buffered", "Events currently held in the ring buffer.", float64(cfg.Recorder.Len())),
 		)
 	}
 	if cfg.Tracer != nil {
 		n, mean := cfg.Tracer.EndToEnd()
 		ms = append(ms,
-			Metric{Name: "nephelix_trace_emissions_total", Help: "Source emissions observed by the tracer.", Type: "counter", Value: float64(cfg.Tracer.Emissions())},
-			Metric{Name: "nephelix_trace_spans_total", Help: "Spans started by head sampling.", Type: "counter", Value: float64(cfg.Tracer.Spans())},
-			Metric{Name: "nephelix_trace_finished_total", Help: "Spans finished at a sink.", Type: "counter", Value: float64(n)},
-			Metric{Name: "nephelix_trace_e2e_mean_seconds", Help: "Mean end-to-end latency of finished spans.", Value: mean},
+			counter("nephelix_trace_emissions_total", "Source emissions observed by the tracer.", float64(cfg.Tracer.Emissions())),
+			counter("nephelix_trace_spans_total", "Spans started by head sampling.", float64(cfg.Tracer.Spans())),
+			counter("nephelix_trace_finished_total", "Spans finished at a sink.", float64(n)),
+			gauge("nephelix_trace_e2e_mean_seconds", "Mean end-to-end latency of finished spans.", mean),
 		)
 	}
-	ms = append(ms, cfg.Telemetry.ExpositionMetrics()...)
-	if cfg.Metrics != nil {
-		ms = append(ms, cfg.Metrics()...)
-	}
 	return ms
-}
-
-// writeMetrics renders metrics in the Prometheus text exposition
-// format. Metrics sharing a name emit HELP/TYPE once (first wins);
-// samples sharing a full identity (name plus labels) are deduplicated,
-// first wins.
-func writeMetrics(w io.Writer, ms []Metric) {
-	seenName := make(map[string]bool)
-	seenSample := make(map[string]bool)
-	for _, m := range ms {
-		key := metricKey(m)
-		if seenSample[key] {
-			continue
-		}
-		seenSample[key] = true
-		if !seenName[m.Name] {
-			seenName[m.Name] = true
-			if m.Help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", m.Name, m.Help)
-			}
-			typ := m.Type
-			if typ == "" {
-				typ = "gauge"
-			}
-			fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, typ)
-		}
-		if m.Type == "histogram" {
-			writeHistogram(w, m)
-			continue
-		}
-		if m.Type == "summary" {
-			writeSummary(w, m)
-			continue
-		}
-		if labels := formatLabels(m.Labels, "", ""); labels != "" {
-			fmt.Fprintf(w, "%s{%s} %s\n", m.Name, labels, formatValue(m.Value))
-		} else {
-			fmt.Fprintf(w, "%s %s\n", m.Name, formatValue(m.Value))
-		}
-	}
-}
-
-// writeHistogram renders one histogram's _bucket/_sum/_count lines.
-func writeHistogram(w io.Writer, m Metric) {
-	for _, b := range m.Buckets {
-		labels := formatLabels(m.Labels, "le", formatValue(b.UpperBound))
-		fmt.Fprintf(w, "%s_bucket{%s} %d\n", m.Name, labels, b.CumulativeCount)
-	}
-	labels := formatLabels(m.Labels, "le", "+Inf")
-	fmt.Fprintf(w, "%s_bucket{%s} %d\n", m.Name, labels, m.SampleCount)
-	if base := formatLabels(m.Labels, "", ""); base != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", m.Name, base, formatValue(m.Sum))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", m.Name, base, m.SampleCount)
-	} else {
-		fmt.Fprintf(w, "%s_sum %s\n", m.Name, formatValue(m.Sum))
-		fmt.Fprintf(w, "%s_count %d\n", m.Name, m.SampleCount)
-	}
-}
-
-// writeSummary renders one summary's quantile/_sum/_count lines. The
-// quantile label value goes through the same escaper as every other
-// label (a hostile float formatting can't smuggle quotes, but the
-// uniformity keeps the invariant greppable).
-func writeSummary(w io.Writer, m Metric) {
-	for _, qv := range m.Quantiles {
-		labels := formatLabels(m.Labels, "quantile", formatValue(qv.Quantile))
-		fmt.Fprintf(w, "%s{%s} %s\n", m.Name, labels, formatValue(qv.Value))
-	}
-	if base := formatLabels(m.Labels, "", ""); base != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", m.Name, base, formatValue(m.Sum))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", m.Name, base, m.SampleCount)
-	} else {
-		fmt.Fprintf(w, "%s_sum %s\n", m.Name, formatValue(m.Sum))
-		fmt.Fprintf(w, "%s_count %d\n", m.Name, m.SampleCount)
-	}
-}
-
-// labelEscaper escapes label values per the Prometheus text exposition
-// format: backslash, double quote and newline.
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// formatLabels renders a label set sorted by key, appending one extra
-// pair (extraKey non-empty) after the sorted base labels — used for the
-// histogram "le" label. Returns "" for an empty set.
-func formatLabels(labels map[string]string, extraKey, extraValue string) string {
-	if len(labels) == 0 && extraKey == "" {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(labelEscaper.Replace(labels[k]))
-		b.WriteByte('"')
-	}
-	if extraKey != "" {
-		if len(keys) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extraKey)
-		b.WriteString(`="`)
-		b.WriteString(labelEscaper.Replace(extraValue))
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-// formatValue renders a sample value the way Prometheus expects.
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Serve starts the introspection server on addr in the background and
@@ -290,75 +135,4 @@ func Serve(addr string, cfg ServerConfig) (*http.Server, error) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, nil
-}
-
-// GaugeSet is a small thread-safe bridge between a running system and
-// /metrics: the runtime sets named values, each scrape snapshots them.
-// Metric identity is name plus labels; Set on the same identity
-// overwrites.
-type GaugeSet struct {
-	mu     sync.Mutex
-	gauges map[string]Metric
-}
-
-// NewGaugeSet returns an empty gauge set.
-func NewGaugeSet() *GaugeSet {
-	return &GaugeSet{gauges: make(map[string]Metric)}
-}
-
-// Set stores a gauge sample. Labels may be nil.
-func (g *GaugeSet) Set(name string, labels map[string]string, value float64) {
-	if g == nil {
-		return
-	}
-	m := Metric{Name: name, Labels: labels, Value: value}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.gauges[metricKey(m)] = m
-}
-
-// Metrics snapshots the gauges sorted by identity key, so consecutive
-// /metrics scrapes render the series in a stable order regardless of
-// insertion order; pass it as ServerConfig.Metrics.
-func (g *GaugeSet) Metrics() []Metric {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	keys := make([]string, 0, len(g.gauges))
-	for key := range g.gauges {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	out := make([]Metric, 0, len(keys))
-	for _, key := range keys {
-		out = append(out, g.gauges[key])
-	}
-	return out
-}
-
-// metricKey builds the identity key of a metric sample. Label names and
-// values are quoted so no choice of label content can collide with
-// another identity (an unescaped separator would let {a:"x,b=y"} alias
-// {a:"x", b:"y"}).
-func metricKey(m Metric) string {
-	if len(m.Labels) == 0 {
-		return m.Name
-	}
-	keys := make([]string, 0, len(m.Labels))
-	for k := range m.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(m.Name)
-	for _, k := range keys {
-		b.WriteByte('{')
-		b.WriteString(strconv.Quote(k))
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(m.Labels[k]))
-		b.WriteByte('}')
-	}
-	return b.String()
 }

@@ -35,13 +35,6 @@ func TestObsRecorderRing(t *testing.T) {
 			t.Errorf("Events()[%d].Seq = %d, want %d (oldest first)", i, ev.Seq, want)
 		}
 	}
-	recent := r.Recent(2)
-	if len(recent) != 2 || recent[0].Seq != 9 || recent[1].Seq != 10 {
-		t.Errorf("Recent(2) seqs = %v, want [9 10]", seqsOf(recent))
-	}
-	if got := r.Recent(0); len(got) != 4 {
-		t.Errorf("Recent(0) returned %d events, want all 4", len(got))
-	}
 }
 
 func TestObsRecorderPartialFill(t *testing.T) {
@@ -318,9 +311,7 @@ func TestObsHTTPEndpoints(t *testing.T) {
 	tr := NewTracer(1)
 	tr.StartSpan(0).Finish(0.5)
 
-	gauges := NewGaugeSet()
-	gauges.Set("nephelix_vertex_parallelism", map[string]string{"vertex": "w", "node": "n1"}, 3)
-	h := NewHandler(ServerConfig{Recorder: r, Tracer: tr, Metrics: gauges.Metrics})
+	h := NewHandler(ServerConfig{Recorder: r, Tracer: tr})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -348,7 +339,6 @@ func TestObsHTTPEndpoints(t *testing.T) {
 		"nephelix_trace_spans_total 1",
 		"nephelix_trace_finished_total 1",
 		"nephelix_trace_e2e_mean_seconds 0.5",
-		`nephelix_vertex_parallelism{node="n1",vertex="w"} 3`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
@@ -390,28 +380,6 @@ func TestObsHTTPEmptyDecisions(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	if got := strings.TrimSpace(buf.String()); got != "[]" {
 		t.Errorf("empty decisions endpoint = %q, want []", got)
-	}
-}
-
-func TestObsGaugeSetOverwrite(t *testing.T) {
-	g := NewGaugeSet()
-	g.Set("a", nil, 1)
-	g.Set("b", map[string]string{"k": "v"}, 2)
-	g.Set("a", nil, 3) // same identity: overwrite, keep insertion order
-	ms := g.Metrics()
-	if len(ms) != 2 {
-		t.Fatalf("got %d metrics, want 2", len(ms))
-	}
-	if ms[0].Name != "a" || ms[0].Value != 3 {
-		t.Errorf("ms[0] = %+v, want a=3", ms[0])
-	}
-	if ms[1].Name != "b" || ms[1].Value != 2 {
-		t.Errorf("ms[1] = %+v, want b=2", ms[1])
-	}
-	var nilG *GaugeSet
-	nilG.Set("x", nil, 1)
-	if nilG.Metrics() != nil {
-		t.Error("nil gauge set should return nil metrics")
 	}
 }
 

@@ -104,15 +104,6 @@ func (r *Recorder) Events() []Event {
 	return append(out, r.buf...)
 }
 
-// Recent returns the newest n events, oldest first. n <= 0 returns all.
-func (r *Recorder) Recent(n int) []Event {
-	evs := r.Events()
-	if n <= 0 || n >= len(evs) {
-		return evs
-	}
-	return evs[len(evs)-n:]
-}
-
 // Decisions returns the buffered scaling-decision events, oldest first.
 func (r *Recorder) Decisions() []Event {
 	var out []Event

@@ -20,46 +20,23 @@ import (
 // per-(constraint, vertex) Welford residual statistics plus drift flags
 // that the audit trail and the prediction-quality experiment consume.
 
-// ResidualConfig tunes the drift detection thresholds.
-type ResidualConfig struct {
-	// MinSamples is the number of scored predictions a cell needs
-	// before it may flag drift (default 8).
-	MinSamples int
-	// RelErrDrift flags a cell whose mean |measured−predicted|/measured
-	// exceeds this (default 1.0, i.e. predictions off by more than the
-	// measurement itself on average).
-	RelErrDrift float64
-	// BiasDrift flags a cell whose prediction sign bias
-	// (over−under)/(over+under) exceeds this in magnitude (default 0.9:
-	// nearly every prediction errs the same way).
-	BiasDrift float64
-	// Deadband exempts residuals below this fraction of the constraint
-	// bound from the over/under sign tally (default 0.02): a prediction
-	// off by a fraction of a millisecond against a 30 ms bound is noise,
-	// not model drift, even when the sign repeats every interval.
-	Deadband float64
-}
+// The drift thresholds. A cell may flag drift once it has scored
+// driftMinSamples predictions; it does when its mean
+// |measured−predicted|/measured exceeds driftRelErr (predictions off by
+// more than the measurement itself on average) or its sign bias
+// (over−under)/(over+under) reaches driftBias in magnitude (nearly every
+// prediction errs the same way).
+const (
+	driftMinSamples = 8
+	driftRelErr     = 1.0
+	driftBias       = 0.9
+)
 
-// DefaultResidualConfig returns the default thresholds.
-func DefaultResidualConfig() ResidualConfig {
-	return ResidualConfig{MinSamples: 8, RelErrDrift: 1.0, BiasDrift: 0.9, Deadband: 0.02}
-}
-
-func (c ResidualConfig) withDefaults() ResidualConfig {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.RelErrDrift <= 0 {
-		c.RelErrDrift = 1.0
-	}
-	if c.BiasDrift <= 0 {
-		c.BiasDrift = 0.9
-	}
-	if c.Deadband <= 0 {
-		c.Deadband = 0.02
-	}
-	return c
-}
+// DeadbandFraction exempts residuals below this fraction of the
+// constraint bound from the over/under sign tally: a prediction off by a
+// fraction of a millisecond against a 30 ms bound is noise, not model
+// drift, even when the sign repeats every interval.
+const DeadbandFraction = 0.02
 
 // ResidualKey identifies one monitored (constraint, vertex) pair.
 type ResidualKey struct {
@@ -155,20 +132,14 @@ type residualCell struct {
 // measured waits of the following adjustment interval. All methods are
 // nil-safe and safe for concurrent use.
 type ResidualMonitor struct {
-	cfg ResidualConfig
-
 	mu      sync.Mutex
 	cells   map[ResidualKey]*residualCell
 	pending []pendingPrediction
 }
 
-// NewResidualMonitor returns a monitor with the given thresholds (zero
-// fields filled from DefaultResidualConfig).
-func NewResidualMonitor(cfg ResidualConfig) *ResidualMonitor {
-	return &ResidualMonitor{
-		cfg:   cfg.withDefaults(),
-		cells: make(map[ResidualKey]*residualCell),
-	}
+// NewResidualMonitor returns an empty monitor.
+func NewResidualMonitor() *ResidualMonitor {
+	return &ResidualMonitor{cells: make(map[ResidualKey]*residualCell)}
 }
 
 // Observe advances the monitor by one adjustment interval: predictions
@@ -211,7 +182,7 @@ func (m *ResidualMonitor) Observe(now float64, s *qos.Summary, d *core.Decision)
 				cell.absRel.Add(math.Abs(measured-p.predicted) / measured)
 			}
 			switch {
-			case math.Abs(measured-p.predicted) < m.cfg.Deadband*p.bound:
+			case math.Abs(measured-p.predicted) < DeadbandFraction*p.bound:
 				// Within the deadband: too small relative to the
 				// constraint bound to count as sign evidence.
 			case p.bound > 0 && measured < BiasFloorFraction*p.bound &&
@@ -283,7 +254,7 @@ func (m *ResidualMonitor) Observe(now float64, s *qos.Summary, d *core.Decision)
 func (m *ResidualMonitor) driftLocked() []DriftFlag {
 	var flags []DriftFlag
 	for key, cell := range m.cells {
-		for _, reason := range m.cellDrift(cell) {
+		for _, reason := range cellDrift(cell) {
 			flags = append(flags, DriftFlag{
 				Constraint:    key.Constraint,
 				Vertex:        key.Vertex,
@@ -308,12 +279,12 @@ func (m *ResidualMonitor) driftLocked() []DriftFlag {
 }
 
 // cellDrift lists a cell's active drift reasons.
-func (m *ResidualMonitor) cellDrift(cell *residualCell) []string {
+func cellDrift(cell *residualCell) []string {
 	var reasons []string
-	if cell.absRel.Count() >= int64(m.cfg.MinSamples) && cell.absRel.Mean() > m.cfg.RelErrDrift {
+	if cell.absRel.Count() >= driftMinSamples && cell.absRel.Mean() > driftRelErr {
 		reasons = append(reasons, "high-rel-err")
 	}
-	if cell.over+cell.under >= int64(m.cfg.MinSamples) && math.Abs(cellBias(cell)) >= m.cfg.BiasDrift {
+	if cell.over+cell.under >= driftMinSamples && math.Abs(cellBias(cell)) >= driftBias {
 		reasons = append(reasons, "sign-bias")
 	}
 	return reasons
@@ -357,7 +328,7 @@ func (m *ResidualMonitor) Snapshot() []ResidualStat {
 	out := make([]ResidualStat, 0, len(keys))
 	for _, key := range keys {
 		cell := m.cells[key]
-		reasons := m.cellDrift(cell)
+		reasons := cellDrift(cell)
 		out = append(out, ResidualStat{
 			Constraint:     key.Constraint,
 			Vertex:         key.Vertex,

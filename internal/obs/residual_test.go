@@ -59,7 +59,7 @@ func summaryWithQueueWait(channel, batch float64) *qos.Summary {
 // Welford cell updated exactly once.
 func TestObsResidualPairing(t *testing.T) {
 	c := residualTestConstraint(t)
-	m := NewResidualMonitor(ResidualConfig{})
+	m := NewResidualMonitor()
 	vm := &core.VertexModel{Name: "server", Current: 4, A: 0.04, B: 2}
 	d := residualTestDecision(c, vm, map[string]int{"server": 6}, map[string]int{"server": 6})
 
@@ -116,7 +116,7 @@ func TestObsResidualPairing(t *testing.T) {
 // nothing.
 func TestObsResidualTailPairing(t *testing.T) {
 	c := residualTestConstraint(t)
-	m := NewResidualMonitor(ResidualConfig{})
+	m := NewResidualMonitor()
 	vm := &core.VertexModel{Name: "server", Current: 4, A: 0.04, B: 2, TailQuantile: 0.9}
 	d := residualTestDecision(c, vm, map[string]int{"server": 6}, nil)
 	m.Observe(10, qos.NewSummary(), d)
@@ -152,7 +152,7 @@ func TestObsResidualParallelismFallback(t *testing.T) {
 		{"model current", nil, nil, 3},
 	}
 	for _, tc := range cases {
-		m := NewResidualMonitor(ResidualConfig{})
+		m := NewResidualMonitor()
 		m.Observe(0, qos.NewSummary(), residualTestDecision(c, vm, tc.desired, tc.perCons))
 		scored, _ := m.Observe(1, summaryWithQueueWait(0.5, 0), nil)
 		if len(scored) != 1 {
@@ -185,7 +185,7 @@ func TestObsResidualSkips(t *testing.T) {
 			&core.VertexModel{Name: "src", Current: 1, A: 0.04, B: 0}, nil, nil)},
 	}
 	for _, tc := range cases {
-		m := NewResidualMonitor(ResidualConfig{})
+		m := NewResidualMonitor()
 		m.Observe(0, qos.NewSummary(), tc.d)
 		scored, _ := m.Observe(1, summaryWithQueueWait(0.5, 0), nil)
 		if len(scored) != 0 {
@@ -195,21 +195,22 @@ func TestObsResidualSkips(t *testing.T) {
 }
 
 // TestObsResidualDrift: sustained over-prediction trips both the
-// high-rel-err and sign-bias flags once MinSamples is reached, and the
-// flags surface through Observe, DriftFlags and Snapshot consistently.
+// high-rel-err and sign-bias flags once driftMinSamples pairs are scored,
+// and the flags surface through Observe, DriftFlags and Snapshot
+// consistently.
 func TestObsResidualDrift(t *testing.T) {
 	c := residualTestConstraint(t)
-	m := NewResidualMonitor(ResidualConfig{MinSamples: 4})
+	m := NewResidualMonitor()
 	vm := &core.VertexModel{Name: "server", Current: 4, A: 0.04, B: 2}
 	d := residualTestDecision(c, vm, map[string]int{"server": 6}, nil)
 
 	// W(6) = 10ms predicted, 2ms measured every interval: |rel err| = 4,
 	// every prediction over.
 	var flags []DriftFlag
-	for i := 0; i < 5; i++ {
+	for i := 0; i <= driftMinSamples; i++ { // the first interval only registers
 		_, flags = m.Observe(float64(i), summaryWithQueueWait(0.002, 0), d)
-		if i < 4 && len(flags) != 0 {
-			t.Fatalf("interval %d: drift before MinSamples: %v", i, flags)
+		if i < driftMinSamples && len(flags) != 0 {
+			t.Fatalf("interval %d: drift before driftMinSamples: %v", i, flags)
 		}
 	}
 	if len(flags) != 2 {
@@ -219,7 +220,7 @@ func TestObsResidualDrift(t *testing.T) {
 		t.Errorf("flag order: %v, %v", flags[0].Reason, flags[1].Reason)
 	}
 	for _, f := range flags {
-		if f.Constraint != "c" || f.Vertex != "server" || f.Samples != 4 {
+		if f.Constraint != "c" || f.Vertex != "server" || f.Samples != driftMinSamples {
 			t.Errorf("flag identity: %+v", f)
 		}
 		if f.MeanAbsRelErr != 4 || f.SignBias != 1 {
@@ -244,9 +245,9 @@ func TestObsResidualMerge(t *testing.T) {
 	d := residualTestDecision(c, vm, map[string]int{"server": 6}, nil)
 
 	waits := [][2]float64{{0.012, 0}, {0.008, 0}, {0.02, 0.002}, {0.005, 0.001}}
-	pooled := NewResidualMonitor(ResidualConfig{})
-	a := NewResidualMonitor(ResidualConfig{})
-	b := NewResidualMonitor(ResidualConfig{})
+	pooled := NewResidualMonitor()
+	a := NewResidualMonitor()
+	b := NewResidualMonitor()
 	for i, w := range waits {
 		part := a
 		if i >= 2 {
@@ -257,7 +258,7 @@ func TestObsResidualMerge(t *testing.T) {
 		pooled.Observe(float64(i), qos.NewSummary(), d)
 		pooled.Observe(float64(i)+0.5, summaryWithQueueWait(w[0], w[1]), nil)
 	}
-	merged := NewResidualMonitor(ResidualConfig{})
+	merged := NewResidualMonitor()
 	merged.Merge(a)
 	merged.Merge(b)
 
@@ -289,5 +290,5 @@ func TestObsResidualNil(t *testing.T) {
 	if m.DriftFlags() != nil || m.Snapshot() != nil {
 		t.Error("nil monitor must snapshot nothing")
 	}
-	m.Merge(NewResidualMonitor(ResidualConfig{}))
+	m.Merge(NewResidualMonitor())
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nephelix/internal/core"
+	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
 	"nephelix/internal/obs/ts"
 	"nephelix/internal/probe"
@@ -292,7 +293,7 @@ func TestObsTailGaugesAndExposition(t *testing.T) {
 	}
 
 	var b strings.Builder
-	writeMetrics(&b, tel.ExpositionMetrics())
+	ts.WriteExposition(&b, tel.Store().Snapshot())
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE nephelix_e2e_latency_tail_seconds summary",
@@ -329,7 +330,7 @@ func TestObsTelemetryObserveHop(t *testing.T) {
 }
 
 // TestObsTracerTailAttribution: per-hop sketches identify a hop that
-// dominates the tail but not the mean.
+// dominates the tail but not the mean, at the quantile asked for.
 func TestObsTracerTailAttribution(t *testing.T) {
 	tr := NewTracer(1)
 	// "edge a->b" has a modest constant latency; "b" (service) is cheap
@@ -360,6 +361,17 @@ func TestObsTracerTailAttribution(t *testing.T) {
 	if math.Abs(shares-1) > 1e-9 {
 		t.Errorf("tail shares sum to %v, want 1", shares)
 	}
+	// The heavy 2 % sits above p90: attributed at q = 0.9, the same hops
+	// rank the other way round, and the shares are the p90 shares.
+	rep90 := tr.TailAttribution(0.9)
+	if rep90.Quantile != 0.9 || rep90.DominantTail != "edge a->b" {
+		t.Errorf("q=0.9: quantile %v, dominant tail %q, want 0.9 and edge a->b", rep90.Quantile, rep90.DominantTail)
+	}
+	for _, h := range rep90.Hops {
+		if h.Kind == "vertex" && (h.TailShare > 0.1 || h.P99 < 0.2) {
+			t.Errorf("q=0.9: vertex b share %v (p99 %v), want its p90 share of about 1/21", h.TailShare, h.P99)
+		}
+	}
 	// Out-of-range quantile clamps to 0.99; nil tracer is inert.
 	if rep := tr.TailAttribution(7); rep.Quantile != 0.99 {
 		t.Errorf("clamped quantile = %v", rep.Quantile)
@@ -377,7 +389,8 @@ func TestObsTracerTailAttribution(t *testing.T) {
 // into a mergeable sketch and snapshots quantile summaries.
 func TestObsSketchSeriesKind(t *testing.T) {
 	store := ts.NewStore(8)
-	s := store.SketchSeries("lat", map[string]string{"vertex": "v"}, 0.01)
+	lat := store.Family(ts.Sketch, "lat", "", "vertex")
+	s := lat.With("v")
 	for i := 1; i <= 100; i++ {
 		s.Observe(float64(i), float64(i))
 	}
@@ -395,15 +408,16 @@ func TestObsSketchSeriesKind(t *testing.T) {
 		t.Fatalf("snapshot count %d", len(snaps))
 	}
 	sn := snaps[0]
-	if sn.Kind != "sketch" || sn.Alpha != 0.01 || sn.Count != 100 || len(sn.Quantiles) == 0 {
+	if sn.Kind != "sketch" || sn.Alpha != sketch.DefaultAlpha || sn.Count != 100 || len(sn.Quantiles) == 0 {
 		t.Errorf("snapshot %+v", sn)
 	}
 	// Same identity returns the same series; Observe on a non-sketch
 	// kind ignores sketch accessors.
-	if store.SketchSeries("lat", map[string]string{"vertex": "v"}, 0.01) != s {
+	if lat.With("v") != s {
 		t.Error("sketch series identity not cached")
 	}
-	g := store.Gauge("g", nil)
+	gf := store.Family(ts.Gauge, "g", "")
+	g := gf.With()
 	g.Set(1, 5)
 	if g.Quantile(0.5) != 0 || g.SketchCount() != 0 {
 		t.Error("non-sketch series leaked sketch state")
@@ -435,7 +449,7 @@ func TestObsTailFitGauges(t *testing.T) {
 	}
 
 	var b strings.Builder
-	writeMetrics(&b, tel.ExpositionMetrics())
+	ts.WriteExposition(&b, tel.Store().Snapshot())
 	out := b.String()
 	for _, want := range []string{
 		`nephelix_tail_kappa{q="p99",vertex="worker"}`,

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"nephelix/internal/metrics"
+	"nephelix/internal/metrics/sketch"
 )
 
 // TailHop is one hop's contribution to the traced end-to-end latency:
@@ -74,23 +77,23 @@ func (tr *Tracer) TailAttribution(q float64) TailAttributionReport {
 	rep.E2EP99 = tr.e2eSk.Quantile(0.99)
 	rep.E2EP999 = tr.e2eSk.Quantile(0.999)
 
+	// tails[i] is rep.Hops[i]'s own latency at q — the attributed
+	// quantile, which the fixed P50…P999 columns need not contain.
+	var tails []float64
+	hop := func(kind, name string, w metrics.Welford, sk *sketch.Sketch) {
+		rep.Hops = append(rep.Hops, TailHop{
+			Kind: kind, Name: name, Count: w.Count(), Mean: w.Mean(),
+			P50: sk.Quantile(0.5), P95: sk.Quantile(0.95), P99: sk.Quantile(0.99), P999: sk.Quantile(0.999),
+		})
+		tails = append(tails, sk.Quantile(q))
+	}
 	names := make([]string, 0, len(tr.vertices))
 	for n := range tr.vertices {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		vt := tr.vertices[n]
-		rep.Hops = append(rep.Hops, TailHop{
-			Kind:  "vertex",
-			Name:  n,
-			Count: vt.service.Count(),
-			Mean:  vt.service.Mean(),
-			P50:   vt.serviceSk.Quantile(0.5),
-			P95:   vt.serviceSk.Quantile(0.95),
-			P99:   vt.serviceSk.Quantile(0.99),
-			P999:  vt.serviceSk.Quantile(0.999),
-		})
+		hop("vertex", n, tr.vertices[n].service, tr.vertices[n].serviceSk)
 	}
 	edges := make([]string, 0, len(tr.edges))
 	for e := range tr.edges {
@@ -98,35 +101,13 @@ func (tr *Tracer) TailAttribution(q float64) TailAttributionReport {
 	}
 	sort.Strings(edges)
 	for _, e := range edges {
-		et := tr.edges[e]
-		rep.Hops = append(rep.Hops, TailHop{
-			Kind:  "edge",
-			Name:  e,
-			Count: et.channel.Count(),
-			Mean:  et.channel.Mean(),
-			P50:   et.channelSk.Quantile(0.5),
-			P95:   et.channelSk.Quantile(0.95),
-			P99:   et.channelSk.Quantile(0.99),
-			P999:  et.channelSk.Quantile(0.999),
-		})
+		hop("edge", e, tr.edges[e].channel, tr.edges[e].channelSk)
 	}
 
 	var meanSum, tailSum float64
-	tailOf := func(h *TailHop) float64 {
-		switch q {
-		case 0.5:
-			return h.P50
-		case 0.95:
-			return h.P95
-		case 0.999:
-			return h.P999
-		default:
-			return h.P99
-		}
-	}
 	for i := range rep.Hops {
 		meanSum += rep.Hops[i].Mean
-		tailSum += tailOf(&rep.Hops[i])
+		tailSum += tails[i]
 	}
 	bestMean, bestTail := -1.0, -1.0
 	for i := range rep.Hops {
@@ -134,16 +115,15 @@ func (tr *Tracer) TailAttribution(q float64) TailAttributionReport {
 		if meanSum > 0 {
 			h.MeanShare = h.Mean / meanSum
 		}
-		tl := tailOf(h)
 		if tailSum > 0 {
-			h.TailShare = tl / tailSum
+			h.TailShare = tails[i] / tailSum
 		}
 		if h.Mean > bestMean {
 			bestMean = h.Mean
 			rep.DominantMean = h.Kind + " " + h.Name
 		}
-		if tl > bestTail {
-			bestTail = tl
+		if tails[i] > bestTail {
+			bestTail = tails[i]
 			rep.DominantTail = h.Kind + " " + h.Name
 		}
 	}

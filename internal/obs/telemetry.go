@@ -28,140 +28,63 @@ import (
 type Telemetry struct {
 	store *ts.Store
 	res   *ResidualMonitor
+	slo   *SLOTracker
+	bp    *BackpressureMonitor
 
-	// Hot-path and per-tick handles, cached at construction.
-	e2e       *ts.Series
-	e2eTail   *ts.Series // quantile sketch over the same sampled stream
-	intervals *ts.Series
-	decisions *ts.Series
-	scaleUps  *ts.Series
-	scaleDown *ts.Series
-	holds     *ts.Series
-	infeas    *ts.Series
-
-	// tailGauges publish the e2e sketch's quantiles per interval, one
-	// gauge per ts.DefaultQuantiles entry, for the dashboard sparklines.
-	tailGauges []*ts.Series
-
-	// Processing-guarantee series (checkpoint lifecycle, replay, dedup).
-	ckptDur       *ts.Series
+	// Series written where their event happens (all declared in
+	// registry.go): single series held by handle, labelled families
+	// resolved by Family.With.
+	e2e           *ts.Series
+	e2eTail       *ts.Series   // quantile sketch over the same sampled stream
+	tailE2E       []*ts.Series // one gauge per ts.DefaultQuantiles entry, for the dashboard sparklines
+	intervals     *ts.Series
+	decisions     *ts.Series
+	scaleUps      *ts.Series
+	scaleDowns    *ts.Series
+	holds         *ts.Series
+	infeasible    *ts.Series
+	ckptDuration  *ts.Series
 	ckptInterval  *ts.Series
 	ckptStall     *ts.Series
 	ckptCommitted *ts.Series
 	ckptAborted   *ts.Series
 	replayed      *ts.Series
 	deduped       *ts.Series
+	hopBatch      ts.Family
+	hopTransit    ts.Family
+	hopWait       ts.Family
+	hopService    ts.Family
+	absResidual   ts.Family
+	waitRatio     ts.Family
+	sloViolations ts.Family
 
-	// slo accumulates per-constraint error-budget state; sloHandles
-	// caches the per-constraint gauge/counter series.
-	slo    *SLOTracker
-	sloMu  sync.Mutex
-	sloOut map[string]*sloSeries
-
-	// Per-hop latency sketches, cached per edge/vertex identity so the
-	// sampled data-plane path does only map lookups (no allocation).
-	hopMu      sync.Mutex
-	hopEdges   map[string]*hopSeries
-	hopService map[string]*ts.Series
-
-	// Per-interval series, resolved once per identity and then written
-	// through the handle: a scrape builds no label map and no series key.
-	// mu serializes scrapes.
+	// mu serializes scrapes: it guards the per-interval gauge tables and
+	// the latest data-plane snapshot (served by /dataplane and the SSE
+	// stream).
 	mu        sync.Mutex
-	vertexOut map[string]*vertexSeries
-	edgeOut   map[model.EdgeKey]*edgeSeries
-	resOut    map[ResidualKey]*residualSeries
-	tailOut   map[tailKey]*tailSeries
-	goOut     [4]*ts.Series
-
-	// Data-plane X-ray state: the backpressure monitor, the latest
-	// sampled snapshot (served by /dataplane and the SSE stream), and
-	// the cached gauge handles keyed by edge / lane / pool shard.
-	bp            *BackpressureMonitor
-	dpMu          sync.Mutex
-	dpLast        *DataplaneSnapshot
-	dpEdges       map[string]*dataplaneEdgeSeries
-	dpShards      map[string]*dataplaneShardSeries
-	dpPool        map[int]*ts.Series
-	dpWaitRatio   map[string]*ts.Series
-	dpWheelFires  *ts.Series
-	dpWheelArmed  *ts.Series
-	dpWheelParked *ts.Series
-}
-
-// hopSeries bundles one edge's per-hop latency sketches.
-type hopSeries struct {
-	batch   *ts.Series
-	transit *ts.Series
-	wait    *ts.Series
-}
-
-// vertexSeries, edgeSeries, residualSeries and tailSeries bundle the
-// per-interval series of one vertex, edge, (constraint, vertex) cell and
-// (vertex, quantile) tail-fit cell.
-type vertexSeries struct {
-	parallelism, utilization, serviceMean, arrivalRate, taskLatency, freshTasks *ts.Series
-}
-
-type edgeSeries struct{ queueWait, channelLatency, batchLatency *ts.Series }
-
-type residualSeries struct{ abs, mean, stddev, relErr, signBias, drift *ts.Series }
-
-type tailKey struct {
-	vertex   string
-	quantile float64
-}
-
-type tailSeries struct{ kappa, wait *ts.Series }
-
-// sloSeries bundles one constraint's SLO output series.
-type sloSeries struct {
-	budget     *ts.Series
-	burn       *ts.Series
-	estimate   *ts.Series
-	bound      *ts.Series
-	violations *ts.Series
+	vertices  gauges[string, qos.VertexStats]
+	edges     gauges[model.EdgeKey, qos.EdgeStats]
+	residuals gauges[ResidualKey, ResidualStat]
+	tailFits  gauges[tailKey, core.TailFitSnapshot]
+	slos      gauges[string, SLOStatus]
+	goRuntime gauges[struct{}, goSample]
+	dpEdges   gauges[string, DataplaneEdge]
+	dpShards  gauges[shardKey, DataplaneShard]
+	dpWheel   gauges[struct{}, DataplaneWheel]
+	dpPool    gauges[int, DataplanePoolShard]
+	dpLast    *DataplaneSnapshot
 }
 
 // NewTelemetry returns an enabled telemetry plane whose series keep
 // pointsPerSeries points each (ts.DefaultPoints when <= 0).
 func NewTelemetry(pointsPerSeries int) *Telemetry {
-	st := ts.NewStore(pointsPerSeries)
-	tailGauges := make([]*ts.Series, len(ts.DefaultQuantiles))
-	for i, q := range ts.DefaultQuantiles {
-		tailGauges[i] = st.Gauge("nephelix_tail_e2e_seconds",
-			map[string]string{"q": quantileLabel(q)})
-	}
 	t := &Telemetry{
-		store:      st,
-		res:        NewResidualMonitor(ResidualConfig{}),
-		e2e:        st.Histogram("nephelix_e2e_latency_seconds", nil, ts.LatencyBuckets),
-		e2eTail:    st.SketchSeries("nephelix_e2e_latency_tail_seconds", nil, 0),
-		tailGauges: tailGauges,
-		slo:        NewSLOTracker(0),
-		sloOut:     make(map[string]*sloSeries),
-		hopEdges:   make(map[string]*hopSeries),
-		hopService: make(map[string]*ts.Series),
-		intervals:  st.Counter("nephelix_adjust_intervals_total", nil),
-		decisions:  st.Counter("nephelix_scaler_decisions_total", nil),
-		scaleUps:   st.Counter("nephelix_scaler_scale_ups_total", nil),
-		scaleDown:  st.Counter("nephelix_scaler_scale_downs_total", nil),
-		holds:      st.Counter("nephelix_scaler_holds_total", nil),
-		infeas:     st.Counter("nephelix_scaler_infeasible_total", nil),
-		vertexOut:  make(map[string]*vertexSeries),
-		edgeOut:    make(map[model.EdgeKey]*edgeSeries),
-		resOut:     make(map[ResidualKey]*residualSeries),
-		tailOut:    make(map[tailKey]*tailSeries),
-
-		ckptDur:       st.Gauge("nephelix_checkpoint_duration_seconds", nil),
-		ckptInterval:  st.Gauge("nephelix_checkpoint_interval_seconds", nil),
-		ckptStall:     st.Gauge("nephelix_checkpoint_alignment_stall_seconds", nil),
-		ckptCommitted: st.Counter("nephelix_checkpoints_committed_total", nil),
-		ckptAborted:   st.Counter("nephelix_checkpoints_aborted_total", nil),
-		replayed:      st.Counter("nephelix_replayed_records_total", nil),
-		deduped:       st.Counter("nephelix_deduped_records_total", nil),
+		store: ts.NewStore(pointsPerSeries),
+		res:   NewResidualMonitor(),
+		slo:   NewSLOTracker(0),
+		bp:    NewBackpressureMonitor(),
 	}
-	t.dpInit()
+	t.declare(t.store)
 	return t
 }
 
@@ -178,7 +101,7 @@ func (t *Telemetry) ObserveCheckpoint(now, duration, interval, stall float64, co
 		return
 	}
 	t.ckptCommitted.Add(now, 1)
-	t.ckptDur.Set(now, duration)
+	t.ckptDuration.Set(now, duration)
 	if interval > 0 {
 		t.ckptInterval.Set(now, interval)
 	}
@@ -233,35 +156,16 @@ func (t *Telemetry) ObserveE2E(now, latency float64) {
 // ObserveHop feeds one sampled record's hop decomposition into the
 // per-edge and per-vertex latency sketches: batch delay, transit and
 // queue wait on the edge into vertex, service time in the vertex.
-// Called next to Span.Hop for head-sampled records only; the cached
-// handle maps keep the path allocation-free after each identity's
-// first observation.
+// Called next to Span.Hop for head-sampled records only;
+// allocation-free after each identity's first observation.
 func (t *Telemetry) ObserveHop(now float64, vertex, edge string, batch, transit, wait, service float64) {
 	if t == nil {
 		return
 	}
-	t.hopMu.Lock()
-	hs := t.hopEdges[edge]
-	if hs == nil {
-		labels := map[string]string{"edge": edge}
-		hs = &hopSeries{
-			batch:   t.store.SketchSeries("nephelix_hop_batch_delay_seconds", labels, 0),
-			transit: t.store.SketchSeries("nephelix_hop_transit_seconds", labels, 0),
-			wait:    t.store.SketchSeries("nephelix_hop_queue_wait_seconds", labels, 0),
-		}
-		t.hopEdges[edge] = hs
-	}
-	sv := t.hopService[vertex]
-	if sv == nil {
-		sv = t.store.SketchSeries("nephelix_hop_service_seconds",
-			map[string]string{"vertex": vertex}, 0)
-		t.hopService[vertex] = sv
-	}
-	t.hopMu.Unlock()
-	hs.batch.Observe(now, batch)
-	hs.transit.Observe(now, transit)
-	hs.wait.Observe(now, wait)
-	sv.Observe(now, service)
+	t.hopBatch.With(edge).Observe(now, batch)
+	t.hopTransit.With(edge).Observe(now, transit)
+	t.hopWait.With(edge).Observe(now, wait)
+	t.hopService.With(vertex).Observe(now, service)
 }
 
 // ObserveSLO folds one adjustment interval's tail state for one target:
@@ -274,13 +178,12 @@ func (t *Telemetry) ObserveSLO(now float64, target SLOTarget, count, bad uint64,
 		return
 	}
 	st, transition := t.slo.Observe(target, count, bad, estimate)
-	out := t.sloSeriesFor(target.Constraint)
-	out.budget.Set(now, st.ErrorBudgetRemaining)
-	out.burn.Set(now, st.BurnRate)
-	out.estimate.Set(now, st.EstimateSeconds)
-	out.bound.Set(now, target.BoundSeconds)
+	t.mu.Lock()
+	t.slos.set(now, st, target.Constraint)
+	t.mu.Unlock()
+	violations := t.sloViolations.With(target.Constraint) // exists, at 0, from the target's first interval
 	if transition {
-		out.violations.Add(now, 1)
+		violations.Add(now, 1)
 		rec.RecordLifecycle(now, KindSLOViolation, Lifecycle{
 			Constraint:      target.Constraint,
 			Quantile:        target.Quantile,
@@ -326,25 +229,6 @@ func (t *Telemetry) ObserveSLOs(now float64, probes *probe.ProbeSet, fallback []
 	}
 }
 
-// sloSeriesFor returns the cached output series of one constraint.
-func (t *Telemetry) sloSeriesFor(constraint string) *sloSeries {
-	t.sloMu.Lock()
-	defer t.sloMu.Unlock()
-	out := t.sloOut[constraint]
-	if out == nil {
-		labels := map[string]string{"constraint": constraint}
-		out = &sloSeries{
-			budget:     t.store.Gauge("nephelix_slo_error_budget_remaining", labels),
-			burn:       t.store.Gauge("nephelix_slo_burn_rate", labels),
-			estimate:   t.store.Gauge("nephelix_slo_estimate_seconds", labels),
-			bound:      t.store.Gauge("nephelix_slo_bound_seconds", labels),
-			violations: t.store.Counter("nephelix_slo_violations_total", labels),
-		}
-		t.sloOut[constraint] = out
-	}
-	return out
-}
-
 // SLOSnapshot returns every tracked target's latest status, sorted by
 // constraint (empty, non-nil, when disabled or before the first
 // interval).
@@ -378,13 +262,17 @@ func (t *Telemetry) ObserveInterval(now float64, s *qos.Summary, d *core.Decisio
 	defer t.mu.Unlock()
 	scored, flags := t.res.Observe(now, s, d)
 	for _, sc := range scored {
-		t.residualSeriesFor(sc.Constraint, sc.Vertex).abs.Observe(now, math.Abs(sc.Measured-sc.Predicted))
+		t.absResidual.With(sc.Constraint, sc.Vertex).Observe(now, math.Abs(sc.Measured-sc.Predicted))
 	}
-	t.scrapeResiduals(now)
+	for _, rs := range t.res.Snapshot() {
+		t.residuals.set(now, rs, ResidualKey{Constraint: rs.Constraint, Vertex: rs.Vertex})
+	}
 	t.scrapeSummary(now, s, par)
 	t.scrapeDecision(now, d)
 	t.scrapeTail(now)
-	t.scrapeRuntime(now)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.goRuntime.set(now, goSample{ms.HeapAlloc, ms.PauseTotalNs, ms.NumGC, runtime.NumGoroutine()}, struct{}{})
 	return flags
 }
 
@@ -395,43 +283,7 @@ func (t *Telemetry) scrapeTail(now float64) {
 		return
 	}
 	for i, q := range ts.DefaultQuantiles {
-		t.tailGauges[i].Set(now, t.e2eTail.Quantile(q))
-	}
-}
-
-// residualSeriesFor returns the series of one monitored cell.
-func (t *Telemetry) residualSeriesFor(constraint, vertex string) *residualSeries {
-	key := ResidualKey{Constraint: constraint, Vertex: vertex}
-	out := t.resOut[key]
-	if out == nil {
-		labels := map[string]string{"constraint": constraint, "vertex": vertex}
-		out = &residualSeries{
-			abs:      t.store.Histogram("nephelix_model_abs_residual_seconds", labels, ts.LatencyBuckets),
-			mean:     t.store.Gauge("nephelix_model_residual_mean_seconds", labels),
-			stddev:   t.store.Gauge("nephelix_model_residual_stddev_seconds", labels),
-			relErr:   t.store.Gauge("nephelix_model_rel_err_mean", labels),
-			signBias: t.store.Gauge("nephelix_model_sign_bias", labels),
-			drift:    t.store.Gauge("nephelix_model_drift", labels),
-		}
-		t.resOut[key] = out
-	}
-	return out
-}
-
-// scrapeResiduals publishes the monitor's aggregate statistics as
-// gauge series.
-func (t *Telemetry) scrapeResiduals(now float64) {
-	for _, rs := range t.res.Snapshot() {
-		out := t.residualSeriesFor(rs.Constraint, rs.Vertex)
-		out.mean.Set(now, rs.ResidualMean)
-		out.stddev.Set(now, rs.ResidualStdDev)
-		out.relErr.Set(now, rs.MeanAbsRelErr)
-		out.signBias.Set(now, rs.SignBias)
-		drift := 0.0
-		if rs.Drift {
-			drift = 1
-		}
-		out.drift.Set(now, drift)
+		t.tailE2E[i].Set(now, t.e2eTail.Quantile(q))
 	}
 }
 
@@ -441,44 +293,13 @@ func (t *Telemetry) scrapeSummary(now float64, s *qos.Summary, par map[string]in
 		return
 	}
 	for name, vs := range s.Vertices {
-		out := t.vertexOut[name]
-		if out == nil {
-			labels := map[string]string{"vertex": name}
-			out = &vertexSeries{
-				parallelism: t.store.Gauge("nephelix_vertex_parallelism", labels),
-				utilization: t.store.Gauge("nephelix_vertex_utilization", labels),
-				serviceMean: t.store.Gauge("nephelix_vertex_service_mean_seconds", labels),
-				arrivalRate: t.store.Gauge("nephelix_vertex_arrival_rate", labels),
-				taskLatency: t.store.Gauge("nephelix_vertex_task_latency_seconds", labels),
-				freshTasks:  t.store.Gauge("nephelix_vertex_fresh_tasks", labels),
-			}
-			t.vertexOut[name] = out
-		}
-		p := vs.Parallelism
 		if live, ok := par[name]; ok {
-			p = live
+			vs.Parallelism = live
 		}
-		out.parallelism.Set(now, float64(p))
-		out.utilization.Set(now, vs.Utilization())
-		out.serviceMean.Set(now, vs.ServiceTimeMean)
-		out.arrivalRate.Set(now, vs.ArrivalRate())
-		out.taskLatency.Set(now, vs.TaskLatency)
-		out.freshTasks.Set(now, float64(vs.FreshTasks))
+		t.vertices.set(now, vs, name)
 	}
 	for key, es := range s.Edges {
-		out := t.edgeOut[key]
-		if out == nil {
-			labels := map[string]string{"edge": key.String()}
-			out = &edgeSeries{
-				queueWait:      t.store.Gauge("nephelix_edge_queue_wait_seconds", labels),
-				channelLatency: t.store.Gauge("nephelix_edge_channel_latency_seconds", labels),
-				batchLatency:   t.store.Gauge("nephelix_edge_batch_latency_seconds", labels),
-			}
-			t.edgeOut[key] = out
-		}
-		out.queueWait.Set(now, es.QueueWait())
-		out.channelLatency.Set(now, es.ChannelLatency)
-		out.batchLatency.Set(now, es.OutputBatchLatency)
+		t.edges.set(now, es, key)
 	}
 }
 
@@ -501,7 +322,7 @@ func (t *Telemetry) scrapeDecision(now float64, d *core.Decision) {
 		t.scaleUps.Add(now, float64(ups))
 	}
 	if downs > 0 {
-		t.scaleDown.Add(now, float64(downs))
+		t.scaleDowns.Add(now, float64(downs))
 	}
 	if len(d.Holds) > 0 {
 		t.holds.Add(now, float64(len(d.Holds)))
@@ -513,82 +334,11 @@ func (t *Telemetry) scrapeDecision(now float64, d *core.Decision) {
 		}
 	}
 	if infeasible > 0 {
-		t.infeas.Add(now, float64(infeasible))
+		t.infeasible.Add(now, float64(infeasible))
 	}
 	for _, cell := range d.TailFit {
-		key := tailKey{cell.Vertex, cell.Quantile}
-		out := t.tailOut[key]
-		if out == nil {
-			labels := map[string]string{"vertex": cell.Vertex, "q": quantileLabel(cell.Quantile)}
-			out = &tailSeries{
-				kappa: t.store.Gauge("nephelix_tail_kappa", labels),
-				wait:  t.store.Gauge("nephelix_tail_wait_seconds", labels),
-			}
-			t.tailOut[key] = out
-		}
-		out.kappa.Set(now, cell.Kappa)
-		out.wait.Set(now, cell.LastTail)
+		t.tailFits.set(now, cell, tailKey{cell.Vertex, cell.Quantile})
 	}
-}
-
-// scrapeRuntime samples the Go runtime: heap, GC and goroutine counts.
-// One ReadMemStats per adjustment interval is cheap enough.
-func (t *Telemetry) scrapeRuntime(now float64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if t.goOut[0] == nil {
-		t.goOut = [4]*ts.Series{
-			t.store.Gauge("nephelix_go_heap_alloc_bytes", nil),
-			t.store.Gauge("nephelix_go_gc_pause_total_seconds", nil),
-			t.store.Gauge("nephelix_go_gcs_total", nil),
-			t.store.Gauge("nephelix_go_goroutines", nil),
-		}
-	}
-	t.goOut[0].Set(now, float64(ms.HeapAlloc))
-	t.goOut[1].Set(now, float64(ms.PauseTotalNs)/1e9)
-	t.goOut[2].Set(now, float64(ms.NumGC))
-	t.goOut[3].Set(now, float64(runtime.NumGoroutine()))
-}
-
-// ExpositionMetrics renders the store for /metrics: counters and gauges
-// as their latest value, histograms with cumulative buckets. The result
-// is sorted by series identity, so scrapes are deterministic.
-func (t *Telemetry) ExpositionMetrics() []Metric {
-	if t == nil {
-		return nil
-	}
-	snaps := t.store.Snapshot()
-	out := make([]Metric, 0, len(snaps))
-	for _, sn := range snaps {
-		m := Metric{Name: sn.Name, Help: metricHelp[sn.Name], Labels: sn.Labels, Type: sn.Kind}
-		switch sn.Kind {
-		case "counter":
-			m.Value = sn.Total
-		case "histogram":
-			m.Sum = sn.Sum
-			m.SampleCount = sn.Count
-			m.Buckets = make([]BucketCount, len(sn.Buckets))
-			for i, b := range sn.Buckets {
-				m.Buckets[i] = BucketCount{UpperBound: b.LE, CumulativeCount: b.Count}
-			}
-		case "sketch":
-			// Sketch series render as Prometheus summaries: one sample
-			// per exposed quantile plus _sum/_count.
-			m.Type = "summary"
-			m.Sum = sn.Sum
-			m.SampleCount = sn.Count
-			m.Quantiles = make([]SummaryQuantile, len(sn.Quantiles))
-			for i, qv := range sn.Quantiles {
-				m.Quantiles[i] = SummaryQuantile{Quantile: qv.Quantile, Value: qv.Value}
-			}
-		default:
-			if n := len(sn.Points); n > 0 {
-				m.Value = sn.Points[n-1].V
-			}
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 // TimeseriesSnapshot is the JSON payload of /timeseries and the SSE

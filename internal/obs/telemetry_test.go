@@ -15,43 +15,38 @@ import (
 
 	"nephelix/internal/core"
 	"nephelix/internal/model"
+	"nephelix/internal/obs/ts"
 	"nephelix/internal/qos"
 )
 
-// TestObsExpositionGolden pins the Prometheus text rendering end to end:
-// label escaping, histogram _bucket/_sum/_count lines with the implicit
-// +Inf bucket, HELP/TYPE emitted once per name, and duplicate sample
-// identities dropped (first wins).
+// TestObsExpositionGolden pins the Prometheus text rendering of series
+// snapshots end to end: label escaping, histogram _bucket/_sum/_count
+// lines with the implicit +Inf bucket, summary quantile lines, a gauge's
+// latest point, and HELP/TYPE emitted once per name.
 func TestObsExpositionGolden(t *testing.T) {
-	ms := []Metric{
-		{Name: "app_gauge", Help: "A gauge.", Labels: map[string]string{
-			"path": `a\b`, "q": "say \"hi\"\nnow"}, Value: 1.5},
-		// Same identity again: must be dropped, not re-rendered.
-		{Name: "app_gauge", Labels: map[string]string{
-			"path": `a\b`, "q": "say \"hi\"\nnow"}, Value: 9},
-		{Name: "app_total", Help: "A counter.", Type: "counter", Value: 3},
-		{Name: "app_hist", Help: "A histogram.", Type: "histogram",
+	series := []ts.SeriesSnapshot{
+		{Name: "app_gauge", Help: "A gauge.", Kind: "gauge", Labels: map[string]string{
+			"path": `a\b`, "q": "say \"hi\"\nnow"}, Points: []ts.Point{{T: 1, V: 9}, {T: 2, V: 1.5}}},
+		{Name: "app_total", Help: "A counter.", Kind: "counter", Total: 3},
+		{Name: "app_hist", Help: "A histogram.", Kind: "histogram",
 			Labels:  map[string]string{"vertex": "v"},
-			Buckets: []BucketCount{{UpperBound: 0.01, CumulativeCount: 1}, {UpperBound: 0.1, CumulativeCount: 3}},
-			Sum:     0.25, SampleCount: 4},
+			Buckets: []ts.Bucket{{LE: 0.01, Count: 1}, {LE: 0.1, Count: 3}},
+			Sum:     0.25, Count: 4},
 		// Summary: quantile label appended after the escaped base labels.
-		{Name: "app_latency", Help: "A summary.", Type: "summary",
+		{Name: "app_latency", Help: "A summary.", Kind: "sketch",
 			Labels:    map[string]string{"path": `t"x`},
-			Quantiles: []SummaryQuantile{{Quantile: 0.5, Value: 0.01}, {Quantile: 0.99, Value: 0.05}},
-			Sum:       1.25, SampleCount: 10},
-		// Same summary identity again: dropped like any other duplicate.
-		{Name: "app_latency", Type: "summary",
-			Labels:    map[string]string{"path": `t"x`},
-			Quantiles: []SummaryQuantile{{Quantile: 0.5, Value: 9}},
-			Sum:       9, SampleCount: 9},
+			Quantiles: []ts.QuantileValue{{Quantile: 0.5, Value: 0.01}, {Quantile: 0.99, Value: 0.05}},
+			Sum:       1.25, Count: 10},
 		// Same name, different identity: rendered, but HELP/TYPE are not
-		// re-emitted (first occurrence wins for the whole name).
-		{Name: "app_latency", Help: "ignored (first HELP wins).", Type: "summary",
-			Quantiles: []SummaryQuantile{{Quantile: 0.999, Value: 0.2}},
-			Sum:       0.2, SampleCount: 1},
+		// re-emitted.
+		{Name: "app_latency", Help: "A summary.", Kind: "sketch",
+			Quantiles: []ts.QuantileValue{{Quantile: 0.999, Value: 0.2}},
+			Sum:       0.2, Count: 1},
+		// No HELP and no points: TYPE alone, value 0.
+		{Name: "app_unset", Kind: "gauge"},
 	}
 	var b strings.Builder
-	writeMetrics(&b, ms)
+	ts.WriteExposition(&b, series)
 	want := `# HELP app_gauge A gauge.
 # TYPE app_gauge gauge
 app_gauge{path="a\\b",q="say \"hi\"\nnow"} 1.5
@@ -74,34 +69,11 @@ app_latency_count{path="t\"x"} 10
 app_latency{quantile="0.999"} 0.2
 app_latency_sum 0.2
 app_latency_count 1
+# TYPE app_unset gauge
+app_unset 0
 `
 	if b.String() != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
-	}
-}
-
-// TestObsGaugeSetSorted: GaugeSet.Metrics snapshots in identity-key
-// order regardless of insertion order, so consecutive scrapes render
-// identically.
-func TestObsGaugeSetSorted(t *testing.T) {
-	gs := NewGaugeSet()
-	gs.Set("zz_last", nil, 1)
-	gs.Set("aa_first", map[string]string{"b": "2"}, 2)
-	gs.Set("aa_first", map[string]string{"a": "1"}, 3)
-	var names []string
-	for _, m := range gs.Metrics() {
-		names = append(names, metricKey(m))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("unsorted snapshot: %v", names)
-		}
-	}
-	var a, b strings.Builder
-	writeMetrics(&a, gs.Metrics())
-	writeMetrics(&b, gs.Metrics())
-	if a.String() != b.String() {
-		t.Error("consecutive scrapes differ")
 	}
 }
 

@@ -1,14 +1,16 @@
-// Package ts is a typed in-memory time-series store: named counter,
-// gauge, histogram and quantile-sketch series holding their recent
-// points in fixed-capacity rings. The telemetry layer (internal/obs)
-// scrapes the QoS plane into it every adjustment interval; the
-// /timeseries endpoint and the SSE dashboard read it back out.
+// Package ts is a typed in-memory time-series store. A Family declares
+// one metric — kind, name, HELP text and label names — and its children
+// are the counter, gauge, histogram or quantile-sketch series of one
+// label-value tuple each, holding their recent points in fixed-capacity
+// rings. The telemetry layer (internal/obs) scrapes the QoS plane into
+// it every adjustment interval; /metrics, /timeseries and the SSE
+// dashboard read it back out.
 //
 // The package depends only on internal/metrics/sketch (it must not
 // import obs, core or qos) and follows the obs layer's nil-receiver
-// contract: every method on a nil *Store or nil *Series is a no-op, so
-// a disabled telemetry path costs one pointer comparison and zero
-// allocations.
+// contract: every method on a nil *Store or *Series, and on the zero
+// Family a nil store declares, is a no-op, so a disabled telemetry path
+// costs one pointer comparison and zero allocations.
 package ts
 
 import (
@@ -29,11 +31,11 @@ const (
 	Counter Kind = iota + 1
 	// Gauge series store the sampled value per point.
 	Gauge
-	// Histogram series bucket observations against fixed upper bounds
-	// and additionally keep the raw observations in the ring.
+	// Histogram series bucket observations against LatencyBuckets and
+	// additionally keep the raw observations in the ring.
 	Histogram
 	// Sketch series feed observations into a DDSketch-style quantile
-	// sketch with a fixed relative-error bound and additionally keep
+	// sketch (sketch.DefaultAlpha relative error) and additionally keep
 	// the raw observations in the ring. They render as Prometheus
 	// summaries.
 	Sketch
@@ -63,8 +65,8 @@ var DefaultQuantiles = []float64{0.5, 0.9, 0.95, 0.99, 0.999}
 // non-positive one.
 const DefaultPoints = 512
 
-// LatencyBuckets are the default histogram bounds for latencies in
-// seconds: 100 µs to 10 s, roughly logarithmic.
+// LatencyBuckets are the bucket upper bounds of every histogram series,
+// for latencies in seconds: 100 µs to 10 s, roughly logarithmic.
 var LatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -82,6 +84,7 @@ type Point struct {
 // use and safe on a nil receiver.
 type Series struct {
 	name   string
+	help   string
 	key    string
 	labels map[string]string
 	kind   Kind
@@ -93,19 +96,10 @@ type Series struct {
 	full   bool
 
 	total  float64        // counters: running sum
-	bounds []float64      // histograms: bucket upper bounds (sorted)
-	counts []uint64       // histograms: per-bucket counts, counts[len(bounds)] = overflow
+	counts []uint64       // histograms: per-bucket counts, counts[len(LatencyBuckets)] = overflow
 	sum    float64        // histograms: sum of observations
 	count  uint64         // histograms: number of observations
 	sk     *sketch.Sketch // sketch series: the quantile sketch
-}
-
-// Name returns the series name ("" on nil).
-func (s *Series) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // Add increments a counter series by delta at time t. It is a no-op on
@@ -140,7 +134,7 @@ func (s *Series) Observe(t, v float64) {
 	switch s.kind {
 	case Histogram:
 		s.mu.Lock()
-		i := sort.SearchFloat64s(s.bounds, v) // first bound >= v
+		i := sort.SearchFloat64s(LatencyBuckets, v) // first bound >= v
 		s.counts[i]++
 		s.sum += v
 		s.count++
@@ -188,18 +182,6 @@ func (s *Series) CountAbove(x float64) uint64 {
 	return s.sk.CountAbove(x)
 }
 
-// SketchClone returns an independent copy of a sketch series' sketch
-// for offline analysis or cross-run pooling (nil on nil receivers and
-// non-sketch series).
-func (s *Series) SketchClone() *sketch.Sketch {
-	if s == nil || s.kind != Sketch {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sk.Clone()
-}
-
 // Value returns the latest recorded value: the running total for
 // counters, the last sample otherwise (0 when empty or nil).
 func (s *Series) Value() float64 {
@@ -241,6 +223,7 @@ func (s *Series) snapshot(since float64, maxPoints int) SeriesSnapshot {
 	defer s.mu.Unlock()
 	snap := SeriesSnapshot{
 		Name:   s.name,
+		Help:   s.help,
 		Labels: s.labels,
 		Kind:   s.kind.String(),
 	}
@@ -270,9 +253,9 @@ func (s *Series) snapshot(since float64, maxPoints int) SeriesSnapshot {
 		snap.Sum = s.sum
 		snap.Count = s.count
 		// Cumulative finite buckets; the implicit +Inf bucket is Count.
-		snap.Buckets = make([]Bucket, len(s.bounds))
+		snap.Buckets = make([]Bucket, len(LatencyBuckets))
 		var cum uint64
-		for i, b := range s.bounds {
+		for i, b := range LatencyBuckets {
 			cum += s.counts[i]
 			snap.Buckets[i] = Bucket{LE: b, Count: cum}
 		}
@@ -303,7 +286,9 @@ type QuantileValue struct {
 
 // SeriesSnapshot is the JSON form of one series.
 type SeriesSnapshot struct {
-	Name   string            `json:"name"`
+	Name string `json:"name"`
+	// Help is the family's HELP text, for the /metrics exposition only.
+	Help   string            `json:"-"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Kind   string            `json:"kind"`
 	Points []Point           `json:"points"`
@@ -323,7 +308,7 @@ type SeriesSnapshot struct {
 // zero value is not usable; NewStore returns a ready store and a nil
 // *Store degrades every method to a no-op.
 type Store struct {
-	mu     sync.RWMutex
+	mu     sync.RWMutex // guards byKey and every Family.children
 	points int
 	byKey  map[string]*Series
 }
@@ -337,73 +322,90 @@ func NewStore(pointsPerSeries int) *Store {
 	return &Store{points: pointsPerSeries, byKey: make(map[string]*Series)}
 }
 
-// Counter returns the counter series for name+labels, creating it on
-// first use. Returns nil (a no-op series) on a nil store or when the
-// identity already exists with a different kind.
-func (st *Store) Counter(name string, labels map[string]string) *Series {
-	return st.series(name, labels, Counter, nil, 0)
+// MaxLabels is the most label names a Family may declare.
+const MaxLabels = 3
+
+// Family is one declared metric: its kind, name, HELP text and label
+// names. Its children — one Series per label-value tuple — are created
+// by With. The zero value is a no-op family; With is safe for concurrent
+// use.
+type Family struct {
+	st     *Store
+	kind   Kind
+	name   string
+	help   string
+	labels [MaxLabels]string // label names, in With's argument order
+	n      int               // how many of them are declared
+
+	// children caches the store's series by the value tuple itself, so a
+	// lookup formats and allocates nothing; nil until the first child, and
+	// for an unlabelled family, whose one series the store has by name.
+	children map[[MaxLabels]string]*Series
 }
 
-// Gauge returns the gauge series for name+labels, creating it on first
-// use. Nil-store and kind-mismatch behave as in Counter.
-func (st *Store) Gauge(name string, labels map[string]string) *Series {
-	return st.series(name, labels, Gauge, nil, 0)
+// Family declares a metric of the given kind, name, HELP text and label
+// names (at most MaxLabels; more is a programming error and panics). On a
+// nil store it returns the no-op family. Declaring costs no allocation:
+// the store learns of a family from its first child.
+func (st *Store) Family(kind Kind, name, help string, labels ...string) Family {
+	if len(labels) > MaxLabels {
+		panic("ts: family " + name + " declares more than MaxLabels label names")
+	}
+	f := Family{st: st, kind: kind, name: name, help: help, n: len(labels)}
+	copy(f.labels[:], labels)
+	return f
 }
 
-// Histogram returns the histogram series for name+labels, creating it
-// with the given bucket upper bounds (sorted copy; LatencyBuckets when
-// empty) on first use. Nil-store and kind-mismatch behave as in Counter.
-func (st *Store) Histogram(name string, labels map[string]string, bounds []float64) *Series {
-	return st.series(name, labels, Histogram, bounds, 0)
-}
-
-// SketchSeries returns the quantile-sketch series for name+labels,
-// creating it with relative accuracy alpha (sketch.DefaultAlpha when
-// non-positive) on first use. Nil-store and kind-mismatch behave as in
-// Counter.
-func (st *Store) SketchSeries(name string, labels map[string]string, alpha float64) *Series {
-	return st.series(name, labels, Sketch, nil, alpha)
-}
-
-func (st *Store) series(name string, labels map[string]string, kind Kind, bounds []float64, alpha float64) *Series {
-	if st == nil {
+// With returns the family's series for one tuple of label values, given
+// in the order the label names were declared, creating it on first use.
+// It returns nil (a no-op series) on a no-op family, when the number of
+// values differs from the number of declared names, and when the identity
+// already exists in the store with a different kind.
+func (f *Family) With(values ...string) *Series {
+	if f == nil || f.st == nil || len(values) != f.n {
 		return nil
 	}
-	key := SeriesKey(name, labels)
+	var tuple [MaxLabels]string
+	copy(tuple[:], values)
+	st := f.st
 	st.mu.RLock()
-	s := st.byKey[key]
-	st.mu.RUnlock()
-	if s == nil {
-		st.mu.Lock()
-		s = st.byKey[key]
-		if s == nil {
-			s = &Series{
-				name:   name,
-				key:    key,
-				labels: copyLabels(labels),
-				kind:   kind,
-				points: st.points,
-			}
-			switch kind {
-			case Histogram:
-				if len(bounds) == 0 {
-					bounds = LatencyBuckets
-				}
-				s.bounds = append([]float64(nil), bounds...)
-				sort.Float64s(s.bounds)
-				s.counts = make([]uint64, len(s.bounds)+1)
-			case Sketch:
-				if alpha <= 0 {
-					alpha = sketch.DefaultAlpha
-				}
-				s.sk = sketch.New(alpha)
-			}
-			st.byKey[key] = s
-		}
-		st.mu.Unlock()
+	s := f.children[tuple]
+	if f.n == 0 {
+		s = st.byKey[f.name]
 	}
-	if s.kind != kind {
+	st.mu.RUnlock()
+	if s != nil && s.kind == f.kind {
+		return s
+	}
+	var labels map[string]string
+	if f.n > 0 {
+		labels = make(map[string]string, f.n)
+		for i, v := range values {
+			labels[f.labels[i]] = v
+		}
+	}
+	key := SeriesKey(f.name, labels)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s = st.byKey[key]
+	if s == nil {
+		s = &Series{name: f.name, help: f.help, key: key, labels: labels, kind: f.kind, points: st.points}
+		switch f.kind {
+		case Histogram:
+			s.counts = make([]uint64, len(LatencyBuckets)+1)
+		case Sketch:
+			s.sk = sketch.NewDefault()
+		}
+		st.byKey[key] = s
+	}
+	if s.kind != f.kind {
 		return nil
+	}
+	if f.n > 0 {
+		if f.children == nil {
+			f.children = make(map[[MaxLabels]string]*Series)
+		}
+		f.children[tuple] = s
 	}
 	return s
 }
@@ -473,16 +475,4 @@ func SeriesKey(name string, labels map[string]string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// copyLabels snapshots the label map so callers may reuse theirs.
-func copyLabels(labels map[string]string) map[string]string {
-	if len(labels) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(labels))
-	for k, v := range labels {
-		out[k] = v
-	}
-	return out
 }

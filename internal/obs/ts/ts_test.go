@@ -10,7 +10,8 @@ import (
 // running total.
 func TestObsTSCounter(t *testing.T) {
 	st := NewStore(8)
-	c := st.Counter("reqs", nil)
+	reqs := st.Family(Counter, "reqs", "Requests.")
+	c := reqs.With()
 	c.Add(1, 2)
 	c.Add(2, 3)
 	if got := c.Value(); got != 5 {
@@ -20,7 +21,7 @@ func TestObsTSCounter(t *testing.T) {
 	if len(snap) != 1 {
 		t.Fatalf("series: got %d, want 1", len(snap))
 	}
-	if snap[0].Kind != "counter" || snap[0].Total != 5 {
+	if snap[0].Kind != "counter" || snap[0].Total != 5 || snap[0].Help != "Requests." {
 		t.Errorf("snapshot: %+v", snap[0])
 	}
 	want := []Point{{T: 1, V: 2}, {T: 2, V: 5}}
@@ -33,7 +34,8 @@ func TestObsTSCounter(t *testing.T) {
 // time order, once capacity is exceeded.
 func TestObsTSGaugeRingWrap(t *testing.T) {
 	st := NewStore(4)
-	g := st.Gauge("load", map[string]string{"vertex": "v1"})
+	load := st.Family(Gauge, "load", "", "vertex")
+	g := load.With("v1")
 	for i := 0; i < 10; i++ {
 		g.Set(float64(i), float64(i*i))
 	}
@@ -52,22 +54,33 @@ func TestObsTSGaugeRingWrap(t *testing.T) {
 	}
 }
 
-// TestObsTSHistogram: observations land in cumulative buckets with sum
-// and count, and the snapshot marshals to JSON (finite bounds only).
+// TestObsTSHistogram: observations land in the cumulative
+// LatencyBuckets (a value on a bound counts under it) with sum and count,
+// and the snapshot marshals to JSON (finite bounds only).
 func TestObsTSHistogram(t *testing.T) {
 	st := NewStore(8)
-	h := st.Histogram("lat", nil, []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 5, 50, 500} {
+	lat := st.Family(Histogram, "lat", "")
+	h := lat.With()
+	for _, v := range []float64{0.00005, 0.001, 0.5, 50} {
 		h.Observe(0, v)
 	}
 	snap := st.Snapshot()[0]
-	if snap.Count != 4 || snap.Sum != 555.5 {
+	if snap.Count != 4 || snap.Sum != 50.50105 {
 		t.Errorf("sum/count: got %v/%d", snap.Sum, snap.Count)
 	}
-	wantCum := []uint64{1, 2, 3}
+	if len(snap.Buckets) != len(LatencyBuckets) {
+		t.Fatalf("buckets: got %d, want %d", len(snap.Buckets), len(LatencyBuckets))
+	}
 	for i, b := range snap.Buckets {
-		if b.Count != wantCum[i] {
-			t.Errorf("bucket le=%v: got %d, want %d", b.LE, b.Count, wantCum[i])
+		want := uint64(1)
+		if b.LE >= 0.001 {
+			want = 2
+		}
+		if b.LE >= 0.5 {
+			want = 3 // 50 s is beyond the last bound: only the implicit +Inf bucket has it
+		}
+		if b.LE != LatencyBuckets[i] || b.Count != want {
+			t.Errorf("bucket le=%v: got %d, want %d", b.LE, b.Count, want)
 		}
 	}
 	if _, err := json.Marshal(snap); err != nil {
@@ -75,26 +88,35 @@ func TestObsTSHistogram(t *testing.T) {
 	}
 }
 
-// TestObsTSIdentity: get-or-create is keyed by name plus labels, label
-// content cannot alias another identity, and a kind mismatch yields a
-// nil (no-op) series instead of corrupting the original.
+// TestObsTSIdentity: a family's children are keyed by the label-value
+// tuple, label content cannot alias another identity, and a kind mismatch
+// or a wrong value count yields a nil (no-op) series instead of
+// corrupting the original.
 func TestObsTSIdentity(t *testing.T) {
 	st := NewStore(8)
-	a := st.Gauge("g", map[string]string{"x": "1"})
-	if b := st.Gauge("g", map[string]string{"x": "1"}); b != a {
-		t.Error("same identity must return the same series")
+	g, again := st.Family(Gauge, "g", "", "x"), st.Family(Gauge, "g", "", "x")
+	a := g.With("1")
+	if g.With("1") != a || again.With("1") != a {
+		t.Error("same identity must return the same series, whichever declaration resolves it")
 	}
-	if c := st.Gauge("g", map[string]string{"x": "2"}); c == a {
+	if c := g.With("2"); c == a {
 		t.Error("different label value must return a distinct series")
 	}
 	// Crafted values that would collide under naive separator joining.
-	st.Gauge("g", map[string]string{"a": `x","b":"y`})
-	st.Gauge("g", map[string]string{"a": "x", "b": "y"})
-	if st.Len() != 4 {
-		t.Errorf("store series: got %d, want 4 (no identity collisions)", st.Len())
+	ab := st.Family(Gauge, "ab", "", "a", "b")
+	ab.With(`x","b":"y`, "")
+	ab.With("x", "y")
+	ab.With("x,y", "")
+	if st.Len() != 5 {
+		t.Errorf("store series: got %d, want 5 (no identity collisions)", st.Len())
 	}
-	if m := st.Counter("g", map[string]string{"x": "1"}); m != nil {
-		t.Error("kind mismatch must return nil, not the existing series")
+	wrongKind, u, wrongKindU := st.Family(Counter, "g", "", "x"), st.Family(Gauge, "u", ""), st.Family(Counter, "u", "")
+	u.With()
+	if wrongKind.With("1") != nil || wrongKindU.With() != nil {
+		t.Error("an identity that exists with another kind must return nil")
+	}
+	if g.With() != nil || g.With("1", "2") != nil {
+		t.Error("a value count other than the declared label count must return nil")
 	}
 	a.Set(1, 42)
 	if a.Value() != 42 {
@@ -105,11 +127,12 @@ func TestObsTSIdentity(t *testing.T) {
 // TestObsTSQuery: prefix, since and maxPoints filters.
 func TestObsTSQuery(t *testing.T) {
 	st := NewStore(16)
-	g := st.Gauge("nephelix_vertex_parallelism", nil)
+	par, dec := st.Family(Gauge, "nephelix_vertex_parallelism", ""), st.Family(Counter, "nephelix_scaler_decisions_total", "")
+	g := par.With()
 	for i := 0; i < 10; i++ {
 		g.Set(float64(i), float64(i))
 	}
-	st.Counter("nephelix_scaler_decisions_total", nil).Add(0, 1)
+	dec.With().Add(0, 1)
 
 	if got := st.Query("nephelix_vertex_", 0, 0); len(got) != 1 {
 		t.Fatalf("prefix query: got %d series, want 1", len(got))
@@ -136,13 +159,12 @@ func TestObsTSConcurrentScrapeVsRecord(t *testing.T) {
 	st := NewStore(32)
 	var writers, scraper sync.WaitGroup
 	stop := make(chan struct{})
+	gf, cf, hf := st.Family(Gauge, "g", "", "w"), st.Family(Counter, "c", ""), st.Family(Histogram, "h", "")
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
-			g := st.Gauge("g", map[string]string{"w": string(rune('a' + w))})
-			c := st.Counter("c", nil)
-			h := st.Histogram("h", nil, nil)
+			g, c, h := gf.With(string(rune('a'+w))), cf.With(), hf.With()
 			for i := 0; i < 2000; i++ {
 				g.Set(float64(i), float64(i))
 				c.Add(float64(i), 1)
@@ -167,21 +189,21 @@ func TestObsTSConcurrentScrapeVsRecord(t *testing.T) {
 	close(stop)
 	scraper.Wait()
 
-	if got := st.Counter("c", nil).Value(); got != 8000 {
+	if got := cf.With().Value(); got != 8000 {
 		t.Errorf("concurrent counter total: got %v, want 8000", got)
 	}
 }
 
 // TestObsTSDisabledAllocs pins the zero-cost disabled contract: every
-// operation on a nil store or nil series must not allocate.
+// operation on a nil store, family or series must not allocate.
 func TestObsTSDisabledAllocs(t *testing.T) {
 	var st *Store
 	var s *Series
-	labels := map[string]string{"vertex": "v"}
 	allocs := testing.AllocsPerRun(100, func() {
-		st.Counter("c", labels).Add(1, 1)
-		st.Gauge("g", labels).Set(1, 1)
-		st.Histogram("h", labels, nil).Observe(1, 1)
+		c, g, h := st.Family(Counter, "c", "", "vertex"), st.Family(Gauge, "g", "", "vertex"), st.Family(Histogram, "h", "", "vertex")
+		c.With("v").Add(1, 1)
+		g.With("v").Set(1, 1)
+		h.With("v").Observe(1, 1)
 		s.Add(1, 1)
 		s.Set(1, 1)
 		s.Observe(1, 1)

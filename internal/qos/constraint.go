@@ -109,55 +109,6 @@ func (p BatchingPolicy) QueueWaitLimit(s *Summary, c *model.Constraint) float64 
 	return f * budget
 }
 
-// FlushDeadlines computes the output-batching deadline for every edge of
-// every constrained sequence. Adaptive output batching is a feedback
-// controller: the budget spent on batching is what remains of ℓ after the
-// measured task latencies AND the measured queue waiting times, spread
-// evenly over the sequence's edges. Subtracting the measured waits is
-// essential — batching itself makes arrivals bursty and thereby grows
-// queue waits, so when waits grow the deadlines must shrink until the
-// loop settles with the sequence latency at ≈ ℓ. A small fraction f of
-// the wait-free budget stays reserved as headroom (mirroring the 20/80
-// split of Section IV-F). When multiple constraints cover the same edge
-// the strictest (smallest) deadline wins; exhausted budgets yield
-// deadline 0 (instant flush).
-func (p BatchingPolicy) FlushDeadlines(s *Summary, constraints []*model.Constraint) map[model.EdgeKey]float64 {
-	deadlines := make(map[model.EdgeKey]float64)
-	f := p.QueueWaitFraction
-	if f <= 0 || f >= 1 {
-		f = 0.2
-	}
-	for _, c := range constraints {
-		budget := secondsOf(c.Bound)
-		for _, name := range c.Sequence.Vertices() {
-			if v, ok := s.Vertices[name]; ok {
-				budget -= v.TaskLatency
-			}
-		}
-		headroom := f * budget
-		for _, key := range c.Sequence.Edges() {
-			if e, ok := s.Edges[key]; ok {
-				budget -= e.QueueWait()
-			}
-		}
-		budget -= headroom
-		if budget < 0 {
-			budget = 0
-		}
-		edges := c.Sequence.Edges()
-		if len(edges) == 0 {
-			continue
-		}
-		perEdge := budget / float64(len(edges))
-		for _, key := range edges {
-			if cur, ok := deadlines[key]; !ok || perEdge < cur {
-				deadlines[key] = perEdge
-			}
-		}
-	}
-	return deadlines
-}
-
 // TailVertices returns the vertices whose tasks must track queue waits:
 // those in the sequence of a percentile constraint.
 func TailVertices(constraints []*model.Constraint) map[string]bool {

@@ -111,32 +111,3 @@ func TestQueueWaitLimit(t *testing.T) {
 		t.Errorf("exhausted budget: got %v, want 0", got)
 	}
 }
-
-func TestFlushDeadlines(t *testing.T) {
-	_, c := pipeline(t, 20*time.Millisecond)
-	s := summaryFor(0.005, 0, 0)
-	p := DefaultBatchingPolicy()
-	dl := p.FlushDeadlines(s, []*model.Constraint{c})
-	// Batching budget = 0.8 × 15 ms = 12 ms over 2 edges → 6 ms each.
-	for _, key := range c.Sequence.Edges() {
-		if got := dl[key]; !almostEqual(got, 0.006, 1e-12) {
-			t.Errorf("deadline %s: got %v, want 0.006", key, got)
-		}
-	}
-}
-
-func TestFlushDeadlinesStrictestWins(t *testing.T) {
-	g, c1 := pipeline(t, 20*time.Millisecond)
-	seq2, err := model.ParseSequence(g, "src->work", "work")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := &model.Constraint{Name: "tight", Sequence: seq2, Bound: 5 * time.Millisecond, Window: time.Second}
-	s := summaryFor(0.001, 0, 0)
-	dl := DefaultBatchingPolicy().FlushDeadlines(s, []*model.Constraint{c1, c2})
-	shared := model.EdgeKey{Source: "src", Target: "work"}
-	// c2 budget: 0.8 × (5−1) ms / 1 edge = 3.2 ms < c1's per-edge share.
-	if got := dl[shared]; !almostEqual(got, 0.0032, 1e-12) {
-		t.Errorf("shared edge deadline: got %v, want 0.0032", got)
-	}
-}

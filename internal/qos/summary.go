@@ -299,15 +299,6 @@ func (ep *edgePartial) addChannel(channelLatency, batchLatency float64, samples 
 	ep.samples += samples
 }
 
-// MarkTaskFresh records that one of the vertex's tasks delivered a
-// report within the current adjustment interval. Callers invoke it next
-// to AddTask for tasks whose history is not stale.
-func (p *PartialSummary) MarkTaskFresh(vertex string) { p.vertex(vertex).freshCount++ }
-
-// MarkChannelFresh records that one of the edge's channels delivered a
-// report within the current adjustment interval.
-func (p *PartialSummary) MarkChannelFresh(edge model.EdgeKey) { p.edge(edge).freshCount++ }
-
 // FreshTaskCount returns the number of fresh tasks recorded for a vertex.
 func (p *PartialSummary) FreshTaskCount(vertex string) int {
 	if vp := p.vertices[vertex]; vp != nil {

@@ -388,7 +388,7 @@ func TestObsSimResidualTelemetryParity(t *testing.T) {
 				// inside the deadband and pairings far below the bound
 				// carry no drift evidence.
 				bound := cfg.Constraints[0].Bound.Seconds()
-				deadband := obs.DefaultResidualConfig().Deadband
+				deadband := obs.DeadbandFraction
 				switch {
 				case math.Abs(measured-predicted) < deadband*bound:
 				case measured < obs.BiasFloorFraction*bound &&
