@@ -21,9 +21,7 @@ import (
 	"nephelix/internal/ckpt"
 	"nephelix/internal/experiments"
 	"nephelix/internal/model"
-	"nephelix/internal/obs"
 	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 func main() {
@@ -48,13 +46,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "primetester:", err)
 		os.Exit(1)
 	}
-	if err := run(*config, *elastic, *scale, *steps, *stepdur, *bound, *quantile, *csvPath, *seed, *obsAddr, *decisionsPath, *timeseriesPath, g, *ckptInterval); err != nil {
+	out := experiments.JobOutputs{ObsAddr: *obsAddr, CSV: *csvPath, Decisions: *decisionsPath, Timeseries: *timeseriesPath}
+	if err := run(*config, *elastic, *scale, *steps, *stepdur, *bound, *quantile, *seed, out, g, *ckptInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "primetester:", err)
 		os.Exit(1)
 	}
 }
 
-func run(config string, elastic bool, scale, steps int, stepdur float64, boundMS int, quantile float64, csvPath string, seed int64, obsAddr, decisionsPath, timeseriesPath string, guarantee ckpt.Guarantee, ckptInterval float64) error {
+func run(config string, elastic bool, scale, steps int, stepdur float64, boundMS int, quantile float64, seed int64, out experiments.JobOutputs, guarantee ckpt.Guarantee, ckptInterval float64) error {
 	var mode sim.BatchMode
 	var bound time.Duration
 	switch config {
@@ -69,110 +68,41 @@ func run(config string, elastic bool, scale, steps int, stepdur float64, boundMS
 		return fmt.Errorf("unknown config %q (want storm|if|16kib|20ms)", config)
 	}
 
-	base := apps.PrimeTesterOptions{
-		Sources:      32,
-		Sinks:        32,
-		PrimeTesters: 128,
-		Schedule: &workload.StepSchedule{
-			WarmUpRate:     10000,
-			StepDelta:      10000,
-			IncrementSteps: steps,
-			StepDuration:   stepdur,
-		},
-		Mode:               mode,
-		ConstraintBound:    bound,
-		ConstraintQuantile: quantile,
-		Elastic:            elastic,
-		WorkerNodes:        130,
-		SlotsPerNode:       5,
-		Seed:               seed,
-		Guarantee:          guarantee,
-		CheckpointInterval: ckptInterval,
-	}
+	base := apps.PaperPrimeTester(128, steps, stepdur, seed)
 	if elastic {
-		base.MinPT, base.MaxPT = 1, 520
+		base = base.ElasticWithin(bound)
 	}
-	opts := apps.ScalePrimeTesterOptions(base, scale)
-
-	cfg, probes, err := apps.BuildPrimeTester(opts)
+	base.Mode, base.ConstraintBound, base.ConstraintQuantile = mode, bound, quantile
+	base.Guarantee, base.CheckpointInterval = guarantee, ckptInterval
+	cfg, probes, err := apps.BuildPrimeTester(apps.ScalePrimeTesterOptions(base, scale))
 	if err != nil {
 		return err
 	}
-	recorder := obs.NewRecorder(0)
-	telemetry := obs.NewTelemetry(0)
-	cfg.Recorder = recorder
-	cfg.Telemetry = telemetry
-	if obsAddr != "" {
-		srv, err := obs.Serve(obsAddr, obs.ServerConfig{Recorder: recorder, Telemetry: telemetry})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("introspection on http://%s\n", obsAddr)
-	}
-	s, err := sim.New(cfg, probes)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("PrimeTester %s at 1/%d scale, elastic=%v, %d+2 steps of %.0fs\n",
+	banner := fmt.Sprintf("PrimeTester %s at 1/%d scale, elastic=%v, %d+2 steps of %.0fs",
 		config, scale, elastic, 2*steps, stepdur)
-	res, err := s.Run()
-	if err != nil {
-		return err
-	}
-
-	summary := res.Probes[apps.PrimeProbe]
-	fmt.Printf("\nmean latency %.1f ms, p95 %.1f ms over %d samples\n",
-		summary.Mean*1000, summary.P95*1000, summary.Count)
-	if bound > 0 {
-		fmt.Printf("constraint %v met in %.0f%% of %d adjustment intervals\n",
-			bound, summary.Fulfillment*100, summary.Intervals)
-		if quantile > 0 {
-			fmt.Printf("percentile fulfillment (%s): %.0f%%; run-wide p99 %.1f ms\n",
-				model.QuantileLabel(quantile), summary.TailFulfillment*100, summary.P99*1000)
+	return experiments.RunJob(cfg, probes, scale, out, banner, func(res *sim.Result) {
+		summary := res.Probes[apps.PrimeProbe]
+		fmt.Printf("\nmean latency %.1f ms, p95 %.1f ms over %d samples\n",
+			summary.Mean*1000, summary.P95*1000, summary.Count)
+		if bound > 0 {
+			fmt.Printf("constraint %v met in %.0f%% of %d adjustment intervals\n",
+				bound, summary.Fulfillment*100, summary.Intervals)
+			if quantile > 0 {
+				fmt.Printf("percentile fulfillment (%s): %.0f%%; run-wide p99 %.1f ms\n",
+					model.QuantileLabel(quantile), summary.TailFulfillment*100, summary.P99*1000)
+			}
 		}
-	}
-	fmt.Printf("emitted %d items; task-hours (paper scale) %.1f\n",
-		res.Emitted[apps.PTSource]*int64(scale), res.TaskHours*float64(scale))
-	if elastic {
-		fmt.Printf("scale-ups %d, scale-downs %d, peak testers %d\n",
-			res.ScaleUps, res.ScaleDowns, res.PeakParallelism[apps.PTWorker]*scale)
-	}
-	if guarantee.Enabled() {
-		fmt.Printf("guarantee %s: %d checkpoints committed (%d aborted), %d offsets committed, %d replayed\n",
-			guarantee, res.CheckpointsCommitted, res.CheckpointsAborted, res.CommittedOffsets, res.ReplayedItems)
-		fmt.Printf("sinks: %d distinct, %d duplicates detected, %d holes\n",
-			res.SinkDistinct, res.SinkDuplicates, res.SinkHoles)
-	}
-
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
+		fmt.Printf("emitted %d items; task-hours (paper scale) %.1f\n",
+			res.Emitted[apps.PTSource]*int64(scale), res.TaskHours*float64(scale))
+		if elastic {
+			fmt.Printf("scale-ups %d, scale-downs %d, peak testers %d\n",
+				res.ScaleUps, res.ScaleDowns, res.PeakParallelism[apps.PTWorker]*scale)
 		}
-		defer f.Close()
-		if err := experiments.WriteRowsCSV(f, res.Rows, float64(scale)); err != nil {
-			return err
+		if guarantee.Enabled() {
+			fmt.Printf("guarantee %s: %d checkpoints committed (%d aborted), %d offsets committed, %d replayed\n",
+				guarantee, res.CheckpointsCommitted, res.CheckpointsAborted, res.CommittedOffsets, res.ReplayedItems)
+			fmt.Printf("sinks: %d distinct, %d duplicates detected, %d holes\n",
+				res.SinkDistinct, res.SinkDuplicates, res.SinkHoles)
 		}
-		fmt.Printf("wrote %s (%d rows)\n", csvPath, len(res.Rows))
-	}
-	if decisionsPath != "" {
-		if err := experiments.WriteDecisions(decisionsPath, recorder, ""); err != nil {
-			return err
-		}
-	}
-	if timeseriesPath != "" {
-		if err := experiments.WriteTimeseries(timeseriesPath, telemetry, ""); err != nil {
-			return err
-		}
-	}
-	if drift := telemetry.Residuals().DriftFlags(); len(drift) > 0 {
-		fmt.Printf("model drift detected in %d constraint/vertex cells:\n", len(drift))
-		for _, d := range drift {
-			fmt.Printf("  %s/%s: %s (mean |rel err| %.2f, sign bias %+.2f over %d samples)\n",
-				d.Constraint, d.Vertex, d.Reason, d.MeanAbsRelErr, d.SignBias, d.Samples)
-		}
-	}
-	return nil
+	})
 }

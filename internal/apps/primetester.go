@@ -253,6 +253,39 @@ func BuildPrimeTester(opts PrimeTesterOptions) (sim.Config, *sim.ProbeSet, error
 	return cfg, probes, nil
 }
 
+// PaperPrimeTester returns the Section V-A job at paper scale — 32
+// sources and sinks on 130 workers × 5 slots, the load stepping from 10⁴
+// items/s up steps times by 10⁴ and back down — with testers fixed
+// PrimeTester tasks. Callers set the batching mode and constraint, or
+// take the elastic variant with ElasticWithin.
+func PaperPrimeTester(testers, steps int, stepDuration float64, seed int64) PrimeTesterOptions {
+	return PrimeTesterOptions{
+		Sources:      32,
+		Sinks:        32,
+		PrimeTesters: testers,
+		Schedule: &workload.StepSchedule{
+			WarmUpRate:     10000,
+			StepDelta:      10000,
+			IncrementSteps: steps,
+			StepDuration:   stepDuration,
+		},
+		WorkerNodes:  130,
+		SlotsPerNode: 5, // 32+32 fixed tasks plus up to 520 testers
+		Seed:         seed,
+	}
+}
+
+// ElasticWithin returns opts as the paper's elastic configuration:
+// testers scaled reactively in [1, 520] under an adaptive-batching
+// latency constraint of bound.
+func (opts PrimeTesterOptions) ElasticWithin(bound time.Duration) PrimeTesterOptions {
+	opts.MinPT, opts.MaxPT = 1, 520
+	opts.Mode = sim.BatchAdaptive
+	opts.ConstraintBound = bound
+	opts.Elastic = true
+	return opts
+}
+
 // ScalePrimeTesterOptions divides all task counts and rates by factor so
 // cluster-scale experiments run at laptop cost while per-task load and
 // latency dynamics stay identical. Reported throughputs and task-hours

@@ -114,6 +114,30 @@ func DefaultTwitterSentimentOptions() TwitterSentimentOptions {
 	}
 }
 
+// ScaleTwitterSentimentOptions divides the trace rates and every
+// parallelism-related quantity by factor, the TwitterSentiment
+// counterpart of ScalePrimeTesterOptions.
+func ScaleTwitterSentimentOptions(opts TwitterSentimentOptions, factor int) TwitterSentimentOptions {
+	if factor <= 1 {
+		return opts
+	}
+	if opts.Schedule != nil {
+		f := float64(factor)
+		tr := *opts.Schedule
+		tr.BaseRate /= f
+		tr.DailyAmplitude /= f
+		tr.Bursts = append([]workload.Burst(nil), tr.Bursts...)
+		for i := range tr.Bursts {
+			tr.Bursts[i].ExtraRate /= f
+		}
+		opts.Schedule = &tr
+	}
+	for _, v := range []*int{&opts.Sources, &opts.InitialHT, &opts.InitialFilter, &opts.InitialSentiment, &opts.MaxElastic, &opts.WorkerNodes} {
+		*v = max(1, *v/factor)
+	}
+	return opts
+}
+
 // DefaultTweetTrace builds the synthetic stand-in for the paper's 69 GB
 // two-week Twitter dataset replayed in 100 minutes.
 func DefaultTweetTrace() *workload.DiurnalSchedule {

@@ -343,3 +343,21 @@ func TestDenseTopicStateMatchesMaps(t *testing.T) {
 		t.Error("reset left counts behind")
 	}
 }
+
+func TestScaleTwitterSentimentOptions(t *testing.T) {
+	opts := DefaultTwitterSentimentOptions()
+	scaled := ScaleTwitterSentimentOptions(opts, 4)
+	if scaled.Sources != 2 || scaled.InitialHT != 1 || scaled.InitialSentiment != 2 || scaled.MaxElastic != 25 || scaled.WorkerNodes != 32 {
+		t.Errorf("scaled counts: %+v", scaled)
+	}
+	if scaled.Schedule.BaseRate != opts.Schedule.BaseRate/4 || scaled.Schedule.Bursts[0].ExtraRate != opts.Schedule.Bursts[0].ExtraRate/4 {
+		t.Errorf("scaled rates: %+v", scaled.Schedule)
+	}
+	// The original trace, bursts included, is untouched.
+	if fresh := DefaultTweetTrace(); opts.Schedule.BaseRate != fresh.BaseRate || opts.Schedule.Bursts[0].ExtraRate != fresh.Bursts[0].ExtraRate {
+		t.Error("scaling mutated the original schedule")
+	}
+	if same := ScaleTwitterSentimentOptions(opts, 1); same.Sources != opts.Sources || same.Schedule != opts.Schedule {
+		t.Error("factor 1 must not scale")
+	}
+}

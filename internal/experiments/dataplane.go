@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -28,10 +29,6 @@ type DataplaneOptions struct {
 	Duration float64
 	// ServiceTime is the per-record CPU burn at the worker.
 	ServiceTime time.Duration
-	// Telemetry and Recorder capture the run; fresh instances are built
-	// when nil so assertions see only this run's events.
-	Telemetry *obs.Telemetry
-	Recorder  *obs.Recorder
 }
 
 // DataplaneQuick is the CI-scale configuration (~1.5 s wall clock).
@@ -46,19 +43,12 @@ type DataplaneResult struct {
 	// the run (interval counts, onsets, final state).
 	Statuses []obs.BackpressureStatus
 	// Snapshot is the last data-plane sample.
-	Snapshot  *obs.DataplaneSnapshot
-	Telemetry *obs.Telemetry
-	Recorder  *obs.Recorder
+	Snapshot *obs.DataplaneSnapshot
 }
 
-// RunDataplane executes the bottleneck topology and checks attribution.
-func RunDataplane(opts DataplaneOptions) (*DataplaneResult, error) {
-	if opts.Telemetry == nil {
-		opts.Telemetry = obs.NewTelemetry(0)
-	}
-	if opts.Recorder == nil {
-		opts.Recorder = obs.NewRecorder(0)
-	}
+// RunDataplane executes the bottleneck topology and checks attribution
+// from what env's telemetry and recorder saw.
+func RunDataplane(env Env, opts DataplaneOptions) (*DataplaneResult, error) {
 	// The workers busy-wait, so each takes a core: leave one for source and
 	// sink, or a starved sink makes work->sink ring-saturated — correctly —
 	// and the dominance check below counts that against the hot edge.
@@ -114,8 +104,8 @@ func RunDataplane(opts DataplaneOptions) (*DataplaneResult, error) {
 		QueueCapacity:       8,
 		MeasurementInterval: 100 * time.Millisecond,
 		AdjustmentInterval:  250 * time.Millisecond,
-		Telemetry:           opts.Telemetry,
-		Recorder:            opts.Recorder,
+		Telemetry:           env.Telemetry,
+		Recorder:            env.Recorder,
 	}).Submit(spec, nil)
 	if err != nil {
 		return nil, err
@@ -127,10 +117,8 @@ func RunDataplane(opts DataplaneOptions) (*DataplaneResult, error) {
 	}
 
 	res := &DataplaneResult{
-		Statuses:  opts.Telemetry.Backpressure().Snapshot(),
-		Snapshot:  opts.Telemetry.Dataplane(),
-		Telemetry: opts.Telemetry,
-		Recorder:  opts.Recorder,
+		Statuses: env.Telemetry.Backpressure().Snapshot(),
+		Snapshot: env.Telemetry.Dataplane(),
 	}
 	checks := &res.Checks
 
@@ -171,7 +159,7 @@ func RunDataplane(opts DataplaneOptions) (*DataplaneResult, error) {
 
 	// The flight recorder must hold the onset with the culprit vertex.
 	var onset *obs.Event
-	for _, ev := range opts.Recorder.Events() {
+	for _, ev := range env.Recorder.Events() {
 		if ev.Kind == obs.KindBackpressureOnset && ev.Lifecycle != nil && ev.Lifecycle.Edge == "src->work" {
 			ev := ev
 			onset = &ev
@@ -190,4 +178,27 @@ func RunDataplane(opts DataplaneOptions) (*DataplaneResult, error) {
 		res.Snapshot != nil && len(res.Snapshot.Edges) > 0 && res.Snapshot.Wheel != nil)
 
 	return res, nil
+}
+
+// dataplaneRow is the table row: the per-edge classification counts and
+// the telemetry store.
+func dataplaneRow(env Env) (*Outcome, error) {
+	res, err := RunDataplane(env, DataplaneQuick())
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		printedCSV("dataplane.csv", fmt.Sprintf("%d edges", len(res.Statuses)), func(w io.Writer) {
+			fmt.Fprintln(w, "edge,state,culprit,onsets,idle,producer_limited,consumer_limited,ring_saturated")
+			for _, st := range res.Statuses {
+				fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%d,%d\n",
+					st.Edge, st.State, st.Culprit, st.Onsets,
+					st.Intervals[string(obs.BackpressureIdle)],
+					st.Intervals[string(obs.BackpressureProducerLimited)],
+					st.Intervals[string(obs.BackpressureConsumerLimited)],
+					st.Intervals[string(obs.BackpressureRingSaturated)])
+			}
+		}),
+		TimeseriesJSON("dataplane_timeseries.json", env.Telemetry),
+	}}, nil
 }

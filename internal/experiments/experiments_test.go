@@ -95,13 +95,13 @@ func TestFaultsReproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment; skipped in -short mode")
 	}
-	res, err := RunFaults(FaultsQuick())
+	res, err := RunFaults(Env{}, FaultsQuick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAllPass(t, res.Checks)
-	if res.KilledTasks < 1 {
-		t.Errorf("KilledTasks = %d, want >= 1", res.KilledTasks)
+	if res.Sim.KilledTasks < 1 {
+		t.Errorf("KilledTasks = %d, want >= 1", res.Sim.KilledTasks)
 	}
 	if res.PreKillParallelism <= 0 {
 		t.Errorf("PreKillParallelism = %d, want > 0", res.PreKillParallelism)
@@ -221,7 +221,7 @@ func TestFaultsGuaranteesSweep(t *testing.T) {
 	}
 	opts := GuaranteesQuick()
 	opts.Intervals = []float64{1} // one interval keeps the test fast
-	res, err := RunFaultsGuarantees(opts)
+	res, err := RunFaultsGuarantees(Env{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +240,15 @@ func TestFaultsWithGuarantee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment; skipped in -short mode")
 	}
-	opts := FaultsQuick()
-	opts.Guarantee = ckpt.ExactlyOnce
-	res, err := RunFaults(opts)
+	res, err := RunFaults(Env{Guarantee: ckpt.ExactlyOnce, CheckpointInterval: 1}, FaultsQuick())
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAllPass(t, res.Checks)
-	if res.SinkHoles != 0 {
-		t.Errorf("SinkHoles = %d, want 0", res.SinkHoles)
+	if res.Holes != 0 {
+		t.Errorf("Holes = %d, want 0", res.Holes)
 	}
-	if res.ReplayedItems == 0 {
+	if res.Replayed == 0 {
 		t.Error("no items replayed despite supervised respawn")
 	}
 }

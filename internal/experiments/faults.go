@@ -3,13 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"nephelix/internal/apps"
 	"nephelix/internal/ckpt"
-	"nephelix/internal/obs"
 	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 // FaultsOptions parameterizes the fault-injection experiment: the
@@ -24,207 +23,196 @@ type FaultsOptions struct {
 	Scale int
 	// StepDuration is the phase-step length in seconds.
 	StepDuration float64
-	// KillFraction is the fraction of PrimeTester tasks killed at the
-	// middle of the plateau (default 0.10).
-	KillFraction float64
-	// RecoveryBudget is the number of adjustment intervals after the
-	// kill within which a fulfilled interval must occur (default 6).
-	RecoveryBudget int
-	Seed           int64
-	// Guarantee runs the experiment under a processing guarantee: the
-	// kill plan gains supervised respawn (the engine supervisor's
-	// restart-and-replay), and the checks additionally assert that no
-	// record covered by a committed checkpoint is lost.
-	Guarantee ckpt.Guarantee
-	// CheckpointInterval is the barrier-checkpoint period in virtual
-	// seconds (0 takes the simulator default; only used when Guarantee
-	// is enabled).
-	CheckpointInterval float64
-	// Recorder, when set, receives the run's scaling-decision audit
-	// trail (exportable as JSONL).
-	Recorder *obs.Recorder
-	// Tracer, when set, head-samples record traces through the run.
-	Tracer *obs.Tracer
-	// Telemetry, when set, receives the run's time series (QoS scrape,
-	// scaler counters, e2e histogram) and residual-monitor statistics.
-	Telemetry *obs.Telemetry
+	Seed         int64
 }
 
 // FaultsQuick returns the laptop-scale configuration.
-func FaultsQuick() FaultsOptions {
-	return FaultsOptions{Scale: 8, StepDuration: 20, KillFraction: 0.10, RecoveryBudget: 6, Seed: 1}
+func FaultsQuick() FaultsOptions { return FaultsOptions{Seed: 1}.withDefaults() }
+
+// withDefaults fills unset fields with the quick-scale values.
+func (o FaultsOptions) withDefaults() FaultsOptions {
+	orDefault(&o.Scale, 8)
+	orDefault(&o.StepDuration, 20)
+	return o
 }
 
 // FaultsPaper returns the paper-scale configuration.
 func FaultsPaper() FaultsOptions {
-	return FaultsOptions{Scale: 1, StepDuration: 60, KillFraction: 0.10, RecoveryBudget: 6, Seed: 1}
+	return FaultsOptions{Scale: 1, StepDuration: 60, Seed: 1}
 }
 
-// FaultsResult aggregates the faulted elastic run and its checks.
+// FaultsResult is the faulted elastic run and its checks.
 type FaultsResult struct {
-	Options FaultsOptions
-
-	Rows []sim.Row
-
-	// KillTime is when the tasks died (mid-plateau, virtual seconds).
-	KillTime float64
-	// KilledTasks / KilledItems report the fault's blast radius.
-	KilledTasks int
-	KilledItems int64
-	// Fulfillment is the whole-run constraint fulfillment.
-	Fulfillment float64
-	// RecoveryIntervals counts adjustment intervals after the kill until
-	// the first fulfilled interval (0 when the first post-kill interval
-	// already meets the bound). -1 means fulfillment never recovered.
-	RecoveryIntervals int
-	// PreKillParallelism / FinalParallelism are tester parallelism just
-	// before the kill and at the end of the plateau (paper scale).
-	PreKillParallelism int
-	FinalParallelism   int
-	ScaleUps           int
-	ScaleDowns         int
-
-	// Guarantee accounting (zero unless Options.Guarantee is enabled).
-	CheckpointsCommitted int
-	CheckpointsAborted   int
-	ReplayedItems        int64
-	SinkDistinct         int64
-	SinkDuplicates       int64
-	SinkHoles            int64
-
+	FaultedRun
 	Checks CheckList
 }
 
-// RunFaults executes the fault-injection experiment.
-func RunFaults(opts FaultsOptions) (*FaultsResult, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 8
+// RunFaults executes the fault-injection experiment under env's
+// guarantee: an enabled one adds supervised respawn (the engine
+// supervisor's restart-and-replay — elastic scale-up restores capacity
+// but does not replay lost records) and the check that no record covered
+// by a committed checkpoint is lost.
+func RunFaults(env Env, opts FaultsOptions) (*FaultsResult, error) {
+	opts = opts.withDefaults()
+	var interval float64
+	if env.Guarantee.Enabled() {
+		interval = env.CheckpointInterval
 	}
-	if opts.StepDuration <= 0 {
-		opts.StepDuration = 20
-	}
-	if opts.KillFraction <= 0 || opts.KillFraction > 1 {
-		opts.KillFraction = 0.10
-	}
-	if opts.RecoveryBudget <= 0 {
-		opts.RecoveryBudget = 6
-	}
-	res := &FaultsResult{Options: opts}
-
-	schedule := &workload.StepSchedule{
-		WarmUpRate:     10000,
-		StepDelta:      10000,
-		IncrementSteps: 2,
-		StepDuration:   opts.StepDuration,
-	}
-	// The plateau is the (IncrementSteps+1)-th step; kill at its middle.
-	res.KillTime = (float64(schedule.IncrementSteps) + 1.5) * opts.StepDuration
-
-	elasticOpts := apps.ScalePrimeTesterOptions(apps.PrimeTesterOptions{
-		Sources:         32,
-		Sinks:           32,
-		PrimeTesters:    64,
-		MinPT:           1,
-		MaxPT:           520,
-		Schedule:        schedule,
-		Mode:            sim.BatchAdaptive,
-		ConstraintBound: 20 * time.Millisecond,
-		Elastic:         true,
-		WorkerNodes:     130,
-		SlotsPerNode:    5,
-		Seed:            opts.Seed,
-	}, opts.Scale)
-	cfg, probes, err := apps.BuildPrimeTester(elasticOpts)
+	run, err := runFaultedPrimeTester("faults", env, opts, env.Guarantee, interval, env.Guarantee.Enabled())
 	if err != nil {
-		return nil, fmt.Errorf("experiments: faults: %w", err)
+		return nil, err
 	}
-	cfg.Faults = &sim.FaultPlan{
-		TaskKills: []sim.TaskKill{{
-			At:       res.KillTime,
-			Vertex:   apps.PTWorker,
-			Fraction: opts.KillFraction,
-		}},
-	}
-	if opts.Guarantee.Enabled() {
-		// A guarantee needs the supervisor's restart-and-replay: elastic
-		// scale-up restores capacity but does not replay lost records.
-		cfg.Faults.Respawn = true
-		cfg.Faults.RestartDelay = 1
-		cfg.Guarantee = opts.Guarantee
-		cfg.CheckpointInterval = opts.CheckpointInterval
-	}
-	cfg.Recorder = opts.Recorder
-	cfg.Tracer = opts.Tracer
-	cfg.Telemetry = opts.Telemetry
+	res := &FaultsResult{FaultedRun: *run}
+	res.Checks = faultsChecks(res)
+	return res, nil
+}
 
-	// Track per-adjustment-interval fulfillment around the kill via the
-	// probe's fulfillment counter deltas.
-	prime := probes.Probe(apps.PrimeProbe)
-	var lastFulfilled, lastIntervals int
-	res.RecoveryIntervals = -1
-	postKill := 0
-	cfg.OnAdjust = func(info sim.AdjustmentInfo) {
-		frac, n := prime.Fulfillment()
-		fulfilled := int(math.Round(frac * float64(n)))
-		intervalMet := n > lastIntervals && fulfilled > lastFulfilled
-		closedInterval := n > lastIntervals
-		lastFulfilled, lastIntervals = fulfilled, n
-		if info.Now <= res.KillTime {
-			if p, ok := info.Summary.Vertex(apps.PTWorker); ok && p.Parallelism > 0 {
-				res.PreKillParallelism = p.Parallelism * opts.Scale
+// faultsRow is the table row: the time series, the scaler's decision
+// audit trail and the telemetry store.
+func faultsRow(env Env) (*Outcome, error) {
+	opts := pick(env.Paper, FaultsQuick(), FaultsPaper())
+	res, err := RunFaults(env, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		RowsCSV("faults.csv", res.Sim.Rows, opts.Scale),
+		DecisionsJSONL("faults_decisions.jsonl", env.Recorder),
+		TimeseriesJSON("faults_timeseries.json", env.Telemetry),
+	}}, nil
+}
+
+// FaultedRun is one run of the faulted elastic PrimeTester: a cell of the
+// sweep with the simulation behind it.
+type FaultedRun struct {
+	GuaranteeRun
+	// Sim is the run's raw result, at simulated scale.
+	Sim *sim.Result
+	// KillTime is when the tasks died (mid-plateau, virtual seconds).
+	KillTime float64
+	// PreKillParallelism is the tester parallelism of the last summary
+	// before the kill (simulated scale).
+	PreKillParallelism int
+}
+
+// The faulted scenario: a tenth of the tester tasks dies at the middle
+// of the plateau, respawned tasks come back after restartDelay virtual
+// seconds, and a fulfilled adjustment interval must follow within
+// recoveryBudget intervals.
+const (
+	faultSteps     = 2 // the plateau is step faultSteps+1
+	killFraction   = 0.10
+	restartDelay   = 1.0
+	recoveryBudget = 6
+)
+
+// runFaultedPrimeTester executes the elastic PrimeTester of Figure 6 with
+// killFraction of its testers killed mid-plateau, under the given
+// guarantee mode and checkpoint interval, observed by env's instruments.
+// respawn adds the supervisor's restart (and, under a guarantee, replay);
+// without it only elastic scale-up restores capacity.
+func runFaultedPrimeTester(what string, env Env, opts FaultsOptions, mode ckpt.Guarantee, interval float64, respawn bool) (*FaultedRun, error) {
+	run := &FaultedRun{KillTime: (faultSteps + 1.5) * opts.StepDuration}
+	run.Mode, run.CheckpointInterval = mode, interval
+	run.RecoveryIntervals, run.RecoveryWindow = -1, -1
+
+	ptOpts := apps.PaperPrimeTester(64, faultSteps, opts.StepDuration, opts.Seed).ElasticWithin(20 * time.Millisecond)
+	ptOpts.Guarantee, ptOpts.CheckpointInterval = mode, interval
+	out, err := runPrimeTester(what, ptOpts, opts.Scale, func(cfg *sim.Config, probes *sim.ProbeSet) {
+		cfg.Faults = &sim.FaultPlan{
+			TaskKills:    []sim.TaskKill{{At: run.KillTime, Vertex: apps.PTWorker, Fraction: killFraction}},
+			Respawn:      respawn,
+			RestartDelay: restartDelay,
+		}
+		env.observe(cfg)
+
+		// Count sink-behavior invocations to observe duplicate suppression.
+		vc := cfg.Vertices[apps.PTSink]
+		inner := vc.NewBehavior
+		vc.NewBehavior = func(i int) sim.Behavior {
+			return countingBehavior{inner: inner(i), n: &run.Delivered}
+		}
+		cfg.Vertices[apps.PTSink] = vc
+
+		// Track per-adjustment-interval fulfillment around the kill via
+		// the probe's fulfillment counter deltas.
+		prime := probes.Probe(apps.PrimeProbe)
+		var lastFulfilled, lastIntervals, postKill int
+		cfg.OnAdjust = func(info sim.AdjustmentInfo) {
+			frac, n := prime.Fulfillment()
+			fulfilled := int(math.Round(frac * float64(n)))
+			closedInterval := n > lastIntervals
+			intervalMet := closedInterval && fulfilled > lastFulfilled
+			lastFulfilled, lastIntervals = fulfilled, n
+			if info.Now <= run.KillTime {
+				if p, ok := info.Summary.Vertex(apps.PTWorker); ok && p.Parallelism > 0 {
+					run.PreKillParallelism = p.Parallelism
+				}
+				return
 			}
-			return
-		}
-		if res.RecoveryIntervals >= 0 {
-			return
-		}
-		if closedInterval {
+			if run.RecoveryIntervals >= 0 || !closedInterval {
+				return
+			}
 			if intervalMet {
-				res.RecoveryIntervals = postKill
+				run.RecoveryIntervals = postKill
+				run.RecoveryWindow = info.Now - run.KillTime
 				return
 			}
 			postKill++
 		}
-	}
-
-	s, err := sim.New(cfg, probes)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: faults: %w", err)
-	}
-	out, err := s.Run()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: faults: %w", err)
+		return nil, err
 	}
 
-	res.Rows = out.Rows
-	res.KilledTasks = out.KilledTasks
-	res.KilledItems = out.KilledItems
-	res.Fulfillment = out.Probes[apps.PrimeProbe].Fulfillment
-	res.FinalParallelism = out.FinalParallelism[apps.PTWorker] * opts.Scale
-	res.ScaleUps = out.ScaleUps
-	res.ScaleDowns = out.ScaleDowns
-	res.CheckpointsCommitted = out.CheckpointsCommitted
-	res.CheckpointsAborted = out.CheckpointsAborted
-	res.ReplayedItems = out.ReplayedItems
-	res.SinkDistinct = out.SinkDistinct
-	res.SinkDuplicates = out.SinkDuplicates
-	res.SinkHoles = out.SinkHoles
+	run.Sim = out
+	run.Emitted = out.Emitted[apps.PTSource]
+	run.Distinct = out.SinkDistinct
+	run.Holes = out.SinkHoles
+	run.Replayed = out.ReplayedItems
+	run.DupDetected = out.SinkDuplicates
+	run.CheckpointsCommitted = out.CheckpointsCommitted
+	run.CheckpointsAborted = out.CheckpointsAborted
+	run.Fulfillment = out.Probes[apps.PrimeProbe].Fulfillment
+	if mode.Enabled() {
+		run.Lost = run.Emitted - run.Distinct
+		if !mode.Dedup() {
+			run.DupDelivered = run.DupDetected
+		}
+	} else {
+		// No offset tracking: the direct kill counter is the loss.
+		run.Lost = out.KilledItems
+	}
+	return run, nil
+}
 
-	res.Checks = faultsChecks(res)
-	return res, nil
+// countingBehavior wraps a sink behavior and counts its Process
+// invocations, so suppressed duplicates are observable from outside.
+type countingBehavior struct {
+	inner sim.Behavior
+	n     *int64
+}
+
+func (b countingBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
+	return b.inner.ServiceTime(rng, it)
+}
+
+func (b countingBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
+	*b.n++
+	b.inner.Process(ctx, it)
 }
 
 // faultsChecks asserts the recovery shape.
 func faultsChecks(res *FaultsResult) CheckList {
 	var checks CheckList
 	checks.Add("fault fired",
-		fmt.Sprintf("%.0f%% of tester tasks killed mid-plateau", res.Options.KillFraction*100),
-		fmt.Sprintf("%d tasks killed at t=%.0fs (%d items lost)", res.KilledTasks, res.KillTime, res.KilledItems),
-		res.KilledTasks >= 1)
+		fmt.Sprintf("%.0f%% of tester tasks killed mid-plateau", killFraction*100),
+		fmt.Sprintf("%d tasks killed at t=%.0fs (%d items lost)", res.Sim.KilledTasks, res.KillTime, res.Sim.KilledItems),
+		res.Sim.KilledTasks >= 1)
 	checks.Add("constraint recovers within bounded intervals",
-		fmt.Sprintf("a fulfilled adjustment interval within %d intervals of the kill", res.Options.RecoveryBudget),
+		fmt.Sprintf("a fulfilled adjustment interval within %d intervals of the kill", recoveryBudget),
 		fmt.Sprintf("%d intervals", res.RecoveryIntervals),
-		res.RecoveryIntervals >= 0 && res.RecoveryIntervals <= res.Options.RecoveryBudget)
+		res.RecoveryIntervals >= 0 && res.RecoveryIntervals <= recoveryBudget)
 	checks.Add("overall fulfillment despite fault",
 		"constraint met in the large majority of intervals",
 		fmt.Sprintf("%.0f%%", res.Fulfillment*100),
@@ -233,12 +221,12 @@ func faultsChecks(res *FaultsResult) CheckList {
 		"sink throughput positive in every post-kill row",
 		deliveredAfterKill(res),
 		deliveredAfterKill(res) == "yes")
-	if res.Options.Guarantee.Enabled() {
+	if res.Mode.Enabled() {
 		checks.Add("no committed record lost",
-			fmt.Sprintf("%s: zero holes below committed checkpoint watermarks", res.Options.Guarantee),
+			fmt.Sprintf("%s: zero holes below committed checkpoint watermarks", res.Mode),
 			fmt.Sprintf("%d holes (%d checkpoints committed, %d replayed)",
-				res.SinkHoles, res.CheckpointsCommitted, res.ReplayedItems),
-			res.SinkHoles == 0 && res.CheckpointsCommitted > 0)
+				res.Holes, res.CheckpointsCommitted, res.Replayed),
+			res.Holes == 0 && res.CheckpointsCommitted > 0)
 	}
 	return checks
 }
@@ -246,7 +234,7 @@ func faultsChecks(res *FaultsResult) CheckList {
 // deliveredAfterKill reports whether every recorded row after the kill
 // shows positive sink throughput ("yes", or the first offending time).
 func deliveredAfterKill(res *FaultsResult) string {
-	for _, r := range res.Rows {
+	for _, r := range res.Sim.Rows {
 		if r.Time <= res.KillTime {
 			continue
 		}

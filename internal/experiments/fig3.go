@@ -6,7 +6,6 @@ import (
 
 	"nephelix/internal/apps"
 	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 // Fig3Options parameterizes the Figure 3 reproduction: the PrimeTester
@@ -26,8 +25,14 @@ type Fig3Options struct {
 
 // Fig3Quick returns a laptop-scale configuration preserving per-task
 // load: 1/25 topology, 20 s steps.
-func Fig3Quick() Fig3Options {
-	return Fig3Options{Scale: 25, StepDuration: 20, IncrementSteps: 9, Seed: 1}
+func Fig3Quick() Fig3Options { return Fig3Options{Seed: 1}.withDefaults() }
+
+// withDefaults fills unset fields with the quick-scale values.
+func (o Fig3Options) withDefaults() Fig3Options {
+	orDefault(&o.Scale, 25)
+	orDefault(&o.StepDuration, 20)
+	orDefault(&o.IncrementSteps, 9)
+	return o
 }
 
 // Fig3Paper returns the paper-scale configuration (50 sources, 200
@@ -89,53 +94,39 @@ type Fig3Result struct {
 
 // RunFig3 executes the Figure 3 experiment.
 func RunFig3(opts Fig3Options) (*Fig3Result, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 25
-	}
-	if opts.StepDuration <= 0 {
-		opts.StepDuration = 20
-	}
-	if opts.IncrementSteps <= 0 {
-		opts.IncrementSteps = 9
-	}
+	opts = opts.withDefaults()
 	res := &Fig3Result{Options: opts, Configs: make(map[Fig3ConfigName]*Fig3ConfigResult)}
 	scale := float64(opts.Scale)
 
 	for _, cc := range fig3Configs {
-		base := apps.PrimeTesterOptions{
-			Sources:      50,
-			Sinks:        50,
-			PrimeTesters: 200,
-			Schedule: &workload.StepSchedule{
-				WarmUpRate:     10000,
-				StepDelta:      10000,
-				IncrementSteps: opts.IncrementSteps,
-				StepDuration:   opts.StepDuration,
-			},
-			Mode:            cc.mode,
-			ConstraintBound: cc.bound,
-			WorkerNodes:     130,
-			SlotsPerNode:    4,
-			Seed:            opts.Seed + cc.seed,
-		}
-		scaled := apps.ScalePrimeTesterOptions(base, opts.Scale)
-		cfg, probes, err := apps.BuildPrimeTester(scaled)
+		// The paper's schedule and cluster, statically provisioned: 50
+		// sources and sinks, 200 testers, four slots per worker.
+		base := apps.PaperPrimeTester(200, opts.IncrementSteps, opts.StepDuration, opts.Seed+cc.seed)
+		base.Sources, base.Sinks, base.SlotsPerNode = 50, 50, 4
+		base.Mode, base.ConstraintBound = cc.mode, cc.bound
+		out, err := runPrimeTester("fig3 "+string(cc.name), base, opts.Scale, nil)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: fig3 %s: %w", cc.name, err)
+			return nil, err
 		}
-		s, err := sim.New(cfg, probes)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig3 %s: %w", cc.name, err)
-		}
-		out, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig3 %s: %w", cc.name, err)
-		}
-		res.Configs[cc.name] = summarizeFig3(cc.name, out, scaled.Schedule.StepDuration, scale)
+		res.Configs[cc.name] = summarizeFig3(cc.name, out, opts.StepDuration, scale)
 	}
 
 	res.Checks = fig3Checks(res)
 	return res, nil
+}
+
+// fig3Row is the table row: one CSV per configuration.
+func fig3Row(env Env) (*Outcome, error) {
+	opts := pick(env.Paper, Fig3Quick(), Fig3Paper())
+	res, err := RunFig3(opts)
+	if err != nil {
+		return nil, err
+	}
+	out := &Outcome{Checks: res.Checks}
+	for _, cc := range fig3Configs {
+		out.Artifacts = append(out.Artifacts, RowsCSV("fig3_"+string(cc.name)+".csv", res.Configs[cc.name].Rows, opts.Scale))
+	}
+	return out, nil
 }
 
 // summarizeFig3 derives the per-config summary metrics from the series.

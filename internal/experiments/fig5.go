@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"nephelix/internal/core"
@@ -18,8 +19,15 @@ type Fig5Options struct {
 }
 
 // Fig5Quick returns the default surface configuration.
-func Fig5Quick() Fig5Options {
-	return Fig5Options{MaxP: 60, WaitLimit: 0.004}
+func Fig5Quick() Fig5Options { return Fig5Options{}.withDefaults() }
+
+// withDefaults fills unset fields with the default surface.
+func (o Fig5Options) withDefaults() Fig5Options {
+	if o.MaxP <= 1 {
+		o.MaxP = 60
+	}
+	orDefault(&o.WaitLimit, 0.004)
+	return o
 }
 
 // Fig5Point is one grid cell of the surface.
@@ -35,7 +43,6 @@ type Fig5Point struct {
 // Fig5Result is the surface plus shape checks.
 type Fig5Result struct {
 	Options Fig5Options
-	Models  []*core.VertexModel
 	Points  []Fig5Point
 	// OptimumTotal is the minimal total parallelism over the surface.
 	OptimumTotal int
@@ -51,12 +58,7 @@ type Fig5Result struct {
 // RunFig5 computes the solution-candidate surface analytically from
 // three representative fitted vertex models.
 func RunFig5(opts Fig5Options) (*Fig5Result, error) {
-	if opts.MaxP <= 1 {
-		opts.MaxP = 60
-	}
-	if opts.WaitLimit <= 0 {
-		opts.WaitLimit = 0.004
-	}
+	opts = opts.withDefaults()
 	// Three vertices with distinct load profiles, as in the paper's
 	// exemplary plot: a heavy, a medium and a light vertex.
 	models := []*core.VertexModel{
@@ -64,7 +66,7 @@ func RunFig5(opts Fig5Options) (*Fig5Result, error) {
 		{Name: "jv2", Current: 16, Min: 1, Max: opts.MaxP, A: 0.012, B: 4, E: 1},
 		{Name: "jv3", Current: 16, Min: 1, Max: opts.MaxP, A: 0.006, B: 2, E: 1},
 	}
-	res := &Fig5Result{Options: opts, Models: models, OptimumTotal: math.MaxInt}
+	res := &Fig5Result{Options: opts, OptimumTotal: math.MaxInt}
 
 	m3 := models[2]
 	for p1 := 1; p1 <= opts.MaxP; p1++ {
@@ -102,6 +104,23 @@ func RunFig5(opts Fig5Options) (*Fig5Result, error) {
 
 	res.Checks = fig5Checks(res)
 	return res, nil
+}
+
+// fig5Row is the table row: the surface as one CSV.
+func fig5Row(Env) (*Outcome, error) {
+	res, err := RunFig5(Fig5Quick())
+	if err != nil {
+		return nil, err
+	}
+	note := fmt.Sprintf("%d cells; optimum F=%d at %d cells", len(res.Points), res.OptimumTotal, res.OptimaCount)
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		printedCSV("fig5_surface.csv", note, func(w io.Writer) {
+			fmt.Fprintln(w, "p1,p2,p3_min,total")
+			for _, pt := range res.Points {
+				fmt.Fprintf(w, "%d,%d,%d,%d\n", pt.P1, pt.P2, pt.P3, pt.Total)
+			}
+		}),
+	}}, nil
 }
 
 // fig5Checks verifies the surface's qualitative properties.

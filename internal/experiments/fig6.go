@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"nephelix/internal/apps"
 	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 // Fig6Options parameterizes the Figure 6 reproduction: the PrimeTester
@@ -27,8 +27,14 @@ type Fig6Options struct {
 }
 
 // Fig6Quick returns the laptop-scale configuration (1/8 topology).
-func Fig6Quick() Fig6Options {
-	return Fig6Options{Scale: 8, StepDuration: 20, IncrementSteps: 4, Seed: 1}
+func Fig6Quick() Fig6Options { return Fig6Options{Seed: 1}.withDefaults() }
+
+// withDefaults fills unset fields with the quick-scale values.
+func (o Fig6Options) withDefaults() Fig6Options {
+	orDefault(&o.Scale, 8)
+	orDefault(&o.StepDuration, 20)
+	orDefault(&o.IncrementSteps, 4)
+	return o
 }
 
 // Fig6Paper returns the paper-scale configuration.
@@ -73,78 +79,29 @@ type Fig6Result struct {
 	Checks CheckList
 }
 
-// fig6Schedule is the Figure 6 load profile at paper scale.
-func fig6Schedule(opts Fig6Options) *workload.StepSchedule {
-	return &workload.StepSchedule{
-		WarmUpRate:     10000,
-		StepDelta:      10000,
-		IncrementSteps: opts.IncrementSteps,
-		StepDuration:   opts.StepDuration,
-	}
-}
-
 // RunFig6 executes the Figure 6 experiment.
 func RunFig6(opts Fig6Options) (*Fig6Result, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 8
-	}
-	if opts.StepDuration <= 0 {
-		opts.StepDuration = 20
-	}
-	if opts.IncrementSteps <= 0 {
-		opts.IncrementSteps = 4
-	}
+	opts = opts.withDefaults()
 	res := &Fig6Result{Options: opts}
 	scale := float64(opts.Scale)
 
 	// The elastic run and the unelastic baseline are independent
 	// simulations with their own seeded RNGs; fan them across the worker
 	// pool.
+	baseline := apps.PaperPrimeTester(175, opts.IncrementSteps, opts.StepDuration, opts.Seed+7)
+	baseline.Mode = sim.BatchFixedBuffer
 	runOpts := []apps.PrimeTesterOptions{
-		// Elastic Nephele-20ms: testers in [1, 520].
-		{
-			Sources:         32,
-			Sinks:           32,
-			PrimeTesters:    128, // deliberately high start; the warm-up dip is the scaler's doing
-			MinPT:           1,
-			MaxPT:           520,
-			Schedule:        fig6Schedule(opts),
-			Mode:            sim.BatchAdaptive,
-			ConstraintBound: 20 * time.Millisecond,
-			Elastic:         true,
-			WorkerNodes:     130,
-			SlotsPerNode:    5, // 32+32 fixed tasks plus up to 520 testers
-			Seed:            opts.Seed,
-		},
+		// Elastic Nephele-20ms: a deliberately high start; the warm-up dip
+		// is the scaler's doing.
+		apps.PaperPrimeTester(128, opts.IncrementSteps, opts.StepDuration, opts.Seed).ElasticWithin(20 * time.Millisecond),
 		// Unelastic Nephele-16KiB baseline: 175 testers, tuned to the peak.
-		{
-			Sources:      32,
-			Sinks:        32,
-			PrimeTesters: 175,
-			Schedule:     fig6Schedule(opts),
-			Mode:         sim.BatchFixedBuffer,
-			WorkerNodes:  130,
-			SlotsPerNode: 5,
-			Seed:         opts.Seed + 7,
-		},
+		baseline,
 	}
 	names := []string{"elastic", "baseline"}
 	outs := make([]*sim.Result, len(runOpts))
-	err := forEachRun(len(runOpts), func(i int) error {
-		cfg, probes, err := apps.BuildPrimeTester(apps.ScalePrimeTesterOptions(runOpts[i], opts.Scale))
-		if err != nil {
-			return fmt.Errorf("experiments: fig6 %s: %w", names[i], err)
-		}
-		s, err := sim.New(cfg, probes)
-		if err != nil {
-			return fmt.Errorf("experiments: fig6 %s: %w", names[i], err)
-		}
-		out, err := s.Run()
-		if err != nil {
-			return fmt.Errorf("experiments: fig6 %s: %w", names[i], err)
-		}
-		outs[i] = out
-		return nil
+	err := forEachRun(len(runOpts), func(i int) (err error) {
+		outs[i], err = runPrimeTester("fig6 "+names[i], runOpts[i], opts.Scale, nil)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -169,6 +126,19 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 
 	res.Checks = fig6Checks(res)
 	return res, nil
+}
+
+// fig6Row is the table row: the elastic and the baseline series.
+func fig6Row(env Env) (*Outcome, error) {
+	opts := pick(env.Paper, Fig6Quick(), Fig6Paper())
+	res, err := RunFig6(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		RowsCSV("fig6_elastic.csv", res.ElasticRows, opts.Scale),
+		RowsCSV("fig6_baseline.csv", res.BaselineRows, opts.Scale),
+	}}, nil
 }
 
 // lowLoadMinParallelism returns the lowest tester parallelism observed
@@ -280,7 +250,7 @@ func RunTaskHours(opts TaskHoursOptions) (*TaskHoursResult, error) {
 		opts = TaskHoursQuick()
 	}
 	if len(opts.Seeds) == 0 {
-		opts.Seeds = []int64{1, 2, 3}
+		opts.Seeds = TaskHoursQuick().Seeds
 	}
 	res := &TaskHoursResult{Options: opts}
 	scale := float64(opts.Scale)
@@ -296,31 +266,10 @@ func RunTaskHours(opts TaskHoursOptions) (*TaskHoursResult, error) {
 	err := forEachRun(len(grid), func(i int) error {
 		bound := opts.Bounds[i/len(opts.Seeds)]
 		seed := opts.Seeds[i%len(opts.Seeds)]
-		elasticOpts := apps.ScalePrimeTesterOptions(apps.PrimeTesterOptions{
-			Sources:         32,
-			Sinks:           32,
-			PrimeTesters:    64,
-			MinPT:           1,
-			MaxPT:           520,
-			Schedule:        fig6Schedule(opts.Fig6Options),
-			Mode:            sim.BatchAdaptive,
-			ConstraintBound: bound,
-			Elastic:         true,
-			WorkerNodes:     130,
-			SlotsPerNode:    5,
-			Seed:            seed,
-		}, opts.Scale)
-		cfg, probes, err := apps.BuildPrimeTester(elasticOpts)
+		out, err := runPrimeTester(fmt.Sprintf("taskhours %v", bound),
+			apps.PaperPrimeTester(64, opts.IncrementSteps, opts.StepDuration, seed).ElasticWithin(bound), opts.Scale, nil)
 		if err != nil {
-			return fmt.Errorf("experiments: taskhours %v: %w", bound, err)
-		}
-		s, err := sim.New(cfg, probes)
-		if err != nil {
-			return fmt.Errorf("experiments: taskhours %v: %w", bound, err)
-		}
-		out, err := s.Run()
-		if err != nil {
-			return fmt.Errorf("experiments: taskhours %v: %w", bound, err)
+			return err
 		}
 		grid[i] = runOut{
 			hours:   out.TaskHours * scale,
@@ -372,6 +321,24 @@ func RunTaskHours(opts TaskHoursOptions) (*TaskHoursResult, error) {
 		spread > 0.95 && spread < 2.0)
 	res.Checks = checks
 	return res, nil
+}
+
+// taskHoursRow is the table row: one CSV line per bound.
+func taskHoursRow(env Env) (*Outcome, error) {
+	opts := TaskHoursQuick()
+	opts.Fig6Options = pick(env.Paper, Fig6Quick(), Fig6Paper())
+	res, err := RunTaskHours(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		printedCSV("taskhours.csv", "", func(w io.Writer) {
+			fmt.Fprintln(w, "bound_ms,task_hours,fulfillment")
+			for i, b := range res.Options.Bounds {
+				fmt.Fprintf(w, "%d,%.2f,%.3f\n", b.Milliseconds(), res.TaskHours[i], res.Fulfillment[i])
+			}
+		}),
+	}}, nil
 }
 
 // formatHours renders task-hour vectors compactly.

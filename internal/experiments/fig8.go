@@ -20,9 +20,7 @@ type Fig8Options struct {
 
 // Fig8Quick returns a laptop-scale configuration: quarter rates, full
 // trace shape.
-func Fig8Quick() Fig8Options {
-	return Fig8Options{Scale: 4, Seed: 1}
-}
+func Fig8Quick() Fig8Options { return Fig8Options{Scale: 4, Seed: 1} }
 
 // Fig8Paper returns the full-scale configuration.
 func Fig8Paper() Fig8Options {
@@ -67,26 +65,12 @@ type Fig8Result struct {
 
 // RunFig8 executes the Figure 8 experiment.
 func RunFig8(opts Fig8Options) (*Fig8Result, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 4
-	}
+	orDefault(&opts.Scale, Fig8Quick().Scale)
 	appOpts := apps.DefaultTwitterSentimentOptions()
 	appOpts.Seed = opts.Seed
-	scaleTwitterOptions(&appOpts, opts.Scale)
-	cfg, probes, err := apps.BuildTwitterSentiment(appOpts)
+	out, err := runTweets("fig8", appOpts, opts.Scale, opts.Duration, nil)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: fig8: %w", err)
-	}
-	if opts.Duration > 0 {
-		cfg.Duration = opts.Duration
-	}
-	s, err := sim.New(cfg, probes)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig8: %w", err)
-	}
-	out, err := s.Run()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fig8: %w", err)
+		return nil, err
 	}
 
 	res := &Fig8Result{Options: opts, Rows: out.Rows}
@@ -129,6 +113,16 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 
 	res.Checks = fig8Checks(res)
 	return res, nil
+}
+
+// fig8Row is the table row: the run's time series.
+func fig8Row(env Env) (*Outcome, error) {
+	opts := pick(env.Paper, Fig8Quick(), Fig8Paper())
+	res, err := RunFig8(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{RowsCSV("fig8.csv", res.Rows, opts.Scale)}}, nil
 }
 
 // fig8Checks compares the run against the paper's reported shape.

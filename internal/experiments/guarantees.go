@@ -2,64 +2,34 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"time"
+	"io"
 
-	"nephelix/internal/apps"
 	"nephelix/internal/ckpt"
-	"nephelix/internal/obs"
-	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 // GuaranteesOptions parameterizes the processing-guarantee sweep: the
-// fault-injection scenario (elastic PrimeTester, a fraction of its
-// tester tasks killed mid-plateau, supervised respawn) repeated under
-// each guarantee mode and a range of checkpoint intervals. The sweep
-// quantifies the guarantee ladder end to end — at-most-once loses the
-// killed records, at-least-once replays them all (zero lost), and
-// exactly-once additionally suppresses the replay duplicates at the
+// fault-injection scenario of FaultsOptions with supervised respawn,
+// repeated under each guarantee mode and a range of checkpoint intervals.
+// The sweep quantifies the guarantee ladder end to end — at-most-once
+// loses the killed records, at-least-once replays them all (zero lost),
+// and exactly-once additionally suppresses the replay duplicates at the
 // sinks — and measures the latency-constraint violation window during
 // recovery against the checkpoint interval.
 type GuaranteesOptions struct {
-	// Scale divides task counts and rates (reported values scaled back).
-	Scale int
-	// StepDuration is the phase-step length in seconds.
-	StepDuration float64
-	// KillFraction is the fraction of PrimeTester tasks killed at the
-	// middle of the plateau (default 0.10).
-	KillFraction float64
-	// RestartDelay is the supervised-respawn latency in virtual seconds
-	// (default 1).
-	RestartDelay float64
+	FaultsOptions
 	// Intervals are the checkpoint intervals (virtual seconds) swept for
-	// the at-least-once and exactly-once runs (default 0.5, 1, 2).
+	// the at-least-once and exactly-once runs.
 	Intervals []float64
-	// RecoveryBudget is the number of adjustment intervals after the
-	// kill within which a fulfilled interval must occur (default 6).
-	RecoveryBudget int
-	Seed           int64
-	// Telemetry, when set, receives the time series of the at-least-once
-	// run at the first interval (the CI chaos job's recovery-window
-	// artifact).
-	Telemetry *obs.Telemetry
 }
 
 // GuaranteesQuick returns the laptop-scale configuration.
 func GuaranteesQuick() GuaranteesOptions {
-	return GuaranteesOptions{
-		Scale: 8, StepDuration: 20, KillFraction: 0.10, RestartDelay: 1,
-		Intervals: []float64{0.5, 1, 2}, RecoveryBudget: 6, Seed: 1,
-	}
+	return GuaranteesOptions{FaultsOptions: FaultsQuick(), Intervals: []float64{0.5, 1, 2}}
 }
 
 // GuaranteesPaper returns the paper-scale configuration.
 func GuaranteesPaper() GuaranteesOptions {
-	opts := GuaranteesQuick()
-	opts.Scale = 1
-	opts.StepDuration = 60
-	return opts
+	return GuaranteesOptions{FaultsOptions: FaultsPaper(), Intervals: GuaranteesQuick().Intervals}
 }
 
 // GuaranteeRun is one cell of the sweep.
@@ -110,41 +80,13 @@ type GuaranteesResult struct {
 	Checks   CheckList
 }
 
-// countingBehavior wraps a sink behavior and counts its Process
-// invocations, so suppressed duplicates are observable from outside.
-type countingBehavior struct {
-	inner sim.Behavior
-	n     *int64
-}
-
-func (b countingBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
-	return b.inner.ServiceTime(rng, it)
-}
-
-func (b countingBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
-	*b.n++
-	b.inner.Process(ctx, it)
-}
-
-// RunFaultsGuarantees executes the guarantee-mode sweep.
-func RunFaultsGuarantees(opts GuaranteesOptions) (*GuaranteesResult, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 8
-	}
-	if opts.StepDuration <= 0 {
-		opts.StepDuration = 20
-	}
-	if opts.KillFraction <= 0 || opts.KillFraction > 1 {
-		opts.KillFraction = 0.10
-	}
-	if opts.RestartDelay <= 0 {
-		opts.RestartDelay = 1
-	}
+// RunFaultsGuarantees executes the guarantee-mode sweep. env's telemetry
+// observes the at-least-once run at the first interval (the CI chaos
+// job's recovery-window artifact).
+func RunFaultsGuarantees(env Env, opts GuaranteesOptions) (*GuaranteesResult, error) {
+	opts.FaultsOptions = opts.FaultsOptions.withDefaults()
 	if len(opts.Intervals) == 0 {
-		opts.Intervals = []float64{0.5, 1, 2}
-	}
-	if opts.RecoveryBudget <= 0 {
-		opts.RecoveryBudget = 6
+		opts.Intervals = GuaranteesQuick().Intervals
 	}
 	res := &GuaranteesResult{Options: opts}
 
@@ -157,127 +99,48 @@ func RunFaultsGuarantees(opts GuaranteesOptions) (*GuaranteesResult, error) {
 		}
 	}
 	for _, cell := range cells {
-		var telemetry *obs.Telemetry
+		var observed Env
 		if cell.Mode == ckpt.AtLeastOnce && cell.CheckpointInterval == opts.Intervals[0] {
-			telemetry = opts.Telemetry
+			observed.Telemetry = env.Telemetry
 		}
-		run, killTime, err := runGuaranteeCell(opts, cell.Mode, cell.CheckpointInterval, telemetry)
+		// Every mode gets the supervisor's restart; the guarantee decides
+		// whether anything is replayed after it.
+		run, err := runFaultedPrimeTester("guarantees", observed, opts.FaultsOptions, cell.Mode, cell.CheckpointInterval, true)
 		if err != nil {
 			return nil, err
 		}
-		res.KillTime = killTime
-		res.Runs = append(res.Runs, *run)
+		res.KillTime = run.KillTime
+		res.Runs = append(res.Runs, run.GuaranteeRun)
 	}
 
 	res.Checks = guaranteesChecks(res)
 	return res, nil
 }
 
-// runGuaranteeCell executes one faulted elastic run under the given
-// mode and interval.
-func runGuaranteeCell(opts GuaranteesOptions, mode ckpt.Guarantee, interval float64, telemetry *obs.Telemetry) (*GuaranteeRun, float64, error) {
-	schedule := &workload.StepSchedule{
-		WarmUpRate:     10000,
-		StepDelta:      10000,
-		IncrementSteps: 2,
-		StepDuration:   opts.StepDuration,
-	}
-	killTime := (float64(schedule.IncrementSteps) + 1.5) * opts.StepDuration
-
-	elasticOpts := apps.ScalePrimeTesterOptions(apps.PrimeTesterOptions{
-		Sources:            32,
-		Sinks:              32,
-		PrimeTesters:       64,
-		MinPT:              1,
-		MaxPT:              520,
-		Schedule:           schedule,
-		Mode:               sim.BatchAdaptive,
-		ConstraintBound:    20 * time.Millisecond,
-		Elastic:            true,
-		WorkerNodes:        130,
-		SlotsPerNode:       5,
-		Seed:               opts.Seed,
-		Guarantee:          mode,
-		CheckpointInterval: interval,
-	}, opts.Scale)
-	cfg, probes, err := apps.BuildPrimeTester(elasticOpts)
+// guaranteesRow is the table row: one CSV line per cell, counts scaled
+// back, plus the observed cell's time series.
+func guaranteesRow(env Env) (*Outcome, error) {
+	opts := pick(env.Paper, GuaranteesQuick(), GuaranteesPaper())
+	res, err := RunFaultsGuarantees(env, opts)
 	if err != nil {
-		return nil, 0, fmt.Errorf("experiments: guarantees: %w", err)
+		return nil, err
 	}
-	// Every mode gets the supervisor's restart; the guarantee decides
-	// whether anything is replayed after it.
-	cfg.Faults = &sim.FaultPlan{
-		TaskKills: []sim.TaskKill{{
-			At:       killTime,
-			Vertex:   apps.PTWorker,
-			Fraction: opts.KillFraction,
-		}},
-		Respawn:      true,
-		RestartDelay: opts.RestartDelay,
-	}
-	cfg.Telemetry = telemetry
-
-	// Count sink-behavior invocations to observe duplicate suppression.
-	var delivered int64
-	inner := cfg.Vertices[apps.PTSink].NewBehavior
-	vc := cfg.Vertices[apps.PTSink]
-	vc.NewBehavior = func(i int) sim.Behavior {
-		return countingBehavior{inner: inner(i), n: &delivered}
-	}
-	cfg.Vertices[apps.PTSink] = vc
-
-	run := &GuaranteeRun{Mode: mode, CheckpointInterval: interval}
-	prime := probes.Probe(apps.PrimeProbe)
-	var lastFulfilled, lastIntervals, postKill int
-	run.RecoveryIntervals = -1
-	run.RecoveryWindow = -1
-	cfg.OnAdjust = func(info sim.AdjustmentInfo) {
-		frac, n := prime.Fulfillment()
-		fulfilled := int(math.Round(frac * float64(n)))
-		intervalMet := n > lastIntervals && fulfilled > lastFulfilled
-		closedInterval := n > lastIntervals
-		lastFulfilled, lastIntervals = fulfilled, n
-		if info.Now <= killTime || run.RecoveryIntervals >= 0 {
-			return
-		}
-		if closedInterval {
-			if intervalMet {
-				run.RecoveryIntervals = postKill
-				run.RecoveryWindow = info.Now - killTime
-				return
+	note := fmt.Sprintf("%d runs, kill at t=%.0fs", len(res.Runs), res.KillTime)
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		printedCSV("guarantees.csv", note, func(w io.Writer) {
+			fmt.Fprintln(w, "mode,ckpt_interval_s,emitted,delivered,distinct,lost,holes,replayed,dup_detected,dup_delivered,ckpt_committed,ckpt_aborted,recovery_intervals,recovery_window_s,fulfillment")
+			scale := int64(opts.Scale)
+			for _, r := range res.Runs {
+				fmt.Fprintf(w, "%s,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.1f,%.3f\n",
+					r.Mode, r.CheckpointInterval,
+					r.Emitted*scale, r.Delivered*scale, r.Distinct*scale, r.Lost*scale,
+					r.Holes*scale, r.Replayed*scale, r.DupDetected*scale, r.DupDelivered*scale,
+					r.CheckpointsCommitted, r.CheckpointsAborted,
+					r.RecoveryIntervals, r.RecoveryWindow, r.Fulfillment)
 			}
-			postKill++
-		}
-	}
-
-	s, err := sim.New(cfg, probes)
-	if err != nil {
-		return nil, 0, fmt.Errorf("experiments: guarantees: %w", err)
-	}
-	out, err := s.Run()
-	if err != nil {
-		return nil, 0, fmt.Errorf("experiments: guarantees: %w", err)
-	}
-
-	run.Emitted = out.Emitted[apps.PTSource]
-	run.Delivered = delivered
-	run.Distinct = out.SinkDistinct
-	run.Holes = out.SinkHoles
-	run.Replayed = out.ReplayedItems
-	run.DupDetected = out.SinkDuplicates
-	run.CheckpointsCommitted = out.CheckpointsCommitted
-	run.CheckpointsAborted = out.CheckpointsAborted
-	run.Fulfillment = out.Probes[apps.PrimeProbe].Fulfillment
-	if mode.Enabled() {
-		run.Lost = run.Emitted - run.Distinct
-		if !mode.Dedup() {
-			run.DupDelivered = run.DupDetected
-		}
-	} else {
-		// No offset tracking: the direct kill counter is the loss.
-		run.Lost = out.KilledItems
-	}
-	return run, killTime, nil
+		}),
+		TimeseriesJSON("guarantees_timeseries.json", env.Telemetry),
+	}}, nil
 }
 
 // guaranteesChecks asserts the guarantee ladder.
@@ -307,7 +170,7 @@ func guaranteesChecks(res *GuaranteesResult) CheckList {
 		if r.CheckpointsCommitted == 0 || r.Replayed == 0 {
 			committedOK = false
 		}
-		if r.RecoveryIntervals < 0 || r.RecoveryIntervals > res.Options.RecoveryBudget {
+		if r.RecoveryIntervals < 0 || r.RecoveryIntervals > recoveryBudget {
 			recoveredOK = false
 		}
 		if r.RecoveryIntervals > worstIntervals {
@@ -334,7 +197,7 @@ func guaranteesChecks(res *GuaranteesResult) CheckList {
 		fmt.Sprintf("committed and replayed in all runs: %v", committedOK),
 		committedOK)
 	checks.Add("constraint recovers within bounded intervals",
-		fmt.Sprintf("a fulfilled adjustment interval within %d intervals of the kill, every run", res.Options.RecoveryBudget),
+		fmt.Sprintf("a fulfilled adjustment interval within %d intervals of the kill, every run", recoveryBudget),
 		fmt.Sprintf("worst %d intervals (%.0fs violation window)", worstIntervals, worstRecovery),
 		recoveredOK)
 	return checks

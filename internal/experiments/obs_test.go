@@ -19,15 +19,13 @@ func TestObsFaultsDecisionAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment; skipped in -short mode")
 	}
-	opts := FaultsQuick()
 	rec := obs.NewRecorder(0)
-	opts.Recorder = rec
-	res, err := RunFaults(opts)
+	res, err := RunFaults(Env{Recorder: rec}, FaultsQuick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.KilledTasks < 1 {
-		t.Fatalf("fault did not fire: %d tasks killed", res.KilledTasks)
+	if res.Sim.KilledTasks < 1 {
+		t.Fatalf("fault did not fire: %d tasks killed", res.Sim.KilledTasks)
 	}
 	if rec.Total() > uint64(rec.Len()) {
 		t.Fatalf("recorder overflowed (%d events for capacity %d); audit trail incomplete", rec.Total(), rec.Len())
@@ -85,10 +83,10 @@ func TestObsFaultsDecisionAudit(t *testing.T) {
 	if decisions == 0 {
 		t.Fatal("no scaling decisions on the audit trail")
 	}
-	if kills != res.KilledTasks {
-		t.Errorf("audit trail shows %d tester kills, run killed %d", kills, res.KilledTasks)
+	if kills != res.Sim.KilledTasks {
+		t.Errorf("audit trail shows %d tester kills, run killed %d", kills, res.Sim.KilledTasks)
 	}
-	if want := res.FinalParallelism / opts.Scale; current != want {
+	if want := res.Sim.FinalParallelism[apps.PTWorker]; current != want {
 		t.Errorf("replayed final parallelism %d, run ended at %d — some change is untraceable", current, want)
 	}
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 // The paper closes with "for future work we intend to focus on improving
@@ -23,8 +23,9 @@ import (
 
 // PredictionSample is one prediction/outcome pair.
 type PredictionSample struct {
-	// At is the decision time (seconds).
-	At float64
+	// Seed is the run the pair comes from; At the decision time (seconds).
+	Seed int64
+	At   float64
 	// FromP and ToP are the parallelism before and after the decision.
 	FromP, ToP int
 	// Predicted is W_model(ToP) at decision time; Measured the wait
@@ -53,39 +54,11 @@ type PredictionQualityResult struct {
 	monitor *obs.ResidualMonitor
 }
 
-// abs returns |x|.
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // RunPredictionQuality runs an elastic PrimeTester under a step load and
 // scores every scaling decision's wait prediction.
 func RunPredictionQuality(scale int, seed int64) (*PredictionQualityResult, error) {
-	if scale <= 0 {
-		scale = 8
-	}
-	opts := apps.ScalePrimeTesterOptions(apps.PrimeTesterOptions{
-		Sources: 32, Sinks: 32, PrimeTesters: 64, MinPT: 1, MaxPT: 520,
-		Schedule: &workload.StepSchedule{
-			WarmUpRate: 10000, StepDelta: 10000, IncrementSteps: 4, StepDuration: 25,
-		},
-		Mode:            sim.BatchAdaptive,
-		ConstraintBound: 20 * time.Millisecond,
-		Elastic:         true,
-		WorkerNodes:     130,
-		SlotsPerNode:    5,
-		Seed:            seed,
-	}, scale)
-	cfg, probes, err := apps.BuildPrimeTester(opts)
-	if err != nil {
-		return nil, err
-	}
-
+	orDefault(&scale, 8)
 	edge := model.EdgeKey{Source: apps.PTSource, Target: apps.PTWorker}
-	seq := cfg.Constraints[0].Sequence
 	type pending struct {
 		sample PredictionSample
 		due    int // adjustment rounds until scoring
@@ -94,7 +67,9 @@ func RunPredictionQuality(scale int, seed int64) (*PredictionQualityResult, erro
 	res := &PredictionQualityResult{}
 	modelOpts := core.DefaultModelOptions()
 
-	cfg.OnAdjust = func(info sim.AdjustmentInfo) {
+	var cfg *sim.Config
+	onAdjust := func(info sim.AdjustmentInfo) {
+		seq := cfg.Constraints[0].Sequence
 		// Score matured predictions against the current measurement.
 		es, okE := info.Summary.Edge(edge)
 		vs, okV := info.Summary.Vertex(apps.PTWorker)
@@ -108,11 +83,8 @@ func RunPredictionQuality(scale int, seed int64) (*PredictionQualityResult, erro
 			// Score if the parallelism is still (approximately) the one
 			// the prediction was made for; the scaler nudges by a task
 			// or two between rounds.
-			tol := p.sample.ToP / 10
-			if tol < 1 {
-				tol = 1
-			}
-			if okE && okV && abs(vs.Parallelism-p.sample.ToP) <= tol {
+			tol := max(1, p.sample.ToP/10)
+			if d := vs.Parallelism - p.sample.ToP; okE && okV && max(d, -d) <= tol {
 				p.sample.Measured = es.QueueWait()
 				res.Samples = append(res.Samples, p.sample)
 			}
@@ -138,7 +110,7 @@ func RunPredictionQuality(scale int, seed int64) (*PredictionQualityResult, erro
 				continue
 			}
 			open = append(open, &pending{
-				sample: PredictionSample{At: info.Now, FromP: a.From, ToP: a.To, Predicted: pred},
+				sample: PredictionSample{Seed: seed, At: info.Now, FromP: a.From, ToP: a.To, Predicted: pred},
 				due:    3, // inactivity window + one settling interval
 			})
 		}
@@ -148,13 +120,14 @@ func RunPredictionQuality(scale int, seed int64) (*PredictionQualityResult, erro
 	// at a one-interval horizon; its per-vertex aggregates land in
 	// res.Residuals for drift interpretation.
 	tel := obs.NewTelemetry(0)
-	cfg.Telemetry = tel
-
-	s, err := sim.New(cfg, probes)
+	_, err := runPrimeTester("prediction",
+		apps.PaperPrimeTester(64, 4, 25, seed).ElasticWithin(20*time.Millisecond), scale,
+		func(c *sim.Config, _ *sim.ProbeSet) {
+			cfg = c
+			c.OnAdjust = onAdjust
+			c.Telemetry = tel
+		})
 	if err != nil {
-		return nil, err
-	}
-	if _, err := s.Run(); err != nil {
 		return nil, err
 	}
 
@@ -214,14 +187,11 @@ func (res *PredictionQualityResult) score() {
 // are concatenated in seed order, so the result is identical for any
 // MaxWorkers setting.
 func RunPredictionQualitySweep(scale int, seeds []int64) (*PredictionQualityResult, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
 	perSeed := make([]*PredictionQualityResult, len(seeds))
 	err := forEachRun(len(seeds), func(i int) error {
 		r, err := RunPredictionQuality(scale, seeds[i])
 		if err != nil {
-			return fmt.Errorf("experiments: prediction seed %d: %w", seeds[i], err)
+			return fmt.Errorf("seed %d: %w", seeds[i], err)
 		}
 		perSeed[i] = r
 		return nil
@@ -241,4 +211,21 @@ func RunPredictionQualitySweep(scale int, seeds []int64) (*PredictionQualityResu
 	res.Drift = res.monitor.DriftFlags()
 	res.score()
 	return res, nil
+}
+
+// predictionRow is the table row: seeds 1–3 pooled, one CSV line per
+// scored prediction/outcome pair.
+func predictionRow(Env) (*Outcome, error) {
+	res, err := RunPredictionQualitySweep(8, []int64{1, 2, 3})
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Checks: res.Checks, Artifacts: []Artifact{
+		printedCSV("prediction.csv", fmt.Sprintf("%d pairs", len(res.Samples)), func(w io.Writer) {
+			fmt.Fprintln(w, "seed,at_s,from_p,to_p,predicted_wait_s,measured_wait_s")
+			for _, sm := range res.Samples {
+				fmt.Fprintf(w, "%d,%g,%d,%d,%g,%g\n", sm.Seed, sm.At, sm.FromP, sm.ToP, sm.Predicted, sm.Measured)
+			}
+		}),
+	}}, nil
 }

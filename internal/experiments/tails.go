@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"strings"
 
 	"nephelix/internal/apps"
 	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/obs"
 	"nephelix/internal/sim"
-	"nephelix/internal/workload"
 )
 
 // TailsOptions parameterizes the tail-latency observability experiment:
@@ -22,27 +23,17 @@ type TailsOptions struct {
 	// variant covers the 900 s burst and the main 2300 s burst.
 	Duration float64
 	Seed     int64
-	// SampleEvery is the tracer's head-sampling period for per-hop
-	// attribution (every SampleEvery-th source record carries a span).
-	SampleEvery int
-	// Alpha is the sketch relative-error bound under validation.
-	Alpha float64
-
-	// Recorder and Telemetry, when set, receive the run's audit events
-	// and time series (SLO gauges, tail quantiles, hop sketches).
-	Recorder  *obs.Recorder
-	Telemetry *obs.Telemetry
 }
+
+// tailsSampleEvery is the tracer's head-sampling period for per-hop
+// attribution: every eighth source record carries a span.
+const tailsSampleEvery = 8
 
 // TailsQuick returns the laptop-scale configuration.
-func TailsQuick() TailsOptions {
-	return TailsOptions{Scale: 4, Duration: 2600, Seed: 1, SampleEvery: 8, Alpha: sketch.DefaultAlpha}
-}
+func TailsQuick() TailsOptions { return TailsOptions{Scale: 4, Duration: 2600, Seed: 1} }
 
 // TailsPaper runs the full-scale trace end to end.
-func TailsPaper() TailsOptions {
-	return TailsOptions{Scale: 1, Seed: 1, SampleEvery: 8, Alpha: sketch.DefaultAlpha}
-}
+func TailsPaper() TailsOptions { return TailsOptions{Scale: 1, Seed: 1} }
 
 // TailsQuantile is one sketch-vs-exact comparison: the probe's quantile
 // estimate from its mergeable sketch against the nearest-rank value of
@@ -58,11 +49,9 @@ type TailsQuantile struct {
 // TailsResult aggregates the run, the sketch validation, the p99
 // attribution and the SLO accounting.
 type TailsResult struct {
-	Options TailsOptions
-	Rows    []sim.Row
-
 	// Validation holds one row per probe and quantile; MaxRelErr is the
-	// worst observed |sketch−exact|/exact (must stay ≤ Alpha).
+	// worst observed |sketch−exact|/exact (must stay within the sketches'
+	// relative-error bound, sketch.DefaultAlpha).
 	Validation []TailsQuantile
 	MaxRelErr  float64
 
@@ -79,92 +68,34 @@ type TailsResult struct {
 // tailsQuantiles are the validated quantiles.
 var tailsQuantiles = []float64{0.5, 0.9, 0.95, 0.99, 0.999}
 
-// scaleTwitterOptions divides the TwitterSentiment trace rates and
-// parallelism-related quantities by scale (shared by Figure 8 and the
-// tails experiment).
-func scaleTwitterOptions(appOpts *apps.TwitterSentimentOptions, scale int) {
-	if scale <= 1 {
-		return
-	}
-	f := float64(scale)
-	tr := *appOpts.Schedule
-	tr.BaseRate /= f
-	tr.DailyAmplitude /= f
-	bursts := make([]workload.Burst, len(tr.Bursts))
-	copy(bursts, tr.Bursts)
-	for i := range bursts {
-		bursts[i].ExtraRate /= f
-	}
-	tr.Bursts = bursts
-	appOpts.Schedule = &tr
-	div := func(v int) int {
-		r := v / scale
-		if r < 1 {
-			r = 1
-		}
-		return r
-	}
-	appOpts.Sources = div(appOpts.Sources)
-	appOpts.InitialHT = div(appOpts.InitialHT)
-	appOpts.InitialFilter = div(appOpts.InitialFilter)
-	appOpts.InitialSentiment = div(appOpts.InitialSentiment)
-	appOpts.MaxElastic = div(appOpts.MaxElastic)
-	appOpts.WorkerNodes = div(appOpts.WorkerNodes)
-}
-
-// RunTails executes the tail-latency observability experiment.
-func RunTails(opts TailsOptions) (*TailsResult, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 4
-	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 8
-	}
-	if opts.Alpha <= 0 {
-		opts.Alpha = sketch.DefaultAlpha
-	}
+// RunTails executes the tail-latency observability experiment. env's
+// recorder and telemetry (SLO gauges, tail quantiles, hop sketches)
+// observe the run; the tracer is the experiment's own, sampling more
+// densely than env's.
+func RunTails(env Env, opts TailsOptions) (*TailsResult, error) {
+	orDefault(&opts.Scale, TailsQuick().Scale)
 	appOpts := apps.DefaultTwitterSentimentOptions()
 	appOpts.Seed = opts.Seed
-	scaleTwitterOptions(&appOpts, opts.Scale)
-	cfg, probes, err := apps.BuildTwitterSentiment(appOpts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: tails: %w", err)
-	}
-	if opts.Duration > 0 {
-		cfg.Duration = opts.Duration
-	}
-	tracer := obs.NewTracer(opts.SampleEvery)
-	cfg.Tracer = tracer
-	cfg.Recorder = opts.Recorder
-	telemetry := opts.Telemetry
-	if telemetry == nil {
-		telemetry = obs.NewTelemetry(0)
-	}
-	cfg.Telemetry = telemetry
-
-	// Capture the exact probe streams: every probed record's latency,
-	// in arrival order, next to the probe's own sketch ingest.
+	env.Tracer = obs.NewTracer(tailsSampleEvery)
 	exact := map[string]*[]float64{}
-	for _, name := range []string{apps.HotTopicsProbe, apps.SentimentProbe} {
-		buf := make([]float64, 0, 1<<16)
-		exact[name] = &buf
-		bp := &buf
-		probes.Probe(name).Tap = func(latency float64) {
-			*bp = append(*bp, latency)
+	var probes *sim.ProbeSet
+	_, err := runTweets("tails", appOpts, opts.Scale, opts.Duration, func(cfg *sim.Config, ps *sim.ProbeSet) {
+		env.observe(cfg)
+		// Capture the exact probe streams: every probed record's latency,
+		// in arrival order, next to the probe's own sketch ingest.
+		probes = ps
+		for _, name := range tailScalerProbes {
+			buf := make([]float64, 0, 1<<16)
+			exact[name] = &buf
+			ps.Probe(name).Tap = func(latency float64) { buf = append(buf, latency) }
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	s, err := sim.New(cfg, probes)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: tails: %w", err)
-	}
-	out, err := s.Run()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: tails: %w", err)
-	}
-
-	res := &TailsResult{Options: opts, Rows: out.Rows}
-	for _, name := range []string{apps.HotTopicsProbe, apps.SentimentProbe} {
+	res := &TailsResult{}
+	for _, name := range tailScalerProbes {
 		samples := *exact[name]
 		p := probes.Probe(name)
 		for _, q := range tailsQuantiles {
@@ -180,8 +111,8 @@ func RunTails(opts TailsOptions) (*TailsResult, error) {
 			res.Validation = append(res.Validation, v)
 		}
 	}
-	res.Attribution = tracer.TailAttribution(0.99)
-	res.SLO = telemetry.SLOSnapshot()
+	res.Attribution = env.Tracer.TailAttribution(0.99)
+	res.SLO = env.Telemetry.SLOSnapshot()
 	res.Checks = tailsChecks(res, exact)
 	return res, nil
 }
@@ -198,9 +129,9 @@ func tailsChecks(res *TailsResult, exact map[string]*[]float64) CheckList {
 		fmt.Sprintf("%d samples", captured),
 		captured > 1000)
 	checks.Add("sketch relative-error bound",
-		fmt.Sprintf("every quantile within α=%g of the exact nearest-rank value", res.Options.Alpha),
+		fmt.Sprintf("every quantile within α=%g of the exact nearest-rank value", sketch.DefaultAlpha),
 		fmt.Sprintf("max rel err %.5f over %d comparisons", res.MaxRelErr, len(res.Validation)),
-		res.MaxRelErr <= res.Options.Alpha+1e-12)
+		res.MaxRelErr <= sketch.DefaultAlpha+1e-12)
 	checks.Add("hops attributed",
 		"per-hop sketches cover the sampled spans",
 		fmt.Sprintf("%d hops, e2e n=%d", len(res.Attribution.Hops), res.Attribution.E2ECount),
@@ -231,23 +162,33 @@ func tailsChecks(res *TailsResult, exact map[string]*[]float64) CheckList {
 	return checks
 }
 
-// WriteTailsCSV renders the p99 attribution as CSV: the end-to-end
-// distribution first, then one row per hop with its mean/tail shares.
-func (r *TailsResult) WriteTailsCSV(w interface{ Write([]byte) (int, error) }) error {
-	a := r.Attribution
-	if _, err := fmt.Fprintln(w, "kind,name,count,mean_s,p50_s,p95_s,p99_s,p999_s,mean_share,tail_share"); err != nil {
-		return err
+// tailsRow is the table row: the p99 attribution as CSV — the end-to-end
+// distribution first, then one row per hop with its mean/tail shares —
+// and the telemetry store.
+func tailsRow(env Env) (*Outcome, error) {
+	res, err := RunTails(env, pick(env.Paper, TailsQuick(), TailsPaper()))
+	if err != nil {
+		return nil, err
 	}
-	if _, err := fmt.Fprintf(w, "e2e,e2e,%d,%g,%g,%g,%g,%g,,\n",
-		a.E2ECount, a.E2EMean, a.E2EP50, a.E2EP95, a.E2EP99, a.E2EP999); err != nil {
-		return err
+	a := res.Attribution
+	out := &Outcome{Checks: res.Checks, Lines: []string{strings.TrimSuffix(a.String(), "\n")}}
+	for _, st := range res.SLO {
+		out.Lines = append(out.Lines, fmt.Sprintf("  SLO %s: p%g ≤ %.0f ms, budget remaining %.2f, burn %.2f, violations %d",
+			st.Constraint, st.Quantile*100, st.BoundSeconds*1000,
+			st.ErrorBudgetRemaining, st.BurnRate, st.Violations))
 	}
-	for _, h := range a.Hops {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%g,%g,%g,%g,%g,%g,%g\n",
-			h.Kind, h.Name, h.Count, h.Mean, h.P50, h.P95, h.P99, h.P999,
-			h.MeanShare, h.TailShare); err != nil {
-			return err
-		}
+	out.Artifacts = []Artifact{
+		printedCSV("tails.csv", fmt.Sprintf("%d hops", len(a.Hops)), func(w io.Writer) {
+			fmt.Fprintln(w, "kind,name,count,mean_s,p50_s,p95_s,p99_s,p999_s,mean_share,tail_share")
+			fmt.Fprintf(w, "e2e,e2e,%d,%g,%g,%g,%g,%g,,\n",
+				a.E2ECount, a.E2EMean, a.E2EP50, a.E2EP95, a.E2EP99, a.E2EP999)
+			for _, h := range a.Hops {
+				fmt.Fprintf(w, "%s,%s,%d,%g,%g,%g,%g,%g,%g,%g\n",
+					h.Kind, h.Name, h.Count, h.Mean, h.P50, h.P95, h.P99, h.P999,
+					h.MeanShare, h.TailShare)
+			}
+		}),
+		TimeseriesJSON("tails_timeseries.json", env.Telemetry),
 	}
-	return nil
+	return out, nil
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"nephelix/internal/metrics/sketch"
+)
 
 // TestTailsSketchAccuracy is the acceptance check for the quantile
 // sketches: over a bursty TwitterSentiment run, every probe quantile
@@ -14,17 +18,17 @@ func TestTailsSketchAccuracy(t *testing.T) {
 	}
 	opts := TailsQuick()
 	opts.Duration = 1100 // covers the 900 s burst, keeps CI fast
-	res, err := RunTails(opts)
+	res, err := RunTails(NewEnv(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range res.Checks.Failed() {
 		t.Errorf("check failed: %+v", f)
 	}
-	if res.MaxRelErr > opts.Alpha+1e-12 {
+	if res.MaxRelErr > sketch.DefaultAlpha+1e-12 {
 		for _, v := range res.Validation {
 			t.Logf("%s q=%g exact=%.6f sketch=%.6f rel=%.5f", v.Probe, v.Quantile, v.Exact, v.Sketch, v.RelErr)
 		}
-		t.Fatalf("sketch max rel err %.5f exceeds α=%g", res.MaxRelErr, opts.Alpha)
+		t.Fatalf("sketch max rel err %.5f exceeds α=%g", res.MaxRelErr, sketch.DefaultAlpha)
 	}
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 
 	"nephelix/internal/apps"
 	"nephelix/internal/model"
@@ -24,18 +26,19 @@ type TailScalerOptions struct {
 	// Quantile is the tail constraint's quantile (default 0.99).
 	Quantile float64
 	Seed     int64
-	// Recorder, when set, captures the tail-aware run's decision audit
-	// trail.
-	Recorder *obs.Recorder
-	// Telemetry, when set, is used by the tail-aware bursty run (so a
-	// live introspection server exposes its κ gauges and SLO state);
-	// the other runs always get their own.
-	Telemetry *obs.Telemetry
 }
 
 // TailScalerQuick returns the laptop-scale configuration.
-func TailScalerQuick() TailScalerOptions {
-	return TailScalerOptions{Scale: 4, Duration: 2600, Quantile: 0.99, Seed: 1}
+func TailScalerQuick() TailScalerOptions { return TailScalerOptions{Seed: 1}.withDefaults() }
+
+// withDefaults fills unset fields with the quick-scale values.
+func (o TailScalerOptions) withDefaults() TailScalerOptions {
+	orDefault(&o.Scale, 4)
+	orDefault(&o.Duration, 2600)
+	if o.Quantile <= 0 || o.Quantile >= 1 {
+		o.Quantile = 0.99
+	}
+	return o
 }
 
 // TailScalerVariant aggregates one run of the experiment.
@@ -56,7 +59,6 @@ type TailScalerVariant struct {
 	// cells with scored samples (TailRelErrSamples in total).
 	TailRelErr        float64
 	TailRelErrSamples int64
-	Rows              []sim.Row
 	// Telemetry is the run's telemetry layer, for time-series export.
 	Telemetry *obs.Telemetry
 }
@@ -86,31 +88,26 @@ type TailScalerResult struct {
 var tailScalerProbes = []string{apps.HotTopicsProbe, apps.SentimentProbe}
 
 // RunTailScaler executes the tail-aware scaling experiment: three
-// independent simulations fanned across the worker pool.
-func RunTailScaler(opts TailScalerOptions) (*TailScalerResult, error) {
-	if opts.Scale <= 0 {
-		opts.Scale = 4
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = 2600
-	}
-	if opts.Quantile <= 0 || opts.Quantile >= 1 {
-		opts.Quantile = 0.99
-	}
+// independent simulations fanned across the worker pool. env's recorder
+// and telemetry observe the tail-aware bursty run (so a live
+// introspection server exposes its κ gauges and SLO state); the other
+// two get a telemetry of their own.
+func RunTailScaler(env Env, opts TailScalerOptions) (*TailScalerResult, error) {
+	opts = opts.withDefaults()
 	res := &TailScalerResult{Options: opts}
 
 	type runSpec struct {
-		name      string
-		quantile  float64 // scaler-visible constraint quantile
-		steady    bool
-		recorder  *obs.Recorder
-		telemetry *obs.Telemetry
-		out       *TailScalerVariant
+		name     string
+		quantile float64 // scaler-visible constraint quantile
+		steady   bool
+		env      Env
+		out      *TailScalerVariant
 	}
+	own := func() Env { return Env{Telemetry: obs.NewTelemetry(0)} }
 	specs := []runSpec{
-		{name: "elastic-mean", quantile: 0, out: &res.Mean},
-		{name: "elastic-tail", quantile: opts.Quantile, recorder: opts.Recorder, telemetry: opts.Telemetry, out: &res.Tail},
-		{name: "elastic-tail-steady", quantile: opts.Quantile, steady: true, out: &res.Steady},
+		{name: "elastic-mean", quantile: 0, env: own(), out: &res.Mean},
+		{name: "elastic-tail", quantile: opts.Quantile, env: Env{Recorder: env.Recorder, Telemetry: env.Telemetry}, out: &res.Tail},
+		{name: "elastic-tail-steady", quantile: opts.Quantile, steady: true, env: own(), out: &res.Steady},
 	}
 	err := forEachRun(len(specs), func(i int) error {
 		spec := specs[i]
@@ -122,33 +119,20 @@ func RunTailScaler(opts TailScalerOptions) (*TailScalerResult, error) {
 			tr.Bursts = nil
 			appOpts.Schedule = &tr
 		}
-		scaleTwitterOptions(&appOpts, opts.Scale)
-		cfg, probes, err := apps.BuildTwitterSentiment(appOpts)
-		if err != nil {
-			return fmt.Errorf("experiments: tailscaler %s: %w", spec.name, err)
-		}
-		cfg.Duration = opts.Duration
-		telemetry := spec.telemetry
-		if telemetry == nil {
-			telemetry = obs.NewTelemetry(0)
-		}
-		cfg.Telemetry = telemetry
-		cfg.Recorder = spec.recorder
-		if spec.quantile == 0 {
-			// The mean run's scaler stays tail-blind, but the probes
-			// still measure per-interval p99 fulfillment so the two
-			// variants are compared on the same yardstick.
-			for _, name := range tailScalerProbes {
-				probes.SetQuantile(name, opts.Quantile)
+		telemetry := spec.env.Telemetry
+		out, err := runTweets("tailscaler "+spec.name, appOpts, opts.Scale, opts.Duration, func(cfg *sim.Config, probes *sim.ProbeSet) {
+			spec.env.observe(cfg)
+			if spec.quantile == 0 {
+				// The mean run's scaler stays tail-blind, but the probes
+				// still measure per-interval p99 fulfillment so the two
+				// variants are compared on the same yardstick.
+				for _, name := range tailScalerProbes {
+					probes.SetQuantile(name, opts.Quantile)
+				}
 			}
-		}
-		s, err := sim.New(cfg, probes)
+		})
 		if err != nil {
-			return fmt.Errorf("experiments: tailscaler %s: %w", spec.name, err)
-		}
-		out, err := s.Run()
-		if err != nil {
-			return fmt.Errorf("experiments: tailscaler %s: %w", spec.name, err)
+			return err
 		}
 		v := spec.out
 		v.Name = spec.name
@@ -171,7 +155,6 @@ func RunTailScaler(opts TailScalerOptions) (*TailScalerResult, error) {
 		if v.TailRelErrSamples > 0 {
 			v.TailRelErr = relErrSum / float64(v.TailRelErrSamples)
 		}
-		v.Rows = out.Rows
 		v.Telemetry = telemetry
 		return nil
 	})
@@ -238,23 +221,43 @@ func tailScalerChecks(res *TailScalerResult) CheckList {
 	return checks
 }
 
+// tailScalerRow is the table row: the trade-off as CSV — one line per
+// variant and probe with fulfillment under both semantics and the
+// resource bill — and the tail-aware run's telemetry store.
+func tailScalerRow(env Env) (*Outcome, error) {
+	res, err := RunTailScaler(env, TailScalerQuick())
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{
+		Checks: res.Checks,
+		Lines: []string{
+			fmt.Sprintf("  %s fulfillment gap on %s: %+.0f points; task-hour premium %.2f×",
+				model.QuantileLabel(res.Options.Quantile), res.GapProbe, res.Gap*100, res.TaskHourRatio),
+			fmt.Sprintf("  steady-trace tail model: mean |rel err| %.2f over %d predicted-vs-measured pairs",
+				res.Steady.TailRelErr, res.Steady.TailRelErrSamples),
+		},
+		Artifacts: []Artifact{
+			{File: "tailscaler.csv", Write: res.WriteTailScalerCSV, Note: "3 variants"},
+			TimeseriesJSON("tailscaler_timeseries.json", env.Telemetry),
+		},
+	}, nil
+}
+
 // WriteTailScalerCSV renders the trade-off: one row per variant and
 // probe with fulfillment under both semantics and the resource bill.
-func (r *TailScalerResult) WriteTailScalerCSV(w interface{ Write([]byte) (int, error) }) error {
+func (r *TailScalerResult) WriteTailScalerCSV(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	scale := float64(r.Options.Scale)
-	if _, err := fmt.Fprintln(w, "variant,probe,constraint_quantile,task_hours,scale_ups,scale_downs,mean_fulfillment,tail_fulfillment,mean_ms,p95_ms,p99_ms"); err != nil {
-		return err
-	}
+	fmt.Fprintln(bw, "variant,probe,constraint_quantile,task_hours,scale_ups,scale_downs,mean_fulfillment,tail_fulfillment,mean_ms,p95_ms,p99_ms")
 	for _, v := range []*TailScalerVariant{&r.Mean, &r.Tail, &r.Steady} {
 		for _, name := range tailScalerProbes {
 			p := v.Probes[name]
-			if _, err := fmt.Fprintf(w, "%s,%s,%g,%g,%d,%d,%g,%g,%g,%g,%g\n",
+			fmt.Fprintf(bw, "%s,%s,%g,%g,%d,%d,%g,%g,%g,%g,%g\n",
 				v.Name, name, v.Quantile, v.TaskHours*scale, v.ScaleUps, v.ScaleDown,
 				p.Fulfillment, p.TailFulfillment,
-				p.Mean*1000, p.P95*1000, p.P99*1000); err != nil {
-				return err
-			}
+				p.Mean*1000, p.P95*1000, p.P99*1000)
 		}
 	}
-	return nil
+	return bw.Flush()
 }

@@ -17,7 +17,7 @@ import (
 // must resolve a tail violation the mean-constrained scaler never
 // reacts to.
 func TestTailScalerReproduction(t *testing.T) {
-	res, err := RunTailScaler(TailScalerQuick())
+	res, err := RunTailScaler(NewEnv(), TailScalerQuick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,7 @@ func TestTailScalerPurity(t *testing.T) {
 		appOpts := apps.DefaultTwitterSentimentOptions()
 		appOpts.Seed = 1
 		appOpts.ConstraintQuantile = 0.99
-		scaleTwitterOptions(&appOpts, 4)
-		cfg, probes, err := apps.BuildTwitterSentiment(appOpts)
+		cfg, probes, err := apps.BuildTwitterSentiment(apps.ScaleTwitterSentimentOptions(appOpts, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,8 @@ type Probe struct {
 	adj   metrics.Mean   // per adjustment interval
 	adjSk *sketch.Sketch // per adjustment interval (tail fulfillment)
 
-	rec    metrics.Mean       // per record interval
-	recRes *metrics.Reservoir // per record interval (raw samples)
-	recSk  *sketch.Sketch     // per record interval (p95)
+	rec   metrics.Mean   // per record interval
+	recSk *sketch.Sketch // per record interval (p95)
 
 	// fulfillment counters over adjustment intervals with data.
 	intervals     int
@@ -65,7 +64,6 @@ func (p *Probe) Record(latency float64) {
 	p.adj.Add(latency)
 	p.rec.Add(latency)
 	p.total.Add(latency)
-	p.recRes.Add(latency)
 	p.all.Add(latency)
 	sketch.AddAll(latency, p.adjSk, p.recSk, p.allSk) // equal α: one bucket lookup
 	if p.Tap != nil {
@@ -96,13 +94,12 @@ func (p *Probe) AdjSnapshot() {
 
 // RecSnapshot closes one record interval and returns (count, mean, p95).
 // The p95 comes from the interval's quantile sketch (deterministic,
-// ≤1% relative error); the raw-sample reservoir is reset alongside it.
+// ≤1% relative error).
 func (p *Probe) RecSnapshot() (count int64, mean, p95 float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	count, mean = p.rec.Take()
 	p95 = p.recSk.Quantile(0.95)
-	p.recRes.Reset()
 	p.recSk.Reset()
 	return count, mean, p95
 }
@@ -210,19 +207,21 @@ type ProbeSet struct {
 func NewProbeSet() *ProbeSet { return NewProbeSetSeeded(1) }
 
 // NewProbeSetSeeded returns an empty probe set whose reservoir sampling
-// is derived from seed. Each probe's reservoirs are seeded from the set
-// seed mixed with a hash of the probe name, so sampling is a pure
+// is derived from seed. Each probe's run-wide reservoir is seeded from
+// the set seed mixed with a hash of the probe name, so sampling is a pure
 // function of (seed, name) — independent of the order in which probes
 // are first requested.
 func NewProbeSetSeeded(seed int64) *ProbeSet {
 	return &ProbeSet{seed: seed, probes: make(map[string]*Probe)}
 }
 
-// probeSeed derives a per-probe, per-purpose reservoir seed.
-func (ps *ProbeSet) probeSeed(name string, purpose uint64) int64 {
+// probeSeed derives the named probe's reservoir seed. The constant is
+// what the run-wide reservoir has always mixed in: changing it reshuffles
+// TotalSamples and with it every committed bench fingerprint.
+func (ps *ProbeSet) probeSeed(name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return ps.seed ^ int64(h.Sum64()^(purpose*0x9e3779b97f4a7c15))
+	return ps.seed ^ int64(h.Sum64()^0x3c6ef372fe94f82a)
 }
 
 // Probe returns (creating on first use) the named probe.
@@ -232,12 +231,11 @@ func (ps *ProbeSet) Probe(name string) *Probe {
 	p, ok := ps.probes[name]
 	if !ok {
 		p = &Probe{
-			Name:   name,
-			adjSk:  sketch.NewDefault(),
-			recRes: metrics.NewReservoir(4096, rand.New(rand.NewSource(ps.probeSeed(name, 1)))),
-			recSk:  sketch.NewDefault(),
-			all:    metrics.NewReservoir(16384, rand.New(rand.NewSource(ps.probeSeed(name, 2)))),
-			allSk:  sketch.NewDefault(),
+			Name:  name,
+			adjSk: sketch.NewDefault(),
+			recSk: sketch.NewDefault(),
+			all:   metrics.NewReservoir(16384, rand.New(rand.NewSource(ps.probeSeed(name)))),
+			allSk: sketch.NewDefault(),
 		}
 		ps.probes[name] = p
 	}

@@ -171,9 +171,9 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 
 	// Locate the edge with the largest batch residue (shrink candidate;
 	// edges with substantially busy producers are protected — see
-	// batchProducerBusyRho — unless every edge is protected) and the
-	// smallest-wait edge that still has room to grow (growth candidate;
-	// edges already at the cap cannot absorb more budget).
+	// batchProducerBusyRho — unless every edge is protected) and whether
+	// any edge still has room to grow (edges already at the cap cannot
+	// absorb more budget).
 	producerBusy := func(key model.EdgeKey) bool {
 		ps, ok := s.Vertices[key.Source]
 		return ok && ps.Utilization() >= batchProducerBusyRho
@@ -181,9 +181,7 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 	worst := edges[0]
 	worstW := -1.0
 	haveUnprotected := false
-	hasBest := false
-	var best model.EdgeKey
-	bestW := math.Inf(1)
+	canGrow := false
 	for _, key := range edges {
 		busy := producerBusy(key)
 		r := residues[key]
@@ -197,9 +195,8 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 		case busy && !haveUnprotected && r > worstW:
 			worst, worstW = key, r
 		}
-		if w := s.Edges[key].QueueWait(); w < bestW && state[key] < limit*(1-1e-9) {
-			best, bestW = key, w
-			hasBest = true
+		if state[key] < limit*(1-1e-9) {
+			canGrow = true
 		}
 	}
 	// A genuine bottleneck shows as near-saturated utilization somewhere
@@ -277,7 +274,7 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 		if state[worst] < batchGrowFloor/4 {
 			state[worst] = 0
 		}
-	case slack > 0 && hasBest:
+	case slack > 0 && canGrow:
 		// Room to batch more: grow every low-residue edge with room,
 		// bounded by the shared slack and the per-edge cap. The cap
 		// derives from the bound's slack over the fixed task latencies
@@ -302,7 +299,6 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 			state[key] = dl
 		}
 	}
-	_ = best
 	return state
 }
 
