@@ -151,7 +151,7 @@ func (e *emitter) runSourceShard() {
 			cost := end.Sub(now)
 			t.busyNs.Add(int64(cost))
 			per := cost.Seconds() / float64(burst)
-			e.reporter.RecordArrivalN(nowSeconds(now), 0, burst)
+			e.reporter.RecordArrivalN(elapsed, 0, burst) // the execution's base, like task.account
 			e.reporter.RecordServiceN(per, burst)
 			ex.emitted.Add(int64(burst))
 			t.processed.Add(int64(burst))

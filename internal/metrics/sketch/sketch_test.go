@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -323,5 +324,61 @@ func TestSketchQuantileBoundaries(t *testing.T) {
 		if got := empty.Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %g, want 0", q, got)
 		}
+	}
+}
+
+// benchValues is 4096 seeded samples log-uniform over [lo, hi].
+func benchValues(lo, hi float64) []float64 {
+	rng := rand.New(rand.NewSource(3))
+	vs := make([]float64, 4096)
+	for i := range vs {
+		vs[i] = lo * math.Exp(rng.Float64()*math.Log(hi/lo))
+	}
+	return vs
+}
+
+var benchRanges = []struct {
+	name   string
+	lo, hi float64
+}{
+	{"narrow", 0.005, 0.015},  // ±50 % around 10 ms: a steady hop latency
+	{"sixdecades", 1e-6, 1.0}, // every mantissa cell, thousands of buckets
+}
+
+// BenchmarkSketchAdd is the record path of one sketch: bucket lookup and
+// counter increment, the window warm, nothing allocated.
+func BenchmarkSketchAdd(b *testing.B) {
+	for _, alpha := range []float64{0.01, 0.001} {
+		for _, r := range benchRanges {
+			b.Run(fmt.Sprintf("alpha=%g/%s", alpha, r.name), func(b *testing.B) {
+				s, vs := New(alpha), benchValues(r.lo, r.hi)
+				for _, v := range vs {
+					s.Add(v)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Add(vs[i&4095])
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSketchAddAll is the probe's shape: one latency into an
+// interval, a run and a window sketch of one accuracy.
+func BenchmarkSketchAddAll(b *testing.B) {
+	for _, r := range benchRanges {
+		b.Run(r.name, func(b *testing.B) {
+			s1, s2, s3, vs := New(0.001), New(0.001), New(0.001), benchValues(r.lo, r.hi)
+			for _, v := range vs {
+				AddAll(v, s1, s2, s3)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AddAll(vs[i&4095], s1, s2, s3)
+			}
+		})
 	}
 }

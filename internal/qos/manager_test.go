@@ -216,3 +216,30 @@ func TestTaskReporterWeightedRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskReporterSourceRoundsSubMicrosecond is the source lane's shape: a
+// saturated shard books one burst per pacing round, rounds a fraction of a
+// microsecond apart. With arrival times counted from the execution's start
+// every round is a distinct, later instant and evenly paced rounds read as
+// evenly paced (c_A ≈ 0); as float64 Unix seconds, which resolve 238 ns,
+// the same rounds collapse onto a 0/238/477 ns grid and read as bursty.
+func TestTaskReporterSourceRoundsSubMicrosecond(t *testing.T) {
+	const rounds, spacing = 2000, 150e-9
+	run := func(base float64) TaskReport {
+		r := NewTaskReporter(taskID("src", 0))
+		for k := 0; k < rounds; k++ {
+			r.RecordArrivalN(base+float64(k)*spacing, 0, 1)
+		}
+		return r.Flush()
+	}
+	rep := run(3600) // an hour into the execution
+	if rep.InterarrivalCount != rounds-1 {
+		t.Fatalf("%d interarrival samples, want %d: an arrival went backwards", rep.InterarrivalCount, rounds-1)
+	}
+	if !almostEqual(rep.InterarrivalMean, spacing, 1e-3*spacing) || rep.InterarrivalCV > 0.01 {
+		t.Errorf("execution base: interarrival mean %g CV %g, want %g and ≈ 0", rep.InterarrivalMean, rep.InterarrivalCV, spacing)
+	}
+	if unix := run(1.79e9); unix.InterarrivalCV < 0.5 {
+		t.Errorf("Unix base: interarrival CV %g, expected the 238 ns grid to read as ≥ 0.5", unix.InterarrivalCV)
+	}
+}
