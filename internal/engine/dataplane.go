@@ -10,13 +10,14 @@ import (
 
 // dataplaneScraper derives one obs.DataplaneSnapshot per adjustment
 // interval from the sharded data plane's cumulative counters: ring
-// push/stall/pop totals per edge, emitter pacing per source shard, the
-// flush wheel's fire/park accounting and the batch pool's hit/miss
-// counts. It runs on the master goroutine only; all cross-goroutine
-// reads go through the counters' own atomic (or mutex) snapshots, so
-// sampling adds no synchronization to the hot path. The per-edge rates
-// are derived by obs.DataplaneRates, shared with the simulator; the
-// lane, wheel and pool deltas below exist only here.
+// push/stall/pop totals per edge, emitter pacing per source shard,
+// park/wake totals per consumer vertex, the flush wheel's fire/park
+// accounting and the batch pool's hit/miss counts. It runs on the master
+// goroutine only; all cross-goroutine reads go through the counters' own
+// atomic (or mutex) snapshots, so sampling adds no synchronization to
+// the hot path. The per-edge rates are derived by obs.DataplaneRates,
+// shared with the simulator; the lane, wheel and pool deltas below exist
+// only here.
 type dataplaneScraper struct {
 	lastAt    time.Time
 	rates     obs.DataplaneRates
@@ -48,12 +49,16 @@ func (ex *execution) scrapeDataplane() {
 
 	ex.mu.Lock()
 	// Per-edge ring walk: every producer emitter's gates hold the rings
-	// into each consumer; aggregate them per job edge.
+	// into each consumer; aggregate them per job edge. Consumer vertices'
+	// park/wake totals ride along.
 	edges := make(map[model.EdgeKey]*obs.DataplaneEdge)
 	var busy []obs.TaskBusy
 	for _, name := range ex.order {
+		consumer := obs.DataplaneConsumer{Vertex: name}
 		for _, t := range ex.vertices[name].tasks {
 			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: float64(t.busyNs.Load()) / 1e9})
+			consumer.Parks += t.parks.Load()
+			consumer.Wakes += t.wakes.Load()
 			for _, e := range t.emitters {
 				for _, g := range e.gates {
 					de := edges[g.edge]
@@ -73,6 +78,9 @@ func (ex *execution) scrapeDataplane() {
 					}
 				}
 			}
+		}
+		if _, isSource := ex.spec.sources[name]; !isSource {
+			snap.Consumers = append(snap.Consumers, consumer)
 		}
 	}
 

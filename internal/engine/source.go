@@ -58,9 +58,12 @@ func (t *task) runSource() {
 	}
 }
 
-// spinWait is the pacing threshold below which a source shard busy-
-// polls instead of parking on a timer: OS timer granularity would
-// otherwise cap the emission rate at a few thousand rounds per second.
+// spinWait is the wait below which every engine loop spins instead of
+// parking: a source shard compares its schedule's next emission with
+// it, a consumer its predicted input gap (idleGap). Parking on a shorter
+// wait costs more than the wait: OS timer granularity would cap a
+// source's emission rate at a few thousand rounds per second, and a
+// wake costs a consumer up to hundreds of µs on a loaded host.
 const spinWait = 100 * time.Microsecond
 
 // maxBurst bounds how many emissions one pacing round performs, so

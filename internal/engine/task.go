@@ -97,21 +97,25 @@ type task struct {
 
 	// align counts inbound checkpoint barriers (task-goroutine-only).
 	align ckpt.Aligner
-	// The alignment state shrank by 16 bytes when it moved to ckpt; this
-	// keeps the struct at 368 bytes, i.e. in the 384-byte allocation class
-	// whose objects start on a cache line. One class down, consecutive
-	// tasks share a line between one's busyNs/parks/wakes and the next
-	// one's read-mostly head (measured on steady-adaptive, EXPERIMENTS.md).
-	_ [16]byte
+	// idle predicts the consumer's next wait for input, which decides
+	// spin or park (run; task-goroutine-only).
+	idle idleGap
+	// The alignment state shrank by 16 bytes when it moved to ckpt; idle
+	// and this pad keep the struct at 368 bytes, i.e. in the 384-byte
+	// allocation class whose objects start on a cache line. One class
+	// down, consecutive tasks share a line between one's
+	// busyNs/parks/wakes and the next one's read-mostly head (measured on
+	// steady-adaptive, EXPERIMENTS.md). TestTaskSizeClass pins the class.
+	_ [8]byte
 
 	// busyNs integrates UDF time for utilization reporting.
 	busyNs atomic.Int64
 
 	// parks counts consumer park transitions (entered blocked state);
 	// wakes counts producer pokes delivered to a parked consumer. Both
-	// feed the data-plane sampler and sit off the per-record path: a
-	// park costs idleSpins empty scans first, a wake only fires on the
-	// parked transition.
+	// are summed per consumer vertex by the data-plane scraper and sit
+	// off the per-record path: a park ends an idle episode, a wake only
+	// fires on the parked transition.
 	parks atomic.Int64
 	wakes atomic.Int64
 
@@ -192,8 +196,9 @@ type emitter struct {
 	ctx Context
 }
 
-// idleSpins is how many empty polls a consumer or source loop burns
-// (with Gosched) before parking on its wake channel.
+// idleSpins is how many empty polls a consumer burns (with Gosched)
+// before parking on its wake channel when it predicts a wait shorter
+// than spinWait.
 const idleSpins = 64
 
 // shipSpins is how many failed pushes a producer burns before backing

@@ -208,9 +208,36 @@ func (t *task) parkTimeout() time.Duration {
 	return t.ex.cfg.MeasurementInterval
 }
 
+// idleGap predicts how long a consumer will wait for its next input: an
+// EWMA, weight 1/8, of the idle gaps it observed, each from the scan
+// that found its rings empty to the ship time of the next batch. The
+// ship stamp is the producer's clock, so the prediction excludes the
+// consumer's own wake latency and parking cannot feed itself. The zero
+// value predicts no wait.
+type idleGap struct{ ewma time.Duration }
+
+// observe folds one idle gap into the prediction. A batch stamped before
+// the episode began (stale producer clock) counts as no gap, and no gap
+// counts for more than gapCap.
+func (g *idleGap) observe(gap time.Duration) {
+	g.ewma += (min(max(gap, 0), gapCap) - g.ewma) / 8
+}
+
+// gapCap bounds one gap's weight in the prediction, so that a single
+// host stall cannot flip a consumer on fast input to parking: from a
+// prediction of 10 µs it takes two gaps of gapCap or longer in a row to
+// reach spinWait.
+const gapCap = 4 * spinWait
+
+// park reports whether the predicted wait is one to park on right away:
+// spinWait or longer, the threshold source lanes apply to their
+// schedule.
+func (g idleGap) park() bool { return g.ewma >= spinWait }
+
 // run is the worker-task main loop: poll the input rings round-robin,
-// process, then spin briefly and park. A panicking UDF does not crash
-// the process: the supervisor defer (LIFO: it runs before taskDone)
+// process, then — unless the idle gap it predicts is spinWait or longer
+// — spin briefly, and park. A panicking UDF does not crash the
+// process: the supervisor defer (LIFO: it runs before taskDone)
 // reports the crash to the master, which unroutes the dead task and
 // schedules a backoff-delayed replacement.
 func (t *task) run() {
@@ -237,6 +264,9 @@ func (t *task) run() {
 	e.now = t.now
 	lastItem := t.now
 	spins := 0
+	// idleSince is when the first scan of the current idle episode found
+	// the rings empty (the task's last clock read); zero while busy.
+	var idleSince time.Time
 	for {
 		if t.quitClosed() {
 			return
@@ -258,6 +288,10 @@ func (t *task) run() {
 						sawClosed = true
 					}
 					break
+				}
+				if !idleSince.IsZero() {
+					t.idle.observe(b.shipped.Sub(idleSince))
+					idleSince = time.Time{}
 				}
 				if b.barrier != 0 {
 					t.onBarrier(b)
@@ -313,8 +347,11 @@ func (t *task) run() {
 			spins = 0
 			continue
 		}
+		if idleSince.IsZero() {
+			idleSince = t.now
+		}
 		spins++
-		if spins < idleSpins {
+		if spins < idleSpins && !t.idle.park() {
 			runtime.Gosched()
 			continue
 		}

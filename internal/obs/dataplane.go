@@ -1,11 +1,12 @@
 package obs
 
 // The data-plane X-ray: both runtimes sample their queueing layer once
-// per adjustment interval — ring counters, emitter pacing, flush-wheel
-// and batch-pool state in the engine; the mirrored queue-depth walk in
-// the simulator — into a DataplaneSnapshot. Telemetry.ObserveDataplane
-// classifies each edge's backpressure state, publishes the gauges, and
-// keeps the latest snapshot for /dataplane and the SSE dashboard.
+// per adjustment interval — ring counters, emitter pacing, consumer
+// parking, flush-wheel and batch-pool state in the engine; the mirrored
+// queue-depth walk in the simulator — into a DataplaneSnapshot.
+// Telemetry.ObserveDataplane classifies each edge's backpressure state,
+// publishes the gauges, and keeps the latest snapshot for /dataplane and
+// the SSE dashboard.
 
 // DataplaneEdge is one job edge's sampled data-plane state, aggregated
 // over every producer-lane ring feeding the edge. Counter fields
@@ -66,6 +67,15 @@ type DataplaneShard struct {
 	Wakes        int64   `json:"wakes"`
 }
 
+// DataplaneConsumer is one consumer vertex's idle behaviour: park
+// transitions of its tasks and producer wakes delivered to them, summed
+// over its live tasks (cumulative).
+type DataplaneConsumer struct {
+	Vertex string `json:"vertex"`
+	Parks  int64  `json:"parks"`
+	Wakes  int64  `json:"wakes"`
+}
+
 // DataplaneWheel is the flush-timer wheel's sampled state.
 type DataplaneWheel struct {
 	Fires int64 `json:"fires"`
@@ -96,10 +106,11 @@ type DataplaneSnapshot struct {
 	// over.
 	IntervalSeconds float64 `json:"interval_seconds"`
 
-	Edges  []DataplaneEdge      `json:"edges"`
-	Shards []DataplaneShard     `json:"shards,omitempty"`
-	Wheel  *DataplaneWheel      `json:"wheel,omitempty"`
-	Pool   []DataplanePoolShard `json:"pool,omitempty"`
+	Edges     []DataplaneEdge      `json:"edges"`
+	Shards    []DataplaneShard     `json:"shards,omitempty"`
+	Consumers []DataplaneConsumer  `json:"consumers,omitempty"`
+	Wheel     *DataplaneWheel      `json:"wheel,omitempty"`
+	Pool      []DataplanePoolShard `json:"pool,omitempty"`
 
 	// Backpressure is the monitor's per-edge classification, sorted by
 	// edge name.
@@ -230,6 +241,9 @@ func (t *Telemetry) ObserveDataplane(snap DataplaneSnapshot, rec *Recorder) {
 	}
 	for _, sh := range snap.Shards {
 		t.dpShards.set(now, sh, shardKey{sh.Vertex, sh.Task, sh.Shard})
+	}
+	for _, c := range snap.Consumers {
+		t.dpParking.set(now, c, c.Vertex)
 	}
 	if snap.Wheel != nil {
 		t.dpWheel.set(now, *snap.Wheel, struct{}{})

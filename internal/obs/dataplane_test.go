@@ -99,8 +99,9 @@ func TestObserveDataplane(t *testing.T) {
 			PushRate: 100, PopRate: 99, StallRate: 20, StallFrac: 0.17,
 			OccupancyFrac: 0.75, ConsumerBusy: 0.95,
 		}},
-		Wheel: &DataplaneWheel{Fires: 7, Armed: 2, ParkedFrac: 0.5},
-		Pool:  []DataplanePoolShard{{Shard: 0, Hits: 10, Misses: 2, HitRate: 10.0 / 12}},
+		Consumers: []DataplaneConsumer{{Vertex: "work", Parks: 42, Wakes: 40}},
+		Wheel:     &DataplaneWheel{Fires: 7, Armed: 2, ParkedFrac: 0.5},
+		Pool:      []DataplanePoolShard{{Shard: 0, Hits: 10, Misses: 2, HitRate: 10.0 / 12}},
 	}, nil)
 
 	dp := tel.Dataplane()
@@ -122,6 +123,8 @@ func TestObserveDataplane(t *testing.T) {
 		`nephelix_dataplane_backpressure_state{edge="src->work"} 2`,
 		"nephelix_dataplane_wheel_parked_frac 0.5",
 		`nephelix_dataplane_pool_hit_rate{shard="0"}`,
+		`nephelix_dataplane_consumer_parks_total{vertex="work"} 42`,
+		`nephelix_dataplane_consumer_wakes_total{vertex="work"} 40`,
 		"# HELP nephelix_dataplane_ring_occupancy Summed SPSC ring occupancy",
 	} {
 		if !strings.Contains(body, want) {

@@ -77,6 +77,11 @@ var dataplaneShardRows = []row[DataplaneShard]{
 	{"nephelix_dataplane_shard_parks_total", "Cumulative park transitions of one source emitter shard.", func(s *DataplaneShard) float64 { return float64(s.Parks) }},
 }
 
+var dataplaneConsumerRows = []row[DataplaneConsumer]{
+	{"nephelix_dataplane_consumer_parks_total", "Cumulative park transitions of a consumer vertex's live tasks.", func(c *DataplaneConsumer) float64 { return float64(c.Parks) }},
+	{"nephelix_dataplane_consumer_wakes_total", "Cumulative producer wakes delivered to a consumer vertex's parked tasks.", func(c *DataplaneConsumer) float64 { return float64(c.Wakes) }},
+}
+
 var dataplaneWheelRows = []row[DataplaneWheel]{
 	{"nephelix_dataplane_wheel_fires_total", "Cumulative flush-timer-wheel fires.", func(w *DataplaneWheel) float64 { return float64(w.Fires) }},
 	{"nephelix_dataplane_wheel_armed", "Flush-wheel entries currently armed.", func(w *DataplaneWheel) float64 { return float64(w.Armed) }},
@@ -113,6 +118,7 @@ func (t *Telemetry) declare(st *ts.Store) {
 	t.slos = newGauges(st, sloRows, func(c string) []string { return []string{c} }, "constraint")
 	t.dpEdges = newGauges(st, dataplaneEdgeRows, func(e string) []string { return []string{e} }, "edge")
 	t.dpShards = newGauges(st, dataplaneShardRows, func(k shardKey) []string { return []string{k.vertex, k.task, strconv.Itoa(k.shard)} }, "vertex", "task", "shard")
+	t.dpParking = newGauges(st, dataplaneConsumerRows, func(v string) []string { return []string{v} }, "vertex")
 	t.dpWheel = newGauges[struct{}](st, dataplaneWheelRows, nil)
 	t.dpPool = newGauges(st, dataplanePoolRows, func(shard int) []string { return []string{strconv.Itoa(shard)} }, "shard")
 	t.goRuntime = newGauges[struct{}](st, goRows, nil)

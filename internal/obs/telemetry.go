@@ -70,6 +70,7 @@ type Telemetry struct {
 	goRuntime gauges[struct{}, goSample]
 	dpEdges   gauges[string, DataplaneEdge]
 	dpShards  gauges[shardKey, DataplaneShard]
+	dpParking gauges[string, DataplaneConsumer]
 	dpWheel   gauges[struct{}, DataplaneWheel]
 	dpPool    gauges[int, DataplanePoolShard]
 	dpLast    *DataplaneSnapshot
