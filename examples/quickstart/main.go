@@ -18,6 +18,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nephelix/internal/engine"
@@ -119,7 +120,8 @@ func run() error {
 	pr.BoundSeconds = constraint.Bound.Seconds()
 
 	cnt := &counter{mu: &sync.Mutex{}, counts: make(map[string]int), probe: pr}
-	var emitted int
+	// Emit runs on every source shard goroutine at once.
+	var emitted atomic.Int64
 
 	// Load: 8 s ramp from 100 to 500 sentences/s and back.
 	sched := &workload.StepSchedule{
@@ -134,9 +136,9 @@ func run() error {
 			Schedule:          sched,
 			SampleProbability: 0.5,
 			Emit: func(ctx *engine.Context) {
-				emitted++
+				n := emitted.Add(1)
 				ctx.Emit(0, engine.Record{
-					Value:    sentences[emitted%len(sentences)],
+					Value:    sentences[n%int64(len(sentences))],
 					EmitTime: time.Now(),
 					Sampled:  ctx.Sample(),
 				})
@@ -172,7 +174,7 @@ func run() error {
 
 	fulfilled, intervals := pr.Fulfillment()
 	ups, downs := exec.ScaleEvents()
-	fmt.Printf("\ndone: %d sentences emitted, %d distinct words\n", emitted, len(cnt.counts))
+	fmt.Printf("\ndone: %d sentences emitted, %d distinct words\n", emitted.Load(), len(cnt.counts))
 	fmt.Printf("constraint %s met in %.0f%% of %d adjustment intervals\n",
 		constraint.Bound, fulfilled*100, intervals)
 	fmt.Printf("mean latency %.1f ms, p95 %.1f ms; scale-ups=%d scale-downs=%d, task-hours=%.4f\n",

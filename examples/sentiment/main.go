@@ -1,11 +1,12 @@
 // Sentiment: the paper's TwitterSentiment job (Section V-B) at laptop
-// scale on the live engine, with real JSON tweets, windowed hot-topic
-// aggregation and lexicon sentiment scoring.
+// scale on the live engine. The operators, graph and constraints are the
+// ones the simulator runs (internal/apps); here the tweets carry text,
+// which the Sentiment vertex scores with the lexicon classifier.
 //
 // Topology (Figure 7):
 //
 //	TweetSource ─e1→ Filter ─e2→ Sentiment ─e3→ Sink
-//	     └──e4→ HotTopics ─e5→ Merger ─e6 (broadcast)→ Filter
+//	     └──e4→ HotTopics ─e5→ HotTopicsMerger ─e6 (broadcast)→ Filter
 //
 // Two latency constraints are enforced: 400 ms on the hot-topics path
 // (window-dominated) and 60 ms on the filter→sentiment path. The elastic
@@ -21,312 +22,43 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
+	"nephelix/internal/apps"
 	"nephelix/internal/engine"
-	"nephelix/internal/model"
-	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
+	opts := apps.DefaultTwitterSentimentOptions()
+	opts.Sources, opts.InitialHT, opts.InitialFilter, opts.InitialSentiment, opts.MaxElastic = 1, 1, 1, 1, 6
+	opts.Topics, opts.HotK, opts.SampleProbability = 60, 5, 0.3
+	opts.Bound1, opts.Bound2 = 400*time.Millisecond, 60*time.Millisecond
+	opts.Schedule = &workload.DiurnalSchedule{BaseRate: 60, DailyAmplitude: 240, CycleLength: 6, Length: 15, NoiseAmplitude: 0.1, Seed: 7,
+		Bursts: []workload.Burst{{Start: 7, Length: 3, ExtraRate: 250, Topic: 3}}}
+	spec, probes, err := apps.TwitterSentimentSpec(opts)
+	check(err)
+	exec, err := engine.New(engine.Config{Elastic: true, MeasurementInterval: 200 * time.Millisecond, AdjustmentInterval: time.Second}).Submit(spec, probes)
+	check(err)
+	hot, sent := probes.Probe(apps.HotTopicsProbe), probes.Probe(apps.SentimentProbe)
+	fmt.Println("replaying synthetic tweet trace (≈15 s, burst on #topic003 mid-run)...")
+	for start := time.Now(); !exec.Done(); time.Sleep(2 * time.Second) {
+		fmt.Printf("  t=%-4s HT=%d F=%d S=%d  hot-path=%.0f ms  sentiment-path=%.1f ms\n", time.Since(start).Round(time.Second),
+			exec.Parallelism(apps.TSHotTopics), exec.Parallelism(apps.TSFilter), exec.Parallelism(apps.TSSentiment),
+			hot.TotalMean()*1000, sent.TotalMean()*1000)
+	}
+	check(exec.Wait(context.Background()))
+	f1, n1 := hot.Fulfillment()
+	f2, n2 := sent.Fulfillment()
+	ups, downs := exec.ScaleEvents()
+	fmt.Printf("\nconstraint 1 (hot topics, %v): met %.0f%% of %d intervals, mean %.0f ms\n", opts.Bound1, f1*100, n1, hot.TotalMean()*1000)
+	fmt.Printf("constraint 2 (sentiment, %v):  met %.0f%% of %d intervals, mean %.1f ms\n", opts.Bound2, f2*100, n2, sent.TotalMean()*1000)
+	fmt.Printf("%d tweets emitted, %d scored tweets sampled; scale-ups %d, scale-downs %d\n", exec.Emitted(), sent.TotalCount(), ups, downs)
+}
+
+func check(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sentiment:", err)
 		os.Exit(1)
 	}
-}
-
-// hotTopics counts topics over 200 ms windows and forwards its partial
-// top-5 per window. The emitted list inherits the oldest sampled tweet's
-// emit time so the sequence latency of the window path stays measurable
-// across the aggregation (read-write semantics).
-type hotTopics struct {
-	counts  map[string]int
-	oldest  time.Time
-	sampled bool
-}
-
-func (h *hotTopics) Process(_ *engine.Context, rec engine.Record) {
-	tweet := rec.Value.(workload.Tweet)
-	for _, topic := range tweet.Topics {
-		h.counts[topic]++
-	}
-	if rec.Sampled && (!h.sampled || rec.EmitTime.Before(h.oldest)) {
-		h.oldest = rec.EmitTime
-		h.sampled = true
-	}
-}
-
-func (h *hotTopics) TimerInterval() time.Duration { return 200 * time.Millisecond }
-
-func (h *hotTopics) OnTimer(ctx *engine.Context) {
-	if len(h.counts) == 0 {
-		return
-	}
-	ctx.Emit(0, engine.Record{
-		Value:    topKTopics(h.counts, 5),
-		EmitTime: h.oldest,
-		Sampled:  h.sampled,
-	})
-	h.counts = make(map[string]int)
-	h.sampled = false
-}
-
-// merger merges partial lists on receipt and broadcasts the global top-5.
-type merger struct {
-	weights map[string]float64
-}
-
-func (m *merger) Process(ctx *engine.Context, rec engine.Record) {
-	for t, w := range m.weights {
-		if w *= 0.9; w < 0.05 {
-			delete(m.weights, t)
-		} else {
-			m.weights[t] = w
-		}
-	}
-	partial := rec.Value.([]string)
-	for rank, topic := range partial {
-		m.weights[topic] += float64(len(partial) - rank)
-	}
-	top := make(map[string]int, len(m.weights))
-	for t, w := range m.weights {
-		top[t] = int(w * 100)
-	}
-	out := rec
-	out.Value = topKTopics(top, 5)
-	ctx.Emit(0, out)
-}
-
-// filter matches tweets against the latest global hot list; list records
-// also terminate the hot-topics constraint.
-type filter struct {
-	hot      map[string]bool
-	hotProbe *probe.Probe
-}
-
-func (f *filter) Process(ctx *engine.Context, rec engine.Record) {
-	switch v := rec.Value.(type) {
-	case []string:
-		f.hot = make(map[string]bool, len(v))
-		for _, t := range v {
-			f.hot[t] = true
-		}
-		if rec.Sampled {
-			f.hotProbe.Record(time.Since(rec.EmitTime).Seconds())
-		}
-	case []byte: // JSON tweet line, as replayed from the dataset
-		tweet, err := workload.DecodeTweet(v)
-		if err != nil {
-			return
-		}
-		for _, topic := range tweet.Topics {
-			if f.hot[topic] {
-				out := rec
-				out.Value = tweet
-				ctx.Emit(0, out)
-				return
-			}
-		}
-	}
-}
-
-// sentiment scores matching tweets with the lexicon classifier.
-type sentiment struct{}
-
-func (sentiment) Process(ctx *engine.Context, rec engine.Record) {
-	tweet := rec.Value.(workload.Tweet)
-	out := rec
-	out.Value = scored{topic: tweet.Topics[0], s: workload.ScoreSentiment(tweet.Text)}
-	ctx.Emit(0, out)
-}
-
-type scored struct {
-	topic string
-	s     workload.Sentiment
-}
-
-// sink aggregates per-topic sentiment and terminates constraint 2.
-type sink struct {
-	mu    *sync.Mutex
-	tally map[string][3]int
-	probe *probe.Probe
-}
-
-func (s *sink) Process(_ *engine.Context, rec engine.Record) {
-	sc := rec.Value.(scored)
-	s.mu.Lock()
-	t := s.tally[sc.topic]
-	t[int(sc.s)-1]++
-	s.tally[sc.topic] = t
-	s.mu.Unlock()
-	if rec.Sampled {
-		s.probe.Record(time.Since(rec.EmitTime).Seconds())
-	}
-}
-
-func topKTopics(counts map[string]int, k int) []string {
-	type kv struct {
-		t string
-		n int
-	}
-	all := make([]kv, 0, len(counts))
-	for t, n := range counts {
-		all = append(all, kv{t, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].t < all[j].t
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := range out {
-		out[i] = all[i].t
-	}
-	return out
-}
-
-func run() error {
-	g := model.NewJobGraph()
-	for _, v := range []model.JobVertex{
-		{Name: "TweetSource", Parallelism: 1, MinParallelism: 1, MaxParallelism: 1},
-		{Name: "HotTopics", Parallelism: 1, MinParallelism: 1, MaxParallelism: 4, LatencyMode: model.LatencyReadWrite},
-		{Name: "Merger", Parallelism: 1, MinParallelism: 1, MaxParallelism: 1},
-		{Name: "Filter", Parallelism: 1, MinParallelism: 1, MaxParallelism: 4},
-		{Name: "Sentiment", Parallelism: 1, MinParallelism: 1, MaxParallelism: 6},
-		{Name: "Sink", Parallelism: 1, MinParallelism: 1, MaxParallelism: 1},
-	} {
-		if err := g.AddVertex(v); err != nil {
-			return err
-		}
-	}
-	for _, e := range []struct {
-		src, dst string
-		pattern  model.WiringPattern
-	}{
-		{"TweetSource", "Filter", model.PatternRoundRobin},
-		{"TweetSource", "HotTopics", model.PatternRoundRobin},
-		{"HotTopics", "Merger", model.PatternRoundRobin},
-		{"Merger", "Filter", model.PatternBroadcast},
-		{"Filter", "Sentiment", model.PatternRoundRobin},
-		{"Sentiment", "Sink", model.PatternRoundRobin},
-	} {
-		if err := g.AddEdge(e.src, e.dst, e.pattern); err != nil {
-			return err
-		}
-	}
-
-	seq1, err := model.ParseSequence(g, "TweetSource->HotTopics", "HotTopics",
-		"HotTopics->Merger", "Merger", "Merger->Filter", "Filter")
-	if err != nil {
-		return err
-	}
-	seq2, err := model.ParseSequence(g, "TweetSource->Filter", "Filter",
-		"Filter->Sentiment", "Sentiment", "Sentiment->Sink")
-	if err != nil {
-		return err
-	}
-	c1 := &model.Constraint{Name: "hot-topics", Sequence: seq1, Bound: 400 * time.Millisecond, Window: 5 * time.Second}
-	c2 := &model.Constraint{Name: "sentiment", Sequence: seq2, Bound: 60 * time.Millisecond, Window: 5 * time.Second}
-
-	probes := probe.NewProbeSet()
-	hotProbe := probes.Probe("hot-topics")
-	hotProbe.BoundSeconds = c1.Bound.Seconds()
-	sentProbe := probes.Probe("sentiment")
-	sentProbe.BoundSeconds = c2.Bound.Seconds()
-
-	gen := workload.NewTweetGenerator(60, 1.2, 42)
-	trace := &workload.DiurnalSchedule{
-		BaseRate:       60,
-		DailyAmplitude: 240,
-		CycleLength:    6,
-		Length:         15,
-		NoiseAmplitude: 0.1,
-		Seed:           7,
-		Bursts:         []workload.Burst{{Start: 7, Length: 3, ExtraRate: 250, Topic: 3}},
-	}
-	start := time.Now()
-
-	snk := &sink{mu: &sync.Mutex{}, tally: make(map[string][3]int), probe: sentProbe}
-	spec := engine.NewJobSpec(g).
-		SetSource("TweetSource", engine.SourceSpec{
-			Schedule:          trace,
-			SampleProbability: 0.3,
-			Emit: func(ctx *engine.Context) {
-				topic, w := trace.BurstWeight(time.Since(start).Seconds())
-				tweet := gen.Next(time.Now().UnixMilli(), topic, w)
-				line, err := tweet.EncodeJSON()
-				if err != nil {
-					return
-				}
-				rec := engine.Record{Value: line, Key: tweet.ID, EmitTime: time.Now(), Sampled: ctx.Sample()}
-				ctx.Emit(0, rec) // e1 → Filter (JSON bytes)
-				parsed := rec
-				parsed.Value = tweet
-				ctx.Emit(1, parsed) // e4 → HotTopics (decoded)
-			},
-		}).
-		SetUDF("HotTopics", func(int) engine.UDF { return &hotTopics{counts: make(map[string]int)} }).
-		SetUDF("Merger", func(int) engine.UDF { return &merger{weights: make(map[string]float64)} }).
-		SetUDF("Filter", func(int) engine.UDF { return &filter{hot: map[string]bool{}, hotProbe: hotProbe} }).
-		SetUDF("Sentiment", func(int) engine.UDF { return sentiment{} }).
-		SetUDF("Sink", func(int) engine.UDF { return snk }).
-		AddConstraint(c1).
-		AddConstraint(c2)
-
-	eng := engine.New(engine.Config{
-		Elastic:             true,
-		MeasurementInterval: 200 * time.Millisecond,
-		AdjustmentInterval:  time.Second,
-	})
-	exec, err := eng.Submit(spec, probes)
-	if err != nil {
-		return err
-	}
-
-	fmt.Println("replaying synthetic tweet trace (≈15 s, burst on #topic003 mid-run)...")
-	ticker := time.NewTicker(2 * time.Second)
-	defer ticker.Stop()
-	for !exec.Done() {
-		<-ticker.C
-		fmt.Printf("  t=%-4s HT=%d F=%d S=%d  hot-path=%.0f ms  sentiment-path=%.1f ms\n",
-			time.Since(start).Round(time.Second),
-			exec.Parallelism("HotTopics"), exec.Parallelism("Filter"), exec.Parallelism("Sentiment"),
-			hotProbe.TotalMean()*1000, sentProbe.TotalMean()*1000)
-	}
-	if err := exec.Wait(context.Background()); err != nil {
-		return err
-	}
-
-	f1, n1 := hotProbe.Fulfillment()
-	f2, n2 := sentProbe.Fulfillment()
-	fmt.Printf("\nconstraint 1 (hot topics, %v): met %.0f%% of %d intervals, mean %.0f ms\n",
-		c1.Bound, f1*100, n1, hotProbe.TotalMean()*1000)
-	fmt.Printf("constraint 2 (sentiment, %v):  met %.0f%% of %d intervals, mean %.1f ms\n",
-		c2.Bound, f2*100, n2, sentProbe.TotalMean()*1000)
-
-	fmt.Println("\nper-topic sentiment on hot topics (neg/neu/pos):")
-	snk.mu.Lock()
-	topics := make([]string, 0, len(snk.tally))
-	for t := range snk.tally {
-		topics = append(topics, t)
-	}
-	sort.Strings(topics)
-	shown := 0
-	for _, t := range topics {
-		if shown >= 6 {
-			break
-		}
-		v := snk.tally[t]
-		fmt.Printf("  %-12s %4d / %4d / %4d\n", t, v[0], v[1], v[2])
-		shown++
-	}
-	snk.mu.Unlock()
-	return nil
 }

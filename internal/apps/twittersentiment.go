@@ -3,11 +3,14 @@ package apps
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"nephelix/internal/ckpt"
 	"nephelix/internal/core"
+	"nephelix/internal/engine"
 	"nephelix/internal/model"
+	"nephelix/internal/probe"
 	"nephelix/internal/sim"
 	"nephelix/internal/workload"
 )
@@ -173,369 +176,69 @@ func twitterCosts() sim.CostModel {
 	}
 }
 
-const (
-	tweetBytes     = 350
-	topicListBytes = 240
-	scoredBytes    = 64
-)
-
-// UDF service-time means (seconds) calibrated so that the paper's scaling
-// magnitudes hold: at the 6.7 k tweets/s peak the Sentiment vertex needs
-// ≈30 extra tasks when a burst topic passes the filter.
-const (
-	// HotTopics parses the tweet JSON and extracts hashtags/topics —
-	// the dominant per-tweet cost besides sentiment classification.
-	htServicePerTweet   = 1.1e-3
-	htmServicePerList   = 150e-6
-	filterServiceTweet  = 90e-6
-	filterServiceList   = 400e-6
-	sentimentService    = 5e-3
-	sinkServicePerScore = 30e-6
-)
-
-// hotTopicsBehavior is the HT task: counts topics over a time window and
-// emits its partial top-k list every window (Section V-B1: "time-based
-// window aggregation with 200 ms windows").
-type hotTopicsBehavior struct {
-	window   float64
-	k        int
-	counts   topicCounts
-	payloads *topicListPayloads
-	// origins collects sampled tweet emit times for read-write sequence
-	// latency probing across the aggregation.
-	origins []float64
-	scratch []topicWeight[int]
-}
-
-var _ sim.TimerBehavior = (*hotTopicsBehavior)(nil)
-
-// maxOrigins caps the sampled emit times one window's list carries.
-const maxOrigins = 32
-
-func (b *hotTopicsBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
-	return htServicePerTweet * (0.7 + 0.6*rng.Float64())
-}
-
-func (b *hotTopicsBehavior) Process(_ *sim.TaskContext, it *sim.Item) {
-	b.counts.add(it.Key)
-	if it.Sampled && len(b.origins) < maxOrigins {
-		if b.origins == nil {
-			b.origins = make([]float64, 0, 8) // a typical window's samples; leaves with its list item
-		}
-		b.origins = append(b.origins, it.EmitTime)
-	}
-}
-
-func (b *hotTopicsBehavior) TimerInterval() float64 { return b.window }
-
-// OnTimer emits the partial hot-topic list: the item carries the top
-// keys of the window's counts.
-func (b *hotTopicsBehavior) OnTimer(ctx *sim.TaskContext) {
-	if len(b.counts.seen) == 0 {
-		return
-	}
-	top := b.counts.top(b.k, &b.scratch)
-	it := sim.Item{
-		EmitTime: ctx.Now(),
-		Size:     topicListBytes,
-		Kind:     kindTopicList,
-		Origins:  b.origins,
-		Sampled:  len(b.origins) > 0,
-	}
-	it.Key = b.payloads.put(top)
-	b.counts.reset()
-	b.origins = nil
-	ctx.Emit(0, &it)
-}
-
-// topicListPayloads carries full top-k lists out of band, keyed by a
-// token stored in Item.Key: items stay small while behaviors exchange
-// real list contents. One instance exists per job build (the simulator is
-// single-threaded). Entries older than the eviction window are dropped;
-// broadcast consumers read within a fraction of a second, far inside the
-// window.
-type topicListPayloads struct {
-	next  uint64
-	lists map[uint64][]uint64
-}
-
-// payloadWindow bounds the number of outstanding list payloads.
-const payloadWindow = 8192
-
-func newTopicListPayloads() *topicListPayloads {
-	return &topicListPayloads{lists: make(map[uint64][]uint64)}
-}
-
-// put stores a list and returns its token.
-func (p *topicListPayloads) put(list []uint64) uint64 {
-	p.next++
-	p.lists[p.next] = list
-	if p.next > payloadWindow {
-		delete(p.lists, p.next-payloadWindow)
-	}
-	return p.next
-}
-
-// get reads a list without consuming it (broadcast edges deliver the same
-// token to many consumers).
-func (p *topicListPayloads) get(token uint64) []uint64 {
-	return p.lists[token]
-}
+// itemBytes is a simulated item's serialized size by kind: a tweet is a
+// JSON blob, a list carries HotK topics, a score is small.
+var itemBytes = byKind[int32]{kindTweet: 350, kindTopicList: 240, kindScored: 64}
 
 // maxTopics bounds topic ids: per-topic state is indexed by them. A
 // replayed tweet tagged beyond it counts as untagged.
 const maxTopics = 1 << 20
 
-// topicCounts counts tweets per topic over one window: indexed by topic
-// (grown for a replayed trace's stray one), with the topics it has seen
-// listed, so a window costs what it saw.
-type topicCounts struct {
-	n    []int
-	seen []uint64 // topics with n > 0
+// tsJob is the TwitterSentiment job as both runtimes run it, built once
+// from the options: graph, constraints, probes and operator vertices.
+type tsJob struct {
+	opts        TwitterSentimentOptions // defaults filled in
+	graph       *model.JobGraph
+	constraints []*model.Constraint
+	probes      *probe.ProbeSet
+	vertices    []tsVertex
+	sched       workload.Schedule // the replay's historic rate, or the trace
 }
 
-func (c *topicCounts) add(topic uint64) {
-	if topic >= uint64(len(c.n)) {
-		c.n = append(c.n, make([]int, topic+1-uint64(len(c.n)))...)
-	}
-	if c.n[topic] == 0 {
-		c.seen = append(c.seen, topic)
-	}
-	c.n[topic]++
-}
-
-// top returns the k most counted topics (see topK).
-func (c *topicCounts) top(k int, scratch *[]topicWeight[int]) []uint64 {
-	all := (*scratch)[:0]
-	for _, topic := range c.seen {
-		all = append(all, topicWeight[int]{topic, c.n[topic]})
-	}
-	*scratch = all
-	return topK(all, k)
-}
-
-func (c *topicCounts) reset() {
-	for _, topic := range c.seen {
-		c.n[topic] = 0
-	}
-	c.seen = c.seen[:0]
-}
-
-// topicWeight is one ranking candidate of topKKeys.
-type topicWeight[N int | float64] struct {
-	key uint64
-	n   N
-}
-
-// topKKeys returns the k highest-weight keys of a map; *scratch is the
-// caller's reusable candidate buffer.
-func topKKeys[N int | float64](counts map[uint64]N, k int, scratch *[]topicWeight[N]) []uint64 {
-	all := (*scratch)[:0]
-	for key, n := range counts {
-		all = append(all, topicWeight[N]{key, n})
-	}
-	*scratch = all
-	return topK(all, k)
-}
-
-// topK returns the keys of the k highest-weight candidates, ties broken
-// by key (so the candidates' order never shows), in a fresh slice. It
-// reorders all.
-func topK[N int | float64](all []topicWeight[N], k int) []uint64 {
-	// Partial selection sort: k is small (10).
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].n > all[best].n || (all[j].n == all[best].n && all[j].key < all[best].key) {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-	}
-	keys := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		keys[i] = all[i].key
-	}
-	return keys
-}
-
-// mergerBehavior is the HTM task: it merges every received partial list
-// into the global ranking and broadcasts the merged hot list immediately
-// ("the HTM task merges all partial lists into a global one and
-// broadcasts it to all Filter tasks" — the paper gives HTM no window of
-// its own, and the reported latencies only fit a merge-on-receipt
-// design). Older contributions decay multiplicatively so the global list
-// tracks the HT windows.
-type mergerBehavior struct {
-	k        int
-	counts   map[uint64]float64
-	payloads *topicListPayloads
-	scratch  []topicWeight[float64]
-}
-
-var _ sim.Behavior = (*mergerBehavior)(nil)
-
-// mergerDecay is the per-receipt decay of accumulated rank weight.
-const mergerDecay = 0.9
-
-func (b *mergerBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
-	return htmServicePerList * (0.7 + 0.6*rng.Float64())
-}
-
-func (b *mergerBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
-	for key, w := range b.counts {
-		w *= mergerDecay
-		if w < 0.05 {
-			delete(b.counts, key)
-			continue
-		}
-		b.counts[key] = w
-	}
-	for rank, key := range b.payloads.get(it.Key) {
-		b.counts[key] += float64(b.k - rank) // rank-weighted merge
-	}
-	if len(b.counts) == 0 {
-		return
-	}
-	top := topKKeys(b.counts, b.k, &b.scratch)
-	out := sim.Item{
-		EmitTime: ctx.Now(),
-		Size:     topicListBytes,
-		Kind:     kindTopicList,
-		Origins:  it.Origins,
-		Sampled:  it.Sampled,
-	}
-	out.Key = b.payloads.put(top)
-	ctx.Emit(0, &out)
-}
-
-// filterBehavior is the F task: it keeps the latest global hot list and
-// forwards only tweets concerning a hot topic to the Sentiment vertex.
-// It terminates constraint (1) — list items record their origins'
-// latency here.
-type filterBehavior struct {
-	hot      []bool // by topic
-	payloads *topicListPayloads
-	probeHot *sim.Probe
-}
-
-var _ sim.Behavior = (*filterBehavior)(nil)
-
-func (b *filterBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
-	if it.Kind == kindTopicList {
-		return filterServiceList * (0.7 + 0.6*rng.Float64())
-	}
-	return filterServiceTweet * (0.7 + 0.6*rng.Float64())
-}
-
-func (b *filterBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
-	if it.Kind == kindTopicList {
-		clear(b.hot)
-		for _, key := range b.payloads.get(it.Key) {
-			if key >= uint64(len(b.hot)) {
-				b.hot = append(b.hot, make([]bool, key+1-uint64(len(b.hot)))...)
-			}
-			b.hot[key] = true
-		}
-		for _, origin := range it.Origins {
-			b.probeHot.Record(ctx.Now() - origin)
-		}
-		return
-	}
-	if it.Key < uint64(len(b.hot)) && b.hot[it.Key] {
-		ctx.Emit(0, it)
-	}
-}
-
-// sentimentBehavior is the S task: it classifies the tweet's sentiment
-// (LingPipe stand-in with a calibrated cost).
-type sentimentBehavior struct{}
-
-var _ sim.Behavior = (*sentimentBehavior)(nil)
-
-func (sentimentBehavior) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
-	return sentimentService * (0.6 + 0.8*rng.Float64())
-}
-
-func (sentimentBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
-	it.Kind = kindScored
-	it.Size = scoredBytes
-	ctx.Emit(0, it)
-}
-
-// sinkBehavior is the SI task: it tracks per-topic sentiment and
-// terminates constraint (2) at its inbound edge (e3 ends the sequence,
-// so latency is recorded at consume time, before the sink's own service).
-type sinkBehavior struct {
-	probe *sim.Probe
-}
-
-var _ sim.Behavior = (*sinkBehavior)(nil)
-
-func (b *sinkBehavior) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
-	// Constraint (2) ends with edge e3: measure at consumption.
-	return sinkServicePerScore * (0.7 + 0.6*rng.Float64())
-}
-
-func (b *sinkBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
-	if it.Sampled {
-		b.probe.Record(ctx.Now() - it.EmitTime)
-	}
-}
-
-// BuildTwitterSentiment assembles the TwitterSentiment job's simulator
-// config and probe set.
-func BuildTwitterSentiment(opts TwitterSentimentOptions) (sim.Config, *sim.ProbeSet, error) {
+// newTSJob validates opts, fills their defaults and builds the job.
+func newTSJob(opts TwitterSentimentOptions) (*tsJob, error) {
 	if opts.Schedule == nil && opts.Replay == nil {
-		return sim.Config{}, nil, fmt.Errorf("apps: twitter sentiment needs a schedule or a replay")
-	}
-	if opts.Replay == nil {
-		if err := opts.Schedule.Validate(); err != nil {
-			return sim.Config{}, nil, fmt.Errorf("apps: %w", err)
-		}
+		return nil, fmt.Errorf("apps: twitter sentiment needs a schedule or a replay")
 	}
 	if opts.Sources <= 0 || opts.InitialHT <= 0 || opts.InitialFilter <= 0 || opts.InitialSentiment <= 0 {
-		return sim.Config{}, nil, fmt.Errorf("apps: twitter sentiment needs positive parallelism")
+		return nil, fmt.Errorf("apps: twitter sentiment needs positive parallelism")
 	}
 	if opts.Topics <= 1 {
 		opts.Topics = 1000
 	}
-	if opts.HotK <= 0 {
-		opts.HotK = 10
-	}
-	if opts.WindowSeconds <= 0 {
-		opts.WindowSeconds = 0.2
-	}
-	if opts.MinElastic <= 0 {
-		opts.MinElastic = 1
-	}
-	if opts.MaxElastic <= 0 {
-		opts.MaxElastic = 100
-	}
-	if opts.SampleProbability <= 0 {
-		opts.SampleProbability = 0.04
+	opts.HotK, opts.MinElastic, opts.MaxElastic = orDefault(opts.HotK, 10), orDefault(opts.MinElastic, 1), orDefault(opts.MaxElastic, 100)
+	opts.WindowSeconds, opts.SampleProbability = orDefault(opts.WindowSeconds, 0.2), orDefault(opts.SampleProbability, 0.04)
+	// Topic ids are dense — below Topics, or a burst's — so per-topic
+	// operator state is indexed, not hashed, and sized here once.
+	topicSpan := opts.Topics
+	var sched workload.Schedule = opts.Replay
+	if opts.Replay == nil {
+		if err := opts.Schedule.Validate(); err != nil {
+			return nil, fmt.Errorf("apps: %w", err)
+		}
+		sched = opts.Schedule
+		for _, b := range opts.Schedule.Bursts {
+			if b.Topic < 0 || b.Topic >= maxTopics {
+				return nil, fmt.Errorf("apps: burst topic %d outside [0, %d)", b.Topic, maxTopics)
+			}
+			topicSpan = max(topicSpan, b.Topic+1)
+		}
 	}
 
 	g := model.NewJobGraph()
 	for _, v := range []model.JobVertex{
 		{Name: TSSource, Parallelism: opts.Sources, MinParallelism: opts.Sources, MaxParallelism: opts.Sources},
-		{Name: TSHotTopics, Parallelism: opts.InitialHT, MinParallelism: opts.MinElastic,
-			MaxParallelism: opts.MaxElastic, LatencyMode: model.LatencyReadWrite},
+		{Name: TSHotTopics, Parallelism: opts.InitialHT, MinParallelism: opts.MinElastic, MaxParallelism: opts.MaxElastic, LatencyMode: model.LatencyReadWrite},
 		{Name: TSTopicsMerger, Parallelism: 1, MinParallelism: 1, MaxParallelism: 1, LatencyMode: model.LatencyReadWrite},
-		{Name: TSFilter, Parallelism: opts.InitialFilter, MinParallelism: opts.MinElastic,
-			MaxParallelism: opts.MaxElastic},
-		{Name: TSSentiment, Parallelism: opts.InitialSentiment, MinParallelism: opts.MinElastic,
-			MaxParallelism: opts.MaxElastic},
+		{Name: TSFilter, Parallelism: opts.InitialFilter, MinParallelism: opts.MinElastic, MaxParallelism: opts.MaxElastic},
+		{Name: TSSentiment, Parallelism: opts.InitialSentiment, MinParallelism: opts.MinElastic, MaxParallelism: opts.MaxElastic},
 		{Name: TSSink, Parallelism: 2, MinParallelism: 2, MaxParallelism: 2},
 	} {
 		if err := g.AddVertex(v); err != nil {
-			return sim.Config{}, nil, fmt.Errorf("apps: %w", err)
+			return nil, fmt.Errorf("apps: %w", err)
 		}
 	}
-	// Edge order per vertex defines the Emit edge indices below:
+	// Edge order per vertex defines the Emit edge indices:
 	// TweetSource: 0 = e1 (→Filter), 1 = e4 (→HotTopics).
 	for _, e := range []struct {
 		src, dst string
@@ -549,90 +252,94 @@ func BuildTwitterSentiment(opts TwitterSentimentOptions) (sim.Config, *sim.Probe
 		{TSSentiment, TSSink, model.PatternRoundRobin},         // e3
 	} {
 		if err := g.AddEdge(e.src, e.dst, e.pattern); err != nil {
-			return sim.Config{}, nil, fmt.Errorf("apps: %w", err)
+			return nil, fmt.Errorf("apps: %w", err)
 		}
 	}
 
-	probes := sim.NewProbeSetSeeded(opts.Seed)
-	probeHot := probes.Probe(HotTopicsProbe)
-	probeSent := probes.Probe(SentimentProbe)
+	probes := probe.NewProbeSetSeeded(opts.Seed)
+	probeHot, probeSent := probes.Probe(HotTopicsProbe), probes.Probe(SentimentProbe)
 	probes.SetBound(HotTopicsProbe, opts.Bound1.Seconds())
 	probes.SetBound(SentimentProbe, opts.Bound2.Seconds())
 	if q := opts.ConstraintQuantile; q > 0 && q < 1 {
 		probes.SetQuantile(HotTopicsProbe, q)
 		probes.SetQuantile(SentimentProbe, q)
 	}
-	payloads := newTopicListPayloads()
 
-	seq1, err := model.ParseSequence(g,
-		TSSource+"->"+TSHotTopics, TSHotTopics,
-		TSHotTopics+"->"+TSTopicsMerger, TSTopicsMerger,
-		TSTopicsMerger+"->"+TSFilter, TSFilter)
-	if err != nil {
-		return sim.Config{}, nil, fmt.Errorf("apps: %w", err)
-	}
-	seq2, err := model.ParseSequence(g,
-		TSSource+"->"+TSFilter, TSFilter,
-		TSFilter+"->"+TSSentiment, TSSentiment,
-		TSSentiment+"->"+TSSink)
-	if err != nil {
-		return sim.Config{}, nil, fmt.Errorf("apps: %w", err)
-	}
-	constraints := []*model.Constraint{
-		{Name: "constraint-1", Sequence: seq1, Bound: opts.Bound1, Window: 10 * time.Second, Quantile: opts.ConstraintQuantile},
-		{Name: "constraint-2", Sequence: seq2, Bound: opts.Bound2, Window: 10 * time.Second, Quantile: opts.ConstraintQuantile},
-	}
-
-	// Topic ids are dense — below Topics, or a burst's — so the per-topic
-	// state of the HotTopics and Filter tasks is indexed, not hashed, and
-	// sized here once.
-	topicSpan := opts.Topics
-	var sched workload.Schedule = opts.Schedule
-	emit := newTweetEmitter(opts.Schedule, opts.Topics, opts.Seed+1000)
-	if opts.Replay == nil {
-		for _, b := range opts.Schedule.Bursts {
-			if b.Topic < 0 || b.Topic >= maxTopics {
-				return sim.Config{}, nil, fmt.Errorf("apps: burst topic %d outside [0, %d)", b.Topic, maxTopics)
-			}
-			topicSpan = max(topicSpan, b.Topic+1)
+	var constraints []*model.Constraint
+	for i, c := range []struct {
+		bound time.Duration
+		seq   []string
+	}{
+		{opts.Bound1, []string{TSSource + "->" + TSHotTopics, TSHotTopics, TSHotTopics + "->" + TSTopicsMerger, TSTopicsMerger, TSTopicsMerger + "->" + TSFilter, TSFilter}},
+		{opts.Bound2, []string{TSSource + "->" + TSFilter, TSFilter, TSFilter + "->" + TSSentiment, TSSentiment, TSSentiment + "->" + TSSink}},
+	} {
+		seq, err := model.ParseSequence(g, c.seq...)
+		if err != nil {
+			return nil, fmt.Errorf("apps: %w", err)
 		}
+		constraints = append(constraints, &model.Constraint{Name: fmt.Sprintf("constraint-%d", i+1), Sequence: seq,
+			Bound: c.bound, Window: 10 * time.Second, Quantile: opts.ConstraintQuantile})
 	}
-	if opts.Replay != nil {
-		sched = opts.Replay
-		emit = newReplayEmitter(opts.Replay)
+
+	return &tsJob{
+		opts:        opts,
+		graph:       g,
+		constraints: constraints,
+		probes:      probes,
+		sched:       sched,
+		// Simulated service times: means (seconds) calibrated so that the
+		// paper's scaling magnitudes hold — at the 6.7 k tweets/s peak the
+		// Sentiment vertex needs ≈30 extra tasks when a burst topic passes
+		// the filter. HotTopics parses the tweet JSON and extracts
+		// hashtags/topics, the dominant per-tweet cost besides sentiment
+		// classification.
+		vertices: []tsVertex{
+			{name: TSHotTopics, svc: byKind[serviceTime]{kindTweet: {1.1e-3, 0.7, 0.6}},
+				newOp: func() tsOperator { return &hotTopicsOp{k: opts.HotK, counts: topicCounts{n: make([]int, topicSpan)}} }},
+			{name: TSTopicsMerger, svc: byKind[serviceTime]{kindTopicList: {150e-6, 0.7, 0.6}},
+				newOp: func() tsOperator { return &mergerOp{k: opts.HotK, counts: make(map[uint64]float64)} }},
+			{name: TSFilter, svc: byKind[serviceTime]{kindTweet: {90e-6, 0.7, 0.6}, kindTopicList: {400e-6, 0.7, 0.6}},
+				ends: byKind[*probe.Probe]{kindTopicList: probeHot}, newOp: func() tsOperator { return &filterOp{hot: make([]bool, topicSpan)} }},
+			{name: TSSentiment, svc: byKind[serviceTime]{kindTweet: {5e-3, 0.6, 0.8}}, newOp: func() tsOperator { return sentimentOp{} }},
+			{name: TSSink, svc: byKind[serviceTime]{kindScored: {30e-6, 0.7, 0.6}},
+				ends: byKind[*probe.Probe]{kindScored: probeSent}, newOp: func() tsOperator { return &sinkOp{} }}, // only hot topics reach it
+		},
+	}, nil
+}
+
+// BuildTwitterSentiment assembles the TwitterSentiment job's simulator
+// config and probe set.
+func BuildTwitterSentiment(opts TwitterSentimentOptions) (sim.Config, *sim.ProbeSet, error) {
+	j, err := newTSJob(opts)
+	if err != nil {
+		return sim.Config{}, nil, err
 	}
+	return j.simConfig(), j.probes, nil
+}
+
+// TwitterSentimentSpec assembles the same job for the live engine, with
+// tweet text for Sentiment to score, paced in wall-clock seconds. Elastic,
+// Scaler, the cluster pool and Guarantee are the engine.Config's to set.
+func TwitterSentimentSpec(opts TwitterSentimentOptions) (*engine.JobSpec, *probe.ProbeSet, error) {
+	j, err := newTSJob(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return j.engineSpec(), j.probes, nil
+}
+
+// simConfig runs the job's operators through the simulator adapter; only
+// a windowed operator's becomes a timer behaviour.
+func (j *tsJob) simConfig() sim.Config {
+	opts := j.opts
 	cfg := sim.Config{
-		Graph:       g,
-		Constraints: constraints,
-		Vertices: map[string]sim.VertexConfig{
-			TSSource: {
-				Source: &sim.SourceConfig{
-					Schedule: sched,
-					EmitCost: 30e-6,
-					Emit:     emit,
-				},
-				SampleProbability: opts.SampleProbability,
-			},
-			TSHotTopics: {NewBehavior: func(int) sim.Behavior {
-				return &hotTopicsBehavior{window: opts.WindowSeconds, k: opts.HotK, counts: topicCounts{n: make([]int, topicSpan)}, payloads: payloads}
-			}},
-			TSTopicsMerger: {NewBehavior: func(int) sim.Behavior {
-				return &mergerBehavior{k: opts.HotK, counts: make(map[uint64]float64), payloads: payloads}
-			}},
-			TSFilter: {NewBehavior: func(int) sim.Behavior {
-				return &filterBehavior{hot: make([]bool, topicSpan), payloads: payloads, probeHot: probeHot}
-			}},
-			TSSentiment: {NewBehavior: func(int) sim.Behavior { return sentimentBehavior{} }},
-			TSSink:      {NewBehavior: func(int) sim.Behavior { return &sinkBehavior{probe: probeSent} }},
-		},
-		Edges: map[model.EdgeKey]sim.EdgeConfig{
-			{Source: TSSource, Target: TSFilter}:          {Mode: sim.BatchAdaptive},
-			{Source: TSSource, Target: TSHotTopics}:       {Mode: sim.BatchAdaptive},
-			{Source: TSHotTopics, Target: TSTopicsMerger}: {Mode: sim.BatchAdaptive},
-			{Source: TSTopicsMerger, Target: TSFilter}:    {Mode: sim.BatchAdaptive},
-			{Source: TSFilter, Target: TSSentiment}:       {Mode: sim.BatchAdaptive},
-			{Source: TSSentiment, Target: TSSink}:         {Mode: sim.BatchAdaptive},
-		},
+		Graph:       j.graph,
+		Constraints: j.constraints,
+		Vertices: map[string]sim.VertexConfig{TSSource: {
+			Source:            &sim.SourceConfig{Schedule: j.sched, EmitCost: 30e-6, Emit: newSimTweetSource(opts)},
+			SampleProbability: opts.SampleProbability,
+		}},
+		Edges:              make(map[model.EdgeKey]sim.EdgeConfig),
 		Costs:              twitterCosts(),
 		Elastic:            opts.Elastic,
 		Scaler:             opts.Scaler,
@@ -642,52 +349,114 @@ func BuildTwitterSentiment(opts TwitterSentimentOptions) (sim.Config, *sim.Probe
 		Guarantee:          opts.Guarantee,
 		CheckpointInterval: opts.CheckpointInterval,
 	}
-	return cfg, probes, nil
+	payloads := newTopicListPayloads()
+	for i := range j.vertices {
+		v := &j.vertices[i]
+		cfg.Vertices[v.name] = sim.VertexConfig{NewBehavior: func(int) sim.Behavior {
+			a := &simOperator{op: v.newOp(), v: v, payloads: payloads}
+			if win, ok := a.op.(tsWindowed); ok {
+				return &simWindow{simOperator: a, win: win, window: opts.WindowSeconds}
+			}
+			return a
+		}}
+	}
+	for _, e := range j.graph.Edges() {
+		cfg.Edges[e.Key()] = sim.EdgeConfig{Mode: sim.BatchAdaptive}
+	}
+	return cfg
 }
 
-// newReplayEmitter builds a TweetSource emission function that replays a
-// recorded trace in timestamp order ("replays JSON-encoded tweets at the
-// correct historic rates or a multiple thereof").
-func newReplayEmitter(replay *workload.TweetReplay) sim.SourceFunc {
-	return func(ctx *sim.TaskContext, now float64) {
-		tw := replay.Next()
-		topic := uint64(0)
-		if len(tw.Topics) > 0 {
-			if idx, ok := workload.TopicIndex(tw.Topics[0]); ok && idx >= 0 && idx < maxTopics {
-				topic = uint64(idx)
+// engineSpec runs the job's operators through the engine adapter; only a
+// windowed operator's becomes a timer UDF.
+func (j *tsJob) engineSpec() *engine.JobSpec {
+	spec := engine.NewJobSpec(j.graph).SetSource(TSSource, engine.SourceSpec{
+		Schedule:          j.sched,
+		Emit:              newEngineTweetSource(j.opts),
+		SampleProbability: j.opts.SampleProbability,
+	})
+	window := time.Duration(j.opts.WindowSeconds * float64(time.Second))
+	for i := range j.vertices {
+		v := &j.vertices[i]
+		spec.SetUDF(v.name, func(int) engine.UDF {
+			a := &engineOperator{op: v.newOp(), v: v}
+			if win, ok := a.op.(tsWindowed); ok {
+				return &engineWindow{engineOperator: a, win: win, window: window}
 			}
+			return a
+		})
+	}
+	for _, c := range j.constraints {
+		spec.AddConstraint(c)
+	}
+	return spec
+}
+
+// orDefault returns v, or def when v is not positive.
+func orDefault[T int | float64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// tweetTopic is the topic a tweet is ranked and filtered by: its first
+// hashtag. An untagged tweet, or one tagged beyond maxTopics, counts as
+// topic 0.
+func tweetTopic(tw workload.Tweet) uint64 {
+	if len(tw.Topics) > 0 {
+		if idx, ok := workload.TopicIndex(tw.Topics[0]); ok && idx < maxTopics {
+			return uint64(idx)
 		}
-		tweet := sim.Item{
-			EmitTime: now,
-			Size:     tweetBytes,
-			Kind:     kindTweet,
-			Key:      topic,
-			Sampled:  ctx.Sample(),
+	}
+	return 0
+}
+
+// newEngineTweetSource builds the engine's TweetSource emission: one
+// tweet stream (the replay, or a generator over the schedule's bursts)
+// that every source task and shard draws from under a mutex.
+func newEngineTweetSource(opts TwitterSentimentOptions) func(*engine.Context) {
+	var next func() workload.Tweet
+	if opts.Replay != nil {
+		next = opts.Replay.Next
+	} else {
+		gen, start := workload.NewTweetGenerator(opts.Topics, 1.2, opts.Seed+1000), time.Now()
+		next = func() workload.Tweet {
+			topic, w := opts.Schedule.BurstWeight(time.Since(start).Seconds())
+			return gen.Next(time.Now().UnixMilli(), topic, w)
 		}
-		ctx.Emit(1, &tweet) // e4 → HotTopics
-		ctx.Emit(0, &tweet) // e1 → Filter
+	}
+	var mu sync.Mutex
+	return func(ctx *engine.Context) {
+		mu.Lock()
+		tw := next()
+		mu.Unlock()
+		rec := engine.Record{Value: tsMsg{kind: kindTweet, topic: tweetTopic(tw), text: tw.Text}, EmitTime: time.Now(), Sampled: ctx.Sample()}
+		ctx.Emit(1, rec) // e4 → HotTopics
+		ctx.Emit(0, rec) // e1 → Filter
 	}
 }
 
-// newTweetEmitter builds the TweetSource emission function: each tweet is
-// sent twice (copy 1 to HotTopics via e4, copy 2 to Filter via e1), with
-// Zipf-distributed topics and burst concentration.
-func newTweetEmitter(sched *workload.DiurnalSchedule, topics int, seed int64) sim.SourceFunc {
-	zipfRng := rand.New(rand.NewSource(seed))
-	zipf := rand.NewZipf(zipfRng, 1.2, 1, uint64(topics-1))
+// newSimTweetSource builds the simulated TweetSource emission: a
+// recorded trace replayed in timestamp order ("replays JSON-encoded
+// tweets at the correct historic rates or a multiple thereof"), or
+// Zipf-distributed topics with burst concentration. Each tweet is sent
+// twice: copy 1 to HotTopics via e4, copy 2 to Filter via e1.
+func newSimTweetSource(opts TwitterSentimentOptions) sim.SourceFunc {
+	var zipf *rand.Zipf
+	if opts.Replay == nil {
+		zipf = rand.NewZipf(rand.New(rand.NewSource(opts.Seed+1000)), 1.2, 1, uint64(opts.Topics-1))
+	}
 	return func(ctx *sim.TaskContext, now float64) {
-		topic := zipf.Uint64()
-		if burstTopic, w := sched.BurstWeightOf(now, ctx.EmitRate()); w > 0 && ctx.Rand().Float64() < w {
-			topic = uint64(burstTopic)
+		var topic uint64
+		if opts.Replay != nil {
+			topic = tweetTopic(opts.Replay.Next())
+		} else {
+			topic = zipf.Uint64()
+			if burstTopic, w := opts.Schedule.BurstWeightOf(now, ctx.EmitRate()); w > 0 && ctx.Rand().Float64() < w {
+				topic = uint64(burstTopic)
+			}
 		}
-		sampled := ctx.Sample()
-		tweet := sim.Item{
-			EmitTime: now,
-			Size:     tweetBytes,
-			Kind:     kindTweet,
-			Key:      topic,
-			Sampled:  sampled,
-		}
+		tweet := sim.Item{EmitTime: now, Size: itemBytes[kindTweet], Kind: kindTweet, Key: topic, Sampled: ctx.Sample()}
 		ctx.Emit(1, &tweet) // e4 → HotTopics
 		ctx.Emit(0, &tweet) // e1 → Filter
 	}

@@ -307,8 +307,8 @@ func TestDenseTopicStateMatchesMaps(t *testing.T) {
 	const topics, k = 200, 10
 	rng := rand.New(rand.NewSource(9))
 	zipf := rand.NewZipf(rng, 1.2, 1, topics-1)
-	ht := &hotTopicsBehavior{k: k, counts: topicCounts{n: make([]int, topics)}, payloads: newTopicListPayloads()}
-	filter := &filterBehavior{hot: make([]bool, topics), payloads: ht.payloads}
+	ht := &hotTopicsOp{k: k, counts: topicCounts{n: make([]int, topics)}}
+	filter := &filterOp{hot: make([]bool, topics)}
 	var mapScratch []topicWeight[int]
 	for window := 0; window < 300; window++ {
 		counts := make(map[uint64]int)
@@ -318,16 +318,16 @@ func TestDenseTopicStateMatchesMaps(t *testing.T) {
 				topic = topics + uint64(rng.Intn(300)) // a replayed trace's stray topic
 			}
 			counts[topic]++
-			ht.Process(nil, &sim.Item{Key: topic})
+			ht.process(&tsMsg{kind: kindTweet, topic: topic}, nil)
 		}
 		want := topKKeys(counts, k, &mapScratch)
-		got := ht.counts.top(k, &ht.scratch)
-		ht.counts.reset()
-		if !slices.Equal(got, want) {
+		var got []uint64
+		ht.closeWindow(outboxFunc(func(m *tsMsg) { got = m.list }))
+		if len(counts) > 0 && !slices.Equal(got, want) || len(counts) == 0 && got != nil {
 			t.Fatalf("window %d: indexed counts rank %v, the map ranks %v", window, got, want)
 		}
 
-		filter.Process(nil, &sim.Item{Kind: kindTopicList, Key: ht.payloads.put(want)})
+		filter.process(&tsMsg{kind: kindTopicList, list: want}, nil)
 		set := make(map[uint64]struct{})
 		for _, topic := range want {
 			set[topic] = struct{}{}

@@ -76,7 +76,10 @@ type SourceSpec struct {
 	// Schedule yields the attempted total emission rate; the run ends
 	// when every source schedule is exhausted (or Stop is called).
 	Schedule workload.Schedule
-	// Emit produces one emission (typically one record via ctx.Emit).
+	// Emit produces one emission (typically one record via ctx.Emit). It
+	// runs concurrently: on Config.SourceShards goroutines per source
+	// task, and on every task of the vertex. Its closure must be safe
+	// for concurrent use; ctx is the calling lane's own.
 	Emit func(ctx *Context)
 	// SampleProbability tags emissions for end-to-end latency probing
 	// (default 0.1).

@@ -186,7 +186,8 @@ func (r *TweetReplay) Duration() float64 { return r.duration }
 func (r *TweetReplay) Len() int { return len(r.tweets) }
 
 // Next returns the next tweet in timestamp order, cycling back to the
-// start when exhausted (sources may outpace the trace slightly).
+// start when exhausted (sources may outpace the trace slightly). It
+// advances a shared cursor and is not safe for concurrent use.
 func (r *TweetReplay) Next() Tweet {
 	t := r.tweets[r.cursor]
 	r.cursor++

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -57,13 +58,15 @@ var (
 // TopicName renders a topic id as a hashtag.
 func TopicName(topic int) string { return fmt.Sprintf("#topic%03d", topic) }
 
-// TopicIndex parses a TopicName-formatted hashtag back into its id.
+// TopicIndex parses a TopicName-formatted hashtag back into its id: the
+// "#topic" prefix followed by ASCII digits only, nothing else.
 func TopicIndex(name string) (int, bool) {
-	var idx int
-	if _, err := fmt.Sscanf(name, "#topic%d", &idx); err != nil {
+	digits, ok := strings.CutPrefix(name, "#topic")
+	if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {
 		return 0, false
 	}
-	return idx, true
+	idx, err := strconv.Atoi(digits)
+	return idx, err == nil
 }
 
 // TweetGenerator synthesizes tweets with a Zipf-distributed topic

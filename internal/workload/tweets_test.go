@@ -129,4 +129,11 @@ func TestTopicIndexRoundTrip(t *testing.T) {
 	if _, ok := TopicIndex(""); ok {
 		t.Error("empty string parsed")
 	}
+	// TopicIndex is the exact inverse of TopicName: anything but the
+	// prefix and ASCII digits is rejected.
+	for _, name := range []string{"#topic", "#topic12abc", "#topic 7", "#topic+4", "#topic0x1f", "#topic-3", "#topic99999999999999999999"} {
+		if idx, ok := TopicIndex(name); ok {
+			t.Errorf("TopicIndex(%q) = %d, accepted", name, idx)
+		}
+	}
 }
