@@ -91,7 +91,7 @@ func (ex *execution) requestReplayAll() {
 			for _, e := range t.emitters {
 				e.replayReq.Store(true)
 				// Parked source shards only act on the flag once awake.
-				e.wake()
+				e.pk.wake()
 			}
 		}
 	}

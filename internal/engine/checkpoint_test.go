@@ -474,7 +474,7 @@ func TestLostRecordsDeadConsumerShip(t *testing.T) {
 	}
 
 	// A live consumer with ring room loses nothing.
-	live := &task{dead: make(chan struct{}), wakeCh: make(chan struct{}, 1)}
+	live := &task{dead: make(chan struct{}), pk: parker{ch: make(chan struct{}, 1)}}
 	liveRing := ring.New[batch](4)
 	pe.ship([]shipment{{ref: &channelRef{to: live, ring: liveRing}, b: batch{items: make([]Record, 4)}}})
 	if got := ex.lostRecords.Load(); got != 9 {

@@ -57,8 +57,8 @@ func (ex *execution) scrapeDataplane() {
 		consumer := obs.DataplaneConsumer{Vertex: name}
 		for _, t := range ex.vertices[name].tasks {
 			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: float64(t.busyNs.Load()) / 1e9})
-			consumer.Parks += t.parks.Load()
-			consumer.Wakes += t.wakes.Load()
+			consumer.Parks += t.pk.parks.Load()
+			consumer.Wakes += t.pk.wakes.Load()
 			for _, e := range t.emitters {
 				for _, g := range e.gates {
 					de := edges[g.edge]
@@ -123,8 +123,8 @@ func (ex *execution) scrapeDataplane() {
 					ActualRate:   actual,
 					IntendedRate: intended,
 					LagFrac:      lag,
-					Parks:        e.parks.Load(),
-					Wakes:        e.wakes.Load(),
+					Parks:        e.pk.parks.Load(),
+					Wakes:        e.pk.wakes.Load(),
 				})
 			}
 		}

@@ -57,9 +57,6 @@ type Config struct {
 	// DrainIdle is how long a draining task waits for stragglers before
 	// exiting (default 300 ms).
 	DrainIdle time.Duration
-	// RecordInterval paces the execution's time series (Execution.Rows);
-	// 0 disables recording.
-	RecordInterval time.Duration
 	// Seed drives task-local randomness.
 	Seed int64
 	// MaxTaskRestarts caps consecutive supervised restarts per vertex
@@ -366,33 +363,11 @@ type execution struct {
 	// master loop before doneCh closes, read after Wait returns.
 	failErr error
 
-	rowsMu sync.Mutex
-	rows   []Row
-
 	wg          sync.WaitGroup
 	sourcesLeft atomic.Int32
 	stopOnce    sync.Once
 	stopCh      chan struct{}
 	doneCh      chan struct{}
-}
-
-// Row is one record-interval sample of a live execution's time series.
-type Row struct {
-	// Elapsed is the time since execution start.
-	Elapsed time.Duration
-	// Probes holds per-probe (count, mean, p95) for the interval.
-	Probes map[string]ProbeSample
-	// Parallelism is the live task count per vertex.
-	Parallelism map[string]int
-	// Emitted is the cumulative source-emission count.
-	Emitted int64
-}
-
-// ProbeSample is one probe's interval measurement.
-type ProbeSample struct {
-	Count int64
-	Mean  float64
-	P95   float64
 }
 
 // report messages from tasks to the master.
@@ -486,8 +461,8 @@ func (ex *execution) createTask(vertex string) (*task, error) {
 		return nil, fmt.Errorf("engine: placing %s: %w", id, err)
 	}
 	t := newTask(ex, id, udf, src, ex.cfg.Seed+int64(len(vs.tasks))*7919+int64(vs.nextIndex))
-	if vs.tail {
-		t.reporter.TrackQueueWait()
+	if vs.tail && src == nil {
+		t.emitters[0].reporter.TrackQueueWait()
 	}
 	vs.tasks = append(vs.tasks, t)
 	vs.refreshCount()
@@ -671,15 +646,6 @@ func (e *Execution) LostRecords() int64 { return e.ex.lostRecords.Load() }
 // DroppedNoConsumer returns how many records this execution dropped
 // because a gate had no consumers; zero in healthy executions.
 func (e *Execution) DroppedNoConsumer() int64 { return e.ex.dropNoConsumer.Load() }
-
-// Rows returns the recorded time series (requires Config.RecordInterval).
-func (e *Execution) Rows() []Row {
-	e.ex.rowsMu.Lock()
-	defer e.ex.rowsMu.Unlock()
-	out := make([]Row, len(e.ex.rows))
-	copy(out, e.ex.rows)
-	return out
-}
 
 // Guarantee returns the execution's processing-guarantee level.
 func (e *Execution) Guarantee() ckpt.Guarantee { return e.ex.guarantee }

@@ -773,49 +773,6 @@ func TestEngineSummaryPublished(t *testing.T) {
 	}
 }
 
-func TestEngineTimeSeries(t *testing.T) {
-	g := buildChain(t, 1, 1, model.PatternRoundRobin)
-	probes := probe.NewProbeSet()
-	pr := probes.Probe("e2e")
-	var received atomic.Int64
-	spec := NewJobSpec(g).
-		SetSource("src", SourceSpec{
-			Schedule:          &workload.ConstantSchedule{RatePerSecond: 200, Length: 1.5},
-			SampleProbability: 1,
-			Emit: func(ctx *Context) {
-				ctx.Emit(0, Record{EmitTime: time.Now(), Sampled: true})
-			},
-		}).
-		SetUDF("work", func(int) UDF { return &forwarder{} }).
-		SetUDF("sink", func(int) UDF { return &countingSink{count: &received, probe: pr} })
-	exec, err := New(Config{Seed: 30, RecordInterval: 200 * time.Millisecond}).Submit(spec, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, exec, 20*time.Second)
-	rows := exec.Rows()
-	if len(rows) < 4 {
-		t.Fatalf("time series too short: %d rows", len(rows))
-	}
-	last := rows[len(rows)-1]
-	if last.Emitted == 0 || last.Parallelism["work"] == 0 {
-		t.Errorf("row content missing: %+v", last)
-	}
-	samples := int64(0)
-	for _, r := range rows {
-		samples += r.Probes["e2e"].Count
-	}
-	if samples == 0 {
-		t.Error("no probe samples across rows")
-	}
-	// Elapsed strictly increases.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Elapsed <= rows[i-1].Elapsed {
-			t.Fatalf("rows out of order at %d", i)
-		}
-	}
-}
-
 // TestEngineTailFitWithoutObservability: under a percentile constraint the
 // scaler's tail fit is fed by the QoS plane alone. With no telemetry, no
 // tracer and no recorder configured, κ at the constrained worker leaves

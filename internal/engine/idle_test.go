@@ -10,6 +10,7 @@ import (
 
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
+	"nephelix/internal/workload"
 )
 
 // TestIdleGapPredictor pins the spin-or-park decision on gap sequences
@@ -76,13 +77,15 @@ func TestIdleGapPredictor(t *testing.T) {
 	})
 }
 
-// TestTaskSizeClass pins task to the 384-byte allocation class, whose
-// objects start on a cache line (task.go's pad comment says why that
-// matters). A field that moves the struct out of (352, 384] changes the
-// class: shrink the pad, or measure steady-adaptive before moving it.
+// TestTaskSizeClass pins task to the 256-byte allocation class, whose
+// objects start on a cache line. In a class that is not a multiple of
+// 64 B, consecutive tasks share a line between one's busyNs and parker
+// counters and the next one's read-mostly head (measured on
+// steady-adaptive, EXPERIMENTS.md). A field that moves the struct out of
+// (240, 256] changes the class: measure steady-adaptive before adding one.
 func TestTaskSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(task{}); n <= 352 || n > 384 {
-		t.Errorf("unsafe.Sizeof(task{}) = %d, want in (352, 384]", n)
+	if n := unsafe.Sizeof(task{}); n <= 240 || n > 256 {
+		t.Errorf("unsafe.Sizeof(task{}) = %d, want in (240, 256]", n)
 	}
 }
 
@@ -190,4 +193,51 @@ func TestEngineIdleGapNoLostWakeup(t *testing.T) {
 	if len(parks) != 2 || parks["work"] == 0 || parks["sink"] == 0 {
 		t.Errorf("consumer park totals %+v, want work and sink only, both parked", dp.Consumers)
 	}
+}
+
+// TestEngineFlushWakeCounted: a flush the wheel fires into a parked
+// worker is a wake like a producer's push, and the consumer vertex's
+// scraped wake total counts it. The source is paced but never emits and
+// both edges flush instantly, so nothing else wakes "work".
+func TestEngineFlushWakeCounted(t *testing.T) {
+	g := buildChain(t, 1, 1, model.PatternRoundRobin)
+	spec := NewJobSpec(g).
+		SetSource("src", SourceSpec{
+			Schedule: &workload.ConstantSchedule{RatePerSecond: 1000, Length: 30},
+			Emit:     func(*Context) {},
+		}).
+		SetUDF("work", func(int) UDF { return &forwarder{} }).
+		SetUDF("sink", func(int) UDF { return UDFFunc(func(*Context, Record) {}) }).
+		SetEdgeBatching("src", "work", BatchingInstant).
+		SetEdgeBatching("work", "sink", BatchingInstant)
+	tel := obs.NewTelemetry(0)
+	exec, err := New(Config{
+		Seed:                5,
+		MeasurementInterval: 200 * time.Millisecond,
+		AdjustmentInterval:  50 * time.Millisecond,
+		Telemetry:           tel,
+	}).Submit(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waitDone(t, exec, 20*time.Second)
+	defer exec.Stop()
+
+	exec.ex.mu.Lock()
+	work := exec.ex.vertices["work"].tasks[0]
+	exec.ex.mu.Unlock()
+	e := work.emitters[0]
+	waitUntil(t, "a flush wake of the parked worker in the scraped consumer wakes", 10*time.Second, func() bool {
+		if work.pk.parked.Load() && e.armedUntil.Load() == 0 {
+			e.armFlush(time.Now())
+		}
+		if dp := tel.Dataplane(); dp != nil {
+			for _, c := range dp.Consumers {
+				if c.Vertex == "work" && c.Wakes >= 1 {
+					return true
+				}
+			}
+		}
+		return false
+	})
 }

@@ -16,12 +16,6 @@ func (ex *execution) masterLoop() {
 	defer adjust.Stop()
 	quiesce := time.NewTicker(ex.cfg.MeasurementInterval)
 	defer quiesce.Stop()
-	var recordC <-chan time.Time
-	if ex.cfg.RecordInterval > 0 {
-		record := time.NewTicker(ex.cfg.RecordInterval)
-		defer record.Stop()
-		recordC = record.C
-	}
 	var ckptC <-chan time.Time
 	if ex.guarantee.Enabled() {
 		ckptTicker := time.NewTicker(ex.cfg.CheckpointInterval)
@@ -59,8 +53,6 @@ func (ex *execution) masterLoop() {
 			ex.restartTask(vertex, stopping)
 		case <-adjust.C:
 			ex.adjustTick()
-		case <-recordC:
-			ex.recordTick()
 		case <-ckptC:
 			if !stopping {
 				ex.startCheckpoint()
@@ -154,7 +146,7 @@ func (ex *execution) startCheckpoint() {
 	id := ex.coord.Begin(ex.Now(), expect, len(sourceEmitters))
 	for _, e := range sourceEmitters {
 		e.barrierReq.Store(id)
-		e.wake()
+		e.pk.wake()
 	}
 	ex.mu.Unlock()
 	ex.recordLifecycle(obs.KindCheckpointStart, obs.Lifecycle{CheckpointID: id})
@@ -202,23 +194,6 @@ func (ex *execution) totalProcessed() int64 {
 		}
 	}
 	return total
-}
-
-// recordTick appends one time-series row.
-func (ex *execution) recordTick() {
-	row := Row{
-		Elapsed:     time.Duration(ex.Now() * float64(time.Second)),
-		Probes:      make(map[string]ProbeSample),
-		Parallelism: ex.Parallelism(),
-		Emitted:     ex.emitted.Load(),
-	}
-	for _, name := range ex.probes.Names() {
-		count, mean, p95 := ex.probes.Probe(name).RecSnapshot()
-		row.Probes[name] = ProbeSample{Count: count, Mean: mean, P95: p95}
-	}
-	ex.rowsMu.Lock()
-	ex.rows = append(ex.rows, row)
-	ex.rowsMu.Unlock()
 }
 
 // newLoop builds the execution's master loop: it publishes each
@@ -400,9 +375,8 @@ func (ex *execution) scaleDown(vertex string, n int) {
 		t.draining.Store(true)
 		// Wake the drained task so its park ends and the drain-idle clock
 		// starts now rather than at the next housekeeping timeout.
-		t.wake()
 		for _, e := range t.emitters {
-			e.wake()
+			e.pk.wake()
 		}
 		ex.noteChurn("scale-down")
 	}
@@ -418,7 +392,7 @@ func (ex *execution) stopSources() {
 			if t.src != nil {
 				t.draining.Store(true)
 				for _, e := range t.emitters {
-					e.wake()
+					e.pk.wake()
 				}
 			}
 		}

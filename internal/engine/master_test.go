@@ -101,7 +101,7 @@ func TestReadReadyTaskReportsUnchanged(t *testing.T) {
 	worker := newTask(ex, model.TaskID{Vertex: "work"}, UDFFunc(func(*Context, Record) {}), nil, 1)
 	source := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 2)
 
-	for _, rep := range []*qos.TaskReporter{worker.reporter, source.emitters[0].reporter, source.emitters[1].reporter} {
+	for _, rep := range []*qos.TaskReporter{worker.emitters[0].reporter, source.emitters[0].reporter, source.emitters[1].reporter} {
 		twice := qos.NewTaskReporter(rep.Task())
 		for i, per := range []float64{3e-6, 7e-6, 1e-6, 2.5e-4} {
 			n := 3*i + 1
@@ -117,8 +117,8 @@ func TestReadReadyTaskReportsUnchanged(t *testing.T) {
 
 	ex.modes["work"] = model.LatencyReadWrite
 	rw := newTask(ex, model.TaskID{Vertex: "work", Index: 1}, UDFFunc(func(*Context, Record) {}), nil, 3)
-	rw.reporter.RecordServiceN(1e-6, 4)
-	if rep := rw.reporter.Flush(); rep.TaskLatencyCount != 0 {
+	rw.emitters[0].reporter.RecordServiceN(1e-6, 4)
+	if rep := rw.emitters[0].reporter.Flush(); rep.TaskLatencyCount != 0 {
 		t.Errorf("a read-write task derived %d task latencies from its service times", rep.TaskLatencyCount)
 	}
 }

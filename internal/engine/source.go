@@ -8,22 +8,6 @@ import (
 	"nephelix/internal/obs"
 )
 
-// maybeReport flushes a source shard's interval report to the master.
-func (e *emitter) maybeReport(now time.Time) {
-	if now.Sub(e.lastFlush) < e.t.ex.cfg.MeasurementInterval {
-		return
-	}
-	e.lastFlush = now
-	rep := e.reporter.Flush()
-	// The vertex's true arrival process is the union of its shards'
-	// interleaved streams; scale the per-shard interarrival so the
-	// task-level rate the QoS manager derives stays honest.
-	if s := len(e.t.emitters); s > 1 && rep.InterarrivalCount > 0 {
-		rep.InterarrivalMean /= float64(s)
-	}
-	e.t.ex.offerReport(taskReportMsg{report: rep})
-}
-
 // runSource is the source-task supervisor loop: it runs the task's
 // shard emitters as goroutines and dies as a unit when one panics (the
 // first panic aborts the siblings and is re-raised here, so the master
@@ -35,18 +19,19 @@ func (t *task) runSource() {
 			t.ex.reportFailure(t, r)
 		}
 	}()
+	abort := make(chan struct{})
 	var firstPanic any
 	var panicOnce sync.Once
 	var wg sync.WaitGroup
 	for _, e := range t.emitters {
+		e.abort = abort
 		wg.Add(1)
 		go func(e *emitter) {
 			defer wg.Done()
 			defer e.closeOutRings()
 			defer func() {
 				if r := recover(); r != nil {
-					panicOnce.Do(func() { firstPanic = r })
-					t.abortShards()
+					panicOnce.Do(func() { firstPanic = r; close(abort) })
 				}
 			}()
 			e.runSourceShard()
@@ -88,10 +73,12 @@ func (e *emitter) runSourceShard() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	resetTimer(timer, time.Hour)
+	// park blocks for d, or until the master or the wheel wakes the lane.
+	park := func(d time.Duration) { e.pk.park(e.requested, timer, d, nil, t.quit, e.abort) }
 
 	next := time.Now()
 	for {
-		if t.quitClosed() || t.abortClosed() {
+		if e.stopped() {
 			return
 		}
 		now := time.Now()
@@ -112,20 +99,20 @@ func (e *emitter) runSourceShard() {
 					// Uncommitted replay buffer: stay alive (servicing
 					// barriers and replays) until a checkpoint commits it, so
 					// a late downstream crash can still be replayed.
-					e.park(timer, ex.cfg.FlushTick)
+					park(ex.cfg.FlushTick)
 					continue
 				}
 				e.drainGates(now)
 				return
 			}
-			e.park(timer, 50*time.Millisecond)
+			park(50 * time.Millisecond)
 			continue
 		}
 		if e.srcLog != nil && e.srcLog.Full() {
 			// Replay buffer at capacity: pause emission until a commit
 			// prunes it — backpressure, never loss.
 			e.srcLog.Stall()
-			e.park(timer, ex.cfg.FlushTick)
+			park(ex.cfg.FlushTick)
 			continue
 		}
 		// The shard's share of the schedule: the vertex rate divides by
@@ -168,31 +155,17 @@ func (e *emitter) runSourceShard() {
 		}
 		e.maybeReport(now)
 		if wait := next.Sub(now); wait > spinWait {
-			e.park(timer, wait)
+			park(wait)
 		} else if burst == 0 {
 			runtime.Gosched()
 		}
 	}
 }
 
-// park blocks a source shard for d, or until the master or the flush
-// wheel wakes it (barrier/replay/flush requests raised before the
-// parked flag became visible are caught by the re-check).
-func (e *emitter) park(timer *time.Timer, d time.Duration) {
-	e.parked.Store(true)
-	if e.flushReq.Load() || e.barrierReq.Load() != 0 || e.replayReq.Load() || e.t.draining.Load() {
-		e.parked.Store(false)
-		return
-	}
-	e.parks.Add(1)
-	resetTimer(timer, d)
-	select {
-	case <-timer.C:
-	case <-e.wakeCh:
-	case <-e.t.quit:
-	case <-e.t.shardAbort:
-	}
-	e.parked.Store(false)
+// requested is a source lane's park predicate: the master or the flush
+// wheel asked it for something.
+func (e *emitter) requested() bool {
+	return e.flushReq.Load() || e.barrierReq.Load() != 0 || e.replayReq.Load() || e.t.draining.Load()
 }
 
 // serviceGuarantees handles a source shard's pending replay and barrier
@@ -265,8 +238,8 @@ func (e *emitter) lingerForCommit(now time.Time) bool {
 // latency probing.
 func (c *Context) Sample() bool {
 	p := 0.1
-	if c.t.src != nil && c.t.src.SampleProbability > 0 {
-		p = c.t.src.SampleProbability
+	if src := c.e.t.src; src != nil && src.SampleProbability > 0 {
+		p = src.SampleProbability
 	}
 	return c.e.rng.Float64() < p
 }

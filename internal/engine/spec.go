@@ -12,16 +12,13 @@ import (
 // Context is the per-task API a UDF sees. Each emitter lane (the task
 // goroutine for workers and sinks, each shard goroutine for sources)
 // carries its own Context, so UDF calls never cross lanes.
-type Context struct {
-	t *task
-	e *emitter
-}
+type Context struct{ e *emitter }
 
 // TaskIndex returns the task's index within its vertex.
-func (c *Context) TaskIndex() int { return c.t.id.Index }
+func (c *Context) TaskIndex() int { return c.e.t.id.Index }
 
 // Vertex returns the task's job-vertex name.
-func (c *Context) Vertex() string { return c.t.id.Vertex }
+func (c *Context) Vertex() string { return c.e.t.id.Vertex }
 
 // Rand returns a lane-local deterministic random source.
 func (c *Context) Rand() *rand.Rand { return c.e.rng }

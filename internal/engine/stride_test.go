@@ -18,18 +18,16 @@ func newBareTask(udf UDF) (*task, *execution) {
 	ex := &execution{cfg: Config{MeasurementInterval: time.Hour}.withDefaults(), start: time.Now()}
 	id := model.TaskID{Vertex: "v", Index: 0}
 	tk := &task{
-		id:        id,
-		ex:        ex,
-		udf:       udf,
-		reporter:  qos.NewTaskReporter(id),
-		inChans:   make(map[chanKey]*inChannel),
-		stride:    1,
-		lastFlush: time.Now(),
+		id:      id,
+		ex:      ex,
+		udf:     udf,
+		inChans: make(map[chanKey]*inChannel),
+		stride:  1,
 	}
-	tk.reporter.ReadReady() // as newTask does for !rw
-	e := &emitter{t: tk, reporter: tk.reporter}
+	e := &emitter{t: tk, reporter: qos.NewTaskReporter(id), lastFlush: time.Now()}
+	e.reporter.ReadReady() // as newTask does for !rw
+	e.ctx = Context{e: e}
 	tk.emitters = []*emitter{e}
-	tk.ctx = Context{t: tk, e: e}
 	return tk, ex
 }
 
@@ -66,7 +64,7 @@ func strideCanGrow() bool {
 func clockSeen(tk *task, b batch, inner func(i int)) []time.Time {
 	seen := make([]time.Time, 0, len(b.items))
 	tk.udf = UDFFunc(func(*Context, Record) {
-		seen = append(seen, tk.now)
+		seen = append(seen, tk.emitters[0].now)
 		if inner != nil {
 			inner(len(seen) - 1)
 		}
@@ -94,7 +92,7 @@ func TestStrideSlowUDFTimedPerRecord(t *testing.T) {
 			t.Fatalf("batch %d: stride = %d, want 1", r, tk.stride)
 		}
 	}
-	rep := tk.reporter.Flush()
+	rep := tk.emitters[0].reporter.Flush()
 	if rep.ServiceCount != batches*size || rep.TaskLatencyCount != batches*size {
 		t.Errorf("ServiceCount = %d, TaskLatencyCount = %d, want %d each", rep.ServiceCount, rep.TaskLatencyCount, batches*size)
 	}
@@ -134,7 +132,7 @@ func TestStrideCheapUDFAmortizesClock(t *testing.T) {
 	if got := tk.processed.Load(); got != total {
 		t.Errorf("processed = %d, want %d", got, total)
 	}
-	rep := tk.reporter.Flush()
+	rep := tk.emitters[0].reporter.Flush()
 	if rep.ServiceCount != total || rep.TaskLatencyCount != total || rep.InterarrivalCount != total-1 {
 		t.Errorf("ServiceCount = %d, TaskLatencyCount = %d, InterarrivalCount = %d, want %d, %d, %d",
 			rep.ServiceCount, rep.TaskLatencyCount, rep.InterarrivalCount, total, total, total-1)
@@ -216,8 +214,7 @@ func TestStrideForcedReads(t *testing.T) {
 	t.Run("sampled read-write", func(t *testing.T) {
 		tk, _ := newBareTask(nil)
 		tk.rw = true
-		tk.reporter = qos.NewTaskReporter(tk.id) // not read-ready
-		tk.emitters[0].reporter = tk.reporter
+		tk.emitters[0].reporter = qos.NewTaskReporter(tk.id) // not read-ready
 		b := testBatch(16)
 		b.items[9].Sampled = true
 		tk.stride = maxStride
@@ -227,10 +224,10 @@ func TestStrideForcedReads(t *testing.T) {
 		if len(e.rwPending) != 1 {
 			t.Fatalf("rwPending holds %d consume times, want 1", len(e.rwPending))
 		}
-		if tc := e.rwPending[0]; tc.Before(start) || tc.After(tk.now) {
-			t.Errorf("consume time %v outside the batch's span [%v, %v]", tc, start, tk.now)
+		if tc := e.rwPending[0]; tc.Before(start) || tc.After(e.now) {
+			t.Errorf("consume time %v outside the batch's span [%v, %v]", tc, start, e.now)
 		}
-		rep := tk.reporter.Flush()
+		rep := tk.emitters[0].reporter.Flush()
 		if rep.ServiceCount != 16 || rep.TaskLatencyCount != 0 {
 			t.Errorf("ServiceCount = %d, TaskLatencyCount = %d, want 16 and 0 (read-write latency completes at the next write)",
 				rep.ServiceCount, rep.TaskLatencyCount)

@@ -14,136 +14,105 @@ import (
 	"nephelix/internal/ring"
 )
 
-// task is one running task of the cooperative data plane. Its input
-// side is a set of SPSC rings (one per upstream producer emitter); its
-// output side is one or more emitters, each owning a private set of
-// gates and the rings into every downstream consumer.
+// task is one running task of the cooperative data plane. The task holds
+// consumer state only: its input side is a set of SPSC rings (one per
+// upstream producer lane) with the per-channel QoS state, the stride,
+// idle prediction, barrier alignment and dedup that reading them needs.
+// Its output side is one or more emitters — lanes — each owning a
+// private set of gates and the rings into every downstream consumer, and
+// everything else its goroutine owns: clock, QoS reporter, Context and
+// parker.
 //
-// Workers and sinks have exactly one emitter, owned by the task
-// goroutine. Source tasks have Config.SourceShards emitters, each run
-// by its own shard goroutine with a private pacing loop, rng, QoS
-// reporter and (under guarantees) offset log — so one source task can
-// saturate several cores without any cross-shard synchronization on
-// the emit path.
+// A worker or sink is a task with one lane, run by the task goroutine.
+// A source task has Config.SourceShards lanes, each run by its own shard
+// goroutine with a private pacing loop, rng, QoS reporter and (under
+// guarantees) offset log — so one source task can saturate several
+// cores without any cross-shard synchronization on the emit path.
 type task struct {
+	// The 256 bytes are four cache lines (TestTaskSizeClass), grouped by
+	// who touches them: two read-mostly lines, then the line producers
+	// read (parker, dead), then the line the consumer writes per batch.
 	id  model.TaskID
 	ex  *execution
 	udf UDF
 	src *SourceSpec
+	// dedup is the sink vertex's shared dedup table (guarantees only).
+	dedup *ckpt.DedupTable
 
 	// emitters is the output side; immutable after newTask.
 	emitters []*emitter
-
+	// inEdges is the vertex's inbound edge list, snapshotted once so edge
+	// resolution never re-allocates it from the graph.
+	inEdges []model.EdgeKey
+	// inChans holds one entry per inbound channel, keyed by what every
+	// batch carries; the lane's maybeReport flushes their reports.
+	inChans map[chanKey]*inChannel
 	// inRings is the consumer-side ring set (copy-on-write: the master
 	// appends at wiring time, the consumer goroutine prunes closed+empty
 	// rings after producer exits). inMu serializes rewrites only.
 	inRings atomic.Pointer[[]*ring.SPSC[batch]]
-	inMu    sync.Mutex
 
-	// wakeCh + parked implement the consumer's park/wake protocol:
-	// the consumer publishes parked=true, re-checks its rings, then
-	// blocks on wakeCh; producers push, then check parked and poke
-	// wakeCh. Sequential consistency of sync/atomic makes the lost-
-	// wakeup interleaving impossible (either the producer sees parked
-	// and wakes, or the consumer's re-check sees the push).
-	wakeCh chan struct{}
-	parked atomic.Bool
-
-	// draining is set by the master after the task left all routing
-	// tables; the task exits once its input has been idle for DrainIdle.
-	draining atomic.Bool
-	// quit force-stops the task (execution shutdown).
-	quit chan struct{}
+	// pk is the worker lane's parker, here rather than on the emitter so
+	// that a producer reaches it from its channelRef in as few loads as
+	// the ring itself (ship). Unused on source tasks: each shard lane
+	// parks on its own.
+	pk parker
 	// dead closes when the task goroutine has exited (crash or drain), so
 	// producers spinning on its full input rings get out instead of
 	// waiting on a consumer that will never pop again.
 	dead chan struct{}
-	// shardAbort (sources only) stops sibling shard goroutines after one
-	// of them panicked, so the task dies — and restarts — as a unit.
-	shardAbort chan struct{}
-	abortOnce  sync.Once
+	// quit force-stops the task (execution shutdown).
+	quit chan struct{}
+	// draining is set by the master after the task left all routing
+	// tables; the task exits once its input has been idle for DrainIdle.
+	draining atomic.Bool
+	// rw caches whether the vertex measures read-write task latency.
+	rw   bool
+	inMu sync.Mutex
 
 	// processed counts handled records (quiescence detection).
 	processed atomic.Int64
-
-	// Consumer-side reporters, owned by the task goroutine; interval
-	// aggregates are sent to the master over ex.reports. Source shards
-	// carry their own reporters (emitter.reporter). inChans holds one
-	// entry per inbound channel, keyed by what every batch carries.
-	reporter  *qos.TaskReporter
-	inChans   map[chanKey]*inChannel
-	lastFlush time.Time
-
-	// inEdges is the vertex's inbound edge list, snapshotted once so edge
-	// resolution never re-allocates it from the graph.
-	inEdges []model.EdgeKey
-
-	// rw caches whether the vertex measures read-write task latency.
-	rw bool
-
-	// now is the task's amortized wall clock: refreshed at every clock
-	// read of handleBatch (batch arrival, batch end, and inside a batch
-	// once clockBudget of work has accumulated) and per park wakeup —
-	// never per emitted record. Task-goroutine-only state.
-	now time.Time
-
+	// busyNs integrates UDF time for utilization reporting.
+	busyNs atomic.Int64
 	// stride is how many records handleBatch processes between clock
 	// reads: clockBudget over the per-record time it measured last,
 	// clamped to [1, maxStride]. Task-goroutine-only state.
 	stride int
-
-	// dedup is the sink vertex's shared dedup table (guarantees only).
-	dedup *ckpt.DedupTable
-
-	// align counts inbound checkpoint barriers (task-goroutine-only).
-	align ckpt.Aligner
 	// idle predicts the consumer's next wait for input, which decides
 	// spin or park (run; task-goroutine-only).
 	idle idleGap
-	// The alignment state shrank by 16 bytes when it moved to ckpt; idle
-	// and this pad keep the struct at 368 bytes, i.e. in the 384-byte
-	// allocation class whose objects start on a cache line. One class
-	// down, consecutive tasks share a line between one's
-	// busyNs/parks/wakes and the next one's read-mostly head (measured on
-	// steady-adaptive, EXPERIMENTS.md). TestTaskSizeClass pins the class.
-	_ [8]byte
-
-	// busyNs integrates UDF time for utilization reporting.
-	busyNs atomic.Int64
-
-	// parks counts consumer park transitions (entered blocked state);
-	// wakes counts producer pokes delivered to a parked consumer. Both
-	// are summed per consumer vertex by the data-plane scraper and sit
-	// off the per-record path: a park ends an idle episode, a wake only
-	// fires on the parked transition.
-	parks atomic.Int64
-	wakes atomic.Int64
-
-	// poolHint spreads this task's batchPool traffic across pool shards.
-	poolHint int
-
-	ctx Context
+	// align counts inbound checkpoint barriers (task-goroutine-only).
+	align ckpt.Aligner
 }
 
-// emitter is one producer lane of a task: a private set of gates (and
-// through them, SPSC rings to every consumer), an rng, an amortized
-// clock and the flush-wheel plumbing. Everything here is owned by
-// exactly one goroutine — the task goroutine for workers/sinks, the
-// shard goroutine for source shards — except the atomics the wheel and
-// master touch (flushReq, armedUntil, barrierReq, emitCount).
+// emitter is one lane of a task: the state one goroutine owns — the task
+// goroutine for a worker or sink, a shard goroutine for a source — and
+// its output side: a private set of gates (and through them, SPSC rings
+// to every consumer), an rng, an amortized clock, the QoS reporter and
+// the flush-wheel plumbing. Only the atomics the wheel and master touch
+// (flushReq, armedUntil, barrierReq, replayReq, emitCount) and the
+// parker's waker half cross goroutines.
 type emitter struct {
 	t     *task
 	shard int
 	gates []*gate
 	rng   *rand.Rand
+	ctx   Context
 
-	// reporter aggregates this lane's QoS; for worker emitters it is the
-	// task's reporter (same goroutine), for source shards a private one.
+	// pk parks this lane's goroutine: the task's own parker for a worker,
+	// a private one per source shard.
+	pk *parker
+
+	// reporter aggregates the lane's task-level QoS; lastFlush is when
+	// maybeReport last shipped it.
 	reporter  *qos.TaskReporter
 	lastFlush time.Time
 
 	// now is the lane's amortized wall clock (emit reads it instead of
-	// calling time.Now per record).
+	// calling time.Now per record). A worker refreshes it at every clock
+	// read of handleBatch (batch arrival, batch end, and inside a batch
+	// once clockBudget of work has accumulated) and per park wakeup; a
+	// source shard once per pacing round.
 	now time.Time
 
 	// rwPending holds consume times of sampled records awaiting the next
@@ -169,19 +138,11 @@ type emitter struct {
 	// transitions; a fire raises flushReq and wakes the owner.
 	flushReq   atomic.Bool
 	armedUntil atomic.Int64
-	wakeCh     chan struct{}
-	parked     *atomic.Bool
-	ownParked  atomic.Bool
 
 	// Processing-guarantee state (source shards, nil otherwise). srcLog
 	// is this shard's offset authority and replay buffer — each shard
 	// owns a disjoint offset range because each owns a distinct log.
 	srcLog *ckpt.Log[logEntry]
-	// parks/wakes mirror the task-level counters for source-shard lanes
-	// (worker emitters never park themselves; their wakes land here when
-	// the wheel pokes the shared task channel).
-	parks atomic.Int64
-	wakes atomic.Int64
 
 	// barrierReq asks the shard to inject the barrier with that id,
 	// replayReq to re-emit its log's uncommitted suffix (master-written,
@@ -192,50 +153,39 @@ type emitter struct {
 	replayScratch []logEntry
 	// lingerStart bounds the post-schedule wait for a final commit.
 	lingerStart time.Time
-
-	ctx Context
+	// abort (source shards) closes when a sibling lane panicked, so the
+	// task dies — and restarts — as a unit; nil on a worker.
+	abort chan struct{}
 }
 
 // idleSpins is how many empty polls a consumer burns (with Gosched)
-// before parking on its wake channel when it predicts a wait shorter
-// than spinWait.
+// before parking when it predicts a wait shorter than spinWait.
 const idleSpins = 64
 
 // shipSpins is how many failed pushes a producer burns before backing
 // off with a short sleep (sustained backpressure).
 const shipSpins = 128
 
-// newTask builds a task and its emitters (wiring happens in the
-// execution).
+// newTask builds a task and its lanes (wiring happens in the execution).
 func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int64) *task {
 	t := &task{
-		id:       id,
-		ex:       ex,
-		udf:      udf,
-		src:      src,
-		quit:     make(chan struct{}),
-		dead:     make(chan struct{}),
-		wakeCh:   make(chan struct{}, 1),
-		reporter: qos.NewTaskReporter(id),
-		inChans:  make(map[chanKey]*inChannel),
-		rw:       ex.modes[id.Vertex] == model.LatencyReadWrite,
-		stride:   1,
-		poolHint: int(ex.poolSeq.Add(1)),
-	}
-	if !t.rw {
-		// A read-ready task's service time is its task latency; the
-		// reporter derives the one from the other.
-		t.reporter.ReadReady()
+		id:      id,
+		ex:      ex,
+		udf:     udf,
+		src:     src,
+		quit:    make(chan struct{}),
+		dead:    make(chan struct{}),
+		pk:      parker{ch: make(chan struct{}, 1)},
+		inChans: make(map[chanKey]*inChannel),
+		rw:      ex.modes[id.Vertex] == model.LatencyReadWrite,
+		stride:  1,
 	}
 	empty := make([]*ring.SPSC[batch], 0)
 	t.inRings.Store(&empty)
 	t.inEdges = ex.spec.graph.InEdges(id.Vertex)
 	shards := 1
-	if src != nil {
-		t.shardAbort = make(chan struct{})
-		if ex.cfg.SourceShards > 1 {
-			shards = ex.cfg.SourceShards
-		}
+	if src != nil && ex.cfg.SourceShards > 1 {
+		shards = ex.cfg.SourceShards
 	}
 	outs := ex.spec.graph.OutEdges(id.Vertex)
 	t.emitters = make([]*emitter, shards)
@@ -244,17 +194,19 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 			t:        t,
 			shard:    si,
 			rng:      rand.New(rand.NewSource(seed + int64(si)*104729)),
+			pk:       &t.pk,
+			reporter: qos.NewTaskReporter(id),
 			poolHint: int(ex.poolSeq.Add(1)),
 		}
+		e.ctx = Context{e: e}
 		if src != nil {
-			e.reporter = qos.NewTaskReporter(id)
-			e.reporter.ReadReady() // a shard's production cost is its task latency
-			e.wakeCh = make(chan struct{}, 1)
-			e.parked = &e.ownParked
-		} else {
-			e.reporter = t.reporter
-			e.wakeCh = t.wakeCh
-			e.parked = &t.parked
+			e.pk = &parker{ch: make(chan struct{}, 1)}
+		}
+		if src != nil || !t.rw {
+			// A source shard's production cost and a read-ready task's
+			// service time are its task latency; the reporter derives the
+			// one from the other.
+			e.reporter.ReadReady()
 		}
 		e.gates = make([]*gate, len(outs))
 		for pos, ek := range outs {
@@ -280,13 +232,11 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 			e.srcLog, reattached = ex.logs.Attach(id.Vertex)
 			e.replayReq.Store(reattached)
 		}
-		e.ctx = Context{t: t, e: e}
 		t.emitters[si] = e
 	}
 	if ex.guarantee.Enabled() && src == nil && len(outs) == 0 {
 		t.dedup = ex.dedups[id.Vertex]
 	}
-	t.ctx = Context{t: t, e: t.emitters[0]}
 	return t
 }
 
@@ -321,82 +271,37 @@ func (t *task) pruneClosedRings() {
 	t.inMu.Unlock()
 }
 
-// ringsNonEmpty reports whether any in-ring currently holds a batch.
-func (t *task) ringsNonEmpty() bool {
+// inputReady is a worker's park predicate: a batch in any in-ring, or a
+// flush request for its lane.
+func (t *task) inputReady() bool {
 	for _, r := range t.ringsSnapshot() {
 		if !r.Empty() {
 			return true
 		}
 	}
-	return false
-}
-
-// wake pokes a parked consumer (any goroutine).
-func (t *task) wake() {
-	if t.parked.Load() {
-		t.wakes.Add(1)
-		select {
-		case t.wakeCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// wake pokes the emitter's owning goroutine (wheel fires, master
-// barrier/replay requests). For worker emitters this is the task wake.
-func (e *emitter) wake() {
-	if e.parked.Load() {
-		e.wakes.Add(1)
-		select {
-		case e.wakeCh <- struct{}{}:
-		default:
-		}
-	}
+	return t.emitters[0].flushReq.Load()
 }
 
 // requestFlush asks the emitter's owning goroutine for a flush pass over
 // its gates (wheel fires, deadline changes, end-of-job tail flush).
 func (e *emitter) requestFlush() {
 	e.flushReq.Store(true)
-	e.wake()
+	e.pk.wake()
 }
 
-// isDead reports whether the consumer's goroutine has exited.
-func (t *task) isDead() bool {
+// stopped reports whether the lane's goroutine must stop: the execution
+// force-stopped the task, or a sibling source lane panicked.
+func (e *emitter) stopped() bool { return closed(e.t.quit) || closed(e.abort) }
+
+// closed reports whether ch is closed, without blocking (false for nil).
+// One channel per call keeps it a non-blocking receive, not a select.
+func closed(ch chan struct{}) bool {
 	select {
-	case <-t.dead:
+	case <-ch:
 		return true
 	default:
 		return false
 	}
-}
-
-// quitClosed reports whether the execution force-stopped this task.
-func (t *task) quitClosed() bool {
-	select {
-	case <-t.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// abortClosed reports whether a sibling source shard panicked.
-func (t *task) abortClosed() bool {
-	if t.shardAbort == nil {
-		return false
-	}
-	select {
-	case <-t.shardAbort:
-		return true
-	default:
-		return false
-	}
-}
-
-// abortShards stops all sibling shard goroutines (first panic wins).
-func (t *task) abortShards() {
-	t.abortOnce.Do(func() { close(t.shardAbort) })
 }
 
 // emit routes a record into the edgeIdx-th gate, shipping due batches.
@@ -455,15 +360,15 @@ func (e *emitter) ship(shipments []shipment) {
 		spins := 0
 		for {
 			if r.Push(s.b) {
-				s.ref.to.wake()
+				s.ref.to.pk.wake()
 				break
 			}
-			if r.Closed() || s.ref.to.isDead() {
+			if r.Closed() || closed(s.ref.to.dead) {
 				e.t.ex.lostRecords.Add(int64(len(s.b.items)))
 				e.t.ex.pool.put(s.b.poolHint, s.b.items)
 				break
 			}
-			if e.t.quitClosed() || e.t.abortClosed() {
+			if e.stopped() {
 				return
 			}
 			spins++
@@ -476,13 +381,8 @@ func (e *emitter) ship(shipments []shipment) {
 				// reports so freshness gating doesn't blind the scaler to
 				// the very vertex chain that is saturated.
 				if spins%512 == 0 {
-					now := time.Now()
-					e.now = now
-					if e.t.src != nil {
-						e.maybeReport(now)
-					} else {
-						e.t.maybeReport(now)
-					}
+					e.now = time.Now()
+					e.maybeReport(e.now)
 				}
 			}
 		}

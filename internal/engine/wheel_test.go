@@ -19,9 +19,10 @@ func TestWheelFiresArmedEntry(t *testing.T) {
 	go w.run()
 	defer w.stop()
 
-	e := &emitter{wakeCh: make(chan struct{}, 1)}
-	e.parked = &e.ownParked
-	e.ownParked.Store(true)
+	// A lane parked on its own parker (as a source shard's is; a worker
+	// lane's points into its task): the fire must leave a wake token.
+	e := &emitter{pk: &parker{ch: make(chan struct{}, 1)}}
+	e.pk.parked.Store(true)
 	e.armedUntil.Store(time.Now().UnixNano())
 
 	w.arm(e, time.Now().UnixNano())
@@ -35,7 +36,7 @@ func TestWheelFiresArmedEntry(t *testing.T) {
 		t.Error("fire did not clear the emitter's armedUntil marker")
 	}
 	select {
-	case <-e.wakeCh:
+	case <-e.pk.ch:
 	default:
 		t.Error("fire did not wake the parked emitter")
 	}

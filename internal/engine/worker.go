@@ -35,14 +35,22 @@ const maxStride = 64
 // starve other rings or the between-scan flush/report servicing.
 const maxPopsPerScan = 64
 
-// maybeReport flushes interval reports to the master (worker/sink
-// goroutine).
-func (t *task) maybeReport(now time.Time) {
-	if now.Sub(t.lastFlush) < t.ex.cfg.MeasurementInterval {
+// maybeReport flushes the lane's interval reports to the master: its
+// task report and, on a worker, its inbound channels' (lane goroutine).
+func (e *emitter) maybeReport(now time.Time) {
+	t := e.t
+	if now.Sub(e.lastFlush) < t.ex.cfg.MeasurementInterval {
 		return
 	}
-	t.lastFlush = now
-	t.ex.offerReport(taskReportMsg{report: t.reporter.Flush()})
+	e.lastFlush = now
+	rep := e.reporter.Flush()
+	// A source vertex's true arrival process is the union of its shards'
+	// interleaved streams; scale the per-shard interarrival so the
+	// task-level rate the QoS manager derives stays honest.
+	if s := len(t.emitters); s > 1 && rep.InterarrivalCount > 0 {
+		rep.InterarrivalMean /= float64(s)
+	}
+	t.ex.offerReport(taskReportMsg{report: rep})
 	for _, ch := range t.inChans {
 		rep := ch.rep.Flush()
 		if !rep.Empty() {
@@ -61,7 +69,6 @@ func (t *task) maybeReport(now time.Time) {
 // than the budget keeps stride 1 and is timed record by record.
 func (t *task) handleBatch(b batch) {
 	now := time.Now()
-	t.now = now
 	e := t.emitters[0]
 	e.now = now
 	// Channel-level QoS: one sample per batch against the oldest record.
@@ -96,7 +103,7 @@ func (t *task) handleBatch(b batch) {
 		}
 		e.curSpan = rec.span
 		e.curSrcID, e.curOffset = rec.srcID, rec.offset
-		t.udf.Process(&t.ctx, *rec)
+		t.udf.Process(&e.ctx, *rec)
 		done++
 		n++
 		if n >= t.stride || rec.span != nil || (t.rw && rec.Sampled) {
@@ -121,7 +128,6 @@ func (t *task) handleBatch(b batch) {
 // freshness gating must keep seeing the task — and returns the read.
 func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n int) time.Time {
 	end := time.Now()
-	t.now = end
 	e := t.emitters[0]
 	e.now = end
 	group := end.Sub(last)
@@ -132,10 +138,10 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 	// Arrival times count from the execution's start: a float64 of Unix
 	// seconds resolves 238 ns, coarser than the sub-µs spacing within a
 	// group.
-	t.reporter.RecordArrivalN(last.Sub(t.ex.start).Seconds(), per, n)
-	t.reporter.RecordServiceN(per, n)
+	e.reporter.RecordArrivalN(last.Sub(t.ex.start).Seconds(), per, n)
+	e.reporter.RecordServiceN(per, n)
 	wait := start.Sub(b.shipped).Seconds() // ship to service start
-	t.reporter.RecordQueueWaitN(wait, n)
+	e.reporter.RecordQueueWaitN(wait, n)
 	if t.rw && rec != nil && rec.Sampled && len(e.rwPending) < 64 {
 		e.rwPending = append(e.rwPending, start)
 	}
@@ -152,7 +158,7 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 		}
 	}
 	t.stride = int(min(max(int64(clockBudget)*int64(n)/max(int64(group), 1), 1), maxStride))
-	t.maybeReport(end)
+	e.maybeReport(end)
 	return end
 }
 
@@ -182,17 +188,6 @@ func (t *task) inEdge(b batch) model.EdgeKey {
 		}
 	}
 	return model.EdgeKey{Target: t.id.Vertex}
-}
-
-// resetTimer safely re-arms a timer owned by this goroutine.
-func resetTimer(tm *time.Timer, d time.Duration) {
-	if !tm.Stop() {
-		select {
-		case <-tm.C:
-		default:
-		}
-	}
-	tm.Reset(d)
 }
 
 // parkTimeout is how long an idle consumer sleeps before housekeeping
@@ -260,15 +255,14 @@ func (t *task) run() {
 	defer parkTimer.Stop()
 	resetTimer(parkTimer, time.Hour)
 
-	t.now = time.Now()
-	e.now = t.now
-	lastItem := t.now
+	e.now = time.Now()
+	lastItem := e.now
 	spins := 0
 	// idleSince is when the first scan of the current idle episode found
 	// the rings empty (the task's last clock read); zero while busy.
 	var idleSince time.Time
 	for {
-		if t.quitClosed() {
+		if e.stopped() {
 			return
 		}
 		worked := false
@@ -305,24 +299,22 @@ func (t *task) run() {
 			t.pruneClosedRings()
 		}
 		if worked {
-			lastItem = t.now
+			lastItem = e.now
 		}
 		if timerC != nil {
 			select {
 			case <-timerC:
-				t.now = time.Now()
-				e.now = t.now
-				t.udf.(TimerUDF).OnTimer(&t.ctx)
+				e.now = time.Now()
+				t.udf.(TimerUDF).OnTimer(&e.ctx)
 			default:
 			}
 		}
 		if e.flushReq.Swap(false) {
-			t.now = time.Now()
-			e.now = t.now
-			e.flushDue(t.now)
+			e.now = time.Now()
+			e.flushDue(e.now)
 		}
-		t.maybeReport(t.now)
-		if t.draining.Load() && t.now.Sub(lastItem) > t.ex.cfg.DrainIdle {
+		e.maybeReport(e.now)
+		if t.draining.Load() && e.now.Sub(lastItem) > t.ex.cfg.DrainIdle {
 			// Drain leftovers that raced the idle check, flush gates, and
 			// exit. Stray barriers are dropped: a draining task is outside
 			// the barrier flow (the master pauses injection while any task
@@ -338,9 +330,8 @@ func (t *task) run() {
 					}
 				}
 			}
-			t.now = time.Now()
-			e.now = t.now
-			e.drainGates(t.now)
+			e.now = time.Now()
+			e.drainGates(e.now)
 			return
 		}
 		if worked {
@@ -348,38 +339,18 @@ func (t *task) run() {
 			continue
 		}
 		if idleSince.IsZero() {
-			idleSince = t.now
+			idleSince = e.now
 		}
 		spins++
 		if spins < idleSpins && !t.idle.park() {
 			runtime.Gosched()
 			continue
 		}
-		// Park: publish parked, re-check the rings (the push-then-load
-		// protocol makes a missed wake impossible), then block.
-		t.parked.Store(true)
-		if t.ringsNonEmpty() || e.flushReq.Load() {
-			t.parked.Store(false)
-			spins = 0
-			continue
-		}
-		t.parks.Add(1)
-		resetTimer(parkTimer, t.parkTimeout())
-		onTimer := false
-		select {
-		case <-t.wakeCh:
-		case <-timerC:
-			onTimer = true
-		case <-parkTimer.C:
-		case <-t.quit:
-			t.parked.Store(false)
-			return
-		}
-		t.parked.Store(false)
-		t.now = time.Now()
-		e.now = t.now
-		if onTimer {
-			t.udf.(TimerUDF).OnTimer(&t.ctx)
+		// Park, unless a batch or a flush request raced the decision.
+		fired := e.pk.park(t.inputReady, parkTimer, t.parkTimeout(), timerC, t.quit, nil)
+		e.now = time.Now()
+		if fired {
+			t.udf.(TimerUDF).OnTimer(&e.ctx)
 		}
 		spins = 0
 	}
@@ -399,7 +370,6 @@ func (t *task) onBarrier(b batch) {
 	if !aligned {
 		return
 	}
-	t.now = now
 	e := t.emitters[0]
 	e.now = now
 	// Flush buffered pre-barrier output before forwarding so the marker

@@ -68,8 +68,9 @@ type DataplaneShard struct {
 }
 
 // DataplaneConsumer is one consumer vertex's idle behaviour: park
-// transitions of its tasks and producer wakes delivered to them, summed
-// over its live tasks (cumulative).
+// transitions of its tasks and wakes delivered to them while parked —
+// producer pushes, flush-deadline fires, master requests — summed over
+// its live tasks (cumulative).
 type DataplaneConsumer struct {
 	Vertex string `json:"vertex"`
 	Parks  int64  `json:"parks"`

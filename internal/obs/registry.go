@@ -79,7 +79,7 @@ var dataplaneShardRows = []row[DataplaneShard]{
 
 var dataplaneConsumerRows = []row[DataplaneConsumer]{
 	{"nephelix_dataplane_consumer_parks_total", "Cumulative park transitions of a consumer vertex's live tasks.", func(c *DataplaneConsumer) float64 { return float64(c.Parks) }},
-	{"nephelix_dataplane_consumer_wakes_total", "Cumulative producer wakes delivered to a consumer vertex's parked tasks.", func(c *DataplaneConsumer) float64 { return float64(c.Wakes) }},
+	{"nephelix_dataplane_consumer_wakes_total", "Cumulative wakes delivered to a consumer vertex's parked tasks: producer pushes, flush-deadline fires and master requests.", func(c *DataplaneConsumer) float64 { return float64(c.Wakes) }},
 }
 
 var dataplaneWheelRows = []row[DataplaneWheel]{
