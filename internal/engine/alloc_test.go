@@ -47,7 +47,7 @@ func allocEngineRun(t *testing.T) float64 {
 		MeasurementInterval: 100 * time.Millisecond,
 		AdjustmentInterval:  250 * time.Millisecond,
 		// Full data-plane instrumentation stays on: the scrape and the
-		// ring/wheel/pool counters must not put allocations (or any other
+		// ring, flush and pool counters must not put allocations (or any other
 		// cost) on the per-record path — the budget below covers them.
 		Telemetry: obs.NewTelemetry(64),
 		Recorder:  obs.NewRecorder(64),

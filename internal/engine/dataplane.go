@@ -11,19 +11,18 @@ import (
 // dataplaneScraper derives one obs.DataplaneSnapshot per adjustment
 // interval from the sharded data plane's cumulative counters: ring
 // push/stall/pop totals per edge, emitter pacing per source shard,
-// park/wake totals per consumer vertex, the flush wheel's fire/park
-// accounting and the batch pool's hit/miss counts. It runs on the master
+// park/wake totals per consumer vertex, the lanes' deadline flush passes
+// and the batch pool's hit/miss counts. It runs on the master
 // goroutine only; all cross-goroutine reads go through the counters' own
 // atomic (or mutex) snapshots, so sampling adds no synchronization to
 // the hot path. The per-edge rates are derived by obs.DataplaneRates,
-// shared with the simulator; the lane, wheel and pool deltas below exist
-// only here.
+// shared with the simulator; the lane and pool deltas below exist only
+// here.
 type dataplaneScraper struct {
-	lastAt    time.Time
-	rates     obs.DataplaneRates
-	prevEmit  map[string]int64 // per-lane cumulative emitted, keyed by task/shard
-	prevWheel wheelStats
-	prevPool  [poolShards]poolShardStats
+	lastAt   time.Time
+	rates    obs.DataplaneRates
+	prevEmit map[string]int64 // per-lane cumulative emitted, keyed by task/shard
+	prevPool [poolShards]poolShardStats
 }
 
 // scrapeDataplane samples the data plane and feeds telemetry (master
@@ -50,9 +49,10 @@ func (ex *execution) scrapeDataplane() {
 	ex.mu.Lock()
 	// Per-edge ring walk: every producer emitter's gates hold the rings
 	// into each consumer; aggregate them per job edge. Consumer vertices'
-	// park/wake totals ride along.
+	// park/wake totals and every lane's deadline flush passes ride along.
 	edges := make(map[model.EdgeKey]*obs.DataplaneEdge)
 	var busy []obs.TaskBusy
+	flushes := ex.retiredFlushes
 	for _, name := range ex.order {
 		consumer := obs.DataplaneConsumer{Vertex: name}
 		for _, t := range ex.vertices[name].tasks {
@@ -60,6 +60,7 @@ func (ex *execution) scrapeDataplane() {
 			consumer.Parks += t.pk.parks.Load()
 			consumer.Wakes += t.pk.wakes.Load()
 			for _, e := range t.emitters {
+				flushes += e.flushes.Load()
 				for _, g := range e.gates {
 					de := edges[g.edge]
 					if de == nil {
@@ -139,16 +140,7 @@ func (ex *execution) scrapeDataplane() {
 	}
 	dp.rates.Derive(snap.Edges, busy, interval)
 
-	ws := ex.wheel.stats(now.UnixNano())
-	parked := float64(ws.parkedNs-dp.prevWheel.parkedNs) / (interval * 1e9)
-	if parked < 0 {
-		parked = 0
-	}
-	if parked > 1 {
-		parked = 1
-	}
-	snap.Wheel = &obs.DataplaneWheel{Fires: ws.fires, Armed: ws.armed, ParkedFrac: parked}
-	dp.prevWheel = ws
+	snap.Wheel = &obs.DataplaneWheel{Fires: flushes}
 
 	ps := ex.pool.stats()
 	for i := range ps {

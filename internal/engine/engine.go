@@ -46,13 +46,14 @@ type Config struct {
 	// Each shard runs its own pacing loop and, under guarantees, owns its
 	// own offset log, so one source task can emit from several cores.
 	SourceShards int
-	// WheelResolution is the tick of the execution's flush-timer wheel
-	// (default FlushTick). Batch-flush deadlines are delivered with this
-	// granularity by one wheel goroutine instead of per-task tickers.
+	// WheelResolution is ignored. It set the tick of the flush-timer
+	// wheel, which is gone: each lane parks no longer than its earliest
+	// flush deadline, so deadlines are as punctual as the Go timer is.
 	WheelResolution time.Duration
 	// MaxBatchRecords caps output batches (default 256).
 	MaxBatchRecords int
-	// FlushTick is the granularity of deadline flushing (default 1 ms).
+	// FlushTick is how long a source lane that waits for a commit or for
+	// room in its replay buffer parks between checks (default 1 ms).
 	FlushTick time.Duration
 	// DrainIdle is how long a draining task waits for stragglers before
 	// exiting (default 300 ms).
@@ -141,9 +142,6 @@ func (c Config) withDefaults() Config {
 		}
 		c.SourceShards = s
 	}
-	if c.WheelResolution <= 0 {
-		c.WheelResolution = c.FlushTick
-	}
 	if c.DrainIdle <= 0 {
 		c.DrainIdle = 300 * time.Millisecond
 	}
@@ -218,7 +216,6 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
 	}
-	ex.wheel = newFlushWheel(e.cfg.WheelResolution)
 	ex.guarantee = e.cfg.Guarantee
 	if ex.guarantee.Enabled() {
 		ex.suppressDups = ex.guarantee.Dedup()
@@ -238,7 +235,6 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 	}
 	ex.start = time.Now()
 	ex.meter.Advance(0, 0, 0)
-	go ex.wheel.run()
 	ex.launchAll()
 	go ex.masterLoop()
 	return &Execution{ex: ex}, nil
@@ -283,6 +279,8 @@ type execution struct {
 	rm        *cluster.ResourceManager
 	meter     cluster.UsageMeter
 	retired   int64 // busyNs of exited tasks
+	// retiredFlushes counts the deadline flush passes of exited lanes.
+	retiredFlushes int64
 
 	edgePos map[model.EdgeKey]int
 	modes   map[string]model.LatencyMode
@@ -303,11 +301,6 @@ type execution struct {
 	// round-robin at task/emitter construction.
 	pool    batchPool
 	poolSeq atomic.Int64
-
-	// wheel is the execution's single flush-timer wheel (wheel.go):
-	// emitters arm flush deadlines on it instead of running per-task
-	// FlushTick tickers.
-	wheel *flushWheel
 
 	// dp is the data-plane sampler's interval state (dataplane.go);
 	// master goroutine only, lazily built on the first scrape.
@@ -505,6 +498,9 @@ func (ex *execution) taskDone(t *task) {
 	ex.mu.Lock()
 	ex.accountUsageLocked()
 	ex.retired += t.busyNs.Load()
+	for _, e := range t.emitters {
+		ex.retiredFlushes += e.flushes.Load()
+	}
 	// Unplace frees the slot; a nil map hit can only mean a double exit,
 	// which the registry removal below would also surface.
 	_ = ex.scheduler.Unplace(t.id)

@@ -49,12 +49,6 @@ type gate struct {
 	pool     *batchPool
 	poolHint int
 
-	// owner is the emitter whose goroutine drives this gate; push arms
-	// the execution's flush wheel through it when a buffer goes
-	// empty→non-empty. Nil in gate-level unit tests (no wheel — callers
-	// flush via explicit due calls).
-	owner *emitter
-
 	// out is the reusable shipment scratch every flush entry point
 	// (push, due, drainAll, barrierShipments) returns; it is valid until
 	// the next gate call, which the single-producer discipline
@@ -109,8 +103,7 @@ func (g *gate) removeConsumer(t *task) {
 // push buffers a record and returns batches due for shipping (producer
 // goroutine only). The caller ships them (possibly blocking).
 func (g *gate) push(rec *Record, now time.Time) []shipment {
-	dl := g.deadline()
-	k, v := g.Push(rec, rec.Key, 1, now, dl)
+	k, v := g.Push(rec, rec.Key, 1, now, g.deadline())
 	if v == 0 {
 		return nil
 	}
@@ -118,10 +111,6 @@ func (g *gate) push(rec *Record, now time.Time) []shipment {
 	switch {
 	case v&gatepkg.Flush != 0:
 		out = g.take(k, now, out)
-	case v&gatepkg.Started != 0 && g.owner != nil:
-		// Without the wheel the batch would sit until the next size-cap
-		// flush.
-		g.owner.armFlush(now.Add(dl))
 	case v&gatepkg.Dropped != 0:
 		g.drops.Add(1)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
-	"nephelix/internal/workload"
 )
 
 // TestIdleGapPredictor pins the spin-or-park decision on gap sequences
@@ -195,41 +194,22 @@ func TestEngineIdleGapNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestEngineFlushWakeCounted: a flush the wheel fires into a parked
-// worker is a wake like a producer's push, and the consumer vertex's
-// scraped wake total counts it. The source is paced but never emits and
-// both edges flush instantly, so nothing else wakes "work".
+// TestEngineFlushWakeCounted: a flush pass the master requests of a
+// parked worker is a wake like a producer's push, and the consumer
+// vertex's scraped wake total counts it. A record the parked worker
+// holds under a finite deadline ships on the worker's own timer, with
+// no wake at all. Nothing else pokes "work": the source emits only when
+// the test asks, and no constraint makes the master set deadlines.
 func TestEngineFlushWakeCounted(t *testing.T) {
-	g := buildChain(t, 1, 1, model.PatternRoundRobin)
-	spec := NewJobSpec(g).
-		SetSource("src", SourceSpec{
-			Schedule: &workload.ConstantSchedule{RatePerSecond: 1000, Length: 30},
-			Emit:     func(*Context) {},
-		}).
-		SetUDF("work", func(int) UDF { return &forwarder{} }).
-		SetUDF("sink", func(int) UDF { return UDFFunc(func(*Context, Record) {}) }).
-		SetEdgeBatching("src", "work", BatchingInstant).
-		SetEdgeBatching("work", "sink", BatchingInstant)
 	tel := obs.NewTelemetry(0)
-	exec, err := New(Config{
-		Seed:                5,
-		MeasurementInterval: 200 * time.Millisecond,
-		AdjustmentInterval:  50 * time.Millisecond,
-		Telemetry:           tel,
-	}).Submit(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer waitDone(t, exec, 20*time.Second)
-	defer exec.Stop()
+	c := newDeadlineChain(t, tel)
+	defer waitDone(t, c.exec, 20*time.Second)
+	defer c.exec.Stop()
 
-	exec.ex.mu.Lock()
-	work := exec.ex.vertices["work"].tasks[0]
-	exec.ex.mu.Unlock()
-	e := work.emitters[0]
-	waitUntil(t, "a flush wake of the parked worker in the scraped consumer wakes", 10*time.Second, func() bool {
-		if work.pk.parked.Load() && e.armedUntil.Load() == 0 {
-			e.armFlush(time.Now())
+	e := c.work.emitters[0]
+	waitUntil(t, "a master flush wake of the parked worker in the scraped consumer wakes", 10*time.Second, func() bool {
+		if c.work.pk.parked.Load() {
+			e.requestFlush()
 		}
 		if dp := tel.Dataplane(); dp != nil {
 			for _, c := range dp.Consumers {
@@ -240,4 +220,16 @@ func TestEngineFlushWakeCounted(t *testing.T) {
 		}
 		return false
 	})
+
+	const dl = 20 * time.Millisecond
+	c.setDeadline(dl)
+	c.holdOne(t)
+	held, wakes := time.Now(), c.work.pk.wakes.Load()
+	waitUntil(t, "the held record to reach the sink", 10*time.Second, func() bool { return c.delivered.Load() != 0 })
+	if got := c.work.pk.wakes.Load() - wakes; got != 0 {
+		t.Errorf("the parked worker was woken %d times to ship its held record, want 0 (its own timer ships it)", got)
+	}
+	if took := time.Duration(c.delivered.Load() - held.UnixNano()); took > 250*time.Millisecond {
+		t.Errorf("held record shipped %v after the worker parked; deadline %v, park timeout 500ms", took, dl)
+	}
 }

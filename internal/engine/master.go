@@ -39,7 +39,6 @@ func (ex *execution) masterLoop() {
 			DroppedReports:    ex.droppedReports.Load(),
 			DroppedNoConsumer: ex.dropNoConsumer.Load(),
 		})
-		ex.wheel.stop()
 		close(ex.doneCh)
 	}
 
@@ -288,9 +287,9 @@ func (ex *execution) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 					}
 				}
 				if changed {
-					// Wheel entries armed under the old deadline may now be
-					// stale; a flush pass re-evaluates the buffers and
-					// re-arms at the new deadlines.
+					// A parked lane set its timer under the old deadline; a
+					// flush pass re-evaluates its buffers, and its next park
+					// is capped by the new deadlines.
 					e.requestFlush()
 				}
 			}

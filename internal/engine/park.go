@@ -8,8 +8,9 @@ import (
 // parker is the one park/wake protocol of the engine. Its owner is one
 // goroutine: a worker loop (the parker sits in the consumer task, where
 // producers reach it through their channelRef) or a source lane (its own).
-// Wakers are producers that pushed into the owner's rings, the flush
-// wheel and the master.
+// Wakers are producers that pushed into the owner's rings, and the
+// master. Nothing driven by time wakes an owner: it parks on its own
+// timer, reset to no later than its next flush deadline (emitter.parkFor).
 //
 // The owner publishes parked, re-checks a readiness predicate, and only
 // then blocks; a waker makes its work visible (a ring push, a flag

@@ -20,7 +20,7 @@ type parkModel struct {
 
 // workerParkModel is a worker owner: waker i pushes a batch into its own
 // input ring (as ship does) or raises the lane's flush request (as the
-// wheel's requestFlush does).
+// master's requestFlush does).
 func workerParkModel(ex *execution, kinds [2]string) parkModel {
 	tk := newTask(ex, model.TaskID{Vertex: "work"}, UDFFunc(func(*Context, Record) {}), nil, 1)
 	e := tk.emitters[0]
@@ -40,7 +40,8 @@ func workerParkModel(ex *execution, kinds [2]string) parkModel {
 }
 
 // sourceParkModel is a source-lane owner: waker i raises the lane's flush
-// request (the wheel) or a barrier request (the master's startCheckpoint).
+// request (the master's requestFlush) or a barrier request (the master's
+// startCheckpoint).
 func sourceParkModel(ex *execution, kinds [2]string) parkModel {
 	src := &SourceSpec{Schedule: &workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, Emit: func(*Context) {}}
 	e := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 1).emitters[0]

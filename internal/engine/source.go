@@ -73,8 +73,9 @@ func (e *emitter) runSourceShard() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	resetTimer(timer, time.Hour)
-	// park blocks for d, or until the master or the wheel wakes the lane.
-	park := func(d time.Duration) { e.pk.park(e.requested, timer, d, nil, t.quit, e.abort) }
+	// park blocks for d, or until the lane's next flush deadline or the
+	// master wakes it.
+	park := func(d time.Duration) { e.pk.park(e.requested, timer, e.parkFor(d, e.now), nil, t.quit, e.abort) }
 
 	next := time.Now()
 	for {
@@ -84,9 +85,7 @@ func (e *emitter) runSourceShard() {
 		now := time.Now()
 		e.now = now
 		e.serviceGuarantees(now)
-		if e.flushReq.Swap(false) {
-			e.flushDue(now)
-		}
+		e.serviceFlush(now)
 		if t.draining.Load() {
 			e.drainGates(now)
 			return
@@ -162,8 +161,8 @@ func (e *emitter) runSourceShard() {
 	}
 }
 
-// requested is a source lane's park predicate: the master or the flush
-// wheel asked it for something.
+// requested is a source lane's park predicate: the master asked it for
+// something.
 func (e *emitter) requested() bool {
 	return e.flushReq.Load() || e.barrierReq.Load() != 0 || e.replayReq.Load() || e.t.draining.Load()
 }

@@ -88,10 +88,12 @@ type task struct {
 // emitter is one lane of a task: the state one goroutine owns — the task
 // goroutine for a worker or sink, a shard goroutine for a source — and
 // its output side: a private set of gates (and through them, SPSC rings
-// to every consumer), an rng, an amortized clock, the QoS reporter and
-// the flush-wheel plumbing. Only the atomics the wheel and master touch
-// (flushReq, armedUntil, barrierReq, replayReq, emitCount) and the
-// parker's waker half cross goroutines.
+// to every consumer), an rng, an amortized clock and the QoS reporter.
+// The lane is its own flush timer: it never parks past the earliest
+// deadline of its buffers (parkFor) and runs a flush pass once that
+// deadline has passed (serviceFlush). Only the atomics the master and
+// the scraper touch (flushReq, flushes, barrierReq, replayReq,
+// emitCount) and the parker's waker half cross goroutines.
 type emitter struct {
 	t     *task
 	shard int
@@ -134,10 +136,10 @@ type emitter struct {
 	// poolHint spreads this lane's batchPool traffic across pool shards.
 	poolHint int
 
-	// Flush-wheel plumbing: gates arm the wheel on empty→non-empty
-	// transitions; a fire raises flushReq and wakes the owner.
-	flushReq   atomic.Bool
-	armedUntil atomic.Int64
+	// flushReq is the master's request for a flush pass (requestFlush);
+	// flushes counts the passes the lane ran because a deadline lapsed.
+	flushReq atomic.Bool
+	flushes  atomic.Int64
 
 	// Processing-guarantee state (source shards, nil otherwise). srcLog
 	// is this shard's offset authority and replay buffer — each shard
@@ -211,7 +213,6 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 		e.gates = make([]*gate, len(outs))
 		for pos, ek := range outs {
 			g := newGate(ek, pos, id.Index, ex.spec.graph.Edge(ek).Pattern, ex.cfg.MaxBatchRecords, &ex.dropNoConsumer, &ex.pool)
-			g.owner = e
 			g.poolHint = e.poolHint
 			switch ex.spec.edgeBatching(ek) {
 			case BatchingFixed:
@@ -283,7 +284,7 @@ func (t *task) inputReady() bool {
 }
 
 // requestFlush asks the emitter's owning goroutine for a flush pass over
-// its gates (wheel fires, deadline changes, end-of-job tail flush).
+// its gates (master only: deadline changes, end-of-job tail flush).
 func (e *emitter) requestFlush() {
 	e.flushReq.Store(true)
 	e.pk.wake()
@@ -389,39 +390,38 @@ func (e *emitter) ship(shipments []shipment) {
 	}
 }
 
-// armFlush arms the execution's flush wheel for this emitter at the
-// given deadline, unless an earlier arm is already outstanding
-// (producer goroutine; the wheel clears armedUntil at fire).
-func (e *emitter) armFlush(at time.Time) {
-	w := e.t.ex.wheel
-	if w == nil {
-		return
-	}
-	atNs := at.UnixNano()
-	for {
-		cur := e.armedUntil.Load()
-		if cur != 0 && cur <= atNs {
-			return
-		}
-		if e.armedUntil.CompareAndSwap(cur, atNs) {
-			w.arm(e, atNs)
-			return
+// nextDue returns when the lane's oldest buffered record under a finite
+// deadline reaches it; ok is false when no buffer waits on a deadline.
+func (e *emitter) nextDue() (at time.Time, ok bool) {
+	for _, g := range e.gates {
+		if t, has := g.NextDue(g.deadline()); has && (!ok || t.Before(at)) {
+			at, ok = t, true
 		}
 	}
+	return at, ok
 }
 
-// flushDue ships batches whose deadline expired and re-arms the wheel
-// at the earliest residual deadline.
-func (e *emitter) flushDue(now time.Time) {
-	var nextAt time.Time
+// parkFor caps a park of d at the lane's next flush deadline, seen from
+// now, so no buffered record outwaits its deadline on a parked lane.
+func (e *emitter) parkFor(d time.Duration, now time.Time) time.Duration {
+	if at, ok := e.nextDue(); ok {
+		d = min(d, at.Sub(now))
+	}
+	return d
+}
+
+// serviceFlush is the lane's flush servicing between scans or pacing
+// rounds: a pass when the master asked for one, or once now has reached
+// the lane's earliest deadline (lane goroutine).
+func (e *emitter) serviceFlush(now time.Time) {
+	if !e.flushReq.Swap(false) {
+		if at, ok := e.nextDue(); !ok || now.Before(at) {
+			return
+		}
+		e.flushes.Add(1)
+	}
 	for _, g := range e.gates {
 		e.ship(g.due(now))
-		if at, ok := g.NextDue(g.deadline()); ok && (nextAt.IsZero() || at.Before(nextAt)) {
-			nextAt = at
-		}
-	}
-	if !nextAt.IsZero() {
-		e.armFlush(nextAt)
 	}
 }
 

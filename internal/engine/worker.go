@@ -309,10 +309,10 @@ func (t *task) run() {
 			default:
 			}
 		}
-		if e.flushReq.Swap(false) {
-			e.now = time.Now()
-			e.flushDue(e.now)
+		if e.flushReq.Load() {
+			e.now = time.Now() // the master's request comes at any time
 		}
+		e.serviceFlush(e.now)
 		e.maybeReport(e.now)
 		if t.draining.Load() && e.now.Sub(lastItem) > t.ex.cfg.DrainIdle {
 			// Drain leftovers that raced the idle check, flush gates, and
@@ -346,8 +346,10 @@ func (t *task) run() {
 			runtime.Gosched()
 			continue
 		}
-		// Park, unless a batch or a flush request raced the decision.
-		fired := e.pk.park(t.inputReady, parkTimer, t.parkTimeout(), timerC, t.quit, nil)
+		// Park, unless a batch or a flush request raced the decision, and
+		// wake by the lane's next flush deadline at the latest.
+		e.now = time.Now()
+		fired := e.pk.park(t.inputReady, parkTimer, e.parkFor(t.parkTimeout(), e.now), timerC, t.quit, nil)
 		e.now = time.Now()
 		if fired {
 			t.udf.(TimerUDF).OnTimer(&e.ctx)

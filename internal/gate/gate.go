@@ -46,11 +46,8 @@ type Span interface{ ~int64 | ~float64 }
 type Verdict uint8
 
 const (
-	// Started: the record opened an empty buffer under a finite
-	// deadline; the driver arms its flush timer.
-	Started Verdict = 1 << iota
 	// Flush: the slot Push returned must ship now (Take it).
-	Flush
+	Flush Verdict = 1 << iota
 	// Dropped: there is no consumer; the record was not buffered.
 	Dropped
 	// Churn: the consumer set changed and left key buffers without a
@@ -150,14 +147,11 @@ func (g *Gate[C, R, T, D]) Push(rec *R, key uint64, w int, now T, dl D) (k int, 
 	s := &g.slots[k]
 	if len(s.recs) == 0 {
 		s.oldest = now
-		if dl != g.never {
-			v |= Started
-		}
 	}
 	s.recs = append(s.recs, *rec)
 	s.weight += w
 	if dl <= 0 || s.weight >= g.limit {
-		v = v&^Started | Flush
+		v |= Flush
 	}
 	return k, v
 }

@@ -231,9 +231,6 @@ func (h *harness) push(key uint64, size int) {
 	if want := h.full(mb); want != (v&Flush != 0) {
 		h.t.Fatalf("push verdict %b with dl=%d weight=%d limit=%d", v, h.dl, mb.weight, h.limit)
 	}
-	if started := len(mb.ids) == 1 && h.dl != never && v&Flush == 0; started != (v&Started != 0) {
-		h.t.Fatalf("push verdict %b for record %d of its buffer, dl=%d", v, len(mb.ids), h.dl)
-	}
 	if v&Flush != 0 {
 		h.take(k)
 	}

@@ -2,7 +2,7 @@ package obs
 
 // The data-plane X-ray: both runtimes sample their queueing layer once
 // per adjustment interval — ring counters, emitter pacing, consumer
-// parking, flush-wheel and batch-pool state in the engine; the mirrored
+// parking, deadline-flush and batch-pool state in the engine; the mirrored
 // queue-depth walk in the simulator — into a DataplaneSnapshot.
 // Telemetry.ObserveDataplane classifies each edge's backpressure state,
 // publishes the gauges, and keeps the latest snapshot for /dataplane and
@@ -77,12 +77,18 @@ type DataplaneConsumer struct {
 	Wakes  int64  `json:"wakes"`
 }
 
-// DataplaneWheel is the flush-timer wheel's sampled state.
+// DataplaneWheel is the engine's deadline-flush accounting. It keeps the
+// name of the flush-timer wheel it replaced: each lane is now its own
+// flush timer.
 type DataplaneWheel struct {
+	// Fires counts deadline flush passes, summed over every lane: a lane
+	// found its oldest buffered record past its flush deadline.
 	Fires int64 `json:"fires"`
-	Armed int64 `json:"armed"`
-	// ParkedFrac is the fraction of the last interval the wheel
-	// goroutine spent parked (nothing armed).
+	// Armed and ParkedFrac are retired with the wheel goroutine and stay
+	// zero. They remain because the benchmark harness reads ParkedFrac
+	// and /dataplane keeps its JSON shape; the harness change that drops
+	// its wheel rows deletes them.
+	Armed      int64   `json:"armed"`
 	ParkedFrac float64 `json:"parked_frac"`
 }
 

@@ -100,7 +100,7 @@ func TestObserveDataplane(t *testing.T) {
 			OccupancyFrac: 0.75, ConsumerBusy: 0.95,
 		}},
 		Consumers: []DataplaneConsumer{{Vertex: "work", Parks: 42, Wakes: 40}},
-		Wheel:     &DataplaneWheel{Fires: 7, Armed: 2, ParkedFrac: 0.5},
+		Wheel:     &DataplaneWheel{Fires: 7},
 		Pool:      []DataplanePoolShard{{Shard: 0, Hits: 10, Misses: 2, HitRate: 10.0 / 12}},
 	}, nil)
 
@@ -121,7 +121,7 @@ func TestObserveDataplane(t *testing.T) {
 	for _, want := range []string{
 		`nephelix_dataplane_ring_occupancy{edge="src->work"} 12`,
 		`nephelix_dataplane_backpressure_state{edge="src->work"} 2`,
-		"nephelix_dataplane_wheel_parked_frac 0.5",
+		"nephelix_dataplane_wheel_fires_total 7",
 		`nephelix_dataplane_pool_hit_rate{shard="0"}`,
 		`nephelix_dataplane_consumer_parks_total{vertex="work"} 42`,
 		`nephelix_dataplane_consumer_wakes_total{vertex="work"} 40`,
@@ -131,13 +131,18 @@ func TestObserveDataplane(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	for _, gone := range []string{"nephelix_dataplane_wheel_armed", "nephelix_dataplane_wheel_parked_frac"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics still has the retired wheel series %s", gone)
+		}
+	}
 	checkHelpBeforeType(t, body)
 }
 
 // checkHelpBeforeType fails for every # TYPE line of an exposition that
 // does not follow a # HELP line for the same name. The golden run covers
 // the families a simulated job produces; the tests of the engine-only
-// ones (wheel, pool, emitter shards) call this.
+// ones (deadline flushes, pool, emitter shards) call this.
 func checkHelpBeforeType(t *testing.T, body string) {
 	t.Helper()
 	lines := strings.Split(body, "\n")

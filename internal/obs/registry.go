@@ -79,13 +79,11 @@ var dataplaneShardRows = []row[DataplaneShard]{
 
 var dataplaneConsumerRows = []row[DataplaneConsumer]{
 	{"nephelix_dataplane_consumer_parks_total", "Cumulative park transitions of a consumer vertex's live tasks.", func(c *DataplaneConsumer) float64 { return float64(c.Parks) }},
-	{"nephelix_dataplane_consumer_wakes_total", "Cumulative wakes delivered to a consumer vertex's parked tasks: producer pushes, flush-deadline fires and master requests.", func(c *DataplaneConsumer) float64 { return float64(c.Wakes) }},
+	{"nephelix_dataplane_consumer_wakes_total", "Cumulative wakes delivered to a consumer vertex's parked tasks: producer pushes and master requests.", func(c *DataplaneConsumer) float64 { return float64(c.Wakes) }},
 }
 
 var dataplaneWheelRows = []row[DataplaneWheel]{
-	{"nephelix_dataplane_wheel_fires_total", "Cumulative flush-timer-wheel fires.", func(w *DataplaneWheel) float64 { return float64(w.Fires) }},
-	{"nephelix_dataplane_wheel_armed", "Flush-wheel entries currently armed.", func(w *DataplaneWheel) float64 { return float64(w.Armed) }},
-	{"nephelix_dataplane_wheel_parked_frac", "Fraction of the last interval the flush wheel spent parked.", func(w *DataplaneWheel) float64 { return w.ParkedFrac }},
+	{"nephelix_dataplane_wheel_fires_total", "Cumulative deadline flush passes of all lanes: a lane's oldest buffered record reached its flush deadline.", func(w *DataplaneWheel) float64 { return float64(w.Fires) }},
 }
 
 var dataplanePoolRows = []row[DataplanePoolShard]{
