@@ -120,7 +120,7 @@ func run() error {
 	pr.BoundSeconds = constraint.Bound.Seconds()
 
 	cnt := &counter{mu: &sync.Mutex{}, counts: make(map[string]int), probe: pr}
-	// Emit runs on every source shard goroutine at once.
+	// Emit runs on every source task's goroutine at once.
 	var emitted atomic.Int64
 
 	// Load: 8 s ramp from 100 to 500 sentences/s and back.

@@ -187,7 +187,8 @@ func TestTwitterSentimentCrossRuntime(t *testing.T) {
 		}
 		opts := DefaultTwitterSentimentOptions()
 		opts.Schedule, opts.Replay = nil, replay
-		opts.Sources, opts.InitialHT, opts.InitialFilter, opts.InitialSentiment = 1, 1, 1, 1
+		// Two source tasks: Emit runs concurrently on the shared replay.
+		opts.Sources, opts.InitialHT, opts.InitialFilter, opts.InitialSentiment = 2, 1, 1, 1
 		opts.Elastic = false
 		opts.Topics, opts.HotK = 10, k
 		opts.SampleProbability = 0.2
@@ -246,7 +247,6 @@ func TestTwitterSentimentCrossRuntime(t *testing.T) {
 	exec, err := engine.New(engine.Config{
 		MeasurementInterval: 100 * time.Millisecond,
 		AdjustmentInterval:  500 * time.Millisecond,
-		SourceShards:        2, // Emit runs concurrently on the shared replay
 		Seed:                1,
 	}).Submit(j.engineSpec(), j.probes)
 	if err != nil {

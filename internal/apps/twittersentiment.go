@@ -413,7 +413,7 @@ func tweetTopic(tw workload.Tweet) uint64 {
 
 // newEngineTweetSource builds the engine's TweetSource emission: one
 // tweet stream (the replay, or a generator over the schedule's bursts)
-// that every source task and shard draws from under a mutex.
+// that every source task draws from under a mutex.
 func newEngineTweetSource(opts TwitterSentimentOptions) func(*engine.Context) {
 	var next func() workload.Tweet
 	if opts.Replay != nil {

@@ -12,12 +12,12 @@ import (
 // DESIGN.md "Processing guarantees"). What is engine-specific, here and
 // in master.go/worker.go/source.go, is how the protocol meets goroutines
 // and rings: the master injects barriers and requests replays through
-// per-shard atomics the shard goroutine services between emission
-// rounds, barriers travel as gate.barrierShipments, replays re-emit
+// atomics on the source's lane that its task goroutine services between
+// emission rounds, barriers travel as gate.barrierShipments, replays re-emit
 // through emitter.emit, the completing ack reaches the master over a
 // channel, and an exhausted source lingers until its tail is committed.
 
-// logEntry is what a source shard's ckpt.Log retains per emission: the
+// logEntry is what a source task's ckpt.Log retains per emission: the
 // record as emitted (trace span cleared) plus the out-edge it left on,
 // so a replay retraces the original routing.
 type logEntry struct {
@@ -77,8 +77,8 @@ func (ex *execution) logTotals() (assigned uint64, uncommitted, stalls int64) {
 	return ex.logs.Totals()
 }
 
-// requestReplayAll asks every live source shard to re-emit its log's
-// uncommitted suffix (master, after a restart landed). A shard attached
+// requestReplayAll asks every live source to re-emit its log's
+// uncommitted suffix (master, after a restart landed). A source attached
 // later inherits its request from the orphaned log (newTask).
 func (ex *execution) requestReplayAll() {
 	ex.mu.Lock()
@@ -88,11 +88,9 @@ func (ex *execution) requestReplayAll() {
 			if t.src == nil {
 				continue
 			}
-			for _, e := range t.emitters {
-				e.replayReq.Store(true)
-				// Parked source shards only act on the flag once awake.
-				e.pk.wake()
-			}
+			t.lane.replayReq.Store(true)
+			// A parked source only acts on the flag once awake.
+			t.pk.wake()
 		}
 	}
 }

@@ -312,17 +312,18 @@ func TestEngineGuaranteeChurnAlignment(t *testing.T) {
 	}
 }
 
-// TestEngineShardedChurnAlignment (satellite): the counting-alignment
-// invariants must survive sharded source emission. With SourceShards=3
-// the source vertex runs three emitter lanes, each owning a disjoint
-// offset range through its own sourceLog and its own set of outbound
-// rings — so a barrier id is injected once per offset-shard and a
-// consumer's alignment count is the number of producer *emitters*, not
-// producer tasks. Churn races checkpoints exactly as in the unsharded
-// test; the cut must stay consistent: no deadlock on a stale count, no
-// holes, no lost or duplicated offsets across shards.
-func TestEngineShardedChurnAlignment(t *testing.T) {
+// TestEngineMultiSourceChurnAlignment: the counting-alignment invariants
+// must survive a source vertex of three tasks. Each source task owns a
+// disjoint offset range through its own log and its own outbound rings,
+// so a barrier id is injected once per source task and a consumer's
+// alignment count is its number of live producer tasks. Churn races
+// checkpoints exactly as in the one-source test; the cut must stay
+// consistent: no deadlock on a stale count, no holes, no lost or
+// duplicated offsets across the three logs.
+func TestEngineMultiSourceChurnAlignment(t *testing.T) {
 	g := buildChain(t, 2, 4, model.PatternRoundRobin)
+	src := g.Vertex("src")
+	src.Parallelism, src.MinParallelism, src.MaxParallelism = 3, 3, 3
 	var emitted, received atomic.Int64
 	var hold atomic.Bool
 	var blocked atomic.Int64
@@ -339,7 +340,6 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} })
 
 	cfg := guaranteeConfig(29, ckpt.ExactlyOnce, nil)
-	cfg.SourceShards = 3
 	cfg.CheckpointInterval = 10 * time.Millisecond
 	cfg.DrainIdle = 50 * time.Millisecond
 	exec, err := New(cfg).Submit(spec, nil)
@@ -347,23 +347,20 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The source task must actually be sharded: three emitter lanes with
-	// three distinct source logs (distinct srcIDs = disjoint offsets).
+	// Three source tasks, three distinct source logs (distinct srcIDs =
+	// disjoint offsets).
 	exec.ex.mu.Lock()
-	srcTasks := exec.ex.vertices["src"].tasks
-	shardIDs := map[int32]bool{}
-	for _, st := range srcTasks {
-		for _, e := range st.emitters {
-			if e.srcLog == nil {
-				t.Error("sharded source emitter has no source log")
-				continue
-			}
-			shardIDs[e.srcLog.ID()] = true
+	logIDs := map[int32]bool{}
+	for _, st := range exec.ex.vertices["src"].tasks {
+		if st.lane.srcLog == nil {
+			t.Error("source task has no source log")
+			continue
 		}
+		logIDs[st.lane.srcLog.ID()] = true
 	}
 	exec.ex.mu.Unlock()
-	if len(shardIDs) != 3 {
-		t.Fatalf("source runs %d distinct offset shards, want 3", len(shardIDs))
+	if len(logIDs) != 3 {
+		t.Fatalf("source vertex runs %d distinct offset logs, want 3", len(logIDs))
 	}
 
 	for _, churn := range []func(){
@@ -376,8 +373,27 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 		waitUntil(t, "all workers to block mid-record", 5*time.Second, func() bool {
 			return blocked.Load() >= base+workers
 		})
-		waitUntil(t, "a checkpoint in flight", 5*time.Second, func() bool {
-			return exec.ex.coord.InFlight() != 0
+		// A round armed while every worker is blocked: each worker must
+		// align one barrier per source task, the sink one per worker.
+		waitUntil(t, "a checkpoint in flight that no consumer acknowledged", 5*time.Second, func() bool {
+			exec.ex.mu.Lock()
+			defer exec.ex.mu.Unlock()
+			id := exec.ex.coord.InFlight()
+			want := map[string]int{"work": 3, "sink": len(exec.ex.vertices["work"].tasks)}
+			got := map[*task]int{}
+			for vertex := range want {
+				for _, tk := range exec.ex.vertices[vertex].tasks {
+					if got[tk] = exec.ex.coord.Expected(id, tk); got[tk] == -1 {
+						return false // not armed for tk, acknowledged, or superseded
+					}
+				}
+			}
+			for tk, n := range got {
+				if n != want[tk.id.Vertex] {
+					t.Errorf("%s aligns %d barriers, want %d (one per live producer task)", tk.id, n, want[tk.id.Vertex])
+				}
+			}
+			return true
 		})
 		churn()
 		hold.Store(false)
@@ -387,7 +403,7 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := exec.Wait(ctx); err != nil {
-		t.Fatalf("sharded churned job did not finish: %v", err)
+		t.Fatalf("churned three-source job did not finish: %v", err)
 	}
 
 	committed, aborted := exec.Checkpoints()
@@ -400,10 +416,11 @@ func TestEngineShardedChurnAlignment(t *testing.T) {
 	if received.Load() != emitted.Load() {
 		t.Errorf("sink deliveries = %d, want %d", received.Load(), emitted.Load())
 	}
-	// Offsets are stamped once across the shards: disjoint ranges mean
-	// SourceRecords (the union of the three logs) equals the emit count.
+	// Offsets are stamped once across the source tasks: disjoint ranges
+	// mean SourceRecords (the union of the three logs) equals the emit
+	// count.
 	if exec.SourceRecords() != emitted.Load() {
-		t.Errorf("SourceRecords = %d, want %d (shards must own disjoint offsets)", exec.SourceRecords(), emitted.Load())
+		t.Errorf("SourceRecords = %d, want %d (source tasks must own disjoint offsets)", exec.SourceRecords(), emitted.Load())
 	}
 	distinct, _, holes := exec.SinkDeliveries()
 	if holes != 0 {
@@ -459,7 +476,7 @@ func TestLostRecordsDeadConsumerShip(t *testing.T) {
 	ex := &execution{cfg: Config{}.withDefaults()}
 	producer := &task{ex: ex, quit: make(chan struct{})}
 	pe := &emitter{t: producer}
-	producer.emitters = []*emitter{pe}
+	producer.lane = pe
 	consumer := &task{dead: make(chan struct{})}
 	close(consumer.dead)
 	deadRing := ring.New[batch](4)

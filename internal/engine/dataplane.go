@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strconv"
 	"time"
 
 	"nephelix/internal/model"
@@ -9,19 +8,19 @@ import (
 )
 
 // dataplaneScraper derives one obs.DataplaneSnapshot per adjustment
-// interval from the sharded data plane's cumulative counters: ring
-// push/stall/pop totals per edge, emitter pacing per source shard,
+// interval from the data plane's cumulative counters: ring
+// push/stall/pop totals per edge, pacing per source task,
 // park/wake totals per consumer vertex, the lanes' deadline flush passes
 // and the batch pool's hit/miss counts. It runs on the master
 // goroutine only; all cross-goroutine reads go through the counters' own
 // atomic (or mutex) snapshots, so sampling adds no synchronization to
 // the hot path. The per-edge rates are derived by obs.DataplaneRates,
-// shared with the simulator; the lane and pool deltas below exist only
+// shared with the simulator; the source and pool deltas below exist only
 // here.
 type dataplaneScraper struct {
 	lastAt   time.Time
 	rates    obs.DataplaneRates
-	prevEmit map[string]int64 // per-lane cumulative emitted, keyed by task/shard
+	prevEmit map[string]int64 // per-source cumulative emitted, keyed by task
 	prevPool [poolShards]poolShardStats
 }
 
@@ -41,15 +40,15 @@ func (ex *execution) scrapeDataplane() {
 		interval = ex.cfg.AdjustmentInterval.Seconds()
 	}
 	snap := obs.DataplaneSnapshot{
-		At:              time.Since(ex.start).Seconds(),
+		At:              ex.since(now),
 		Layer:           "engine",
 		IntervalSeconds: interval,
 	}
 
 	ex.mu.Lock()
-	// Per-edge ring walk: every producer emitter's gates hold the rings
-	// into each consumer; aggregate them per job edge. Consumer vertices'
-	// park/wake totals and every lane's deadline flush passes ride along.
+	// Per-edge ring walk: every producer's gates hold the rings into each
+	// consumer; aggregate them per job edge. Consumer vertices' park/wake
+	// totals and every lane's deadline flush passes ride along.
 	edges := make(map[model.EdgeKey]*obs.DataplaneEdge)
 	var busy []obs.TaskBusy
 	flushes := ex.retiredFlushes
@@ -59,24 +58,22 @@ func (ex *execution) scrapeDataplane() {
 			busy = append(busy, obs.TaskBusy{Vertex: name, Task: t.id.String(), Seconds: float64(t.busyNs.Load()) / 1e9})
 			consumer.Parks += t.pk.parks.Load()
 			consumer.Wakes += t.pk.wakes.Load()
-			for _, e := range t.emitters {
-				flushes += e.flushes.Load()
-				for _, g := range e.gates {
-					de := edges[g.edge]
-					if de == nil {
-						de = &obs.DataplaneEdge{Edge: g.edge.String(), Producer: g.edge.Source, Consumer: g.edge.Target}
-						edges[g.edge] = de
-					}
-					for _, ref := range g.Consumers() {
-						st := ref.ring.Stats()
-						de.Rings++
-						de.Occupancy += ref.ring.Len()
-						de.Capacity += ref.ring.Cap()
-						de.HighWater = max(de.HighWater, int(st.HighWater))
-						de.Pushes += st.Pushes
-						de.PushFails += st.PushFails
-						de.Pops += st.Pops
-					}
+			flushes += t.lane.flushes.Load()
+			for _, g := range t.lane.gates {
+				de := edges[g.edge]
+				if de == nil {
+					de = &obs.DataplaneEdge{Edge: g.edge.String(), Producer: g.edge.Source, Consumer: g.edge.Target}
+					edges[g.edge] = de
+				}
+				for _, ref := range g.Consumers() {
+					st := ref.ring.Stats()
+					de.Rings++
+					de.Occupancy += ref.ring.Len()
+					de.Capacity += ref.ring.Cap()
+					de.HighWater = max(de.HighWater, int(st.HighWater))
+					de.Pushes += st.Pushes
+					de.PushFails += st.PushFails
+					de.Pops += st.Pops
 				}
 			}
 		}
@@ -85,49 +82,39 @@ func (ex *execution) scrapeDataplane() {
 		}
 	}
 
-	// Source emitter lanes: intended vs actual emit rate, park/wake.
+	// Source tasks: intended vs actual emit rate, park/wake.
 	for _, name := range ex.order {
 		vs := ex.vertices[name]
 		for _, t := range vs.tasks {
 			if t.src == nil {
 				continue
 			}
-			n := int(vs.count.Load())
-			if n < 1 {
-				n = 1
+			n := max(int(vs.count.Load()), 1)
+			intended := max(t.src.Schedule.Rate(snap.At)/float64(n), 0)
+			emitted := t.lane.emitCount.Load()
+			key := t.id.String()
+			var d int64
+			if prev, ok := dp.prevEmit[key]; ok && emitted >= prev {
+				d = emitted - prev
+			} else {
+				d = emitted
 			}
-			shards := len(t.emitters)
-			intended := t.src.Schedule.Rate(snap.At) / float64(n*shards)
-			if intended < 0 {
-				intended = 0
+			dp.prevEmit[key] = emitted
+			actual := float64(d) / interval
+			lag := 0.0
+			if intended > 0 && actual < intended {
+				lag = (intended - actual) / intended
 			}
-			for _, e := range t.emitters {
-				emitted := e.emitCount.Load()
-				key := t.id.String() + "/" + strconv.Itoa(e.shard)
-				var d int64
-				if prev, ok := dp.prevEmit[key]; ok && emitted >= prev {
-					d = emitted - prev
-				} else {
-					d = emitted
-				}
-				dp.prevEmit[key] = emitted
-				actual := float64(d) / interval
-				lag := 0.0
-				if intended > 0 && actual < intended {
-					lag = (intended - actual) / intended
-				}
-				snap.Shards = append(snap.Shards, obs.DataplaneShard{
-					Vertex:       name,
-					Task:         t.id.String(),
-					Shard:        e.shard,
-					Emitted:      emitted,
-					ActualRate:   actual,
-					IntendedRate: intended,
-					LagFrac:      lag,
-					Parks:        e.pk.parks.Load(),
-					Wakes:        e.pk.wakes.Load(),
-				})
-			}
+			snap.Sources = append(snap.Sources, obs.DataplaneSource{
+				Vertex:       name,
+				Task:         key,
+				Emitted:      emitted,
+				ActualRate:   actual,
+				IntendedRate: intended,
+				LagFrac:      lag,
+				Parks:        t.pk.parks.Load(),
+				Wakes:        t.pk.wakes.Load(),
+			})
 		}
 	}
 	ex.mu.Unlock()

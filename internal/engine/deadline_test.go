@@ -23,8 +23,7 @@ func TestLaneFlushDeadline(t *testing.T) {
 	oldest := time.Unix(1000, 0)
 	lane := func(deadline time.Duration) (*emitter, *gate, *ring.SPSC[batch]) {
 		tk, _ := newBareTask(nil)
-		e := tk.emitters[0]
-		e.pk = &tk.pk
+		e := tk.lane
 		g, _, _ := testGate(model.PatternRoundRobin, 256)
 		g.setDeadline(deadline)
 		r := ring.New[batch](4)

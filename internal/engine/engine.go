@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,10 +40,8 @@ type Config struct {
 	// (default 64, rounded up to a power of two); full rings exert
 	// backpressure.
 	QueueCapacity int
-	// SourceShards is the number of concurrent emitter shards per source
-	// task (default GOMAXPROCS-derived: GOMAXPROCS/2, clamped to [1, 4]).
-	// Each shard runs its own pacing loop and, under guarantees, owns its
-	// own offset log, so one source task can emit from several cores.
+	// SourceShards is ignored: a source task is one goroutine, and a job
+	// emits from more cores by raising its source vertex's parallelism.
 	SourceShards int
 	// WheelResolution is ignored. It set the tick of the flush-timer
 	// wheel, which is gone: each lane parks no longer than its earliest
@@ -52,7 +49,7 @@ type Config struct {
 	WheelResolution time.Duration
 	// MaxBatchRecords caps output batches (default 256).
 	MaxBatchRecords int
-	// FlushTick is how long a source lane that waits for a commit or for
+	// FlushTick is how long a source that waits for a commit or for
 	// room in its replay buffer parks between checks (default 1 ms).
 	FlushTick time.Duration
 	// DrainIdle is how long a draining task waits for stragglers before
@@ -131,16 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushTick <= 0 {
 		c.FlushTick = time.Millisecond
-	}
-	if c.SourceShards <= 0 {
-		s := runtime.GOMAXPROCS(0) / 2
-		if s < 1 {
-			s = 1
-		}
-		if s > 4 {
-			s = 4
-		}
-		c.SourceShards = s
 	}
 	if c.DrainIdle <= 0 {
 		c.DrainIdle = 300 * time.Millisecond
@@ -297,8 +284,8 @@ type execution struct {
 	reports chan any
 
 	// pool recycles batch slices across all tasks of the execution (see
-	// pool.go for the ownership contract); poolSeq hands out shard hints
-	// round-robin at task/emitter construction.
+	// pool.go for the ownership contract); poolSeq hands out pool-shard
+	// hints round-robin at task construction.
 	pool    batchPool
 	poolSeq atomic.Int64
 
@@ -406,8 +393,8 @@ func (ex *execution) bootstrap() error {
 			}
 		}
 	}
-	// Wire all edges producer × consumer: one SPSC ring per producer
-	// emitter → consumer pair.
+	// Wire all edges producer × consumer: one SPSC ring per producer →
+	// consumer task pair.
 	for _, e := range g.Edges() {
 		pos := ex.edgePos[e.Key()]
 		for _, p := range ex.vertices[e.Source].tasks {
@@ -420,20 +407,18 @@ func (ex *execution) bootstrap() error {
 }
 
 // connect wires one producer task to one consumer task on an edge: one
-// SPSC ring per producer emitter, registered with the consumer's poll
-// set (bootstrap or master goroutine). Each ring's push side belongs to
-// exactly one emitter goroutine and its pop side to the consumer's, so
-// the SPSC discipline holds by construction.
+// SPSC ring, registered with the consumer's poll set (bootstrap or
+// master goroutine). Its push side belongs to the producer's task
+// goroutine and its pop side to the consumer's, so the SPSC discipline
+// holds by construction.
 func (ex *execution) connect(p *task, pos int, ek model.EdgeKey, c *task) {
-	for _, e := range p.emitters {
-		r := ring.New[batch](ex.cfg.QueueCapacity)
-		e.gates[pos].Add(&channelRef{
-			id:   model.ChannelID{Edge: ek, Producer: p.id.Index, Consumer: c.id.Index},
-			to:   c,
-			ring: r,
-		})
-		c.addInRing(r)
-	}
+	r := ring.New[batch](ex.cfg.QueueCapacity)
+	p.lane.gates[pos].Add(&channelRef{
+		id:   model.ChannelID{Edge: ek, Producer: p.id.Index, Consumer: c.id.Index},
+		to:   c,
+		ring: r,
+	})
+	c.addInRing(r)
 }
 
 // createTask builds and places one task (caller holds no lock during
@@ -455,7 +440,7 @@ func (ex *execution) createTask(vertex string) (*task, error) {
 	}
 	t := newTask(ex, id, udf, src, ex.cfg.Seed+int64(len(vs.tasks))*7919+int64(vs.nextIndex))
 	if vs.tail && src == nil {
-		t.emitters[0].reporter.TrackQueueWait()
+		t.lane.reporter.TrackQueueWait()
 	}
 	vs.tasks = append(vs.tasks, t)
 	vs.refreshCount()
@@ -479,7 +464,11 @@ func (ex *execution) recordLifecycle(kind string, lc obs.Lifecycle) {
 }
 
 // Now is the execution's clock, seconds since its start (master.Runtime).
-func (ex *execution) Now() float64 { return time.Since(ex.start).Seconds() }
+func (ex *execution) Now() float64 { return ex.since(time.Now()) }
+
+// since reads a wall-clock time on the execution's clock. Every engine
+// timestamp — telemetry points, trace spans, lifecycle events — is one.
+func (ex *execution) since(t time.Time) float64 { return t.Sub(ex.start).Seconds() }
 
 // launch starts one task goroutine.
 func (ex *execution) launch(t *task) {
@@ -487,8 +476,6 @@ func (ex *execution) launch(t *task) {
 	ex.wg.Add(1)
 	if t.src != nil {
 		ex.sourcesLeft.Add(1)
-		go t.runSource()
-		return
 	}
 	go t.run()
 }
@@ -498,9 +485,7 @@ func (ex *execution) taskDone(t *task) {
 	ex.mu.Lock()
 	ex.accountUsageLocked()
 	ex.retired += t.busyNs.Load()
-	for _, e := range t.emitters {
-		ex.retiredFlushes += e.flushes.Load()
-	}
+	ex.retiredFlushes += t.lane.flushes.Load()
 	// Unplace frees the slot; a nil map hit can only mean a double exit,
 	// which the registry removal below would also surface.
 	_ = ex.scheduler.Unplace(t.id)

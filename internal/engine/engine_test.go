@@ -650,7 +650,7 @@ func TestEngineFixedBatchingDeliversTail(t *testing.T) {
 		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} }).
 		SetEdgeBatching("src", "work", BatchingFixed).
 		SetEdgeBatching("work", "sink", BatchingFixed)
-	exec, err := New(Config{Seed: 15, MaxBatchRecords: 64, SourceShards: 1, MeasurementInterval: 50 * time.Millisecond}).Submit(spec, nil)
+	exec, err := New(Config{Seed: 15, MaxBatchRecords: 64, MeasurementInterval: 50 * time.Millisecond}).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

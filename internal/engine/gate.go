@@ -12,8 +12,8 @@ import (
 )
 
 // channelRef is one producer→consumer path of a job edge: the target
-// task plus the SPSC ring this producer emitter pushes into. Each ring
-// has exactly one pushing goroutine (the emitter that owns the gate
+// task plus the SPSC ring the producer task pushes into. Each ring has
+// exactly one pushing goroutine (the task whose lane owns the gate
 // holding this ref) and one popping goroutine (the consumer task), so
 // the lock-free SPSC discipline holds by construction.
 type channelRef struct {

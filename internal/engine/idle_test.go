@@ -76,15 +76,22 @@ func TestIdleGapPredictor(t *testing.T) {
 	})
 }
 
-// TestTaskSizeClass pins task to the 256-byte allocation class, whose
-// objects start on a cache line. In a class that is not a multiple of
-// 64 B, consecutive tasks share a line between one's busyNs and parker
-// counters and the next one's read-mostly head (measured on
-// steady-adaptive, EXPERIMENTS.md). A field that moves the struct out of
-// (240, 256] changes the class: measure steady-adaptive before adding one.
+// TestTaskSizeClass pins task at 256 bytes, the 256-byte allocation
+// class, whose objects start on a cache line, and the lines' grouping:
+// the producers' line starts at the parker, the consumer's at processed.
+// In a class that is not a multiple of 64 B, consecutive tasks share a
+// line between one's busyNs and parker counters and the next one's
+// read-mostly head (measured on steady-adaptive, EXPERIMENTS.md). The
+// blank field fills the second read-mostly line; a field that moves
+// either boundary changes the layout: measure steady-adaptive before
+// adding one.
 func TestTaskSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(task{}); n <= 240 || n > 256 {
-		t.Errorf("unsafe.Sizeof(task{}) = %d, want in (240, 256]", n)
+	var tk task
+	if n := unsafe.Sizeof(tk); n != 256 {
+		t.Errorf("unsafe.Sizeof(task{}) = %d, want 256", n)
+	}
+	if pk, processed := unsafe.Offsetof(tk.pk), unsafe.Offsetof(tk.processed); pk != 128 || processed != 192 {
+		t.Errorf("parker at byte %d, processed at %d, want 128 and 192", pk, processed)
 	}
 }
 
@@ -206,7 +213,7 @@ func TestEngineFlushWakeCounted(t *testing.T) {
 	defer waitDone(t, c.exec, 20*time.Second)
 	defer c.exec.Stop()
 
-	e := c.work.emitters[0]
+	e := c.work.lane
 	waitUntil(t, "a master flush wake of the parked worker in the scraped consumer wakes", 10*time.Second, func() bool {
 		if c.work.pk.parked.Load() {
 			e.requestFlush()

@@ -109,7 +109,7 @@ func (ex *execution) startCheckpoint() {
 	}
 	ex.reportCheckpoint(ex.coord.Abort("superseded by next interval"))
 	ex.mu.Lock()
-	var sourceEmitters []*emitter
+	var sources []*task
 	expect := make(map[*task]int)
 	for _, name := range ex.order {
 		for _, t := range ex.vertices[name].tasks {
@@ -118,34 +118,30 @@ func (ex *execution) startCheckpoint() {
 				return
 			}
 			if t.src != nil {
-				// One barrier per offset shard: each shard emitter injects
-				// the marker into its own rings and acks its own log's
-				// watermark.
-				sourceEmitters = append(sourceEmitters, t.emitters...)
+				// Each source injects the marker into its own rings and acks
+				// its own log's watermark.
+				sources = append(sources, t)
 				continue
 			}
-			// A worker aligns one barrier per live upstream producer
-			// emitter, on every inbound edge (barriers broadcast to all
-			// consumers regardless of wiring pattern). No task is draining
-			// here — the loop above bailed otherwise — so every producer
-			// counts.
+			// A worker aligns one barrier per live upstream producer task,
+			// on every inbound edge (barriers broadcast to all consumers
+			// regardless of wiring pattern). No task is draining here — the
+			// loop above bailed otherwise — so every producer counts.
 			exp := 0
 			for _, ek := range ex.spec.graph.InEdges(name) {
-				for _, p := range ex.vertices[ek.Source].tasks {
-					exp += len(p.emitters)
-				}
+				exp += len(ex.vertices[ek.Source].tasks)
 			}
 			expect[t] = exp
 		}
 	}
-	if len(sourceEmitters) == 0 {
+	if len(sources) == 0 {
 		ex.mu.Unlock()
 		return
 	}
-	id := ex.coord.Begin(ex.Now(), expect, len(sourceEmitters))
-	for _, e := range sourceEmitters {
-		e.barrierReq.Store(id)
-		e.pk.wake()
+	id := ex.coord.Begin(ex.Now(), expect, len(sources))
+	for _, t := range sources {
+		t.lane.barrierReq.Store(id)
+		t.pk.wake()
 	}
 	ex.mu.Unlock()
 	ex.recordLifecycle(obs.KindCheckpointStart, obs.Lifecycle{CheckpointID: id})
@@ -275,23 +271,21 @@ func (ex *execution) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 	}
 	for _, name := range ex.order {
 		for _, t := range ex.vertices[name].tasks {
-			for _, e := range t.emitters {
-				changed := false
-				for _, g := range e.gates {
-					if ex.spec.edgeBatching(g.edge) != BatchingAdaptive {
-						continue
-					}
-					if d, ok := ex.deadlines[g.edge]; ok {
-						g.setDeadline(d)
-						changed = true
-					}
+			changed := false
+			for _, g := range t.lane.gates {
+				if ex.spec.edgeBatching(g.edge) != BatchingAdaptive {
+					continue
 				}
-				if changed {
-					// A parked lane set its timer under the old deadline; a
-					// flush pass re-evaluates its buffers, and its next park
-					// is capped by the new deadlines.
-					e.requestFlush()
+				if d, ok := ex.deadlines[g.edge]; ok {
+					g.setDeadline(d)
+					changed = true
 				}
+			}
+			if changed {
+				// A parked lane set its timer under the old deadline; a
+				// flush pass re-evaluates its buffers, and its next park is
+				// capped by the new deadlines.
+				t.lane.requestFlush()
 			}
 		}
 	}
@@ -313,13 +307,12 @@ func (ex *execution) flushTails() {
 			if t.src != nil {
 				continue
 			}
-			e := t.emitters[0]
-			for _, g := range e.gates {
+			for _, g := range t.lane.gates {
 				if g.deadline() == noDeadline {
 					g.setDeadline(0)
 				}
 			}
-			e.requestFlush()
+			t.lane.requestFlush()
 		}
 	}
 }
@@ -366,17 +359,13 @@ func (ex *execution) scaleDown(vertex string, n int) {
 		for _, ek := range g.InEdges(vertex) {
 			pos := ex.edgePos[ek]
 			for _, p := range ex.vertices[ek.Source].tasks {
-				for _, pe := range p.emitters {
-					pe.gates[pos].removeConsumer(t)
-				}
+				p.lane.gates[pos].removeConsumer(t)
 			}
 		}
 		t.draining.Store(true)
 		// Wake the drained task so its park ends and the drain-idle clock
 		// starts now rather than at the next housekeeping timeout.
-		for _, e := range t.emitters {
-			e.pk.wake()
-		}
+		t.pk.wake()
 		ex.noteChurn("scale-down")
 	}
 	vs.refreshCount()
@@ -390,9 +379,7 @@ func (ex *execution) stopSources() {
 		for _, t := range ex.vertices[name].tasks {
 			if t.src != nil {
 				t.draining.Store(true)
-				for _, e := range t.emitters {
-					e.pk.wake()
-				}
+				t.pk.wake()
 			}
 		}
 	}

@@ -90,18 +90,19 @@ func TestAdjustTickAuditsDecideErrorOncePerMessage(t *testing.T) {
 	}
 }
 
-// TestReadReadyTaskReportsUnchanged: a worker and a source shard built by
-// newTask no longer accumulate task latency themselves; their reports
+// TestReadReadyTaskReportsUnchanged: a worker and two source tasks built
+// by newTask no longer accumulate task latency themselves; their reports
 // equal those of a reporter fed every sample twice, as the engine did.
 func TestReadReadyTaskReportsUnchanged(t *testing.T) {
 	g := buildChain(t, 1, 1, model.PatternRoundRobin)
 	spec := NewJobSpec(g)
-	ex := &execution{cfg: Config{SourceShards: 2}.withDefaults(), spec: spec, modes: map[string]model.LatencyMode{}}
+	ex := &execution{cfg: Config{}.withDefaults(), spec: spec, modes: map[string]model.LatencyMode{}}
 	src := &SourceSpec{Schedule: &workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, Emit: func(*Context) {}}
 	worker := newTask(ex, model.TaskID{Vertex: "work"}, UDFFunc(func(*Context, Record) {}), nil, 1)
-	source := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 2)
+	source0 := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 2)
+	source1 := newTask(ex, model.TaskID{Vertex: "src", Index: 1}, nil, src, 3)
 
-	for _, rep := range []*qos.TaskReporter{worker.emitters[0].reporter, source.emitters[0].reporter, source.emitters[1].reporter} {
+	for _, rep := range []*qos.TaskReporter{worker.lane.reporter, source0.lane.reporter, source1.lane.reporter} {
 		twice := qos.NewTaskReporter(rep.Task())
 		for i, per := range []float64{3e-6, 7e-6, 1e-6, 2.5e-4} {
 			n := 3*i + 1
@@ -117,8 +118,8 @@ func TestReadReadyTaskReportsUnchanged(t *testing.T) {
 
 	ex.modes["work"] = model.LatencyReadWrite
 	rw := newTask(ex, model.TaskID{Vertex: "work", Index: 1}, UDFFunc(func(*Context, Record) {}), nil, 3)
-	rw.emitters[0].reporter.RecordServiceN(1e-6, 4)
-	if rep := rw.emitters[0].reporter.Flush(); rep.TaskLatencyCount != 0 {
+	rw.lane.reporter.RecordServiceN(1e-6, 4)
+	if rep := rw.lane.reporter.Flush(); rep.TaskLatencyCount != 0 {
 		t.Errorf("a read-write task derived %d task latencies from its service times", rep.TaskLatencyCount)
 	}
 }

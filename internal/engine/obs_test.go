@@ -66,6 +66,49 @@ func TestObsEngineTracing(t *testing.T) {
 	}
 }
 
+// TestObsEngineTimeBase: every telemetry point of a traced engine run —
+// hop and end-to-end observations stamped on task goroutines as well as
+// the master's interval scrapes — is on the execution's clock, seconds
+// since it started, so no point lies beyond the run's elapsed time.
+func TestObsEngineTimeBase(t *testing.T) {
+	g := buildChain(t, 1, 1, model.PatternRoundRobin)
+	var received atomic.Int64
+	tel := obs.NewTelemetry(0)
+	spec := NewJobSpec(g).
+		SetSource("src", SourceSpec{
+			Schedule: &workload.ConstantSchedule{RatePerSecond: 400, Length: 0.5},
+			Emit:     func(ctx *Context) { ctx.Emit(0, Record{}) },
+		}).
+		SetUDF("work", func(int) UDF { return &forwarder{} }).
+		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} })
+
+	start := time.Now()
+	exec, err := New(Config{
+		Seed: 22, Tracer: obs.NewTracer(1), Telemetry: tel,
+		MeasurementInterval: 50 * time.Millisecond, AdjustmentInterval: 100 * time.Millisecond,
+	}).Submit(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, exec, 30*time.Second)
+	elapsed := time.Since(start).Seconds()
+
+	hops := 0
+	for _, series := range tel.Store().Snapshot() {
+		if series.Name == "nephelix_hop_service_seconds" {
+			hops += len(series.Points)
+		}
+		for _, p := range series.Points {
+			if p.T < 0 || p.T > elapsed {
+				t.Fatalf("%s %v: point at t = %v, outside the run's [0, %.3f] s", series.Name, series.Labels, p.T, elapsed)
+			}
+		}
+	}
+	if hops == 0 {
+		t.Fatal("no hop observations: the run traced nothing")
+	}
+}
+
 // TestObsEngineDecisionAudit: the engine's elastic scale-up must land on
 // the flight recorder with the parallelism diff and the justification
 // (bottleneck flag or fitted model inputs), alongside the task_start

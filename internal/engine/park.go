@@ -6,9 +6,9 @@ import (
 )
 
 // parker is the one park/wake protocol of the engine. Its owner is one
-// goroutine: a worker loop (the parker sits in the consumer task, where
-// producers reach it through their channelRef) or a source lane (its own).
-// Wakers are producers that pushed into the owner's rings, and the
+// task goroutine, a worker's scan loop or a source's pacing loop (the
+// parker sits in the task, where producers reach it through their
+// channelRef). Wakers are producers that pushed into the owner's rings, and the
 // master. Nothing driven by time wakes an owner: it parks on its own
 // timer, reset to no later than its next flush deadline (emitter.parkFor).
 //
@@ -25,7 +25,7 @@ type parker struct {
 	ch     chan struct{} // one-slot wake token
 	// parks counts blocked episodes; wakes counts pokes that found the
 	// owner parked, whoever sent them. The data-plane scraper sums them
-	// per consumer vertex and per source lane.
+	// per consumer vertex and reports them per source task.
 	parks atomic.Int64
 	wakes atomic.Int64
 }
@@ -44,9 +44,9 @@ func (p *parker) prepare(ready func() bool) bool {
 }
 
 // park blocks the owner unless ready holds once parked is published,
-// until a wake, timer (reset to d), aux, quit or abort. It reports
-// whether aux fired (a TimerUDF's tick).
-func (p *parker) park(ready func() bool, timer *time.Timer, d time.Duration, aux <-chan time.Time, quit, abort <-chan struct{}) (auxFired bool) {
+// until a wake, timer (reset to d), aux or quit. It reports whether aux
+// fired (a TimerUDF's tick).
+func (p *parker) park(ready func() bool, timer *time.Timer, d time.Duration, aux <-chan time.Time, quit <-chan struct{}) (auxFired bool) {
 	if !p.prepare(ready) {
 		return false
 	}
@@ -57,7 +57,6 @@ func (p *parker) park(ready func() bool, timer *time.Timer, d time.Duration, aux
 	case <-aux:
 		auxFired = true
 	case <-quit:
-	case <-abort:
 	}
 	p.parked.Store(false)
 	return auxFired

@@ -23,7 +23,7 @@ type parkModel struct {
 // master's requestFlush does).
 func workerParkModel(ex *execution, kinds [2]string) parkModel {
 	tk := newTask(ex, model.TaskID{Vertex: "work"}, UDFFunc(func(*Context, Record) {}), nil, 1)
-	e := tk.emitters[0]
+	e := tk.lane
 	m := parkModel{pk: &tk.pk, ready: tk.inputReady}
 	for i, kind := range kinds {
 		switch kind {
@@ -33,25 +33,26 @@ func workerParkModel(ex *execution, kinds [2]string) parkModel {
 			ref := &channelRef{to: tk, ring: r}
 			m.wakers[i] = [2]func(){func() { r.Push(batch{}) }, func() { ref.to.pk.wake() }}
 		case "flush":
-			m.wakers[i] = [2]func(){func() { e.flushReq.Store(true) }, e.pk.wake}
+			m.wakers[i] = [2]func(){func() { e.flushReq.Store(true) }, tk.pk.wake}
 		}
 	}
 	return m
 }
 
-// sourceParkModel is a source-lane owner: waker i raises the lane's flush
+// sourceParkModel is a source owner: waker i raises the lane's flush
 // request (the master's requestFlush) or a barrier request (the master's
 // startCheckpoint).
 func sourceParkModel(ex *execution, kinds [2]string) parkModel {
 	src := &SourceSpec{Schedule: &workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, Emit: func(*Context) {}}
-	e := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 1).emitters[0]
-	m := parkModel{pk: e.pk, ready: e.requested}
+	tk := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 1)
+	e := tk.lane
+	m := parkModel{pk: &tk.pk, ready: e.requested}
 	for i, kind := range kinds {
 		switch kind {
 		case "flush":
-			m.wakers[i] = [2]func(){func() { e.flushReq.Store(true) }, e.pk.wake}
+			m.wakers[i] = [2]func(){func() { e.flushReq.Store(true) }, tk.pk.wake}
 		case "barrier":
-			m.wakers[i] = [2]func(){func() { e.barrierReq.Store(1) }, e.pk.wake}
+			m.wakers[i] = [2]func(){func() { e.barrierReq.Store(1) }, tk.pk.wake}
 		}
 	}
 	return m
@@ -112,14 +113,14 @@ func runInterleaving(m parkModel, sched string) (blocked bool) {
 // TestParkWakeInterleavings checks the park/wake protocol under every
 // interleaving of one owner and two wakers, with no park timeout, no
 // goroutine and no sleep: owners are a worker (wakers push into its rings
-// or raise its flush request) and a source lane (flush and barrier
+// or raise its flush request) and a source (flush and barrier
 // requests), each parking through parker.prepare with its own predicate.
 // No run may end with the owner blocked, work ready, and no wake token
 // pending — the lost wakeup, which with the timeout disabled would sleep
 // forever. A wake token pending must have been counted.
 func TestParkWakeInterleavings(t *testing.T) {
 	ex := &execution{
-		cfg:   Config{SourceShards: 1}.withDefaults(),
+		cfg:   Config{}.withDefaults(),
 		spec:  NewJobSpec(buildChain(t, 1, 1, model.PatternRoundRobin)),
 		modes: map[string]model.LatencyMode{},
 	}

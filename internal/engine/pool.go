@@ -7,10 +7,10 @@ import "sync"
 // Unlike the single-threaded simulator, slices here cross goroutines —
 // detached from a producer's gate at flush, in flight inside a batch,
 // returned by whichever goroutine finishes with them — so the free
-// lists are mutex-guarded. With the sharded data plane many emitters
-// and consumers hit the pool concurrently; the free list is split into
-// poolShards independently locked shards, and every caller carries a
-// stable hint assigned at task/emitter construction so its traffic
+// lists are mutex-guarded. Many task goroutines hit the pool
+// concurrently; the free list is split into poolShards independently
+// locked shards, and every caller carries a stable hint assigned at
+// task construction so its traffic
 // stays on one shard (hints are spread round-robin, keeping the shards
 // balanced without any cross-shard stealing).
 //

@@ -2,49 +2,13 @@ package engine
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"nephelix/internal/obs"
 )
 
-// runSource is the source-task supervisor loop: it runs the task's
-// shard emitters as goroutines and dies as a unit when one panics (the
-// first panic aborts the siblings and is re-raised here, so the master
-// sees exactly one failure per task, as with workers).
-func (t *task) runSource() {
-	defer t.ex.taskDone(t)
-	defer func() {
-		if r := recover(); r != nil {
-			t.ex.reportFailure(t, r)
-		}
-	}()
-	abort := make(chan struct{})
-	var firstPanic any
-	var panicOnce sync.Once
-	var wg sync.WaitGroup
-	for _, e := range t.emitters {
-		e.abort = abort
-		wg.Add(1)
-		go func(e *emitter) {
-			defer wg.Done()
-			defer e.closeOutRings()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { firstPanic = r; close(abort) })
-				}
-			}()
-			e.runSourceShard()
-		}(e)
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-}
-
 // spinWait is the wait below which every engine loop spins instead of
-// parking: a source shard compares its schedule's next emission with
+// parking: a source compares its schedule's next emission with
 // it, a consumer its predicted input gap (idleGap). Parking on a shorter
 // wait costs more than the wait: OS timer granularity would cap a
 // source's emission rate at a few thousand rounds per second, and a
@@ -56,30 +20,28 @@ const spinWait = 100 * time.Microsecond
 // saturating schedules.
 const maxBurst = 1024
 
-// runSourceShard is one source shard's pacing loop. Emission is
+// pace is a source task's pacing loop (task goroutine). Emission is
 // batched: every round emits all records that came due since the last
 // round (up to maxBurst), with per-emission schedule jitter, so the
 // per-round timer and clock overhead amortizes across the burst — this
 // is what breaks the one-timer-wakeup-per-record ceiling of the old
-// source loop. Behind schedule the shard does not try to catch up a
+// source loop. Behind schedule the source does not try to catch up a
 // backlog (next = now), which keeps backpressure semantics intact.
-func (e *emitter) runSourceShard() {
-	t := e.t
+func (t *task) pace() {
 	ex := t.ex
-	start := ex.start
+	e := t.lane
 	sched := t.src.Schedule
-	shards := len(t.emitters)
 
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	resetTimer(timer, time.Hour)
 	// park blocks for d, or until the lane's next flush deadline or the
 	// master wakes it.
-	park := func(d time.Duration) { e.pk.park(e.requested, timer, e.parkFor(d, e.now), nil, t.quit, e.abort) }
+	park := func(d time.Duration) { t.pk.park(e.requested, timer, e.parkFor(d, e.now), nil, t.quit) }
 
 	next := time.Now()
 	for {
-		if e.stopped() {
+		if closed(t.quit) {
 			return
 		}
 		now := time.Now()
@@ -90,7 +52,7 @@ func (e *emitter) runSourceShard() {
 			e.drainGates(now)
 			return
 		}
-		elapsed := now.Sub(start).Seconds()
+		elapsed := ex.since(now)
 		rate := sched.Rate(elapsed)
 		if rate <= 0 {
 			if elapsed >= sched.Duration() {
@@ -114,20 +76,20 @@ func (e *emitter) runSourceShard() {
 			park(ex.cfg.FlushTick)
 			continue
 		}
-		// The shard's share of the schedule: the vertex rate divides by
-		// live tasks × shards per task.
+		// The task's share of the schedule: the vertex rate divides by its
+		// live tasks.
 		n := ex.parallelismOf(t.id.Vertex)
 		if n < 1 {
 			n = 1
 		}
-		perEmit := float64(n*shards) / rate
+		perEmit := float64(n) / rate
 		burst := 0
 		for burst < maxBurst && !next.After(now) {
-			e.curSpan = ex.cfg.Tracer.StartSpan(nowSeconds(e.now))
+			e.curSpan = ex.cfg.Tracer.StartSpan(ex.since(e.now))
 			t.src.Emit(&e.ctx)
 			e.curSpan = nil
 			burst++
-			// ±10% jitter keeps source shards out of lockstep.
+			// ±10% jitter keeps source tasks out of lockstep.
 			jitter := 0.9 + 0.2*e.rng.Float64()
 			next = next.Add(time.Duration(perEmit * jitter * float64(time.Second)))
 			if e.srcLog != nil && e.srcLog.Full() {
@@ -161,14 +123,14 @@ func (e *emitter) runSourceShard() {
 	}
 }
 
-// requested is a source lane's park predicate: the master asked it for
+// requested is a source's park predicate: the master asked it for
 // something.
 func (e *emitter) requested() bool {
 	return e.flushReq.Load() || e.barrierReq.Load() != 0 || e.replayReq.Load() || e.t.draining.Load()
 }
 
-// serviceGuarantees handles a source shard's pending replay and barrier
-// requests (shard goroutine). Replay runs first: a barrier injected
+// serviceGuarantees handles a source's pending replay and barrier
+// requests (task goroutine). Replay runs first: a barrier injected
 // after a recovery must trail the re-emitted records, so the commit's
 // "everything below the watermark was delivered" claim covers them.
 func (e *emitter) serviceGuarantees(now time.Time) {
@@ -186,7 +148,7 @@ func (e *emitter) serviceGuarantees(now time.Time) {
 }
 
 // replayLog re-emits the log's uncommitted suffix through the gates
-// with the original offsets (shard goroutine). Downstream this looks
+// with the original offsets (task goroutine). Downstream this looks
 // like fresh traffic; sinks dedup on (source, offset).
 func (e *emitter) replayLog(now time.Time) {
 	var first uint64
@@ -207,10 +169,10 @@ func (e *emitter) replayLog(now time.Time) {
 	e.t.ex.recordLifecycle(obs.KindReplay, obs.Lifecycle{
 		Vertex: e.t.id.Vertex, Task: e.t.id.String(), CommittedOffsets: uint64(n),
 	})
-	e.t.ex.cfg.Telemetry.AddReplayed(nowSeconds(now), int64(n))
+	e.t.ex.cfg.Telemetry.AddReplayed(e.t.ex.since(now), int64(n))
 }
 
-// lingerForCommit reports whether an exhausted source shard should keep
+// lingerForCommit reports whether an exhausted source should keep
 // running so a final checkpoint can commit its replay buffer — records
 // are only safe from a downstream crash once committed. Bounded so a
 // pipeline that can no longer commit (e.g. a degraded vertex) cannot

@@ -9,9 +9,9 @@ import (
 	"nephelix/internal/workload"
 )
 
-// Context is the per-task API a UDF sees. Each emitter lane (the task
-// goroutine for workers and sinks, each shard goroutine for sources)
-// carries its own Context, so UDF calls never cross lanes.
+// Context is the per-task API a UDF sees. Each task carries its own
+// Context, used only by the task's goroutine, so a UDF call never
+// crosses tasks.
 type Context struct{ e *emitter }
 
 // TaskIndex returns the task's index within its vertex.
@@ -20,7 +20,7 @@ func (c *Context) TaskIndex() int { return c.e.t.id.Index }
 // Vertex returns the task's job-vertex name.
 func (c *Context) Vertex() string { return c.e.t.id.Vertex }
 
-// Rand returns a lane-local deterministic random source.
+// Rand returns a task-local deterministic random source.
 func (c *Context) Rand() *rand.Rand { return c.e.rng }
 
 // OutEdges returns the number of outgoing job edges.
@@ -74,9 +74,9 @@ type SourceSpec struct {
 	// when every source schedule is exhausted (or Stop is called).
 	Schedule workload.Schedule
 	// Emit produces one emission (typically one record via ctx.Emit). It
-	// runs concurrently: on Config.SourceShards goroutines per source
-	// task, and on every task of the vertex. Its closure must be safe
-	// for concurrent use; ctx is the calling lane's own.
+	// runs concurrently on every task of the vertex, each on its own
+	// goroutine, so its closure must be safe for concurrent use; ctx is
+	// the calling task's own.
 	Emit func(ctx *Context)
 	// SampleProbability tags emissions for end-to-end latency probing
 	// (default 0.1).

@@ -27,7 +27,7 @@ func newBareTask(udf UDF) (*task, *execution) {
 	e := &emitter{t: tk, reporter: qos.NewTaskReporter(id), lastFlush: time.Now()}
 	e.reporter.ReadReady() // as newTask does for !rw
 	e.ctx = Context{e: e}
-	tk.emitters = []*emitter{e}
+	tk.lane = e
 	return tk, ex
 }
 
@@ -64,7 +64,7 @@ func strideCanGrow() bool {
 func clockSeen(tk *task, b batch, inner func(i int)) []time.Time {
 	seen := make([]time.Time, 0, len(b.items))
 	tk.udf = UDFFunc(func(*Context, Record) {
-		seen = append(seen, tk.emitters[0].now)
+		seen = append(seen, tk.lane.now)
 		if inner != nil {
 			inner(len(seen) - 1)
 		}
@@ -92,7 +92,7 @@ func TestStrideSlowUDFTimedPerRecord(t *testing.T) {
 			t.Fatalf("batch %d: stride = %d, want 1", r, tk.stride)
 		}
 	}
-	rep := tk.emitters[0].reporter.Flush()
+	rep := tk.lane.reporter.Flush()
 	if rep.ServiceCount != batches*size || rep.TaskLatencyCount != batches*size {
 		t.Errorf("ServiceCount = %d, TaskLatencyCount = %d, want %d each", rep.ServiceCount, rep.TaskLatencyCount, batches*size)
 	}
@@ -132,7 +132,7 @@ func TestStrideCheapUDFAmortizesClock(t *testing.T) {
 	if got := tk.processed.Load(); got != total {
 		t.Errorf("processed = %d, want %d", got, total)
 	}
-	rep := tk.emitters[0].reporter.Flush()
+	rep := tk.lane.reporter.Flush()
 	if rep.ServiceCount != total || rep.TaskLatencyCount != total || rep.InterarrivalCount != total-1 {
 		t.Errorf("ServiceCount = %d, TaskLatencyCount = %d, InterarrivalCount = %d, want %d, %d, %d",
 			rep.ServiceCount, rep.TaskLatencyCount, rep.InterarrivalCount, total, total, total-1)
@@ -201,7 +201,7 @@ func TestStrideForcedReads(t *testing.T) {
 		tk, _ := newBareTask(nil)
 		tr := obs.NewTracer(1)
 		b := testBatch(16)
-		b.items[5].span = tr.StartSpan(nowSeconds(time.Now()))
+		b.items[5].span = tr.StartSpan(0)
 		tk.stride = maxStride
 		first(t, readsAfter(clockSeen(tk, b, nil)), 5)
 		if n, _ := tr.EndToEnd(); n != 1 {
@@ -214,20 +214,20 @@ func TestStrideForcedReads(t *testing.T) {
 	t.Run("sampled read-write", func(t *testing.T) {
 		tk, _ := newBareTask(nil)
 		tk.rw = true
-		tk.emitters[0].reporter = qos.NewTaskReporter(tk.id) // not read-ready
+		tk.lane.reporter = qos.NewTaskReporter(tk.id) // not read-ready
 		b := testBatch(16)
 		b.items[9].Sampled = true
 		tk.stride = maxStride
 		start := time.Now()
 		first(t, readsAfter(clockSeen(tk, b, nil)), 9)
-		e := tk.emitters[0]
+		e := tk.lane
 		if len(e.rwPending) != 1 {
 			t.Fatalf("rwPending holds %d consume times, want 1", len(e.rwPending))
 		}
 		if tc := e.rwPending[0]; tc.Before(start) || tc.After(e.now) {
 			t.Errorf("consume time %v outside the batch's span [%v, %v]", tc, start, e.now)
 		}
-		rep := tk.emitters[0].reporter.Flush()
+		rep := tk.lane.reporter.Flush()
 		if rep.ServiceCount != 16 || rep.TaskLatencyCount != 0 {
 			t.Errorf("ServiceCount = %d, TaskLatencyCount = %d, want 16 and 0 (read-write latency completes at the next write)",
 				rep.ServiceCount, rep.TaskLatencyCount)

@@ -49,25 +49,20 @@ func (ex *execution) handleTaskFailure(f taskFailure, stopping bool) {
 	for _, ek := range g.InEdges(f.t.id.Vertex) {
 		pos := ex.edgePos[ek]
 		for _, p := range ex.vertices[ek.Source].tasks {
-			for _, pe := range p.emitters {
-				pe.gates[pos].removeConsumer(f.t)
-			}
+			p.lane.gates[pos].removeConsumer(f.t)
 		}
 	}
 	ex.mu.Unlock()
 	ex.noteChurn("task failure")
-	for _, e := range f.t.emitters {
-		if e.srcLog != nil {
-			// Park the dead source shard's offset log for its replacement,
-			// which replays the uncommitted suffix (harmless while stopping:
-			// the log is simply never reattached).
-			ex.logs.Orphan(e.srcLog)
-		}
-		// The dying goroutine's defer closed these rings already; repeat
-		// for any consumer that was wired in mid-crash (Close is
-		// idempotent).
-		e.closeOutRings()
+	if log := f.t.lane.srcLog; log != nil {
+		// Park the dead source's offset log for its replacement, which
+		// replays the uncommitted suffix (harmless while stopping: the log
+		// is simply never reattached).
+		ex.logs.Orphan(log)
 	}
+	// The dying goroutine's defer closed these rings already; repeat for
+	// any consumer that was wired in mid-crash (Close is idempotent).
+	f.t.lane.closeOutRings()
 	// Whatever was queued for the dead task is gone with it; the batch
 	// slices never reached a consumer, so the master recycles them.
 	// Close first so producers stop pushing, then drain: the dead task's

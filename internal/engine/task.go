@@ -14,20 +14,16 @@ import (
 	"nephelix/internal/ring"
 )
 
-// task is one running task of the cooperative data plane. The task holds
-// consumer state only: its input side is a set of SPSC rings (one per
-// upstream producer lane) with the per-channel QoS state, the stride,
-// idle prediction, barrier alignment and dedup that reading them needs.
-// Its output side is one or more emitters — lanes — each owning a
-// private set of gates and the rings into every downstream consumer, and
-// everything else its goroutine owns: clock, QoS reporter, Context and
-// parker.
-//
-// A worker or sink is a task with one lane, run by the task goroutine.
-// A source task has Config.SourceShards lanes, each run by its own shard
-// goroutine with a private pacing loop, rng, QoS reporter and (under
-// guarantees) offset log — so one source task can saturate several
-// cores without any cross-shard synchronization on the emit path.
+// task is one running task of the cooperative data plane, and one lane:
+// one goroutine runs it — a worker's or sink's scan loop, or a source's
+// pacing loop — and parks on its parker. Its input side is a set of SPSC
+// rings (one per upstream producer task) with the per-channel QoS state,
+// the stride, idle prediction, barrier alignment and dedup that reading
+// them needs. Its output side is its lane (emitter): the gates, and
+// through them the rings into every downstream consumer, plus everything
+// else the goroutine owns — clock, QoS reporter, Context and, on a
+// source under guarantees, the offset log. A job emits from more cores
+// by raising its source vertex's parallelism.
 type task struct {
 	// The 256 bytes are four cache lines (TestTaskSizeClass), grouped by
 	// who touches them: two read-mostly lines, then the line producers
@@ -39,8 +35,10 @@ type task struct {
 	// dedup is the sink vertex's shared dedup table (guarantees only).
 	dedup *ckpt.DedupTable
 
-	// emitters is the output side; immutable after newTask.
-	emitters []*emitter
+	// lane is the output side; immutable after newTask.
+	lane *emitter
+	// The blank field fills the second read-mostly line to 64 bytes.
+	_ [16]byte
 	// inEdges is the vertex's inbound edge list, snapshotted once so edge
 	// resolution never re-allocates it from the graph.
 	inEdges []model.EdgeKey
@@ -52,10 +50,9 @@ type task struct {
 	// rings after producer exits). inMu serializes rewrites only.
 	inRings atomic.Pointer[[]*ring.SPSC[batch]]
 
-	// pk is the worker lane's parker, here rather than on the emitter so
-	// that a producer reaches it from its channelRef in as few loads as
-	// the ring itself (ship). Unused on source tasks: each shard lane
-	// parks on its own.
+	// pk is the task goroutine's parker, here rather than on the emitter
+	// so that a producer reaches it from its channelRef in as few loads
+	// as the ring itself (ship).
 	pk parker
 	// dead closes when the task goroutine has exited (crash or drain), so
 	// producers spinning on its full input rings get out instead of
@@ -85,25 +82,19 @@ type task struct {
 	align ckpt.Aligner
 }
 
-// emitter is one lane of a task: the state one goroutine owns — the task
-// goroutine for a worker or sink, a shard goroutine for a source — and
-// its output side: a private set of gates (and through them, SPSC rings
-// to every consumer), an rng, an amortized clock and the QoS reporter.
+// emitter is a task's lane: the state its goroutine owns and its output
+// side — a private set of gates (and through them, SPSC rings to every
+// consumer), an rng, an amortized clock and the QoS reporter.
 // The lane is its own flush timer: it never parks past the earliest
 // deadline of its buffers (parkFor) and runs a flush pass once that
 // deadline has passed (serviceFlush). Only the atomics the master and
 // the scraper touch (flushReq, flushes, barrierReq, replayReq,
-// emitCount) and the parker's waker half cross goroutines.
+// emitCount) and the task's parker cross goroutines.
 type emitter struct {
 	t     *task
-	shard int
 	gates []*gate
 	rng   *rand.Rand
 	ctx   Context
-
-	// pk parks this lane's goroutine: the task's own parker for a worker,
-	// a private one per source shard.
-	pk *parker
 
 	// reporter aggregates the lane's task-level QoS; lastFlush is when
 	// maybeReport last shipped it.
@@ -114,7 +105,7 @@ type emitter struct {
 	// calling time.Now per record). A worker refreshes it at every clock
 	// read of handleBatch (batch arrival, batch end, and inside a batch
 	// once clockBudget of work has accumulated) and per park wakeup; a
-	// source shard once per pacing round.
+	// source once per pacing round.
 	now time.Time
 
 	// rwPending holds consume times of sampled records awaiting the next
@@ -129,8 +120,7 @@ type emitter struct {
 	curSrcID  int32
 	curOffset uint64
 
-	// emitCount counts this shard's source emissions (per-shard balance
-	// gauge on /metrics).
+	// emitCount counts a source's emissions (per-task gauge on /metrics).
 	emitCount atomic.Int64
 
 	// poolHint spreads this lane's batchPool traffic across pool shards.
@@ -141,23 +131,19 @@ type emitter struct {
 	flushReq atomic.Bool
 	flushes  atomic.Int64
 
-	// Processing-guarantee state (source shards, nil otherwise). srcLog
-	// is this shard's offset authority and replay buffer — each shard
-	// owns a disjoint offset range because each owns a distinct log.
+	// Processing-guarantee state (sources, nil otherwise). srcLog is the
+	// task's offset authority and replay buffer.
 	srcLog *ckpt.Log[logEntry]
 
-	// barrierReq asks the shard to inject the barrier with that id,
+	// barrierReq asks the source to inject the barrier with that id,
 	// replayReq to re-emit its log's uncommitted suffix (master-written,
-	// shard-goroutine-consumed).
+	// task-goroutine-consumed).
 	barrierReq    atomic.Int64
 	replaying     bool
 	replayReq     atomic.Bool
 	replayScratch []logEntry
 	// lingerStart bounds the post-schedule wait for a final commit.
 	lingerStart time.Time
-	// abort (source shards) closes when a sibling lane panicked, so the
-	// task dies — and restarts — as a unit; nil on a worker.
-	abort chan struct{}
 }
 
 // idleSpins is how many empty polls a consumer burns (with Gosched)
@@ -168,7 +154,7 @@ const idleSpins = 64
 // off with a short sleep (sustained backpressure).
 const shipSpins = 128
 
-// newTask builds a task and its lanes (wiring happens in the execution).
+// newTask builds a task and its lane (wiring happens in the execution).
 func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int64) *task {
 	t := &task{
 		id:      id,
@@ -185,56 +171,44 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 	empty := make([]*ring.SPSC[batch], 0)
 	t.inRings.Store(&empty)
 	t.inEdges = ex.spec.graph.InEdges(id.Vertex)
-	shards := 1
-	if src != nil && ex.cfg.SourceShards > 1 {
-		shards = ex.cfg.SourceShards
+	e := &emitter{
+		t:        t,
+		rng:      rand.New(rand.NewSource(seed)),
+		reporter: qos.NewTaskReporter(id),
+		poolHint: int(ex.poolSeq.Add(1)),
+	}
+	e.ctx = Context{e: e}
+	if src != nil || !t.rw {
+		// A source's production cost and a read-ready task's service time
+		// are its task latency; the reporter derives the one from the
+		// other.
+		e.reporter.ReadReady()
 	}
 	outs := ex.spec.graph.OutEdges(id.Vertex)
-	t.emitters = make([]*emitter, shards)
-	for si := range t.emitters {
-		e := &emitter{
-			t:        t,
-			shard:    si,
-			rng:      rand.New(rand.NewSource(seed + int64(si)*104729)),
-			pk:       &t.pk,
-			reporter: qos.NewTaskReporter(id),
-			poolHint: int(ex.poolSeq.Add(1)),
-		}
-		e.ctx = Context{e: e}
-		if src != nil {
-			e.pk = &parker{ch: make(chan struct{}, 1)}
-		}
-		if src != nil || !t.rw {
-			// A source shard's production cost and a read-ready task's
-			// service time are its task latency; the reporter derives the
-			// one from the other.
-			e.reporter.ReadReady()
-		}
-		e.gates = make([]*gate, len(outs))
-		for pos, ek := range outs {
-			g := newGate(ek, pos, id.Index, ex.spec.graph.Edge(ek).Pattern, ex.cfg.MaxBatchRecords, &ex.dropNoConsumer, &ex.pool)
-			g.poolHint = e.poolHint
-			switch ex.spec.edgeBatching(ek) {
-			case BatchingFixed:
-				g.setDeadline(noDeadline)
-			case BatchingInstant:
-				// Stays at 0; SetDeadlines never touches non-adaptive edges.
-			default:
-				if d, ok := ex.deadlines[ek]; ok {
-					g.setDeadline(d)
-				}
+	e.gates = make([]*gate, len(outs))
+	for pos, ek := range outs {
+		g := newGate(ek, pos, id.Index, ex.spec.graph.Edge(ek).Pattern, ex.cfg.MaxBatchRecords, &ex.dropNoConsumer, &ex.pool)
+		g.poolHint = e.poolHint
+		switch ex.spec.edgeBatching(ek) {
+		case BatchingFixed:
+			g.setDeadline(noDeadline)
+		case BatchingInstant:
+			// Stays at 0; SetDeadlines never touches non-adaptive edges.
+		default:
+			if d, ok := ex.deadlines[ek]; ok {
+				g.setDeadline(d)
 			}
-			e.gates[pos] = g
 		}
-		if ex.guarantee.Enabled() && src != nil {
-			// A crashed predecessor's log comes back with its uncommitted
-			// suffix, which this shard replays first.
-			var reattached bool
-			e.srcLog, reattached = ex.logs.Attach(id.Vertex)
-			e.replayReq.Store(reattached)
-		}
-		t.emitters[si] = e
+		e.gates[pos] = g
 	}
+	if ex.guarantee.Enabled() && src != nil {
+		// A crashed predecessor's log comes back with its uncommitted
+		// suffix, which this source replays first.
+		var reattached bool
+		e.srcLog, reattached = ex.logs.Attach(id.Vertex)
+		e.replayReq.Store(reattached)
+	}
+	t.lane = e
 	if ex.guarantee.Enabled() && src == nil && len(outs) == 0 {
 		t.dedup = ex.dedups[id.Vertex]
 	}
@@ -280,22 +254,17 @@ func (t *task) inputReady() bool {
 			return true
 		}
 	}
-	return t.emitters[0].flushReq.Load()
+	return t.lane.flushReq.Load()
 }
 
-// requestFlush asks the emitter's owning goroutine for a flush pass over
-// its gates (master only: deadline changes, end-of-job tail flush).
+// requestFlush asks the task goroutine for a flush pass over its gates
+// (master only: deadline changes, end-of-job tail flush).
 func (e *emitter) requestFlush() {
 	e.flushReq.Store(true)
-	e.pk.wake()
+	e.t.pk.wake()
 }
 
-// stopped reports whether the lane's goroutine must stop: the execution
-// force-stopped the task, or a sibling source lane panicked.
-func (e *emitter) stopped() bool { return closed(e.t.quit) || closed(e.abort) }
-
-// closed reports whether ch is closed, without blocking (false for nil).
-// One channel per call keeps it a non-blocking receive, not a select.
+// closed reports whether ch is closed, without blocking.
 func closed(ch chan struct{}) bool {
 	select {
 	case <-ch:
@@ -369,7 +338,7 @@ func (e *emitter) ship(shipments []shipment) {
 				e.t.ex.pool.put(s.b.poolHint, s.b.items)
 				break
 			}
-			if e.stopped() {
+			if closed(e.t.quit) {
 				return
 			}
 			spins++
@@ -450,9 +419,4 @@ func (e *emitter) forwardBarrier(id int64, now time.Time) {
 	for _, g := range e.gates {
 		e.ship(g.barrierShipments(id, now))
 	}
-}
-
-// nowSeconds converts a wall-clock time to float64 seconds.
-func nowSeconds(t time.Time) float64 {
-	return float64(t.UnixNano()) / 1e9
 }

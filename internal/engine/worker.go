@@ -43,14 +43,7 @@ func (e *emitter) maybeReport(now time.Time) {
 		return
 	}
 	e.lastFlush = now
-	rep := e.reporter.Flush()
-	// A source vertex's true arrival process is the union of its shards'
-	// interleaved streams; scale the per-shard interarrival so the
-	// task-level rate the QoS manager derives stays honest.
-	if s := len(t.emitters); s > 1 && rep.InterarrivalCount > 0 {
-		rep.InterarrivalMean /= float64(s)
-	}
-	t.ex.offerReport(taskReportMsg{report: rep})
+	t.ex.offerReport(taskReportMsg{report: e.reporter.Flush()})
 	for _, ch := range t.inChans {
 		rep := ch.rep.Flush()
 		if !rep.Empty() {
@@ -69,7 +62,7 @@ func (e *emitter) maybeReport(now time.Time) {
 // than the budget keeps stride 1 and is timed record by record.
 func (t *task) handleBatch(b batch) {
 	now := time.Now()
-	e := t.emitters[0]
+	e := t.lane
 	e.now = now
 	// Channel-level QoS: one sample per batch against the oldest record.
 	ch := t.inChannel(&b)
@@ -128,7 +121,7 @@ func (t *task) handleBatch(b batch) {
 // freshness gating must keep seeing the task — and returns the read.
 func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n int) time.Time {
 	end := time.Now()
-	e := t.emitters[0]
+	e := t.lane
 	e.now = end
 	group := end.Sub(last)
 	t.busyNs.Add(int64(group))
@@ -138,7 +131,7 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 	// Arrival times count from the execution's start: a float64 of Unix
 	// seconds resolves 238 ns, coarser than the sub-µs spacing within a
 	// group.
-	e.reporter.RecordArrivalN(last.Sub(t.ex.start).Seconds(), per, n)
+	e.reporter.RecordArrivalN(t.ex.since(last), per, n)
 	e.reporter.RecordServiceN(per, n)
 	wait := start.Sub(b.shipped).Seconds() // ship to service start
 	e.reporter.RecordQueueWaitN(wait, n)
@@ -149,7 +142,7 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 		// Per-hop decomposition: time buffered at the producer, no
 		// separable network transit (in-process rings), then the wait.
 		batchDelay := b.shipped.Sub(b.oldestBuf).Seconds()
-		endS := nowSeconds(end)
+		endS := t.ex.since(end)
 		rec.span.Hop(t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
 		t.ex.cfg.Telemetry.ObserveHop(endS, t.id.Vertex, ch.edgeName, batchDelay, 0, wait, per)
 		if len(e.gates) == 0 {
@@ -225,16 +218,14 @@ func (g *idleGap) observe(gap time.Duration) {
 const gapCap = 4 * spinWait
 
 // park reports whether the predicted wait is one to park on right away:
-// spinWait or longer, the threshold source lanes apply to their
-// schedule.
+// spinWait or longer, the threshold sources apply to their schedule.
 func (g idleGap) park() bool { return g.ewma >= spinWait }
 
-// run is the worker-task main loop: poll the input rings round-robin,
-// process, then — unless the idle gap it predicts is spinWait or longer
-// — spin briefly, and park. A panicking UDF does not crash the
-// process: the supervisor defer (LIFO: it runs before taskDone)
-// reports the crash to the master, which unroutes the dead task and
-// schedules a backoff-delayed replacement.
+// run is the task goroutine: a source's pacing loop or a worker's scan
+// loop under one supervisor. A panicking UDF or Emit does not crash the
+// process: the supervisor defer (LIFO: it runs after the rings close and
+// before taskDone) reports the crash to the master, which unroutes the
+// dead task and schedules a backoff-delayed replacement.
 func (t *task) run() {
 	defer t.ex.taskDone(t)
 	defer func() {
@@ -242,8 +233,19 @@ func (t *task) run() {
 			t.ex.reportFailure(t, r)
 		}
 	}()
-	e := t.emitters[0]
-	defer e.closeOutRings()
+	defer t.lane.closeOutRings()
+	if t.src != nil {
+		t.pace()
+	} else {
+		t.scan()
+	}
+}
+
+// scan is a worker's loop (task goroutine): poll the input rings
+// round-robin, process, then — unless the idle gap it predicts is
+// spinWait or longer — spin briefly, and park.
+func (t *task) scan() {
+	e := t.lane
 
 	var timerC <-chan time.Time
 	if tu, ok := t.udf.(TimerUDF); ok {
@@ -262,7 +264,7 @@ func (t *task) run() {
 	// the rings empty (the task's last clock read); zero while busy.
 	var idleSince time.Time
 	for {
-		if e.stopped() {
+		if closed(t.quit) {
 			return
 		}
 		worked := false
@@ -349,7 +351,7 @@ func (t *task) run() {
 		// Park, unless a batch or a flush request raced the decision, and
 		// wake by the lane's next flush deadline at the latest.
 		e.now = time.Now()
-		fired := e.pk.park(t.inputReady, parkTimer, e.parkFor(t.parkTimeout(), e.now), timerC, t.quit, nil)
+		fired := t.pk.park(t.inputReady, parkTimer, e.parkFor(t.parkTimeout(), e.now), timerC, t.quit)
 		e.now = time.Now()
 		if fired {
 			t.udf.(TimerUDF).OnTimer(&e.ctx)
@@ -360,7 +362,7 @@ func (t *task) run() {
 
 // onBarrier aligns one inbound checkpoint barrier (worker goroutine).
 // Counting alignment: the task forwards the barrier once markers from
-// every live upstream producer emitter arrived, without blocking any
+// every live upstream producer task arrived, without blocking any
 // ring (at-least-once alignment — replay duplicates are the dedup
 // sinks' job). Expected counts come from the coordinator, which arms
 // them at injection; barriers of superseded checkpoints simply never
@@ -368,11 +370,11 @@ func (t *task) run() {
 func (t *task) onBarrier(b batch) {
 	id := b.barrier
 	now := time.Now()
-	aligned, stall := t.align.Arrive(id, now.Sub(t.ex.start).Seconds(), t.ex.coord.Expected(id, t))
+	aligned, stall := t.align.Arrive(id, t.ex.since(now), t.ex.coord.Expected(id, t))
 	if !aligned {
 		return
 	}
-	e := t.emitters[0]
+	e := t.lane
 	e.now = now
 	// Flush buffered pre-barrier output before forwarding so the marker
 	// stays behind everything this task derived from pre-barrier input.

@@ -50,15 +50,14 @@ type DataplaneEdge struct {
 	Culprit string `json:"culprit,omitempty"`
 }
 
-// DataplaneShard is one source emitter lane's pacing state.
-type DataplaneShard struct {
+// DataplaneSource is one source task's pacing state.
+type DataplaneSource struct {
 	Vertex  string `json:"vertex"`
 	Task    string `json:"task"`
-	Shard   int    `json:"shard"`
 	Emitted int64  `json:"emitted"`
 	// ActualRate is records/s emitted this interval; IntendedRate the
-	// schedule's per-shard share. LagFrac is (intended−actual)/intended
-	// clamped to [0,1] — a persistently lagging shard cannot keep up
+	// schedule's per-task share. LagFrac is (intended−actual)/intended
+	// clamped to [0,1] — a persistently lagging source cannot keep up
 	// with its pacing target (downstream backpressure or CPU steal).
 	ActualRate   float64 `json:"actual_rate"`
 	IntendedRate float64 `json:"intended_rate"`
@@ -114,7 +113,7 @@ type DataplaneSnapshot struct {
 	IntervalSeconds float64 `json:"interval_seconds"`
 
 	Edges     []DataplaneEdge      `json:"edges"`
-	Shards    []DataplaneShard     `json:"shards,omitempty"`
+	Sources   []DataplaneSource    `json:"sources,omitempty"`
 	Consumers []DataplaneConsumer  `json:"consumers,omitempty"`
 	Wheel     *DataplaneWheel      `json:"wheel,omitempty"`
 	Pool      []DataplanePoolShard `json:"pool,omitempty"`
@@ -246,8 +245,8 @@ func (t *Telemetry) ObserveDataplane(snap DataplaneSnapshot, rec *Recorder) {
 	for _, de := range snap.Edges {
 		t.dpEdges.set(now, de, de.Edge)
 	}
-	for _, sh := range snap.Shards {
-		t.dpShards.set(now, sh, shardKey{sh.Vertex, sh.Task, sh.Shard})
+	for _, src := range snap.Sources {
+		t.dpSources.set(now, src, sourceKey{src.Vertex, src.Task})
 	}
 	for _, c := range snap.Consumers {
 		t.dpParking.set(now, c, c.Vertex)

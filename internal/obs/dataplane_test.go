@@ -142,7 +142,7 @@ func TestObserveDataplane(t *testing.T) {
 // checkHelpBeforeType fails for every # TYPE line of an exposition that
 // does not follow a # HELP line for the same name. The golden run covers
 // the families a simulated job produces; the tests of the engine-only
-// ones (deadline flushes, pool, emitter shards) call this.
+// ones (deadline flushes, pool, source tasks) call this.
 func checkHelpBeforeType(t *testing.T, body string) {
 	t.Helper()
 	lines := strings.Split(body, "\n")
@@ -214,23 +214,23 @@ func TestObsDataplaneEndpoint(t *testing.T) {
 	}
 }
 
-// TestSourceShardEmittedExposition: the per-shard source gauge, written
-// from the data-plane snapshot's shard entries, renders with registry
-// HELP/TYPE and its full vertex/task/shard label set.
-func TestSourceShardEmittedExposition(t *testing.T) {
+// TestSourceEmittedExposition: the per-task source gauge, written from
+// the data-plane snapshot's source entries, renders with registry
+// HELP/TYPE and its full vertex/task label set.
+func TestSourceEmittedExposition(t *testing.T) {
 	tel := NewTelemetry(64)
 	tel.ObserveDataplane(DataplaneSnapshot{
 		At: 1, Layer: "engine", IntervalSeconds: 1,
-		Shards: []DataplaneShard{{Vertex: "src", Task: "src[0]", Shard: 1, Emitted: 4096}},
+		Sources: []DataplaneSource{{Vertex: "src", Task: "src[0]", Emitted: 4096}},
 	}, nil)
 
 	var b strings.Builder
 	ts.WriteExposition(&b, tel.Store().Snapshot())
 	body := b.String()
 	for _, want := range []string{
-		"# HELP nephelix_source_shard_emitted Records emitted by one source emitter shard (cumulative, labeled vertex/task/shard).",
-		"# TYPE nephelix_source_shard_emitted gauge",
-		`nephelix_source_shard_emitted{shard="1",task="src[0]",vertex="src"} 4096`,
+		"# HELP nephelix_source_emitted Records emitted by one source task (cumulative, labeled vertex/task).",
+		"# TYPE nephelix_source_emitted gauge",
+		`nephelix_source_emitted{task="src[0]",vertex="src"} 4096`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, body)

@@ -71,10 +71,10 @@ var dataplaneEdgeRows = []row[DataplaneEdge]{
 	{"nephelix_dataplane_backpressure_state", "Backpressure classification per edge: 0 idle, 1 producer-limited, 2 consumer-limited, 3 ring-saturated.", func(e *DataplaneEdge) float64 { return backpressureStateValue(BackpressureState(e.State)) }},
 }
 
-var dataplaneShardRows = []row[DataplaneShard]{
-	{"nephelix_source_shard_emitted", "Records emitted by one source emitter shard (cumulative, labeled vertex/task/shard).", func(s *DataplaneShard) float64 { return float64(s.Emitted) }},
-	{"nephelix_dataplane_shard_lag_frac", "Source shard pacing lag: (intended-actual)/intended emit rate, 0-1.", func(s *DataplaneShard) float64 { return s.LagFrac }},
-	{"nephelix_dataplane_shard_parks_total", "Cumulative park transitions of one source emitter shard.", func(s *DataplaneShard) float64 { return float64(s.Parks) }},
+var dataplaneSourceRows = []row[DataplaneSource]{
+	{"nephelix_source_emitted", "Records emitted by one source task (cumulative, labeled vertex/task).", func(s *DataplaneSource) float64 { return float64(s.Emitted) }},
+	{"nephelix_source_lag_frac", "Source task pacing lag: (intended-actual)/intended emit rate, 0-1.", func(s *DataplaneSource) float64 { return s.LagFrac }},
+	{"nephelix_source_parks_total", "Cumulative park transitions of one source task.", func(s *DataplaneSource) float64 { return float64(s.Parks) }},
 }
 
 var dataplaneConsumerRows = []row[DataplaneConsumer]{
@@ -115,7 +115,7 @@ func (t *Telemetry) declare(st *ts.Store) {
 	t.tailFits = newGauges(st, tailFitRows, func(k tailKey) []string { return []string{k.vertex, quantileLabel(k.quantile)} }, "vertex", "q")
 	t.slos = newGauges(st, sloRows, func(c string) []string { return []string{c} }, "constraint")
 	t.dpEdges = newGauges(st, dataplaneEdgeRows, func(e string) []string { return []string{e} }, "edge")
-	t.dpShards = newGauges(st, dataplaneShardRows, func(k shardKey) []string { return []string{k.vertex, k.task, strconv.Itoa(k.shard)} }, "vertex", "task", "shard")
+	t.dpSources = newGauges(st, dataplaneSourceRows, func(k sourceKey) []string { return []string{k.vertex, k.task} }, "vertex", "task")
 	t.dpParking = newGauges(st, dataplaneConsumerRows, func(v string) []string { return []string{v} }, "vertex")
 	t.dpWheel = newGauges[struct{}](st, dataplaneWheelRows, nil)
 	t.dpPool = newGauges(st, dataplanePoolRows, func(shard int) []string { return []string{strconv.Itoa(shard)} }, "shard")
@@ -204,16 +204,13 @@ func (g *gauges[K, S]) set(now float64, subject S, key K) {
 	}
 }
 
-// tailKey and shardKey identify a tail-fit cell and a source emitter lane.
+// tailKey and sourceKey identify a tail-fit cell and a source task.
 type tailKey struct {
 	vertex   string
 	quantile float64
 }
 
-type shardKey struct {
-	vertex, task string
-	shard        int
-}
+type sourceKey struct{ vertex, task string }
 
 func bool01(b bool) float64 {
 	if b {

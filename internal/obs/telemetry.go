@@ -69,7 +69,7 @@ type Telemetry struct {
 	slos      gauges[string, SLOStatus]
 	goRuntime gauges[struct{}, goSample]
 	dpEdges   gauges[string, DataplaneEdge]
-	dpShards  gauges[shardKey, DataplaneShard]
+	dpSources gauges[sourceKey, DataplaneSource]
 	dpParking gauges[string, DataplaneConsumer]
 	dpWheel   gauges[struct{}, DataplaneWheel]
 	dpPool    gauges[int, DataplanePoolShard]

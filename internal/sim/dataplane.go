@@ -63,7 +63,7 @@ func (s *Sim) scrapeDataplane() {
 		de.HighWater = max(de.HighWater, int(ch.highWater))
 	}
 
-	// Busy totals of every live task (active, then draining).
+	// Busy totals of every live task (active, then draining in id order).
 	busy := dp.busy[:0]
 	add := func(t *simTask) {
 		if t.name == "" {
@@ -76,7 +76,7 @@ func (s *Sim) scrapeDataplane() {
 		for _, t := range v.tasks {
 			add(t)
 		}
-		for t := range v.draining {
+		for _, t := range sortedDraining(v.draining) {
 			add(t)
 		}
 	}

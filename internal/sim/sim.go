@@ -24,12 +24,10 @@ type Sim struct {
 	vertexOrder []string
 	channels    []*simChannel
 
-	// edgePatterns[vertex][outPos] is the wiring pattern of the vertex's
-	// outPos-th outgoing edge; edgePos maps an edge to its position there,
-	// graphEdge to its position in the graph's edge list.
-	edgePatterns map[string][]model.WiringPattern
-	edgePos      map[model.EdgeKey]int
-	graphEdge    map[model.EdgeKey]int
+	// edgePos maps an edge to its position among its source vertex's
+	// outgoing edges, graphEdge to its position in the graph's edge list.
+	edgePos   map[model.EdgeKey]int
+	graphEdge map[model.EdgeKey]int
 
 	managers  []*qos.Manager
 	managerRR int
@@ -207,16 +205,15 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s := &Sim{
-		cfg:          &cfg,
-		opFree:       -1,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		vertices:     make(map[string]*simVertex),
-		edgePatterns: make(map[string][]model.WiringPattern),
-		edgePos:      make(map[model.EdgeKey]int),
-		graphEdge:    make(map[model.EdgeKey]int),
-		rm:           rm,
-		scheduler:    cluster.NewScheduler(rm),
-		probes:       probes,
+		cfg:       &cfg,
+		opFree:    -1,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		vertices:  make(map[string]*simVertex),
+		edgePos:   make(map[model.EdgeKey]int),
+		graphEdge: make(map[model.EdgeKey]int),
+		rm:        rm,
+		scheduler: cluster.NewScheduler(rm),
+		probes:    probes,
 	}
 	mcfg := master.ManagerConfig(cfg.AdjustmentInterval, cfg.MeasurementInterval)
 	for i := 0; i < cfg.ManagerCount; i++ {
@@ -255,12 +252,9 @@ func (s *Sim) bootstrap() error {
 	}
 	for _, jv := range g.Vertices() {
 		outs := g.OutEdges(jv.Name)
-		patterns := make([]model.WiringPattern, len(outs))
 		for i, ek := range outs {
-			patterns[i] = g.Edge(ek).Pattern
 			s.edgePos[ek] = i
 		}
-		s.edgePatterns[jv.Name] = patterns
 		if s.cfg.Vertices[jv.Name].Source != nil {
 			s.sourceCount++
 		}
@@ -562,6 +556,22 @@ func sortedDraining(m map[*simTask]struct{}) []*simTask {
 	return out
 }
 
+// busySum is the busy seconds of every task so far: retired, active,
+// then draining in id order, so the float sum is the same every run.
+func (s *Sim) busySum() float64 {
+	sum := s.retiredBusy
+	for _, name := range s.vertexOrder {
+		v := s.vertices[name]
+		for _, t := range v.tasks {
+			sum += t.busyAccum
+		}
+		for _, t := range sortedDraining(v.draining) {
+			sum += t.busyAccum
+		}
+	}
+	return sum
+}
+
 // recordTick emits one time-series row.
 func (s *Sim) recordTick() {
 	s.accountUsage()
@@ -599,16 +609,7 @@ func (s *Sim) recordTick() {
 		v.lastEmitted = v.emitted
 	}
 	// CPU utilization: busy seconds per task second over the interval.
-	busySum := s.retiredBusy
-	for _, name := range s.vertexOrder {
-		v := s.vertices[name]
-		for _, t := range v.tasks {
-			busySum += t.busyAccum
-		}
-		for t := range v.draining {
-			busySum += t.busyAccum
-		}
-	}
+	busySum := s.busySum()
 	taskSeconds := s.meter.TaskSeconds()
 	if d := taskSeconds - s.lastTaskSeconds; d > 0 {
 		row.CPUUtilization = (busySum - s.lastBusySum) / d
@@ -713,16 +714,7 @@ func (s *Sim) Run() (*Result, error) {
 		res.SinkDistinct, res.SinkDuplicates, res.SinkHoles = g.coord.Deliveries()
 	}
 	// Run-wide CPU utilization.
-	busySum := s.retiredBusy
-	for _, name := range s.vertexOrder {
-		v := s.vertices[name]
-		for _, t := range v.tasks {
-			busySum += t.busyAccum
-		}
-		for t := range v.draining {
-			busySum += t.busyAccum
-		}
-	}
+	busySum := s.busySum()
 	if ts := s.meter.TaskSeconds(); ts > 0 {
 		res.MeanCPUUtilization = busySum / ts
 	}

@@ -457,3 +457,32 @@ type behaviorFunc func(ctx *TaskContext, it *Item)
 
 func (behaviorFunc) ServiceTime(*rand.Rand, *Item) float64 { return 1e-6 }
 func (f behaviorFunc) Process(ctx *TaskContext, it *Item)  { f(ctx, it) }
+
+// TestBusySumDrainingOrder: draining tasks' busy seconds add up in id
+// order, so the sum a time-series row's CPU utilization is taken from
+// does not depend on map iteration order — 0.1 + 0.2 + 0.3 is
+// 0.6000000000000001 in one order and 0.6 in another.
+func TestBusySumDrainingOrder(t *testing.T) {
+	probes := NewProbeSet()
+	cfg := pipelineConfig(t, probes,
+		&workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, false, 1,
+		func(int) Behavior { return &testServer{mean: 0.001} })
+	s, err := New(cfg, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.vertices["server"]
+	for i, busy := range []float64{0.1, 0.2, 0.3} {
+		v.draining[&simTask{id: model.TaskID{Vertex: "server", Index: 10 + i}, busyAccum: busy}] = struct{}{}
+	}
+	var first float64
+	for rep := range 64 {
+		s.now++
+		s.recordTick()
+		if rep == 0 {
+			first = s.lastBusySum
+		} else if got := s.lastBusySum; math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("repetition %d sums busy seconds to %v, repetition 0 to %v", rep, got, first)
+		}
+	}
+}
