@@ -439,12 +439,13 @@ func TestEngineMultiSourceChurnAlignment(t *testing.T) {
 // panics and the unprocessed remainder of its batch are lost; already-
 // completed records are not.
 func TestLostRecordsMidBatchPanic(t *testing.T) {
-	var processed int
+	var calls, processed int
 	tk, ex := newBareTask(UDFFunc(func(*Context, Record) {
-		processed++
-		if processed == 3 {
+		calls++
+		if calls == 3 {
 			panic("mid-batch")
 		}
+		processed++
 	}))
 	b := batch{items: make([]Record, 5), oldestBuf: time.Now(), shipped: time.Now()}
 
@@ -462,7 +463,7 @@ func TestLostRecordsMidBatchPanic(t *testing.T) {
 	if got := ex.lostRecords.Load(); got != 3 {
 		t.Errorf("lostRecords = %d, want 3 (panicking record + remainder)", got)
 	}
-	if got := tk.processed.Load(); got != 2 {
+	if got := processed; got != 2 {
 		t.Errorf("processed = %d, want 2 (completed records only)", got)
 	}
 }
@@ -474,7 +475,7 @@ func TestLostRecordsMidBatchPanic(t *testing.T) {
 // slice.
 func TestLostRecordsDeadConsumerShip(t *testing.T) {
 	ex := &execution{cfg: Config{}.withDefaults()}
-	producer := &task{ex: ex, quit: make(chan struct{})}
+	producer := &task{ex: ex}
 	pe := &emitter{t: producer}
 	producer.lane = pe
 	consumer := &task{dead: make(chan struct{})}

@@ -28,7 +28,8 @@ type Config struct {
 	Workers        int
 	SlotsPerWorker int
 	// MeasurementInterval and AdjustmentInterval pace the QoS plane
-	// (defaults 250 ms and 1 s).
+	// (defaults 250 ms and 1 s). Neither paces shutdown: a bounded job
+	// ends as soon as its data has passed through.
 	MeasurementInterval time.Duration
 	AdjustmentInterval  time.Duration
 	// Elastic enables the reactive scaler.
@@ -45,7 +46,9 @@ type Config struct {
 	SourceShards int
 	// WheelResolution is ignored. It set the tick of the flush-timer
 	// wheel, which is gone: each lane parks no longer than its earliest
-	// flush deadline, so deadlines are as punctual as the Go timer is.
+	// flush deadline. The Go runtime rounds a sub-millisecond timer park
+	// up to about 1 ms, so a deadline flush can fire up to ≈ 1 ms late
+	// (DESIGN.md).
 	WheelResolution time.Duration
 	// MaxBatchRecords caps output batches (default 256).
 	MaxBatchRecords int
@@ -198,6 +201,7 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		reports:     make(chan any, 4096),
 		failures:    make(chan taskFailure, 1024),
 		restarts:    make(chan string, 1024),
+		exits:       make(chan struct{}, 1),
 		supervisors: make(map[string]*supervisor),
 		stepErrs:    make(map[string]bool),
 		stopCh:      make(chan struct{}),
@@ -348,6 +352,8 @@ type execution struct {
 	stopOnce    sync.Once
 	stopCh      chan struct{}
 	doneCh      chan struct{}
+	// exits is a one-slot poke each exiting task leaves the master.
+	exits chan struct{}
 }
 
 // report messages from tasks to the master.
@@ -505,6 +511,10 @@ func (ex *execution) taskDone(t *task) {
 	if t.src != nil {
 		ex.sourcesLeft.Add(-1)
 	}
+	select {
+	case ex.exits <- struct{}{}:
+	default: // a poke is pending; the master reads the counts after it
+	}
 	ex.wg.Done()
 }
 
@@ -547,10 +557,11 @@ type Execution struct {
 	ex *execution
 }
 
-// Wait blocks until the job finishes (sources exhausted and pipelines
-// drained), Stop is called, or the context is cancelled. If the job
-// failed — a vertex degraded past its restart cap — Wait returns that
-// error on every call.
+// Wait blocks until the job finishes or the context is cancelled. A job
+// finishes once its sources are exhausted (or stopped) and every task has
+// drained its input and exited, vertex after vertex downstream; no
+// measurement interval is waited out. If the job failed — a vertex
+// degraded past its restart cap — Wait returns that error on every call.
 func (e *Execution) Wait(ctx context.Context) error {
 	select {
 	case <-e.ex.doneCh:
@@ -571,7 +582,9 @@ func (e *Execution) Err() error {
 	}
 }
 
-// Stop initiates a graceful shutdown: sources stop, pipelines drain.
+// Stop initiates a graceful shutdown: sources stop, and the end of input
+// cascades downstream as on a bounded job; Wait returns once the last
+// task has drained and exited.
 func (e *Execution) Stop() {
 	e.ex.stopOnce.Do(func() { close(e.ex.stopCh) })
 }

@@ -480,12 +480,7 @@ func TestEngineNoGoroutineLeak(t *testing.T) {
 		}
 		waitDone(t, exec, 20*time.Second)
 	}
-	// Allow the runtime a moment to unwind.
-	time.Sleep(200 * time.Millisecond)
-	after := runtime.NumGoroutine()
-	if after > before+5 {
-		t.Errorf("goroutine leak: %d before, %d after", before, after)
-	}
+	checkNoGoroutineLeak(t, before)
 }
 
 // multiEmitter sends each record on both outgoing edges (like the
@@ -629,8 +624,8 @@ func TestEngineFixedBatching(t *testing.T) {
 // TestEngineFixedBatchingDeliversTail: size-only gates ship full batches
 // only, so the last records of a job — fewer than a batch per consumer —
 // used to sit in the workers' gates until the force-quit and vanish with
-// no counter moved. The master now drains them once the stopping
-// pipeline has gone quiet.
+// no counter moved. A worker now ships them on its way out, once its
+// input has ended.
 func TestEngineFixedBatchingDeliversTail(t *testing.T) {
 	const total = 64*9 + 37 // not a multiple of the batch size
 	g := buildChain(t, 2, 2, model.PatternKeyBased)

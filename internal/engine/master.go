@@ -10,25 +10,24 @@ import (
 	"nephelix/internal/qos"
 )
 
-// masterLoop runs the control plane until shutdown.
+// masterLoop runs the control plane until the job ends. The job is
+// ending once every source task has exited and no restart is pending:
+// from then on nothing restarts or scales, and each vertex's input ends
+// when its upstream vertices have no task left (endInputs). The loop
+// returns once the last task has exited.
 func (ex *execution) masterLoop() {
 	adjust := time.NewTicker(ex.cfg.AdjustmentInterval)
 	defer adjust.Stop()
-	quiesce := time.NewTicker(ex.cfg.MeasurementInterval)
-	defer quiesce.Stop()
 	var ckptC <-chan time.Time
 	if ex.guarantee.Enabled() {
 		ckptTicker := time.NewTicker(ex.cfg.CheckpointInterval)
 		defer ckptTicker.Stop()
 		ckptC = ckptTicker.C
 	}
-
-	var lastProcessed int64
-	stableRounds := 0
-	stopping := false
+	stopC := ex.stopCh
+	stopping, ending := false, false
 
 	finish := func() {
-		ex.stopAllTasks()
 		ex.wg.Wait()
 		ex.drainReports()
 		ex.mu.Lock()
@@ -46,12 +45,18 @@ func (ex *execution) masterLoop() {
 		select {
 		case msg := <-ex.reports:
 			ex.consumeReport(msg)
+		case <-ex.exits:
+			// A task exited: the job may turn ending, or end.
 		case f := <-ex.failures:
 			ex.handleTaskFailure(f, stopping)
 		case vertex := <-ex.restarts:
 			ex.restartTask(vertex, stopping)
 		case <-adjust.C:
-			ex.adjustTick()
+			// An ending job runs no interval: nothing may scale behind a
+			// final flag, and its tasks are leaving.
+			if !ending {
+				ex.adjustTick()
+			}
 		case <-ckptC:
 			if !stopping {
 				ex.startCheckpoint()
@@ -60,41 +65,51 @@ func (ex *execution) masterLoop() {
 			// Persist, then prune (ckpt.Coordinator.Commit); a round that
 			// raced churn or whose store failed comes back as an abort.
 			ex.reportCheckpoint(ex.coord.Commit(r, ex.Now(), ex.emitted.Load(), ex.lostRecords.Load()), true)
-		case <-quiesce.C:
-			if !stopping {
-				continue
-			}
-			cur := ex.totalProcessed()
-			if cur == lastProcessed {
-				stableRounds++
-			} else {
-				stableRounds = 0
-			}
-			lastProcessed = cur
-			if stableRounds == 1 {
-				// The pipeline has gone quiet: ship what size-only gates
-				// still hold. A tail that reaches a consumer moves the
-				// processed count and so restarts the stable run; finish
-				// follows only a run in which nothing was left to ship.
-				ex.flushTails()
-			}
-			if stableRounds >= 3 {
-				finish()
-				return
-			}
-		case <-ex.stopCh:
-			stopping = true
-			// Force path: stop sources immediately; workers drain via the
-			// quiescence checks above.
+		case <-stopC:
+			stopC, stopping = nil, true
+			// Stop the sources; the end of input then cascades as on a
+			// bounded job.
 			ex.stopSources()
 		}
 		// pendingRecovery keeps a crashed source counted until its
 		// replacement launches, so a transient sourcesLeft == 0 during a
 		// restart cannot end the job early.
-		if !stopping && ex.sourcesLeft.Load() == 0 && ex.pendingRecovery.Load() == 0 {
-			stopping = true
+		if !ending && ex.sourcesLeft.Load() == 0 && ex.pendingRecovery.Load() == 0 {
+			stopping, ending = true, true
+		}
+		// A crash while ending is settled (its queued records counted as
+		// lost) before the job may end.
+		if ending && ex.endInputs() == 0 && ex.pendingRecovery.Load() == 0 {
+			finish()
+			return
 		}
 	}
+}
+
+// endInputs raises the final flag on every task whose upstream vertices
+// have no task left, and returns how many tasks are left (master loop,
+// ending job). No task is created once the job is ending, so a vertex
+// whose upstream is empty has received all its input.
+func (ex *execution) endInputs() (left int) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	for _, name := range ex.order {
+		vs := ex.vertices[name]
+		left += len(vs.tasks)
+		upstream := 0
+		for _, ek := range ex.spec.graph.InEdges(name) {
+			upstream += len(ex.vertices[ek.Source].tasks)
+		}
+		if upstream > 0 {
+			continue
+		}
+		for _, t := range vs.tasks {
+			if !t.final.Swap(true) {
+				t.pk.wake()
+			}
+		}
+	}
+	return left
 }
 
 // startCheckpoint injects one barrier checkpoint at the sources (master
@@ -176,19 +191,6 @@ func (ex *execution) drainReports() {
 			return
 		}
 	}
-}
-
-// totalProcessed sums all live tasks' processed counters.
-func (ex *execution) totalProcessed() int64 {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	var total int64
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			total += t.processed.Load()
-		}
-	}
-	return total
 }
 
 // newLoop builds the execution's master loop: it publishes each
@@ -291,32 +293,6 @@ func (ex *execution) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 	}
 }
 
-// flushTails force-drains the gates of every worker task once a stopping
-// job's processed count has stopped moving. A size-only (BatchingFixed)
-// gate ships full batches only, so without this up to MaxBatchRecords−1
-// records per consumer would sit in it until the force-quit and vanish
-// uncounted. No more input is coming, so such gates have nothing left to
-// wait for: they switch to instant flush — records still trickling
-// through later hops cannot strand again — and their owners are asked
-// for a flush pass. Sources drain their own gates when they exit.
-func (ex *execution) flushTails() {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			if t.src != nil {
-				continue
-			}
-			for _, g := range t.lane.gates {
-				if g.deadline() == noDeadline {
-					g.setDeadline(0)
-				}
-			}
-			t.lane.requestFlush()
-		}
-	}
-}
-
 // scaleUp adds n tasks to a vertex and wires them in.
 func (ex *execution) scaleUp(vertex string, n int) {
 	ex.mu.Lock()
@@ -381,23 +357,6 @@ func (ex *execution) stopSources() {
 				t.draining.Store(true)
 				t.pk.wake()
 			}
-		}
-	}
-}
-
-// stopAllTasks force-quits every remaining task.
-func (ex *execution) stopAllTasks() {
-	ex.mu.Lock()
-	tasks := make([]*task, 0)
-	for _, name := range ex.order {
-		tasks = append(tasks, ex.vertices[name].tasks...)
-	}
-	ex.mu.Unlock()
-	for _, t := range tasks {
-		select {
-		case <-t.quit:
-		default:
-			close(t.quit)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 // parker is the one park/wake protocol of the engine. Its owner is one
 // task goroutine, a worker's scan loop or a source's pacing loop (the
 // parker sits in the task, where producers reach it through their
-// channelRef). Wakers are producers that pushed into the owner's rings, and the
-// master. Nothing driven by time wakes an owner: it parks on its own
+// channelRef). Wakers are producers that pushed into the owner's rings,
+// and the master: a flush, barrier or replay request, a drain, the end of
+// input. Nothing driven by time wakes an owner: it parks on its own
 // timer, reset to no later than its next flush deadline (emitter.parkFor).
 //
 // The owner publishes parked, re-checks a readiness predicate, and only
@@ -44,9 +45,9 @@ func (p *parker) prepare(ready func() bool) bool {
 }
 
 // park blocks the owner unless ready holds once parked is published,
-// until a wake, timer (reset to d), aux or quit. It reports whether aux
-// fired (a TimerUDF's tick).
-func (p *parker) park(ready func() bool, timer *time.Timer, d time.Duration, aux <-chan time.Time, quit <-chan struct{}) (auxFired bool) {
+// until a wake, timer (reset to d) or aux. It reports whether aux fired
+// (a TimerUDF's tick).
+func (p *parker) park(ready func() bool, timer *time.Timer, d time.Duration, aux <-chan time.Time) (auxFired bool) {
 	if !p.prepare(ready) {
 		return false
 	}
@@ -56,7 +57,6 @@ func (p *parker) park(ready func() bool, timer *time.Timer, d time.Duration, aux
 	case <-timer.C:
 	case <-aux:
 		auxFired = true
-	case <-quit:
 	}
 	p.parked.Store(false)
 	return auxFired

@@ -19,8 +19,9 @@ type parkModel struct {
 }
 
 // workerParkModel is a worker owner: waker i pushes a batch into its own
-// input ring (as ship does) or raises the lane's flush request (as the
-// master's requestFlush does).
+// input ring (as ship does), raises the lane's flush request (as the
+// master's requestFlush does) or ends the task's input (as the master's
+// endInputs does).
 func workerParkModel(ex *execution, kinds [2]string) parkModel {
 	tk := newTask(ex, model.TaskID{Vertex: "work"}, UDFFunc(func(*Context, Record) {}), nil, 1)
 	e := tk.lane
@@ -34,6 +35,8 @@ func workerParkModel(ex *execution, kinds [2]string) parkModel {
 			m.wakers[i] = [2]func(){func() { r.Push(batch{}) }, func() { ref.to.pk.wake() }}
 		case "flush":
 			m.wakers[i] = [2]func(){func() { e.flushReq.Store(true) }, tk.pk.wake}
+		case "final":
+			m.wakers[i] = [2]func(){func() { tk.final.Store(true) }, tk.pk.wake}
 		}
 	}
 	return m
@@ -112,12 +115,15 @@ func runInterleaving(m parkModel, sched string) (blocked bool) {
 
 // TestParkWakeInterleavings checks the park/wake protocol under every
 // interleaving of one owner and two wakers, with no park timeout, no
-// goroutine and no sleep: owners are a worker (wakers push into its rings
-// or raise its flush request) and a source (flush and barrier
-// requests), each parking through parker.prepare with its own predicate.
-// No run may end with the owner blocked, work ready, and no wake token
-// pending — the lost wakeup, which with the timeout disabled would sleep
-// forever. A wake token pending must have been counted.
+// goroutine and no sleep: owners are a worker (wakers push into its
+// rings, raise its flush request or end its input) and a source (flush
+// and barrier requests), each parking through parker.prepare with its own
+// predicate. Every waker has made its work visible by the end of a run,
+// so no run may end with the owner blocked and no wake token pending —
+// the lost wakeup, which with the timeout disabled would sleep forever.
+// The verdict does not ask the owner's predicate, so a predicate that
+// misses a kind of work fails too. A wake token pending must have been
+// counted.
 func TestParkWakeInterleavings(t *testing.T) {
 	ex := &execution{
 		cfg:   Config{}.withDefaults(),
@@ -129,7 +135,7 @@ func TestParkWakeInterleavings(t *testing.T) {
 		build func(*execution, [2]string) parkModel
 		kinds [2][]string // waker 0's and waker 1's possible kinds
 	}{
-		{"worker", workerParkModel, [2][]string{{"push", "flush"}, {"push", "flush"}}},
+		{"worker", workerParkModel, [2][]string{{"push", "flush", "final"}, {"push", "flush", "final"}}},
 		{"source", sourceParkModel, [2][]string{{"flush", "barrier"}, {"flush", "barrier"}}},
 	}
 	scheds := interleavings(2, 2, 2)
@@ -144,10 +150,10 @@ func TestParkWakeInterleavings(t *testing.T) {
 					m := o.build(ex, [2]string{k0, k1})
 					blocked := runInterleaving(m, sched)
 					runs++
-					ready, token := m.ready(), len(m.pk.ch) > 0
+					token := len(m.pk.ch) > 0
 					where := o.name + " " + k0 + "/" + k1 + " " + sched
 					switch {
-					case blocked && ready && !token:
+					case blocked && !token:
 						t.Errorf("%s: lost wakeup — owner blocked with work ready and no wake pending", where)
 					case blocked != m.pk.parked.Load():
 						t.Errorf("%s: prepare returned %v with parked = %v", where, blocked, m.pk.parked.Load())

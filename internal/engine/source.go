@@ -10,9 +10,10 @@ import (
 // spinWait is the wait below which every engine loop spins instead of
 // parking: a source compares its schedule's next emission with
 // it, a consumer its predicted input gap (idleGap). Parking on a shorter
-// wait costs more than the wait: OS timer granularity would cap a
-// source's emission rate at a few thousand rounds per second, and a
-// wake costs a consumer up to hundreds of µs on a loaded host.
+// wait costs more than the wait: the Go runtime rounds a sub-millisecond
+// timer park up to ≈ 1 ms, which would cap a source at ≈ 1000 pacing
+// rounds per second (DESIGN.md), and a wake costs a consumer up to
+// hundreds of µs on a loaded host.
 const spinWait = 100 * time.Microsecond
 
 // maxBurst bounds how many emissions one pacing round performs, so
@@ -37,13 +38,10 @@ func (t *task) pace() {
 	resetTimer(timer, time.Hour)
 	// park blocks for d, or until the lane's next flush deadline or the
 	// master wakes it.
-	park := func(d time.Duration) { t.pk.park(e.requested, timer, e.parkFor(d, e.now), nil, t.quit) }
+	park := func(d time.Duration) { t.pk.park(e.requested, timer, e.parkFor(d, e.now), nil) }
 
 	next := time.Now()
 	for {
-		if closed(t.quit) {
-			return
-		}
 		now := time.Now()
 		e.now = now
 		e.serviceGuarantees(now)
@@ -105,7 +103,6 @@ func (t *task) pace() {
 			e.reporter.RecordArrivalN(elapsed, 0, burst) // the execution's base, like task.account
 			e.reporter.RecordServiceN(per, burst)
 			ex.emitted.Add(int64(burst))
-			t.processed.Add(int64(burst))
 			e.emitCount.Add(int64(burst))
 			now = end
 			if next.Before(now) {

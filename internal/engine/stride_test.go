@@ -109,10 +109,11 @@ func TestStrideSlowUDFTimedPerRecord(t *testing.T) {
 func TestStrideCheapUDFAmortizesClock(t *testing.T) {
 	tk, _ := newBareTask(nil)
 	const batches, size = 40, 256
-	reads, widest := 0, 0
+	reads, widest, processed := 0, 0, 0
 	began := time.Now()
 	for r := 0; r < batches; r++ {
 		seen := clockSeen(tk, testBatch(size), nil)
+		processed += len(seen)
 		for i := 1; i < len(seen); i++ {
 			if !seen[i].Equal(seen[i-1]) {
 				reads++
@@ -129,7 +130,7 @@ func TestStrideCheapUDFAmortizesClock(t *testing.T) {
 		t.Errorf("%d clock reads inside %d no-op records: the clock is still on the per-record path", reads, batches*size)
 	}
 	const total = batches * size
-	if got := tk.processed.Load(); got != total {
+	if got := processed; got != total {
 		t.Errorf("processed = %d, want %d", got, total)
 	}
 	rep := tk.lane.reporter.Flush()
@@ -203,11 +204,12 @@ func TestStrideForcedReads(t *testing.T) {
 		b := testBatch(16)
 		b.items[5].span = tr.StartSpan(0)
 		tk.stride = maxStride
-		first(t, readsAfter(clockSeen(tk, b, nil)), 5)
+		seen := clockSeen(tk, b, nil)
+		first(t, readsAfter(seen), 5)
 		if n, _ := tr.EndToEnd(); n != 1 {
 			t.Errorf("finished spans = %d, want 1 (a sink finishes the span at the forced read)", n)
 		}
-		if got := tk.processed.Load(); got != 16 {
+		if got := len(seen); got != 16 {
 			t.Errorf("processed = %d, want 16", got)
 		}
 	})
@@ -249,11 +251,12 @@ func TestStrideForcedReads(t *testing.T) {
 // lost.
 func TestStridePanicMidGroup(t *testing.T) {
 	tk, ex := newBareTask(nil)
-	calls := 0
+	calls, processed := 0, 0
 	tk.udf = UDFFunc(func(*Context, Record) {
 		if calls++; calls == 7 {
 			panic("mid-group")
 		}
+		processed++
 	})
 	tk.stride = maxStride
 	func() {
@@ -264,7 +267,7 @@ func TestStridePanicMidGroup(t *testing.T) {
 		}()
 		tk.handleBatch(testBatch(10))
 	}()
-	processed, lost := tk.processed.Load(), ex.lostRecords.Load()
+	lost := ex.lostRecords.Load()
 	if processed != 6 || lost != 4 {
 		t.Errorf("processed = %d, lost = %d, want 6 and 4 (the panicking record and the remainder are lost)", processed, lost)
 	}

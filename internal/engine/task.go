@@ -25,9 +25,10 @@ import (
 // source under guarantees, the offset log. A job emits from more cores
 // by raising its source vertex's parallelism.
 type task struct {
-	// The 256 bytes are four cache lines (TestTaskSizeClass), grouped by
-	// who touches them: two read-mostly lines, then the line producers
-	// read (parker, dead), then the line the consumer writes per batch.
+	// The task spans four cache lines of its 256-byte allocation class
+	// (TestTaskSizeClass), grouped by who touches them: two read-mostly
+	// lines, then the line producers read (parker, dead), then the line
+	// the consumer writes per batch.
 	id  model.TaskID
 	ex  *execution
 	udf UDF
@@ -58,17 +59,17 @@ type task struct {
 	// producers spinning on its full input rings get out instead of
 	// waiting on a consumer that will never pop again.
 	dead chan struct{}
-	// quit force-stops the task (execution shutdown).
-	quit chan struct{}
 	// draining is set by the master after the task left all routing
 	// tables; the task exits once its input has been idle for DrainIdle.
 	draining atomic.Bool
+	// final is set by the master once the job is ending and no upstream
+	// vertex has a task left: the rings hold all the input there will
+	// be, and the task exits once they are drained (endInputs).
+	final atomic.Bool
 	// rw caches whether the vertex measures read-write task latency.
 	rw   bool
 	inMu sync.Mutex
 
-	// processed counts handled records (quiescence detection).
-	processed atomic.Int64
 	// busyNs integrates UDF time for utilization reporting.
 	busyNs atomic.Int64
 	// stride is how many records handleBatch processes between clock
@@ -161,7 +162,6 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 		ex:      ex,
 		udf:     udf,
 		src:     src,
-		quit:    make(chan struct{}),
 		dead:    make(chan struct{}),
 		pk:      parker{ch: make(chan struct{}, 1)},
 		inChans: make(map[chanKey]*inChannel),
@@ -246,19 +246,24 @@ func (t *task) pruneClosedRings() {
 	t.inMu.Unlock()
 }
 
-// inputReady is a worker's park predicate: a batch in any in-ring, or a
-// flush request for its lane.
-func (t *task) inputReady() bool {
+// pending reports whether any in-ring holds a batch.
+func (t *task) pending() bool {
 	for _, r := range t.ringsSnapshot() {
 		if !r.Empty() {
 			return true
 		}
 	}
-	return t.lane.flushReq.Load()
+	return false
+}
+
+// inputReady is a worker's park predicate: a batch in any in-ring, a
+// flush request for its lane, or the end of its input.
+func (t *task) inputReady() bool {
+	return t.pending() || t.lane.flushReq.Load() || t.final.Load()
 }
 
 // requestFlush asks the task goroutine for a flush pass over its gates
-// (master only: deadline changes, end-of-job tail flush).
+// (master only: deadline changes).
 func (e *emitter) requestFlush() {
 	e.flushReq.Store(true)
 	e.t.pk.wake()
@@ -337,9 +342,6 @@ func (e *emitter) ship(shipments []shipment) {
 				e.t.ex.lostRecords.Add(int64(len(s.b.items)))
 				e.t.ex.pool.put(s.b.poolHint, s.b.items)
 				break
-			}
-			if closed(e.t.quit) {
-				return
 			}
 			spins++
 			if spins < shipSpins {

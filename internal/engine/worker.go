@@ -79,7 +79,6 @@ func (t *task) handleBatch(b batch) {
 			// let the supervisor defer in run() handle the crash. The
 			// batch slice dies with them — never recycle a batch whose
 			// consumption did not complete.
-			t.processed.Add(int64(n))
 			t.ex.lostRecords.Add(int64(len(b.items) - done))
 			panic(r)
 		}
@@ -88,9 +87,8 @@ func (t *task) handleBatch(b batch) {
 		rec := &b.items[i]
 		if t.dedup != nil && rec.srcID != 0 && !t.dedup.Admit(rec.srcID, rec.offset) && t.ex.suppressDups {
 			// Replay duplicate under exactly-once: suppressed before the
-			// UDF sees it, but still counted for quiescence detection and
-			// the panic-remainder accounting.
-			t.processed.Add(1)
+			// UDF sees it, but still counted for the panic-remainder
+			// accounting.
 			done++
 			continue
 		}
@@ -125,7 +123,6 @@ func (t *task) account(b *batch, ch *inChannel, rec *Record, last time.Time, n i
 	e.now = end
 	group := end.Sub(last)
 	t.busyNs.Add(int64(group))
-	t.processed.Add(int64(n))
 	per := group.Seconds() / float64(n)
 	start := end.Add(-group / time.Duration(n)) // of the last record's share
 	// Arrival times count from the execution's start: a float64 of Unix
@@ -264,9 +261,6 @@ func (t *task) scan() {
 	// the rings empty (the task's last clock read); zero while busy.
 	var idleSince time.Time
 	for {
-		if closed(t.quit) {
-			return
-		}
 		worked := false
 		sawClosed := false
 		for _, r := range t.ringsSnapshot() {
@@ -316,6 +310,18 @@ func (t *task) scan() {
 		}
 		e.serviceFlush(e.now)
 		e.maybeReport(e.now)
+		if t.final.Load() && !t.pending() {
+			// End of input: every upstream producer has exited, so the
+			// rings held all there was, and they are drained. Close the
+			// open window, ship every buffer and leave; the deferred
+			// closeOutRings ends the next vertex's input in turn.
+			e.now = time.Now()
+			if timerC != nil {
+				t.udf.(TimerUDF).OnTimer(&e.ctx)
+			}
+			e.drainGates(e.now)
+			return
+		}
 		if t.draining.Load() && e.now.Sub(lastItem) > t.ex.cfg.DrainIdle {
 			// Drain leftovers that raced the idle check, flush gates, and
 			// exit. Stray barriers are dropped: a draining task is outside
@@ -348,10 +354,11 @@ func (t *task) scan() {
 			runtime.Gosched()
 			continue
 		}
-		// Park, unless a batch or a flush request raced the decision, and
-		// wake by the lane's next flush deadline at the latest.
+		// Park, unless a batch, a flush request or the end of input raced
+		// the decision, and wake by the lane's next flush deadline at the
+		// latest.
 		e.now = time.Now()
-		fired := t.pk.park(t.inputReady, parkTimer, e.parkFor(t.parkTimeout(), e.now), timerC, t.quit)
+		fired := t.pk.park(t.inputReady, parkTimer, e.parkFor(t.parkTimeout(), e.now), timerC)
 		e.now = time.Now()
 		if fired {
 			t.udf.(TimerUDF).OnTimer(&e.ctx)
