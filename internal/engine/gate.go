@@ -166,6 +166,12 @@ func (g *gate) drainAll(now time.Time) []shipment {
 	return g.takeAll(g.NonEmpty(), now)
 }
 
+// settle ships the leftovers of the input batch just processed (Settle).
+func (g *gate) settle(now time.Time) []shipment {
+	g.catchUp()
+	return g.takeAll(g.Settle(), now)
+}
+
 // catchUp observes the current consumer set and settles what it
 // stranded, so the slots that follow are chosen over the live set.
 func (g *gate) catchUp() {

@@ -52,10 +52,11 @@ func (e *emitter) maybeReport(now time.Time) {
 	}
 }
 
-// handleBatch processes one delivered batch and recycles its slice. The
-// wall clock is read at batch arrival, at batch end, and in between only
-// when about clockBudget of work has accumulated: every t.stride records,
-// and after any record whose own timing is used (a trace span, a sampled
+// handleBatch processes one delivered batch, ships the leftover of every
+// slot the batch filled (settle) and recycles its slice. The wall clock
+// is read at batch arrival, at batch end, and in between only when about
+// clockBudget of work has accumulated: every t.stride records, and after
+// any record whose own timing is used (a trace span, a sampled
 // read-write record). Each read accounts the n records since the previous
 // one together (account), so counts, Σ service, Σ interarrival and busyNs
 // are exact while the n samples of a group share its mean. A UDF slower
@@ -103,6 +104,9 @@ func (t *task) handleBatch(b batch) {
 	}
 	if n > 0 {
 		t.account(&b, ch, nil, last, n)
+	}
+	for _, g := range e.gates {
+		e.ship(g.settle(e.now))
 	}
 	e.curSpan = nil
 	e.curSrcID, e.curOffset = 0, 0

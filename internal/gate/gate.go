@@ -3,7 +3,8 @@
 // consumer a record is pinned to (key-based), which consumer the next
 // batch goes to (rotation) or that it goes to all of them (broadcast),
 // when a buffer must ship (instant, size cap reached, oldest record +
-// deadline), and what happens to key buffers whose consumer left.
+// deadline, or the leftover of a fill once the producer's input batch
+// ends), and what happens to key buffers whose consumer left.
 //
 // The package decides and nothing else. It has no clock, no transport
 // and no buffer pool: the live engine drives it with time.Time, record
@@ -13,12 +14,12 @@
 // the result its own way.
 //
 // Concurrency: one goroutine — the producer — owns a gate's buffers and
-// calls Push, Observe, Stranded, Rehash, Due, NonEmpty, Take, NextDue
-// and Buffered. One control goroutine calls Add and Remove; Consumers
-// is safe anywhere. The consumer list is an immutable snapshot swapped
-// atomically; Push and Observe load it exactly once, and every other
-// producer call acts on that last observed snapshot, so a record is
-// never hashed over one consumer set and reconciled against another.
+// calls Push, Observe, Stranded, Rehash, Due, Settle, NonEmpty, Take,
+// NextDue and Buffered. One control goroutine calls Add and Remove;
+// Consumers is safe anywhere. The consumer list is an immutable snapshot
+// swapped atomically; Push and Observe load it exactly once, and every
+// other producer call acts on that last observed snapshot, so a record
+// is never hashed over one consumer set and reconciled against another.
 package gate
 
 import (
@@ -75,6 +76,10 @@ type slot[R, T any] struct {
 	recs   []R
 	weight int
 	oldest T
+	// pushed is the weight pushed since the last Settle and filled
+	// whether one of those pushes hit the size trigger; Take keeps both.
+	pushed int
+	filled bool
 }
 
 // Gate buffers records of type R for consumers of type C.
@@ -150,7 +155,11 @@ func (g *Gate[C, R, T, D]) Push(rec *R, key uint64, w int, now T, dl D) (k int, 
 	}
 	s.recs = append(s.recs, *rec)
 	s.weight += w
-	if dl <= 0 || s.weight >= g.limit {
+	s.pushed += w
+	if s.weight >= g.limit {
+		s.filled = true
+		v |= Flush
+	} else if dl <= 0 {
 		v |= Flush
 	}
 	return k, v
@@ -237,6 +246,27 @@ func (g *Gate[C, R, T, D]) Due(now T, dl D) []int {
 		if dl <= 0 || s.weight >= g.limit || dl != g.never && !now.Before(s.oldest.Add(dl)) {
 			g.picked = append(g.picked, k)
 		}
+	}
+	return g.picked
+}
+
+// Settle is called by a consumer when it has finished an input batch.
+// It returns the slots that, since the previous Settle, were pushed at
+// least a full cap of weight, hit the size trigger and still hold
+// records: the leftover of a fill that happened inside this input batch,
+// which would otherwise wait for the next input batch to top it up. It
+// then restarts every slot's count. A slot filled across several input
+// batches (none pushed a cap) or emptied by its deadline (never hit the
+// size trigger) is not returned, so neither the number of batches nor
+// the deadline timing changes there. The slice is scratch as in Due.
+func (g *Gate[C, R, T, D]) Settle() []int {
+	g.picked = g.picked[:0]
+	for k := range g.slots {
+		s := &g.slots[k]
+		if s.filled && s.pushed >= g.limit && len(s.recs) > 0 {
+			g.picked = append(g.picked, k)
+		}
+		s.pushed, s.filled = 0, false
 	}
 	return g.picked
 }

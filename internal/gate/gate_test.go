@@ -289,3 +289,166 @@ func BenchmarkGatePush(b *testing.B) {
 		}
 	}
 }
+
+// TestSettle pins the end-of-input decision: Settle returns a slot only
+// if, since the previous Settle, it was pushed a full cap, hit its size
+// trigger and still holds records — the leftover of a fill inside one
+// input batch — and then restarts every slot's count.
+func TestSettle(t *testing.T) {
+	const limit = 256
+	// input pushes n records with the given keys (key(i)) under dl,
+	// taking every slot Push flushes, and returns Settle's slots.
+	input := func(g *testGate, n int, key func(int) uint64, dl int64) []int {
+		for i := 0; i < n; i++ {
+			if k, v := g.Push(&rec{id: i}, key(i), 1, 0, dl); v&Flush != 0 {
+				g.Take(k, nil)
+			}
+		}
+		return slices.Clone(g.Settle())
+	}
+	zero := func(int) uint64 { return 0 }
+	// keyOf finds a key the two-consumer keyed gate pins to slot k.
+	keyOf := func(k int) uint64 {
+		for key := uint64(0); ; key++ {
+			if mix64(key)%2 == uint64(k) {
+				return key
+			}
+		}
+	}
+	roundRobin := func() *testGate {
+		g := newTestGate(model.PatternRoundRobin, limit)
+		g.Add(1)
+		return g
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"one input fills the slot: its 44 leftover is returned", func(t *testing.T) {
+			g := roundRobin()
+			if got := input(g, 300, zero, 20); !slices.Equal(got, []int{0}) {
+				t.Fatalf("Settle = %v, want [0]", got)
+			}
+			if b := g.Take(0, nil); len(b.Recs) != 44 || b.Recs[0].id != 256 {
+				t.Fatalf("leftover has %d records starting at %d, want 44 from 256", len(b.Recs), b.Recs[0].id)
+			}
+			if got := g.Settle(); len(got) != 0 {
+				t.Fatalf("a second Settle returned %v: the count was not restarted", got)
+			}
+		}},
+		{"a fill across sub-cap inputs is not returned", func(t *testing.T) {
+			g := roundRobin()
+			for i := 0; i < 6; i++ {
+				if got := input(g, 50, zero, 20); len(got) != 0 {
+					t.Fatalf("input %d: Settle = %v, want none", i, got)
+				}
+			}
+			if g.Buffered() != 300-limit {
+				t.Fatalf("%d records buffered, want the %d past the one size flush", g.Buffered(), 300-limit)
+			}
+		}},
+		{"a slot its deadline emptied is not returned", func(t *testing.T) {
+			g := roundRobin()
+			for i := 0; i < 300; i++ {
+				g.Push(&rec{id: i}, 0, 1, tick(i), 100)
+				for _, k := range g.Due(tick(i), 100) {
+					g.Take(k, nil)
+				}
+			}
+			if got := g.Settle(); len(got) != 0 || g.Buffered() == 0 {
+				t.Fatalf("Settle = %v with %d buffered, want none: no push hit the size trigger", got, g.Buffered())
+			}
+		}},
+		{"keyed: only the slot that filled is returned", func(t *testing.T) {
+			g := newTestGate(model.PatternKeyBased, limit)
+			g.Add(1)
+			g.Add(2)
+			full, light := keyOf(1), keyOf(0)
+			got := input(g, 310, func(i int) uint64 {
+				if i%31 == 0 {
+					return light
+				}
+				return full
+			}, 20)
+			if !slices.Equal(got, []int{1}) {
+				t.Fatalf("Settle = %v, want [1]", got)
+			}
+			if b := g.Take(1, nil); len(b.To) != 1 || b.To[0] != 2 || len(b.Recs) != 300-limit {
+				t.Fatalf("leftover to %v with %d records, want consumer 2 with %d", b.To, len(b.Recs), 300-limit)
+			}
+			if g.Buffered() != 10 {
+				t.Fatalf("%d records left, want the light slot's 10", g.Buffered())
+			}
+		}},
+		{"instant: nothing is returned", func(t *testing.T) {
+			g := roundRobin()
+			if got := input(g, 300, zero, 0); len(got) != 0 || g.Buffered() != 0 {
+				t.Fatalf("Settle = %v with %d buffered", got, g.Buffered())
+			}
+		}},
+		{"a count carried across observe follows its slot", func(t *testing.T) {
+			g := newTestGate(model.PatternKeyBased, limit)
+			g.Add(1)
+			g.Add(2)
+			for i := 0; i < 300; i++ {
+				if k, v := g.Push(&rec{id: i}, keyOf(1), 1, 0, 20); v&Flush != 0 {
+					g.Take(k, nil)
+				}
+			}
+			// Consumer 1 leaves mid-input: consumer 2's slot moves from
+			// index 1 to 0 and keeps its count.
+			g.Remove(1)
+			g.Observe()
+			if got := g.Settle(); !slices.Equal(got, []int{0}) {
+				t.Fatalf("Settle = %v, want [0], consumer 2's new index", got)
+			}
+			if b := g.Take(0, nil); len(b.To) != 1 || b.To[0] != 2 || len(b.Recs) != 300-limit {
+				t.Fatalf("leftover to %v with %d records, want consumer 2 with %d", b.To, len(b.Recs), 300-limit)
+			}
+		}},
+		{"weights in bytes", func(t *testing.T) {
+			g := newTestGate(model.PatternBroadcast, 1000)
+			g.Add(1)
+			g.Add(2)
+			for i := 0; i < 13; i++ {
+				if k, v := g.Push(&rec{id: i}, 0, 100, 0, 20); v&Flush != 0 {
+					g.Take(k, nil)
+				}
+			}
+			if got := g.Settle(); !slices.Equal(got, []int{0}) {
+				t.Fatalf("Settle = %v, want [0]", got)
+			}
+			if b := g.Take(0, nil); b.Weight != 300 {
+				t.Fatalf("leftover weighs %d, want 300", b.Weight)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
+	}
+}
+
+// BenchmarkGateSettle is one input batch on a keyed edge over four
+// consumers: 256 pushes with the engine's record count cap, the Takes
+// they call for, and the Settle that ends the batch.
+func BenchmarkGateSettle(b *testing.B) {
+	g := New[int, rec, tick](model.PatternKeyBased, 256, never, rand.New(rand.NewSource(1)))
+	for c := 0; c < 4; c++ {
+		g.Add(c)
+	}
+	spare := make([]rec, 0, 256)
+	r := rec{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 256; j++ {
+			r.key = uint64(i*256 + j)
+			if k, v := g.Push(&r, r.key, 1, 0, 20); v&Flush != 0 {
+				spare = g.Take(k, spare).Recs
+			}
+		}
+		for _, k := range g.Settle() {
+			spare = g.Take(k, spare).Recs
+		}
+	}
+}

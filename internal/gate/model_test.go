@@ -20,7 +20,9 @@ import (
 //     broadcast batch to all of them; rotation visits every consumer
 //     within n flushes of an unchanged set;
 //   - triggers: Push says Flush, and Due lists a buffer, exactly when
-//     the model's instant / cap / oldest+deadline condition holds.
+//     the model's instant / cap / oldest+deadline condition holds;
+//     Settle lists one exactly when, since the last Settle, its consumer
+//     was pushed a cap, hit the size trigger and still holds records.
 
 type mbuf struct {
 	ids    []int
@@ -45,6 +47,8 @@ type harness struct {
 	nextID   int
 
 	bufs     map[int]*mbuf // by consumer; key -1 is the shared buffer
+	pushed   map[int]int   // weight pushed since the last Settle, by consumer
+	filled   map[int]bool  // a push since the last Settle hit the cap
 	keyOf    map[int]uint64
 	sizeOf   map[int]int
 	state    map[int]byte // 'b' buffered, 's' shipped, 'd' dropped
@@ -228,6 +232,10 @@ func (h *harness) push(key uint64, size int) {
 		h.t.Fatalf("record with key %d pinned to %d, want %d", key, got, own)
 	}
 	mb := h.buffer(own, id, h.weight(id), h.now)
+	h.pushed[own] += h.weight(id)
+	if mb.weight >= h.limit {
+		h.filled[own] = true
+	}
 	if want := h.full(mb); want != (v&Flush != 0) {
 		h.t.Fatalf("push verdict %b with dl=%d weight=%d limit=%d", v, h.dl, mb.weight, h.limit)
 	}
@@ -259,6 +267,28 @@ func (h *harness) flushDue() {
 	}
 }
 
+// endInput ends an input batch: Settle must list exactly the slots whose
+// consumer the model saw pushed a cap and filled since the last one and
+// that still hold records; they ship, and every count restarts.
+func (h *harness) endInput() {
+	slots := slices.Clone(h.g.Settle())
+	var want []int
+	for k := 0; k < h.slots(); k++ {
+		own := h.owner(k)
+		if mb := h.bufs[own]; mb != nil && h.filled[own] && h.pushed[own] >= h.limit {
+			want = append(want, k)
+		}
+	}
+	if !slices.Equal(slots, want) {
+		h.t.Fatalf("settle = %v, model wants %v (pushed %v, filled %v)", slots, want, h.pushed, h.filled)
+	}
+	clear(h.pushed)
+	clear(h.filled)
+	for _, k := range slots {
+		h.take(k)
+	}
+}
+
 func (h *harness) drain() {
 	h.g.Observe()
 	h.observe()
@@ -286,6 +316,8 @@ func runOps(t testing.TB, data []byte) *harness {
 		limit:    1 + int(data[1]%16),
 		dl:       50,
 		bufs:     map[int]*mbuf{},
+		pushed:   map[int]int{},
+		filled:   map[int]bool{},
 		keyOf:    map[int]uint64{},
 		sizeOf:   map[int]int{},
 		state:    map[int]byte{},
@@ -317,7 +349,11 @@ func runOps(t testing.TB, data []byte) *harness {
 		case 6:
 			h.dl = []int64{0, 50, 50, never}[arg%4]
 		case 7:
-			h.drain()
+			if arg%2 == 1 {
+				h.endInput()
+			} else {
+				h.drain()
+			}
 		}
 	}
 	h.drain()
@@ -342,7 +378,7 @@ func rep(n int, steps ...byte) (out []byte) {
 }
 
 func TestGateModel(t *testing.T) {
-	add, rm, push, due, drain := op(3, 0), op(4, 0), op(0, 0), op(5, 10), op(7, 0)
+	add, rm, push, due, drain, endInput := op(3, 0), op(4, 0), op(0, 0), op(5, 10), op(7, 0), op(7, 1)
 	for pi, pname := range []string{"rotation", "broadcast", "keyed"} {
 		for _, unit := range []struct {
 			name string
@@ -368,6 +404,7 @@ func TestGateModel(t *testing.T) {
 						"scale down":        ops(cfg, 15, append([]byte{add, add, add}, append(pushes, append([]byte{rm, op(4, 1)}, append(pushes, rm)...)...)...)...),
 						"last one leaves":   ops(cfg, 15, append([]byte{add}, append(pushes, rm, push, add, push)...)...),
 						"remove then add":   ops(cfg, 15, append([]byte{add, add}, append(pushes, rm, add, due, push, op(5, 31), op(5, 31))...)...),
+						"end of input":      ops(cfg, 4, append([]byte{add, add, endInput}, append(pushes, endInput, push, push, endInput, op(6, 3), push, push, push, push, push, endInput, rm, endInput)...)...),
 					}
 					// A long seeded walk: small cap, slow clock, steady churn.
 					rng := rand.New(rand.NewSource(int64(cfg)))
@@ -386,14 +423,15 @@ func TestGateModel(t *testing.T) {
 }
 
 // FuzzGateChurn feeds random push / add / remove / due / deadline /
-// drain sequences over all three patterns, both size units and both
-// churn policies through the model above.
+// drain / end-of-input sequences over all three patterns, both size
+// units and both churn policies through the model above.
 func FuzzGateChurn(f *testing.F) {
 	for cfg := byte(0); cfg < 32; cfg++ {
 		if cfg%4 == 3 {
 			continue
 		}
 		f.Add(ops(cfg, 5, op(3, 0), op(3, 0), op(0, 1), op(1, 9), op(4, 0), op(2, 17), op(5, 30), op(3, 0), op(0, 4), op(6, 0), op(1, 2), op(7, 0)))
+		f.Add(ops(cfg, 3, op(3, 0), op(3, 0), op(0, 1), op(1, 1), op(2, 1), op(0, 1), op(7, 1), op(6, 3), op(0, 2), op(1, 2), op(2, 2), op(3, 0), op(0, 2), op(7, 3), op(4, 1), op(7, 1)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runOps(t, data) })
 }

@@ -140,10 +140,11 @@ type simTask struct {
 	// svcItem, svcHdr and svcTime hold the item currently in service, the
 	// header of the batch it came in and its service time; a task serves
 	// one item at a time, so the pending evServiceDone event carries only
-	// the task.
+	// the task. svcLast marks the last item of its batch.
 	svcItem Item
 	svcHdr  batchHeader
 	svcTime float64
+	svcLast bool
 
 	// timerInterval caches TimerBehavior.TimerInterval for evTimer
 	// rescheduling.
@@ -189,7 +190,9 @@ func (s *Sim) popQueue(t *simTask, serve bool) {
 		t.svcItem, t.svcHdr = *head, *hdr
 	}
 	head.release()
-	if b := t.queue.advance(); b != nil {
+	b := t.queue.advance()
+	t.svcLast = serve && b != nil
+	if b != nil {
 		s.poolBatch(b)
 	}
 }
@@ -588,6 +591,14 @@ func (s *Sim) serviceDone(t *simTask) {
 	// Process reads the service slot in place. Nothing it can reach starts
 	// a service on t, so the slot is released after the call.
 	t.behavior.Process(&t.ctx, it)
+	if t.svcLast {
+		// The input batch is finished: ship what it filled (Settle).
+		for _, g := range t.gates {
+			for _, k := range g.Settle() {
+				s.flushSlot(g, k)
+			}
+		}
+	}
 	t.endService()
 	t.curSpan = nil
 	t.curSrc, t.curOff = 0, 0
