@@ -256,7 +256,6 @@ func TestEngineGuaranteeChurnAlignment(t *testing.T) {
 
 	cfg := guaranteeConfig(23, ckpt.ExactlyOnce, nil)
 	cfg.CheckpointInterval = 10 * time.Millisecond
-	cfg.DrainIdle = 50 * time.Millisecond
 	exec, err := New(cfg).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +340,6 @@ func TestEngineMultiSourceChurnAlignment(t *testing.T) {
 
 	cfg := guaranteeConfig(29, ckpt.ExactlyOnce, nil)
 	cfg.CheckpointInterval = 10 * time.Millisecond
-	cfg.DrainIdle = 50 * time.Millisecond
 	exec, err := New(cfg).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -469,17 +467,15 @@ func TestLostRecordsMidBatchPanic(t *testing.T) {
 }
 
 // TestLostRecordsDeadConsumerShip (satellite) pins the other loss path:
-// a shipment into a dead consumer's ring (closed by the master after
-// the crash, or dead channel observed while the ring is full) counts
-// every record in the batch as lost, exactly once, and recycles the
-// slice.
+// a shipment into a dead consumer's ring (closed by its exit hook or by
+// the master after the crash) counts every record in the batch as lost,
+// exactly once, and recycles the slice.
 func TestLostRecordsDeadConsumerShip(t *testing.T) {
 	ex := &execution{cfg: Config{}.withDefaults()}
 	producer := &task{ex: ex}
 	pe := &emitter{t: producer}
 	producer.lane = pe
-	consumer := &task{dead: make(chan struct{})}
-	close(consumer.dead)
+	consumer := &task{}
 	deadRing := ring.New[batch](4)
 	deadRing.Close()
 
@@ -492,7 +488,7 @@ func TestLostRecordsDeadConsumerShip(t *testing.T) {
 	}
 
 	// A live consumer with ring room loses nothing.
-	live := &task{dead: make(chan struct{}), pk: parker{ch: make(chan struct{}, 1)}}
+	live := &task{pk: parker{ch: make(chan struct{}, 1)}}
 	liveRing := ring.New[batch](4)
 	pe.ship([]shipment{{ref: &channelRef{to: live, ring: liveRing}, b: batch{items: make([]Record, 4)}}})
 	if got := ex.lostRecords.Load(); got != 9 {

@@ -255,7 +255,6 @@ func TestIdleTopologyNoDeadlineFlushes(t *testing.T) {
 		Seed:                7,
 		MeasurementInterval: 20 * time.Millisecond,
 		AdjustmentInterval:  50 * time.Millisecond,
-		DrainIdle:           50 * time.Millisecond,
 	}
 	start := time.Now()
 	exec, err := New(cfg).Submit(spec, nil)
@@ -281,10 +280,9 @@ func TestIdleTopologyNoDeadlineFlushes(t *testing.T) {
 	if flushes != 0 {
 		t.Errorf("%d deadline flush passes on an idle topology, want 0", flushes)
 	}
-	// Every park ends on a wake, on the quit, or on a timer that ran its
-	// full timeout — the shorter of the measurement interval and a
-	// draining task's DrainIdle/4.
-	minTimeout := min(cfg.MeasurementInterval, cfg.DrainIdle/4)
+	// Every park ends on a wake or on a timer that ran its full timeout,
+	// the measurement interval.
+	minTimeout := cfg.MeasurementInterval
 	for _, tk := range consumers {
 		parks, wakes := tk.pk.parks.Load(), tk.pk.wakes.Load()
 		if limit := wakes + int64(elapsed/minTimeout) + 2; parks > limit {

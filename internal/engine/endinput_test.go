@@ -31,12 +31,18 @@ func watchSourceExit(ex *execution) <-chan time.Time {
 }
 
 // checkNoGoroutineLeak fails t if more than a few goroutines outlive the
-// executions run since before was read.
+// executions run since before was read by 200 ms, polled every
+// millisecond.
 func checkNoGoroutineLeak(t *testing.T, before int) {
 	t.Helper()
 	// Allow the runtime a moment to unwind.
-	time.Sleep(200 * time.Millisecond)
-	if after := runtime.NumGoroutine(); after > before+5 {
+	deadline := time.Now().Add(200 * time.Millisecond)
+	after := runtime.NumGoroutine()
+	for after > before+5 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before+5 {
 		t.Errorf("goroutine leak: %d before, %d after", before, after)
 	}
 }
@@ -170,40 +176,67 @@ func TestEngineEndOfInputWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestEngineEndOfInputDrainingTask: a scale-down task still draining when
-// the job turns ending leaves with its vertex's input, long before its
-// DrainIdle, and does not hold up the end.
+// TestEngineEndOfInputDrainingTask: a scale-down task still draining a
+// backlog when the job turns ending leaves once it has drained it, and
+// does not hold up the end. work[1] takes 10 ms a record against 500
+// records/s, so its ring holds about 20 records when it is scaled down
+// at 50 ms: 200 ms of backlog, past the source's end at 100 ms.
 func TestEngineEndOfInputDrainingTask(t *testing.T) {
 	g := buildChain(t, 2, 2, model.PatternRoundRobin)
 	var emitted, received atomic.Int64
 	spec := NewJobSpec(g).
 		SetSource("src", SourceSpec{
-			Schedule: &workload.ConstantSchedule{RatePerSecond: 1000, Length: 0.4},
+			Schedule: &workload.ConstantSchedule{RatePerSecond: 1000, Length: 0.1},
 			Emit: func(ctx *Context) {
 				emitted.Add(1)
 				ctx.Emit(0, Record{})
 			},
 		}).
-		SetUDF("work", func(int) UDF { return &forwarder{} }).
-		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} })
-	exec, err := New(Config{Seed: 43, DrainIdle: 5 * time.Second, MeasurementInterval: time.Second}).Submit(spec, nil)
+		SetUDF("work", func(index int) UDF {
+			return UDFFunc(func(ctx *Context, rec Record) {
+				if index == 1 {
+					busySpin(10 * time.Millisecond)
+				}
+				ctx.Emit(0, rec)
+			})
+		}).
+		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} }).
+		SetEdgeBatching("src", "work", BatchingInstant)
+	exec, err := New(Config{Seed: 43, MeasurementInterval: time.Second}).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exited := watchSourceExit(exec.ex)
-	time.Sleep(200 * time.Millisecond)
-	if err := exec.ex.Scale("work", -1); err != nil {
+	ex := exec.ex
+	ex.mu.Lock()
+	victim := ex.vertices["work"].tasks[1]
+	ex.mu.Unlock()
+	// At the last source task's exit: when, and whether the scale-down
+	// task was still there.
+	type ending struct {
+		at       time.Time
+		draining bool
+	}
+	ended := make(chan ending, 1)
+	go func() {
+		for ex.sourcesLeft.Load() > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		ended <- ending{time.Now(), !offTasks(ex, victim)}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if err := ex.Scale("work", -1); err != nil {
 		t.Fatal(err)
 	}
-	exec.ex.mu.Lock()
-	tasks := len(exec.ex.vertices["work"].tasks)
-	exec.ex.mu.Unlock()
-	if tasks != 2 || exec.Parallelism("work") != 1 {
-		t.Fatalf("work has %d tasks, %d live, want 2 and 1 (one draining)", tasks, exec.Parallelism("work"))
+	if !victim.draining.Load() || exec.Parallelism("work") != 1 {
+		t.Fatalf("work[1] draining = %v, %d live tasks, want true and 1", victim.draining.Load(), exec.Parallelism("work"))
 	}
 	waitDone(t, exec, 20*time.Second)
-	if lag := time.Since(<-exited); lag > endLag {
-		t.Errorf("Wait returned %v after the source task exited, want within %v (DrainIdle is 5 s)", lag, endLag)
+	end := <-ended
+	if !end.draining {
+		t.Error("the scale-down task left before the job turned ending: nothing to test (test is broken)")
+	}
+	if lag := time.Since(end.at); lag > endLag {
+		t.Errorf("Wait returned %v after the source task exited, want within %v", lag, endLag)
 	}
 	if _, downs := exec.ScaleEvents(); downs != 1 {
 		t.Errorf("%d scale-downs, want 1", downs)

@@ -55,8 +55,9 @@ type Config struct {
 	// FlushTick is how long a source that waits for a commit or for
 	// room in its replay buffer parks between checks (default 1 ms).
 	FlushTick time.Duration
-	// DrainIdle is how long a draining task waits for stragglers before
-	// exiting (default 300 ms).
+	// DrainIdle is ignored. A scale-down task waited that long on an
+	// idle input before it left; it now leaves once its producers have
+	// closed their rings into it and it has drained them.
 	DrainIdle time.Duration
 	// Seed drives task-local randomness.
 	Seed int64
@@ -131,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushTick <= 0 {
 		c.FlushTick = time.Millisecond
-	}
-	if c.DrainIdle <= 0 {
-		c.DrainIdle = 300 * time.Millisecond
 	}
 	if c.Scaler.Strategy == (core.StrategyConfig{}) {
 		c.Scaler = core.DefaultScalerConfig()
@@ -503,11 +501,17 @@ func (ex *execution) taskDone(t *task) {
 		}
 	}
 	vs.refreshCount()
+	// Off vs.tasks, the task gains no consumer and loses none: close every
+	// ring it could still push into, and its own in-rings, so a producer
+	// blocked on a full one gets out (a crash; after a clean exit they
+	// are closed already).
+	t.lane.closeOutRings()
+	for _, r := range t.ringsSnapshot() {
+		r.Close()
+	}
 	ex.mu.Unlock()
-	// Unblock producers shipping into this task's queue; reportFailure
-	// (if any) already ran, so pendingRecovery covers the gap before the
-	// source counter drops.
-	close(t.dead)
+	// reportFailure (if any) already ran, so pendingRecovery covers the
+	// gap before the source counter drops.
 	if t.src != nil {
 		ex.sourcesLeft.Add(-1)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -20,6 +21,16 @@ type channelRef struct {
 	id   model.ChannelID
 	to   *task
 	ring *ring.SPSC[batch]
+}
+
+// end closes the ring, then wakes its consumer: the producer pushes into
+// it no more, and the consumer's input ends once every ring into it is
+// closed and drained (task.ended).
+func (r *channelRef) end() {
+	if r.ring != nil {
+		r.ring.Close()
+		r.to.pk.wake()
+	}
 }
 
 // gate is the engine's transport around one output gate: routing,
@@ -40,6 +51,10 @@ type gate struct {
 	// deadlineNs is the adaptive flush deadline (0 = instant flush,
 	// noDeadline = size-only), written by the master.
 	deadlineNs atomic.Int64
+
+	// gone is the master's mailbox of the refs it removed, even ones the
+	// producer never observed; catchUp takes it and closes their rings.
+	gone atomic.Pointer[[]*channelRef]
 
 	// drops points at the owning execution's no-consumer drop counter.
 	drops *atomic.Int64
@@ -91,13 +106,33 @@ func (g *gate) setDeadline(d time.Duration) {
 	g.deadlineNs.Store(int64(d))
 }
 
-// removeConsumer drops a consumer task's channel (master only).
+// removeConsumer drops a consumer task's channel and posts it to the
+// producer's mailbox (master only, under ex.mu).
 func (g *gate) removeConsumer(t *task) {
 	for _, ref := range g.Consumers() {
-		if ref.to == t {
-			g.Remove(ref)
+		if ref.to != t {
+			continue
+		}
+		g.Remove(ref)
+		for old := g.gone.Load(); ; old = g.gone.Load() {
+			next := []*channelRef{ref}
+			if old != nil {
+				next = append(slices.Clip(*old), ref)
+			}
+			if g.gone.CompareAndSwap(old, &next) {
+				break
+			}
 		}
 	}
+}
+
+// takeGone empties the mailbox: a plain load, and a swap only when the
+// master posted something.
+func (g *gate) takeGone() []*channelRef {
+	if g.gone.Load() == nil {
+		return nil
+	}
+	return *g.gone.Swap(nil)
 }
 
 // push buffers a record and returns batches due for shipping (producer
@@ -173,10 +208,16 @@ func (g *gate) settle(now time.Time) []shipment {
 }
 
 // catchUp observes the current consumer set and settles what it
-// stranded, so the slots that follow are chosen over the live set.
+// stranded, so the slots that follow are chosen over the live set, then
+// ends the removed consumers' rings. It takes the mailbox first: a ref is
+// posted after its removal, so no set observed later addresses it.
 func (g *gate) catchUp() {
+	gone := g.takeGone()
 	g.Observe()
 	g.rehashStranded()
+	for _, ref := range gone {
+		ref.end()
+	}
 }
 
 func (g *gate) takeAll(slots []int, now time.Time) []shipment {

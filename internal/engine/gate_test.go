@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nephelix/internal/model"
+	"nephelix/internal/ring"
 )
 
 // testGate builds a bare gate wired to nobody, for direct unit tests of
@@ -204,6 +205,149 @@ func TestGateConcurrentConsumerChurn(t *testing.T) {
 			recycle(g.drainAll(time.Now()))
 			close(done)
 			wg.Wait()
+		})
+	}
+}
+
+// TestGateRemovalClosesOnCatchUp: a producer closes its ring into a
+// removed consumer at its next catch-up and not before, wakes the
+// consumer, and ships nothing to it in that pass — under every wiring
+// pattern, with records buffered. A consumer the producer never observed
+// (removed before any observe, or added and removed between two) is
+// closed all the same.
+func TestGateRemovalClosesOnCatchUp(t *testing.T) {
+	newRef := func() *channelRef {
+		return &channelRef{to: &task{pk: parker{ch: make(chan struct{}, 1)}}, ring: ring.New[batch](4)}
+	}
+	for name, pattern := range map[string]model.WiringPattern{
+		"roundrobin": model.PatternRoundRobin,
+		"broadcast":  model.PatternBroadcast,
+		"keybased":   model.PatternKeyBased,
+	} {
+		t.Run(name, func(t *testing.T) {
+			g, _, _ := testGate(pattern, 1024)
+			g.setDeadline(time.Minute)
+			keep, gone := newRef(), newRef()
+			g.Add(keep)
+			g.Add(gone)
+			now := time.Now()
+			const n = 64
+			for i := 0; i < n; i++ {
+				g.push(&Record{Key: uint64(i)}, now) // observes both consumers
+			}
+			gone.to.pk.parked.Store(true) // a parked consumer
+			g.removeConsumer(gone.to)
+			if gone.ring.Closed() {
+				t.Fatal("the ring closed at removal, before the producer caught up")
+			}
+			out := g.due(now.Add(time.Minute))
+			if !gone.ring.Closed() {
+				t.Fatal("the ring is open after the producer caught up")
+			}
+			if len(gone.to.pk.ch) != 1 || gone.to.pk.wakes.Load() != 1 {
+				t.Errorf("the removed consumer got %d wake tokens (%d counted), want 1", len(gone.to.pk.ch), gone.to.pk.wakes.Load())
+			}
+			total := 0
+			for _, s := range out {
+				if s.ref == gone {
+					t.Fatalf("a batch of %d records shipped to the removed consumer", len(s.b.items))
+				}
+				total += len(s.b.items)
+			}
+			if total != n {
+				t.Errorf("shipped %d records to the live consumer, want %d", total, n)
+			}
+			if keep.ring.Closed() {
+				t.Error("the live consumer's ring closed")
+			}
+
+			// Added and removed between two observes.
+			late := newRef()
+			g.Add(late)
+			g.removeConsumer(late.to)
+			g.drainAll(now)
+			if !late.ring.Closed() {
+				t.Error("a consumer added and removed between two observes kept its ring open")
+			}
+
+			// Removed before the gate observed anything.
+			fresh, _, _ := testGate(pattern, 1024)
+			first := newRef()
+			fresh.Add(first)
+			fresh.removeConsumer(first.to)
+			fresh.settle(now)
+			if !first.ring.Closed() {
+				t.Error("a consumer removed before any observe kept its ring open")
+			}
+		})
+	}
+}
+
+// TestGateClosedRingNeverAddressed: while the master adds and removes
+// consumers as fast as it can, no shipment the producer makes addresses
+// a ring it has closed — the records would then count as lost. catchUp
+// takes the mailbox before it observes, so every ref it closes was
+// removed before the set it adopts; observing first would let a removal
+// in between close a ring the adopted set still routes to.
+func TestGateClosedRingNeverAddressed(t *testing.T) {
+	for name, pattern := range map[string]model.WiringPattern{
+		"roundrobin": model.PatternRoundRobin,
+		"broadcast":  model.PatternBroadcast,
+		"keybased":   model.PatternKeyBased,
+	} {
+		t.Run(name, func(t *testing.T) {
+			g, _, pool := testGate(pattern, 1024)
+			g.setDeadline(time.Minute)
+			newRef := func() *channelRef {
+				return &channelRef{to: &task{pk: parker{ch: make(chan struct{}, 1)}}, ring: ring.New[batch](4)}
+			}
+			g.Add(newRef()) // never removed: push always has a target
+
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // master: churn the consumer set
+				defer wg.Done()
+				var churn []*channelRef
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if len(churn) < 2 {
+						ref := newRef()
+						churn = append(churn, ref)
+						g.Add(ref)
+					} else {
+						g.removeConsumer(churn[0].to)
+						churn = churn[1:]
+					}
+				}
+			}()
+
+			addressed := 0
+			check := func(out []shipment) {
+				for _, s := range out {
+					if s.ref.ring.Closed() {
+						addressed++
+					}
+					pool.put(0, s.b.items)
+				}
+			}
+			for i := 0; i < 5000; i++ {
+				now := time.Now()
+				for k := 0; k < 4; k++ {
+					check(g.push(&Record{Key: uint64(4*i + k)}, now))
+				}
+				check(g.drainAll(now))
+			}
+			close(done)
+			wg.Wait()
+			check(g.drainAll(time.Now()))
+			if addressed > 0 {
+				t.Errorf("%d shipments addressed a ring the producer had closed", addressed)
+			}
 		})
 	}
 }

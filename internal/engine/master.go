@@ -12,9 +12,9 @@ import (
 
 // masterLoop runs the control plane until the job ends. The job is
 // ending once every source task has exited and no restart is pending:
-// from then on nothing restarts or scales, and each vertex's input ends
-// when its upstream vertices have no task left (endInputs). The loop
-// returns once the last task has exited.
+// from then on nothing restarts or scales, so no producer is wired to a
+// task again, and each task leaves once its rings are closed and drained
+// (endInputs). The loop returns once the last task has exited.
 func (ex *execution) masterLoop() {
 	adjust := time.NewTicker(ex.cfg.AdjustmentInterval)
 	defer adjust.Stop()
@@ -86,27 +86,19 @@ func (ex *execution) masterLoop() {
 	}
 }
 
-// endInputs raises the final flag on every task whose upstream vertices
-// have no task left, and returns how many tasks are left (master loop,
-// ending job). No task is created once the job is ending, so a vertex
-// whose upstream is empty has received all its input.
+// endInputs raises the final flag on every task and returns how many
+// tasks are left (master loop, ending job). No task is created once the
+// job is ending, so a task's input has ended once the producers it has
+// closed their rings, which each does as it exits (task.ended).
 func (ex *execution) endInputs() (left int) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	for _, name := range ex.order {
-		vs := ex.vertices[name]
-		left += len(vs.tasks)
-		upstream := 0
-		for _, ek := range ex.spec.graph.InEdges(name) {
-			upstream += len(ex.vertices[ek.Source].tasks)
-		}
-		if upstream > 0 {
-			continue
-		}
-		for _, t := range vs.tasks {
+		for _, t := range ex.vertices[name].tasks {
 			if !t.final.Swap(true) {
 				t.pk.wake()
 			}
+			left++
 		}
 	}
 	return left
@@ -310,7 +302,9 @@ func (ex *execution) scaleUp(vertex string, n int) {
 }
 
 // scaleDown marks the newest n tasks of a vertex as draining and removes
-// them from all routing tables; they exit on their own after draining.
+// them from all routing tables. Each producer closes its ring into a
+// removed task at its next flush pass, which it is asked for here; the
+// task leaves once it has drained every ring (task.ended).
 func (ex *execution) scaleDown(vertex string, n int) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -336,12 +330,11 @@ func (ex *execution) scaleDown(vertex string, n int) {
 			pos := ex.edgePos[ek]
 			for _, p := range ex.vertices[ek.Source].tasks {
 				p.lane.gates[pos].removeConsumer(t)
+				p.lane.requestFlush()
 			}
 		}
 		t.draining.Store(true)
-		// Wake the drained task so its park ends and the drain-idle clock
-		// starts now rather than at the next housekeeping timeout.
-		t.pk.wake()
+		t.pk.wake() // its rings may all be closed and drained already
 		ex.noteChurn("scale-down")
 	}
 	vs.refreshCount()

@@ -13,6 +13,7 @@ import (
 // loop passes to park); each waker is its two atomic steps: make the work
 // visible, then wake — the order ship and requestFlush use.
 type parkModel struct {
+	owner  *task
 	pk     *parker
 	ready  func() bool
 	wakers [2][2]func()
@@ -20,12 +21,14 @@ type parkModel struct {
 
 // workerParkModel is a worker owner: waker i pushes a batch into its own
 // input ring (as ship does), raises the lane's flush request (as the
-// master's requestFlush does) or ends the task's input (as the master's
-// endInputs does).
+// master's requestFlush does), raises the final flag (as the master's
+// endInputs does) or closes its own input ring (as a producer's
+// channelRef.end does: close, then the real end, whose close is
+// idempotent and whose wake is the waker's second step).
 func workerParkModel(ex *execution, kinds [2]string) parkModel {
 	tk := newTask(ex, model.TaskID{Vertex: "work"}, UDFFunc(func(*Context, Record) {}), nil, 1)
 	e := tk.lane
-	m := parkModel{pk: &tk.pk, ready: tk.inputReady}
+	m := parkModel{owner: tk, pk: &tk.pk, ready: tk.inputReady}
 	for i, kind := range kinds {
 		switch kind {
 		case "push":
@@ -37,8 +40,29 @@ func workerParkModel(ex *execution, kinds [2]string) parkModel {
 			m.wakers[i] = [2]func(){func() { e.flushReq.Store(true) }, tk.pk.wake}
 		case "final":
 			m.wakers[i] = [2]func(){func() { tk.final.Store(true) }, tk.pk.wake}
+		case "close":
+			r := ring.New[batch](4)
+			tk.addInRing(r)
+			ref := &channelRef{to: tk, ring: r}
+			m.wakers[i] = [2]func(){r.Close, ref.end}
 		}
 	}
+	return m
+}
+
+// drainingParkModel is a worker owner the master has scaled down, and
+// finalParkModel one whose job is ending: no producer will be wired to
+// either again, so its input ends once both wakers' rings are closed and
+// drained.
+func drainingParkModel(ex *execution, kinds [2]string) parkModel {
+	m := workerParkModel(ex, kinds)
+	m.owner.draining.Store(true)
+	return m
+}
+
+func finalParkModel(ex *execution, kinds [2]string) parkModel {
+	m := workerParkModel(ex, kinds)
+	m.owner.final.Store(true)
 	return m
 }
 
@@ -49,7 +73,7 @@ func sourceParkModel(ex *execution, kinds [2]string) parkModel {
 	src := &SourceSpec{Schedule: &workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, Emit: func(*Context) {}}
 	tk := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 1)
 	e := tk.lane
-	m := parkModel{pk: &tk.pk, ready: e.requested}
+	m := parkModel{owner: tk, pk: &tk.pk, ready: e.requested}
 	for i, kind := range kinds {
 		switch kind {
 		case "flush":
@@ -86,8 +110,9 @@ func interleavings(c, a, b int) []string {
 // steps are parker.prepare's publish of parked and its call of the
 // owner's predicate; waker steps scheduled between them run inside that
 // call, before the real predicate (after publish) or after it (before
-// prepare returns). It returns whether the owner blocked.
-func runInterleaving(m parkModel, sched string) (blocked bool) {
+// prepare returns). It returns whether the owner blocked, and whether
+// no waker step ran before its re-check (idle: nothing was visible).
+func runInterleaving(m parkModel, sched string) (blocked, idle bool) {
 	i, next := 0, [2]int{}
 	// wakers runs scheduled waker steps up to the next owner step (or to
 	// the end with all set).
@@ -105,25 +130,29 @@ func runInterleaving(m parkModel, sched string) (blocked bool) {
 		i++ // parked is published
 		wakers(false)
 		i++ // the re-check
+		idle = next == [2]int{}
 		ready := m.ready()
 		wakers(false)
 		return ready
 	})
 	wakers(true) // steps an owner that never re-checked did not reach
-	return blocked
+	return blocked, idle
 }
 
 // TestParkWakeInterleavings checks the park/wake protocol under every
 // interleaving of one owner and two wakers, with no park timeout, no
 // goroutine and no sleep: owners are a worker (wakers push into its
-// rings, raise its flush request or end its input) and a source (flush
+// rings, raise its flush request or its final flag), a draining and a
+// final worker (wakers push into or close its rings) and a source (flush
 // and barrier requests), each parking through parker.prepare with its own
 // predicate. Every waker has made its work visible by the end of a run,
 // so no run may end with the owner blocked and no wake token pending —
 // the lost wakeup, which with the timeout disabled would sleep forever.
 // The verdict does not ask the owner's predicate, so a predicate that
-// misses a kind of work fails too. A wake token pending must have been
-// counted.
+// misses a kind of work fails too; and an owner that re-checks before
+// any waker step must block, so a predicate that sees work where there
+// is none (an input ended while a ring is open) fails as well. A wake
+// token pending must have been counted.
 func TestParkWakeInterleavings(t *testing.T) {
 	ex := &execution{
 		cfg:   Config{}.withDefaults(),
@@ -136,6 +165,8 @@ func TestParkWakeInterleavings(t *testing.T) {
 		kinds [2][]string // waker 0's and waker 1's possible kinds
 	}{
 		{"worker", workerParkModel, [2][]string{{"push", "flush", "final"}, {"push", "flush", "final"}}},
+		{"draining worker", drainingParkModel, [2][]string{{"push", "close"}, {"push", "close"}}},
+		{"final worker", finalParkModel, [2][]string{{"push", "close"}, {"push", "close"}}},
 		{"source", sourceParkModel, [2][]string{{"flush", "barrier"}, {"flush", "barrier"}}},
 	}
 	scheds := interleavings(2, 2, 2)
@@ -148,13 +179,15 @@ func TestParkWakeInterleavings(t *testing.T) {
 			for _, k1 := range o.kinds[1] {
 				for _, sched := range scheds {
 					m := o.build(ex, [2]string{k0, k1})
-					blocked := runInterleaving(m, sched)
+					blocked, idle := runInterleaving(m, sched)
 					runs++
 					token := len(m.pk.ch) > 0
 					where := o.name + " " + k0 + "/" + k1 + " " + sched
 					switch {
 					case blocked && !token:
 						t.Errorf("%s: lost wakeup — owner blocked with work ready and no wake pending", where)
+					case idle && !blocked:
+						t.Errorf("%s: owner found work before any waker made it visible", where)
 					case blocked != m.pk.parked.Load():
 						t.Errorf("%s: prepare returned %v with parked = %v", where, blocked, m.pk.parked.Load())
 					case token && m.pk.wakes.Load() == 0:

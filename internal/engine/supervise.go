@@ -60,9 +60,6 @@ func (ex *execution) handleTaskFailure(f taskFailure, stopping bool) {
 		// is simply never reattached).
 		ex.logs.Orphan(log)
 	}
-	// The dying goroutine's defer closed these rings already; repeat for
-	// any consumer that was wired in mid-crash (Close is idempotent).
-	f.t.lane.closeOutRings()
 	// Whatever was queued for the dead task is gone with it; the batch
 	// slices never reached a consumer, so the master recycles them.
 	// Close first so producers stop pushing, then drain: the dead task's

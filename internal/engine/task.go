@@ -27,8 +27,8 @@ import (
 type task struct {
 	// The task spans four cache lines of its 256-byte allocation class
 	// (TestTaskSizeClass), grouped by who touches them: two read-mostly
-	// lines, then the line producers read (parker, dead), then the line
-	// the consumer writes per batch.
+	// lines, then the line producers read (parker), then the line the
+	// consumer writes per batch.
 	id  model.TaskID
 	ex  *execution
 	udf UDF
@@ -47,25 +47,23 @@ type task struct {
 	// batch carries; the lane's maybeReport flushes their reports.
 	inChans map[chanKey]*inChannel
 	// inRings is the consumer-side ring set (copy-on-write: the master
-	// appends at wiring time, the consumer goroutine prunes closed+empty
-	// rings after producer exits). inMu serializes rewrites only.
+	// appends at wiring time, the consumer goroutine prunes the rings its
+	// producers closed once they are drained). inMu serializes rewrites
+	// only.
 	inRings atomic.Pointer[[]*ring.SPSC[batch]]
 
 	// pk is the task goroutine's parker, here rather than on the emitter
 	// so that a producer reaches it from its channelRef in as few loads
 	// as the ring itself (ship).
 	pk parker
-	// dead closes when the task goroutine has exited (crash or drain), so
-	// producers spinning on its full input rings get out instead of
-	// waiting on a consumer that will never pop again.
-	dead chan struct{}
+	// The blank field keeps the consumer's line at byte 192.
+	_ [8]byte
 	// draining is set by the master after the task left all routing
-	// tables; the task exits once its input has been idle for DrainIdle.
+	// tables (scale-down), final on every task once the job is ending:
+	// either way no producer will be wired to the task again, and it
+	// exits once its input has ended (ended).
 	draining atomic.Bool
-	// final is set by the master once the job is ending and no upstream
-	// vertex has a task left: the rings hold all the input there will
-	// be, and the task exits once they are drained (endInputs).
-	final atomic.Bool
+	final    atomic.Bool
 	// rw caches whether the vertex measures read-write task latency.
 	rw   bool
 	inMu sync.Mutex
@@ -162,7 +160,6 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 		ex:      ex,
 		udf:     udf,
 		src:     src,
-		dead:    make(chan struct{}),
 		pk:      parker{ch: make(chan struct{}, 1)},
 		inChans: make(map[chanKey]*inChannel),
 		rw:      ex.modes[id.Vertex] == model.LatencyReadWrite,
@@ -256,27 +253,34 @@ func (t *task) pending() bool {
 	return false
 }
 
+// ended reports whether the task's input has ended: no producer will be
+// wired to it again, and every ring into it is closed and drained. A
+// producer closes its ring after its last push, so a ring seen closed
+// and then empty stays empty; the other order could miss a last push.
+func (t *task) ended() bool {
+	if !t.draining.Load() && !t.final.Load() {
+		return false
+	}
+	for _, r := range t.ringsSnapshot() {
+		if !r.Closed() || !r.Empty() {
+			return false
+		}
+	}
+	return true
+}
+
 // inputReady is a worker's park predicate: a batch in any in-ring, a
 // flush request for its lane, or the end of its input.
 func (t *task) inputReady() bool {
-	return t.pending() || t.lane.flushReq.Load() || t.final.Load()
+	return t.pending() || t.lane.flushReq.Load() || t.ended()
 }
 
 // requestFlush asks the task goroutine for a flush pass over its gates
-// (master only: deadline changes).
+// (master only: deadline changes, and a scale-down, whose removed rings
+// the pass closes).
 func (e *emitter) requestFlush() {
 	e.flushReq.Store(true)
 	e.t.pk.wake()
-}
-
-// closed reports whether ch is closed, without blocking.
-func closed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // emit routes a record into the edgeIdx-th gate, shipping due batches.
@@ -319,9 +323,9 @@ func (e *emitter) emit(edgeIdx int, rec Record) {
 
 // ship pushes shipments into the addressees' rings, spinning (then
 // briefly sleeping) on full rings — backpressure. A consumer that died
-// unblocks the producer via its closed ring or dead channel; those
-// records are counted as lost and their batch — which never left this
-// goroutine — returns to the pool.
+// unblocks the producer via its closed ring; those records are counted
+// as lost and their batch — which never left this goroutine — returns
+// to the pool.
 func (e *emitter) ship(shipments []shipment) {
 	for i := range shipments {
 		s := &shipments[i]
@@ -338,7 +342,7 @@ func (e *emitter) ship(shipments []shipment) {
 				s.ref.to.pk.wake()
 				break
 			}
-			if r.Closed() || closed(s.ref.to.dead) {
+			if r.Closed() {
 				e.t.ex.lostRecords.Add(int64(len(s.b.items)))
 				e.t.ex.pool.put(s.b.poolHint, s.b.items)
 				break
@@ -403,15 +407,13 @@ func (e *emitter) drainGates(now time.Time) {
 	}
 }
 
-// closeOutRings closes every ring this emitter feeds (producer exit,
-// clean or panicking — the defer runs either way). Consumers prune the
-// closed rings once drained; idempotent.
+// closeOutRings ends every ring this emitter could still push into, the
+// posted ones and the current set (taskDone, under ex.mu, clean exit or
+// crash). Consumers prune the closed rings once drained; idempotent.
 func (e *emitter) closeOutRings() {
 	for _, g := range e.gates {
-		for _, ref := range g.Consumers() {
-			if ref.ring != nil {
-				ref.ring.Close()
-			}
+		for _, ref := range append(g.takeGone(), g.Consumers()...) {
+			ref.end()
 		}
 	}
 }

@@ -184,19 +184,6 @@ func (t *task) inEdge(b batch) model.EdgeKey {
 	return model.EdgeKey{Target: t.id.Vertex}
 }
 
-// parkTimeout is how long an idle consumer sleeps before housekeeping
-// (report flush, drain-idle check) when nothing wakes it.
-func (t *task) parkTimeout() time.Duration {
-	if t.draining.Load() {
-		d := t.ex.cfg.DrainIdle / 4
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		return d
-	}
-	return t.ex.cfg.MeasurementInterval
-}
-
 // idleGap predicts how long a consumer will wait for its next input: an
 // EWMA, weight 1/8, of the idle gaps it observed, each from the scan
 // that found its rings empty to the ship time of the next batch. The
@@ -224,8 +211,8 @@ func (g idleGap) park() bool { return g.ewma >= spinWait }
 
 // run is the task goroutine: a source's pacing loop or a worker's scan
 // loop under one supervisor. A panicking UDF or Emit does not crash the
-// process: the supervisor defer (LIFO: it runs after the rings close and
-// before taskDone) reports the crash to the master, which unroutes the
+// process: the supervisor defer (LIFO: it runs before taskDone closes
+// the task's rings) reports the crash to the master, which unroutes the
 // dead task and schedules a backoff-delayed replacement.
 func (t *task) run() {
 	defer t.ex.taskDone(t)
@@ -234,7 +221,6 @@ func (t *task) run() {
 			t.ex.reportFailure(t, r)
 		}
 	}()
-	defer t.lane.closeOutRings()
 	if t.src != nil {
 		t.pace()
 	} else {
@@ -259,7 +245,6 @@ func (t *task) scan() {
 	resetTimer(parkTimer, time.Hour)
 
 	e.now = time.Now()
-	lastItem := e.now
 	spins := 0
 	// idleSince is when the first scan of the current idle episode found
 	// the rings empty (the task's last clock read); zero while busy.
@@ -298,9 +283,6 @@ func (t *task) scan() {
 		if sawClosed {
 			t.pruneClosedRings()
 		}
-		if worked {
-			lastItem = e.now
-		}
 		if timerC != nil {
 			select {
 			case <-timerC:
@@ -314,35 +296,15 @@ func (t *task) scan() {
 		}
 		e.serviceFlush(e.now)
 		e.maybeReport(e.now)
-		if t.final.Load() && !t.pending() {
-			// End of input: every upstream producer has exited, so the
-			// rings held all there was, and they are drained. Close the
-			// open window, ship every buffer and leave; the deferred
-			// closeOutRings ends the next vertex's input in turn.
+		if t.ended() {
+			// End of input: every ring into the task is closed and
+			// drained, so nothing more will come. Close the open window,
+			// ship every buffer and leave; taskDone closes the task's
+			// rings for the next vertex.
 			e.now = time.Now()
 			if timerC != nil {
 				t.udf.(TimerUDF).OnTimer(&e.ctx)
 			}
-			e.drainGates(e.now)
-			return
-		}
-		if t.draining.Load() && e.now.Sub(lastItem) > t.ex.cfg.DrainIdle {
-			// Drain leftovers that raced the idle check, flush gates, and
-			// exit. Stray barriers are dropped: a draining task is outside
-			// the barrier flow (the master pauses injection while any task
-			// drains).
-			for _, r := range t.ringsSnapshot() {
-				for {
-					b, ok := r.Pop()
-					if !ok {
-						break
-					}
-					if b.barrier == 0 {
-						t.handleBatch(b)
-					}
-				}
-			}
-			e.now = time.Now()
 			e.drainGates(e.now)
 			return
 		}
@@ -362,7 +324,7 @@ func (t *task) scan() {
 		// the decision, and wake by the lane's next flush deadline at the
 		// latest.
 		e.now = time.Now()
-		fired := t.pk.park(t.inputReady, parkTimer, e.parkFor(t.parkTimeout(), e.now), timerC)
+		fired := t.pk.park(t.inputReady, parkTimer, e.parkFor(t.ex.cfg.MeasurementInterval, e.now), timerC)
 		e.now = time.Now()
 		if fired {
 			t.udf.(TimerUDF).OnTimer(&e.ctx)

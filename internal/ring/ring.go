@@ -4,12 +4,16 @@
 // "Engine data plane").
 //
 // The discipline is strictly SPSC: exactly one goroutine may call Push
-// and exactly one may call Pop. Close and Drain relax that for
-// teardown — Close may be called by the producer (clean exit) or by a
-// supervising goroutine after the consumer died; Drain uses a CAS on
-// the head index so concurrent supervisors can reclaim leftovers with
-// each item handed to exactly one caller (after the consumer goroutine
-// has exited).
+// and exactly one may call Pop. Close and Drain relax that. Close ends
+// the stream when the producer calls it after its last Push, or any
+// goroutine once the producer goroutine has exited: then no Push follows
+// it, and a consumer that sees Closed and after that Empty has popped
+// every item there will be. Any goroutine may also Close after the
+// consumer died, to turn the producer's pushes into failures; a Push
+// racing that Close can still land (see Push). Drain uses a CAS on the
+// head index so concurrent supervisors can reclaim leftovers with each
+// item handed to exactly one caller (after the consumer goroutine has
+// exited).
 package ring
 
 import (
