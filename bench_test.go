@@ -307,7 +307,7 @@ var benchSink float64
 func BenchmarkKingmanWait(b *testing.B) {
 	s := 0.0
 	for i := 0; i < b.N; i++ {
-		s += core.KingmanWait(80, 0.01+float64(i%7)*1e-5, 1.2, 0.8)
+		s += qos.KingmanWait(80, 0.01+float64(i%7)*1e-5, 1.2, 0.8)
 	}
 	benchSink = s
 }

@@ -1,9 +1,11 @@
 package apps
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"nephelix/internal/core"
 	"nephelix/internal/model"
 	"nephelix/internal/sim"
 	"nephelix/internal/workload"
@@ -196,5 +198,31 @@ func TestScalePrimeTesterOptions(t *testing.T) {
 	same := ScalePrimeTesterOptions(opts, 1)
 	if same.Sources != 50 {
 		t.Error("factor 1 must not scale")
+	}
+}
+
+// TestPrimeTesterZeroScalerConfig: the simulator runs a zero
+// ScalerConfig as core.DefaultScalerConfig(), action for action.
+func TestPrimeTesterZeroScalerConfig(t *testing.T) {
+	run := func(sc core.ScalerConfig) *sim.Result {
+		cfg, probes, err := BuildPrimeTester(ScalePrimeTesterOptions(PaperPrimeTester(64, 3, 15, 1).ElasticWithin(20*time.Millisecond), 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Scaler = sc
+		s, err := sim.New(cfg, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	zero, def := run(core.ScalerConfig{}), run(core.DefaultScalerConfig())
+	if !reflect.DeepEqual(zero, def) {
+		t.Errorf("zero config: %d ups, %d downs, %.3f task-h; default: %d ups, %d downs, %.3f task-h",
+			zero.ScaleUps, zero.ScaleDowns, zero.TaskHours, def.ScaleUps, def.ScaleDowns, def.TaskHours)
 	}
 }

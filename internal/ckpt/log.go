@@ -106,6 +106,11 @@ type Registry[T any] struct {
 	orphans map[string][]*Log[T]
 }
 
+// ReplayBufferEntries is the bound both runtimes give every source's
+// log: at it the source pauses emission until a checkpoint commits —
+// backpressure, never loss.
+const ReplayBufferEntries = 1 << 16
+
 // NewRegistry returns an empty registry whose logs hold up to cap
 // uncommitted entries each.
 func NewRegistry[T any](cap int) *Registry[T] {

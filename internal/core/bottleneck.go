@@ -68,18 +68,14 @@ func (p BottleneckPolicy) isHot(name string, vs qos.VertexStats, ok bool, tailHo
 // second return value lists vertices that are bottlenecked but already at
 // maximum parallelism (or inelastic): per the paper the user must be
 // informed, as scaling out cannot resolve them.
-func (p BottleneckPolicy) ResolveBottlenecks(g *model.JobGraph, seq *model.Sequence, s *qos.Summary) (map[string]int, []string) {
-	return p.ResolveBottlenecksTail(g, seq, s, nil)
-}
-
-// ResolveBottlenecksTail is ResolveBottlenecks with an additional set of
-// tail-hot vertices: vertices whose measured tail-quantile queue wait
-// violates a percentile constraint bound even though their utilization
-// sits below ρ_max. The mean-driven trigger never sees these — a vertex
-// at ρ = 0.7 can hold a p99 wait far above the bound under bursty
-// arrivals — so percentile constraints feed them in here and they get
-// the same Equation 10 treatment as utilization bottlenecks.
-func (p BottleneckPolicy) ResolveBottlenecksTail(g *model.JobGraph, seq *model.Sequence, s *qos.Summary, tailHot map[string]bool) (map[string]int, []string) {
+//
+// tailHot (nil for mean constraints) adds vertices whose measured
+// tail-quantile queue wait violates a percentile constraint bound even
+// though their utilization sits below ρ_max. The mean-driven trigger never
+// sees these — a vertex at ρ = 0.7 can hold a p99 wait far above the bound
+// under bursty arrivals — so they get the same Equation 10 treatment as
+// utilization bottlenecks.
+func (p BottleneckPolicy) ResolveBottlenecks(g *model.JobGraph, seq *model.Sequence, s *qos.Summary, tailHot map[string]bool) (map[string]int, []string) {
 	result := make(map[string]int)
 	var unresolvable []string
 	for _, name := range seq.Vertices() {

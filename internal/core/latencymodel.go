@@ -22,22 +22,6 @@ import (
 	"nephelix/internal/qos"
 )
 
-// KingmanWait returns Kingman's GI/G/1 queue-wait approximation
-// (Equation 3) for a task with per-task arrival rate lambda, mean service
-// time s, and squared coefficients of variation ca2 and cs2. It returns
-// +Inf when the utilization ρ = λ·S is at or above 1.
-func KingmanWait(lambda, s, ca2, cs2 float64) float64 {
-	rho := lambda * s
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	if rho <= 0 || s <= 0 {
-		return 0
-	}
-	// (ρ/μ)/(1−ρ) = ρ·S/(1−ρ).
-	return (rho * s / (1 - rho)) * (ca2 + cs2) / 2
-}
-
 // VertexModel is the latency model of one job vertex, derived from the
 // global summary. With the coefficients
 //
@@ -245,7 +229,7 @@ func BuildVertexModel(jv *model.JobVertex, seq *model.Sequence, s *qos.Summary, 
 		// e = (l_je − obl_je) / W^K at the current parallelism.
 		if key, ok := seq.IngoingEdge(jv.Name); ok {
 			if es, ok := s.Edge(key); ok {
-				wk := KingmanWait(lambda, sMean, ca2, cs2)
+				wk := qos.KingmanWait(lambda, sMean, ca2, cs2)
 				if wk > 0 && !math.IsInf(wk, 1) {
 					e = es.QueueWait() / wk
 					// A non-finite or non-positive fit (NaN passes every

@@ -20,26 +20,26 @@ func TestKingmanWaitMM1(t *testing.T) {
 	// For ca = cs = 1 Kingman is exact for M/M/1: W = ρ·S/(1−ρ).
 	lambda, s := 80.0, 0.01 // ρ = 0.8
 	want := 0.8 * 0.01 / 0.2
-	if got := KingmanWait(lambda, s, 1, 1); !almostEqual(got, want, 1e-12) {
+	if got := qos.KingmanWait(lambda, s, 1, 1); !almostEqual(got, want, 1e-12) {
 		t.Errorf("KingmanWait M/M/1: got %v, want %v", got, want)
 	}
 	// M/D/1 (cs = 0) halves the M/M/1 wait.
-	if got := KingmanWait(lambda, s, 1, 0); !almostEqual(got, want/2, 1e-12) {
+	if got := qos.KingmanWait(lambda, s, 1, 0); !almostEqual(got, want/2, 1e-12) {
 		t.Errorf("KingmanWait M/D/1: got %v, want %v", got, want/2)
 	}
 }
 
 func TestKingmanWaitBoundaries(t *testing.T) {
-	if got := KingmanWait(100, 0.01, 1, 1); !math.IsInf(got, 1) {
+	if got := qos.KingmanWait(100, 0.01, 1, 1); !math.IsInf(got, 1) {
 		t.Errorf("rho == 1: got %v, want +Inf", got)
 	}
-	if got := KingmanWait(200, 0.01, 1, 1); !math.IsInf(got, 1) {
+	if got := qos.KingmanWait(200, 0.01, 1, 1); !math.IsInf(got, 1) {
 		t.Errorf("rho > 1: got %v, want +Inf", got)
 	}
-	if got := KingmanWait(0, 0.01, 1, 1); got != 0 {
+	if got := qos.KingmanWait(0, 0.01, 1, 1); got != 0 {
 		t.Errorf("no arrivals: got %v, want 0", got)
 	}
-	if got := KingmanWait(100, 0, 1, 1); got != 0 {
+	if got := qos.KingmanWait(100, 0, 1, 1); got != 0 {
 		t.Errorf("zero service: got %v, want 0", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestKingmanWaitBoundaries(t *testing.T) {
 func TestKingmanWaitMonotoneInLoad(t *testing.T) {
 	prev := 0.0
 	for rho := 0.1; rho < 0.95; rho += 0.1 {
-		w := KingmanWait(rho/0.01, 0.01, 1, 1)
+		w := qos.KingmanWait(rho/0.01, 0.01, 1, 1)
 		if w <= prev {
 			t.Fatalf("Kingman wait not increasing at rho=%v: %v <= %v", rho, w, prev)
 		}

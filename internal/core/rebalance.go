@@ -47,6 +47,22 @@ func Rebalance(sm *SequenceModel, wLimit float64, pMin map[string]int) (map[stri
 // An infeasible run fails the up-front feasibility test and records no
 // steps.
 func RebalanceTraced(sm *SequenceModel, wLimit float64, pMin map[string]int, trace *[]RebalanceStep) (map[string]int, error) {
+	return rebalance(sm, wLimit, pMin, trace, false)
+}
+
+// RebalanceSteps reports how many descent iterations Rebalance needs for a
+// given problem, or with unit (+1) steps when unitSteps is true. It exists
+// for the step-size ablation benchmark that backs the paper's
+// O(n log n · m) complexity discussion.
+func RebalanceSteps(sm *SequenceModel, wLimit float64, unitSteps bool) (steps int, feasible bool) {
+	var trace []RebalanceStep
+	_, err := rebalance(sm, wLimit, nil, &trace, unitSteps)
+	return len(trace), !errors.Is(err, ErrInfeasible)
+}
+
+// rebalance is Algorithm 1's descent; unitSteps replaces the variable
+// step with +1 for the ablation.
+func rebalance(sm *SequenceModel, wLimit float64, pMin map[string]int, trace *[]RebalanceStep, unitSteps bool) (map[string]int, error) {
 	n := len(sm.Vertices)
 	result := make(map[string]int, n)
 	if n == 0 {
@@ -107,7 +123,10 @@ func RebalanceTraced(sm *SequenceModel, wLimit float64, pMin map[string]int, tra
 		// makes the whole sequence feasible.
 		wBudget := wLimit - sm.TotalWait(p) + vm.Wait(p[c1])
 		var target, pDelta, pW int
-		if c2 >= 0 {
+		switch {
+		case unitSteps:
+			target = p[c1] + 1
+		case c2 >= 0:
 			// Scale c1 until its marginal gain matches the runner-up's
 			// current gain; next round the runner-up takes over. The jump
 			// is capped by P_W so it never overshoots the point where the
@@ -119,7 +138,7 @@ func RebalanceTraced(sm *SequenceModel, wLimit float64, pMin map[string]int, tra
 			if pW < target {
 				target = pW
 			}
-		} else {
+		default:
 			// Last growable vertex: spend the remaining budget exactly.
 			pW = vm.ParallelismForWait(wBudget)
 			target = pW
@@ -143,66 +162,4 @@ func RebalanceTraced(sm *SequenceModel, wLimit float64, pMin map[string]int, tra
 		result[vm.Name] = p[i]
 	}
 	return result, nil
-}
-
-// RebalanceSteps reports how many descent iterations Rebalance needs for a
-// given problem; it mirrors Rebalance but with unit (+1) steps when
-// unitSteps is true. It exists for the step-size ablation benchmark that
-// backs the paper's O(n log n · m) complexity discussion.
-func RebalanceSteps(sm *SequenceModel, wLimit float64, unitSteps bool) (steps int, feasible bool) {
-	n := len(sm.Vertices)
-	if n == 0 {
-		return 0, true
-	}
-	if sm.TotalWait(sm.MaxParallelisms()) > wLimit {
-		return 0, false
-	}
-	p := make([]int, n)
-	for i, vm := range sm.Vertices {
-		p[i] = vm.Min
-	}
-	for sm.TotalWait(p) > wLimit {
-		var candidates []int
-		for i, vm := range sm.Vertices {
-			if p[i] < vm.Max {
-				candidates = append(candidates, i)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		c1, c2 := -1, -1
-		d1, d2 := math.Inf(1), math.Inf(1)
-		for _, i := range candidates {
-			d := sm.Vertices[i].Marginal(p[i])
-			if d < d1 {
-				c2, d2 = c1, d1
-				c1, d1 = i, d
-			} else if d < d2 {
-				c2, d2 = i, d
-			}
-		}
-		vm := sm.Vertices[c1]
-		target := p[c1] + 1
-		if !unitSteps {
-			wBudget := wLimit - sm.TotalWait(p) + vm.Wait(p[c1])
-			if c2 >= 0 {
-				target = vm.StepToMarginal(d2)
-				if cap := vm.ParallelismForWait(wBudget); cap < target {
-					target = cap
-				}
-			} else {
-				target = vm.ParallelismForWait(wBudget)
-			}
-			if target <= p[c1] {
-				target = p[c1] + 1
-			}
-		}
-		if target > vm.Max {
-			target = vm.Max
-		}
-		p[c1] = target
-		steps++
-	}
-	return steps, true
 }

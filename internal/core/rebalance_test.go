@@ -236,3 +236,36 @@ func TestRebalanceStepsVariableVsUnit(t *testing.T) {
 	// Both must produce feasible allocations of comparable cost; this is
 	// covered by TestRebalanceMatchesBruteForce for correctness.
 }
+
+// TestRebalanceStepsMatchesTrace: RebalanceSteps counts the descent
+// Rebalance runs. Over seeded random models the variable-step count is
+// the length of Rebalance's audit trail, feasibility is Rebalance not
+// failing with ErrInfeasible, and unit steps never need fewer iterations.
+func TestRebalanceStepsMatchesTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	feasible := 0
+	for trial := 0; trial < 500; trial++ {
+		sm := randomSequenceModel(rng, 1+rng.Intn(5), 8+rng.Intn(120))
+		wLimit := 0.001 + rng.Float64()*0.3
+
+		var trace []RebalanceStep
+		_, err := RebalanceTraced(sm, wLimit, nil, &trace)
+		steps, ok := RebalanceSteps(sm, wLimit, false)
+		if ok != !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("trial %d: RebalanceSteps feasible=%v, Rebalance err=%v", trial, ok, err)
+		}
+		if steps != len(trace) {
+			t.Fatalf("trial %d: RebalanceSteps counted %d iterations, the trace has %d", trial, steps, len(trace))
+		}
+		unit, unitOK := RebalanceSteps(sm, wLimit, true)
+		if unitOK != ok || unit < steps {
+			t.Fatalf("trial %d: unit steps %d (feasible %v) vs variable %d (feasible %v)", trial, unit, unitOK, steps, ok)
+		}
+		if ok {
+			feasible++
+		}
+	}
+	if feasible < 100 || feasible == 500 {
+		t.Errorf("%d of 500 trials feasible: the property needs both outcomes", feasible)
+	}
+}

@@ -57,7 +57,7 @@ type ConstraintDecision struct {
 	// even though their utilization sat below ρ_max.
 	TailHot []string
 	// Coverage is the fraction of the sequence's task slots with fresh
-	// QoS reports (set by ElasticScaler.Decide when MinCoverage is
+	// QoS reports (set by ScalerConfig.Gate when MinCoverage is
 	// enabled).
 	Coverage float64
 	// LowCoverage is true when Coverage fell below the scaler's
@@ -84,11 +84,11 @@ type Decision struct {
 	Actions []model.ScalingAction
 	// PerConstraint holds one entry per input constraint, in input order.
 	PerConstraint []ConstraintDecision
-	// Holds lists the per-vertex gating interventions ElasticScaler.Decide
+	// Holds lists the per-vertex gating interventions ScalerConfig.Gate
 	// applied after ScaleReactively (dead band, scale-down clamp, low
 	// coverage); nil when ScaleReactively is called directly.
 	Holds []Hold
-	// TailFit is the tail fitter's state after ElasticScaler.Decide folded
+	// TailFit is the tail fitter's state after the control loop folded
 	// the summary's queue-wait windows in; nil without percentile
 	// constraints.
 	TailFit []TailFitSnapshot
@@ -152,7 +152,7 @@ func ScaleReactively(cfg StrategyConfig, g *model.JobGraph, constraints []*model
 			}
 		}
 		if cfg.Bottleneck.HasBottleneck(g, c.Sequence, s) || len(tailHot) > 0 {
-			p, unresolvable := cfg.Bottleneck.ResolveBottlenecksTail(g, c.Sequence, s, tailHot)
+			p, unresolvable := cfg.Bottleneck.ResolveBottlenecks(g, c.Sequence, s, tailHot)
 			cd.Bottleneck = true
 			cd.Parallelism = p
 			cd.Unresolvable = unresolvable
@@ -214,7 +214,8 @@ func ScaleReactively(cfg StrategyConfig, g *model.JobGraph, constraints []*model
 	return d, nil
 }
 
-// ScalerConfig configures the ElasticScaler driver.
+// ScalerConfig configures the elastic scaler: the reactive strategy and
+// the gates the control loop applies to each of its decisions.
 type ScalerConfig struct {
 	Strategy StrategyConfig
 	// InactivityIntervals is the number of adjustment intervals the scaler
@@ -230,7 +231,7 @@ type ScalerConfig struct {
 	// churn. Scale-ups that resolve bottlenecks are never suppressed.
 	DeadBandFraction float64
 	// MaxScaleDownFraction bounds how much of a vertex's parallelism a
-	// single decision may remove (0 < f ≤ 1; default 0.3). Large
+	// single decision may remove (0 < f ≤ 1; default 0.5). Large
 	// instantaneous scale-downs re-concentrate per-task load and arrival
 	// burstiness so abruptly that the fitted model (which assumes c_A is
 	// unaffected by parallelism — a limitation the paper explicitly
@@ -251,7 +252,8 @@ type ScalerConfig struct {
 }
 
 // DefaultScalerConfig returns the paper's evaluation configuration with
-// incremental scale-downs.
+// incremental scale-downs. Both runtimes' control loops use it for a zero
+// ScalerConfig.
 func DefaultScalerConfig() ScalerConfig {
 	return ScalerConfig{
 		Strategy:             DefaultStrategyConfig(),
@@ -261,120 +263,42 @@ func DefaultScalerConfig() ScalerConfig {
 	}
 }
 
-// ElasticScaler is the master-node driver: once per adjustment interval it
-// receives the fresh global summary and decides scaling actions, honoring
-// the post-scale-up inactivity phase. It is not safe for concurrent use.
-type ElasticScaler struct {
-	cfg         ScalerConfig
-	graph       *model.JobGraph
-	constraints []*model.Constraint
-	cooldown    int
-	// counters for reports
-	decisions      int
-	scaleUps       int
-	scaleDowns     int
-	heldScaleDowns int
-}
-
-// NewElasticScaler creates a scaler for the given job and constraints.
-func NewElasticScaler(cfg ScalerConfig, g *model.JobGraph, constraints []*model.Constraint) (*ElasticScaler, error) {
-	if len(constraints) == 0 {
-		return nil, errors.New("core: elastic scaler needs at least one constraint")
-	}
-	for _, c := range constraints {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+// Gate applies the configured holds to a fresh ScaleReactively decision
+// in a fixed order — dead band, scale-down clamp, low-coverage hold —
+// recording each intervention in d.Holds and rebuilding d.Actions after
+// every gate that changed d.Desired. current is the parallelism d was
+// diffed against.
+func (c ScalerConfig) Gate(d *Decision, s *qos.Summary, current map[string]int) {
+	held := len(d.Holds)
+	rediff := func() {
+		if len(d.Holds) > held {
+			d.Actions = model.DiffParallelism(current, d.Desired)
+			held = len(d.Holds)
 		}
 	}
-	if cfg.InactivityIntervals < 0 {
-		cfg.InactivityIntervals = 0
+	if c.DeadBandFraction > 0 {
+		d.applyDeadBand(c.DeadBandFraction)
+		rediff()
 	}
-	// Percentile constraints need a tail fitter; create one unless the
-	// caller supplied its own. Decide feeds it the summary's queue-wait
-	// windows each adjustment interval.
-	for _, c := range constraints {
-		if c.IsPercentile() && cfg.Strategy.Model.Tail == nil {
-			cfg.Strategy.Model.Tail = NewTailFitter(DefaultTailFitterConfig())
-		}
+	if c.MaxScaleDownFraction > 0 && c.MaxScaleDownFraction < 1 {
+		d.clampScaleDowns(c.MaxScaleDownFraction)
+		rediff()
 	}
-	return &ElasticScaler{cfg: cfg, graph: g, constraints: constraints}, nil
-}
-
-// TailFitter returns the scaler's tail-coefficient fitter, or nil when
-// no percentile constraint needs one.
-func (e *ElasticScaler) TailFitter() *TailFitter { return e.cfg.Strategy.Model.Tail }
-
-// Decide consumes one fresh global summary and returns the scaling actions
-// to apply, or nil during an inactivity phase (or when nothing changes).
-// current maps vertices to their present parallelism. The summary's
-// queue-wait windows are folded into the tail fit after the decision (and
-// during an inactivity phase too), so interval n is planned with the κ of
-// the windows up to n−1: its own window is what the plan is scored on.
-func (e *ElasticScaler) Decide(s *qos.Summary, current map[string]int) (*Decision, error) {
-	if e.cooldown > 0 {
-		e.cooldown--
-		e.fitTail(s)
-		return nil, nil
-	}
-	d, err := ScaleReactively(e.cfg.Strategy, e.graph, e.constraints, s, current)
-	e.fitTail(s)
-	if err != nil {
-		return nil, err
-	}
-	d.TailFit = e.TailFitter().Snapshot()
-	e.applyDeadBand(d, current)
-	e.clampScaleDowns(d, current)
-	e.holdLowCoverageScaleDowns(d, s, current)
-	e.decisions++
-	for _, a := range d.Actions {
-		if a.IsScaleUp() {
-			e.scaleUps++
-		} else {
-			e.scaleDowns++
-		}
-	}
-	if d.HasScaleUp() {
-		e.cooldown = e.cfg.InactivityIntervals
-	}
-	return d, nil
-}
-
-// fitTail closes one fit window: for every vertex of a percentile
-// constraint it hands the fitter the q-quantile of the vertex's queue-wait
-// window over the mean queue wait of the constraint's ingoing edge — the
-// mean BuildVertexModel fits e on, so κ·e·W^K reproduces the measured
-// quantile at the current parallelism.
-func (e *ElasticScaler) fitTail(s *qos.Summary) {
-	f := e.TailFitter()
-	for _, c := range e.constraints {
-		if !c.IsPercentile() {
-			continue
-		}
-		for _, name := range c.Sequence.Vertices() {
-			win := s.Vertices[name].WaitWindow
-			mean := win.Mean()
-			if key, ok := c.Sequence.IngoingEdge(name); ok {
-				if es, ok := s.Edge(key); ok {
-					mean = es.QueueWait()
-				}
-			}
-			f.Observe(name, c.Quantile, TailWindow{
-				Count:    win.Count(),
-				MeanWait: mean,
-				TailWait: win.Quantile(c.Quantile),
-			})
-		}
+	if c.MinCoverage > 0 {
+		d.holdLowCoverageScaleDowns(c.MinCoverage, s, current)
+		rediff()
 	}
 }
 
-// applyDeadBand drops desired changes smaller than the configured
-// fraction of the current parallelism, except bottleneck-driven
-// scale-ups.
-func (e *ElasticScaler) applyDeadBand(d *Decision, current map[string]int) {
-	f := e.cfg.DeadBandFraction
-	if f <= 0 {
-		return
-	}
+// hold keeps vertex at kept instead of the proposed parallelism.
+func (d *Decision) hold(vertex, reason string, proposed, kept int) {
+	d.Desired[vertex] = kept
+	d.Holds = append(d.Holds, Hold{Vertex: vertex, Reason: reason, Proposed: proposed, Kept: kept})
+}
+
+// applyDeadBand drops desired changes smaller than fraction f of the
+// current parallelism, except bottleneck-driven scale-ups.
+func (d *Decision) applyDeadBand(f float64) {
 	bottleneck := make(map[string]bool)
 	for _, cd := range d.PerConstraint {
 		if !cd.Bottleneck {
@@ -384,7 +308,6 @@ func (e *ElasticScaler) applyDeadBand(d *Decision, current map[string]int) {
 			bottleneck[name] = true
 		}
 	}
-	changed := false
 	// d.Actions is the diff of current against d.Desired sorted by vertex:
 	// walking it instead of the map keeps the order of Holds, and so the
 	// audit trail, independent of map iteration.
@@ -398,24 +321,14 @@ func (e *ElasticScaler) applyDeadBand(d *Decision, current map[string]int) {
 			delta = -delta
 		}
 		if float64(delta) < f*float64(from) {
-			d.Desired[name] = from
-			d.Holds = append(d.Holds, Hold{Vertex: name, Reason: "dead-band", Proposed: to, Kept: from})
-			changed = true
+			d.hold(name, "dead-band", to, from)
 		}
-	}
-	if changed {
-		d.Actions = model.DiffParallelism(current, d.Desired)
 	}
 }
 
-// clampScaleDowns limits per-decision parallelism reductions to the
-// configured fraction and rebuilds the action diff.
-func (e *ElasticScaler) clampScaleDowns(d *Decision, current map[string]int) {
-	f := e.cfg.MaxScaleDownFraction
-	if f <= 0 || f >= 1 {
-		return
-	}
-	changed := false
+// clampScaleDowns limits per-decision parallelism reductions to fraction
+// f of the current parallelism.
+func (d *Decision) clampScaleDowns(f float64) {
 	for _, a := range d.Actions { // sorted by vertex, see applyDeadBand
 		name, from, to := a.Vertex, a.From, a.To
 		if to >= from {
@@ -426,26 +339,16 @@ func (e *ElasticScaler) clampScaleDowns(d *Decision, current map[string]int) {
 			maxDown = 1
 		}
 		if from-to > maxDown {
-			d.Desired[name] = from - maxDown
-			d.Holds = append(d.Holds, Hold{Vertex: name, Reason: "scale-down-clamp", Proposed: to, Kept: from - maxDown})
-			changed = true
+			d.hold(name, "scale-down-clamp", to, from-maxDown)
 		}
-	}
-	if changed {
-		d.Actions = model.DiffParallelism(current, d.Desired)
 	}
 }
 
-// holdLowCoverageScaleDowns reverts parallelism reductions for vertices
-// of sequences whose QoS coverage is below MinCoverage. Scale-ups pass
-// through untouched so ResolveBottlenecks still works off whatever
-// measurements remain.
-func (e *ElasticScaler) holdLowCoverageScaleDowns(d *Decision, s *qos.Summary, current map[string]int) {
-	min := e.cfg.MinCoverage
-	if min <= 0 {
-		return
-	}
-	changed := false
+// holdLowCoverageScaleDowns records every constraint's QoS coverage and
+// reverts parallelism reductions for vertices of sequences whose
+// coverage is below min. Scale-ups pass through untouched so
+// ResolveBottlenecks still works off whatever measurements remain.
+func (d *Decision) holdLowCoverageScaleDowns(min float64, s *qos.Summary, current map[string]int) {
 	for i := range d.PerConstraint {
 		cd := &d.PerConstraint[i]
 		cd.Coverage = s.SequenceCoverage(cd.Constraint.Sequence)
@@ -457,24 +360,8 @@ func (e *ElasticScaler) holdLowCoverageScaleDowns(d *Decision, s *qos.Summary, c
 			to, ok := d.Desired[name]
 			from, cur := current[name]
 			if ok && cur && to < from {
-				d.Desired[name] = from
-				d.Holds = append(d.Holds, Hold{Vertex: name, Reason: "low-coverage", Proposed: to, Kept: from})
-				e.heldScaleDowns++
-				changed = true
+				d.hold(name, "low-coverage", to, from)
 			}
 		}
 	}
-	if changed {
-		d.Actions = model.DiffParallelism(current, d.Desired)
-	}
 }
-
-// Stats returns (decisions, scale-ups, scale-downs) counters for
-// reporting.
-func (e *ElasticScaler) Stats() (decisions, ups, downs int) {
-	return e.decisions, e.scaleUps, e.scaleDowns
-}
-
-// HeldScaleDowns returns how many per-vertex scale-downs were held back
-// because the constraint's sequence coverage was below MinCoverage.
-func (e *ElasticScaler) HeldScaleDowns() int { return e.heldScaleDowns }

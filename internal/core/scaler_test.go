@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"nephelix/internal/metrics/sketch"
 	"nephelix/internal/model"
 	"nephelix/internal/qos"
 )
@@ -72,7 +71,7 @@ func TestResolveBottlenecksDoubling(t *testing.T) {
 	// ρ = 1.2 (measured during queue growth): demand = λ·p·S = 1.2·p.
 	f := newScalerFixture(t, 120, 0.01, 10, 20*time.Millisecond)
 	pol := DefaultBottleneckPolicy()
-	p, unresolvable := pol.ResolveBottlenecks(f.g, f.constraint.Sequence, f.summary)
+	p, unresolvable := pol.ResolveBottlenecks(f.g, f.constraint.Sequence, f.summary, nil)
 	if len(unresolvable) != 0 {
 		t.Errorf("unexpected unresolvable vertices: %v", unresolvable)
 	}
@@ -91,7 +90,7 @@ func TestResolveBottlenecksAtMax(t *testing.T) {
 	f := newScalerFixture(t, 120, 0.01, 10, 20*time.Millisecond)
 	f.g.Vertex("work").MaxParallelism = 10 // already fully scaled out
 	pol := DefaultBottleneckPolicy()
-	p, unresolvable := pol.ResolveBottlenecks(f.g, f.constraint.Sequence, f.summary)
+	p, unresolvable := pol.ResolveBottlenecks(f.g, f.constraint.Sequence, f.summary, nil)
 	if len(unresolvable) != 1 || unresolvable[0] != "work" {
 		t.Errorf("unresolvable: got %v, want [work]", unresolvable)
 	}
@@ -185,293 +184,5 @@ func TestScaleReactivelyNoConstraints(t *testing.T) {
 	f := newScalerFixture(t, 50, 0.01, 8, 20*time.Millisecond)
 	if _, err := ScaleReactively(DefaultStrategyConfig(), f.g, nil, f.summary, nil); err == nil {
 		t.Error("no constraints must error")
-	}
-}
-
-func TestElasticScalerInactivityWindow(t *testing.T) {
-	f := newScalerFixture(t, 150, 0.01, 8, 20*time.Millisecond) // bottleneck → scale-up
-	sc, err := NewElasticScaler(DefaultScalerConfig(), f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := map[string]int{"work": 8}
-	d, err := sc.Decide(f.summary, cur)
-	if err != nil || d == nil || !d.HasScaleUp() {
-		t.Fatalf("first decision: d=%v err=%v", d, err)
-	}
-	// The next two adjustment intervals are the inactivity phase.
-	for i := 0; i < 2; i++ {
-		d, err = sc.Decide(f.summary, cur)
-		if err != nil || d != nil {
-			t.Fatalf("inactivity interval %d: d=%v err=%v", i, d, err)
-		}
-	}
-	// Afterwards decisions resume.
-	d, err = sc.Decide(f.summary, cur)
-	if err != nil || d == nil {
-		t.Fatalf("post-inactivity decision: d=%v err=%v", d, err)
-	}
-	decisions, ups, _ := sc.Stats()
-	if decisions != 2 || ups < 2 {
-		t.Errorf("stats: decisions=%d ups=%d", decisions, ups)
-	}
-}
-
-func TestElasticScalerNoCooldownAfterScaleDown(t *testing.T) {
-	f := newScalerFixture(t, 10, 0.001, 64, 20*time.Millisecond) // light load → scale-down
-	sc, err := NewElasticScaler(DefaultScalerConfig(), f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := map[string]int{"work": 64}
-	d, err := sc.Decide(f.summary, cur)
-	if err != nil || d == nil || d.HasScaleUp() {
-		t.Fatalf("first decision: %+v err=%v", d, err)
-	}
-	// Scale-downs do not trigger the inactivity phase.
-	d, err = sc.Decide(f.summary, cur)
-	if err != nil || d == nil {
-		t.Fatalf("second decision suppressed after scale-down: d=%v err=%v", d, err)
-	}
-}
-
-func TestNewElasticScalerValidation(t *testing.T) {
-	f := newScalerFixture(t, 10, 0.001, 8, 20*time.Millisecond)
-	if _, err := NewElasticScaler(DefaultScalerConfig(), f.g, nil); err == nil {
-		t.Error("scaler without constraints must error")
-	}
-	bad := &model.Constraint{Name: "bad", Sequence: f.constraint.Sequence, Bound: -1, Window: time.Second}
-	if _, err := NewElasticScaler(DefaultScalerConfig(), f.g, []*model.Constraint{bad}); err == nil {
-		t.Error("invalid constraint must error")
-	}
-}
-
-func TestElasticScalerScaleDownClamp(t *testing.T) {
-	// Light load at p=64 wants a deep scale-down; the clamp limits each
-	// decision to the configured fraction.
-	f := newScalerFixture(t, 10, 0.001, 64, 20*time.Millisecond)
-	cfg := DefaultScalerConfig()
-	cfg.MaxScaleDownFraction = 0.25
-	sc, err := NewElasticScaler(cfg, f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := sc.Decide(f.summary, map[string]int{"work": 64})
-	if err != nil || d == nil {
-		t.Fatalf("decide: %v", err)
-	}
-	if got := d.Desired["work"]; got < 48 {
-		t.Errorf("scale-down clamp violated: 64 -> %d (max 25%% per round)", got)
-	}
-	if got := d.Desired["work"]; got >= 64 {
-		t.Errorf("no scale-down happened: %d", got)
-	}
-}
-
-func TestElasticScalerDeadBand(t *testing.T) {
-	// Moderate load at p=16; the optimizer would nudge by a task or two.
-	f := newScalerFixture(t, 40, 0.003, 16, 20*time.Millisecond)
-	base := DefaultScalerConfig()
-	base.MaxScaleDownFraction = 1 // isolate the dead band
-	noBand, err := NewElasticScaler(base, f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d0, err := noBand.Decide(f.summary, map[string]int{"work": 16})
-	if err != nil || d0 == nil {
-		t.Fatal(err)
-	}
-	want := d0.Desired["work"]
-	if want == 16 {
-		t.Skip("fixture produced no change; dead band has nothing to damp")
-	}
-
-	banded := base
-	banded.DeadBandFraction = 0.9 // suppress anything below a 90% change
-	sc, err := NewElasticScaler(banded, f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := sc.Decide(f.summary, map[string]int{"work": 16})
-	if err != nil || d1 == nil {
-		t.Fatal(err)
-	}
-	if len(d1.Actions) != 0 {
-		t.Errorf("dead band did not suppress small change %d -> %d: %v", 16, want, d1.Actions)
-	}
-}
-
-func TestElasticScalerHoldsScaleDownOnLowCoverage(t *testing.T) {
-	// Light load at p=64 wants a scale-down, but the summary is
-	// synthetically truncated: only 16 of the 64 work tasks have fresh
-	// reports (the rest just crashed). Coverage 0.25 < MinCoverage 0.5
-	// must hold the scale-down.
-	f := newScalerFixture(t, 10, 0.001, 64, 20*time.Millisecond)
-	v := f.summary.Vertices["work"]
-	v.FreshTasks = 16
-	f.summary.Vertices["work"] = v
-
-	sc, err := NewElasticScaler(DefaultScalerConfig(), f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := map[string]int{"work": 64}
-	d, err := sc.Decide(f.summary, cur)
-	if err != nil || d == nil {
-		t.Fatalf("decide: d=%v err=%v", d, err)
-	}
-	if len(d.Actions) != 0 || d.Desired["work"] != 64 {
-		t.Errorf("scale-down issued under low coverage: desired=%d actions=%v", d.Desired["work"], d.Actions)
-	}
-	cd := d.PerConstraint[0]
-	if !cd.LowCoverage || !almostEqual(cd.Coverage, 0.25, 1e-12) {
-		t.Errorf("coverage not recorded: %+v", cd)
-	}
-	if sc.HeldScaleDowns() != 1 {
-		t.Errorf("HeldScaleDowns: got %d, want 1", sc.HeldScaleDowns())
-	}
-
-	// Once the reporters are back (fresh == parallelism), the same load
-	// does scale down.
-	v.FreshTasks = 64
-	f.summary.Vertices["work"] = v
-	d, err = sc.Decide(f.summary, cur)
-	if err != nil || d == nil {
-		t.Fatalf("recovered decide: d=%v err=%v", d, err)
-	}
-	if d.Desired["work"] >= 64 {
-		t.Errorf("scale-down still held after coverage recovered: %d", d.Desired["work"])
-	}
-}
-
-func TestElasticScalerLowCoverageAllowsScaleUp(t *testing.T) {
-	// A bottleneck with most reporters dead: the scale-up must go
-	// through even though coverage is far below the threshold.
-	f := newScalerFixture(t, 150, 0.01, 8, 20*time.Millisecond) // ρ = 1.5
-	v := f.summary.Vertices["work"]
-	v.FreshTasks = 1
-	f.summary.Vertices["work"] = v
-
-	sc, err := NewElasticScaler(DefaultScalerConfig(), f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := sc.Decide(f.summary, map[string]int{"work": 8})
-	if err != nil || d == nil {
-		t.Fatalf("decide: d=%v err=%v", d, err)
-	}
-	if !d.HasScaleUp() {
-		t.Error("low coverage suppressed a bottleneck scale-up")
-	}
-	if !d.PerConstraint[0].LowCoverage {
-		t.Error("low coverage not flagged on the decision")
-	}
-	if sc.HeldScaleDowns() != 0 {
-		t.Errorf("HeldScaleDowns: got %d, want 0", sc.HeldScaleDowns())
-	}
-}
-
-func TestElasticScalerCoverageDisabled(t *testing.T) {
-	// MinCoverage = 0 disables the hold: stale summaries scale down as
-	// before (backwards compatibility for struct-literal configs).
-	f := newScalerFixture(t, 10, 0.001, 64, 20*time.Millisecond)
-	v := f.summary.Vertices["work"]
-	v.FreshTasks = 0
-	f.summary.Vertices["work"] = v
-
-	cfg := DefaultScalerConfig()
-	cfg.MinCoverage = 0
-	sc, err := NewElasticScaler(cfg, f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := sc.Decide(f.summary, map[string]int{"work": 64})
-	if err != nil || d == nil {
-		t.Fatalf("decide: d=%v err=%v", d, err)
-	}
-	if d.Desired["work"] >= 64 {
-		t.Errorf("disabled coverage gate still held the scale-down: %d", d.Desired["work"])
-	}
-}
-
-func TestElasticScalerDeadBandKeepsBottleneckUps(t *testing.T) {
-	f := newScalerFixture(t, 150, 0.01, 8, 20*time.Millisecond) // ρ = 1.5 bottleneck
-	cfg := DefaultScalerConfig()
-	cfg.DeadBandFraction = 10 // absurd band; bottleneck ups must pass anyway
-	sc, err := NewElasticScaler(cfg, f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := sc.Decide(f.summary, map[string]int{"work": 8})
-	if err != nil || d == nil {
-		t.Fatal(err)
-	}
-	if !d.HasScaleUp() {
-		t.Error("dead band suppressed a bottleneck scale-up")
-	}
-}
-
-// TestElasticScalerFitsTailFromSummary: Decide is the tail fitter's only
-// feed. It folds the summary's queue-wait window in after planning — also
-// during an inactivity phase — with κ's denominator the ingoing edge's
-// QueueWait(), the mean e is fitted on, so the κ-inflated model reproduces
-// the window's quantile at the current parallelism.
-func TestElasticScalerFitsTailFromSummary(t *testing.T) {
-	f := newScalerFixture(t, 50, 0.01, 8, 200*time.Millisecond)
-	f.constraint.Quantile = 0.99
-	win := sketch.NewDefault()
-	for i := 1; i <= 100; i++ {
-		win.Add(float64(i) * 1e-4) // p99 = 9.9 ms, mean 5.05 ms
-	}
-	vs := f.summary.Vertices["work"]
-	vs.WaitWindow = win
-	f.summary.Vertices["work"] = vs
-	cfg := DefaultScalerConfig()
-	cfg.InactivityIntervals = 1
-	sc, err := NewElasticScaler(cfg, f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := map[string]int{"work": 8}
-
-	// Interval 1 is planned on the mean model: no window was folded yet.
-	d, err := sc.Decide(f.summary, cur)
-	if err != nil || d == nil {
-		t.Fatalf("first decision: d=%v err=%v", d, err)
-	}
-	if vm := d.PerConstraint[0].Models[0]; vm.Kappa != 1 || vm.TailFit != TailFitMean {
-		t.Errorf("first plan used κ=%v (%s), want the mean fallback", vm.Kappa, vm.TailFit)
-	}
-	// QueueWait(src->work) = 4 ms − 2 ms, not the window's own 5.05 ms.
-	want := win.Quantile(0.99) / 0.002
-	if len(d.TailFit) != 1 || d.TailFit[0].Vertex != "work" || !almostEqual(d.TailFit[0].Kappa, want, 1e-9) {
-		t.Fatalf("decision's tail fit = %+v, want κ(work) = %v", d.TailFit, want)
-	}
-
-	// Interval 2 plans with it: the model's wait at the current
-	// parallelism is the measured quantile.
-	d, err = sc.Decide(f.summary, cur)
-	if err != nil || d == nil {
-		t.Fatalf("second decision: d=%v err=%v", d, err)
-	}
-	vm := d.PerConstraint[0].Models[0]
-	if vm.TailFit != TailFitFresh || !almostEqual(vm.Wait(8), win.Quantile(0.99), 1e-9) {
-		t.Errorf("second plan: fit %q, W(8) = %v, want the window's p99 %v", vm.TailFit, vm.Wait(8), win.Quantile(0.99))
-	}
-
-	// An inactivity interval returns no decision but still closes its
-	// window.
-	f.summary.Vertices["work"] = qos.VertexStats{
-		ServiceTimeMean: 0.01, InterarrivalMean: 1.0 / 150, Parallelism: 8, FreshTasks: 8, WaitWindow: win,
-	}
-	if d, err = sc.Decide(f.summary, cur); err != nil || d == nil || !d.HasScaleUp() {
-		t.Fatalf("bottleneck decision: d=%v err=%v", d, err)
-	}
-	before := sc.TailFitter().Snapshot()[0].Windows
-	if d, err = sc.Decide(f.summary, cur); err != nil || d != nil {
-		t.Fatalf("inactivity interval: d=%v err=%v", d, err)
-	}
-	if got := sc.TailFitter().Snapshot()[0].Windows; got != before+1 {
-		t.Errorf("windows folded across the inactivity interval: %d -> %d, want +1", before, got)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"nephelix/internal/model"
+	"nephelix/internal/qos"
 )
 
 // TailWindow is one fit window's measured queue-wait distribution at a
@@ -130,6 +133,36 @@ func (f *TailFitter) Observe(vertex string, q float64, w TailWindow) {
 	}
 	c.windows++
 	c.held = 0
+}
+
+// ObserveSummary closes one fit window: for every vertex of a percentile
+// constraint it folds in the q-quantile of the vertex's queue-wait window
+// over the mean queue wait of the constraint's ingoing edge — the mean
+// BuildVertexModel fits e on, so κ·e·W^K reproduces the measured quantile
+// at the current parallelism.
+func (f *TailFitter) ObserveSummary(constraints []*model.Constraint, s *qos.Summary) {
+	if f == nil {
+		return
+	}
+	for _, c := range constraints {
+		if !c.IsPercentile() {
+			continue
+		}
+		for _, name := range c.Sequence.Vertices() {
+			win := s.Vertices[name].WaitWindow
+			mean := win.Mean()
+			if key, ok := c.Sequence.IngoingEdge(name); ok {
+				if es, ok := s.Edge(key); ok {
+					mean = es.QueueWait()
+				}
+			}
+			f.Observe(name, c.Quantile, TailWindow{
+				Count:    win.Count(),
+				MeanWait: mean,
+				TailWait: win.Quantile(c.Quantile),
+			})
+		}
+	}
 }
 
 // Kappa returns the tail coefficient for (vertex, q) and the fallback

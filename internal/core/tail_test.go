@@ -179,7 +179,7 @@ func TestResolveBottlenecksTailHot(t *testing.T) {
 	if pol.HasBottleneck(g, seq, s) {
 		t.Fatal("precondition: no utilization bottleneck expected")
 	}
-	plan, unresolvable := pol.ResolveBottlenecksTail(g, seq, s, map[string]bool{"work": true})
+	plan, unresolvable := pol.ResolveBottlenecks(g, seq, s, map[string]bool{"work": true})
 	if len(unresolvable) != 0 {
 		t.Fatalf("unexpected unresolvable vertices: %v", unresolvable)
 	}
@@ -187,7 +187,7 @@ func TestResolveBottlenecksTailHot(t *testing.T) {
 		t.Fatalf("tail-hot vertex must scale out: got %d, had 8", plan["work"])
 	}
 	// Without the tail-hot set nothing changes.
-	plan, _ = pol.ResolveBottlenecks(g, seq, s)
+	plan, _ = pol.ResolveBottlenecks(g, seq, s, nil)
 	if plan["work"] != 8 {
 		t.Fatalf("mean-only resolution must keep 8, got %d", plan["work"])
 	}

@@ -3,9 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"time"
-
-	"nephelix/internal/model"
 )
 
 // TestObsRebalanceTraceReplay: the audit trail must be a faithful replay
@@ -57,66 +54,5 @@ func TestObsRebalanceTraceReplay(t *testing.T) {
 				t.Fatalf("trial %d: traced result %v != plain result %v", trial, p, plain)
 			}
 		}
-	}
-}
-
-// TestObsDecideExposesAuditData: ElasticScaler.Decide must surface the
-// fitted model inputs, the descent steps and any gating holds on the
-// decision so the flight recorder can export them.
-func TestObsDecideExposesAuditData(t *testing.T) {
-	// Moderate load at p=32: the Rebalance path runs and scales down.
-	f := newScalerFixture(t, 20, 0.002, 32, 20*time.Millisecond)
-	sc, err := NewElasticScaler(DefaultScalerConfig(), f.g, []*model.Constraint{f.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := sc.Decide(f.summary, map[string]int{"work": 32})
-	if err != nil || d == nil {
-		t.Fatalf("decide: d=%v err=%v", d, err)
-	}
-	cd := d.PerConstraint[0]
-	if cd.Bottleneck || cd.Skipped {
-		t.Fatalf("expected the Rebalance path: %+v", cd)
-	}
-	if len(cd.Models) == 0 {
-		t.Fatal("no fitted models recorded on the Rebalance path")
-	}
-	m := cd.Models[0]
-	if m.Name != "work" {
-		t.Errorf("model vertex = %q, want work", m.Name)
-	}
-	if m.Lambda <= 0 || m.SMean <= 0 || m.CA2 <= 0 || m.CS2 <= 0 {
-		t.Errorf("Kingman inputs not captured: λ=%v s̄=%v cA²=%v cS²=%v", m.Lambda, m.SMean, m.CA2, m.CS2)
-	}
-	if cd.QueueWaitLimit <= 0 {
-		t.Errorf("queue-wait budget not recorded: %v", cd.QueueWaitLimit)
-	}
-	if len(cd.Steps) == 0 {
-		t.Error("no descent steps recorded")
-	}
-
-	// The scale-down clamp must show up as a hold when it bites.
-	clamped := DefaultScalerConfig()
-	clamped.MaxScaleDownFraction = 0.05
-	f2 := newScalerFixture(t, 10, 0.001, 64, 20*time.Millisecond)
-	sc2, err := NewElasticScaler(clamped, f2.g, []*model.Constraint{f2.constraint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := sc2.Decide(f2.summary, map[string]int{"work": 64})
-	if err != nil || d2 == nil {
-		t.Fatalf("decide: d=%v err=%v", d2, err)
-	}
-	var clampHolds int
-	for _, h := range d2.Holds {
-		if h.Reason == "scale-down-clamp" && h.Vertex == "work" {
-			clampHolds++
-			if h.Kept <= h.Proposed {
-				t.Errorf("clamp hold should keep more than proposed: %+v", h)
-			}
-		}
-	}
-	if clampHolds != 1 {
-		t.Errorf("scale-down clamp recorded %d holds, want 1 (%+v)", clampHolds, d2.Holds)
 	}
 }

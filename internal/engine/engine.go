@@ -34,8 +34,8 @@ type Config struct {
 	AdjustmentInterval  time.Duration
 	// Elastic enables the reactive scaler.
 	Elastic bool
-	// Scaler configures the elastic scaler (DefaultScalerConfig when
-	// zero).
+	// Scaler configures the elastic scaler and the batching controller's
+	// queue-wait share (core.DefaultScalerConfig when zero).
 	Scaler core.ScalerConfig
 	// QueueCapacity bounds each producer→consumer SPSC ring in batches
 	// (default 64, rounded up to a power of two); full rings exert
@@ -86,10 +86,6 @@ type Config struct {
 	// CheckpointInterval paces barrier injection when Guarantee is
 	// enabled (default 250 ms).
 	CheckpointInterval time.Duration
-	// ReplayBufferRecords bounds each source's replay buffer (default
-	// 65536); at the bound the source pauses emission until a checkpoint
-	// commits — backpressure, never loss.
-	ReplayBufferRecords int
 	// CheckpointStore persists committed checkpoints (default: an
 	// in-memory store keeping the last 8). Ignored when Guarantee is
 	// AtMostOnce.
@@ -133,10 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.FlushTick <= 0 {
 		c.FlushTick = time.Millisecond
 	}
-	if c.Scaler.Strategy == (core.StrategyConfig{}) {
-		c.Scaler = core.DefaultScalerConfig()
-		c.Scaler.InactivityIntervals = 2
-	}
 	if c.MaxTaskRestarts <= 0 {
 		c.MaxTaskRestarts = 5
 	}
@@ -151,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 250 * time.Millisecond
-	}
-	if c.ReplayBufferRecords <= 0 {
-		c.ReplayBufferRecords = 1 << 16
 	}
 	if c.Guarantee.Enabled() && c.CheckpointStore == nil {
 		c.CheckpointStore = ckpt.NewMemStore(8)
@@ -210,7 +199,7 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		ex.suppressDups = ex.guarantee.Dedup()
 		ex.ckptStore = e.cfg.CheckpointStore
 		// Logs and dedup tables must exist before bootstrap creates tasks.
-		ex.logs = ckpt.NewRegistry[logEntry](e.cfg.ReplayBufferRecords)
+		ex.logs = ckpt.NewRegistry[logEntry](ckpt.ReplayBufferEntries)
 		var dedups []*ckpt.DedupTable
 		ex.dedups, dedups = sinkDedups(spec)
 		ex.coord = ckpt.NewCoordinator[*task](ex.ckptStore, ex.logs, dedups)

@@ -2,16 +2,17 @@
 // Nephele-style execution layer that runs real UDFs over real data with
 // the same control plane the paper describes — QoS reporters and
 // managers, adaptive output batching, and the reactive elastic scaler of
-// internal/core. Each task is a goroutine; channels are bounded Go
-// channels of record batches, so backpressure arises naturally; the
-// master goroutine adjusts flush deadlines and degrees of parallelism
-// once per adjustment interval.
+// internal/core. Each task is a goroutine; a channel is a bounded
+// single-producer single-consumer ring of record batches
+// (internal/ring), so a full ring back-pressures its producer; the
+// master goroutine runs internal/master's loop once per adjustment
+// interval to adjust flush deadlines and degrees of parallelism.
 //
 // The engine targets laptop-scale executions (examples, integration
 // tests, small deployments). Cluster-scale reproductions of the paper's
 // figures run on the virtual-time simulator in internal/sim instead; both
-// layers share the model, QoS, probe and core packages, so the control
-// plane under test is identical.
+// layers share the model, QoS, probe, core and master packages, so the
+// control plane under test is identical.
 package engine
 
 import (

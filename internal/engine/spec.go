@@ -180,10 +180,5 @@ func (s *JobSpec) validate() error {
 			return fmt.Errorf("engine: vertex %q has a UDF but no inputs", v.Name)
 		}
 	}
-	for _, c := range s.constraints {
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
-	}
 	return nil
 }

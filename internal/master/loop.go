@@ -7,6 +7,7 @@
 package master
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -44,44 +45,68 @@ type Interval struct {
 	// Deadlines are the flush deadlines in force (nil without constraints).
 	Deadlines map[model.EdgeKey]float64
 	// Decision is nil without an elastic scaler, during its inactivity
-	// phase, and when Decide failed.
+	// phase, and when ScaleReactively failed.
 	Decision *core.Decision
 }
 
 // Observer sees every interval, in registration order.
 type Observer func(Interval)
 
-// Loop is the control state that outlives an interval. It is not safe for
-// concurrent use: one goroutine (or event loop) calls Step.
+// Loop is the control state that outlives an interval: the batching
+// controller and, when elastic, the scaler's — the inactivity countdown
+// after a scale-up and the tail fitter of percentile constraints. It is
+// not safe for concurrent use: one goroutine (or event loop) calls Step.
 type Loop struct {
+	graph       *model.JobGraph
 	constraints []*model.Constraint
 	probes      *probe.ProbeSet
 	batching    *qos.BatchingController
-	scaler      *core.ElasticScaler // nil when not elastic
+	scaler      core.ScalerConfig
+	elastic     bool
+	tail        *core.TailFitter // nil without percentile constraints
+	cooldown    int
 	observers   []Observer
 	deadlines   map[model.EdgeKey]float64
 	round       int
 	infeasible  int
 }
 
-// New builds the loop of one job. Nil observers are skipped, so a layer
-// passes its optional hooks unconditionally.
+// New validates the job's constraints (an elastic loop needs at least
+// one) and builds its loop. A zero scaler configuration means
+// core.DefaultScalerConfig() — for the batching controller's queue-wait
+// share too, so a job needs no scaler settings to run the paper's control
+// plane. Nil observers are skipped, so a layer passes its optional hooks
+// unconditionally.
 func New(g *model.JobGraph, constraints []*model.Constraint, scaler core.ScalerConfig, elastic bool,
 	probes *probe.ProbeSet, observers ...Observer) (*Loop, error) {
+	for _, c := range constraints {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	if elastic && len(constraints) == 0 {
+		return nil, errors.New("master: elastic scaler needs at least one constraint")
+	}
+	if scaler == (core.ScalerConfig{}) {
+		scaler = core.DefaultScalerConfig()
+	}
 	l := &Loop{
+		graph:       g,
 		constraints: constraints,
 		probes:      probes,
 		batching:    qos.NewBatchingController(scaler.Strategy.Batching),
+		scaler:      scaler,
+		elastic:     elastic,
 		observers:   make([]Observer, 0, len(observers)),
 	}
 	l.batching.SetElastic(elastic)
-	if elastic {
-		sc, err := core.NewElasticScaler(scaler, g, constraints)
-		if err != nil {
-			return nil, err
+	for _, c := range constraints {
+		if elastic && c.IsPercentile() && l.tail == nil {
+			l.tail = core.NewTailFitter(core.DefaultTailFitterConfig())
 		}
-		l.scaler = sc
 	}
+	// The models are fitted with the loop's fitter, fed by decide.
+	l.scaler.Strategy.Model.Tail = l.tail
 	for _, o := range observers {
 		if o != nil {
 			l.observers = append(l.observers, o)
@@ -101,7 +126,7 @@ func ManagerConfig(adjustment, measurement float64) qos.ManagerConfig {
 	return m
 }
 
-// Step runs one adjustment interval against rt. A Decide error is
+// Step runs one adjustment interval against rt. A scaler error is
 // returned after the observers ran (the interval's measurements are still
 // worth recording) and nothing is scaled; what to do about it is the
 // layer's policy.
@@ -122,11 +147,7 @@ func (l *Loop) step(rt Runtime, par map[string]int, summary *qos.Summary) error 
 		rt.SetDeadlines(l.deadlines)
 	}
 	l.round++
-	var decision *core.Decision
-	var err error
-	if l.scaler != nil {
-		decision, err = l.scaler.Decide(summary, par)
-	}
+	decision, err := l.decide(summary, par)
 	iv := Interval{
 		Round: l.round, Now: rt.Now(), Summary: summary,
 		Parallelism: par, Deadlines: l.deadlines, Decision: decision,
@@ -153,6 +174,34 @@ func (l *Loop) step(rt Runtime, par map[string]int, summary *qos.Summary) error 
 	return nil
 }
 
+// decide is the elastic scaler's interval: nil during the inactivity
+// phase after a scale-up (and without a scaler), else ScaleReactively's
+// decision after the configured gates. The summary's queue-wait windows
+// are folded into the tail fit after planning, and during an inactivity
+// phase too, so interval n is planned with the κ of the windows up to
+// n−1: its own window is what the plan is scored on.
+func (l *Loop) decide(s *qos.Summary, par map[string]int) (*core.Decision, error) {
+	if !l.elastic {
+		return nil, nil
+	}
+	if l.cooldown > 0 {
+		l.cooldown--
+		l.tail.ObserveSummary(l.constraints, s)
+		return nil, nil
+	}
+	d, err := core.ScaleReactively(l.scaler.Strategy, l.graph, l.constraints, s, par)
+	l.tail.ObserveSummary(l.constraints, s)
+	if err != nil {
+		return nil, err
+	}
+	d.TailFit = l.tail.Snapshot()
+	l.scaler.Gate(d, s, par)
+	if d.HasScaleUp() {
+		l.cooldown = l.scaler.InactivityIntervals
+	}
+	return d, nil
+}
+
 // Round is the number of Steps taken.
 func (l *Loop) Round() int { return l.round }
 
@@ -162,9 +211,4 @@ func (l *Loop) Infeasible() int { return l.infeasible }
 
 // TailFitter is the scaler's tail-coefficient fitter, nil when the loop
 // is not elastic or has no percentile constraint.
-func (l *Loop) TailFitter() *core.TailFitter {
-	if l.scaler == nil {
-		return nil
-	}
-	return l.scaler.TailFitter()
-}
+func (l *Loop) TailFitter() *core.TailFitter { return l.tail }

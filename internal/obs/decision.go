@@ -4,8 +4,8 @@ import (
 	"nephelix/internal/core"
 )
 
-// NewScalingDecision maps one core.Decision (as returned by
-// ElasticScaler.Decide or ScaleReactively) into the audit-trail event
+// NewScalingDecision maps one core.Decision (as the master loop's
+// interval or ScaleReactively returns it) into the audit-trail event
 // payload. interval is the adjustment-interval ordinal; current is the
 // parallelism vector the decision was made against.
 func NewScalingDecision(interval int, d *core.Decision, current map[string]int) *ScalingDecision {

@@ -157,7 +157,8 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 		}
 		res := es.QueueWait()
 		if vs, ok := s.Vertices[name]; ok {
-			wk := kingmanWait(vs)
+			wk := KingmanWait(vs.ArrivalRate(), vs.ServiceTimeMean,
+				vs.InterarrivalCV*vs.InterarrivalCV, vs.ServiceTimeCV*vs.ServiceTimeCV)
 			if !math.IsInf(wk, 1) {
 				res -= wk
 			}
@@ -313,18 +314,18 @@ func (c *BatchingController) Deadline(constraint string, edge model.EdgeKey) (fl
 	return dl, ok
 }
 
-// kingmanWait returns the GI/G/1 Kingman approximation for a vertex's
-// current per-task load (duplicated from the scaling model to keep the
-// qos package dependency-free of internal/core).
-func kingmanWait(v VertexStats) float64 {
-	rho := v.Utilization()
+// KingmanWait returns Kingman's GI/G/1 queue-wait approximation
+// (Equation 3) for a task with per-task arrival rate lambda, mean service
+// time s, and squared coefficients of variation ca2 and cs2. It returns
+// +Inf when the utilization ρ = λ·S is at or above 1.
+func KingmanWait(lambda, s, ca2, cs2 float64) float64 {
+	rho := lambda * s
 	if rho >= 1 {
 		return math.Inf(1)
 	}
-	if rho <= 0 || v.ServiceTimeMean <= 0 {
+	if rho <= 0 || s <= 0 {
 		return 0
 	}
-	ca2 := v.InterarrivalCV * v.InterarrivalCV
-	cs2 := v.ServiceTimeCV * v.ServiceTimeCV
-	return (rho * v.ServiceTimeMean / (1 - rho)) * (ca2 + cs2) / 2
+	// (ρ/μ)/(1−ρ) = ρ·S/(1−ρ).
+	return (rho * s / (1 - rho)) * (ca2 + cs2) / 2
 }

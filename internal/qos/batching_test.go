@@ -172,6 +172,9 @@ func TestControllerDeadlineAccessor(t *testing.T) {
 }
 
 func TestKingmanWaitHelper(t *testing.T) {
+	kingmanWait := func(v VertexStats) float64 {
+		return KingmanWait(v.ArrivalRate(), v.ServiceTimeMean, v.InterarrivalCV*v.InterarrivalCV, v.ServiceTimeCV*v.ServiceTimeCV)
+	}
 	v := VertexStats{ServiceTimeMean: 0.01, InterarrivalMean: 0.0125, InterarrivalCV: 1, ServiceTimeCV: 1}
 	// ρ = 0.8, M/M/1: W = 0.8·0.01/0.2 = 40 ms.
 	if got := kingmanWait(v); got < 0.039 || got > 0.041 {

@@ -74,16 +74,18 @@ func CheckConstraint(s *Summary, c *model.Constraint) ConstraintStatus {
 // latency constraints (the adaptive output batching of the authors' prior
 // work, used here as a substrate). Per Section IV-F, a fraction of the
 // remaining budget ℓ − Σ l_jv is reserved as queue-wait headroom
-// (QueueWaitFraction, default 0.2) and the rest is spent on batching,
-// spread evenly over the sequence's edges.
+// (QueueWaitFraction) and the rest is spent on batching, spread evenly
+// over the sequence's edges.
 type BatchingPolicy struct {
 	// QueueWaitFraction is the share of the non-task-latency budget
 	// reserved for queue waiting time (Ŵ_js); the remainder is the
-	// batching budget. Default 0.2.
+	// batching budget. A value outside (0, 1) means the paper's 0.2. The
+	// scaler's default, core.DefaultStrategyConfig, reserves 0.3.
 	QueueWaitFraction float64
 }
 
-// DefaultBatchingPolicy returns the policy with the paper's 20/80 split.
+// DefaultBatchingPolicy returns the policy with the paper's literal 20/80
+// split.
 func DefaultBatchingPolicy() BatchingPolicy {
 	return BatchingPolicy{QueueWaitFraction: 0.2}
 }

@@ -51,7 +51,7 @@ func (s *Sim) initGuarantees() {
 	}
 	g := &guarState{
 		suppress: s.cfg.Guarantee.Dedup(),
-		logs:     ckpt.NewRegistry[replayItem](s.cfg.ReplayBufferItems),
+		logs:     ckpt.NewRegistry[replayItem](ckpt.ReplayBufferEntries),
 		store:    ckpt.NewMemStore(1),
 		dedups:   make(map[string]*ckpt.DedupTable),
 	}

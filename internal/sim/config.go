@@ -9,7 +9,6 @@ import (
 	"nephelix/internal/master"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
-	"nephelix/internal/qos"
 	"nephelix/internal/workload"
 )
 
@@ -142,6 +141,15 @@ type EdgeConfig struct {
 	BufferBytes int
 }
 
+const (
+	// managerCount is the number of QoS managers the reporters are
+	// sharded over (the paper distributes managers for scalability).
+	managerCount = 4
+	// recordInterval is the metric reporting period in seconds (paper:
+	// 10 s).
+	recordInterval = 10.0
+)
+
 // Config describes one simulation run.
 type Config struct {
 	// Graph is the validated job graph (vertex parallelism = initial).
@@ -158,15 +166,14 @@ type Config struct {
 	// Elastic enables the reactive scaling strategy; otherwise the
 	// parallelism stays fixed.
 	Elastic bool
-	// Scaler configures the elastic scaler (used when Elastic).
+	// Scaler configures the elastic scaler (used when Elastic) and the
+	// batching controller's queue-wait share (core.DefaultScalerConfig
+	// when zero).
 	Scaler core.ScalerConfig
 	// MeasurementInterval and AdjustmentInterval are the QoS plane
 	// periods in seconds (paper: 1 s and 5 s).
 	MeasurementInterval float64
 	AdjustmentInterval  float64
-	// ManagerCount is the number of QoS managers the reporters are
-	// sharded over (the paper distributes managers for scalability).
-	ManagerCount int
 	// QueueCapacityItems bounds every task input queue; full queues exert
 	// backpressure.
 	QueueCapacityItems int
@@ -177,8 +184,6 @@ type Config struct {
 	// Duration is the simulated time span in seconds; 0 derives it from
 	// the longest source schedule plus a drain grace period.
 	Duration float64
-	// RecordInterval is the metric reporting period (paper: 10 s).
-	RecordInterval float64
 	// Seed drives all simulator randomness.
 	Seed int64
 	// Faults, when set, injects the plan's task and node kills as
@@ -191,10 +196,6 @@ type Config struct {
 	// CheckpointInterval is the virtual-time period of barrier
 	// checkpoints in seconds (default 1; only with Guarantee enabled).
 	CheckpointInterval float64
-	// ReplayBufferItems bounds each source's uncommitted replay buffer;
-	// a full buffer stalls that source's emission until the next commit
-	// (default 1<<16).
-	ReplayBufferItems int
 	// OnAdjust, when set, observes every adjustment interval: the fresh
 	// global summary, the flush deadlines just applied, and the scaler's
 	// decision (nil during inactivity or when not elastic). Intended for
@@ -240,11 +241,6 @@ func (c *Config) withDefaults() error {
 			return fmt.Errorf("sim: source vertex %q has inbound edges", v.Name)
 		}
 	}
-	for _, con := range c.Constraints {
-		if err := con.Validate(); err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-	}
 	if c.Costs == (CostModel{}) {
 		c.Costs = DefaultCostModel()
 	}
@@ -254,9 +250,6 @@ func (c *Config) withDefaults() error {
 	if c.AdjustmentInterval <= 0 {
 		c.AdjustmentInterval = 5
 	}
-	if c.ManagerCount <= 0 {
-		c.ManagerCount = 4
-	}
 	if c.QueueCapacityItems <= 0 {
 		c.QueueCapacityItems = 1000
 	}
@@ -265,9 +258,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.SlotsPerNode <= 0 {
 		c.SlotsPerNode = 4
-	}
-	if c.RecordInterval <= 0 {
-		c.RecordInterval = 10
 	}
 	if c.Duration <= 0 {
 		longest := 0.0
@@ -286,19 +276,8 @@ func (c *Config) withDefaults() error {
 			return err
 		}
 	}
-	if c.Guarantee.Enabled() {
-		if c.CheckpointInterval <= 0 {
-			c.CheckpointInterval = 1
-		}
-		if c.ReplayBufferItems <= 0 {
-			c.ReplayBufferItems = 1 << 16
-		}
-	}
-	if c.Scaler.Strategy.Batching.QueueWaitFraction == 0 {
-		c.Scaler.Strategy.Batching = qos.DefaultBatchingPolicy()
-	}
-	if c.Scaler.Strategy.Bottleneck.RhoMax == 0 {
-		c.Scaler.Strategy.Bottleneck = core.DefaultBottleneckPolicy()
+	if c.Guarantee.Enabled() && c.CheckpointInterval <= 0 {
+		c.CheckpointInterval = 1
 	}
 	return nil
 }

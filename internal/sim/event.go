@@ -371,7 +371,7 @@ func (s *Sim) dispatch(ev *event) {
 		}
 	case evRecord:
 		s.recordTick()
-		if t := s.now + s.cfg.RecordInterval; t <= s.cfg.Duration {
+		if t := s.now + recordInterval; t <= s.cfg.Duration {
 			s.schedule(t, evRecord, nil, 0)
 		}
 	case evTaskKill:

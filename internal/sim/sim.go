@@ -216,7 +216,7 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		probes:    probes,
 	}
 	mcfg := master.ManagerConfig(cfg.AdjustmentInterval, cfg.MeasurementInterval)
-	for i := 0; i < cfg.ManagerCount; i++ {
+	for i := 0; i < managerCount; i++ {
 		s.managers = append(s.managers, qos.NewManager(mcfg))
 	}
 	s.loop, err = master.New(cfg.Graph, cfg.Constraints, cfg.Scaler, cfg.Elastic, probes,
@@ -641,7 +641,7 @@ func (s *Sim) Run() (*Result, error) {
 	// Recurring control-plane ticks; each reschedules itself in dispatch.
 	s.schedule(s.cfg.MeasurementInterval, evMeasure, nil, 0)
 	s.schedule(s.cfg.AdjustmentInterval, evAdjust, nil, 0)
-	s.schedule(s.cfg.RecordInterval, evRecord, nil, 0)
+	s.schedule(recordInterval, evRecord, nil, 0)
 	if s.guar != nil {
 		s.schedule(s.cfg.CheckpointInterval, evCheckpoint, nil, 0)
 	}
