@@ -59,7 +59,9 @@ type Config struct {
 	// idle input before it left; it now leaves once its producers have
 	// closed their rings into it and it has drained them.
 	DrainIdle time.Duration
-	// Seed drives task-local randomness.
+	// Seed drives task-local randomness: each task, output gate and
+	// restart supervisor draws from its own splitmix64 generator, seeded
+	// from Seed and its position in the job.
 	Seed int64
 	// MaxTaskRestarts caps consecutive supervised restarts per vertex
 	// (default 5). When a vertex's tasks keep crashing past the cap the
@@ -164,6 +166,20 @@ func New(cfg Config) *Engine {
 // goroutines and the master loop, and returns the running execution.
 // probes may be nil.
 func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, error) {
+	ex, err := e.build(spec, probes)
+	if err != nil {
+		return nil, err
+	}
+	ex.start = time.Now()
+	ex.meter.Advance(0, 0, 0)
+	ex.launchAll()
+	go ex.masterLoop()
+	return &Execution{ex: ex}, nil
+}
+
+// build validates the spec and builds the execution and its initial
+// tasks and wiring, launching nothing.
+func (e *Engine) build(spec *JobSpec, probes *probe.ProbeSet) (*execution, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -174,6 +190,7 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	reports, perTask := mailboxes(spec.graph)
 	ex := &execution{
 		cfg:         e.cfg,
 		spec:        spec,
@@ -185,9 +202,9 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 		edgePos:     make(map[model.EdgeKey]int),
 		modes:       make(map[string]model.LatencyMode),
 		deadlines:   make(map[model.EdgeKey]time.Duration),
-		reports:     make(chan any, 4096),
-		failures:    make(chan taskFailure, 1024),
-		restarts:    make(chan string, 1024),
+		reports:     make(chan any, reports),
+		failures:    make(chan taskFailure, perTask),
+		restarts:    make(chan string, perTask),
 		exits:       make(chan struct{}, 1),
 		supervisors: make(map[string]*supervisor),
 		stepErrs:    make(map[string]bool),
@@ -211,11 +228,22 @@ func (e *Engine) Submit(spec *JobSpec, probes *probe.ProbeSet) (*Execution, erro
 	if err := ex.bootstrap(); err != nil {
 		return nil, err
 	}
-	ex.start = time.Now()
-	ex.meter.Advance(0, 0, 0)
-	ex.launchAll()
-	go ex.masterLoop()
-	return &Execution{ex: ex}, nil
+	return ex, nil
+}
+
+// mailboxes sizes the master's mailboxes from the job at maximum
+// parallelism: reports holds two measurement intervals of reports, one
+// per task and one per inbound channel, and failures and restarts hold
+// two per task, each capped at 4096 and 1024 entries.
+func mailboxes(g *model.JobGraph) (reports, perTask int) {
+	for _, v := range g.Vertices() {
+		perTask += v.MaxParallelism
+	}
+	reports = perTask
+	for _, e := range g.Edges() {
+		reports += g.Vertex(e.Source).MaxParallelism * g.Vertex(e.Target).MaxParallelism
+	}
+	return min(2*reports, 4096), min(2*perTask, 1024)
 }
 
 // vertexState groups a vertex's tasks (master-owned; count holds the
@@ -623,9 +651,6 @@ func (e *Execution) DroppedReports() int64 { return e.ex.droppedReports.Load() }
 // panic.
 func (e *Execution) TaskFailures() int64 { return e.ex.taskFailures.Load() }
 
-// TaskRestarts returns how many crashed tasks the supervisor replaced.
-func (e *Execution) TaskRestarts() int64 { return e.ex.taskRestarts.Load() }
-
 // LostRecords returns how many records died with crashed tasks (queued
 // at or in flight to a task that panicked).
 func (e *Execution) LostRecords() int64 { return e.ex.lostRecords.Load() }
@@ -637,64 +662,11 @@ func (e *Execution) DroppedNoConsumer() int64 { return e.ex.dropNoConsumer.Load(
 // Guarantee returns the execution's processing-guarantee level.
 func (e *Execution) Guarantee() ckpt.Guarantee { return e.ex.guarantee }
 
-// Checkpoints returns how many barrier checkpoints committed and how
-// many aborted (superseded, topology churn, or store failure).
-func (e *Execution) Checkpoints() (committed, aborted int64) {
-	if e.ex.coord == nil {
-		return 0, 0
-	}
-	return e.ex.coord.Counts()
-}
-
-// ReplayedRecords returns how many buffered records sources re-emitted
-// during recoveries (each replay round counts its full uncommitted
-// suffix, so one record can be counted across several rounds).
-func (e *Execution) ReplayedRecords() int64 { return e.ex.replayedRecords.Load() }
-
-// SourceRecords returns the number of distinct offsets sources ever
-// assigned — the denominator for loss accounting under guarantees
-// (replays re-emit existing offsets and do not move it). Zero when
-// guarantees are disabled.
-func (e *Execution) SourceRecords() int64 {
-	assigned, _, _ := e.ex.logTotals()
-	return int64(assigned)
-}
-
-// SinkDeliveries returns the sink-side dedup accounting: distinct
-// (source, offset) pairs delivered, duplicate deliveries observed
-// (suppressed before the UDF under ExactlyOnce, delivered under
-// AtLeastOnce), and holes — offsets a checkpoint committed that never
-// reached a sink, i.e. actual loss under guarantees. All zero when
-// guarantees are disabled.
-func (e *Execution) SinkDeliveries() (distinct, dups, holes int64) {
-	if e.ex.coord == nil {
-		return 0, 0, 0
-	}
-	return e.ex.coord.Deliveries()
-}
-
 // ReplayStalls returns how many emissions sources deferred because the
 // replay buffer was at capacity (backpressure, not loss).
 func (e *Execution) ReplayStalls() int64 {
 	_, _, stalls := e.ex.logTotals()
 	return stalls
-}
-
-// LingerTimeouts returns how many exhausted sources gave up waiting for
-// a final checkpoint to commit their replay buffer; non-zero means the
-// tail of the stream was never covered by a checkpoint.
-func (e *Execution) LingerTimeouts() int64 { return e.ex.lingerTimeouts.Load() }
-
-// LastCheckpoint returns the most recently committed checkpoint, if any.
-func (e *Execution) LastCheckpoint() (ckpt.Checkpoint, bool) {
-	if e.ex.ckptStore == nil {
-		return ckpt.Checkpoint{}, false
-	}
-	ck, ok, err := e.ex.ckptStore.Latest()
-	if err != nil {
-		return ckpt.Checkpoint{}, false
-	}
-	return ck, ok
 }
 
 // CPUUtilization returns the mean task CPU (UDF) utilization so far:

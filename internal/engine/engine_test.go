@@ -16,7 +16,7 @@ import (
 
 // buildChain creates src -> work -> sink with the given parallelism and
 // pattern on both edges.
-func buildChain(t *testing.T, workP, maxP int, pattern model.WiringPattern) *model.JobGraph {
+func buildChain(t testing.TB, workP, maxP int, pattern model.WiringPattern) *model.JobGraph {
 	t.Helper()
 	g := model.NewJobGraph()
 	for _, v := range []model.JobVertex{

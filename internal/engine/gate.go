@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -82,7 +81,7 @@ const noDeadline = time.Duration(math.MaxInt64)
 
 // newGate builds a gate for a producer task.
 func newGate(edge model.EdgeKey, pos, producer int, pattern model.WiringPattern, maxBatch int, drops *atomic.Int64, pool *batchPool) *gate {
-	rng := rand.New(rand.NewSource(int64(producer)*2654435761 + int64(pos) + 1))
+	rng := newRand(int64(producer)*2654435761 + int64(pos) + 1)
 	return &gate{
 		Gate:     gatepkg.New[*channelRef, Record, time.Time](pattern, maxBatch, noDeadline, rng),
 		edge:     edge,

@@ -20,7 +20,8 @@ func (c *Context) TaskIndex() int { return c.e.t.id.Index }
 // Vertex returns the task's job-vertex name.
 func (c *Context) Vertex() string { return c.e.t.id.Vertex }
 
-// Rand returns a task-local deterministic random source.
+// Rand returns the task's own random source: a splitmix64 generator
+// seeded from Config.Seed and the task's position in its vertex.
 func (c *Context) Rand() *rand.Rand { return c.e.rng }
 
 // OutEdges returns the number of outgoing job edges.

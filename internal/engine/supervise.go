@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"nephelix/internal/model"
@@ -108,7 +107,7 @@ func (ex *execution) superviseFailure(vertex string, reason any) {
 	if sup == nil {
 		sup = &supervisor{backoff: NewBackoff(
 			ex.cfg.RestartBackoff, ex.cfg.RestartBackoffCap, 0.2,
-			rand.NewSource(ex.cfg.Seed^int64(len(vertex))*1099511628211),
+			newSplitmix(ex.cfg.Seed^int64(len(vertex))*1099511628211),
 		)}
 		ex.supervisors[vertex] = sup
 	}

@@ -170,7 +170,7 @@ func newTask(ex *execution, id model.TaskID, udf UDF, src *SourceSpec, seed int6
 	t.inEdges = ex.spec.graph.InEdges(id.Vertex)
 	e := &emitter{
 		t:        t,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      newRand(seed),
 		reporter: qos.NewTaskReporter(id),
 		poolHint: int(ex.poolSeq.Add(1)),
 	}

@@ -9,6 +9,7 @@ import (
 
 	"nephelix/internal/engine"
 	"nephelix/internal/model"
+	"nephelix/internal/obs"
 	"nephelix/internal/probe"
 	"nephelix/internal/sim"
 	"nephelix/internal/workload"
@@ -93,6 +94,7 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	var received atomic.Int64
+	rec := obs.NewRecorder(0)
 	spec := engine.NewJobSpec(engGraph).
 		SetSource("src", engine.SourceSpec{
 			Schedule:          &workload.ConstantSchedule{RatePerSecond: rate, Length: 8},
@@ -121,6 +123,7 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		Elastic:             true,
 		MeasurementInterval: 200 * time.Millisecond,
 		AdjustmentInterval:  time.Second,
+		Recorder:            rec,
 	}).Submit(spec, engProbes)
 	if err != nil {
 		t.Fatal(err)
@@ -131,14 +134,21 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every task has exited once Wait returns, so work's parallelism is
+	// read from the scaler's decisions, one per adjustment interval.
+	var engP []int
+	for _, ev := range rec.Decisions() {
+		if p, ok := ev.Decision.New["work"]; ok {
+			engP = append(engP, p)
+		}
+	}
 	engFrac, engIntervals := engSink.Fulfillment()
 	t.Logf("sim:    mean=%.1fms p95=%.1fms fulfillment=%.0f%% (%d intervals), final p=%d",
 		simSummary.Mean*1000, simSummary.P95*1000, simSummary.Fulfillment*100,
 		simSummary.Intervals, simRes.FinalParallelism["work"])
-	t.Logf("engine: mean=%.1fms p95=%.1fms fulfillment=%.0f%% (%d intervals), final p=%d, received=%d",
+	t.Logf("engine: mean=%.1fms p95=%.1fms fulfillment=%.0f%% (%d intervals), p per decision=%v, received=%d",
 		engSink.TotalMean()*1000, engSink.TotalP95()*1000, engFrac*100,
-		engIntervals, exec.Parallelism("work"), received.Load())
-
+		engIntervals, engP, received.Load())
 	// Regime agreement: both meet the constraint most of the time...
 	if simSummary.Fulfillment < 0.8 {
 		t.Errorf("sim fulfillment %.2f below regime band", simSummary.Fulfillment)
@@ -153,6 +163,20 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		if mean < serviceMean || mean > 2*bound.Seconds() {
 			t.Errorf("%s mean latency %.4f s outside [service, 2×bound]", name, mean)
 		}
+	}
+	// ...with comparable parallelism: every engine decision within the
+	// vertex's bounds, the last within one task of the simulator's final
+	// p (both settle at 1 on this load).
+	work := engGraph.Vertex("work")
+	for i, p := range engP {
+		if p < work.MinParallelism || p > work.MaxParallelism {
+			t.Errorf("engine decision %d set work to p=%d, outside [%d, %d]", i+1, p, work.MinParallelism, work.MaxParallelism)
+		}
+	}
+	if len(engP) == 0 {
+		t.Error("engine recorded no scaling decision")
+	} else if d := engP[len(engP)-1] - simRes.FinalParallelism["work"]; d < -1 || d > 1 {
+		t.Errorf("engine's final p=%d more than one task from the simulator's %d", engP[len(engP)-1], simRes.FinalParallelism["work"])
 	}
 }
 
