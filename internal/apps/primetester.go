@@ -12,6 +12,7 @@ import (
 	"nephelix/internal/ckpt"
 	"nephelix/internal/core"
 	"nephelix/internal/model"
+	"nephelix/internal/probe"
 	"nephelix/internal/sim"
 	"nephelix/internal/workload"
 )
@@ -133,7 +134,7 @@ func (primeTestBehavior) Process(ctx *sim.TaskContext, it *sim.Item) {
 
 // primeSinkBehavior records end-to-end latency for sampled items.
 type primeSinkBehavior struct {
-	probe *sim.Probe
+	probe *probe.Probe
 }
 
 var _ sim.Behavior = (*primeSinkBehavior)(nil)
@@ -191,7 +192,7 @@ func BuildPrimeTester(opts PrimeTesterOptions) (sim.Config, *sim.ProbeSet, error
 		return sim.Config{}, nil, fmt.Errorf("apps: %w", err)
 	}
 
-	probes := sim.NewProbeSetSeeded(opts.Seed)
+	probes := probe.NewProbeSetSeeded(opts.Seed)
 	probe := probes.Probe(PrimeProbe)
 
 	var constraints []*model.Constraint

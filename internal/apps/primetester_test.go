@@ -50,11 +50,15 @@ func TestBuildPrimeTesterGraphStructure(t *testing.T) {
 			t.Errorf("edge %s: pattern %v, want round-robin", e.Key(), e.Pattern)
 		}
 	}
-	if got := g.Sources(); len(got) != 1 || got[0] != PTSource {
-		t.Errorf("sources: %v", got)
-	}
-	if got := g.Sinks(); len(got) != 1 || got[0] != PTSink {
-		t.Errorf("sinks: %v", got)
+	// The source is the one vertex without inbound edges, the sink the
+	// one without outbound edges.
+	for _, v := range g.Vertices() {
+		if src := len(g.InEdges(v.Name)) == 0; src != (v.Name == PTSource) {
+			t.Errorf("vertex %s: no inbound edges = %v", v.Name, src)
+		}
+		if sink := len(g.OutEdges(v.Name)) == 0; sink != (v.Name == PTSink) {
+			t.Errorf("vertex %s: no outbound edges = %v", v.Name, sink)
+		}
 	}
 	if probes.Probe(PrimeProbe) == nil {
 		t.Error("probe missing")

@@ -261,11 +261,16 @@ func TestTwitterSentimentCrossRuntime(t *testing.T) {
 }
 
 func TestTwitterSentimentSpec(t *testing.T) {
-	spec, probes, err := TwitterSentimentSpec(quickTSOptions())
+	_, probes, err := TwitterSentimentSpec(quickTSOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := spec.Graph(); len(g.Vertices()) != 6 || len(g.Edges()) != 6 {
+	// The spec runs the job's graph (engineSpec wraps j.graph).
+	j, err := newTSJob(quickTSOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := j.graph; len(g.Vertices()) != 6 || len(g.Edges()) != 6 {
 		t.Errorf("graph shape: %d vertices, %d edges", len(g.Vertices()), len(g.Edges()))
 	}
 	if probes.Probe(HotTopicsProbe).BoundSeconds != 0.215 || probes.Probe(SentimentProbe).BoundSeconds != 0.03 {

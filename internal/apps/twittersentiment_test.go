@@ -53,14 +53,14 @@ func TestBuildTwitterSentimentGraphStructure(t *testing.T) {
 	// Three elastic vertices (F, S, HT); HTM and Source are fixed.
 	elastic := 0
 	for _, v := range g.Vertices() {
-		if v.Elastic() {
+		if v.MinParallelism < v.MaxParallelism {
 			elastic++
 		}
 	}
 	if elastic != 3 {
 		t.Errorf("elastic vertices: %d, want 3", elastic)
 	}
-	if !g.Vertex(TSHotTopics).Elastic() || g.Vertex(TSTopicsMerger).Elastic() {
+	if ht, htm := g.Vertex(TSHotTopics), g.Vertex(TSTopicsMerger); ht.MinParallelism == ht.MaxParallelism || htm.MinParallelism < htm.MaxParallelism {
 		t.Error("wrong elasticity assignment")
 	}
 	// Windowed vertices use read-write latency.

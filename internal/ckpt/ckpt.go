@@ -150,15 +150,6 @@ func (s *MemStore) Latest() (Checkpoint, bool, error) {
 	return s.all[len(s.all)-1], true, nil
 }
 
-// All returns a copy of the retained checkpoints, oldest first.
-func (s *MemStore) All() []Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Checkpoint, len(s.all))
-	copy(out, s.all)
-	return out
-}
-
 // FileStore appends checkpoints as JSON lines to a file; Latest replays
 // the file's tail state loaded at open plus anything saved since.
 type FileStore struct {

@@ -52,7 +52,7 @@ func TestMemStore(t *testing.T) {
 	if err != nil || !ok || last.ID != 3 {
 		t.Fatalf("Latest = %+v, %v, %v", last, ok, err)
 	}
-	all := s.All()
+	all := s.all
 	if len(all) != 2 || all[0].ID != 2 || all[1].ID != 3 {
 		t.Fatalf("All (keep=2) = %+v", all)
 	}
@@ -166,8 +166,8 @@ func TestOffsetWindowUnalignedPrune(t *testing.T) {
 	if holes != 2 {
 		t.Fatalf("holes = %d, want 2", holes)
 	}
-	if w.Base() != 131 {
-		t.Fatalf("base = %d", w.Base())
+	if w.base != 131 {
+		t.Fatalf("base = %d", w.base)
 	}
 	for off := uint64(131); off <= 200; off++ {
 		if !w.testAndSet(off) {

@@ -152,6 +152,3 @@ func (w *OffsetWindow) prune(watermark uint64) int64 {
 	}
 	return int64(n) - set
 }
-
-// Base returns the committed watermark the window starts at.
-func (w *OffsetWindow) Base() uint64 { return w.base }

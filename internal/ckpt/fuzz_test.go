@@ -44,8 +44,8 @@ func FuzzOffsetWindow(f *testing.F) {
 			if got := w.prune(off); got != wantHoles {
 				t.Fatalf("prune(%d) = %d holes, want %d", off, got, wantHoles)
 			}
-			if w.Base() != base {
-				t.Fatalf("Base() = %d after prune(%d), want %d", w.Base(), off, base)
+			if w.base != base {
+				t.Fatalf("Base() = %d after prune(%d), want %d", w.base, off, base)
 			}
 		}
 	})

@@ -88,7 +88,7 @@ func TestProtocol(t *testing.T) {
 			if r.src.Len() != 2 || r.src.Next() != 7 {
 				t.Fatalf("log after commit: len %d next %d, want 2 and 7", r.src.Len(), r.src.Next())
 			}
-			if r.dedup.windows[r.src.ID()].Base() != 5 || r.dedup.Holes() != 0 {
+			if r.dedup.windows[r.src.ID()].base != 5 || r.dedup.Holes() != 0 {
 				t.Fatal("dedup window not advanced to the watermark")
 			}
 			if c, a := r.coord.Counts(); c != 1 || a != 0 {
@@ -198,7 +198,7 @@ func TestProtocol(t *testing.T) {
 			if suffix, first := r.src.Uncommitted(nil); len(suffix) != 5 || first != 0 {
 				t.Fatalf("log pruned without a persisted checkpoint: %d from %d", len(suffix), first)
 			}
-			if r.dedup.windows[r.src.ID()].Base() != 0 {
+			if r.dedup.windows[r.src.ID()].base != 0 {
 				t.Fatal("dedup window pruned without a persisted checkpoint")
 			}
 			// The store recovers; the next round commits everything.

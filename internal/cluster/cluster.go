@@ -26,9 +26,6 @@ type Node struct {
 	used  int
 }
 
-// Used returns the number of occupied slots.
-func (n *Node) Used() int { return n.used }
-
 // Free returns the number of free slots.
 func (n *Node) Free() int { return n.Slots - n.used }
 
@@ -39,7 +36,6 @@ type ResourceManager struct {
 	slotsPerNode int
 	leased       map[string]*Node
 	nextID       int
-	failed       int
 }
 
 // NewResourceManager creates a manager for a pool of poolSize worker
@@ -95,22 +91,11 @@ func (rm *ResourceManager) Fail(id string) error {
 		return fmt.Errorf("cluster: fail of unknown node %q", id)
 	}
 	delete(rm.leased, id)
-	rm.failed++
 	return nil
 }
 
-// Failed returns the number of nodes that have been declared dead via
-// Fail since the manager was created.
-func (rm *ResourceManager) Failed() int { return rm.failed }
-
 // Leased returns the number of currently leased nodes.
 func (rm *ResourceManager) Leased() int { return len(rm.leased) }
-
-// PoolSize returns the pool limit.
-func (rm *ResourceManager) PoolSize() int { return rm.poolSize }
-
-// Capacity returns the total number of slots the pool can provide.
-func (rm *ResourceManager) Capacity() int { return rm.poolSize * rm.slotsPerNode }
 
 // Scheduler places tasks into the slots of leased worker nodes, leasing
 // new nodes on demand and releasing nodes that become empty. Placement is
@@ -200,15 +185,6 @@ func (s *Scheduler) FailNode(id string) ([]model.TaskID, error) {
 	}
 	return orphans, nil
 }
-
-// NodeOf returns the node id a task is placed on.
-func (s *Scheduler) NodeOf(task model.TaskID) (string, bool) {
-	id, ok := s.placements[task]
-	return id, ok
-}
-
-// PlacedTasks returns the number of placed tasks.
-func (s *Scheduler) PlacedTasks() int { return len(s.placements) }
 
 // Nodes returns the ids of the leased nodes in lease order.
 func (s *Scheduler) Nodes() []string {

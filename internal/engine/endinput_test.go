@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -158,8 +159,8 @@ func TestEngineEndOfInputWorkerPanic(t *testing.T) {
 	if !panicked.Load() {
 		t.Fatal("the worker drained its ring before the job turned ending; nothing was queued to lose (test is broken)")
 	}
-	if err := exec.Err(); err != nil {
-		t.Errorf("Err() = %v, want nil: a crash while ending degrades nothing", err)
+	if err := exec.Wait(context.Background()); err != nil {
+		t.Errorf("Wait = %v, want nil: a crash while ending degrades nothing", err)
 	}
 	if f, r := exec.TaskFailures(), exec.TaskRestarts(); f != 1 || r != 0 {
 		t.Errorf("TaskFailures = %d, TaskRestarts = %d, want 1 and 0 (no restart while ending)", f, r)

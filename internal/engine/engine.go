@@ -59,27 +59,12 @@ type Config struct {
 	// idle input before it left; it now leaves once its producers have
 	// closed their rings into it and it has drained them.
 	DrainIdle time.Duration
-	// Seed drives task-local randomness: each task, output gate and
-	// restart supervisor draws from its own splitmix64 generator, seeded
-	// from Seed and its position in the job.
+	// Seed drives the engine's own randomness: each task, output gate
+	// and restart supervisor draws from its own splitmix64 generator,
+	// seeded from Seed and its position in the job. A task's generator
+	// drives its source jitter and sampling, a gate's its rotation and a
+	// supervisor's its backoff jitter; UDFs are handed none.
 	Seed int64
-	// MaxTaskRestarts caps consecutive supervised restarts per vertex
-	// (default 5). When a vertex's tasks keep crashing past the cap the
-	// vertex is marked degraded and the job shuts down cleanly with an
-	// error instead of deadlocking on a dead pipeline stage.
-	MaxTaskRestarts int
-	// RestartBackoff is the supervisor's initial restart delay
-	// (default 25 ms); it doubles per consecutive failure.
-	RestartBackoff time.Duration
-	// RestartBackoffCap bounds the exponential restart delay
-	// (default 1 s).
-	RestartBackoffCap time.Duration
-	// BackoffResetAfter is the stable-run period after which a vertex's
-	// restart backoff resets to base (default AdjustmentInterval), so a
-	// long-lived task that panics rarely doesn't escalate toward the
-	// degradation cap forever. Checked once per adjustment tick, so the
-	// effective resolution is one AdjustmentInterval.
-	BackoffResetAfter time.Duration
 	// Guarantee selects the processing-guarantee level (default
 	// AtMostOnce: crashes lose records, as before). AtLeastOnce enables
 	// source offsets, barrier checkpoints and replay-on-restart;
@@ -106,6 +91,28 @@ type Config struct {
 	// queue-wait predictions against the next interval's measurements.
 	// Nil disables telemetry at zero cost.
 	Telemetry *obs.Telemetry
+
+	// restart is the supervisor's restart policy; only this package's
+	// tests set it, to restart faster than the defaults.
+	restart restartPolicy
+}
+
+// restartPolicy is how the supervisor restarts a vertex whose tasks
+// crash. Zero fields take the defaults noted per field.
+type restartPolicy struct {
+	// maxRestarts caps consecutive restarts per vertex (default 5).
+	// Past the cap the vertex is degraded and the job shuts down
+	// cleanly with an error instead of deadlocking on a dead stage.
+	maxRestarts int
+	// backoff is the first restart delay (default 25 ms); it doubles
+	// per consecutive failure, up to backoffCap (default 1 s).
+	backoff, backoffCap time.Duration
+	// resetAfter is the stable run after which a vertex's backoff
+	// resets to base (default AdjustmentInterval), so a long-lived task
+	// that panics rarely does not escalate toward the cap forever.
+	// Checked once per adjustment tick, so its resolution is one
+	// AdjustmentInterval.
+	resetAfter time.Duration
 }
 
 // withDefaults fills zero values.
@@ -131,17 +138,17 @@ func (c Config) withDefaults() Config {
 	if c.FlushTick <= 0 {
 		c.FlushTick = time.Millisecond
 	}
-	if c.MaxTaskRestarts <= 0 {
-		c.MaxTaskRestarts = 5
+	if c.restart.maxRestarts <= 0 {
+		c.restart.maxRestarts = 5
 	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 25 * time.Millisecond
+	if c.restart.backoff <= 0 {
+		c.restart.backoff = 25 * time.Millisecond
 	}
-	if c.RestartBackoffCap <= 0 {
-		c.RestartBackoffCap = time.Second
+	if c.restart.backoffCap <= 0 {
+		c.restart.backoffCap = time.Second
 	}
-	if c.BackoffResetAfter <= 0 {
-		c.BackoffResetAfter = c.AdjustmentInterval
+	if c.restart.resetAfter <= 0 {
+		c.restart.resetAfter = c.AdjustmentInterval
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 250 * time.Millisecond
@@ -284,7 +291,6 @@ type execution struct {
 	scheduler *cluster.Scheduler
 	rm        *cluster.ResourceManager
 	meter     cluster.UsageMeter
-	retired   int64 // busyNs of exited tasks
 	// retiredFlushes counts the deadline flush passes of exited lanes.
 	retiredFlushes int64
 
@@ -505,7 +511,6 @@ func (ex *execution) launch(t *task) {
 func (ex *execution) taskDone(t *task) {
 	ex.mu.Lock()
 	ex.accountUsageLocked()
-	ex.retired += t.busyNs.Load()
 	ex.retiredFlushes += t.lane.flushes.Load()
 	// Unplace frees the slot; a nil map hit can only mean a double exit,
 	// which the registry removal below would also surface.
@@ -592,17 +597,6 @@ func (e *Execution) Wait(ctx context.Context) error {
 	}
 }
 
-// Err returns the terminal failure after the execution finished (nil
-// while running or after a clean finish).
-func (e *Execution) Err() error {
-	select {
-	case <-e.ex.doneCh:
-		return e.ex.failErr
-	default:
-		return nil
-	}
-}
-
 // Stop initiates a graceful shutdown: sources stop, and the end of input
 // cascades downstream as on a bounded job; Wait returns once the last
 // task has drained and exited.
@@ -634,10 +628,6 @@ func (e *Execution) TaskHours() float64 {
 	return e.ex.meter.TaskHours()
 }
 
-// Summary returns the latest global QoS summary (nil before the first
-// adjustment interval).
-func (e *Execution) Summary() *qos.Summary { return e.ex.lastSummary.Load() }
-
 // ScaleEvents returns the numbers of scale-up and scale-down actions.
 func (e *Execution) ScaleEvents() (ups, downs int64) {
 	return e.ex.scaleUps.Load(), e.ex.scaleDowns.Load()
@@ -658,32 +648,3 @@ func (e *Execution) LostRecords() int64 { return e.ex.lostRecords.Load() }
 // DroppedNoConsumer returns how many records this execution dropped
 // because a gate had no consumers; zero in healthy executions.
 func (e *Execution) DroppedNoConsumer() int64 { return e.ex.dropNoConsumer.Load() }
-
-// Guarantee returns the execution's processing-guarantee level.
-func (e *Execution) Guarantee() ckpt.Guarantee { return e.ex.guarantee }
-
-// ReplayStalls returns how many emissions sources deferred because the
-// replay buffer was at capacity (backpressure, not loss).
-func (e *Execution) ReplayStalls() int64 {
-	_, _, stalls := e.ex.logTotals()
-	return stalls
-}
-
-// CPUUtilization returns the mean task CPU (UDF) utilization so far:
-// busy time over allocated task time.
-func (e *Execution) CPUUtilization() float64 {
-	ex := e.ex
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	ex.accountUsageLocked()
-	busy := float64(ex.retired)
-	for _, name := range ex.order {
-		for _, t := range ex.vertices[name].tasks {
-			busy += float64(t.busyNs.Load())
-		}
-	}
-	if ts := ex.meter.TaskSeconds(); ts > 0 {
-		return busy / 1e9 / ts
-	}
-	return 0
-}

@@ -27,7 +27,10 @@ func (e *Execution) ReplayedRecords() int64 { return e.ex.replayedRecords.Load()
 // (replays re-emit existing offsets and do not move it). Zero when
 // guarantees are disabled.
 func (e *Execution) SourceRecords() int64 {
-	assigned, _, _ := e.ex.logTotals()
+	if e.ex.logs == nil {
+		return 0
+	}
+	assigned, _, _ := e.ex.logs.Totals()
 	return int64(assigned)
 }
 

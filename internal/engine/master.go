@@ -198,11 +198,11 @@ func (ex *execution) newLoop() (*master.Loop, error) {
 // running unscaled — a live job outlives its scaler — and is audited on
 // the flight recorder.
 func (ex *execution) adjustTick() {
-	// Reset-on-success: a vertex that stayed up for BackoffResetAfter
+	// Reset-on-success: a vertex that stayed up for restart.resetAfter
 	// since its last crash earns its base backoff back.
 	for _, sup := range ex.supervisors {
 		if !sup.degraded && !sup.lastFailure.IsZero() &&
-			time.Since(sup.lastFailure) >= ex.cfg.BackoffResetAfter {
+			time.Since(sup.lastFailure) >= ex.cfg.restart.resetAfter {
 			sup.backoff.Reset()
 		}
 	}

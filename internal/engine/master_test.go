@@ -35,9 +35,9 @@ func TestAdjustTickAuditsDecideErrorOncePerMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder(0)
+	rec, tel := obs.NewRecorder(0), obs.NewTelemetry(0)
 	ex := &execution{
-		cfg: Config{Elastic: true, Recorder: rec}.withDefaults(),
+		cfg: Config{Elastic: true, Recorder: rec, Telemetry: tel}.withDefaults(),
 		spec: NewJobSpec(buildChain(t, 2, 8, model.PatternRoundRobin)).AddConstraint(
 			&model.Constraint{Name: "c", Sequence: seq, Bound: 20 * time.Millisecond, Window: 10 * time.Second}),
 		probes:      probe.NewProbeSet(),
@@ -64,8 +64,9 @@ func TestAdjustTickAuditsDecideErrorOncePerMessage(t *testing.T) {
 			})
 		}
 		ex.adjustTick()
-		if got := ex.loop.Round(); got != round {
-			t.Fatalf("after %d ticks the loop is at round %d", round, got)
+		// The telemetry counts one adjustment interval per master Step.
+		if got := tel.Snapshot("nephelix_adjust_intervals_total", 0, 0).Series[0].Total; got != float64(round) {
+			t.Fatalf("after %d ticks the loop is at round %v", round, got)
 		}
 	}
 	var audited []obs.Event
@@ -102,8 +103,9 @@ func TestReadReadyTaskReportsUnchanged(t *testing.T) {
 	source0 := newTask(ex, model.TaskID{Vertex: "src"}, nil, src, 2)
 	source1 := newTask(ex, model.TaskID{Vertex: "src", Index: 1}, nil, src, 3)
 
-	for _, rep := range []*qos.TaskReporter{worker.lane.reporter, source0.lane.reporter, source1.lane.reporter} {
-		twice := qos.NewTaskReporter(rep.Task())
+	for _, tk := range []*task{worker, source0, source1} {
+		rep := tk.lane.reporter
+		twice := qos.NewTaskReporter(tk.id)
 		for i, per := range []float64{3e-6, 7e-6, 1e-6, 2.5e-4} {
 			n := 3*i + 1
 			rep.RecordServiceN(per, n)
@@ -112,7 +114,7 @@ func TestReadReadyTaskReportsUnchanged(t *testing.T) {
 		}
 		got, want := rep.Flush(), twice.Flush()
 		if got.TaskLatencyCount == 0 || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: derived %+v\nrecorded twice %+v", rep.Task(), got, want)
+			t.Errorf("%s: derived %+v\nrecorded twice %+v", tk.id, got, want)
 		}
 	}
 

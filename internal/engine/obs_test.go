@@ -94,7 +94,7 @@ func TestObsEngineTimeBase(t *testing.T) {
 	elapsed := time.Since(start).Seconds()
 
 	hops := 0
-	for _, series := range tel.Store().Snapshot() {
+	for _, series := range tel.Store().Query("", 0, 0) {
 		if series.Name == "nephelix_hop_service_seconds" {
 			hops += len(series.Points)
 		}

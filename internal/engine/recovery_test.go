@@ -56,11 +56,9 @@ func TestEnginePanicRecovery(t *testing.T) {
 
 	rec := obs.NewRecorder(0)
 	exec, err := New(Config{
-		Seed:              11,
-		RestartBackoff:    2 * time.Millisecond,
-		RestartBackoffCap: 10 * time.Millisecond,
-		MaxTaskRestarts:   50,
-		Recorder:          rec,
+		Seed:     11,
+		restart:  restartPolicy{maxRestarts: 50, backoff: 2 * time.Millisecond, backoffCap: 10 * time.Millisecond},
+		Recorder: rec,
 	}).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +68,8 @@ func TestEnginePanicRecovery(t *testing.T) {
 	if err := exec.Wait(ctx); err != nil {
 		t.Fatalf("job should survive UDF panics, got: %v", err)
 	}
-	if exec.Err() != nil {
-		t.Errorf("Err() after clean finish = %v, want nil", exec.Err())
+	if err := exec.Wait(ctx); err != nil {
+		t.Errorf("second Wait after a clean finish = %v, want nil", err)
 	}
 	if exec.TaskFailures() == 0 {
 		t.Error("expected at least one supervised task failure")
@@ -149,11 +147,9 @@ func TestEngineVertexDegradesCleanly(t *testing.T) {
 
 	rec := obs.NewRecorder(0)
 	exec, err := New(Config{
-		Seed:              12,
-		RestartBackoff:    2 * time.Millisecond,
-		RestartBackoffCap: 5 * time.Millisecond,
-		MaxTaskRestarts:   2,
-		Recorder:          rec,
+		Seed:     12,
+		restart:  restartPolicy{maxRestarts: 2, backoff: 2 * time.Millisecond, backoffCap: 5 * time.Millisecond},
+		Recorder: rec,
 	}).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +163,10 @@ func TestEngineVertexDegradesCleanly(t *testing.T) {
 	if !strings.Contains(werr.Error(), "degraded") {
 		t.Errorf("error should name the degraded vertex cap: %v", werr)
 	}
-	if exec.Err() == nil || exec.Err().Error() != werr.Error() {
-		t.Errorf("Err() = %v, want the Wait error %v", exec.Err(), werr)
+	if again := exec.Wait(ctx); again == nil || again.Error() != werr.Error() {
+		t.Errorf("second Wait = %v, want the first Wait error %v", again, werr)
 	}
-	// Initial crash + MaxTaskRestarts failed restarts.
+	// Initial crash + restart.maxRestarts failed restarts.
 	if got := exec.TaskFailures(); got < 3 {
 		t.Errorf("TaskFailures() = %d, want >= 3", got)
 	}
@@ -187,7 +183,7 @@ func TestEngineVertexDegradesCleanly(t *testing.T) {
 		t.Errorf("vertex_degraded payload incomplete: %+v", lc)
 	}
 	if len(byKind[obs.KindTaskRestart]) != 2 {
-		t.Errorf("task_restart events: got %d, want 2 (MaxTaskRestarts)", len(byKind[obs.KindTaskRestart]))
+		t.Errorf("task_restart events: got %d, want 2 (restart.maxRestarts)", len(byKind[obs.KindTaskRestart]))
 	}
 	if len(byKind[obs.KindDropCounters]) != 1 {
 		t.Errorf("drop_counters events at shutdown: got %d, want 1", len(byKind[obs.KindDropCounters]))

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"nephelix/internal/model"
@@ -14,33 +13,10 @@ import (
 // crosses tasks.
 type Context struct{ e *emitter }
 
-// TaskIndex returns the task's index within its vertex.
-func (c *Context) TaskIndex() int { return c.e.t.id.Index }
-
-// Vertex returns the task's job-vertex name.
-func (c *Context) Vertex() string { return c.e.t.id.Vertex }
-
-// Rand returns the task's own random source: a splitmix64 generator
-// seeded from Config.Seed and the task's position in its vertex.
-func (c *Context) Rand() *rand.Rand { return c.e.rng }
-
-// OutEdges returns the number of outgoing job edges.
-func (c *Context) OutEdges() int { return len(c.e.gates) }
-
 // Emit sends a record along the task's edgeIdx-th outgoing job edge
 // (ordered as in JobGraph.OutEdges). It may block under backpressure.
 func (c *Context) Emit(edgeIdx int, rec Record) {
 	c.e.emit(edgeIdx, rec)
-}
-
-// Origin returns the lineage of the record currently being processed
-// under processing guarantees: the source partition that emitted its
-// ancestor (0 = untracked, e.g. guarantees disabled or a timer
-// emission) and the per-source offset. Records emitted during Process
-// inherit this lineage automatically; Origin exposes it to UDFs that
-// want offset-aware side effects.
-func (c *Context) Origin() (source int32, offset uint64) {
-	return c.e.curSrcID, c.e.curOffset
 }
 
 // UDF is a user-defined function executed by each task of a vertex. One
@@ -153,9 +129,6 @@ func (s *JobSpec) AddConstraint(c *model.Constraint) *JobSpec {
 	s.constraints = append(s.constraints, c)
 	return s
 }
-
-// Graph returns the spec's job graph.
-func (s *JobSpec) Graph() *model.JobGraph { return s.graph }
 
 // validate checks completeness.
 func (s *JobSpec) validate() error {

@@ -106,13 +106,13 @@ func (ex *execution) superviseFailure(vertex string, reason any) {
 	sup := ex.supervisors[vertex]
 	if sup == nil {
 		sup = &supervisor{backoff: NewBackoff(
-			ex.cfg.RestartBackoff, ex.cfg.RestartBackoffCap, 0.2,
+			ex.cfg.restart.backoff, ex.cfg.restart.backoffCap, 0.2,
 			newSplitmix(ex.cfg.Seed^int64(len(vertex))*1099511628211),
 		)}
 		ex.supervisors[vertex] = sup
 	}
 	sup.lastFailure = time.Now()
-	if sup.degraded || sup.backoff.Attempts() >= ex.cfg.MaxTaskRestarts {
+	if sup.degraded || sup.backoff.Attempts() >= ex.cfg.restart.maxRestarts {
 		sup.degraded = true
 		ex.recordLifecycle(obs.KindVertexDegraded, obs.Lifecycle{
 			Vertex: vertex, Reason: fmt.Sprint(reason), Attempts: sup.backoff.Attempts(),
@@ -120,7 +120,7 @@ func (ex *execution) superviseFailure(vertex string, reason any) {
 		ex.pendingRecovery.Add(-1)
 		if ex.failErr == nil {
 			ex.failErr = fmt.Errorf("engine: vertex %q degraded after %d failed restarts (last failure: %v)",
-				vertex, ex.cfg.MaxTaskRestarts, reason)
+				vertex, ex.cfg.restart.maxRestarts, reason)
 		}
 		ex.stopOnce.Do(func() { close(ex.stopCh) })
 		return

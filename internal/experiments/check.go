@@ -55,9 +55,6 @@ func (l CheckList) Failed() []Check {
 	return out
 }
 
-// AllPass reports whether every check holds.
-func (l CheckList) AllPass() bool { return len(l.Failed()) == 0 }
-
 // String renders all checks, one per line.
 func (l CheckList) String() string {
 	var b strings.Builder

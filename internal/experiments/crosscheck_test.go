@@ -37,7 +37,7 @@ func TestEngineSimCrossCheck(t *testing.T) {
 	)
 
 	// --- simulator run ---
-	simProbes := sim.NewProbeSet()
+	simProbes := probe.NewProbeSet()
 	simSink := simProbes.Probe("e2e")
 	simSink.BoundSeconds = bound.Seconds()
 
@@ -213,7 +213,7 @@ func (s crossServer) ServiceTime(rng *rand.Rand, _ *sim.Item) float64 {
 func (s crossServer) Process(ctx *sim.TaskContext, it *sim.Item) { ctx.Emit(0, it) }
 
 // crossSink records end-to-end latency.
-type crossSink struct{ probe *sim.Probe }
+type crossSink struct{ probe *probe.Probe }
 
 func (crossSink) ServiceTime(*rand.Rand, *sim.Item) float64 { return 1e-5 }
 

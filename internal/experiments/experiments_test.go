@@ -150,7 +150,7 @@ func TestCheckList(t *testing.T) {
 	var l CheckList
 	l.Add("a", "p", "m", true)
 	l.Add("b", "p", "m", false)
-	if l.AllPass() {
+	if len(l.Failed()) == 0 {
 		t.Error("AllPass with a failing check")
 	}
 	if len(l.Failed()) != 1 || l.Failed()[0].Name != "b" {

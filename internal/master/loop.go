@@ -202,9 +202,6 @@ func (l *Loop) decide(s *qos.Summary, par map[string]int) (*core.Decision, error
 	return d, nil
 }
 
-// Round is the number of Steps taken.
-func (l *Loop) Round() int { return l.round }
-
 // Infeasible counts constraint decisions that were infeasible even at
 // maximum scale-out.
 func (l *Loop) Infeasible() int { return l.infeasible }

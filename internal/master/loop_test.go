@@ -187,8 +187,8 @@ func TestRoundAdvancesOncePerStep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if plain.Round() != 3 || !reflect.DeepEqual(rounds, []int{1, 2, 3}) {
-		t.Errorf("non-elastic loop: Round() = %d, observed %v, want 3 and [1 2 3]", plain.Round(), rounds)
+	if plain.round != 3 || !reflect.DeepEqual(rounds, []int{1, 2, 3}) {
+		t.Errorf("non-elastic loop: round = %d, observed %v, want 3 and [1 2 3]", plain.round, rounds)
 	}
 	if len(rt.log) != 0 {
 		t.Errorf("a loop without constraints or scaler touched the runtime: %v", rt.log)
@@ -209,8 +209,8 @@ func TestRoundAdvancesOncePerStep(t *testing.T) {
 		}
 		decided += len(scales(rt.log)) - before
 	}
-	if elastic.Round() != 4 || !reflect.DeepEqual(rounds, []int{1, 2, 3, 4}) {
-		t.Errorf("elastic loop: Round() = %d, observed %v, want 4 and [1 2 3 4]", elastic.Round(), rounds)
+	if elastic.round != 4 || !reflect.DeepEqual(rounds, []int{1, 2, 3, 4}) {
+		t.Errorf("elastic loop: round = %d, observed %v, want 4 and [1 2 3 4]", elastic.round, rounds)
 	}
 	if decided != 2 {
 		t.Errorf("scale-ups in rounds 1 and 4 only (two inactive between): got %d", decided)
@@ -260,8 +260,8 @@ func TestDecideErrorReturnedAfterObservers(t *testing.T) {
 	if n := len(scales(rt.log)); n != 0 {
 		t.Errorf("%d Scale calls after a failed decision", n)
 	}
-	if l.Round() != 1 {
-		t.Errorf("Round() = %d, want 1", l.Round())
+	if l.round != 1 {
+		t.Errorf("round = %d, want 1", l.round)
 	}
 }
 
@@ -311,9 +311,18 @@ func TestStepMergesPartialsUnderRuntimeParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := qos.NewPartialSummary(), qos.NewPartialSummary()
-	a.AddTask("work", 0.01, 0.01, 0.5, 0.02, 1, 10)
-	b.AddTask("work", 0.03, 0.03, 0.5, 0.02, 1, 10)
+	// Each partial comes from a manager holding one task's report.
+	partial := func(index int, mean float64) *qos.PartialSummary {
+		m := qos.NewManager(qos.DefaultManagerConfig())
+		m.ReportTask(qos.TaskReport{
+			Task:             model.TaskID{Vertex: "work", Index: index},
+			TaskLatencyCount: 10, TaskLatencyMean: mean,
+			ServiceCount: 10, ServiceMean: mean, ServiceCV: 0.5,
+			InterarrivalCount: 10, InterarrivalMean: 0.02, InterarrivalCV: 1,
+		})
+		return m.PartialSummary()
+	}
+	a, b := partial(0, 0.01), partial(1, 0.03)
 	rt := &fakeRuntime{par: map[string]int{"work": 7}, partials: []*qos.PartialSummary{a, b}}
 	if err := l.Step(rt); err != nil {
 		t.Fatal(err)

@@ -43,12 +43,6 @@ func (r *Reservoir) Add(x float64) {
 	}
 }
 
-// Count returns the number of observations offered so far.
-func (r *Reservoir) Count() int64 { return r.seen }
-
-// Len returns the number of samples currently held.
-func (r *Reservoir) Len() int { return len(r.samples) }
-
 // Percentile estimates the q-th percentile (q in [0, 1]) from the
 // sample with nearest-rank semantics: the ⌈q·n⌉-th smallest held
 // sample. It returns 0 when the reservoir is empty.
@@ -69,50 +63,11 @@ func (r *Reservoir) Percentile(q float64) float64 {
 	return nearestRankOfSorted(sorted, q)
 }
 
-// Mean returns the mean of the held samples, or 0 when empty.
-func (r *Reservoir) Mean() float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range r.samples {
-		sum += x
-	}
-	return sum / float64(len(r.samples))
-}
-
-// Reset discards all samples and the observation count.
-func (r *Reservoir) Reset() {
-	r.samples = r.samples[:0]
-	r.seen = 0
-}
-
 // Samples returns a copy of the currently held samples.
 func (r *Reservoir) Samples() []float64 {
 	out := make([]float64, len(r.samples))
 	copy(out, r.samples)
 	return out
-}
-
-// percentileOfSorted interpolates the q-th percentile of an ascending
-// slice.
-func percentileOfSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // nearestRankOfSorted returns the ⌈q·n⌉-th element of an ascending
@@ -130,13 +85,4 @@ func nearestRankOfSorted(sorted []float64, q float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// PercentileOf computes the q-th percentile of an arbitrary sample slice
-// without mutating it.
-func PercentileOf(samples []float64, q float64) float64 {
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return percentileOfSorted(sorted, q)
 }

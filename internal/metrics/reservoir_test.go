@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -11,17 +12,14 @@ func TestReservoirBelowCapacity(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.Add(float64(i))
 	}
-	if r.Len() != 5 || r.Count() != 5 {
-		t.Fatalf("Len=%d Count=%d, want 5/5", r.Len(), r.Count())
+	if len(r.samples) != 5 || r.seen != 5 {
+		t.Fatalf("held=%d seen=%d, want 5/5", len(r.samples), r.seen)
 	}
 	if got := r.Percentile(1); got != 5 {
 		t.Errorf("max percentile: got %v, want 5", got)
 	}
 	if got := r.Percentile(0); got != 1 {
 		t.Errorf("min percentile: got %v, want 1", got)
-	}
-	if got := r.Mean(); got != 3 {
-		t.Errorf("mean: got %v, want 3", got)
 	}
 }
 
@@ -30,11 +28,11 @@ func TestReservoirCapacityBound(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		r.Add(float64(i))
 	}
-	if r.Len() != 16 {
-		t.Errorf("Len: got %d, want 16", r.Len())
+	if len(r.samples) != 16 {
+		t.Errorf("held: got %d, want 16", len(r.samples))
 	}
-	if r.Count() != 10000 {
-		t.Errorf("Count: got %d, want 10000", r.Count())
+	if r.seen != 10000 {
+		t.Errorf("seen: got %d, want 10000", r.seen)
 	}
 }
 
@@ -44,8 +42,11 @@ func TestReservoirUniformity(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		r.Add(float64(i))
 	}
-	streamMean := 4999.5
-	if got := r.Mean(); math.Abs(got-streamMean) > 700 {
+	streamMean, sum := 4999.5, 0.0
+	for _, x := range r.samples {
+		sum += x
+	}
+	if got := sum / float64(len(r.samples)); math.Abs(got-streamMean) > 700 {
 		t.Errorf("sample mean %v too far from stream mean %v", got, streamMean)
 	}
 	// Median of the uniform stream is ~5000.
@@ -77,7 +78,7 @@ func TestReservoirTailPercentileNearestRank(t *testing.T) {
 	}
 	// A larger partially-filled reservoir: p99 of {1..100} is sample 99,
 	// not an interpolated 98.01.
-	r.Reset()
+	r = NewReservoir(4096, rand.New(rand.NewSource(10)))
 	for i := 1; i <= 100; i++ {
 		r.Add(float64(i))
 	}
@@ -98,25 +99,16 @@ func TestReservoirTailPercentileNearestRank(t *testing.T) {
 
 func TestReservoirEmpty(t *testing.T) {
 	r := NewReservoir(4, rand.New(rand.NewSource(4)))
-	if r.Percentile(0.5) != 0 || r.Mean() != 0 {
+	if r.Percentile(0.5) != 0 {
 		t.Error("empty reservoir must report zeros")
-	}
-}
-
-func TestReservoirReset(t *testing.T) {
-	r := NewReservoir(4, rand.New(rand.NewSource(5)))
-	r.Add(1)
-	r.Reset()
-	if r.Len() != 0 || r.Count() != 0 {
-		t.Error("Reset did not clear reservoir")
 	}
 }
 
 func TestReservoirZeroCapacity(t *testing.T) {
 	r := NewReservoir(0, rand.New(rand.NewSource(6)))
 	r.Add(7)
-	if r.Len() != 1 {
-		t.Errorf("capacity clamped to 1: Len got %d", r.Len())
+	if len(r.samples) != 1 {
+		t.Errorf("capacity clamped to 1: held %d", len(r.samples))
 	}
 }
 
@@ -135,8 +127,8 @@ func TestPercentileOf(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := PercentileOf(tt.samples, tt.q); !almostEqual(got, tt.want, 1e-9) {
-				t.Errorf("PercentileOf(%v, %v): got %v, want %v", tt.samples, tt.q, got, tt.want)
+			if got := percentileOf(tt.samples, tt.q); !almostEqual(got, tt.want, 1e-9) {
+				t.Errorf("percentileOf(%v, %v): got %v, want %v", tt.samples, tt.q, got, tt.want)
 			}
 		})
 	}
@@ -144,9 +136,9 @@ func TestPercentileOf(t *testing.T) {
 
 func TestPercentileOfDoesNotMutate(t *testing.T) {
 	samples := []float64{3, 1, 2}
-	_ = PercentileOf(samples, 0.5)
+	_ = percentileOf(samples, 0.5)
 	if samples[0] != 3 || samples[1] != 1 || samples[2] != 2 {
-		t.Error("PercentileOf mutated its input")
+		t.Error("percentileOf mutated its input")
 	}
 }
 
@@ -156,4 +148,35 @@ func seq(lo, hi int) []float64 {
 		out = append(out, float64(i))
 	}
 	return out
+}
+
+// percentileOf interpolates the q-th percentile of samples between
+// order statistics, without mutating them: the estimator the reservoir
+// used before nearest rank (TestReservoirTailPercentileNearestRank).
+func percentileOf(samples []float64, q float64) float64 {
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	return percentileOfSorted(sorted, q)
+}
+
+// percentileOfSorted interpolates the q-th percentile of an ascending
+// slice.
+func percentileOfSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

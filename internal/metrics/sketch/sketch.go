@@ -419,14 +419,6 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// Quantiles evaluates the sketch at each q in qs, appending to dst.
-func (s *Sketch) Quantiles(dst []float64, qs []float64) []float64 {
-	for _, q := range qs {
-		dst = append(dst, s.Quantile(q))
-	}
-	return dst
-}
-
 // NearestRankOf computes the exact q-th quantile of samples with
 // nearest-rank semantics — the ⌈q·n⌉-th smallest element — without
 // mutating the input. This is the ground-truth definition the sketch's

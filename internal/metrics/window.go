@@ -21,8 +21,3 @@ func (s *IntervalStats) Snapshot() (count int64, mean, cv float64) {
 	s.w.Reset()
 	return count, mean, cv
 }
-
-// Peek returns the interval's statistics without resetting.
-func (s *IntervalStats) Peek() (count int64, mean, cv float64) {
-	return s.w.Count(), s.w.Mean(), s.w.CV()
-}

@@ -8,9 +8,7 @@ package model
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 )
 
 // WiringPattern describes how the tasks of two adjacent job vertices are
@@ -87,12 +85,6 @@ type JobVertex struct {
 	// LatencyMode declares how task latency is measured for this vertex's
 	// UDF.
 	LatencyMode LatencyMode
-}
-
-// Elastic reports whether the scaler is allowed to change the vertex's
-// degree of parallelism.
-func (v *JobVertex) Elastic() bool {
-	return v.MinParallelism < v.MaxParallelism
 }
 
 // ClampParallelism restricts p to the vertex's [min, max] range.
@@ -260,30 +252,6 @@ func (g *JobGraph) InEdges(name string) []EdgeKey {
 	return keys
 }
 
-// Sources returns the names of all vertices without inbound edges, sorted.
-func (g *JobGraph) Sources() []string {
-	var srcs []string
-	for _, name := range g.order {
-		if len(g.in[name]) == 0 {
-			srcs = append(srcs, name)
-		}
-	}
-	sort.Strings(srcs)
-	return srcs
-}
-
-// Sinks returns the names of all vertices without outbound edges, sorted.
-func (g *JobGraph) Sinks() []string {
-	var sinks []string
-	for _, name := range g.order {
-		if len(g.out[name]) == 0 {
-			sinks = append(sinks, name)
-		}
-	}
-	sort.Strings(sinks)
-	return sinks
-}
-
 // TopologicalOrder returns the vertex names in a topological order, or an
 // error if the graph contains a cycle. The order is deterministic: among
 // ready vertices, insertion order wins.
@@ -335,32 +303,3 @@ func (g *JobGraph) Validate() error {
 	}
 	return nil
 }
-
-// Clone returns a deep copy of the graph. Mutating the clone (for example
-// vertex parallelism) does not affect the original.
-func (g *JobGraph) Clone() *JobGraph {
-	c := NewJobGraph()
-	for _, name := range g.order {
-		// Copies cannot fail: the originals were validated on insert.
-		_ = c.AddVertex(*g.vertices[name])
-	}
-	for _, k := range g.edgeKeys {
-		e := g.edges[k]
-		_ = c.AddEdge(e.Source, e.Target, e.Pattern)
-	}
-	return c
-}
-
-// TotalParallelism returns the sum of the current degrees of parallelism
-// over all vertices, i.e. the number of tasks a runtime graph would have.
-func (g *JobGraph) TotalParallelism() int {
-	total := 0
-	for _, v := range g.vertices {
-		total += v.Parallelism
-	}
-	return total
-}
-
-// Duration is re-exported so that callers of the model package do not need
-// to import time for constraint definitions alone.
-type Duration = time.Duration

@@ -98,13 +98,6 @@ func (s *Sequence) validate() error {
 	return nil
 }
 
-// Elements returns the sequence elements in order.
-func (s *Sequence) Elements() []SequenceElement {
-	out := make([]SequenceElement, len(s.elements))
-	copy(out, s.elements)
-	return out
-}
-
 // Vertices returns the names of the job vertices V(js) in sequence order.
 func (s *Sequence) Vertices() []string {
 	var names []string

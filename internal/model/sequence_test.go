@@ -56,7 +56,7 @@ func TestParseSequence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParseSequence: %v", err)
 			}
-			if got := len(seq.Elements()); got != len(tt.elements) {
+			if got := len(seq.elements); got != len(tt.elements) {
 				t.Errorf("element count: got %d, want %d", got, len(tt.elements))
 			}
 		})

@@ -116,7 +116,7 @@ func TestObserveDataplane(t *testing.T) {
 	}
 
 	var b strings.Builder
-	ts.WriteExposition(&b, tel.Store().Snapshot())
+	ts.WriteExposition(&b, tel.Store().Query("", 0, 0))
 	body := b.String()
 	for _, want := range []string{
 		`nephelix_dataplane_ring_occupancy{edge="src->work"} 12`,
@@ -225,7 +225,7 @@ func TestSourceEmittedExposition(t *testing.T) {
 	}, nil)
 
 	var b strings.Builder
-	ts.WriteExposition(&b, tel.Store().Snapshot())
+	ts.WriteExposition(&b, tel.Store().Query("", 0, 0))
 	body := b.String()
 	for _, want := range []string{
 		"# HELP nephelix_source_emitted Records emitted by one source task (cumulative, labeled vertex/task).",

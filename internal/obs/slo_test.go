@@ -293,7 +293,7 @@ func TestObsTailGaugesAndExposition(t *testing.T) {
 	}
 
 	var b strings.Builder
-	ts.WriteExposition(&b, tel.Store().Snapshot())
+	ts.WriteExposition(&b, tel.Store().Query("", 0, 0))
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE nephelix_e2e_latency_tail_seconds summary",
@@ -449,7 +449,7 @@ func TestObsTailFitGauges(t *testing.T) {
 	}
 
 	var b strings.Builder
-	ts.WriteExposition(&b, tel.Store().Snapshot())
+	ts.WriteExposition(&b, tel.Store().Query("", 0, 0))
 	out := b.String()
 	for _, want := range []string{
 		`nephelix_tail_kappa{q="p99",vertex="worker"}`,

@@ -44,7 +44,7 @@ func FuzzFamilyLabels(f *testing.F) {
 		sa.Set(0, 1)
 		sb.Set(0, 2) // overwrites when the tuples are equal
 		var b strings.Builder
-		WriteExposition(&b, st.Snapshot())
+		WriteExposition(&b, st.Query("", 0, 0))
 		got := map[[2]string]string{}
 		for _, line := range strings.Split(b.String(), "\n") {
 			if rest, ok := strings.CutPrefix(line, `fz{x="`); ok {

@@ -182,27 +182,6 @@ func (s *Series) CountAbove(x float64) uint64 {
 	return s.sk.CountAbove(x)
 }
 
-// Value returns the latest recorded value: the running total for
-// counters, the last sample otherwise (0 when empty or nil).
-func (s *Series) Value() float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.kind == Counter {
-		return s.total
-	}
-	if !s.full && s.next == 0 {
-		return 0
-	}
-	last := s.next - 1
-	if last < 0 {
-		last = len(s.ring) - 1
-	}
-	return s.ring[last].V
-}
-
 // push appends to the ring, overwriting the oldest point when full.
 // Callers hold s.mu.
 func (s *Series) push(t, v float64) {
@@ -418,12 +397,6 @@ func (st *Store) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.byKey)
-}
-
-// Snapshot renders every series, sorted by identity key so repeated
-// scrapes and JSON dumps are deterministic.
-func (st *Store) Snapshot() []SeriesSnapshot {
-	return st.Query("", 0, 0)
 }
 
 // Query renders the series whose name starts with prefix, keeping only

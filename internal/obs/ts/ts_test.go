@@ -17,7 +17,7 @@ func TestObsTSCounter(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Errorf("counter total: got %v, want 5", got)
 	}
-	snap := st.Snapshot()
+	snap := st.Query("", 0, 0)
 	if len(snap) != 1 {
 		t.Fatalf("series: got %d, want 1", len(snap))
 	}
@@ -39,7 +39,7 @@ func TestObsTSGaugeRingWrap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.Set(float64(i), float64(i*i))
 	}
-	snap := st.Snapshot()[0]
+	snap := st.Query("", 0, 0)[0]
 	if len(snap.Points) != 4 {
 		t.Fatalf("ring size: got %d points, want 4", len(snap.Points))
 	}
@@ -64,7 +64,7 @@ func TestObsTSHistogram(t *testing.T) {
 	for _, v := range []float64{0.00005, 0.001, 0.5, 50} {
 		h.Observe(0, v)
 	}
-	snap := st.Snapshot()[0]
+	snap := st.Query("", 0, 0)[0]
 	if snap.Count != 4 || snap.Sum != 50.50105 {
 		t.Errorf("sum/count: got %v/%d", snap.Sum, snap.Count)
 	}
@@ -146,7 +146,7 @@ func TestObsTSQuery(t *testing.T) {
 		t.Errorf("maxPoints must keep the newest: got %v", got.Points)
 	}
 	// Snapshot order is by identity key, deterministic.
-	snap := st.Snapshot()
+	snap := st.Query("", 0, 0)
 	if snap[0].Name != "nephelix_scaler_decisions_total" || snap[1].Name != "nephelix_vertex_parallelism" {
 		t.Errorf("snapshot order: %s, %s", snap[0].Name, snap[1].Name)
 	}
@@ -180,7 +180,7 @@ func TestObsTSConcurrentScrapeVsRecord(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = st.Snapshot()
+				_ = st.Query("", 0, 0)
 				_ = st.Query("g", 0, 8)
 			}
 		}
@@ -208,7 +208,7 @@ func TestObsTSDisabledAllocs(t *testing.T) {
 		s.Set(1, 1)
 		s.Observe(1, 1)
 		_ = s.Value()
-		_ = st.Snapshot()
+		_ = st.Query("", 0, 0)
 		_ = st.Query("", 0, 0)
 		_ = st.Len()
 	})

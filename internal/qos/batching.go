@@ -303,17 +303,6 @@ func (c *BatchingController) updateConstraint(s *Summary, con *model.Constraint)
 	return state
 }
 
-// Deadline returns the controller's current deadline for an edge under a
-// named constraint (diagnostics).
-func (c *BatchingController) Deadline(constraint string, edge model.EdgeKey) (float64, bool) {
-	per, ok := c.deadlines[constraint]
-	if !ok {
-		return 0, false
-	}
-	dl, ok := per[edge]
-	return dl, ok
-}
-
 // KingmanWait returns Kingman's GI/G/1 queue-wait approximation
 // (Equation 3) for a task with per-task arrival rate lambda, mean service
 // time s, and squared coefficients of variation ca2 and cs2. It returns

@@ -102,14 +102,14 @@ func TestControllerShrinksOnBatchResidue(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Update(low, []*model.Constraint{f.constraint})
 	}
-	grown, _ := c.Deadline("c", f.e1)
+	grown := c.deadlines["c"][f.e1]
 	// Now the work edge shows a large wait at low utilization: batch
 	// residue → shrink edge 1.
 	high := f.summary(0.2, 0.008, 0.002, 0.0001, 0.001)
 	for i := 0; i < 5; i++ {
 		c.Update(high, []*model.Constraint{f.constraint})
 	}
-	shrunk, _ := c.Deadline("c", f.e1)
+	shrunk := c.deadlines["c"][f.e1]
 	if shrunk >= grown {
 		t.Errorf("edge 1 deadline did not shrink: %v -> %v", grown, shrunk)
 	}
@@ -124,7 +124,7 @@ func TestControllerHopelessNeedsSaturation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Update(s, []*model.Constraint{f.constraint})
 	}
-	dl1, _ := c.Deadline("c", f.e1)
+	dl1 := c.deadlines["c"][f.e1]
 	if dl1 != 0 {
 		t.Errorf("unsaturated overload must shrink toward instant flush, got %v", dl1)
 	}
@@ -166,7 +166,7 @@ func TestControllerStrictestConstraintWins(t *testing.T) {
 
 func TestControllerDeadlineAccessor(t *testing.T) {
 	c := NewBatchingController(DefaultBatchingPolicy())
-	if _, ok := c.Deadline("missing", model.EdgeKey{}); ok {
+	if _, ok := c.deadlines["missing"]; ok {
 		t.Error("unknown constraint reported a deadline")
 	}
 }
@@ -223,7 +223,7 @@ func TestControllerProtectsBusyProducersFromShrink(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Update(light, []*model.Constraint{f.constraint})
 	}
-	before1, _ := c.Deadline("c", f.e1)
+	before1 := c.deadlines["c"][f.e1]
 	// High residues everywhere, but e1's producer is 70% busy: the
 	// shrink must pick e2.
 	hot := f.summary(0.3, 0.008, 0.001, 0.008, 0.001)
@@ -231,8 +231,8 @@ func TestControllerProtectsBusyProducersFromShrink(t *testing.T) {
 		ServiceTimeMean: 0.0007, InterarrivalMean: 0.001, Parallelism: 2,
 	}
 	c.Update(hot, []*model.Constraint{f.constraint})
-	after1, _ := c.Deadline("c", f.e1)
-	after2, _ := c.Deadline("c", f.e2)
+	after1 := c.deadlines["c"][f.e1]
+	after2 := c.deadlines["c"][f.e2]
 	if after1 < before1 {
 		t.Errorf("protected edge shrank: %v -> %v", before1, after1)
 	}

@@ -46,30 +46,6 @@ func EstimateSequenceLatency(s *Summary, seq *model.Sequence) (SequenceLatencyEs
 	return est, true
 }
 
-// ConstraintStatus is the result of checking one latency constraint
-// against a summary.
-type ConstraintStatus struct {
-	Constraint *model.Constraint
-	Estimate   SequenceLatencyEstimate
-	// Covered is false when measurement data for parts of the sequence is
-	// missing (e.g. right after job start).
-	Covered bool
-	// Violated is true when the estimated mean sequence latency exceeds
-	// the constraint's bound.
-	Violated bool
-}
-
-// CheckConstraint evaluates one constraint against a summary.
-func CheckConstraint(s *Summary, c *model.Constraint) ConstraintStatus {
-	est, ok := EstimateSequenceLatency(s, c.Sequence)
-	return ConstraintStatus{
-		Constraint: c,
-		Estimate:   est,
-		Covered:    ok,
-		Violated:   ok && est.Total() > secondsOf(c.Bound),
-	}
-}
-
 // BatchingPolicy computes per-edge output-batching flush deadlines from
 // latency constraints (the adaptive output batching of the authors' prior
 // work, used here as a substrate). Per Section IV-F, a fraction of the

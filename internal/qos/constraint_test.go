@@ -86,12 +86,12 @@ func TestCheckConstraint(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			st := CheckConstraint(tt.summary, c)
-			if !st.Covered {
+			est, ok := EstimateSequenceLatency(tt.summary, c.Sequence)
+			if !ok {
 				t.Fatal("constraint not covered")
 			}
-			if st.Violated != tt.violated {
-				t.Errorf("Violated: got %v (total %v), want %v", st.Violated, st.Estimate.Total(), tt.violated)
+			if violated := est.Total() > c.Bound.Seconds(); violated != tt.violated {
+				t.Errorf("violated: got %v (total %v), want %v", violated, est.Total(), tt.violated)
 			}
 		})
 	}

@@ -45,7 +45,7 @@ func TestFreshnessTracking(t *testing.T) {
 	m.ReportTask(TaskReport{Task: taskID("sink", 0), ServiceCount: 1, ServiceMean: 0.001})
 
 	p := m.PartialSummary()
-	if got := p.FreshTaskCount("work"); got != 4 {
+	if got := p.vertices["work"].freshCount; got != 4 {
 		t.Errorf("fresh work tasks: got %d, want 4", got)
 	}
 	s := p.Finalize(map[string]int{"work": 4, "sink": 1})
@@ -120,19 +120,19 @@ func TestAgedOutBoundary(t *testing.T) {
 	// EvictAfter = 2: the histories survive intervals 1 and 2...
 	for i := 0; i < 2; i++ {
 		_ = m.PartialSummary()
-		if m.TrackedTasks() != 1 || m.TrackedChannels() != 1 {
+		if len(m.tasks.list) != 1 || len(m.channels.list) != 1 {
 			t.Fatalf("interval %d: history evicted too early", i+1)
 		}
-		if at, ac := m.AgedOut(); at != 0 || ac != 0 {
+		if at, ac := m.tasks.agedOut, m.channels.agedOut; at != 0 || ac != 0 {
 			t.Fatalf("interval %d: AgedOut=%d/%d before the boundary", i+1, at, ac)
 		}
 	}
 	// ...and are evicted on interval 3.
 	_ = m.PartialSummary()
-	if m.TrackedTasks() != 0 || m.TrackedChannels() != 0 {
+	if len(m.tasks.list) != 0 || len(m.channels.list) != 0 {
 		t.Error("history survived past EvictAfter")
 	}
-	if at, ac := m.AgedOut(); at != 1 || ac != 1 {
+	if at, ac := m.tasks.agedOut, m.channels.agedOut; at != 1 || ac != 1 {
 		t.Errorf("AgedOut: got %d/%d, want 1/1", at, ac)
 	}
 
@@ -143,10 +143,10 @@ func TestAgedOutBoundary(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_ = m.PartialSummary()
 	}
-	if m.TrackedTasks() != 1 {
+	if len(m.tasks.list) != 1 {
 		t.Error("report inside the window did not reset the idle counter")
 	}
-	if at, _ := m.AgedOut(); at != 1 {
+	if at, _ := m.tasks.agedOut, m.channels.agedOut; at != 1 {
 		t.Errorf("AgedOut after reset: got %d, want still 1", at)
 	}
 }

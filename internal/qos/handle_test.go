@@ -143,15 +143,15 @@ func TestHandleAndByNameReportsAgree(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d interval %d: summaries differ\nby handle:\n%s\nby name:\n%s", seed, interval, got, want)
 				}
-				ht, hc := byHandle.AgedOut()
-				nt, nc := byName.AgedOut()
-				if ht != nt || hc != nc || byHandle.TrackedTasks() != byName.TrackedTasks() || byHandle.TrackedChannels() != byName.TrackedChannels() {
+				ht, hc := byHandle.tasks.agedOut, byHandle.channels.agedOut
+				nt, nc := byName.tasks.agedOut, byName.channels.agedOut
+				if ht != nt || hc != nc || len(byHandle.tasks.list) != len(byName.tasks.list) || len(byHandle.channels.list) != len(byName.channels.list) {
 					t.Fatalf("seed %d interval %d: aged out %d/%d tracked %d/%d by handle, %d/%d and %d/%d by name", seed, interval,
-						ht, hc, byHandle.TrackedTasks(), byHandle.TrackedChannels(), nt, nc, byName.TrackedTasks(), byName.TrackedChannels())
+						ht, hc, len(byHandle.tasks.list), len(byHandle.channels.list), nt, nc, len(byName.tasks.list), len(byName.channels.list))
 				}
 			}
 		}
-		if ht, hc := byHandle.AgedOut(); ht == 0 || hc == 0 {
+		if ht, hc := byHandle.tasks.agedOut, byHandle.channels.agedOut; ht == 0 || hc == 0 {
 			t.Errorf("seed %d: the schedule evicted %d tasks and %d channels; it must exercise both", seed, ht, hc)
 		}
 	}

@@ -268,35 +268,6 @@ func (m *Manager) ReportChannel(r ChannelReport) {
 	h.Report(&r)
 }
 
-// Forget drops the history of a task by id.
-func (m *Manager) Forget(task model.TaskID) {
-	if h := m.tasks.byID[task]; h != nil {
-		h.forget()
-	}
-}
-
-// ForgetChannel drops the history of a channel by id.
-func (m *Manager) ForgetChannel(ch model.ChannelID) {
-	if h := m.channels.byID[ch]; h != nil {
-		h.forget()
-	}
-}
-
-// AgedOut returns how many task and channel histories ageOut has evicted
-// since the manager was created. Histories age out when their reporter
-// stops reporting — scale-down is the benign cause, a crashed task the
-// malign one — so a climbing counter with stable parallelism is the
-// observable symptom of dead reporters.
-func (m *Manager) AgedOut() (tasks, channels int64) {
-	return m.tasks.agedOut, m.channels.agedOut
-}
-
-// TrackedTasks returns the number of tasks with live history.
-func (m *Manager) TrackedTasks() int { return len(m.tasks.list) }
-
-// TrackedChannels returns the number of channels with live history.
-func (m *Manager) TrackedChannels() int { return len(m.channels.list) }
-
 // PartialSummary aggregates the current histories into a partial summary
 // (one entry per job vertex / job edge, averaged over the tasks and
 // channels this manager observes) and ages out idle histories.

@@ -87,15 +87,15 @@ func TestManagerHistoryWindow(t *testing.T) {
 func TestManagerEviction(t *testing.T) {
 	m := NewManager(ManagerConfig{HistoryLength: 5, EvictAfter: 2})
 	m.ReportTask(TaskReport{Task: taskID("v", 0), ServiceCount: 1, ServiceMean: 0.01})
-	if m.TrackedTasks() != 1 {
-		t.Fatalf("TrackedTasks: got %d, want 1", m.TrackedTasks())
+	if len(m.tasks.list) != 1 {
+		t.Fatalf("tracked tasks: got %d, want 1", len(m.tasks.list))
 	}
 	// Three adjustment intervals without reports evict the task.
 	for i := 0; i < 3; i++ {
 		_ = m.PartialSummary()
 	}
-	if m.TrackedTasks() != 0 {
-		t.Errorf("idle task not evicted: %d tracked", m.TrackedTasks())
+	if len(m.tasks.list) != 0 {
+		t.Errorf("idle task not evicted: %d tracked", len(m.tasks.list))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestManagerIgnoresEmptyReports(t *testing.T) {
 	m := NewManager(DefaultManagerConfig())
 	m.ReportTask(TaskReport{Task: taskID("v", 0)})
 	m.ReportChannel(ChannelReport{Channel: model.ChannelID{}})
-	if m.TrackedTasks() != 0 || m.TrackedChannels() != 0 {
+	if len(m.tasks.list) != 0 || len(m.channels.list) != 0 {
 		t.Error("empty reports must not create history")
 	}
 }
@@ -113,7 +113,7 @@ func TestManagerForget(t *testing.T) {
 	id := taskID("v", 3)
 	m.ReportTask(TaskReport{Task: id, ServiceCount: 1, ServiceMean: 0.01})
 	m.Forget(id)
-	if m.TrackedTasks() != 0 {
+	if len(m.tasks.list) != 0 {
 		t.Error("Forget did not drop task history")
 	}
 }

@@ -98,9 +98,6 @@ func NewTaskReporter(task model.TaskID) *TaskReporter {
 	return &TaskReporter{task: task}
 }
 
-// Task returns the instrumented task's id.
-func (r *TaskReporter) Task() model.TaskID { return r.task }
-
 // RecordArrival notes that a data item was consumed at time now and
 // derives the interarrival time from the previous arrival.
 func (r *TaskReporter) RecordArrival(now float64) {
@@ -202,9 +199,6 @@ type ChannelReporter struct {
 func NewChannelReporter(channel model.ChannelID) *ChannelReporter {
 	return &ChannelReporter{channel: channel}
 }
-
-// Channel returns the instrumented channel's id.
-func (r *ChannelReporter) Channel() model.ChannelID { return r.channel }
 
 // RecordTransfer records one sampled item transfer: latency is the full
 // channel latency (emit to consume), batchLatency the portion spent

@@ -9,7 +9,6 @@ package qos
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -59,15 +58,6 @@ func (s VertexStats) ArrivalRate() float64 {
 		return 0
 	}
 	return 1 / s.InterarrivalMean
-}
-
-// ServiceRate returns μ_jv = 1/S̄_jv, the mean per-task maximum processing
-// rate, or +Inf when the service time is 0.
-func (s VertexStats) ServiceRate() float64 {
-	if s.ServiceTimeMean <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / s.ServiceTimeMean
 }
 
 // Utilization returns ρ_jv = λ_jv · S̄_jv. Values at or above 1 indicate a
@@ -250,12 +240,6 @@ func NewPartialSummary() *PartialSummary {
 	}
 }
 
-// AddTask folds one task's interval statistics into the partial summary.
-// All values are per-task means over the manager's measurement history.
-func (p *PartialSummary) AddTask(vertex string, taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV float64, samples int64) {
-	p.vertex(vertex).addTask(taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV, samples)
-}
-
 // vertex returns the vertex's accumulator, creating it on first use.
 func (p *PartialSummary) vertex(name string) *vertexPartial {
 	vp := p.vertices[name]
@@ -286,39 +270,11 @@ func (vp *vertexPartial) addTask(taskLatency, serviceMean, serviceCV, interarriv
 	vp.samples += samples
 }
 
-// AddChannel folds one channel's interval statistics into the partial
-// summary.
-func (p *PartialSummary) AddChannel(edge model.EdgeKey, channelLatency, batchLatency float64, samples int64) {
-	p.edge(edge).addChannel(channelLatency, batchLatency, samples)
-}
-
 func (ep *edgePartial) addChannel(channelLatency, batchLatency float64, samples int64) {
 	ep.channelCount++
 	ep.sumChannelLatency += channelLatency
 	ep.sumBatchLatency += batchLatency
 	ep.samples += samples
-}
-
-// FreshTaskCount returns the number of fresh tasks recorded for a vertex.
-func (p *PartialSummary) FreshTaskCount(vertex string) int {
-	if vp := p.vertices[vertex]; vp != nil {
-		return vp.freshCount
-	}
-	return 0
-}
-
-// SetParallelism records the parallelism the manager observed for a
-// vertex.
-func (p *PartialSummary) SetParallelism(vertex string, parallelism int) {
-	p.parallelism[vertex] = parallelism
-}
-
-// TaskCount returns the number of tasks folded in for a vertex.
-func (p *PartialSummary) TaskCount(vertex string) int {
-	if vp := p.vertices[vertex]; vp != nil {
-		return vp.taskCount
-	}
-	return 0
 }
 
 // Merge folds another partial summary into this one. The master node uses

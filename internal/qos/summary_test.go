@@ -15,9 +15,6 @@ func TestVertexStatsDerived(t *testing.T) {
 	if got := s.ArrivalRate(); got != 250 {
 		t.Errorf("ArrivalRate: got %v, want 250", got)
 	}
-	if got := s.ServiceRate(); got != 500 {
-		t.Errorf("ServiceRate: got %v, want 500", got)
-	}
 	if got := s.Utilization(); !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("Utilization: got %v, want 0.5", got)
 	}
@@ -31,9 +28,6 @@ func TestVertexStatsZeroValues(t *testing.T) {
 	var s VertexStats
 	if s.ArrivalRate() != 0 {
 		t.Error("zero interarrival must give zero arrival rate")
-	}
-	if !math.IsInf(s.ServiceRate(), 1) {
-		t.Error("zero service time must give infinite service rate")
 	}
 	if s.Utilization() != 0 {
 		t.Error("zero stats must give zero utilization")
@@ -55,10 +49,10 @@ func TestEdgeStatsQueueWait(t *testing.T) {
 func TestPartialSummaryFinalizeAverages(t *testing.T) {
 	p := NewPartialSummary()
 	// Two tasks of vertex "v" with service means 2 ms and 4 ms.
-	p.AddTask("v", 0.001, 0.002, 0.5, 0.010, 1.0, 100)
-	p.AddTask("v", 0.003, 0.004, 0.7, 0.020, 1.2, 50)
-	p.AddChannel(model.EdgeKey{Source: "u", Target: "v"}, 0.010, 0.004, 10)
-	p.AddChannel(model.EdgeKey{Source: "u", Target: "v"}, 0.020, 0.006, 20)
+	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.010, 1.0, 100)
+	p.vertex("v").addTask(0.003, 0.004, 0.7, 0.020, 1.2, 50)
+	p.edge(model.EdgeKey{Source: "u", Target: "v"}).addChannel(0.010, 0.004, 10)
+	p.edge(model.EdgeKey{Source: "u", Target: "v"}).addChannel(0.020, 0.006, 20)
 
 	s := p.Finalize(map[string]int{"v": 2})
 	v, ok := s.Vertex("v")
@@ -89,7 +83,7 @@ func TestPartialSummaryMergeEqualsDirect(t *testing.T) {
 	mk := func(tasks [][6]float64) *PartialSummary {
 		p := NewPartialSummary()
 		for _, v := range tasks {
-			p.AddTask("v", v[0], v[1], v[2], v[3], v[4], int64(v[5]))
+			p.vertex("v").addTask(v[0], v[1], v[2], v[3], v[4], int64(v[5]))
 		}
 		return p
 	}
@@ -117,13 +111,13 @@ func TestPartialSummaryMergeEqualsDirect(t *testing.T) {
 
 func TestFinalizeParallelismFallback(t *testing.T) {
 	p := NewPartialSummary()
-	p.AddTask("v", 0.001, 0.002, 0.5, 0.01, 1.0, 1)
-	p.AddTask("v", 0.001, 0.002, 0.5, 0.01, 1.0, 1)
+	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.01, 1.0, 1)
+	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.01, 1.0, 1)
 	s := p.Finalize(nil)
 	if got := s.Vertices["v"].Parallelism; got != 2 {
 		t.Errorf("fallback parallelism: got %d, want observed task count 2", got)
 	}
-	p.SetParallelism("v", 7)
+	p.parallelism["v"] = 7
 	s = p.Finalize(nil)
 	if got := s.Vertices["v"].Parallelism; got != 7 {
 		t.Errorf("recorded parallelism: got %d, want 7", got)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nephelix/internal/obs"
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -12,7 +13,7 @@ import (
 // a constant schedule, so every invocation allocates identically.
 func allocPipelineRun(t *testing.T, configure func(*Config)) float64 {
 	t.Helper()
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 200, Length: 120}, false, 4,
 		func(int) Behavior { return &testServer{mean: 0.010} })

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nephelix/internal/ckpt"
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -14,7 +15,7 @@ import (
 // but never reach the behavior.
 type countingSink struct {
 	count *int64
-	probe *Probe
+	probe *probe.Probe
 }
 
 func (b *countingSink) ServiceTime(_ *rand.Rand, _ *Item) float64 { return 1e-9 }
@@ -64,7 +65,7 @@ func killPlan() *FaultPlan {
 // the sink — zero holes, distinct deliveries equal to emissions — with
 // the duplicates of replay detected but not suppressed.
 func TestSimGuaranteeZeroLossAtLeastOnce(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	var sinkCalls int64
 	cfg := guaranteeConfig(t, probes, ckpt.AtLeastOnce, killPlan(), &sinkCalls)
 	s, err := New(cfg, probes)
@@ -113,7 +114,7 @@ func TestSimGuaranteeZeroLossAtLeastOnce(t *testing.T) {
 // tables suppress replayed duplicates, so the sink behavior runs
 // exactly once per emitted item.
 func TestSimGuaranteeExactlyOnceSuppresses(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	var sinkCalls int64
 	cfg := guaranteeConfig(t, probes, ckpt.ExactlyOnce, killPlan(), &sinkCalls)
 	s, err := New(cfg, probes)
@@ -145,7 +146,7 @@ func TestSimGuaranteeExactlyOnceSuppresses(t *testing.T) {
 // checkpoints, kills, replays and dedup outcome byte for byte.
 func TestSimGuaranteeDeterminism(t *testing.T) {
 	run := func() string {
-		probes := NewProbeSet()
+		probes := probe.NewProbeSet()
 		var sinkCalls int64
 		cfg := guaranteeConfig(t, probes, ckpt.ExactlyOnce, killPlan(), &sinkCalls)
 		s, err := New(cfg, probes)
@@ -169,7 +170,7 @@ func TestSimGuaranteeDeterminism(t *testing.T) {
 // pre-kill topology. The server pool runs near saturation so barriers
 // queue behind real backlog and alignment spans the kill times.
 func TestSimGuaranteeChurnAborts(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	var sinkCalls int64
 	plan := &FaultPlan{
 		TaskKills: []TaskKill{
@@ -219,7 +220,7 @@ func TestSimGuaranteeChurnAborts(t *testing.T) {
 // TestSimGuaranteeDisabledUntouched: with the guarantee off, no
 // checkpoint state exists and the result's guarantee fields stay zero.
 func TestSimGuaranteeDisabledUntouched(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := faultConfig(t, probes, 4, killPlan())
 	s, err := New(cfg, probes)
 	if err != nil {
@@ -263,7 +264,7 @@ func (b *statefulServer) Process(ctx *TaskContext, it *Item) {
 // through the surviving workers' state a second time.
 func TestSimGuaranteeOperatorStateNotSnapshotted(t *testing.T) {
 	const killAt, delay = 20.0, 1.0
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	var sinkCalls int64
 	cfg := guaranteeConfig(t, probes, ckpt.ExactlyOnce, &FaultPlan{
 		TaskKills:    []TaskKill{{At: killAt, Vertex: "server", Count: 1}},

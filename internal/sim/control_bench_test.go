@@ -8,6 +8,7 @@ import (
 	"nephelix/internal/core"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -21,7 +22,7 @@ import (
 // the data plane runs 0.1 virtual seconds (25 items per server).
 func BenchmarkControlTick(b *testing.B) {
 	const servers = 126
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(b, probes,
 		&workload.ConstantSchedule{RatePerSecond: 250 * servers, Length: math.Inf(1)}, false, servers,
 		func(int) Behavior { return &testServer{mean: 1e-3, exponential: true} })

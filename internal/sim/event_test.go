@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -203,7 +204,7 @@ func BenchmarkEventQueueHold(b *testing.B) {
 // comes to allocate more), and a fresh queue's first far push and pop
 // allocate one heap entry and one arena node, nothing else.
 func TestEventQueueSetupAllocs(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 200, Length: 120}, false, 4,
 		func(int) Behavior { return &testServer{mean: 0.010} })
@@ -251,7 +252,7 @@ func TestNonFiniteEventTimeFailsRun(t *testing.T) {
 		{"NaN source interval", 0.001, 1e-7, sched(math.NaN()), "source-emit event of src"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			probes := NewProbeSet()
+			probes := probe.NewProbeSet()
 			cfg := pipelineConfig(t, probes, tc.sched, false, 2,
 				func(int) Behavior { return &testServer{mean: tc.service} })
 			cfg.Costs.NetFixed = tc.net

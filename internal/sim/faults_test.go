@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -20,7 +21,7 @@ func faultConfig(t *testing.T, probes *ProbeSet, serverP int, plan *FaultPlan) C
 // the pipeline — producers blocked on the victims resume, respawned
 // tasks restore parallelism, and items keep flowing end to end.
 func TestFaultTaskKillRecovery(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := faultConfig(t, probes, 4, &FaultPlan{
 		TaskKills:    []TaskKill{{At: 20, Vertex: "server", Count: 2}},
 		Respawn:      true,
@@ -59,7 +60,7 @@ func TestFaultTaskKillRecovery(t *testing.T) {
 
 // TestFaultFractionKill: Fraction selects ceil(f·parallelism) victims.
 func TestFaultFractionKill(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := faultConfig(t, probes, 8, &FaultPlan{
 		TaskKills: []TaskKill{{At: 20, Vertex: "server", Fraction: 0.25}},
 	})
@@ -82,7 +83,7 @@ func TestFaultFractionKill(t *testing.T) {
 // TestFaultNodeKill: failing a worker node kills its tasks, shrinks the
 // pool, and respawned tasks land on surviving nodes.
 func TestFaultNodeKill(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := faultConfig(t, probes, 4, &FaultPlan{
 		NodeKills:    []NodeKill{{At: 20, NodeIndex: 0}},
 		Respawn:      true,
@@ -117,7 +118,7 @@ func TestFaultNodeKill(t *testing.T) {
 // scenario bit for bit.
 func TestFaultDeterminism(t *testing.T) {
 	run := func() *Result {
-		probes := NewProbeSet()
+		probes := probe.NewProbeSet()
 		cfg := faultConfig(t, probes, 4, &FaultPlan{
 			TaskKills:    []TaskKill{{At: 15, Vertex: "server", Count: 1}, {At: 30, Vertex: "server", Count: 1}},
 			Respawn:      true,
@@ -154,7 +155,7 @@ func TestFaultDeterminism(t *testing.T) {
 // live tasks count as fresh. This is the stale-measurement window the
 // coverage-gated scaler exists for.
 func TestFaultStaleQoSHistory(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := faultConfig(t, probes, 4, &FaultPlan{
 		TaskKills: []TaskKill{{At: 12, Vertex: "server", Count: 1}},
 	})
@@ -207,7 +208,7 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			probes := NewProbeSet()
+			probes := probe.NewProbeSet()
 			cfg := faultConfig(t, probes, 2, tc.plan)
 			if _, err := New(cfg, probes); err == nil {
 				t.Errorf("New accepted invalid plan %q", tc.name)

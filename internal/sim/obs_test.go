@@ -15,6 +15,7 @@ import (
 	"nephelix/internal/metrics"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
+	"nephelix/internal/probe"
 	"nephelix/internal/qos"
 	"nephelix/internal/workload"
 )
@@ -51,7 +52,7 @@ func elasticObsConfig(t *testing.T, probes *ProbeSet) Config {
 // run performed is traceable to a logged decision event carrying the
 // model inputs that justified it.
 func TestObsSimDecisionAudit(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := elasticObsConfig(t, probes)
 	rec := obs.NewRecorder(0)
 	cfg.Recorder = rec
@@ -156,7 +157,7 @@ func TestObsSimDecisionAudit(t *testing.T) {
 // checks that the traced per-hop decomposition is complete and consistent
 // with the untreated ground-truth probe.
 func TestObsSimTracingAttribution(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 80, Length: 300}, true, 1,
 		func(int) Behavior { return &testServer{mean: 0.010, exponential: true} })
@@ -230,7 +231,7 @@ func TestObsSimTracingAttribution(t *testing.T) {
 // of the deterministic event order — two runs yield identical attribution.
 func TestObsSimTracingDeterministic(t *testing.T) {
 	run := func() string {
-		probes := NewProbeSet()
+		probes := probe.NewProbeSet()
 		cfg := pipelineConfig(t, probes,
 			&workload.ConstantSchedule{RatePerSecond: 100, Length: 60}, true, 2,
 			func(int) Behavior { return &testServer{mean: 0.01, exponential: true} })
@@ -255,7 +256,7 @@ func TestObsSimTracingDeterministic(t *testing.T) {
 // benchmarked separately; this guards behavioral equivalence).
 func TestObsSimUntracedRunUnchanged(t *testing.T) {
 	run := func(withObs bool) *Result {
-		probes := NewProbeSet()
+		probes := probe.NewProbeSet()
 		cfg := pipelineConfig(t, probes,
 			&workload.ConstantSchedule{RatePerSecond: 100, Length: 60}, true, 2,
 			func(int) Behavior { return &testServer{mean: 0.01, exponential: true} })
@@ -291,7 +292,7 @@ func TestObsSimUntracedRunUnchanged(t *testing.T) {
 // the monitor does — and requires the recomputed statistics to match
 // both the live monitor and the /timeseries HTTP payload.
 func TestObsSimResidualTelemetryParity(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := elasticObsConfig(t, probes)
 	rec := obs.NewRecorder(0)
 	tel := obs.NewTelemetry(0)

@@ -2,21 +2,6 @@ package sim
 
 import "nephelix/internal/probe"
 
-// Probe and ProbeSet are re-exported from internal/probe so existing
-// simulator callers keep their import surface; the live engine shares the
-// same types.
-type (
-	// Probe collects ground-truth end-to-end latencies for one
-	// constrained sequence.
-	Probe = probe.Probe
-	// ProbeSet is a named collection of probes.
-	ProbeSet = probe.ProbeSet
-)
-
-// NewProbeSet returns an empty probe set.
-func NewProbeSet() *ProbeSet { return probe.NewProbeSet() }
-
-// NewProbeSetSeeded returns an empty probe set whose reservoir sampling
-// is a pure function of (seed, probe name) — independent of probe
-// creation order, so runs stay deterministic when probes are added.
-func NewProbeSetSeeded(seed int64) *ProbeSet { return probe.NewProbeSetSeeded(seed) }
+// ProbeSet is internal/probe's probe set under the simulator's name:
+// bench/sim.go names it.
+type ProbeSet = probe.ProbeSet

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nephelix/internal/obs"
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -54,7 +55,7 @@ const harnessCapacity = 100
 
 func newQueueHarness(t *testing.T) *queueHarness {
 	t.Helper()
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes, &workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, false, 2,
 		func(int) Behavior { return &testServer{mean: 1e-3} })
 	cfg.QueueCapacityItems = harnessCapacity
@@ -424,7 +425,7 @@ func TestQueueWorkingSetBounded(t *testing.T) {
 func BenchmarkItemHop(b *testing.B) {
 	for _, workers := range []int{4, 128} {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
-			probes := NewProbeSet()
+			probes := probe.NewProbeSet()
 			cfg := pipelineConfig(b, probes,
 				&workload.ConstantSchedule{RatePerSecond: 250 * float64(workers), Length: math.Inf(1)}, false, workers,
 				func(int) Behavior { return &testServer{mean: 1e-3} })

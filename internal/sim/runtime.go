@@ -222,12 +222,6 @@ func (c *TaskContext) EmitRate() float64 { return c.t.srcRate }
 // Rand returns the simulation's deterministic random source.
 func (c *TaskContext) Rand() *rand.Rand { return c.s.rng }
 
-// TaskIndex returns the task's index within its vertex.
-func (c *TaskContext) TaskIndex() int { return c.t.id.Index }
-
-// Parallelism returns the vertex's current number of active tasks.
-func (c *TaskContext) Parallelism() int { return len(c.t.vtx.tasks) }
-
 // Emit sends an item along the task's edgeIdx-th outgoing job edge
 // (ordered as in JobGraph.OutEdges). The wiring pattern of the edge
 // selects the consumer(s). Emit stamps *it (buffer time, lineage, span)
@@ -236,9 +230,6 @@ func (c *TaskContext) Parallelism() int { return len(c.t.vtx.tasks) }
 func (c *TaskContext) Emit(edgeIdx int, it *Item) {
 	c.s.emit(c.t, edgeIdx, it)
 }
-
-// OutEdges returns the number of outgoing job edges.
-func (c *TaskContext) OutEdges() int { return len(c.t.gates) }
 
 // emit stamps *it and routes it from task t into its edgeIdx-th output
 // gate, which copies it into the buffer.

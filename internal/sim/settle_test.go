@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nephelix/internal/model"
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -74,7 +75,7 @@ func settleRun(t *testing.T, inBatch int, dl float64) shipLog {
 		SlotsPerNode: 4,
 		Seed:         1,
 	}
-	s, err := New(cfg, NewProbeSet())
+	s, err := New(cfg, probe.NewProbeSet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"nephelix/internal/master"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
+	"nephelix/internal/probe"
 	"nephelix/internal/qos"
 )
 
@@ -198,7 +199,7 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 		return nil, err
 	}
 	if probes == nil {
-		probes = NewProbeSet()
+		probes = probe.NewProbeSet()
 	}
 	rm, err := cluster.NewResourceManager(cfg.WorkerNodes, cfg.SlotsPerNode)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"nephelix/internal/core"
 	"nephelix/internal/model"
+	"nephelix/internal/probe"
 	"nephelix/internal/qos"
 	"nephelix/internal/workload"
 )
@@ -22,18 +23,18 @@ type keyTracker struct {
 func (k *keyTracker) ServiceTime(*rand.Rand, *Item) float64 { return 1e-4 }
 
 func (k *keyTracker) Process(ctx *TaskContext, it *Item) {
-	if prev, ok := k.owners[it.Key]; ok && prev != ctx.TaskIndex() {
+	if prev, ok := k.owners[it.Key]; ok && prev != ctx.t.id.Index {
 		*k.bad++
 	}
-	k.owners[it.Key] = ctx.TaskIndex()
-	if ctx.OutEdges() > 0 {
+	k.owners[it.Key] = ctx.t.id.Index
+	if len(ctx.t.gates) > 0 {
 		ctx.Emit(0, it)
 	}
 }
 
 // TestSimKeyBasedRouting: a key always lands on the same consumer task.
 func TestSimKeyBasedRouting(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 400, Length: 30}, false, 4,
 		nil)
@@ -68,7 +69,7 @@ func TestSimKeyBasedRouting(t *testing.T) {
 // TestSimScaleDownNoLoss: forced scale-downs under live traffic deliver
 // every item (drain semantics).
 func TestSimScaleDownNoLoss(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	sched := &workload.StepSchedule{WarmUpRate: 100, StepDelta: 400, IncrementSteps: 1, StepDuration: 30}
 	cfg := pipelineConfig(t, probes, sched, false, 4,
 		func(int) Behavior { return &testServer{mean: 0.004, exponential: true} })
@@ -102,7 +103,7 @@ func TestSimScaleDownNoLoss(t *testing.T) {
 // TestSimPoolExhaustion: scale-ups clip at the worker pool and the run
 // keeps going.
 func TestSimPoolExhaustion(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 2000, Length: 60}, false, 2,
 		func(int) Behavior { return &testServer{mean: 0.01} })
@@ -139,7 +140,7 @@ func TestSimPoolExhaustion(t *testing.T) {
 
 // TestSimOnAdjustHook: the hook observes summaries and decisions.
 func TestSimOnAdjustHook(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 200, Length: 30}, false, 2,
 		func(int) Behavior { return &testServer{mean: 0.002} })
@@ -184,7 +185,7 @@ func TestSimOnAdjustHook(t *testing.T) {
 // still delivers (partially filled buffers are not stranded forever —
 // latency is high but the throughput accounting matches).
 func TestSimFixedBufferBacklog(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 500, Length: 120}, false, 1,
 		func(int) Behavior { return &testServer{mean: 0.0001} })
@@ -216,7 +217,7 @@ func TestSimFixedBufferBacklog(t *testing.T) {
 
 // TestSimDurationOverride: explicit Duration truncates the run.
 func TestSimDurationOverride(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 100, Length: 1000}, false, 1,
 		func(int) Behavior { return &testServer{mean: 0.001} })
@@ -241,7 +242,7 @@ func TestSimDurationOverride(t *testing.T) {
 // itself; the scaler then also manages source parallelism (sources lack
 // arrival measurements, so the model scales them to their minimum).
 func TestSimElasticSourceVertex(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	g := model.NewJobGraph()
 	for _, v := range []model.JobVertex{
 		{Name: "src", Parallelism: 4, MinParallelism: 1, MaxParallelism: 8},
@@ -312,7 +313,7 @@ func TestSimElasticSourceVertex(t *testing.T) {
 // schedule's rate at the emission's own time — the value the simulator
 // paced the emission by, not a re-evaluation.
 func TestEmitRateIsTheScheduleRate(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	sched := &workload.StepSchedule{WarmUpRate: 50, StepDelta: 75, IncrementSteps: 2, StepDuration: 5}
 	cfg := pipelineConfig(t, probes, sched, true, 2, func(int) Behavior { return &testServer{mean: 0.001} })
 	emissions := 0
@@ -342,7 +343,7 @@ func TestEmitRateIsTheScheduleRate(t *testing.T) {
 // sequence, so the scaler's Decide returns an error at the first
 // adjustment interval — after the observers saw that interval.
 func TestSimFailsRunOnDecideError(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 200, Length: 30}, false, 2,
 		func(int) Behavior { return &testServer{mean: 0.002} })

@@ -8,6 +8,7 @@ import (
 
 	"nephelix/internal/core"
 	"nephelix/internal/model"
+	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 type testServer struct {
 	mean        float64
 	exponential bool
-	probe       *Probe
+	probe       *probe.Probe
 }
 
 func (b *testServer) ServiceTime(rng *rand.Rand, _ *Item) float64 {
@@ -28,7 +29,7 @@ func (b *testServer) ServiceTime(rng *rand.Rand, _ *Item) float64 {
 }
 
 func (b *testServer) Process(ctx *TaskContext, it *Item) {
-	if ctx.OutEdges() > 0 {
+	if len(ctx.t.gates) > 0 {
 		ctx.Emit(0, it)
 		return
 	}
@@ -95,7 +96,7 @@ func pipelineConfig(t testing.TB, probes *ProbeSet, sched workload.Schedule, poi
 // TestSimMM1 validates the simulator's queueing behavior against the
 // M/M/1 closed form: sojourn time T = 1/(μ−λ).
 func TestSimMM1(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 80, Length: 300}, true, 1,
 		func(int) Behavior { return &testServer{mean: 0.010, exponential: true} })
@@ -119,7 +120,7 @@ func TestSimMM1(t *testing.T) {
 
 // TestSimMD1 validates against M/D/1: W = ρ/(2(μ−λ)) = 20 ms.
 func TestSimMD1(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 80, Length: 300}, true, 1,
 		func(int) Behavior { return &testServer{mean: 0.010} })
@@ -140,7 +141,7 @@ func TestSimMD1(t *testing.T) {
 // TestSimLowLoadLatency: at 1% utilization the end-to-end latency is
 // essentially the service time plus network transit.
 func TestSimLowLoadLatency(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 1, Length: 120}, false, 1,
 		func(int) Behavior { return &testServer{mean: 0.010} })
@@ -161,7 +162,7 @@ func TestSimLowLoadLatency(t *testing.T) {
 // TestSimBackpressure: offered load twice the capacity throttles the
 // source to the service rate (attempted > effective).
 func TestSimBackpressure(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 200, Length: 60}, false, 1,
 		func(int) Behavior { return &testServer{mean: 0.010} })
@@ -196,7 +197,7 @@ func TestSimBackpressure(t *testing.T) {
 // than instant flushing at a low rate, while both deliver the items.
 func TestSimBatchingModes(t *testing.T) {
 	run := func(mode BatchMode) *Result {
-		probes := NewProbeSet()
+		probes := probe.NewProbeSet()
 		cfg := pipelineConfig(t, probes,
 			&workload.ConstantSchedule{RatePerSecond: 100, Length: 120}, false, 1,
 			func(int) Behavior { return &testServer{mean: 0.001} })
@@ -230,7 +231,7 @@ func TestSimBatchingModes(t *testing.T) {
 // moderate load, while latency stays well above instant-flush levels
 // (i.e. batching happens).
 func TestSimAdaptiveBatchingMeetsConstraint(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 200, Length: 180}, false, 4,
 		func(int) Behavior { return &testServer{mean: 0.010} }) // ρ = 0.5 per task
@@ -268,7 +269,7 @@ func TestSimAdaptiveBatchingMeetsConstraint(t *testing.T) {
 // TestSimElasticScalesUpAndDown drives a step load through an elastic
 // vertex: parallelism must rise under load and fall back afterwards.
 func TestSimElasticScalesUpAndDown(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	sched := &workload.StepSchedule{
 		WarmUpRate:     40,
 		StepDelta:      160,
@@ -316,7 +317,7 @@ func TestSimElasticScalesUpAndDown(t *testing.T) {
 // TestSimDeterminism: identical seeds give identical traces.
 func TestSimDeterminism(t *testing.T) {
 	run := func(seed int64) *Result {
-		probes := NewProbeSet()
+		probes := probe.NewProbeSet()
 		cfg := pipelineConfig(t, probes,
 			&workload.ConstantSchedule{RatePerSecond: 100, Length: 60}, true, 2,
 			func(int) Behavior { return &testServer{mean: 0.01, exponential: true} })
@@ -369,7 +370,7 @@ func TestSimConfigValidation(t *testing.T) {
 // interval and read-write latency is recorded.
 type windowCollector struct {
 	count int
-	probe *Probe
+	probe *probe.Probe
 }
 
 func (w *windowCollector) ServiceTime(*rand.Rand, *Item) float64 { return 1e-6 }
@@ -386,13 +387,13 @@ func (w *windowCollector) OnTimer(ctx *TaskContext) {
 	}
 	out := Item{EmitTime: ctx.Now(), Size: 128}
 	w.count = 0
-	if ctx.OutEdges() > 0 {
+	if len(ctx.t.gates) > 0 {
 		ctx.Emit(0, &out)
 	}
 }
 
 func TestSimTimerBehavior(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	sink := probes.Probe("windows")
 	g := model.NewJobGraph()
 	for _, v := range []model.JobVertex{
@@ -463,7 +464,7 @@ func (f behaviorFunc) Process(ctx *TaskContext, it *Item)  { f(ctx, it) }
 // does not depend on map iteration order — 0.1 + 0.2 + 0.3 is
 // 0.6000000000000001 in one order and 0.6 in another.
 func TestBusySumDrainingOrder(t *testing.T) {
-	probes := NewProbeSet()
+	probes := probe.NewProbeSet()
 	cfg := pipelineConfig(t, probes,
 		&workload.ConstantSchedule{RatePerSecond: 1, Length: 1}, false, 1,
 		func(int) Behavior { return &testServer{mean: 0.001} })

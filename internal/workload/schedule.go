@@ -20,40 +20,6 @@ type Schedule interface {
 	Duration() float64
 }
 
-// StepPhase identifies the phase of a StepSchedule at a point in time.
-type StepPhase int
-
-const (
-	// PhaseWarmUp is the low-rate baseline phase.
-	PhaseWarmUp StepPhase = iota + 1
-	// PhaseIncrement raises the rate step-wise.
-	PhaseIncrement
-	// PhasePlateau holds the peak rate for one step.
-	PhasePlateau
-	// PhaseDecrement lowers the rate step-wise back to the warm-up rate.
-	PhaseDecrement
-	// PhaseDone marks times past the schedule end.
-	PhaseDone
-)
-
-// String returns the phase name.
-func (p StepPhase) String() string {
-	switch p {
-	case PhaseWarmUp:
-		return "warm-up"
-	case PhaseIncrement:
-		return "increment"
-	case PhasePlateau:
-		return "plateau"
-	case PhaseDecrement:
-		return "decrement"
-	case PhaseDone:
-		return "done"
-	default:
-		return fmt.Sprintf("StepPhase(%d)", int(p))
-	}
-}
-
 // StepSchedule is the PrimeTester job's load profile (Section III-A):
 // a warm-up step at a low baseline rate, step-wise increasing rates, a
 // plateau at the peak, and a symmetric decrement back to the baseline.
@@ -89,23 +55,6 @@ func (s *StepSchedule) PeakRate() float64 {
 // plateau + decrements.
 func (s *StepSchedule) Duration() float64 {
 	return float64(2*s.IncrementSteps+2) * s.StepDuration
-}
-
-// Phase returns the phase active at time t.
-func (s *StepSchedule) Phase(t float64) StepPhase {
-	step := int(math.Floor(t / s.StepDuration))
-	switch {
-	case t < 0 || step >= 2*s.IncrementSteps+2:
-		return PhaseDone
-	case step == 0:
-		return PhaseWarmUp
-	case step <= s.IncrementSteps:
-		return PhaseIncrement
-	case step == s.IncrementSteps+1:
-		return PhasePlateau
-	default:
-		return PhaseDecrement
-	}
 }
 
 // Rate returns the attempted rate at time t. Past the end (and before 0)

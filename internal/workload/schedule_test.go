@@ -26,27 +26,23 @@ func TestStepScheduleShape(t *testing.T) {
 		t.Errorf("Duration: got %v, want 600", got)
 	}
 	tests := []struct {
-		t     float64
-		rate  float64
-		phase StepPhase
+		t    float64
+		rate float64
 	}{
-		{t: 0, rate: 10000, phase: PhaseWarmUp},
-		{t: 59.9, rate: 10000, phase: PhaseWarmUp},
-		{t: 60, rate: 20000, phase: PhaseIncrement}, // rate doubles at warm-up→increment
-		{t: 120, rate: 30000, phase: PhaseIncrement},
-		{t: 240, rate: 50000, phase: PhaseIncrement},
-		{t: 300, rate: 50000, phase: PhasePlateau},
-		{t: 360, rate: 40000, phase: PhaseDecrement},
-		{t: 540, rate: 10000, phase: PhaseDecrement}, // back at warm-up rate
-		{t: 600, rate: 0, phase: PhaseDone},
-		{t: -1, rate: 0, phase: PhaseDone},
+		{t: 0, rate: 10000},
+		{t: 59.9, rate: 10000},
+		{t: 60, rate: 20000}, // rate doubles at warm-up→increment
+		{t: 120, rate: 30000},
+		{t: 240, rate: 50000},
+		{t: 300, rate: 50000},
+		{t: 360, rate: 40000},
+		{t: 540, rate: 10000}, // back at warm-up rate
+		{t: 600, rate: 0},
+		{t: -1, rate: 0},
 	}
 	for _, tt := range tests {
 		if got := s.Rate(tt.t); got != tt.rate {
 			t.Errorf("Rate(%v): got %v, want %v", tt.t, got, tt.rate)
-		}
-		if got := s.Phase(tt.t); got != tt.phase {
-			t.Errorf("Phase(%v): got %v, want %v", tt.t, got, tt.phase)
 		}
 	}
 }

@@ -15,24 +15,6 @@ import (
 // schedule that reconstructs the historic rate profile from the recorded
 // timestamps, sped up by an arbitrary factor.
 
-// WriteTweetTrace writes tweets as JSON lines.
-func WriteTweetTrace(w io.Writer, tweets []Tweet) error {
-	bw := bufio.NewWriter(w)
-	for i := range tweets {
-		line, err := tweets[i].EncodeJSON()
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(line); err != nil {
-			return fmt.Errorf("workload: writing trace: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("workload: writing trace: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadTweetTrace parses a JSONL tweet trace. Blank lines are skipped;
 // malformed lines are an error.
 func ReadTweetTrace(r io.Reader) ([]Tweet, error) {

@@ -21,8 +21,13 @@ func sampleTweets(n int, gapMS int64) []Tweet {
 func TestTweetTraceRoundTrip(t *testing.T) {
 	tweets := sampleTweets(200, 10)
 	var buf bytes.Buffer
-	if err := WriteTweetTrace(&buf, tweets); err != nil {
-		t.Fatal(err)
+	for i := range tweets {
+		line, err := tweets[i].EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+		buf.WriteByte('\n')
 	}
 	back, err := ReadTweetTrace(&buf)
 	if err != nil {
