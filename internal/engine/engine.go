@@ -362,8 +362,6 @@ type execution struct {
 	// crashed-but-restarting source for "all sources finished".
 	pendingRecovery atomic.Int32
 
-	lastSummary atomic.Pointer[qos.Summary]
-
 	// failErr is the terminal failure (degraded vertex); written by the
 	// master loop before doneCh closes, read after Wait returns.
 	failErr error

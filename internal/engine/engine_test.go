@@ -10,6 +10,7 @@ import (
 
 	"nephelix/internal/core"
 	"nephelix/internal/model"
+	"nephelix/internal/obs"
 	"nephelix/internal/probe"
 	"nephelix/internal/workload"
 )
@@ -714,28 +715,35 @@ func TestEngineSummaryPublished(t *testing.T) {
 			})
 		}).
 		SetUDF("sink", func(int) UDF { return &countingSink{count: &received} })
+	tel := obs.NewTelemetry(0)
 	exec, err := New(Config{
 		Seed:                22,
 		MeasurementInterval: 100 * time.Millisecond,
 		AdjustmentInterval:  400 * time.Millisecond,
+		Telemetry:           tel,
 	}).Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, exec, 20*time.Second)
-	s := exec.ex.lastSummary.Load()
-	if s == nil {
-		t.Fatal("no summary published")
+	// The last interval's summary, as the master's observer published it.
+	last := func(name string) (float64, bool) {
+		for _, s := range tel.Snapshot(name, 0, 0).Series {
+			if s.Labels["vertex"] == "work" && len(s.Points) > 0 {
+				return s.Points[len(s.Points)-1].V, true
+			}
+		}
+		return 0, false
 	}
-	v, ok := s.Vertex("work")
+	service, ok := last("nephelix_vertex_service_mean_seconds")
 	if !ok {
-		t.Fatal("summary lacks the work vertex")
+		t.Fatal("no summary of the work vertex published")
 	}
 	// The spin-based UDF's measured service time must be near 1 ms.
-	if v.ServiceTimeMean < 0.0005 || v.ServiceTimeMean > 0.01 {
-		t.Errorf("measured service time %.5f s, want ≈0.001", v.ServiceTimeMean)
+	if service < 0.0005 || service > 0.01 {
+		t.Errorf("measured service time %.5f s, want ≈0.001", service)
 	}
-	if v.ArrivalRate() <= 0 {
+	if rate, _ := last("nephelix_vertex_arrival_rate"); rate <= 0 {
 		t.Error("no arrival rate measured")
 	}
 }

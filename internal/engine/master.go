@@ -185,11 +185,10 @@ func (ex *execution) drainReports() {
 	}
 }
 
-// newLoop builds the execution's master loop: it publishes each
-// interval's summary, then observability sees it.
+// newLoop builds the execution's master loop; observability sees each
+// interval.
 func (ex *execution) newLoop() (*master.Loop, error) {
 	return master.New(ex.spec.graph, ex.spec.constraints, ex.cfg.Scaler, ex.cfg.Elastic, ex.probes,
-		func(iv master.Interval) { ex.lastSummary.Store(iv.Summary) },
 		obs.IntervalObserver(ex.cfg.Telemetry, ex.cfg.Recorder, ex.probes, ex.spec.constraints, ex.scrapeDataplane))
 }
 

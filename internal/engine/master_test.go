@@ -86,7 +86,7 @@ func TestAdjustTickAuditsDecideErrorOncePerMessage(t *testing.T) {
 	if ex.failErr != nil {
 		t.Errorf("a failed scaling step failed the job: %v", ex.failErr)
 	}
-	if s := ex.lastSummary.Load(); s == nil {
+	if s := tel.Snapshot("nephelix_vertex_service_mean_seconds", 0, 0).Series; len(s) == 0 {
 		t.Error("the failing interval's summary was not published")
 	}
 }

@@ -24,8 +24,9 @@ import (
 type parker struct {
 	parked atomic.Bool
 	ch     chan struct{} // one-slot wake token
-	// parks counts blocked episodes; wakes counts pokes that found the
-	// owner parked, whoever sent them. The data-plane scraper sums them
+	// parks counts blocked episodes, a source's thread sleeps (pace)
+	// included; wakes counts pokes that found the owner parked, whoever
+	// sent them. The data-plane scraper sums them
 	// per consumer vertex and reports them per source task.
 	parks atomic.Int64
 	wakes atomic.Int64

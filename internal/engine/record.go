@@ -33,8 +33,6 @@ type Record struct {
 	// ancestor) entered the constrained sequence; zero when unsampled.
 	// End-to-end probes measure against it.
 	EmitTime time.Time
-	// Sampled marks records participating in latency probing.
-	Sampled bool
 
 	// span is the record's trace span (nil unless the record descends
 	// from a head-sampled emission and tracing is on). Records emitted
@@ -47,8 +45,11 @@ type Record struct {
 	// offset tagging costs no allocation; records emitted while
 	// processing a tracked record inherit the lineage (emit), which is
 	// how 1:1 pipelines carry offsets to the dedup sinks.
-	srcID  int32
-	offset uint64
+	srcID int32
+	// Sampled marks records participating in latency probing. It shares
+	// srcID's word, which keeps a Record at 72 bytes (TestRecordSize).
+	Sampled bool
+	offset  uint64
 }
 
 // batch is the unit shipped between tasks: records that left one

@@ -10,11 +10,17 @@ import (
 // spinWait is the wait below which every engine loop spins instead of
 // parking: a source compares its schedule's next emission with
 // it, a consumer its predicted input gap (idleGap). Parking on a shorter
-// wait costs more than the wait: the Go runtime rounds a sub-millisecond
-// timer park up to ≈ 1 ms, which would cap a source at ≈ 1000 pacing
-// rounds per second (DESIGN.md), and a wake costs a consumer up to
-// hundreds of µs on a loaded host.
+// wait costs more than the wait: a source's thread sleep overshoots by
+// ≈ 65–85 µs (the kernel's timer slack and the syscall), a runtime timer
+// park lasts ≈ 1.07 ms however short (DESIGN.md), and a wake costs a
+// consumer up to hundreds of µs on a loaded host.
 const spinWait = 100 * time.Microsecond
+
+// napWait is the wait below which a source sleeps its OS thread instead
+// of parking on the runtime timer, when nothing else bounds the wait
+// (pace): the timer would make a 100 µs–2 ms wait last ≈ 1.07–2.2 ms, a
+// thread sleep lasts the wait plus the kernel's timer slack.
+const napWait = 2 * time.Millisecond
 
 // maxBurst bounds how many emissions one pacing round performs, so
 // guarantees servicing and flush requests stay responsive under
@@ -39,6 +45,18 @@ func (t *task) pace() {
 	// park blocks for d, or until the lane's next flush deadline or the
 	// master wakes it.
 	park := func(d time.Duration) { t.pk.park(e.requested, timer, e.parkFor(d, e.now), nil) }
+	// nap waits until the schedule's next emission, which no flush
+	// deadline precedes and no waker needs to cut short: the master's
+	// requests are flags the next round reads, at most napWait later. It
+	// yields first, so a consumer this round's pushes readied runs before
+	// the sleep holds the thread, and counts as a park.
+	nap := func(until time.Time) {
+		t.pk.parks.Add(1)
+		runtime.Gosched()
+		if d := time.Until(until); d > 0 {
+			sleepThread(d)
+		}
+	}
 
 	next := time.Now()
 	for {
@@ -113,7 +131,11 @@ func (t *task) pace() {
 		}
 		e.maybeReport(now)
 		if wait := next.Sub(now); wait > spinWait {
-			park(wait)
+			if wait < napWait && e.parkFor(wait, now) == wait && !e.requested() {
+				nap(next)
+			} else {
+				park(wait)
+			}
 		} else if burst == 0 {
 			runtime.Gosched()
 		}
@@ -156,10 +178,10 @@ func (e *emitter) replayLog(now time.Time) {
 	}
 	e.replaying = true
 	for i := range e.replayScratch {
-		rec := e.replayScratch[i].rec
-		rec.offset = first + uint64(i)
-		e.emit(int(e.replayScratch[i].edge), rec)
-		e.replayScratch[i] = logEntry{} // drop payload references
+		l := &e.replayScratch[i]
+		l.rec.offset = first + uint64(i)
+		e.emit(int(l.edge), &l.rec)
+		*l = logEntry{} // drop payload references
 	}
 	e.replaying = false
 	e.t.ex.replayedRecords.Add(int64(n))

@@ -16,7 +16,7 @@ type Context struct{ e *emitter }
 // Emit sends a record along the task's edgeIdx-th outgoing job edge
 // (ordered as in JobGraph.OutEdges). It may block under backpressure.
 func (c *Context) Emit(edgeIdx int, rec Record) {
-	c.e.emit(edgeIdx, rec)
+	c.e.emit(edgeIdx, &rec)
 }
 
 // UDF is a user-defined function executed by each task of a vertex. One

@@ -83,11 +83,9 @@ type DataplaneWheel struct {
 	// Fires counts deadline flush passes, summed over every lane: a lane
 	// found its oldest buffered record past its flush deadline.
 	Fires int64 `json:"fires"`
-	// Armed and ParkedFrac are retired with the wheel goroutine and stay
-	// zero. They remain because the benchmark harness reads ParkedFrac
-	// and /dataplane keeps its JSON shape; the harness change that drops
-	// its wheel rows deletes them.
-	Armed      int64   `json:"armed"`
+	// ParkedFrac is retired with the wheel goroutine and stays zero. It
+	// remains because the benchmark harness reads it; the harness change
+	// that drops its wheel rows deletes it.
 	ParkedFrac float64 `json:"parked_frac"`
 }
 

@@ -74,7 +74,7 @@ func TestExportedSurfaceFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := strings.Join(report, "\n"), "internal/lib/lib.go:12 lib.Dead.Err\ninternal/lib/lib.go:38 lib.OnlyTests"
+	got, want := strings.Join(report, "\n"), "internal/lib/lib.go:12 lib.Dead.Err\ninternal/lib/lib.go:38 lib.OnlyTests\ninternal/lib/lib.go:47 lib.Config.Dead"
 	if got != want {
 		t.Fatalf("report:\n%s\nwant:\n%s", got, want)
 	}
@@ -85,7 +85,10 @@ func TestExportedSurfaceFixture(t *testing.T) {
 // each exported identifier declared under internal/ that no non-test
 // code references outside its own declaration. Methods resolve by type;
 // a method also counts as used when its type satisfies a used interface
-// or generic constraint that has it. Interface methods and the names in
+// or generic constraint that has it. An exported field of a package-level
+// struct type (package.Type.Field) counts as used when non-test code
+// reads or writes it, by selector, keyed literal or unkeyed literal;
+// embedded fields are not candidates. Interface methods and the names in
 // surfaceExempt are not reported. An allowlist entry that is not an
 // offender is reported as stale.
 func unusedExports(root string, allow map[string]string) ([]string, error) {
@@ -212,6 +215,15 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 							if s.Name.IsExported() {
 								add(s.Name, s.Name.Name, s.Pos(), s.End())
 							}
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, f := range st.Fields.List {
+									for _, id := range f.Names {
+										if id.IsExported() {
+											add(id, s.Name.Name+"."+id.Name, f.Pos(), f.End())
+										}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, id := range s.Names {
 								if id.IsExported() {
@@ -269,6 +281,21 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 		}
 		for _, tv := range c.info.Types {
 			collect(tv.Type)
+		}
+		// An unkeyed struct literal writes every field.
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
+					if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed && c.info.Types[lit].Type != nil {
+						if st, ok := c.info.Types[lit].Type.Underlying().(*types.Struct); ok {
+							for i := 0; i < st.NumFields(); i++ {
+								used[origin(st.Field(i))] = true
+							}
+						}
+					}
+				}
+				return true
+			})
 		}
 		// The program type-checks, so each type argument has every method
 		// its constraint names.

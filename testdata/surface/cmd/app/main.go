@@ -7,4 +7,6 @@ func main() {
 	_ = lib.Dead{}
 	_ = lib.Total(lib.Named{})
 	_ = lib.Latest(lib.Clock{}, lib.Clock{})
+	_ = lib.Config{Live: 1}
+	_ = lib.NewPair()
 }

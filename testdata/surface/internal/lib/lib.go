@@ -39,3 +39,14 @@ func OnlyTests() int { return 0 }
 
 // Planned is allowlisted.
 func Planned() {}
+
+// Config's Live field is set by main and Pair's fields by an unkeyed
+// literal; Config.Dead is neither read nor written.
+type Config struct {
+	Live int
+	Dead int
+}
+
+type Pair struct{ First, Second int }
+
+func NewPair() Pair { return Pair{1, 2} }
