@@ -8,6 +8,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nephelix/internal/model"
@@ -105,7 +106,9 @@ func (rm *ResourceManager) Leased() int { return len(rm.leased) }
 type Scheduler struct {
 	rm         *ResourceManager
 	placements map[model.TaskID]string
-	order      []string // leased node ids, lease order
+	// order is the nodes the scheduler leased, in lease order; it drops
+	// a node when it releases or fails it.
+	order []*Node
 }
 
 // NewScheduler creates a scheduler on top of a resource manager.
@@ -118,19 +121,18 @@ func (s *Scheduler) Place(task model.TaskID) (string, error) {
 	if _, ok := s.placements[task]; ok {
 		return "", fmt.Errorf("cluster: task %s already placed", task)
 	}
-	for _, id := range s.order {
-		n := s.rm.leased[id]
-		if n != nil && n.Free() > 0 {
+	for _, n := range s.order {
+		if n.Free() > 0 {
 			n.used++
-			s.placements[task] = id
-			return id, nil
+			s.placements[task] = n.ID
+			return n.ID, nil
 		}
 	}
 	n, err := s.rm.Lease()
 	if err != nil {
 		return "", fmt.Errorf("cluster: placing %s: %w", task, err)
 	}
-	s.order = append(s.order, n.ID)
+	s.order = append(s.order, n)
 	n.used++
 	s.placements[task] = n.ID
 	return n.ID, nil
@@ -153,12 +155,7 @@ func (s *Scheduler) Unplace(task model.TaskID) error {
 		if err := s.rm.Release(id); err != nil {
 			return err
 		}
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
+		s.drop(id)
 	}
 	return nil
 }
@@ -177,19 +174,21 @@ func (s *Scheduler) FailNode(id string) ([]model.TaskID, error) {
 	for _, t := range orphans {
 		delete(s.placements, t)
 	}
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.drop(id)
 	return orphans, nil
+}
+
+// drop takes node id out of the lease order.
+func (s *Scheduler) drop(id string) {
+	s.order = slices.DeleteFunc(s.order, func(n *Node) bool { return n.ID == id })
 }
 
 // Nodes returns the ids of the leased nodes in lease order.
 func (s *Scheduler) Nodes() []string {
 	out := make([]string, len(s.order))
-	copy(out, s.order)
+	for i, n := range s.order {
+		out[i] = n.ID
+	}
 	return out
 }
 

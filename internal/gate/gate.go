@@ -115,10 +115,16 @@ func New[C comparable, R any, T Instant[T, D], D Span](pattern model.WiringPatte
 	return g
 }
 
-// Add appends a consumer (control goroutine).
-func (g *Gate[C, R, T, D]) Add(c C) {
+// Add appends consumers in order (control goroutine). However many it
+// is given, it copies the list once and publishes one snapshot, which
+// the producer then observes as one consumer-set change; with none it
+// publishes nothing.
+func (g *Gate[C, R, T, D]) Add(cs ...C) {
+	if len(cs) == 0 {
+		return
+	}
 	cur := g.set.Load().consumers
-	g.set.Store(&snapshot[C]{consumers: append(slices.Clip(cur), c)})
+	g.set.Store(&snapshot[C]{consumers: append(slices.Clip(cur), cs...)})
 }
 
 // Remove takes a consumer out of the routing table (control goroutine).

@@ -3,6 +3,7 @@ package gate
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -84,6 +85,92 @@ func TestStrandedKeyBuffers(t *testing.T) {
 	}
 	if total != n || g.Buffered() != 0 {
 		t.Fatalf("flushed %d of %d records, %d left behind", total, n, g.Buffered())
+	}
+}
+
+// countingSource counts the draws a gate makes from its rotation rng.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
+
+// TestAddMany: one Add of several consumers leaves a gate exactly as
+// that many single Adds, each observed as it lands, do — consumer order,
+// key-buffer layout, what a later Remove strands and the rotation draws
+// at the next flush — while copying the list once and publishing one
+// snapshot.
+func TestAddMany(t *testing.T) {
+	for _, p := range []model.WiringPattern{model.PatternKeyBased, model.PatternRoundRobin} {
+		srcs := [2]*countingSource{{Source: rand.NewSource(1)}, {Source: rand.NewSource(1)}}
+		var gs [2]*testGate
+		for i := range gs {
+			gs[i] = New[int, rec, tick](p, 1024, never, rand.New(srcs[i]))
+			gs[i].Add(0)
+			gs[i].Observe()
+		}
+		push := func(from, to int) {
+			for _, g := range gs {
+				for k := from; k < to; k++ {
+					g.Push(&rec{id: k, key: uint64(k)}, uint64(k), 1, tick(k), 1000)
+				}
+			}
+		}
+		push(0, 16)
+		gs[0].Add(1, 2, 3)
+		gs[0].Observe()
+		for c := 1; c <= 3; c++ {
+			gs[1].Add(c)
+			gs[1].Observe()
+		}
+		if got, want := gs[0].Consumers(), gs[1].Consumers(); !slices.Equal(got, want) || !slices.Equal(got, []int{0, 1, 2, 3}) {
+			t.Fatalf("%v: Add(1, 2, 3) gave consumers %v, single Adds %v", p, got, want)
+		}
+		push(16, 64)
+		if !reflect.DeepEqual(gs[0].slots, gs[1].slots) {
+			t.Fatalf("%v: key buffers laid out differently after Observe", p)
+		}
+		for _, g := range gs {
+			g.Remove(2)
+			g.Observe()
+		}
+		got, want := gs[0].Stranded(), gs[1].Stranded()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Remove stranded %v after Add(1, 2, 3), %v after single Adds", p, got, want)
+		}
+		if p == model.PatternKeyBased && len(got) == 0 {
+			t.Fatalf("%v: removing consumer 2 stranded nothing; the comparison is vacuous", p)
+		}
+		var to [2][]int
+		for i, g := range gs {
+			before := srcs[i].draws
+			k := g.Due(1<<40, 1000)[0]
+			to[i] = g.Take(k, nil).To
+			srcs[i].draws -= before
+		}
+		if p == model.PatternRoundRobin && srcs[1].draws == 0 {
+			t.Fatalf("%v: the flush drew no rotation offset; the comparison is vacuous", p)
+		}
+		if srcs[0].draws != srcs[1].draws || !slices.Equal(to[0], to[1]) {
+			t.Errorf("%v: next flush drew %d times to %v after Add(1, 2, 3), %d times to %v after single Adds",
+				p, srcs[0].draws, to[0], srcs[1].draws, to[1])
+		}
+
+		g := gs[0]
+		base := g.set.Load()
+		// One snapshot and one copy of the list: two allocations.
+		if n := testing.AllocsPerRun(10, func() {
+			g.set.Store(base)
+			g.Add(4, 5, 6)
+		}); n != 2 {
+			t.Errorf("%v: Add(4, 5, 6) made %v allocations, want 2 (one snapshot, one list)", p, n)
+		}
+		g.set.Store(base)
+		g.Add()
+		if g.set.Load() != base {
+			t.Errorf("%v: Add() published a snapshot", p)
+		}
 	}
 }
 

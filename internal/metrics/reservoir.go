@@ -14,21 +14,21 @@ type Reservoir struct {
 	capacity int
 	seen     int64
 	samples  []float64
+	seed     int64
 	rng      *rand.Rand
 }
 
-// NewReservoir creates a reservoir holding at most capacity samples. The
-// rng must not be shared with other goroutines; pass a seeded source for
-// reproducible runs.
-func NewReservoir(capacity int, rng *rand.Rand) *Reservoir {
+// NewReservoir creates a reservoir holding at most capacity samples,
+// whose replacement draws come from rand.NewSource(seed). It allocates
+// nothing up front: the samples grow by append until the reservoir is
+// full, and the source is seeded at the first replacement draw, so a
+// reservoir that is never used costs its header and the sample stream
+// is the one an eagerly seeded source gives.
+func NewReservoir(capacity int, seed int64) *Reservoir {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Reservoir{
-		capacity: capacity,
-		samples:  make([]float64, 0, capacity),
-		rng:      rng,
-	}
+	return &Reservoir{capacity: capacity, seed: seed}
 }
 
 // Add offers one observation to the reservoir.
@@ -37,6 +37,9 @@ func (r *Reservoir) Add(x float64) {
 	if len(r.samples) < r.capacity {
 		r.samples = append(r.samples, x)
 		return
+	}
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.seed))
 	}
 	if idx := r.rng.Int63n(r.seen); idx < int64(r.capacity) {
 		r.samples[idx] = x

@@ -3,12 +3,15 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 func TestReservoirBelowCapacity(t *testing.T) {
-	r := NewReservoir(10, rand.New(rand.NewSource(1)))
+	r := NewReservoir(10, 1)
 	for i := 1; i <= 5; i++ {
 		r.Add(float64(i))
 	}
@@ -24,7 +27,7 @@ func TestReservoirBelowCapacity(t *testing.T) {
 }
 
 func TestReservoirCapacityBound(t *testing.T) {
-	r := NewReservoir(16, rand.New(rand.NewSource(2)))
+	r := NewReservoir(16, 2)
 	for i := 0; i < 10000; i++ {
 		r.Add(float64(i))
 	}
@@ -38,7 +41,7 @@ func TestReservoirCapacityBound(t *testing.T) {
 
 func TestReservoirUniformity(t *testing.T) {
 	// Feed 0..9999; the sample mean must be close to the stream mean.
-	r := NewReservoir(512, rand.New(rand.NewSource(3)))
+	r := NewReservoir(512, 3)
 	for i := 0; i < 10000; i++ {
 		r.Add(float64(i))
 	}
@@ -63,7 +66,7 @@ func TestReservoirUniformity(t *testing.T) {
 // return an actual held sample and never undershoot the boundary order
 // statistic.
 func TestReservoirTailPercentileNearestRank(t *testing.T) {
-	r := NewReservoir(4096, rand.New(rand.NewSource(10)))
+	r := NewReservoir(4096, 10)
 	for i := 1; i <= 5; i++ {
 		r.Add(float64(i))
 	}
@@ -78,7 +81,7 @@ func TestReservoirTailPercentileNearestRank(t *testing.T) {
 	}
 	// A larger partially-filled reservoir: p99 of {1..100} is sample 99,
 	// not an interpolated 98.01.
-	r = NewReservoir(4096, rand.New(rand.NewSource(10)))
+	r = NewReservoir(4096, 10)
 	for i := 1; i <= 100; i++ {
 		r.Add(float64(i))
 	}
@@ -97,15 +100,79 @@ func TestReservoirTailPercentileNearestRank(t *testing.T) {
 	}
 }
 
+// TestReservoirLazyMatchesEager: growing the samples by append and
+// seeding the source at the first replacement draw retains exactly the
+// samples, and so the percentiles, of a reservoir whose samples and
+// source are allocated and seeded up front.
+func TestReservoirLazyMatchesEager(t *testing.T) {
+	const capacity, n = 16384, 100000
+	for seed := int64(1); seed <= 5; seed++ {
+		r := NewReservoir(capacity, seed)
+		eager := make([]float64, 0, capacity)
+		rng := rand.New(rand.NewSource(seed))
+		in := rand.New(rand.NewSource(seed + 100))
+		for i := int64(1); i <= n; i++ {
+			x := in.ExpFloat64()
+			r.Add(x)
+			if len(eager) < capacity {
+				eager = append(eager, x)
+			} else if idx := rng.Int63n(i); idx < capacity {
+				eager[idx] = x
+			}
+		}
+		if !slices.Equal(r.Samples(), eager) {
+			t.Fatalf("seed %d: lazily seeded reservoir retained other samples than the eager reference", seed)
+		}
+		sorted := slices.Clone(eager)
+		sort.Float64s(sorted)
+		for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1} {
+			if got, want := r.Percentile(q), nearestRankOfSorted(sorted, q); got != want {
+				t.Errorf("seed %d: Percentile(%v) = %v, eager reference %v", seed, q, got, want)
+			}
+		}
+	}
+}
+
+// TestReservoirAllocatesOnFirstAdd: a new reservoir is its header; the
+// samples come with the first Add.
+func TestReservoirAllocatesOnFirstAdd(t *testing.T) {
+	var r *Reservoir
+	fresh := minAllocatedBytes(func() { r = NewReservoir(16384, 1) })
+	// The header rounds up to its size class, at most twice its size.
+	if header := uint64(unsafe.Sizeof(Reservoir{})); fresh > 2*header {
+		t.Errorf("NewReservoir(16384, 1) allocated %d B, want only its %d B header", fresh, header)
+	}
+	if first := minAllocatedBytes(func() { NewReservoir(16384, 1).Add(1) }); first >= 16384*8 {
+		t.Errorf("a reservoir holding one sample allocated %d B", first)
+	}
+	r.Add(1)
+	if len(r.Samples()) != 1 {
+		t.Fatal("first Add not retained")
+	}
+}
+
+// minAllocatedBytes is the least heap volume f allocated over five calls.
+func minAllocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return best
+}
+
 func TestReservoirEmpty(t *testing.T) {
-	r := NewReservoir(4, rand.New(rand.NewSource(4)))
+	r := NewReservoir(4, 4)
 	if r.Percentile(0.5) != 0 {
 		t.Error("empty reservoir must report zeros")
 	}
 }
 
 func TestReservoirZeroCapacity(t *testing.T) {
-	r := NewReservoir(0, rand.New(rand.NewSource(6)))
+	r := NewReservoir(0, 6)
 	r.Add(7)
 	if len(r.samples) != 1 {
 		t.Errorf("capacity clamped to 1: held %d", len(r.samples))

@@ -7,7 +7,6 @@ package probe
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -215,9 +214,11 @@ func NewProbeSetSeeded(seed int64) *ProbeSet {
 	return &ProbeSet{seed: seed, probes: make(map[string]*Probe)}
 }
 
-// probeSeed derives the named probe's reservoir seed. The constant is
-// what the run-wide reservoir has always mixed in: changing it reshuffles
-// TotalSamples and with it every committed bench fingerprint.
+// probeSeed derives the named probe's reservoir seed, which the
+// reservoir hands to rand.NewSource at its first replacement draw. The
+// constant is what the run-wide reservoir has always mixed in: changing
+// it reshuffles TotalSamples and with it every committed bench
+// fingerprint and both sim workloads' latency rows.
 func (ps *ProbeSet) probeSeed(name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -234,7 +235,7 @@ func (ps *ProbeSet) Probe(name string) *Probe {
 			Name:  name,
 			adjSk: sketch.NewDefault(),
 			recSk: sketch.NewDefault(),
-			all:   metrics.NewReservoir(16384, rand.New(rand.NewSource(ps.probeSeed(name)))),
+			all:   metrics.NewReservoir(16384, ps.probeSeed(name)),
 			allSk: sketch.NewDefault(),
 		}
 		ps.probes[name] = p

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -112,5 +113,24 @@ func TestProbeConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	if p.TotalCount() != 8000 {
 		t.Errorf("TotalCount under concurrency: got %d, want 8000", p.TotalCount())
+	}
+}
+
+// TestProbeSetProbeAllocation: creating a probe costs its header, its
+// sketches and the set's map entry; the run-wide reservoir's 128 KiB of
+// samples and its seeded source wait for the recorded latencies.
+func TestProbeSetProbeAllocation(t *testing.T) {
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		ps := NewProbeSetSeeded(int64(i))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ps.Probe("e2e")
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	t.Logf("ProbeSet.Probe allocated %d B", best)
+	if best >= 1024 {
+		t.Errorf("ProbeSet.Probe allocated %d B, want < 1 KiB", best)
 	}
 }

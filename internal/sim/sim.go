@@ -26,9 +26,13 @@ type Sim struct {
 	channels    []*simChannel
 
 	// edgePos maps an edge to its position among its source vertex's
-	// outgoing edges, graphEdge to its position in the graph's edge list.
+	// outgoing edges, graphEdge to its position in the graph's edge list;
+	// edgeNames holds each edge's rendered key by that position.
 	edgePos   map[model.EdgeKey]int
 	graphEdge map[model.EdgeKey]int
+	edgeNames []string
+	// wired is wire's scratch list of one producer's new channels.
+	wired []*simChannel
 
 	managers  []*qos.Manager
 	managerRR int
@@ -250,6 +254,7 @@ func (s *Sim) bootstrap() error {
 	tail := qos.TailVertices(s.cfg.Constraints)
 	for i, e := range g.Edges() {
 		s.graphEdge[e.Key()] = i
+		s.edgeNames = append(s.edgeNames, e.Key().String())
 	}
 	for _, jv := range g.Vertices() {
 		outs := g.OutEdges(jv.Name)
@@ -286,9 +291,7 @@ func (s *Sim) bootstrap() error {
 	for _, e := range g.Edges() {
 		pos := s.edgePos[e.Key()]
 		for _, p := range s.vertices[e.Source].tasks {
-			for _, c := range s.vertices[e.Target].tasks {
-				s.connect(e.Key(), p, c, pos)
-			}
+			s.wire(p, pos, s.vertices[e.Target].tasks)
 		}
 	}
 	for _, name := range s.vertexOrder {

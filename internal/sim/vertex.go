@@ -114,24 +114,33 @@ func (s *Sim) initialGateDeadline(ec EdgeConfig, edge model.EdgeKey) float64 {
 	}
 }
 
-// connect wires a channel from producer p (through its outPos gate) to
-// consumer c and registers it with the simulator.
-func (s *Sim) connect(edge model.EdgeKey, p, c *simTask, outPos int) {
+// wire creates channels from producer p, through its outPos gate, to
+// each of cs in order, and adds them to the gate as one consumer
+// snapshot. Each channel is registered with the managers' round-robin
+// and appended to its consumer's in list and to s.channels as it is
+// created, so wiring producer by producer gives the producer-major
+// layout every simulated figure depends on.
+func (s *Sim) wire(p *simTask, outPos int, cs []*simTask) {
 	g := p.gates[outPos]
-	ch := &simChannel{
-		id:        model.ChannelID{Edge: edge, Producer: p.id.Index, Consumer: c.id.Index},
-		edge:      edge,
-		edgeName:  edge.String(),
-		graphEdge: g.graphEdge,
-		from:      p,
-		to:        c,
+	s.wired = s.wired[:0]
+	for _, c := range cs {
+		ch := &simChannel{
+			id:        model.ChannelID{Edge: g.edge, Producer: p.id.Index, Consumer: c.id.Index},
+			edge:      g.edge,
+			edgeName:  s.edgeNames[g.graphEdge],
+			graphEdge: g.graphEdge,
+			from:      p,
+			to:        c,
+		}
+		ch.reporter = *qos.NewChannelReporter(ch.id)
+		ch.history = s.nextManager().RegisterChannel()
+		c.in = append(c.in, ch)
+		s.channels = append(s.channels, ch)
+		s.wired = append(s.wired, ch)
 	}
-	ch.reporter = *qos.NewChannelReporter(ch.id)
-	ch.history = s.nextManager().RegisterChannel()
-	g.Add(ch)
+	g.Add(s.wired...)
 	g.Observe()
-	c.in = append(c.in, ch)
-	s.channels = append(s.channels, ch)
+	clear(s.wired) // the scratch list must not keep removed channels alive
 }
 
 // addTasks grows the vertex by n tasks, wiring channels to all current
@@ -147,20 +156,19 @@ func (v *simVertex) addTasks(n int) int {
 			break
 		}
 		// Wire inbound channels from every active upstream producer
-		// (draining producers no longer route new items).
+		// (draining producers no longer route new items). Each
+		// producer's gate takes one snapshot per new task: wiring all n
+		// new tasks per producer at once would reorder channel creation
+		// and the managers' round-robin.
 		for _, ek := range v.inEdges {
-			up := s.vertices[ek.Source]
 			pos := s.outEdgePos(ek)
-			for _, p := range up.tasks {
-				s.connect(ek, p, t, pos)
+			for _, p := range s.vertices[ek.Source].tasks {
+				s.wire(p, pos, []*simTask{t})
 			}
 		}
 		// Wire outbound channels to every active downstream consumer.
 		for pos, ek := range v.outEdges {
-			down := s.vertices[ek.Target]
-			for _, c := range down.tasks {
-				s.connect(ek, t, c, pos)
-			}
+			s.wire(t, pos, s.vertices[ek.Target].tasks)
 		}
 		v.tasks = append(v.tasks, t)
 		if len(v.tasks) > v.peak {
