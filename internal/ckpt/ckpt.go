@@ -154,7 +154,6 @@ func (s *MemStore) Latest() (Checkpoint, bool, error) {
 // the file's tail state loaded at open plus anything saved since.
 type FileStore struct {
 	mu   sync.Mutex
-	path string
 	f    *os.File
 	w    *bufio.Writer
 	last Checkpoint
@@ -168,7 +167,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: open %s: %w", path, err)
 	}
-	s := &FileStore{path: path, f: f}
+	s := &FileStore{f: f}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {

@@ -3,7 +3,6 @@ package ckpt
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Log is one source partition's offset authority and bounded replay
@@ -15,7 +14,7 @@ import (
 // is always base+len and no watermark can tear the two apart.
 //
 // The owning source appends and replays, the coordinator commits and
-// other goroutines read the counters; all of it goes through one mutex
+// other goroutines read the offsets; all of it goes through one mutex
 // that is uncontended in steady state. A Log outlives its task: see
 // Registry.
 type Log[T any] struct {
@@ -23,7 +22,6 @@ type Log[T any] struct {
 	vertex string
 	name   string // "vertex#id": the key in checkpoint metadata
 	cap    int
-	stalls atomic.Int64
 
 	mu   sync.Mutex
 	base uint64 // committed watermark: offset of buf[0]
@@ -61,9 +59,6 @@ func (l *Log[T]) Len() int {
 // advisory: sources pause emission while Full, so lineage is
 // back-pressured, never dropped.
 func (l *Log[T]) Full() bool { return l.Len() >= l.cap }
-
-// Stall counts one emission deferred because the log was Full.
-func (l *Log[T]) Stall() { l.stalls.Add(1) }
 
 // CommitTo advances the committed watermark, releasing the entries
 // below it. A watermark at or below the current one is a no-op; one
@@ -144,18 +139,16 @@ func (r *Registry[T]) Orphan(l *Log[T]) {
 	r.orphans[l.vertex] = append(r.orphans[l.vertex], l)
 }
 
-// Totals sums over every log ever created: offsets assigned (replays
-// re-emit existing offsets and do not move it), entries still
-// uncommitted, and emissions stalled on a full buffer.
-func (r *Registry[T]) Totals() (assigned uint64, uncommitted int64, stalls int64) {
+// Assigned sums the offsets assigned over every log ever created:
+// replays re-emit existing offsets and do not move it.
+func (r *Registry[T]) Assigned() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var n uint64
 	for _, l := range r.logs {
-		assigned += l.Next()
-		uncommitted += int64(l.Len())
-		stalls += l.stalls.Load()
+		n += l.Next()
 	}
-	return
+	return n
 }
 
 // named rekeys a round's watermarks (by log id) by partition name.

@@ -236,7 +236,11 @@ func TestProtocol(t *testing.T) {
 			if !reattached || back != r.src || back.Next() != 3 {
 				t.Fatal("orphan not reattached with its offsets")
 			}
-			if assigned, uncommitted, _ := r.logs.Totals(); assigned != 3 || uncommitted != 3 {
+			uncommitted := 0
+			for _, l := range r.logs.logs {
+				uncommitted += l.Len()
+			}
+			if assigned := r.logs.Assigned(); assigned != 3 || uncommitted != 3 {
 				t.Fatalf("totals = %d assigned, %d uncommitted", assigned, uncommitted)
 			}
 		}},
@@ -385,7 +389,7 @@ func TestProtocolConcurrentAcks(t *testing.T) {
 		}
 		r.coord.Counts()
 		r.coord.Deliveries()
-		r.logs.Totals()
+		r.logs.Assigned()
 	}
 	close(stop)
 	for _, ch := range barriers {
@@ -395,7 +399,7 @@ func TestProtocolConcurrentAcks(t *testing.T) {
 	if c, a := r.coord.Counts(); int(c) != committed || c != rounds-rounds/5 || a != rounds/5 {
 		t.Fatalf("counts = %d/%d, want %d/%d", c, a, rounds-rounds/5, rounds/5)
 	}
-	if assigned, _, _ := r.logs.Totals(); assigned != 3*rounds || r.dedup.Holes() != 0 {
+	if assigned := r.logs.Assigned(); assigned != 3*rounds || r.dedup.Holes() != 0 {
 		t.Fatalf("assigned %d holes %d", assigned, r.dedup.Holes())
 	}
 }

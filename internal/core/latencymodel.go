@@ -33,6 +33,9 @@ import (
 //	W(p*) = e · a/(p* − b)   for p* > b,   +Inf otherwise,
 //
 // which is Equation 3 combined with the utilization scaling of Equation 5.
+// For a percentile constraint a tail coefficient κ ≥ 1 multiplies the
+// wait, so that W(p*) models the TailQuantile-th quantile wait
+// κ·e·a/(p*−b) instead of the mean; the decision's TailFit reports κ.
 type VertexModel struct {
 	// Name is the job vertex name.
 	Name string
@@ -42,7 +45,7 @@ type VertexModel struct {
 	Min, Max int
 
 	// A and B are the model coefficients defined above, with the error
-	// coefficient already folded into A (A = e·a).
+	// and tail coefficients already folded into A (A = κ·e·a).
 	A, B float64
 
 	// E is the error coefficient e_jv (Equation 4) used to build A; kept
@@ -55,16 +58,8 @@ type VertexModel struct {
 	// decision audit trail.
 	Lambda, SMean, CA2, CS2 float64
 
-	// Kappa is the tail coefficient κ ≥ 1 folded into A for percentile
-	// constraints: W(p*) then models the TailQuantile-th quantile wait
-	// κ·e·a/(p*−b) instead of the mean. 1 for mean constraints.
-	Kappa float64
 	// TailQuantile is the quantile the model targets (0 = mean).
 	TailQuantile float64
-	// TailFit records which rung of the fallback ladder produced Kappa:
-	// "fit" (fresh window), "held" (sparse window, prior fit reused),
-	// "mean" (no fit — κ = 1). Empty for mean constraints.
-	TailFit string
 
 	// Notes is the audit trail of input clamps applied while fitting
 	// (e.g. a NaN CV from a sparse summary interval replaced by 0), so
@@ -248,9 +243,9 @@ func BuildVertexModel(jv *model.JobVertex, seq *model.Sequence, s *qos.Summary, 
 		}
 	}
 
-	kappa, fit := 1.0, ""
+	kappa := 1.0
 	if opts.TailQuantile > 0 && opts.TailQuantile < 1 {
-		kappa, fit = opts.Tail.Kappa(jv.Name, opts.TailQuantile)
+		kappa, _ = opts.Tail.Kappa(jv.Name, opts.TailQuantile)
 	}
 
 	return &VertexModel{
@@ -265,9 +260,7 @@ func BuildVertexModel(jv *model.JobVertex, seq *model.Sequence, s *qos.Summary, 
 		SMean:        sMean,
 		CA2:          ca2,
 		CS2:          cs2,
-		Kappa:        kappa,
 		TailQuantile: opts.TailQuantile,
-		TailFit:      fit,
 		Notes:        notes,
 	}, nil
 }

@@ -49,9 +49,6 @@ type ConstraintDecision struct {
 	Parallelism map[string]int
 	// Skipped is true when the summary did not cover the sequence yet.
 	Skipped bool
-	// Quantile is the constraint's target quantile (0 for mean
-	// constraints); the fitted models' waits then predict that quantile.
-	Quantile float64
 	// TailHot lists vertices whose measured tail-quantile queue wait
 	// exceeded the constraint bound, triggering bottleneck resolution
 	// even though their utilization sat below ρ_max.
@@ -127,7 +124,7 @@ func ScaleReactively(cfg StrategyConfig, g *model.JobGraph, constraints []*model
 	d := &Decision{Desired: make(map[string]int, len(current))}
 
 	for _, c := range constraints {
-		cd := ConstraintDecision{Constraint: c, Quantile: c.Quantile}
+		cd := ConstraintDecision{Constraint: c}
 		if !s.Covers(c.Sequence) {
 			cd.Skipped = true
 			d.PerConstraint = append(d.PerConstraint, cd)

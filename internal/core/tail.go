@@ -198,15 +198,14 @@ func (f *TailFitter) TailHot(vertex string, q, boundSeconds float64) bool {
 	return c != nil && c.lastOK && c.lastTail > boundSeconds
 }
 
-// TailFitSnapshot is one (vertex, quantile) cell of the fitter, for
-// gauges and decision audit trails.
+// TailFitSnapshot is one (vertex, quantile) cell of the fitter, for the
+// telemetry gauges: κ (1 until a window is accepted) and the tail wait
+// of the last fit window.
 type TailFitSnapshot struct {
-	Vertex   string  `json:"vertex"`
-	Quantile float64 `json:"quantile"`
-	Kappa    float64 `json:"kappa"`
-	State    string  `json:"state"`
-	LastTail float64 `json:"last_tail_wait_seconds"`
-	Windows  int     `json:"windows"`
+	Vertex   string
+	Quantile float64
+	Kappa    float64
+	LastTail float64
 }
 
 // Snapshot returns all cells sorted by vertex then quantile.
@@ -218,23 +217,11 @@ func (f *TailFitter) Snapshot() []TailFitSnapshot {
 	defer f.mu.Unlock()
 	out := make([]TailFitSnapshot, 0, len(f.cells))
 	for k, c := range f.cells {
-		kappa, state := 1.0, TailFitMean
+		kappa := 1.0
 		if c.windows > 0 {
 			kappa = c.kappa
-			if c.held > 0 {
-				state = TailFitHeld
-			} else {
-				state = TailFitFresh
-			}
 		}
-		out = append(out, TailFitSnapshot{
-			Vertex:   k.vertex,
-			Quantile: k.q,
-			Kappa:    kappa,
-			State:    state,
-			LastTail: c.lastTail,
-			Windows:  c.windows,
-		})
+		out = append(out, TailFitSnapshot{Vertex: k.vertex, Quantile: k.q, Kappa: kappa, LastTail: c.lastTail})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Vertex != out[j].Vertex {

@@ -99,8 +99,9 @@ func TestTailWaitProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vm.TailFit != TailFitFresh {
-				t.Fatalf("q=%v: fit state %q, want %q", q, vm.TailFit, TailFitFresh)
+			kappa, state := fit.Kappa("work", q) // what the model folded into A
+			if state != TailFitFresh {
+				t.Fatalf("q=%v: fit state %q, want %q", q, state, TailFitFresh)
 			}
 			for pp := vm.FeasibleMin(); pp <= vm.Max; pp += 7 {
 				wTail, wMean := vm.Wait(pp), mean.Wait(pp)
@@ -108,10 +109,10 @@ func TestTailWaitProperties(t *testing.T) {
 					t.Fatalf("trial %d q=%v p=%d: tail wait %v < mean wait %v", trial, q, pp, wTail, wMean)
 				}
 			}
-			if vm.Kappa < prev {
-				t.Fatalf("trial %d: κ(%v)=%v not monotone in q (prev %v)", trial, q, vm.Kappa, prev)
+			if kappa < prev {
+				t.Fatalf("trial %d: κ(%v)=%v not monotone in q (prev %v)", trial, q, kappa, prev)
 			}
-			prev = vm.Kappa
+			prev = kappa
 		}
 
 		// Sparse window: fewer samples than MinSamples must degrade to
@@ -125,8 +126,8 @@ func TestTailWaitProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vm.Kappa != 1 || vm.TailFit != TailFitMean {
-			t.Fatalf("sparse fit must degrade to mean: κ=%v state=%q", vm.Kappa, vm.TailFit)
+		if kappa, state := sparse.Kappa("work", 0.99); kappa != 1 || state != TailFitMean {
+			t.Fatalf("sparse fit must degrade to mean: κ=%v state=%q", kappa, state)
 		}
 		if vm.Wait(p+1) != mean.Wait(p+1) {
 			t.Fatalf("sparse fit wait %v != mean wait %v", vm.Wait(p+1), mean.Wait(p+1))

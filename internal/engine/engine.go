@@ -424,7 +424,7 @@ func (ex *execution) bootstrap() error {
 		pos := ex.edgePos[e.Key()]
 		for _, p := range ex.vertices[e.Source].tasks {
 			for _, c := range ex.vertices[e.Target].tasks {
-				ex.connect(p, pos, e.Key(), c)
+				ex.connect(p, pos, c)
 			}
 		}
 	}
@@ -436,13 +436,9 @@ func (ex *execution) bootstrap() error {
 // master goroutine). Its push side belongs to the producer's task
 // goroutine and its pop side to the consumer's, so the SPSC discipline
 // holds by construction.
-func (ex *execution) connect(p *task, pos int, ek model.EdgeKey, c *task) {
+func (ex *execution) connect(p *task, pos int, c *task) {
 	r := ring.New[batch](ex.cfg.QueueCapacity)
-	p.lane.gates[pos].Add(&channelRef{
-		id:   model.ChannelID{Edge: ek, Producer: p.id.Index, Consumer: c.id.Index},
-		to:   c,
-		ring: r,
-	})
+	p.lane.gates[pos].Add(&channelRef{to: c, ring: r})
 	c.addInRing(r)
 }
 
@@ -562,7 +558,7 @@ func (ex *execution) wireTaskLocked(t *task) {
 			if p == t || p.draining.Load() {
 				continue
 			}
-			ex.connect(p, pos, ek, t)
+			ex.connect(p, pos, t)
 		}
 	}
 	for _, ek := range g.OutEdges(vertex) {
@@ -571,7 +567,7 @@ func (ex *execution) wireTaskLocked(t *task) {
 			if c.draining.Load() {
 				continue
 			}
-			ex.connect(t, pos, ek, c)
+			ex.connect(t, pos, c)
 		}
 	}
 }

@@ -30,8 +30,7 @@ func (e *Execution) SourceRecords() int64 {
 	if e.ex.logs == nil {
 		return 0
 	}
-	assigned, _, _ := e.ex.logs.Totals()
-	return int64(assigned)
+	return int64(e.ex.logs.Assigned())
 }
 
 // SinkDeliveries returns the sink-side dedup accounting: distinct

@@ -17,7 +17,6 @@ import (
 // holding this ref) and one popping goroutine (the consumer task), so
 // the lock-free SPSC discipline holds by construction.
 type channelRef struct {
-	id   model.ChannelID
 	to   *task
 	ring *ring.SPSC[batch]
 }

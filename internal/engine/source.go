@@ -88,7 +88,6 @@ func (t *task) pace() {
 		if e.srcLog != nil && e.srcLog.Full() {
 			// Replay buffer at capacity: pause emission until a commit
 			// prunes it — backpressure, never loss.
-			e.srcLog.Stall()
 			park(ex.cfg.FlushTick)
 			continue
 		}

@@ -73,6 +73,12 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		SlotsPerNode: 4,
 		Seed:         1,
 	}
+	simP := -1 // work's parallelism as the simulator's last decision set it
+	simCfg.OnAdjust = func(iv sim.AdjustmentInfo) {
+		if iv.Decision != nil {
+			simP = iv.Decision.Desired["work"]
+		}
+	}
 	simRun, err := sim.New(simCfg, simProbes)
 	if err != nil {
 		t.Fatal(err)
@@ -143,9 +149,9 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		}
 	}
 	engFrac, engIntervals := engSink.Fulfillment()
-	t.Logf("sim:    mean=%.1fms p95=%.1fms fulfillment=%.0f%% (%d intervals), final p=%d",
+	t.Logf("sim:    mean=%.1fms p95=%.1fms fulfillment=%.0f%% (%d intervals), last decided p=%d",
 		simSummary.Mean*1000, simSummary.P95*1000, simSummary.Fulfillment*100,
-		simSummary.Intervals, simRes.FinalParallelism["work"])
+		simSummary.Intervals, simP)
 	t.Logf("engine: mean=%.1fms p95=%.1fms fulfillment=%.0f%% (%d intervals), p per decision=%v, received=%d",
 		engSink.TotalMean()*1000, engSink.TotalP95()*1000, engFrac*100,
 		engIntervals, engP, received.Load())
@@ -165,8 +171,8 @@ func TestEngineSimCrossCheck(t *testing.T) {
 		}
 	}
 	// ...with comparable parallelism: every engine decision within the
-	// vertex's bounds, the last within one task of the simulator's final
-	// p (both settle at 1 on this load).
+	// vertex's bounds, the last within one task of the simulator's last
+	// decision (both settle at 1 on this load).
 	work := engGraph.Vertex("work")
 	for i, p := range engP {
 		if p < work.MinParallelism || p > work.MaxParallelism {
@@ -175,8 +181,8 @@ func TestEngineSimCrossCheck(t *testing.T) {
 	}
 	if len(engP) == 0 {
 		t.Error("engine recorded no scaling decision")
-	} else if d := engP[len(engP)-1] - simRes.FinalParallelism["work"]; d < -1 || d > 1 {
-		t.Errorf("engine's final p=%d more than one task from the simulator's %d", engP[len(engP)-1], simRes.FinalParallelism["work"])
+	} else if d := engP[len(engP)-1] - simP; d < -1 || d > 1 {
+		t.Errorf("engine's final p=%d more than one task from the simulator's %d", engP[len(engP)-1], simP)
 	}
 }
 

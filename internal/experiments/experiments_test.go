@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nephelix/internal/apps"
 	"nephelix/internal/ckpt"
 )
 
@@ -103,8 +104,14 @@ func TestFaultsReproduction(t *testing.T) {
 	if res.Sim.KilledTasks < 1 {
 		t.Errorf("KilledTasks = %d, want >= 1", res.Sim.KilledTasks)
 	}
-	if res.PreKillParallelism <= 0 {
-		t.Errorf("PreKillParallelism = %d, want > 0", res.PreKillParallelism)
+	preKill := 0 // tester parallelism of the last row before the kill
+	for _, r := range res.Sim.Rows {
+		if r.Time <= res.KillTime {
+			preKill = r.Parallelism[apps.PTWorker]
+		}
+	}
+	if preKill <= 0 {
+		t.Errorf("tester parallelism before the kill = %d, want > 0", preKill)
 	}
 }
 

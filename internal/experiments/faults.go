@@ -90,9 +90,6 @@ type FaultedRun struct {
 	Sim *sim.Result
 	// KillTime is when the tasks died (mid-plateau, virtual seconds).
 	KillTime float64
-	// PreKillParallelism is the tester parallelism of the last summary
-	// before the kill (simulated scale).
-	PreKillParallelism int
 }
 
 // The faulted scenario: a tenth of the tester tasks dies at the middle
@@ -145,9 +142,6 @@ func runFaultedPrimeTester(what string, env Env, opts FaultsOptions, mode ckpt.G
 			intervalMet := closedInterval && fulfilled > lastFulfilled
 			lastFulfilled, lastIntervals = fulfilled, n
 			if info.Now <= run.KillTime {
-				if p, ok := info.Summary.Vertex(apps.PTWorker); ok && p.Parallelism > 0 {
-					run.PreKillParallelism = p.Parallelism
-				}
 				return
 			}
 			if run.RecoveryIntervals >= 0 || !closedInterval {

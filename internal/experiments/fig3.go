@@ -70,7 +70,6 @@ var fig3Configs = []struct {
 
 // Fig3ConfigResult is the outcome of one configuration's run.
 type Fig3ConfigResult struct {
-	Name Fig3ConfigName
 	Rows []sim.Row
 	// WarmUpLatency is the mean end-to-end latency during the warm-up
 	// step (seconds).
@@ -87,7 +86,6 @@ type Fig3ConfigResult struct {
 
 // Fig3Result aggregates the four configurations plus shape checks.
 type Fig3Result struct {
-	Options Fig3Options
 	Configs map[Fig3ConfigName]*Fig3ConfigResult
 	Checks  CheckList
 }
@@ -95,7 +93,7 @@ type Fig3Result struct {
 // RunFig3 executes the Figure 3 experiment.
 func RunFig3(opts Fig3Options) (*Fig3Result, error) {
 	opts = opts.withDefaults()
-	res := &Fig3Result{Options: opts, Configs: make(map[Fig3ConfigName]*Fig3ConfigResult)}
+	res := &Fig3Result{Configs: make(map[Fig3ConfigName]*Fig3ConfigResult)}
 	scale := float64(opts.Scale)
 
 	for _, cc := range fig3Configs {
@@ -108,7 +106,7 @@ func RunFig3(opts Fig3Options) (*Fig3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Configs[cc.name] = summarizeFig3(cc.name, out, opts.StepDuration, scale)
+		res.Configs[cc.name] = summarizeFig3(out, opts.StepDuration, scale)
 	}
 
 	res.Checks = fig3Checks(res)
@@ -130,8 +128,8 @@ func fig3Row(env Env) (*Outcome, error) {
 }
 
 // summarizeFig3 derives the per-config summary metrics from the series.
-func summarizeFig3(name Fig3ConfigName, out *sim.Result, stepDur, scale float64) *Fig3ConfigResult {
-	c := &Fig3ConfigResult{Name: name, Rows: out.Rows}
+func summarizeFig3(out *sim.Result, stepDur, scale float64) *Fig3ConfigResult {
+	c := &Fig3ConfigResult{Rows: out.Rows}
 	var warmSum float64
 	var warmN, throttledRows int
 	var prevTime float64

@@ -45,8 +45,6 @@ func Fig6Paper() Fig6Options {
 // Fig6Result aggregates the elastic run, the baseline run and the shape
 // checks.
 type Fig6Result struct {
-	Options Fig6Options
-
 	ElasticRows  []sim.Row
 	BaselineRows []sim.Row
 
@@ -58,8 +56,6 @@ type Fig6Result struct {
 	// paper scale (paper: dips to ≈36; our service-time CV sits a bit
 	// above theirs, so the model holds utilization lower).
 	WarmUpMinParallelism int
-	// PeakParallelism is the highest tester parallelism (paper scale).
-	PeakParallelism int
 	// ElasticP95 is the elastic run's overall 95th percentile latency
 	// (paper: ≈30 ms in steady state).
 	ElasticP95 float64
@@ -82,7 +78,7 @@ type Fig6Result struct {
 // RunFig6 executes the Figure 6 experiment.
 func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 	opts = opts.withDefaults()
-	res := &Fig6Result{Options: opts}
+	res := &Fig6Result{}
 	scale := float64(opts.Scale)
 
 	// The elastic run and the unelastic baseline are independent
@@ -120,8 +116,6 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 	res.BaselineTaskHours = outB.TaskHours * scale
 	res.ScaleUps = outE.ScaleUps
 	res.ScaleDowns = outE.ScaleDowns
-	res.PeakParallelism = outE.PeakParallelism[apps.PTWorker] * opts.Scale
-
 	res.WarmUpMinParallelism = lowLoadMinParallelism(outE.Rows, opts.StepDuration) * opts.Scale
 
 	res.Checks = fig6Checks(res)

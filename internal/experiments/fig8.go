@@ -29,8 +29,7 @@ func Fig8Paper() Fig8Options {
 
 // Fig8Result aggregates the run and shape checks.
 type Fig8Result struct {
-	Options Fig8Options
-	Rows    []sim.Row
+	Rows []sim.Row
 
 	// Fulfillment1/2 are the fractions of adjustment intervals meeting
 	// constraint (1) ℓ=215 ms (paper ≈93%) and constraint (2) ℓ=30 ms
@@ -73,7 +72,7 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		return nil, err
 	}
 
-	res := &Fig8Result{Options: opts, Rows: out.Rows}
+	res := &Fig8Result{Rows: out.Rows}
 	hot := out.Probes[apps.HotTopicsProbe]
 	sent := out.Probes[apps.SentimentProbe]
 	res.Fulfillment1 = hot.Fulfillment

@@ -73,7 +73,6 @@ type GuaranteeRun struct {
 
 // GuaranteesResult aggregates the sweep.
 type GuaranteesResult struct {
-	Options GuaranteesOptions
 	// KillTime is when the tasks died (mid-plateau, virtual seconds).
 	KillTime float64
 	Runs     []GuaranteeRun
@@ -88,7 +87,7 @@ func RunFaultsGuarantees(env Env, opts GuaranteesOptions) (*GuaranteesResult, er
 	if len(opts.Intervals) == 0 {
 		opts.Intervals = GuaranteesQuick().Intervals
 	}
-	res := &GuaranteesResult{Options: opts}
+	res := &GuaranteesResult{}
 
 	// One at-most-once baseline, then each guaranteed mode at each
 	// checkpoint interval.

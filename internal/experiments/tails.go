@@ -35,24 +35,17 @@ func TailsQuick() TailsOptions { return TailsOptions{Scale: 4, Duration: 2600, S
 // TailsPaper runs the full-scale trace end to end.
 func TailsPaper() TailsOptions { return TailsOptions{Scale: 1, Seed: 1} }
 
-// TailsQuantile is one sketch-vs-exact comparison: the probe's quantile
-// estimate from its mergeable sketch against the nearest-rank value of
-// the exactly captured latency stream.
-type TailsQuantile struct {
-	Probe    string
-	Quantile float64
-	Exact    float64
-	Sketch   float64
-	RelErr   float64
-}
-
 // TailsResult aggregates the run, the sketch validation, the p99
 // attribution and the SLO accounting.
 type TailsResult struct {
-	// Validation holds one row per probe and quantile; MaxRelErr is the
-	// worst observed |sketch−exact|/exact (must stay within the sketches'
+	// Validation holds one sketch-vs-exact comparison per probe and
+	// quantile (probe-major, in tailScalerProbes and tailsQuantiles
+	// order): the relative error |sketch−exact|/exact of the probe's
+	// quantile estimate from its mergeable sketch against the
+	// nearest-rank value of the exactly captured latency stream.
+	// MaxRelErr is the worst (must stay within the sketches'
 	// relative-error bound, sketch.DefaultAlpha).
-	Validation []TailsQuantile
+	Validation []float64
 	MaxRelErr  float64
 
 	// Attribution decomposes the sampled end-to-end latency per hop at
@@ -100,15 +93,14 @@ func RunTails(env Env, opts TailsOptions) (*TailsResult, error) {
 		p := probes.Probe(name)
 		for _, q := range tailsQuantiles {
 			ex := sketch.NearestRankOf(samples, q)
-			est := p.TotalQuantile(q)
-			v := TailsQuantile{Probe: name, Quantile: q, Exact: ex, Sketch: est}
+			relErr := 0.0
 			if ex > 0 {
-				v.RelErr = math.Abs(est-ex) / ex
+				relErr = math.Abs(p.TotalQuantile(q)-ex) / ex
 			}
-			if v.RelErr > res.MaxRelErr {
-				res.MaxRelErr = v.RelErr
+			if relErr > res.MaxRelErr {
+				res.MaxRelErr = relErr
 			}
-			res.Validation = append(res.Validation, v)
+			res.Validation = append(res.Validation, relErr)
 		}
 	}
 	res.Attribution = env.Tracer.TailAttribution(0.99)

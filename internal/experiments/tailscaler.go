@@ -59,8 +59,6 @@ type TailScalerVariant struct {
 	// cells with scored samples (TailRelErrSamples in total).
 	TailRelErr        float64
 	TailRelErrSamples int64
-	// Telemetry is the run's telemetry layer, for time-series export.
-	Telemetry *obs.Telemetry
 }
 
 // TailScalerResult holds the three runs and the trade-off checks.
@@ -96,69 +94,13 @@ func RunTailScaler(env Env, opts TailScalerOptions) (*TailScalerResult, error) {
 	opts = opts.withDefaults()
 	res := &TailScalerResult{Options: opts}
 
-	type runSpec struct {
-		name     string
-		quantile float64 // scaler-visible constraint quantile
-		steady   bool
-		env      Env
-		out      *TailScalerVariant
-	}
 	own := func() Env { return Env{Telemetry: obs.NewTelemetry(0)} }
-	specs := []runSpec{
+	runs := []tailScalerRun{
 		{name: "elastic-mean", quantile: 0, env: own(), out: &res.Mean},
 		{name: "elastic-tail", quantile: opts.Quantile, env: Env{Recorder: env.Recorder, Telemetry: env.Telemetry}, out: &res.Tail},
 		{name: "elastic-tail-steady", quantile: opts.Quantile, steady: true, env: own(), out: &res.Steady},
 	}
-	err := forEachRun(len(specs), func(i int) error {
-		spec := specs[i]
-		appOpts := apps.DefaultTwitterSentimentOptions()
-		appOpts.Seed = opts.Seed
-		appOpts.ConstraintQuantile = spec.quantile
-		if spec.steady {
-			tr := *appOpts.Schedule
-			tr.Bursts = nil
-			appOpts.Schedule = &tr
-		}
-		telemetry := spec.env.Telemetry
-		out, err := runTweets("tailscaler "+spec.name, appOpts, opts.Scale, opts.Duration, func(cfg *sim.Config, probes *sim.ProbeSet) {
-			spec.env.observe(cfg)
-			if spec.quantile == 0 {
-				// The mean run's scaler stays tail-blind, but the probes
-				// still measure per-interval p99 fulfillment so the two
-				// variants are compared on the same yardstick.
-				for _, name := range tailScalerProbes {
-					probes.SetQuantile(name, opts.Quantile)
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-		v := spec.out
-		v.Name = spec.name
-		v.Quantile = spec.quantile
-		v.TaskHours = out.TaskHours
-		v.ScaleUps = out.ScaleUps
-		v.ScaleDown = out.ScaleDowns
-		v.Probes = make(map[string]sim.ProbeSummary, len(tailScalerProbes))
-		for _, name := range tailScalerProbes {
-			v.Probes[name] = out.Probes[name]
-		}
-		v.Drift = telemetry.Residuals().DriftFlags()
-		var relErrSum float64
-		for _, st := range telemetry.Residuals().Snapshot() {
-			if spec.quantile > 0 && st.RelErrSamples > 0 {
-				relErrSum += st.MeanAbsRelErr * float64(st.RelErrSamples)
-				v.TailRelErrSamples += st.RelErrSamples
-			}
-		}
-		if v.TailRelErrSamples > 0 {
-			v.TailRelErr = relErrSum / float64(v.TailRelErrSamples)
-		}
-		v.Telemetry = telemetry
-		return nil
-	})
-	if err != nil {
+	if err := forEachRun(len(runs), func(i int) error { return runs[i].run(opts) }); err != nil {
 		return nil, err
 	}
 
@@ -168,6 +110,66 @@ func RunTailScaler(env Env, opts TailScalerOptions) (*TailScalerResult, error) {
 	}
 	res.Checks = tailScalerChecks(res)
 	return res, nil
+}
+
+// tailScalerRun is one simulation of the experiment, observed by env's
+// instruments; the drift and tail-error figures come from env's
+// telemetry.
+type tailScalerRun struct {
+	name     string
+	quantile float64 // scaler-visible constraint quantile
+	steady   bool
+	env      Env
+	out      *TailScalerVariant
+}
+
+// run simulates r and fills r.out.
+func (r tailScalerRun) run(opts TailScalerOptions) error {
+	appOpts := apps.DefaultTwitterSentimentOptions()
+	appOpts.Seed = opts.Seed
+	appOpts.ConstraintQuantile = r.quantile
+	if r.steady {
+		tr := *appOpts.Schedule
+		tr.Bursts = nil
+		appOpts.Schedule = &tr
+	}
+	out, err := runTweets("tailscaler "+r.name, appOpts, opts.Scale, opts.Duration, func(cfg *sim.Config, probes *sim.ProbeSet) {
+		r.env.observe(cfg)
+		if r.quantile == 0 {
+			// The mean run's scaler stays tail-blind, but the probes
+			// still measure per-interval p99 fulfillment so the two
+			// variants are compared on the same yardstick.
+			for _, name := range tailScalerProbes {
+				probes.SetQuantile(name, opts.Quantile)
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	v := r.out
+	v.Name = r.name
+	v.Quantile = r.quantile
+	v.TaskHours = out.TaskHours
+	v.ScaleUps = out.ScaleUps
+	v.ScaleDown = out.ScaleDowns
+	v.Probes = make(map[string]sim.ProbeSummary, len(tailScalerProbes))
+	for _, name := range tailScalerProbes {
+		v.Probes[name] = out.Probes[name]
+	}
+	residuals := r.env.Telemetry.Residuals()
+	v.Drift = residuals.DriftFlags()
+	var relErrSum float64
+	for _, st := range residuals.Snapshot() {
+		if r.quantile > 0 && st.RelErrSamples > 0 {
+			relErrSum += st.MeanAbsRelErr * float64(st.RelErrSamples)
+			v.TailRelErrSamples += st.RelErrSamples
+		}
+	}
+	if v.TailRelErrSamples > 0 {
+		v.TailRelErr = relErrSum / float64(v.TailRelErrSamples)
+	}
+	return nil
 }
 
 // tailScalerGap finds the probe where percentile constraints gained the

@@ -38,7 +38,17 @@ func TestTailScalerReproduction(t *testing.T) {
 	}
 	// The cell that carries the constraint: κ is fitted against the same
 	// mean e is, so the p99 prediction at Sentiment must not lean one way.
-	for _, st := range res.Steady.Telemetry.Residuals().Snapshot() {
+	// The steady run is repeated under a telemetry the test holds; the
+	// simulation is deterministic, so it is the same run.
+	var steady TailScalerVariant
+	tel := obs.NewTelemetry(0)
+	if err := (tailScalerRun{name: "elastic-tail-steady", quantile: res.Options.Quantile, steady: true, env: Env{Telemetry: tel}, out: &steady}).run(res.Options); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(steady, res.Steady) {
+		t.Fatalf("steady run not reproduced:\n%+v\n%+v", steady, res.Steady)
+	}
+	for _, st := range tel.Residuals().Snapshot() {
 		if st.Constraint == "constraint-2" && st.Vertex == apps.TSSentiment &&
 			(math.Abs(st.SignBias) >= 0.5 || st.MeanAbsRelErr > 0.22) {
 			t.Errorf("steady Sentiment cell: sign bias %+.2f, mean |rel err| %.2f; want |bias| < 0.5 and rel err <= 0.22",

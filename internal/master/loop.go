@@ -42,8 +42,6 @@ type Interval struct {
 	// Summary is the interval's global QoS summary.
 	Summary     *qos.Summary
 	Parallelism map[string]int
-	// Deadlines are the flush deadlines in force (nil without constraints).
-	Deadlines map[model.EdgeKey]float64
 	// Decision is nil without an elastic scaler, during its inactivity
 	// phase, and when ScaleReactively failed.
 	Decision *core.Decision
@@ -66,9 +64,7 @@ type Loop struct {
 	tail        *core.TailFitter // nil without percentile constraints
 	cooldown    int
 	observers   []Observer
-	deadlines   map[model.EdgeKey]float64
 	round       int
-	infeasible  int
 }
 
 // New validates the job's constraints (an elastic loop needs at least
@@ -143,14 +139,13 @@ func (l *Loop) Step(rt Runtime) error {
 // go, which is what the replay tests drive.
 func (l *Loop) step(rt Runtime, par map[string]int, summary *qos.Summary) error {
 	if len(l.constraints) > 0 {
-		l.deadlines = l.batching.Update(summary, l.constraints)
-		rt.SetDeadlines(l.deadlines)
+		rt.SetDeadlines(l.batching.Update(summary, l.constraints))
 	}
 	l.round++
 	decision, err := l.decide(summary, par)
 	iv := Interval{
 		Round: l.round, Now: rt.Now(), Summary: summary,
-		Parallelism: par, Deadlines: l.deadlines, Decision: decision,
+		Parallelism: par, Decision: decision,
 	}
 	for _, o := range l.observers {
 		o(iv)
@@ -160,11 +155,6 @@ func (l *Loop) step(rt Runtime, par map[string]int, summary *qos.Summary) error 
 	}
 	if decision == nil {
 		return nil
-	}
-	for _, cd := range decision.PerConstraint {
-		if cd.Infeasible {
-			l.infeasible++
-		}
 	}
 	for _, a := range decision.Actions {
 		if err := rt.Scale(a.Vertex, a.Delta()); err != nil {
@@ -201,10 +191,6 @@ func (l *Loop) decide(s *qos.Summary, par map[string]int) (*core.Decision, error
 	}
 	return d, nil
 }
-
-// Infeasible counts constraint decisions that were infeasible even at
-// maximum scale-out.
-func (l *Loop) Infeasible() int { return l.infeasible }
 
 // TailFitter is the scaler's tail-coefficient fitter, nil when the loop
 // is not elastic or has no percentile constraint.

@@ -218,18 +218,26 @@ func TestRoundAdvancesOncePerStep(t *testing.T) {
 }
 
 // TestInfeasibleCountedInLoop (d): a bottleneck already at maximum
-// parallelism is infeasible; the loop counts it.
+// parallelism is infeasible; every interval's decision says so.
 func TestInfeasibleCountedInLoop(t *testing.T) {
 	g, c := chain(t, 4, 4, "work")
 	l := newLoop(t, g, []*model.Constraint{c}, true)
+	infeasible := 0
+	l.observers = append(l.observers, func(iv Interval) {
+		for _, cd := range iv.Decision.PerConstraint {
+			if cd.Infeasible {
+				infeasible++
+			}
+		}
+	})
 	rt := &fakeRuntime{par: map[string]int{"work": 4}}
 	for i := 0; i < 2; i++ {
 		if err := l.step(rt, rt.Parallelism(), loaded(c, 4, 1.2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l.Infeasible() != 2 {
-		t.Errorf("Infeasible() = %d, want 2", l.Infeasible())
+	if infeasible != 2 {
+		t.Errorf("infeasible constraint decisions = %d, want 2", infeasible)
 	}
 }
 
@@ -275,7 +283,7 @@ func TestObserversSeeFixedDecisionBeforeItIsApplied(t *testing.T) {
 	at := func(name string) Observer {
 		return func(iv Interval) {
 			order = append(order, fmt.Sprintf("%s@%d", name, len(rt.log)))
-			if iv.Now != 7.5 || iv.Parallelism["work"] != 4 || iv.Decision == nil || len(iv.Deadlines) == 0 {
+			if iv.Now != 7.5 || iv.Parallelism["work"] != 4 || iv.Decision == nil {
 				t.Errorf("%s saw %+v", name, iv)
 			}
 		}
@@ -328,8 +336,8 @@ func TestStepMergesPartialsUnderRuntimeParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs, ok := got.Vertex("work")
-	if !ok || vs.Tasks != 2 || vs.Parallelism != 7 || vs.ServiceTimeMean != 0.02 {
-		t.Errorf("merged vertex = %+v, want 2 tasks at parallelism 7 with mean service 0.02", vs)
+	if !ok || vs.Parallelism != 7 || vs.ServiceTimeMean != 0.02 {
+		t.Errorf("merged vertex = %+v, want both tasks at parallelism 7 with mean service 0.02", vs)
 	}
 	if _, intervals := probes.Probe("e2e").Fulfillment(); intervals != 1 {
 		t.Errorf("probe saw %d adjustment snapshots, want 1", intervals)

@@ -113,8 +113,9 @@ func decisionKey(d *core.Decision) string {
 
 // TestReplayReproducesDecisions (a): the captured run's summaries, pushed
 // through a fresh Loop against a runtime that does nothing, yield the same
-// decision and the same deadlines in every interval — the loop's output is
-// a function of the summary sequence alone.
+// decision in every interval — the loop's output is a function of the
+// summary sequence alone. (Deadlines have no other input; (b) compares
+// them call for call.)
 func TestReplayReproducesDecisions(t *testing.T) {
 	cfg, ivs := capture(t)
 	decisions, acted := 0, 0
@@ -139,9 +140,6 @@ func TestReplayReproducesDecisions(t *testing.T) {
 		}
 		if g, w := decisionKey(got.Decision), decisionKey(want.Decision); g != w {
 			t.Fatalf("round %d decision:\n got %s\nwant %s", want.Round, g, w)
-		}
-		if !reflect.DeepEqual(got.Deadlines, want.Deadlines) {
-			t.Fatalf("round %d deadlines:\n got %v\nwant %v", want.Round, got.Deadlines, want.Deadlines)
 		}
 	})
 	if i != len(ivs) {

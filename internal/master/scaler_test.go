@@ -326,12 +326,12 @@ func TestScalerFitsTailFromSummary(t *testing.T) {
 	cur := map[string]int{"work": 8}
 
 	// Interval 1 is planned on the mean model: no window was folded yet.
+	if k, st := sc.TailFitter().Kappa("work", 0.99); k != 1 || st != core.TailFitMean {
+		t.Errorf("first plan uses κ=%v (%s), want the mean fallback", k, st)
+	}
 	d, err := sc.decide(f.summary, cur)
 	if err != nil || d == nil {
 		t.Fatalf("first decision: d=%v err=%v", d, err)
-	}
-	if vm := d.PerConstraint[0].Models[0]; vm.Kappa != 1 || vm.TailFit != core.TailFitMean {
-		t.Errorf("first plan used κ=%v (%s), want the mean fallback", vm.Kappa, vm.TailFit)
 	}
 	// QueueWait(src->work) = 4 ms − 2 ms, not the window's own 5.05 ms.
 	want := win.Quantile(0.99) / 0.002
@@ -341,29 +341,36 @@ func TestScalerFitsTailFromSummary(t *testing.T) {
 
 	// Interval 2 plans with it: the model's wait at the current
 	// parallelism is the measured quantile.
+	_, st := sc.TailFitter().Kappa("work", 0.99)
 	d, err = sc.decide(f.summary, cur)
 	if err != nil || d == nil {
 		t.Fatalf("second decision: d=%v err=%v", d, err)
 	}
 	vm := d.PerConstraint[0].Models[0]
-	if vm.TailFit != core.TailFitFresh || !almostEqual(vm.Wait(8), win.Quantile(0.99), 1e-9) {
-		t.Errorf("second plan: fit %q, W(8) = %v, want the window's p99 %v", vm.TailFit, vm.Wait(8), win.Quantile(0.99))
+	if st != core.TailFitFresh || !almostEqual(vm.Wait(8), win.Quantile(0.99), 1e-9) {
+		t.Errorf("second plan: fit %q, W(8) = %v, want the window's p99 %v", st, vm.Wait(8), win.Quantile(0.99))
 	}
 
 	// An inactivity interval returns no decision but still closes its
-	// window.
+	// window: the fitter's last tail wait is the new window's.
 	f.summary.Vertices["work"] = qos.VertexStats{
 		ServiceTimeMean: 0.01, InterarrivalMean: 1.0 / 150, Parallelism: 8, FreshTasks: 8, WaitWindow: win,
 	}
 	if d, err = sc.decide(f.summary, cur); err != nil || d == nil || !d.HasScaleUp() {
 		t.Fatalf("bottleneck decision: d=%v err=%v", d, err)
 	}
-	before := sc.TailFitter().Snapshot()[0].Windows
+	next := sketch.NewDefault()
+	for i := 1; i <= 100; i++ {
+		next.Add(float64(i) * 2e-4) // p99 = 19.8 ms
+	}
+	vs = f.summary.Vertices["work"]
+	vs.WaitWindow = next
+	f.summary.Vertices["work"] = vs
 	if d, err = sc.decide(f.summary, cur); err != nil || d != nil {
 		t.Fatalf("inactivity interval: d=%v err=%v", d, err)
 	}
-	if got := sc.TailFitter().Snapshot()[0].Windows; got != before+1 {
-		t.Errorf("windows folded across the inactivity interval: %d -> %d, want +1", before, got)
+	if got, want := sc.TailFitter().Snapshot()[0].LastTail, next.Quantile(0.99); got != want {
+		t.Errorf("last tail wait after the inactivity interval = %v, want the new window's p99 %v", got, want)
 	}
 }
 

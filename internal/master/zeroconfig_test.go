@@ -17,8 +17,9 @@ func TestZeroScalerConfigIsDefault(t *testing.T) {
 	cfg, ivs := capture(t)
 	trail := func(sc core.ScalerConfig) []string {
 		var out []string
+		rt := &replayRuntime{}
 		l, err := master.New(cfg.Graph, cfg.Constraints, sc, true, probe.NewProbeSet(), func(iv master.Interval) {
-			line := fmt.Sprint(iv.Round, " ", iv.Deadlines)
+			line := rt.log[len(rt.log)-1] // the round's SetDeadlines, which precedes observers
 			if d := iv.Decision; d != nil {
 				line += fmt.Sprint(" ", d.Actions, " ", d.Holds, " ", d.TailFit)
 			}
@@ -27,7 +28,6 @@ func TestZeroScalerConfigIsDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := &replayRuntime{}
 		for _, iv := range ivs {
 			rt.iv = iv
 			if err := l.StepSummary(rt, iv.Parallelism, iv.Summary); err != nil {

@@ -90,7 +90,6 @@ type DriftFlag struct {
 type ScoredResidual struct {
 	Constraint string
 	Vertex     string
-	At         float64
 	Predicted  float64
 	Measured   float64
 }
@@ -201,7 +200,6 @@ func (m *ResidualMonitor) Observe(now float64, s *qos.Summary, d *core.Decision)
 			scored = append(scored, ScoredResidual{
 				Constraint: p.key.Constraint,
 				Vertex:     p.key.Vertex,
-				At:         now,
 				Predicted:  p.predicted,
 				Measured:   measured,
 			})

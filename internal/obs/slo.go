@@ -91,7 +91,6 @@ type sloPoint struct {
 }
 
 type sloCell struct {
-	target     SLOTarget
 	ring       []sloPoint
 	next       int
 	full       bool
@@ -129,7 +128,7 @@ func (t *SLOTracker) Observe(target SLOTarget, count, bad uint64, estimate float
 	defer t.mu.Unlock()
 	c := t.cells[target.Constraint]
 	if c == nil {
-		c = &sloCell{target: target, ring: make([]sloPoint, t.window)}
+		c = &sloCell{ring: make([]sloPoint, t.window)}
 		t.cells[target.Constraint] = c
 	}
 

@@ -20,8 +20,6 @@ import (
 // fulfillment accounting, paper's "% of adjustment intervals") and per
 // record interval (time-series rows).
 type Probe struct {
-	// Name identifies the probe (typically the constraint name).
-	Name string
 	// BoundSeconds is the constraint bound ℓ used for fulfillment
 	// accounting; 0 disables it.
 	BoundSeconds float64
@@ -232,7 +230,6 @@ func (ps *ProbeSet) Probe(name string) *Probe {
 	p, ok := ps.probes[name]
 	if !ok {
 		p = &Probe{
-			Name:  name,
 			adjSk: sketch.NewDefault(),
 			recSk: sketch.NewDefault(),
 			all:   metrics.NewReservoir(16384, ps.probeSeed(name)),

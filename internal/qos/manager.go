@@ -286,7 +286,6 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			svcN          float64
 			arrSum, arrCV float64
 			arrN          float64
-			samples       int64
 		)
 		for k := range h.reports {
 			r := h.at(k)
@@ -304,7 +303,6 @@ func (m *Manager) PartialSummary() *PartialSummary {
 				arrCV += r.InterarrivalCV
 				arrN++
 			}
-			samples += r.TaskLatencyCount + r.ServiceCount + r.InterarrivalCount
 		}
 		var lat, svc, scv, arr, acv float64
 		if latN > 0 {
@@ -318,7 +316,7 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			arr = arrSum / arrN
 			acv = arrCV / arrN
 		}
-		vp.addTask(lat, svc, scv, arr, acv, samples)
+		vp.addTask(lat, svc, scv, arr, acv)
 		// idle is reset on every report and incremented once per
 		// adjustment interval by ageOut, so idle == 0 means the task
 		// reported within the current interval.
@@ -332,7 +330,6 @@ func (m *Manager) PartialSummary() *PartialSummary {
 			ep = p.edge(h.id.Edge)
 		}
 		var latSum, latN, oblSum, oblN float64
-		var samples int64
 		for k := range h.reports {
 			r := h.at(k)
 			if r.LatencyCount > 0 {
@@ -343,7 +340,6 @@ func (m *Manager) PartialSummary() *PartialSummary {
 				oblSum += r.BatchLatencyMean
 				oblN++
 			}
-			samples += r.LatencyCount
 		}
 		if latN == 0 && oblN == 0 {
 			continue
@@ -355,10 +351,7 @@ func (m *Manager) PartialSummary() *PartialSummary {
 		if oblN > 0 {
 			obl = oblSum / oblN
 		}
-		ep.addChannel(lat, obl, samples)
-		if h.idle == 0 {
-			ep.freshCount++
-		}
+		ep.addChannel(lat, obl)
 	}
 	p.waits, m.waits = m.waits, nil
 	m.tasks.ageOut()

@@ -127,9 +127,10 @@ func TestWaitWindowIsOneInterval(t *testing.T) {
 	live.RecordService(0.001)
 	live.RecordQueueWaitN(0.004, 7)
 	m.ReportTask(live.Flush())
-	vs := m.PartialSummary().Finalize(nil).Vertices["v"]
-	if vs.Tasks != 2 || vs.FreshTasks != 1 {
-		t.Errorf("tasks=%d fresh=%d, want the stale history kept (2) and one fresh", vs.Tasks, vs.FreshTasks)
+	p := m.PartialSummary()
+	vs := p.Finalize(nil).Vertices["v"]
+	if tasks := p.vertices["v"].taskCount; tasks != 2 || vs.FreshTasks != 1 {
+		t.Errorf("tasks=%d fresh=%d, want the stale history kept (2) and one fresh", tasks, vs.FreshTasks)
 	}
 	if vs.WaitWindow.Count() != 7 {
 		t.Errorf("second window count = %d, want only the live task's 7", vs.WaitWindow.Count())

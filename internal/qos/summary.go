@@ -32,12 +32,6 @@ type VertexStats struct {
 	InterarrivalCV   float64
 	// Parallelism is the degree of parallelism p_jv at measurement time.
 	Parallelism int
-	// Tasks is the number of task histories aggregated into the stats.
-	// After a crash it exceeds Parallelism until the dead task's history
-	// ages out of its manager.
-	Tasks int
-	// Samples counts the underlying raw measurements.
-	Samples int64
 	// FreshTasks is the number of tasks whose reporters delivered a
 	// report within the last adjustment interval. When tasks crash their
 	// stale history keeps contributing to the averages until it ages out,
@@ -47,8 +41,8 @@ type VertexStats struct {
 	// WaitWindow is the distribution of the queue waits the vertex's tasks
 	// recorded during the last adjustment interval: the window the tail
 	// model is fitted on and scored against. Nil for vertices under no
-	// percentile constraint. Read-only; not serialised.
-	WaitWindow *sketch.Sketch `json:"-"`
+	// percentile constraint. Read-only.
+	WaitWindow *sketch.Sketch
 }
 
 // ArrivalRate returns λ_jv = 1/Ā_jv, the mean per-task data item arrival
@@ -75,11 +69,6 @@ type EdgeStats struct {
 	// items wait in the output buffer before being shipped. It is always
 	// at most ChannelLatency.
 	OutputBatchLatency float64
-	// Samples counts the underlying raw measurements.
-	Samples int64
-	// FreshChannels is the number of channels with a report within the
-	// last adjustment interval (see VertexStats.FreshTasks).
-	FreshChannels int
 }
 
 // QueueWait returns the measured queue waiting time attributed to the
@@ -204,16 +193,13 @@ type vertexPartial struct {
 	sumServiceCV        float64
 	sumInterarrivalMean float64
 	sumInterarrivalCV   float64
-	samples             int64
 }
 
 // edgePartial is the mergeable per-edge accumulator of a partial summary.
 type edgePartial struct {
 	channelCount      int
-	freshCount        int
 	sumChannelLatency float64
 	sumBatchLatency   float64
-	samples           int64
 }
 
 // PartialSummary is the measurement aggregate a single QoS manager sends
@@ -260,21 +246,19 @@ func (p *PartialSummary) edge(key model.EdgeKey) *edgePartial {
 	return ep
 }
 
-func (vp *vertexPartial) addTask(taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV float64, samples int64) {
+func (vp *vertexPartial) addTask(taskLatency, serviceMean, serviceCV, interarrivalMean, interarrivalCV float64) {
 	vp.taskCount++
 	vp.sumTaskLatency += taskLatency
 	vp.sumServiceMean += serviceMean
 	vp.sumServiceCV += serviceCV
 	vp.sumInterarrivalMean += interarrivalMean
 	vp.sumInterarrivalCV += interarrivalCV
-	vp.samples += samples
 }
 
-func (ep *edgePartial) addChannel(channelLatency, batchLatency float64, samples int64) {
+func (ep *edgePartial) addChannel(channelLatency, batchLatency float64) {
 	ep.channelCount++
 	ep.sumChannelLatency += channelLatency
 	ep.sumBatchLatency += batchLatency
-	ep.samples += samples
 }
 
 // Merge folds another partial summary into this one. The master node uses
@@ -294,7 +278,6 @@ func (p *PartialSummary) Merge(o *PartialSummary) {
 		vp.sumServiceCV += ovp.sumServiceCV
 		vp.sumInterarrivalMean += ovp.sumInterarrivalMean
 		vp.sumInterarrivalCV += ovp.sumInterarrivalCV
-		vp.samples += ovp.samples
 	}
 	for key, oep := range o.edges {
 		ep := p.edges[key]
@@ -304,10 +287,8 @@ func (p *PartialSummary) Merge(o *PartialSummary) {
 			continue
 		}
 		ep.channelCount += oep.channelCount
-		ep.freshCount += oep.freshCount
 		ep.sumChannelLatency += oep.sumChannelLatency
 		ep.sumBatchLatency += oep.sumBatchLatency
-		ep.samples += oep.samples
 	}
 	for name, par := range o.parallelism {
 		if par > p.parallelism[name] {
@@ -351,8 +332,6 @@ func (p *PartialSummary) Finalize(parallelism map[string]int) *Summary {
 			InterarrivalMean: vp.sumInterarrivalMean / n,
 			InterarrivalCV:   vp.sumInterarrivalCV / n,
 			Parallelism:      par,
-			Tasks:            vp.taskCount,
-			Samples:          vp.samples,
 			FreshTasks:       vp.freshCount,
 			WaitWindow:       p.waits[name],
 		}
@@ -365,8 +344,6 @@ func (p *PartialSummary) Finalize(parallelism map[string]int) *Summary {
 		s.Edges[key] = EdgeStats{
 			ChannelLatency:     ep.sumChannelLatency / n,
 			OutputBatchLatency: ep.sumBatchLatency / n,
-			Samples:            ep.samples,
-			FreshChannels:      ep.freshCount,
 		}
 	}
 	return s

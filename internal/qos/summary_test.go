@@ -49,10 +49,10 @@ func TestEdgeStatsQueueWait(t *testing.T) {
 func TestPartialSummaryFinalizeAverages(t *testing.T) {
 	p := NewPartialSummary()
 	// Two tasks of vertex "v" with service means 2 ms and 4 ms.
-	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.010, 1.0, 100)
-	p.vertex("v").addTask(0.003, 0.004, 0.7, 0.020, 1.2, 50)
-	p.edge(model.EdgeKey{Source: "u", Target: "v"}).addChannel(0.010, 0.004, 10)
-	p.edge(model.EdgeKey{Source: "u", Target: "v"}).addChannel(0.020, 0.006, 20)
+	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.010, 1.0)
+	p.vertex("v").addTask(0.003, 0.004, 0.7, 0.020, 1.2)
+	p.edge(model.EdgeKey{Source: "u", Target: "v"}).addChannel(0.010, 0.004)
+	p.edge(model.EdgeKey{Source: "u", Target: "v"}).addChannel(0.020, 0.006)
 
 	s := p.Finalize(map[string]int{"v": 2})
 	v, ok := s.Vertex("v")
@@ -66,8 +66,8 @@ func TestPartialSummaryFinalizeAverages(t *testing.T) {
 		!almostEqual(v.InterarrivalCV, 1.1, 1e-12) {
 		t.Errorf("vertex averages wrong: %+v", v)
 	}
-	if v.Parallelism != 2 || v.Samples != 150 {
-		t.Errorf("parallelism/samples: got %d/%d, want 2/150", v.Parallelism, v.Samples)
+	if v.Parallelism != 2 {
+		t.Errorf("parallelism: got %d, want 2", v.Parallelism)
 	}
 	e, ok := s.Edge(model.EdgeKey{Source: "u", Target: "v"})
 	if !ok {
@@ -80,22 +80,22 @@ func TestPartialSummaryFinalizeAverages(t *testing.T) {
 
 func TestPartialSummaryMergeEqualsDirect(t *testing.T) {
 	// Building one partial from all tasks must equal merging two halves.
-	mk := func(tasks [][6]float64) *PartialSummary {
+	mk := func(tasks [][5]float64) *PartialSummary {
 		p := NewPartialSummary()
 		for _, v := range tasks {
-			p.vertex("v").addTask(v[0], v[1], v[2], v[3], v[4], int64(v[5]))
+			p.vertex("v").addTask(v[0], v[1], v[2], v[3], v[4])
 		}
 		return p
 	}
-	all := mk([][6]float64{
-		{0.001, 0.002, 0.5, 0.01, 1.0, 10},
-		{0.002, 0.003, 0.6, 0.02, 1.1, 20},
-		{0.003, 0.004, 0.7, 0.03, 1.2, 30},
+	all := mk([][5]float64{
+		{0.001, 0.002, 0.5, 0.01, 1.0},
+		{0.002, 0.003, 0.6, 0.02, 1.1},
+		{0.003, 0.004, 0.7, 0.03, 1.2},
 	})
-	a := mk([][6]float64{{0.001, 0.002, 0.5, 0.01, 1.0, 10}})
-	b := mk([][6]float64{
-		{0.002, 0.003, 0.6, 0.02, 1.1, 20},
-		{0.003, 0.004, 0.7, 0.03, 1.2, 30},
+	a := mk([][5]float64{{0.001, 0.002, 0.5, 0.01, 1.0}})
+	b := mk([][5]float64{
+		{0.002, 0.003, 0.6, 0.02, 1.1},
+		{0.003, 0.004, 0.7, 0.03, 1.2},
 	})
 	a.Merge(b)
 	par := map[string]int{"v": 3}
@@ -103,16 +103,15 @@ func TestPartialSummaryMergeEqualsDirect(t *testing.T) {
 	va, vm := sAll.Vertices["v"], sMerged.Vertices["v"]
 	if !almostEqual(va.TaskLatency, vm.TaskLatency, 1e-12) ||
 		!almostEqual(va.ServiceTimeMean, vm.ServiceTimeMean, 1e-12) ||
-		!almostEqual(va.InterarrivalCV, vm.InterarrivalCV, 1e-12) ||
-		va.Samples != vm.Samples {
+		!almostEqual(va.InterarrivalCV, vm.InterarrivalCV, 1e-12) {
 		t.Errorf("merged != direct: %+v vs %+v", vm, va)
 	}
 }
 
 func TestFinalizeParallelismFallback(t *testing.T) {
 	p := NewPartialSummary()
-	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.01, 1.0, 1)
-	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.01, 1.0, 1)
+	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.01, 1.0)
+	p.vertex("v").addTask(0.001, 0.002, 0.5, 0.01, 1.0)
 	s := p.Finalize(nil)
 	if got := s.Vertices["v"].Parallelism; got != 2 {
 		t.Errorf("fallback parallelism: got %d, want observed task count 2", got)
@@ -149,5 +148,47 @@ func TestSummaryCovers(t *testing.T) {
 	s.Vertices["b"] = VertexStats{}
 	if !s.Covers(seq) {
 		t.Error("complete summary must cover sequence")
+	}
+}
+
+func testSummary() *Summary {
+	s := NewSummary()
+	s.Vertices["filter"] = VertexStats{
+		TaskLatency:      0.012,
+		ServiceTimeMean:  0.004,
+		ServiceTimeCV:    0.5,
+		InterarrivalMean: 0.008,
+		InterarrivalCV:   1.25,
+		Parallelism:      4,
+		FreshTasks:       4,
+	}
+	s.Vertices["sink"] = VertexStats{
+		TaskLatency:      0.001,
+		ServiceTimeMean:  0.0005,
+		InterarrivalMean: 0.002,
+		Parallelism:      2,
+		FreshTasks:       2,
+	}
+	s.Edges[model.EdgeKey{Source: "src", Target: "filter"}] = EdgeStats{
+		ChannelLatency:     0.020,
+		OutputBatchLatency: 0.015,
+	}
+	s.Edges[model.EdgeKey{Source: "filter", Target: "sink"}] = EdgeStats{
+		ChannelLatency:     0.003,
+		OutputBatchLatency: 0.001,
+	}
+	return s
+}
+
+// TestObsSummaryStringGolden pins the deterministic log rendering that
+// the attribution report and the operator docs quote.
+func TestObsSummaryStringGolden(t *testing.T) {
+	want := "" +
+		"filter: l=0.012000 S=0.004000 cS=0.500 A=0.008000 cA=1.250 p=4 rho=0.500\n" +
+		"sink: l=0.001000 S=0.000500 cS=0.000 A=0.002000 cA=0.000 p=2 rho=0.250\n" +
+		"filter->sink: l=0.003000 obl=0.001000 W=0.002000\n" +
+		"src->filter: l=0.020000 obl=0.015000 W=0.005000\n"
+	if got := testSummary().String(); got != want {
+		t.Errorf("String() =\n%s\nwant\n%s", got, want)
 	}
 }

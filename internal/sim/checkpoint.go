@@ -195,7 +195,7 @@ func (s *Sim) commitCkpt(r ckpt.Round, complete bool) {
 	if !complete {
 		return
 	}
-	emitted, _, _ := s.guar.logs.Totals()
+	emitted := s.guar.logs.Assigned()
 	s.reportCkpt(s.guar.coord.Commit(r, s.now, int64(emitted), s.killedItems), true)
 }
 

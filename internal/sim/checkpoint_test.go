@@ -76,8 +76,8 @@ func TestSimGuaranteeZeroLossAtLeastOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.KilledTasks != 4 || res.RespawnedTasks != 4 {
-		t.Fatalf("killed/respawned = %d/%d, want 4/4", res.KilledTasks, res.RespawnedTasks)
+	if res.KilledTasks != 4 || s.respawnedTasks != 4 {
+		t.Fatalf("killed/respawned = %d/%d, want 4/4", res.KilledTasks, s.respawnedTasks)
 	}
 	if res.KilledItems == 0 {
 		t.Error("the kills lost no items — the scenario exercises nothing")
@@ -292,9 +292,9 @@ func TestSimGuaranteeOperatorStateNotSnapshotted(t *testing.T) {
 		t.Fatalf("sink: holes %d, distinct %d, Process calls %d; want 0, %d, %d",
 			res.SinkHoles, res.SinkDistinct, sinkCalls, emitted, emitted)
 	}
-	if res.KilledTasks != 1 || res.RespawnedTasks != 1 || res.ReplayedItems == 0 {
+	if res.KilledTasks != 1 || s.respawnedTasks != 1 || res.ReplayedItems == 0 {
 		t.Fatalf("killed/respawned/replayed = %d/%d/%d; the scenario exercises nothing",
-			res.KilledTasks, res.RespawnedTasks, res.ReplayedItems)
+			res.KilledTasks, s.respawnedTasks, res.ReplayedItems)
 	}
 
 	// What is not: the replacement is a fresh Behavior instance whose

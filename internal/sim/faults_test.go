@@ -38,10 +38,10 @@ func TestFaultTaskKillRecovery(t *testing.T) {
 	if res.KilledTasks != 2 {
 		t.Errorf("KilledTasks = %d, want 2", res.KilledTasks)
 	}
-	if res.RespawnedTasks != 2 {
-		t.Errorf("RespawnedTasks = %d, want 2", res.RespawnedTasks)
+	if s.respawnedTasks != 2 {
+		t.Errorf("RespawnedTasks = %d, want 2", s.respawnedTasks)
 	}
-	if got := res.FinalParallelism["server"]; got != 4 {
+	if got := s.parallelismMap()["server"]; got != 4 {
 		t.Errorf("final server parallelism = %d, want 4 after respawn", got)
 	}
 	if res.Probes["e2e"].Count == 0 {
@@ -75,7 +75,7 @@ func TestFaultFractionKill(t *testing.T) {
 	if res.KilledTasks != 2 {
 		t.Errorf("KilledTasks = %d, want ceil(0.25*8) = 2", res.KilledTasks)
 	}
-	if got := res.FinalParallelism["server"]; got != 6 {
+	if got := s.parallelismMap()["server"]; got != 6 {
 		t.Errorf("final server parallelism = %d, want 6 (no respawn)", got)
 	}
 }
@@ -97,18 +97,18 @@ func TestFaultNodeKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.KilledNodes != 1 {
-		t.Errorf("KilledNodes = %d, want 1", res.KilledNodes)
+	if s.killedNodes != 1 {
+		t.Errorf("KilledNodes = %d, want 1", s.killedNodes)
 	}
 	if res.KilledTasks < 1 {
 		t.Errorf("KilledTasks = %d, want >= 1 (the node hosted tasks)", res.KilledTasks)
 	}
-	if res.RespawnedTasks != res.KilledTasks {
-		t.Errorf("RespawnedTasks = %d, want %d", res.RespawnedTasks, res.KilledTasks)
+	if s.respawnedTasks != res.KilledTasks {
+		t.Errorf("RespawnedTasks = %d, want %d", s.respawnedTasks, res.KilledTasks)
 	}
 	for _, v := range []string{"src", "server", "sink"} {
 		want := map[string]int{"src": 1, "server": 4, "sink": 1}[v]
-		if got := res.FinalParallelism[v]; got != want {
+		if got := s.parallelismMap()[v]; got != want {
 			t.Errorf("final %s parallelism = %d, want %d", v, got, want)
 		}
 	}
@@ -151,31 +151,29 @@ func TestFaultDeterminism(t *testing.T) {
 }
 
 // TestFaultStaleQoSHistory: a killed task's QoS history is not forgotten
-// — the next global summary still aggregates it (stale), and only the
-// live tasks count as fresh. This is the stale-measurement window the
-// coverage-gated scaler exists for.
+// — the next global summary still aggregates it (stale, see qos's
+// TestWaitWindowIsOneInterval), and only the live tasks count as fresh.
+// This is the stale-measurement window the coverage-gated scaler exists
+// for.
 func TestFaultStaleQoSHistory(t *testing.T) {
 	probes := probe.NewProbeSet()
 	cfg := faultConfig(t, probes, 4, &FaultPlan{
 		TaskKills: []TaskKill{{At: 12, Vertex: "server", Count: 1}},
 	})
-	type obs struct {
-		tasks, fresh, par int
-	}
-	var firstAfterKill *obs
+	firstAfterKill := -1 // fresh tasks at the first adjustment after the kill
 	cfg.OnAdjust = func(info AdjustmentInfo) {
 		// Freshness means "reported within the current adjustment
 		// interval", so the task killed at t=12 (its last report is at
 		// t=11, inside the [10, 15) window) only turns stale at the
 		// t=20 adjustment — the first whose whole window it missed.
-		if info.Now <= 17 || firstAfterKill != nil {
+		if info.Now <= 17 || firstAfterKill >= 0 {
 			return
 		}
 		vs, ok := info.Summary.Vertices["server"]
 		if !ok {
 			return
 		}
-		firstAfterKill = &obs{tasks: vs.Tasks, fresh: vs.FreshTasks, par: 3}
+		firstAfterKill = vs.FreshTasks
 	}
 	s, err := New(cfg, probes)
 	if err != nil {
@@ -184,14 +182,11 @@ func TestFaultStaleQoSHistory(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if firstAfterKill == nil {
+	if firstAfterKill < 0 {
 		t.Fatal("no adjustment observed after the kill")
 	}
-	if firstAfterKill.tasks != 4 {
-		t.Errorf("summary tasks right after kill = %d, want 4 (3 live + 1 stale)", firstAfterKill.tasks)
-	}
-	if firstAfterKill.fresh != 3 {
-		t.Errorf("fresh tasks right after kill = %d, want 3 (the survivors)", firstAfterKill.fresh)
+	if firstAfterKill != 3 {
+		t.Errorf("fresh tasks right after kill = %d, want 3 (the survivors)", firstAfterKill)
 	}
 }
 

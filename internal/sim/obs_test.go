@@ -64,8 +64,8 @@ func TestObsSimDecisionAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PoolExhausted != 0 {
-		t.Fatalf("pool exhaustion would decouple desired from actual parallelism: %d", res.PoolExhausted)
+	if s.poolExhaustedEvents != 0 {
+		t.Fatalf("pool exhaustion would decouple desired from actual parallelism: %d", s.poolExhaustedEvents)
 	}
 	decisions := rec.Decisions()
 	if len(decisions) == 0 {

@@ -147,28 +147,20 @@ type Result struct {
 	NodeHours float64
 	// Emitted counts items emitted per source vertex.
 	Emitted map[string]int64
-	// FinalParallelism and PeakParallelism describe the scaling history.
-	FinalParallelism map[string]int
-	PeakParallelism  map[string]int
-	ScaleUps         int
-	ScaleDowns       int
-	// InfeasibleDecisions counts adjustment rounds in which a constraint
-	// was infeasible even at maximum scale-out.
-	InfeasibleDecisions int
-	// PoolExhausted counts scale-up attempts clipped by the worker pool.
-	PoolExhausted int
+	// PeakParallelism, ScaleUps and ScaleDowns describe the scaling
+	// history.
+	PeakParallelism map[string]int
+	ScaleUps        int
+	ScaleDowns      int
 	// DroppedItems counts items lost to disposed tasks (diagnostics; zero
 	// in healthy runs).
 	DroppedItems int64
-	// KilledTasks / KilledNodes count FaultPlan kills that fired;
-	// RespawnedTasks the replacements placed. KilledItems counts items
-	// lost synchronously with a kill (queued input, buffered output,
-	// stalled batches); in-flight batches that reach a dead task later
-	// land in DroppedItems.
-	KilledTasks    int
-	KilledNodes    int
-	KilledItems    int64
-	RespawnedTasks int
+	// KilledTasks counts the tasks FaultPlan kills took down. KilledItems
+	// counts items lost synchronously with a kill (queued input, buffered
+	// output, stalled batches); in-flight batches that reach a dead task
+	// later land in DroppedItems.
+	KilledTasks int
+	KilledItems int64
 	// MeanCPUUtilization is the run-wide mean task CPU utilization.
 	MeanCPUUtilization float64
 
@@ -179,10 +171,8 @@ type Result struct {
 	CheckpointsCommitted int
 	CheckpointsAborted   int
 	CommittedOffsets     uint64
-	// ReplayedItems counts source-log re-emissions after respawns;
-	// ReplayStalls the emissions deferred by a full replay buffer.
+	// ReplayedItems counts source-log re-emissions after respawns.
 	ReplayedItems int64
-	ReplayStalls  int64
 	// SinkDistinct / SinkDuplicates / SinkHoles aggregate the sink
 	// dedup tables: first-time deliveries, detected duplicates
 	// (suppressed under exactly-once), and committed-but-never-
@@ -191,9 +181,6 @@ type Result struct {
 	SinkDistinct   int64
 	SinkDuplicates int64
 	SinkHoles      int64
-	// UncommittedItems counts items still in replay buffers at the end
-	// of the run (not lost — they were simply never committed).
-	UncommittedItems int64
 }
 
 // New builds a simulation from the config and probe set (probes may be
@@ -366,7 +353,6 @@ func (s *Sim) sourceEmit(t *simTask) {
 		// The replay buffer is at its bound: emitting more would make
 		// the uncommitted suffix unreplayable. Stall until a checkpoint
 		// commit frees space.
-		t.srcLog.Stall()
 		s.schedule(s.now+0.01, evSourceEmit, t, 0)
 		return
 	}
@@ -675,22 +661,17 @@ func (s *Sim) Run() (*Result, error) {
 		}
 	}
 	res := &Result{
-		Rows:                s.rows,
-		Probes:              make(map[string]ProbeSummary),
-		TaskHours:           s.meter.TaskHours(),
-		NodeHours:           s.meter.NodeHours(),
-		Emitted:             emitted,
-		FinalParallelism:    s.parallelismMap(),
-		PeakParallelism:     peak,
-		ScaleUps:            s.scaleUps,
-		ScaleDowns:          s.scaleDowns,
-		InfeasibleDecisions: s.loop.Infeasible(),
-		PoolExhausted:       s.poolExhaustedEvents,
-		DroppedItems:        s.droppedItems,
-		KilledTasks:         s.killedTasks,
-		KilledNodes:         s.killedNodes,
-		KilledItems:         s.killedItems,
-		RespawnedTasks:      s.respawnedTasks,
+		Rows:            s.rows,
+		Probes:          make(map[string]ProbeSummary),
+		TaskHours:       s.meter.TaskHours(),
+		NodeHours:       s.meter.NodeHours(),
+		Emitted:         emitted,
+		PeakParallelism: peak,
+		ScaleUps:        s.scaleUps,
+		ScaleDowns:      s.scaleDowns,
+		DroppedItems:    s.droppedItems,
+		KilledTasks:     s.killedTasks,
+		KilledItems:     s.killedItems,
 	}
 	for _, name := range s.probes.Names() {
 		p := s.probes.Probe(name)
@@ -714,7 +695,6 @@ func (s *Sim) Run() (*Result, error) {
 			res.CommittedOffsets = last.TotalOffsets()
 		}
 		res.ReplayedItems = g.replayed
-		_, res.UncommittedItems, res.ReplayStalls = g.logs.Totals()
 		res.SinkDistinct, res.SinkDuplicates, res.SinkHoles = g.coord.Deliveries()
 	}
 	// Run-wide CPU utilization.

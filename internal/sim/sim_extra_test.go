@@ -127,11 +127,11 @@ func TestSimPoolExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PoolExhausted == 0 {
+	if s.poolExhaustedEvents == 0 {
 		t.Error("expected pool-exhaustion events")
 	}
-	if res.FinalParallelism["server"] > 6 {
-		t.Errorf("parallelism exceeded pool capacity: %d", res.FinalParallelism["server"])
+	if s.parallelismMap()["server"] > 6 {
+		t.Errorf("parallelism exceeded pool capacity: %d", s.parallelismMap()["server"])
 	}
 	if res.Emitted["src"] == 0 {
 		t.Error("run made no progress")
@@ -297,7 +297,7 @@ func TestSimElasticSourceVertex(t *testing.T) {
 	}
 	// Sources carry no queue-wait demand: the model shrinks them to the
 	// minimum; total emission rate is preserved by the per-task split.
-	if got := res.FinalParallelism["src"]; got != 1 {
+	if got := s.parallelismMap()["src"]; got != 1 {
 		t.Errorf("source parallelism: got %d, want 1 (scaled to min)", got)
 	}
 	emitted := res.Emitted["src"]

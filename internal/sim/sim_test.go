@@ -303,8 +303,8 @@ func TestSimElasticScalesUpAndDown(t *testing.T) {
 	if res.PeakParallelism["server"] < 5 {
 		t.Errorf("peak parallelism: got %d, want ≥ 5", res.PeakParallelism["server"])
 	}
-	if res.FinalParallelism["server"] >= res.PeakParallelism["server"] {
-		t.Errorf("no scale-down: final %d, peak %d", res.FinalParallelism["server"], res.PeakParallelism["server"])
+	if s.parallelismMap()["server"] >= res.PeakParallelism["server"] {
+		t.Errorf("no scale-down: final %d, peak %d", s.parallelismMap()["server"], res.PeakParallelism["server"])
 	}
 	if res.ScaleUps == 0 || res.ScaleDowns == 0 {
 		t.Errorf("scaling activity: ups=%d downs=%d", res.ScaleUps, res.ScaleDowns)

@@ -91,11 +91,6 @@ func GenerateTweetTraceFile(path string, sched Schedule, topics int, seed int64)
 // order.
 type TweetReplay struct {
 	tweets []Tweet
-	// speedup compresses historic time: 2 means twice the historic rate
-	// and half the duration.
-	speedup float64
-	// startMS is the first tweet's timestamp.
-	startMS int64
 	// duration is the replay duration in (replay) seconds.
 	duration float64
 	// rates holds per-replay-second rate estimates.
@@ -139,8 +134,6 @@ func NewTweetReplay(tweets []Tweet, speedup float64) (*TweetReplay, error) {
 	}
 	return &TweetReplay{
 		tweets:   sorted,
-		speedup:  speedup,
-		startMS:  startMS,
 		duration: duration,
 		rates:    rates,
 	}, nil

@@ -76,7 +76,6 @@ type TweetGenerator struct {
 	rng    *rand.Rand
 	zipf   *rand.Zipf
 	nextID uint64
-	topics int
 }
 
 // NewTweetGenerator creates a generator over topicCount topics with
@@ -90,9 +89,8 @@ func NewTweetGenerator(topicCount int, s float64, seed int64) *TweetGenerator {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	return &TweetGenerator{
-		rng:    rng,
-		zipf:   rand.NewZipf(rng, s, 1, uint64(topicCount-1)),
-		topics: topicCount,
+		rng:  rng,
+		zipf: rand.NewZipf(rng, s, 1, uint64(topicCount-1)),
 	}
 }
 

@@ -26,11 +26,11 @@ import (
 )
 
 // surfaceAllowlist names the exported identifiers under internal/ that
-// may stay without a non-test caller (package.Name or
-// package.Type.Method), each with the open ROADMAP item or the test that
-// needs it. The two engine tests have no rewrite as strong: one reads the
-// tail fit with no observability attached, the other compares a
-// read-ready report bit for bit with one recorded twice.
+// may stay without a non-test caller or reader (package.Name,
+// package.Type.Method or package.Type.Field), each with the open ROADMAP
+// item or the test that needs it. The two engine tests have no rewrite
+// as strong: one reads the tail fit with no observability attached, the
+// other compares a read-ready report bit for bit with one recorded twice.
 var surfaceAllowlist = map[string]string{
 	"core.RebalanceSteps":                 "BenchmarkAblationRebalanceStepSize in bench_test.go",
 	"obs.Tracer.VertexAttribution":        "ROADMAP item 3, per-vertex latency attribution",
@@ -43,13 +43,18 @@ var surfaceAllowlist = map[string]string{
 	"ckpt.FileStore.Close":                "ROADMAP item 7",
 	"master.Loop.TailFitter":              "TestEngineTailFitWithoutObservability (engine)",
 	"qos.TaskReporter.RecordTaskLatencyN": "TestReadReadyTaskReportsUnchanged (engine)",
+	"engine.Config.SourceShards":          "ROADMAP item 4a: a no-op that bench/ sets",
+	"engine.Config.WheelResolution":       "ROADMAP item 4a",
+	"engine.Config.DrainIdle":             "ROADMAP item 4a",
+	"sim.Result.NodeHours":                "ROADMAP item 2, the hindsight oracle's oracle.csv",
 }
 
 // surfaceExempt are method names that the standard library calls through
-// reflection or a dynamic interface check, so no static reference shows.
+// a dynamic interface check on a value passed as any, so no static
+// reference shows. MarshalJSON and UnmarshalJSON are not among them:
+// they count as used when an encoding/json call reaches their type.
 var surfaceExempt = map[string]bool{
-	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true,
-	"MarshalBinary": true, "Int63": true, "Seed": true, "Uint64": true,
+	"String": true, "Error": true, "MarshalBinary": true, "Int63": true, "Seed": true, "Uint64": true,
 }
 
 func TestExportedSurface(t *testing.T) {
@@ -74,7 +79,15 @@ func TestExportedSurfaceFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := strings.Join(report, "\n"), "internal/lib/lib.go:12 lib.Dead.Err\ninternal/lib/lib.go:38 lib.OnlyTests\ninternal/lib/lib.go:47 lib.Config.Dead"
+	got, want := strings.Join(report, "\n"), strings.Join([]string{
+		"internal/lib/lib.go:12 lib.Dead.Err",
+		"internal/lib/lib.go:38 lib.OnlyTests",
+		"internal/lib/lib.go:47 lib.Config.Dead",
+		"internal/lib/lib.go:62 lib.Counters.Written",
+		"internal/lib/lib.go:63 lib.Counters.Tested",
+		"internal/lib/lib.go:76 lib.Event.Kind",
+		"internal/lib/lib.go:93 lib.Unsent.MarshalJSON",
+	}, "\n")
 	if got != want {
 		t.Fatalf("report:\n%s\nwant:\n%s", got, want)
 	}
@@ -87,8 +100,14 @@ func TestExportedSurfaceFixture(t *testing.T) {
 // a method also counts as used when its type satisfies a used interface
 // or generic constraint that has it. An exported field of a package-level
 // struct type (package.Type.Field) counts as used when non-test code
-// reads or writes it, by selector, keyed literal or unkeyed literal;
-// embedded fields are not candidates. Interface methods and the names in
+// reads it: every reference is a read except the target of an
+// assignment, ++ or --, and the key of a keyed literal, and an unkeyed
+// literal reads no field. A field is also read when non-test code passes
+// to a function or method of encoding/json or fmt a value whose static
+// type reaches the field's struct through pointers, slices, arrays, maps
+// and struct fields; the same walk from an encoding/json call uses the
+// MarshalJSON and UnmarshalJSON methods of the types it reaches. Embedded
+// fields are not candidates. Interface methods and the names in
 // surfaceExempt are not reported. An allowlist entry that is not an
 // offender is reported as stale.
 func unusedExports(root string, allow map[string]string) ([]string, error) {
@@ -240,6 +259,45 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 	// References, and the interfaces and module types that non-test code
 	// names, so that a method can count as used through an interface.
 	used := map[types.Object]bool{}
+	// reach marks read every field of each struct that t reaches and,
+	// for encoding/json, the JSON methods of each named type it reaches.
+	type walked struct {
+		t    types.Type
+		json bool
+	}
+	seen := map[walked]bool{}
+	var reach func(t types.Type, json bool)
+	reach = func(t types.Type, json bool) {
+		if t == nil || seen[walked{t, json}] {
+			return
+		}
+		seen[walked{t, json}] = true
+		switch u := t.(type) {
+		case *types.Named:
+			if json {
+				for _, name := range []string{"MarshalJSON", "UnmarshalJSON"} {
+					if obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(u), false, u.Obj().Pkg(), name); obj != nil {
+						used[origin(obj)] = true
+					}
+				}
+			}
+			reach(u.Underlying(), json)
+		case *types.Pointer:
+			reach(u.Elem(), json)
+		case *types.Slice:
+			reach(u.Elem(), json)
+		case *types.Array:
+			reach(u.Elem(), json)
+		case *types.Map:
+			reach(u.Key(), json)
+			reach(u.Elem(), json)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				used[origin(u.Field(i))] = true
+				reach(u.Field(i).Type(), json)
+			}
+		}
+	}
 	ifaces := map[*types.Interface]bool{}
 	named := map[*types.Named]bool{}
 	note := func(t types.Type) {
@@ -265,11 +323,47 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 		}
 	}
 	for _, c := range pkgs {
+		writes := map[token.Pos]bool{} // field selectors and keys that are written
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var targets []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						targets = n.Lhs
+					}
+				case *ast.IncDecStmt:
+					targets = []ast.Expr{n.X}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok { // a struct literal's field key
+						targets = []ast.Expr{id}
+					}
+				case *ast.CallExpr:
+					if pkg := calleePkg(c.info, n); pkg == "encoding/json" || pkg == "fmt" {
+						for _, arg := range n.Args {
+							reach(c.info.Types[arg].Type, pkg == "encoding/json")
+						}
+					}
+				}
+				for _, e := range targets {
+					switch e := e.(type) {
+					case *ast.SelectorExpr:
+						writes[e.Sel.Pos()] = true
+					case *ast.Ident:
+						writes[e.Pos()] = true
+					}
+				}
+				return true
+			})
+		}
 		for id, obj := range c.info.Uses {
 			collect(obj.Type())
 			obj = origin(obj)
 			cand := cands[obj]
 			if cand == nil || skip[id.Pos()] || (id.Pos() >= cand.from && id.Pos() < cand.to) {
+				continue
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() && writes[id.Pos()] {
 				continue
 			}
 			used[obj] = true
@@ -281,21 +375,6 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 		}
 		for _, tv := range c.info.Types {
 			collect(tv.Type)
-		}
-		// An unkeyed struct literal writes every field.
-		for _, f := range c.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
-					if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); !keyed && c.info.Types[lit].Type != nil {
-						if st, ok := c.info.Types[lit].Type.Underlying().(*types.Struct); ok {
-							for i := 0; i < st.NumFields(); i++ {
-								used[origin(st.Field(i))] = true
-							}
-						}
-					}
-				}
-				return true
-			})
 		}
 		// The program type-checks, so each type argument has every method
 		// its constraint names.
@@ -384,6 +463,23 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 	}
 	sort.Strings(stale)
 	return append(report, stale...), nil
+}
+
+// calleePkg returns the import path of the package that declares the
+// function or method call calls, or "" for a call of a func value,
+// builtin or conversion.
+func calleePkg(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+		return fn.Pkg().Path()
+	}
+	return ""
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -40,13 +40,57 @@ func OnlyTests() int { return 0 }
 // Planned is allowlisted.
 func Planned() {}
 
-// Config's Live field is set by main and Pair's fields by an unkeyed
-// literal; Config.Dead is neither read nor written.
+// Config's Live field is set by main and read by Scaled; Config.Dead is
+// neither read nor written.
 type Config struct {
 	Live int
 	Dead int
 }
 
+func (c Config) Scaled() int { return 2 * c.Live }
+
+// Pair's fields are written by an unkeyed literal and read by Sum.
 type Pair struct{ First, Second int }
 
 func NewPair() Pair { return Pair{1, 2} }
+
+func (p Pair) Sum() int { return p.First + p.Second }
+
+// Counters.Written is only written: by a keyed literal, =, += and ++.
+// Counters.Tested is read only by lib_test.go.
+type Counters struct {
+	Written int
+	Tested  int
+}
+
+func Count() Counters {
+	c := Counters{Written: 1, Tested: 1}
+	c.Written = 2
+	c.Written += 3
+	c.Written++
+	return c
+}
+
+// Event's tag does not make Kind read: nothing encodes an Event.
+type Event struct {
+	Kind string `json:"kind"`
+}
+
+// Report reaches encoding/json through a slice of pointers, so Total is
+// read without a tag and At's MarshalJSON is used.
+type Report struct {
+	Total int
+	At    Stamp
+}
+
+type Stamp struct{ Unix int64 }
+
+func (s Stamp) MarshalJSON() ([]byte, error) { return []byte("0"), nil }
+
+// Unsent has a MarshalJSON, but nothing encodes an Unsent.
+type Unsent struct{}
+
+func (Unsent) MarshalJSON() ([]byte, error) { return nil, nil }
+
+// Point is printed with %+v, which reads X.
+type Point struct{ X int }

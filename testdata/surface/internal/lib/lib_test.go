@@ -7,3 +7,9 @@ func TestOnlyTests(t *testing.T) {
 		t.Fail()
 	}
 }
+
+func TestTested(t *testing.T) {
+	if Count().Tested != 1 {
+		t.Fail()
+	}
+}
