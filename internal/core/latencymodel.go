@@ -245,7 +245,7 @@ func BuildVertexModel(jv *model.JobVertex, seq *model.Sequence, s *qos.Summary, 
 
 	kappa := 1.0
 	if opts.TailQuantile > 0 && opts.TailQuantile < 1 {
-		kappa, _ = opts.Tail.Kappa(jv.Name, opts.TailQuantile)
+		kappa = opts.Tail.Kappa(jv.Name, opts.TailQuantile)
 	}
 
 	return &VertexModel{

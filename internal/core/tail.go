@@ -49,20 +49,9 @@ type tailKey struct {
 type tailCell struct {
 	kappa    float64 // EWMA of accepted κ_raw = TailWait/MeanWait
 	windows  int     // accepted windows folded into kappa
-	held     int     // consecutive windows rejected since the last accept
 	lastTail float64 // TailWait of the most recent window (accepted or not)
 	lastOK   bool    // whether the most recent window met MinSamples
 }
-
-// Tail-fit states reported by Kappa — the rungs of the fallback ladder.
-const (
-	// TailFitFresh: the latest window met MinSamples and refreshed κ.
-	TailFitFresh = "fit"
-	// TailFitHeld: the latest window was too sparse; the prior κ is held.
-	TailFitHeld = "held"
-	// TailFitMean: no window has ever been accepted; κ = 1 (mean model).
-	TailFitMean = "mean"
-)
 
 // TailFitter fits per-vertex tail coefficients κ_jv(q) = W_q/W̄ online
 // from windowed queue-wait sketches. Multiplying a VertexModel's A by κ
@@ -71,9 +60,9 @@ const (
 // the optimizer: W_q(p*) ≈ κ · e·a/(p*−b).
 //
 // The fallback ladder: a window with ≥ MinSamples observations refreshes
-// κ by EWMA ("fit"); a sparse window holds the previous fit ("held");
-// with no fit at all κ degrades to 1 and the model is exactly the
-// Kingman mean ("mean").
+// κ by EWMA; a sparse window holds the previous κ; with no accepted
+// window at all κ degrades to 1 and the model is exactly the Kingman
+// mean.
 type TailFitter struct {
 	mu    sync.Mutex
 	cfg   TailFitterConfig
@@ -113,7 +102,6 @@ func (f *TailFitter) Observe(vertex string, q float64, w TailWindow) {
 	c.lastOK = w.Count >= f.cfg.MinSamples
 	if !c.lastOK || w.MeanWait <= 0 || w.TailWait <= 0 ||
 		math.IsNaN(w.MeanWait) || math.IsNaN(w.TailWait) {
-		c.held++
 		return
 	}
 	raw := w.TailWait / w.MeanWait
@@ -132,7 +120,6 @@ func (f *TailFitter) Observe(vertex string, q float64, w TailWindow) {
 		c.kappa += f.cfg.Smoothing * (raw - c.kappa)
 	}
 	c.windows++
-	c.held = 0
 }
 
 // ObserveSummary closes one fit window: for every vertex of a percentile
@@ -165,23 +152,19 @@ func (f *TailFitter) ObserveSummary(constraints []*model.Constraint, s *qos.Summ
 	}
 }
 
-// Kappa returns the tail coefficient for (vertex, q) and the fallback
-// rung that produced it ("fit", "held", "mean"). A nil fitter, unknown
-// vertex, or never-accepted cell degrades to (1, "mean").
-func (f *TailFitter) Kappa(vertex string, q float64) (float64, string) {
+// Kappa returns the tail coefficient for (vertex, q). A nil fitter,
+// unknown vertex, or never-accepted cell degrades to 1, the mean model.
+func (f *TailFitter) Kappa(vertex string, q float64) float64 {
 	if f == nil {
-		return 1, TailFitMean
+		return 1
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	c := f.cells[tailKey{vertex, q}]
 	if c == nil || c.windows == 0 {
-		return 1, TailFitMean
+		return 1
 	}
-	if c.held > 0 {
-		return c.kappa, TailFitHeld
-	}
-	return c.kappa, TailFitFresh
+	return c.kappa
 }
 
 // TailHot reports whether the vertex's most recent fit window measured a

@@ -80,8 +80,10 @@ func TestTailWaitProperties(t *testing.T) {
 		// any real quantile function does.
 		meanWait := 0.001 + 0.02*rng.Float64()
 		tail := meanWait
+		tails := map[float64]float64{}
 		for _, q := range quantiles {
 			tail += meanWait * rng.Float64() * 3 // quantile functions are non-decreasing
+			tails[q] = tail
 			fit.Observe("work", q, TailWindow{Count: 64, MeanWait: meanWait, TailWait: tail})
 		}
 
@@ -99,9 +101,9 @@ func TestTailWaitProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kappa, state := fit.Kappa("work", q) // what the model folded into A
-			if state != TailFitFresh {
-				t.Fatalf("q=%v: fit state %q, want %q", q, state, TailFitFresh)
+			kappa := fit.Kappa("work", q) // what the model folded into A
+			if want := tails[q] / meanWait; kappa != want {
+				t.Fatalf("q=%v: κ=%v, want the window's fresh fit %v", q, kappa, want)
 			}
 			for pp := vm.FeasibleMin(); pp <= vm.Max; pp += 7 {
 				wTail, wMean := vm.Wait(pp), mean.Wait(pp)
@@ -126,8 +128,8 @@ func TestTailWaitProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kappa, state := sparse.Kappa("work", 0.99); kappa != 1 || state != TailFitMean {
-			t.Fatalf("sparse fit must degrade to mean: κ=%v state=%q", kappa, state)
+		if kappa := sparse.Kappa("work", 0.99); kappa != 1 {
+			t.Fatalf("sparse fit must degrade to mean: κ=%v", kappa)
 		}
 		if vm.Wait(p+1) != mean.Wait(p+1) {
 			t.Fatalf("sparse fit wait %v != mean wait %v", vm.Wait(p+1), mean.Wait(p+1))
@@ -140,32 +142,40 @@ func TestTailWaitProperties(t *testing.T) {
 func TestTailFitterFallbackLadder(t *testing.T) {
 	f := NewTailFitter(TailFitterConfig{MinSamples: 10, KappaMax: 8, Smoothing: 1}, 0.99)
 
-	if k, st := f.Kappa("v", 0.99); k != 1 || st != TailFitMean {
-		t.Fatalf("no fit: got (%v, %q), want (1, mean)", k, st)
-	}
-	f.Observe("v", 0.99, TailWindow{Count: 100, MeanWait: 0.010, TailWait: 0.040})
-	if k, st := f.Kappa("v", 0.99); k != 4 || st != TailFitFresh {
-		t.Fatalf("fresh fit: got (%v, %q), want (4, fit)", k, st)
+	if k := f.Kappa("v", 0.99); k != 1 {
+		t.Fatalf("no fit: got κ=%v, want 1 (mean)", k)
 	}
 	f.Observe("v", 0.99, TailWindow{Count: 3, MeanWait: 0.010, TailWait: 0.100})
-	if k, st := f.Kappa("v", 0.99); k != 4 || st != TailFitHeld {
-		t.Fatalf("sparse window must hold prior: got (%v, %q), want (4, held)", k, st)
+	if k := f.Kappa("v", 0.99); k != 1 {
+		t.Fatalf("a sparse first window must leave the mean: got κ=%v, want 1", k)
+	}
+	f.Observe("v", 0.99, TailWindow{Count: 100, MeanWait: 0.010, TailWait: 0.040})
+	if k := f.Kappa("v", 0.99); k != 4 {
+		t.Fatalf("fresh fit: got κ=%v, want 4", k)
+	}
+	f.Observe("v", 0.99, TailWindow{Count: 3, MeanWait: 0.010, TailWait: 0.100})
+	if k := f.Kappa("v", 0.99); k != 4 {
+		t.Fatalf("sparse window must hold prior: got κ=%v, want 4", k)
+	}
+	f.Observe("v", 0.99, TailWindow{Count: 100, MeanWait: 0.010, TailWait: 0.060})
+	if k := f.Kappa("v", 0.99); k != 6 {
+		t.Fatalf("a full window after a held one must refresh: got κ=%v, want 6", k)
 	}
 	// Sketch error can put the window quantile below the mean; κ floors
 	// at 1 (the tail is never better than the mean).
 	f.Observe("v", 0.99, TailWindow{Count: 100, MeanWait: 0.010, TailWait: 0.005})
-	if k, _ := f.Kappa("v", 0.99); k != 1 {
+	if k := f.Kappa("v", 0.99); k != 1 {
 		t.Fatalf("κ below 1 must floor: got %v", k)
 	}
 	// A pathological window caps at KappaMax.
 	f.Observe("v", 0.99, TailWindow{Count: 100, MeanWait: 0.001, TailWait: 10})
-	if k, _ := f.Kappa("v", 0.99); k != 8 {
+	if k := f.Kappa("v", 0.99); k != 8 {
 		t.Fatalf("κ must cap at KappaMax: got %v", k)
 	}
 	// A nil fitter is always the mean model.
 	var nilF *TailFitter
-	if k, st := nilF.Kappa("v", 0.99); k != 1 || st != TailFitMean {
-		t.Fatalf("nil fitter: got (%v, %q)", k, st)
+	if k := nilF.Kappa("v", 0.99); k != 1 {
+		t.Fatalf("nil fitter: got κ=%v", k)
 	}
 	nilF.Observe("v", 0.99, TailWindow{Count: 100, MeanWait: 1, TailWait: 2}) // must not panic
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"nephelix/internal/core"
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
 	"nephelix/internal/probe"
@@ -783,8 +782,7 @@ func TestEngineTailFitWithoutObservability(t *testing.T) {
 	}
 	fit := false
 	for !fit && !exec.Done() {
-		_, state := exec.ex.loop.TailFitter().Kappa("work", 0.99)
-		fit = state == core.TailFitFresh
+		fit = exec.ex.loop.TailFitter().Kappa("work", 0.99) != 1
 		time.Sleep(20 * time.Millisecond)
 	}
 	waitDone(t, exec, 30*time.Second)

@@ -325,15 +325,17 @@ func TestScalerFitsTailFromSummary(t *testing.T) {
 	sc := newScaler(t, cfg, f)
 	cur := map[string]int{"work": 8}
 
-	// Interval 1 is planned on the mean model: no window was folded yet.
-	if k, st := sc.TailFitter().Kappa("work", 0.99); k != 1 || st != core.TailFitMean {
-		t.Errorf("first plan uses κ=%v (%s), want the mean fallback", k, st)
-	}
+	// Interval 1 is planned on the mean model: no window was folded yet,
+	// so the model's wait at the current parallelism is the ingoing
+	// edge's mean queue wait, QueueWait(src->work) = 4 ms − 2 ms.
 	d, err := sc.decide(f.summary, cur)
 	if err != nil || d == nil {
 		t.Fatalf("first decision: d=%v err=%v", d, err)
 	}
-	// QueueWait(src->work) = 4 ms − 2 ms, not the window's own 5.05 ms.
+	if w := d.PerConstraint[0].Models[0].Wait(8); !almostEqual(w, 0.002, 1e-9) {
+		t.Errorf("first plan: W(8) = %v, want the mean model's 0.002 (the window was folded in before planning)", w)
+	}
+	// κ's denominator is that 2 ms, not the window's own 5.05 ms.
 	want := win.Quantile(0.99) / 0.002
 	if len(d.TailFit) != 1 || d.TailFit[0].Vertex != "work" || !almostEqual(d.TailFit[0].Kappa, want, 1e-9) {
 		t.Fatalf("decision's tail fit = %+v, want κ(work) = %v", d.TailFit, want)
@@ -341,14 +343,13 @@ func TestScalerFitsTailFromSummary(t *testing.T) {
 
 	// Interval 2 plans with it: the model's wait at the current
 	// parallelism is the measured quantile.
-	_, st := sc.TailFitter().Kappa("work", 0.99)
 	d, err = sc.decide(f.summary, cur)
 	if err != nil || d == nil {
 		t.Fatalf("second decision: d=%v err=%v", d, err)
 	}
 	vm := d.PerConstraint[0].Models[0]
-	if st != core.TailFitFresh || !almostEqual(vm.Wait(8), win.Quantile(0.99), 1e-9) {
-		t.Errorf("second plan: fit %q, W(8) = %v, want the window's p99 %v", st, vm.Wait(8), win.Quantile(0.99))
+	if !almostEqual(vm.Wait(8), win.Quantile(0.99), 1e-9) {
+		t.Errorf("second plan: W(8) = %v, want the window's p99 %v", vm.Wait(8), win.Quantile(0.99))
 	}
 
 	// An inactivity interval returns no decision but still closes its

@@ -433,7 +433,7 @@ func TestObsTailFitGauges(t *testing.T) {
 	fit := core.NewTailFitter(core.DefaultTailFitterConfig(), 0.99)
 	fit.Observe("worker", 0.99, core.TailWindow{Count: 100, MeanWait: 0.05, TailWait: 0.099})
 	tel.ObserveInterval(2, nil, &core.Decision{TailFit: fit.Snapshot()}, nil)
-	kappa, _ := fit.Kappa("worker", 0.99)
+	kappa := fit.Kappa("worker", 0.99)
 
 	got := map[string]float64{}
 	for _, s := range tel.Snapshot("nephelix_tail_", 0, 10).Series {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"nephelix/internal/probe"
@@ -151,16 +152,19 @@ func TestFaultDeterminism(t *testing.T) {
 }
 
 // TestFaultStaleQoSHistory: a killed task's QoS history is not forgotten
-// — the next global summary still aggregates it (stale, see qos's
-// TestWaitWindowIsOneInterval), and only the live tasks count as fresh.
-// This is the stale-measurement window the coverage-gated scaler exists
-// for.
+// — the next global summary still aggregates it (stale), and only the
+// live tasks count as fresh. This is the stale-measurement window the
+// coverage-gated scaler exists for.
 func TestFaultStaleQoSHistory(t *testing.T) {
 	probes := probe.NewProbeSet()
-	cfg := faultConfig(t, probes, 4, &FaultPlan{
-		TaskKills: []TaskKill{{At: 12, Vertex: "server", Count: 1}},
-	})
+	// Task i serves in (i+1) ms, so the mean over all four tasks, 2.5 ms,
+	// differs from the mean over any three survivors.
+	cfg := pipelineConfig(t, probes,
+		&workload.ConstantSchedule{RatePerSecond: 100, Length: 60}, false, 4,
+		func(i int) Behavior { return &testServer{mean: 0.001 * float64(i+1)} })
+	cfg.Faults = &FaultPlan{TaskKills: []TaskKill{{At: 12, Vertex: "server", Count: 1}}}
 	firstAfterKill := -1 // fresh tasks at the first adjustment after the kill
+	serviceMean := 0.0   // the server's mean service time at that adjustment
 	cfg.OnAdjust = func(info AdjustmentInfo) {
 		// Freshness means "reported within the current adjustment
 		// interval", so the task killed at t=12 (its last report is at
@@ -174,6 +178,7 @@ func TestFaultStaleQoSHistory(t *testing.T) {
 			return
 		}
 		firstAfterKill = vs.FreshTasks
+		serviceMean = vs.ServiceTimeMean
 	}
 	s, err := New(cfg, probes)
 	if err != nil {
@@ -187,6 +192,9 @@ func TestFaultStaleQoSHistory(t *testing.T) {
 	}
 	if firstAfterKill != 3 {
 		t.Errorf("fresh tasks right after kill = %d, want 3 (the survivors)", firstAfterKill)
+	}
+	if math.Abs(serviceMean-0.0025) > 1e-5 {
+		t.Errorf("mean service time right after kill = %v, want 0.0025 (3 live + 1 stale task)", serviceMean)
 	}
 }
 

@@ -153,6 +153,61 @@ func TestObsSimDecisionAudit(t *testing.T) {
 	}
 }
 
+// TestObsSimFaultedAuditReplay: under injected kills and respawns, the
+// server's parallelism replayed from the audit trail alone — decisions,
+// kills and restarts, starting at the configured parallelism — matches
+// what every decision saw and ends at the run's final parallelism, so no
+// change, the last decision included, happens off the record.
+func TestObsSimFaultedAuditReplay(t *testing.T) {
+	probes := probe.NewProbeSet()
+	cfg := elasticObsConfig(t, probes)
+	cfg.Faults = &FaultPlan{
+		TaskKills:    []TaskKill{{At: 95, Vertex: "server", Count: 2}, {At: 150, Vertex: "server", Count: 1}},
+		Respawn:      true,
+		RestartDelay: 7,
+	}
+	rec := obs.NewRecorder(0)
+	cfg.Recorder = rec
+	s, err := New(cfg, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Total() > uint64(rec.Len()) {
+		t.Fatalf("recorder overflowed (%d events for capacity %d)", rec.Total(), rec.Len())
+	}
+	current := 4
+	decisions, kills, restarts := 0, 0, 0
+	for i, ev := range rec.Events() {
+		switch ev.Kind {
+		case obs.KindScalingDecision:
+			if old := ev.Decision.Old["server"]; old != current {
+				t.Errorf("event %d: decision saw parallelism %d, audit replay says %d", i, old, current)
+			}
+			current = ev.Decision.New["server"]
+			decisions++
+		case obs.KindTaskKill:
+			if ev.Lifecycle.Vertex == "server" {
+				current--
+				kills++
+			}
+		case obs.KindTaskRestart:
+			if ev.Lifecycle.Vertex == "server" {
+				current += ev.Lifecycle.Attempts
+				restarts += ev.Lifecycle.Attempts
+			}
+		}
+	}
+	if decisions == 0 || kills != 3 || restarts != 3 {
+		t.Fatalf("audit trail has %d decisions, %d kills, %d restarted tasks; want some, 3, 3", decisions, kills, restarts)
+	}
+	if want := s.parallelismMap()["server"]; current != want {
+		t.Errorf("replayed final parallelism %d, run ended at %d — some change is untraceable", current, want)
+	}
+}
+
 // TestObsSimTracingAttribution head-samples a steady M/M/1-style run and
 // checks that the traced per-hop decomposition is complete and consistent
 // with the untreated ground-truth probe.

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
@@ -86,7 +87,10 @@ func TestExportedSurfaceFixture(t *testing.T) {
 		"internal/lib/lib.go:62 lib.Counters.Written",
 		"internal/lib/lib.go:63 lib.Counters.Tested",
 		"internal/lib/lib.go:76 lib.Event.Kind",
-		"internal/lib/lib.go:93 lib.Unsent.MarshalJSON",
+		"internal/lib/lib.go:84 lib.Report.Cache",
+		"internal/lib/lib.go:88 lib.Stamp.Unix",
+		"internal/lib/lib.go:95 lib.Unsent.MarshalJSON",
+		"internal/lib/lib.go:101 lib.Level.Code",
 	}, "\n")
 	if got != want {
 		t.Fatalf("report:\n%s\nwant:\n%s", got, want)
@@ -105,8 +109,11 @@ func TestExportedSurfaceFixture(t *testing.T) {
 // literal reads no field. A field is also read when non-test code passes
 // to a function or method of encoding/json or fmt a value whose static
 // type reaches the field's struct through pointers, slices, arrays, maps
-// and struct fields; the same walk from an encoding/json call uses the
-// MarshalJSON and UnmarshalJSON methods of the types it reaches. Embedded
+// and struct fields, short of a type that formats itself (MarshalJSON
+// for encoding/json; String, Error or Format for fmt) and, for
+// encoding/json, of fields tagged `json:"-"`; the same walk from an
+// encoding/json call uses the MarshalJSON and UnmarshalJSON methods of
+// the types it reaches. Embedded
 // fields are not candidates. Interface methods and the names in
 // surfaceExempt are not reported. An allowlist entry that is not an
 // offender is reported as stale.
@@ -261,11 +268,29 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 	used := map[types.Object]bool{}
 	// reach marks read every field of each struct that t reaches and,
 	// for encoding/json, the JSON methods of each named type it reaches.
+	// The walk stops at a type that formats itself: for encoding/json one
+	// with MarshalJSON, for fmt one whose method set (the value's, or the
+	// pointer's when reached through one) has String, Error or Format.
+	// encoding/json skips fields tagged `json:"-"` and unexported fields
+	// that are not embedded.
 	type walked struct {
 		t    types.Type
 		json bool
 	}
 	seen := map[walked]bool{}
+	formats := func(t types.Type, json bool) bool {
+		if json {
+			obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "MarshalJSON")
+			return obj != nil
+		}
+		mset := types.NewMethodSet(t)
+		for _, name := range []string{"String", "Error", "Format"} {
+			if mset.Lookup(nil, name) != nil {
+				return true
+			}
+		}
+		return false
+	}
 	var reach func(t types.Type, json bool)
 	reach = func(t types.Type, json bool) {
 		if t == nil || seen[walked{t, json}] {
@@ -281,8 +306,13 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 					}
 				}
 			}
-			reach(u.Underlying(), json)
+			if !formats(u, json) {
+				reach(u.Underlying(), json)
+			}
 		case *types.Pointer:
+			if !json && formats(u, json) {
+				break
+			}
 			reach(u.Elem(), json)
 		case *types.Slice:
 			reach(u.Elem(), json)
@@ -293,8 +323,12 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 			reach(u.Elem(), json)
 		case *types.Struct:
 			for i := 0; i < u.NumFields(); i++ {
-				used[origin(u.Field(i))] = true
-				reach(u.Field(i).Type(), json)
+				f := u.Field(i)
+				if json && (!f.Exported() && !f.Embedded() || reflect.StructTag(u.Tag(i)).Get("json") == "-") {
+					continue
+				}
+				used[origin(f)] = true
+				reach(f.Type(), json)
 			}
 		}
 	}

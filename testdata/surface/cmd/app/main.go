@@ -19,4 +19,6 @@ func main() {
 	_, _ = json.Marshal([]*lib.Report{{Total: 1}})
 	_ = lib.Unsent{}
 	_ = fmt.Sprintf("%+v", lib.Point{X: 1})
+	_ = fmt.Sprint(lib.Level{Code: 1})
+	_ = fmt.Sprintf("%+v", lib.Gauge{V: 1})
 }

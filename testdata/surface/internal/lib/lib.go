@@ -77,12 +77,14 @@ type Event struct {
 }
 
 // Report reaches encoding/json through a slice of pointers, so Total is
-// read without a tag and At's MarshalJSON is used.
+// read without a tag and At's MarshalJSON is used; Cache is tagged out.
 type Report struct {
 	Total int
 	At    Stamp
+	Cache int `json:"-"`
 }
 
+// Stamp encodes itself, so encoding/json reads no field of it.
 type Stamp struct{ Unix int64 }
 
 func (s Stamp) MarshalJSON() ([]byte, error) { return []byte("0"), nil }
@@ -94,3 +96,13 @@ func (Unsent) MarshalJSON() ([]byte, error) { return nil, nil }
 
 // Point is printed with %+v, which reads X.
 type Point struct{ X int }
+
+// Level is printed through its String method, which reads no field.
+type Level struct{ Code int }
+
+func (Level) String() string { return "level" }
+
+// Gauge's String needs a pointer; a Gauge printed by value shows V.
+type Gauge struct{ V int }
+
+func (*Gauge) String() string { return "gauge" }
