@@ -25,14 +25,17 @@ type eventKind uint8
 
 const (
 	evNone eventKind = iota
+	// The task-addressed kinds come first (see schedule): their tslot
+	// indexes Sim.taskSlots.
+	//
 	// evSourceEmit is one emission of source task t.
 	evSourceEmit
 	// evTimer is one TimerBehavior tick of task t.
 	evTimer
-	// evFlushTimer is a deadline flush check of gate g; gen detects
-	// gates flushed since the timer was armed.
+	// evFlushTimer is a deadline flush check of producer task t's gate n.
 	evFlushTimer
-	// evDeliver is the arrival of batch at the consumer end of its channel.
+	// evDeliver is the arrival of the oldest in-flight batch of channel
+	// n (Sim.chanSlots), shipped by task t.
 	evDeliver
 	// evServiceDone is the service completion of task t; the item in
 	// service and its service time ride on the task (svcItem, svcTime).
@@ -45,7 +48,8 @@ const (
 	// evTaskKill / evNodeKill fire FaultPlan entry n.
 	evTaskKill
 	evNodeKill
-	// evRespawn re-adds n tasks to vertex v after a fault kill.
+	// evRespawn re-adds n tasks to the vertex at position tslot of
+	// Sim.vertexOrder after a fault kill.
 	evRespawn
 	// evCheckpoint is the recurring barrier-checkpoint injection tick
 	// (processing guarantees); it reschedules itself like the
@@ -60,54 +64,23 @@ const (
 // The record is deliberately small (32 bytes) and pointer-free: the
 // queue copies events in and out of its arena and heap sifts move them
 // around, so every extra field costs a move and any pointer field would
-// cost GC write-barrier work per move. Task-addressed
-// events carry the task's arena slot (Sim.taskSlots — slots are never
-// reused, so a stale event resolves to the same, now-disposed task a
-// pointer would have); events with wider operand sets (deliveries, flush
-// timers, respawns) park them in the Sim's evOp arena and carry only the
-// arena index.
+// cost GC write-barrier work per move. Its operands are plain indices
+// into append-only tables (Sim.taskSlots, Sim.chanSlots: slots are never
+// reused, so a stale event resolves to the same, now-disposed task or
+// closed channel a pointer would have); what a delivery carries waits on
+// its channel.
 type event struct {
 	at  float64
 	seq uint64
-	// tslot indexes Sim.taskSlots (evSourceEmit, evTimer, evServiceDone).
+	// tslot indexes Sim.taskSlots (the task-addressed kinds) or
+	// Sim.vertexOrder (evRespawn).
 	tslot int32
-	// n is the evOp arena index (evDeliver, evFlushTimer, evRespawn) or
-	// the FaultPlan entry index (evTaskKill, evNodeKill).
+	// n is the gate index (evFlushTimer), the channel slot (evDeliver),
+	// the task count (evRespawn) or the FaultPlan entry index
+	// (evTaskKill, evNodeKill).
 	n    int32
 	kind eventKind
 	next int32 // the queue's list link; it fits the record's padding
-}
-
-// evOp holds the operands of events that need more than a task pointer.
-// Ops live in a flat arena on the Sim with an index-linked free list:
-// they are allocated once and recycled, and — unlike fields on the event
-// itself — never move while the heap sifts.
-type evOp struct {
-	batch batch // evDeliver: the batch under way to batch.src
-	g     *outGate
-	v     *simVertex
-	gen   uint64
-	count int32
-	next  int32 // free-list link
-}
-
-// allocOp returns a free arena slot index.
-func (s *Sim) allocOp() int32 {
-	if s.opFree >= 0 {
-		i := s.opFree
-		s.opFree = s.ops[i].next
-		return i
-	}
-	s.ops = append(s.ops, evOp{})
-	return int32(len(s.ops) - 1)
-}
-
-// takeOp reads slot i and returns it to the free list.
-func (s *Sim) takeOp(i int32) evOp {
-	op := s.ops[i]
-	s.ops[i] = evOp{next: s.opFree}
-	s.opFree = i
-	return op
 }
 
 // The wheel has wheelSize buckets of 1/wheelRate virtual seconds (15 µs;
@@ -318,26 +291,19 @@ var eventKindNames = [...]string{
 	evCheckpoint: "checkpoint",
 }
 
-// schedule is the one place events enter the queue; t is the task the
-// event is for (nil for control-plane and fault events), n its operand
-// index. A time that is NaN, infinite or in the past — from a
+// schedule is the one place events enter the queue; tslot and n are the
+// event's operands. A time that is NaN, infinite or in the past — from a
 // Behavior's service time, a source interval or a transit cost — would
-// scramble the pop order or leave a task busy forever, so it fails the
-// run instead. One past time is legitimate: when the QoS plane shortens
-// a deadline, the oldest buffered record's flush may already be overdue,
-// and that timer fires first, at its own time.
-func (s *Sim) schedule(at float64, kind eventKind, t *simTask, n int32) {
-	if !(at <= math.MaxFloat64 && (at >= s.now || kind == evFlushTimer && at >= 0)) {
+// scramble the pop order, step virtual time back or leave a task busy
+// forever, so it fails the run instead.
+func (s *Sim) schedule(at float64, kind eventKind, tslot, n int32) {
+	if !(at <= math.MaxFloat64 && at >= s.now) {
 		who := "the control plane"
-		if t != nil {
-			who = t.id.String()
+		if kind <= evServiceDone {
+			who = s.taskSlots[tslot].id.String()
 		}
 		s.fail("%s event of %s scheduled at %g: event times must be finite and not in the past", eventKindNames[kind], who, at)
 		return
-	}
-	tslot := int32(0)
-	if t != nil {
-		tslot = t.slot
 	}
 	s.q.push(at, kind, tslot, n)
 }
@@ -352,39 +318,36 @@ func (s *Sim) dispatch(ev *event) {
 	case evTimer:
 		s.timerFire(s.taskSlots[ev.tslot])
 	case evFlushTimer:
-		op := s.takeOp(ev.n)
-		s.flushTimerFire(op.g, op.gen)
+		s.flushTimerFire(s.taskSlots[ev.tslot], int(ev.n))
 	case evDeliver:
-		op := s.takeOp(ev.n)
-		s.deliver(op.batch)
+		s.deliver(s.chanSlots[ev.n].inflight.pop())
 	case evServiceDone:
 		s.serviceDone(s.taskSlots[ev.tslot])
 	case evMeasure:
 		s.measurementTick()
 		if t := s.now + s.cfg.MeasurementInterval; t <= s.cfg.Duration {
-			s.schedule(t, evMeasure, nil, 0)
+			s.schedule(t, evMeasure, 0, 0)
 		}
 	case evAdjust:
 		s.adjustmentTick()
 		if t := s.now + s.cfg.AdjustmentInterval; t <= s.cfg.Duration {
-			s.schedule(t, evAdjust, nil, 0)
+			s.schedule(t, evAdjust, 0, 0)
 		}
 	case evRecord:
 		s.recordTick()
 		if t := s.now + recordInterval; t <= s.cfg.Duration {
-			s.schedule(t, evRecord, nil, 0)
+			s.schedule(t, evRecord, 0, 0)
 		}
 	case evTaskKill:
 		s.injectTaskKill(s.cfg.Faults.TaskKills[ev.n], s.cfg.Faults)
 	case evNodeKill:
 		s.injectNodeKill(s.cfg.Faults.NodeKills[ev.n], s.cfg.Faults)
 	case evRespawn:
-		op := s.takeOp(ev.n)
-		s.respawn(op.v, int(op.count))
+		s.respawn(s.vertices[s.vertexOrder[ev.tslot]], int(ev.n))
 	case evCheckpoint:
 		s.checkpointTick()
 		if t := s.now + s.cfg.CheckpointInterval; t <= s.cfg.Duration {
-			s.schedule(t, evCheckpoint, nil, 0)
+			s.schedule(t, evCheckpoint, 0, 0)
 		}
 	}
 }

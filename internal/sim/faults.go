@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nephelix/internal/model"
 	"nephelix/internal/obs"
@@ -85,10 +86,10 @@ func (p *FaultPlan) validate(c *Config) error {
 // s.cfg.Faults.
 func (s *Sim) scheduleFaults(p *FaultPlan) {
 	for i := range p.TaskKills {
-		s.schedule(p.TaskKills[i].At, evTaskKill, nil, int32(i))
+		s.schedule(p.TaskKills[i].At, evTaskKill, 0, int32(i))
 	}
 	for i := range p.NodeKills {
-		s.schedule(p.NodeKills[i].At, evNodeKill, nil, int32(i))
+		s.schedule(p.NodeKills[i].At, evNodeKill, 0, int32(i))
 	}
 }
 
@@ -109,7 +110,7 @@ func (s *Sim) injectTaskKill(k TaskKill, p *FaultPlan) {
 		killed++
 	}
 	if p.Respawn && killed > 0 {
-		s.scheduleRespawn(v, killed, p.RestartDelay)
+		s.scheduleRespawn(slices.Index(s.vertexOrder, k.Vertex), killed, p.RestartDelay)
 	}
 }
 
@@ -136,24 +137,23 @@ func (s *Sim) injectNodeKill(k NodeKill, p *FaultPlan) {
 		}
 	}
 	if p.Respawn {
-		for _, name := range s.vertexOrder {
+		for pos, name := range s.vertexOrder {
 			if n := perVertex[name]; n > 0 {
-				s.scheduleRespawn(s.vertices[name], n, p.RestartDelay)
+				s.scheduleRespawn(pos, n, p.RestartDelay)
 			}
 		}
 	}
 }
 
-// scheduleRespawn re-adds n tasks to v after delay.
-func (s *Sim) scheduleRespawn(v *simVertex, n int, delay float64) {
+// scheduleRespawn re-adds n tasks after delay to the vertex at position
+// pos of s.vertexOrder.
+func (s *Sim) scheduleRespawn(pos, n int, delay float64) {
 	if s.guar != nil {
 		// Hold checkpoint injection until recovery settles, like the
 		// engine master's pendingRecovery gate.
 		s.guar.pendingResp++
 	}
-	i := s.allocOp()
-	s.ops[i] = evOp{v: v, count: int32(n)}
-	s.schedule(s.now+delay, evRespawn, nil, i)
+	s.schedule(s.now+delay, evRespawn, int32(pos), int32(n))
 }
 
 // respawn executes one evRespawn: places n replacement tasks on v.

@@ -1,5 +1,39 @@
 package sim
 
+// batchFIFO is a queue of batches, oldest first, that keeps reusing its
+// storage: it restarts at the front of its slice when it empties, and
+// grows only while less than half of the slice is a consumed prefix;
+// otherwise the live part slides down. A task's input queue and a
+// channel's in-flight batches are each one.
+type batchFIFO struct {
+	batches []batch
+	head    int // index of the oldest batch
+}
+
+// push enqueues b behind every batch queued before it.
+func (f *batchFIFO) push(b batch) {
+	if f.head > 0 && f.head*2 >= len(f.batches) && len(f.batches) == cap(f.batches) {
+		live := copy(f.batches, f.batches[f.head:])
+		clear(f.batches[live:])
+		f.batches, f.head = f.batches[:live], 0
+	}
+	f.batches = append(f.batches, b)
+}
+
+// front returns the oldest batch in place (the FIFO must not be empty).
+func (f *batchFIFO) front() *batch { return &f.batches[f.head] }
+
+// pop removes the oldest batch and returns it.
+func (f *batchFIFO) pop() batch {
+	b := f.batches[f.head]
+	f.batches[f.head] = batch{}
+	f.head++
+	if f.head == len(f.batches) {
+		f.batches, f.head = f.batches[:0], 0
+	}
+	return b
+}
+
 // taskQueue is a task's input queue. It holds the delivered batches —
 // array and header — oldest first, and reads items where they lie; an
 // array goes back to the batch pool when its last item has been taken.
@@ -7,21 +41,14 @@ package sim
 // that is idle most of the time keeps touching the same few cache lines
 // for the whole run.
 type taskQueue struct {
-	batches []batch
-	head    int // index of the oldest batch
-	pos     int // next unread item of batches[head]
-	n       int // items queued
+	batchFIFO
+	pos int // next unread item of the oldest batch
+	n   int // items queued
 }
 
-// push enqueues a non-empty batch. Storage grows only while less than
-// half of it is a consumed prefix; otherwise the live part slides down.
+// push enqueues a non-empty batch.
 func (q *taskQueue) push(b batch) {
-	if q.head > 0 && q.head*2 >= len(q.batches) && len(q.batches) == cap(q.batches) {
-		live := copy(q.batches, q.batches[q.head:])
-		clear(q.batches[live:])
-		q.batches, q.head = q.batches[:live], 0
-	}
-	q.batches = append(q.batches, b)
+	q.batchFIFO.push(b)
 	q.n += len(b.items)
 }
 
@@ -29,7 +56,7 @@ func (q *taskQueue) push(b batch) {
 // batch it lies in (the queue must not be empty). The pointers are valid
 // until advance.
 func (q *taskQueue) peek() (*Item, *batchHeader) {
-	b := &q.batches[q.head]
+	b := q.front()
 	return &b.items[q.pos], &b.batchHeader
 }
 
@@ -38,16 +65,11 @@ func (q *taskQueue) peek() (*Item, *batchHeader) {
 func (q *taskQueue) advance() (done []Item) {
 	q.n--
 	q.pos++
-	if q.pos < len(q.batches[q.head].items) {
+	if q.pos < len(q.front().items) {
 		return nil
 	}
-	done = q.batches[q.head].items
-	q.batches[q.head] = batch{}
-	q.head, q.pos = q.head+1, 0
-	if q.head == len(q.batches) {
-		q.batches, q.head = q.batches[:0], 0
-	}
-	return done
+	q.pos = 0
+	return q.pop().items
 }
 
 // dataItems counts the queued non-barrier items.

@@ -145,7 +145,7 @@ func (h *queueHarness) broadcast(n, barrierAt int) {
 	h.s.shipBatch(h.chs, b, 0)
 	var ev event
 	for h.s.q.pop(&ev) {
-		arriving := h.s.ops[ev.n].batch
+		arriving := *h.s.chanSlots[ev.n].inflight.front()
 		h.arrays[arrayOf(arriving.items)] = true
 		model := modelBatch{items: append([]Item(nil), arriving.items...), shipped: shipped, arr: arrayOf(arriving.items)}
 		before := len(h.queue)

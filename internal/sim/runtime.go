@@ -23,8 +23,11 @@ type simChannel struct {
 	graphEdge int
 	from      *simTask
 	to        *simTask
+	// slot is the channel's index in Sim.chanSlots (see event.n).
+	slot int32
 
-	// stalled holds batches that arrived at a full consumer queue; the
+	// inflight holds the batches shipped and not yet arrived, oldest
+	// first; each has one evDeliver in the queue. stalled holds batches that arrived at a full consumer queue; the
 	// producer is blocked while any batch is stalled.
 	stalled []batch
 
@@ -32,10 +35,11 @@ type simChannel struct {
 	closed      bool
 
 	// lastArrive is the latest delivery time scheduled on this channel;
-	// under processing guarantees every ship clamps to it so batches —
-	// and in particular checkpoint barriers — never overtake earlier
-	// ones (per-channel FIFO, the engine's channel ordering).
+	// every ship clamps to it, so a batch — a checkpoint barrier, or one
+	// shipped while an earlier one pays the TCP setup — never overtakes
+	// an earlier one (per-channel FIFO, like the engine's rings).
 	lastArrive float64
+	inflight   batchFIFO
 
 	reporter qos.ChannelReporter
 	history  qos.ChannelHandle // the reporter's registration with its manager
@@ -63,9 +67,9 @@ func (t vtime) Before(u vtime) bool { return t < u }
 // outGate is the simulator's transport around one output gate: routing,
 // batching and churn decisions are internal/gate's (embedded), sized in
 // bytes against the edge's BufferBytes; this type adds what only the
-// event loop knows — the edge's batching mode and current deadline, the
-// one outstanding evFlushTimer, and the flush a blocked producer had to
-// defer. Following Nephele's design, round-robin and broadcast edges
+// event loop knows — the edge's batching mode and current deadline,
+// whether an evFlushTimer is outstanding, and the flush a blocked
+// producer had to defer. Following Nephele's design, round-robin and broadcast edges
 // batch in a single producer-side buffer and key-based edges keep one
 // buffer per consumer.
 type outGate struct {
@@ -80,10 +84,8 @@ type outGate struct {
 	// size-only).
 	deadline float64
 
-	// timerSet marks an evFlushTimer in the queue; gen counts flushes so
-	// the timer can tell the gate shipped since it was armed.
+	// timerSet marks an evFlushTimer in the queue.
 	timerSet bool
-	gen      uint64
 	// pending marks a size/deadline-triggered flush deferred because the
 	// producer is blocked in a send; resume ships the whole gate.
 	pending bool
@@ -271,36 +273,39 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it *Item) {
 	if k, v := g.Push(it, it.Key, int(it.Size), vtime(s.now), g.deadline); v&gate.Flush != 0 {
 		s.flushSlot(g, k)
 	} else if !g.timerSet {
-		s.armFlushTimer(g)
+		s.armFlushTimer(t, edgeIdx)
 	}
 }
 
-// armFlushTimer schedules a deadline flush check at the gate's earliest
-// lapsing deadline, if it has a finite one and holds records.
-func (s *Sim) armFlushTimer(g *outGate) {
+// armFlushTimer schedules a deadline flush check of task t's pos-th gate
+// at its earliest lapsing deadline, if it has a finite one and holds
+// records; a deadline already overdue (the QoS plane shortened it) is
+// checked now.
+func (s *Sim) armFlushTimer(t *simTask, pos int) {
+	g := t.gates[pos]
 	at, ok := g.NextDue(g.deadline)
 	if !ok {
 		return
 	}
 	g.timerSet = true
-	i := s.allocOp()
-	s.ops[i] = evOp{g: g, gen: g.gen}
-	s.schedule(float64(at), evFlushTimer, g.t, i)
+	s.schedule(max(float64(at), s.now), evFlushTimer, t.slot, int32(pos))
 }
 
-// flushTimerFire runs one deadline flush check; gen detects gates
-// flushed (or re-filled) since the timer was armed.
-func (s *Sim) flushTimerFire(g *outGate, gen uint64) {
-	g.timerSet = false
-	if g.gen != gen || g.t.disposed {
+// flushTimerFire runs one deadline flush check of task t's pos-th gate:
+// it ships what is due now and re-arms for whatever stays buffered,
+// whichever flush emptied the gate since the timer was armed.
+func (s *Sim) flushTimerFire(t *simTask, pos int) {
+	if t.disposed {
 		return
 	}
+	g := t.gates[pos]
+	g.timerSet = false
 	due := g.Due(vtime(s.now+1e-12), g.deadline)
 	for _, k := range due {
 		s.flushSlot(g, k)
 	}
 	if len(due) == 0 || !g.pending {
-		s.armFlushTimer(g) // whatever is still buffered and not deferred
+		s.armFlushTimer(t, pos) // whatever is still buffered and not deferred
 	}
 }
 
@@ -315,7 +320,6 @@ func (s *Sim) flushSlot(g *outGate, k int) {
 		return
 	}
 	f := g.Take(k, s.getBatch()) // detach; refill from the free list
-	g.gen++
 	s.shipBatch(f.To, f.Recs, f.Weight)
 }
 
@@ -335,7 +339,8 @@ func (s *Sim) shipBatch(to []*simChannel, items []Item, bytes int) {
 }
 
 // ship charges the producer the flush CPU cost, stamps the batch shipped
-// now on ch and schedules delivery after the network transit time.
+// now on ch, queues it on the channel and schedules its delivery after
+// the network transit time, but not before the channel's previous one.
 func (s *Sim) ship(ch *simChannel, items []Item, bytes int) {
 	ch.from.pendingOverhead += s.cfg.Costs.FlushCPU
 	transit := s.cfg.Costs.NetFixed + s.cfg.Costs.NetPerByte*float64(bytes)
@@ -343,19 +348,10 @@ func (s *Sim) ship(ch *simChannel, items []Item, bytes int) {
 		transit += s.cfg.Costs.TCPSetup
 		ch.established = true
 	}
-	at := s.now + transit
-	if s.guar != nil {
-		// Per-channel FIFO: a later ship (e.g. a tiny barrier batch)
-		// must not overtake an earlier, larger one.
-		if at < ch.lastArrive {
-			at = ch.lastArrive
-		}
-		ch.lastArrive = at
-	}
+	ch.lastArrive = max(s.now+transit, ch.lastArrive)
 	ch.to.inflightIn++
-	i := s.allocOp()
-	s.ops[i].batch = batch{items: items, batchHeader: batchHeader{shipped: s.now, src: ch}}
-	s.schedule(at, evDeliver, ch.from, i)
+	ch.inflight.push(batch{items: items, batchHeader: batchHeader{shipped: s.now, src: ch}})
+	s.schedule(ch.lastArrive, evDeliver, ch.from.slot, ch.slot)
 }
 
 // flushGate flushes everything buffered in a gate (drain, barriers, a
@@ -520,7 +516,7 @@ func (s *Sim) maybeStart(t *simTask) {
 	// service on this task.
 	t.busy = true
 	t.svcTime = st
-	s.schedule(s.now+st, evServiceDone, t, 0)
+	s.schedule(s.now+st, evServiceDone, t.slot, 0)
 	s.retryStalled(t)
 }
 

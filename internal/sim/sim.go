@@ -48,15 +48,13 @@ type Sim struct {
 
 	// batchPool is the free list of batch slices (see pool.go).
 	batchPool [][]Item
-	// ops is the event-operand arena; opFree heads its free list (-1 =
-	// empty).
-	ops    []evOp
-	opFree int32
-	// taskSlots maps event tslot indices to tasks. Slots are append-only
-	// and never reused, so an event scheduled before a task's disposal
-	// still resolves to that (disposed) task — same semantics a pointer
-	// field would have, without putting a pointer in every heap element.
+	// taskSlots and chanSlots map event indices to tasks and channels.
+	// Slots are append-only and never reused, so an event scheduled
+	// before a task's disposal still resolves to that (disposed) task —
+	// same semantics a pointer field would have, without putting a
+	// pointer in every heap element.
 	taskSlots []*simTask
+	chanSlots []*simChannel
 	// partials is reused across adjustment ticks.
 	partials []*qos.PartialSummary
 	// dp is the data-plane scraper state (lazily built; nil until the
@@ -198,7 +196,6 @@ func New(cfg Config, probes *ProbeSet) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg:       &cfg,
-		opFree:    -1,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		vertices:  make(map[string]*simVertex),
 		edgePos:   make(map[model.EdgeKey]int),
@@ -299,7 +296,7 @@ func (s *Sim) startTask(t *simTask) {
 		if rate > 0 {
 			offset = s.rng.Float64() * float64(len(t.vtx.tasks)+1) / rate
 		}
-		s.schedule(s.now+offset, evSourceEmit, t, 0)
+		s.schedule(s.now+offset, evSourceEmit, t.slot, 0)
 		return
 	}
 	if tb, ok := t.behavior.(TimerBehavior); ok {
@@ -309,7 +306,7 @@ func (s *Sim) startTask(t *simTask) {
 			return
 		}
 		t.timerInterval = interval
-		s.schedule(s.now+s.rng.Float64()*interval, evTimer, t, 0)
+		s.schedule(s.now+s.rng.Float64()*interval, evTimer, t.slot, 0)
 	}
 }
 
@@ -325,7 +322,7 @@ func (s *Sim) timerFire(t *simTask) {
 	tb.OnTimer(&t.ctx)
 	// ±5% dither keeps window emissions from aliasing with batched
 	// arrivals and other periodic activity.
-	s.schedule(s.now+t.timerInterval*(0.95+0.1*s.rng.Float64()), evTimer, t, 0)
+	s.schedule(s.now+t.timerInterval*(0.95+0.1*s.rng.Float64()), evTimer, t.slot, 0)
 }
 
 // Sample reports whether the next source emission should be tagged for
@@ -353,14 +350,14 @@ func (s *Sim) sourceEmit(t *simTask) {
 		// The replay buffer is at its bound: emitting more would make
 		// the uncommitted suffix unreplayable. Stall until a checkpoint
 		// commit frees space.
-		s.schedule(s.now+0.01, evSourceEmit, t, 0)
+		s.schedule(s.now+0.01, evSourceEmit, t.slot, 0)
 		return
 	}
 	src := t.vtx.cfg.Source
 	rate := src.Schedule.Rate(s.now)
 	if rate <= 0 {
 		if s.now < src.Schedule.Duration() {
-			s.schedule(s.now+0.5, evSourceEmit, t, 0)
+			s.schedule(s.now+0.5, evSourceEmit, t.slot, 0)
 		} else {
 			t.srcStopped = true
 		}
@@ -400,7 +397,7 @@ func (s *Sim) sourceEmit(t *simTask) {
 		// cluster arrivals.
 		next = cost * (0.95 + 0.1*s.rng.Float64())
 	}
-	s.schedule(s.now+next, evSourceEmit, t, 0)
+	s.schedule(s.now+next, evSourceEmit, t.slot, 0)
 }
 
 // fail aborts the run with an error.
@@ -506,7 +503,7 @@ func (r simRuntime) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 	s := r.s
 	s.deadlines = deadlines
 	forTask := func(t *simTask) {
-		for _, g := range t.gates {
+		for pos, g := range t.gates {
 			if g.mode != BatchAdaptive {
 				continue
 			}
@@ -518,7 +515,7 @@ func (r simRuntime) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 			if dl <= 0 {
 				s.flushGate(g)
 			} else if !g.timerSet {
-				s.armFlushTimer(g)
+				s.armFlushTimer(t, pos)
 			}
 		}
 	}
@@ -629,11 +626,11 @@ func integrateRate(rate func(float64) float64, t0, t1 float64) float64 {
 func (s *Sim) Run() (*Result, error) {
 	dur := s.cfg.Duration
 	// Recurring control-plane ticks; each reschedules itself in dispatch.
-	s.schedule(s.cfg.MeasurementInterval, evMeasure, nil, 0)
-	s.schedule(s.cfg.AdjustmentInterval, evAdjust, nil, 0)
-	s.schedule(recordInterval, evRecord, nil, 0)
+	s.schedule(s.cfg.MeasurementInterval, evMeasure, 0, 0)
+	s.schedule(s.cfg.AdjustmentInterval, evAdjust, 0, 0)
+	s.schedule(recordInterval, evRecord, 0, 0)
 	if s.guar != nil {
-		s.schedule(s.cfg.CheckpointInterval, evCheckpoint, nil, 0)
+		s.schedule(s.cfg.CheckpointInterval, evCheckpoint, 0, 0)
 	}
 	if s.cfg.Faults != nil {
 		s.scheduleFaults(s.cfg.Faults)

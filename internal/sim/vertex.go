@@ -117,8 +117,8 @@ func (s *Sim) initialGateDeadline(ec EdgeConfig, edge model.EdgeKey) float64 {
 // wire creates channels from producer p, through its outPos gate, to
 // each of cs in order, and adds them to the gate as one consumer
 // snapshot. Each channel is registered with the managers' round-robin
-// and appended to its consumer's in list and to s.channels as it is
-// created, so wiring producer by producer gives the producer-major
+// and appended to its consumer's in list, s.channels and s.chanSlots as
+// it is created, so wiring producer by producer gives the producer-major
 // layout every simulated figure depends on.
 func (s *Sim) wire(p *simTask, outPos int, cs []*simTask) {
 	g := p.gates[outPos]
@@ -131,11 +131,13 @@ func (s *Sim) wire(p *simTask, outPos int, cs []*simTask) {
 			graphEdge: g.graphEdge,
 			from:      p,
 			to:        c,
+			slot:      int32(len(s.chanSlots)),
 		}
 		ch.reporter = *qos.NewChannelReporter(ch.id)
 		ch.history = s.nextManager().RegisterChannel()
 		c.in = append(c.in, ch)
 		s.channels = append(s.channels, ch)
+		s.chanSlots = append(s.chanSlots, ch)
 		s.wired = append(s.wired, ch)
 	}
 	g.Add(s.wired...)
