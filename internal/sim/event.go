@@ -330,10 +330,17 @@ func (s *Sim) dispatch(ev *event) {
 		}
 	case evAdjust:
 		s.adjustmentTick()
-		if t := s.now + s.cfg.AdjustmentInterval; t <= s.cfg.Duration {
-			s.schedule(t, evAdjust, 0, 0)
+		s.nextAdjust = s.now + s.cfg.AdjustmentInterval
+		if s.nextAdjust <= s.cfg.Duration {
+			s.schedule(s.nextAdjust, evAdjust, 0, 0)
 		}
 	case evRecord:
+		if s.nextAdjust == s.now {
+			// The adjustment of this instant goes first, so that the row
+			// shows its decision.
+			s.schedule(s.now, evRecord, 0, 0)
+			return
+		}
 		s.recordTick()
 		if t := s.now + recordInterval; t <= s.cfg.Duration {
 			s.schedule(t, evRecord, 0, 0)

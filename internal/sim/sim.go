@@ -63,6 +63,9 @@ type Sim struct {
 	// sourceCount sizes the per-row source-rate maps.
 	sourceCount int
 
+	// nextAdjust is the time of the next adjustment tick.
+	nextAdjust float64
+
 	// deadlines are the flush deadlines the loop last published; gates of
 	// tasks created later start from them.
 	deadlines map[model.EdgeKey]float64
@@ -627,7 +630,8 @@ func (s *Sim) Run() (*Result, error) {
 	dur := s.cfg.Duration
 	// Recurring control-plane ticks; each reschedules itself in dispatch.
 	s.schedule(s.cfg.MeasurementInterval, evMeasure, 0, 0)
-	s.schedule(s.cfg.AdjustmentInterval, evAdjust, 0, 0)
+	s.nextAdjust = s.cfg.AdjustmentInterval
+	s.schedule(s.nextAdjust, evAdjust, 0, 0)
 	s.schedule(recordInterval, evRecord, 0, 0)
 	if s.guar != nil {
 		s.schedule(s.cfg.CheckpointInterval, evCheckpoint, 0, 0)

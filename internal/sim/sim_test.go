@@ -290,6 +290,8 @@ func TestSimElasticScalesUpAndDown(t *testing.T) {
 	probes.SetBound("e2e", 0.030)
 	cfg.Elastic = true
 	cfg.Scaler = core.DefaultScalerConfig()
+	observed := map[float64]int{} // server parallelism each adjustment saw
+	cfg.OnAdjust = func(info AdjustmentInfo) { observed[info.Now] = info.Parallelism["server"] }
 	s, err := New(cfg, probes)
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +299,18 @@ func TestSimElasticScalesUpAndDown(t *testing.T) {
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A row taken at an adjustment's instant shows that adjustment's
+	// decision: the parallelism the next adjustment sees, or after the
+	// last one the run's final parallelism.
+	for _, row := range res.Rows {
+		want, ok := observed[row.Time+s.cfg.AdjustmentInterval]
+		if !ok {
+			want = s.parallelismMap()["server"]
+		}
+		if got := row.Parallelism["server"]; got != want {
+			t.Errorf("row at t=%g shows parallelism %d, want %d: the decision of its instant is missing", row.Time, got, want)
+		}
 	}
 	// Peak rate 360/s at S = 10 ms needs ≥ 4 busy servers; the scaler
 	// must grow beyond the warm-up level and shrink again afterwards.
