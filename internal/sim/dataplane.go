@@ -44,10 +44,10 @@ func (s *Sim) scrapeDataplane() {
 	// One entry per job edge, in graph order (the snapshot keeps the
 	// slice); an edge no channel was ever made for stays unnamed.
 	edges := make([]obs.DataplaneEdge, len(s.cfg.Graph.Edges()))
-	for _, ch := range s.channels {
+	for _, ch := range s.chanSlots {
 		de := &edges[ch.graphEdge]
 		if de.Edge == "" {
-			de.Edge, de.Producer, de.Consumer = ch.edgeName, ch.edge.Source, ch.edge.Target
+			de.Edge, de.Producer, de.Consumer = ch.edgeName, ch.id.Edge.Source, ch.id.Edge.Target
 		}
 		de.Pushes += uint64(ch.accepted)
 		de.PushFails += uint64(ch.stallItems)

@@ -10,7 +10,7 @@ const ManagerCount = managerCount
 // external wiring test compares against a one-channel-at-a-time
 // reference.
 type Wiring struct {
-	// Channels is s.channels in order; Managers[i] is the index of the
+	// Channels is s.chanSlots in order; Managers[i] is the index of the
 	// manager Channels[i] registered with.
 	Channels []model.ChannelID
 	Managers []int
@@ -25,7 +25,7 @@ type Wiring struct {
 // handle, which a channel's first report fills in.
 func (s *Sim) Wiring() Wiring {
 	w := Wiring{Gates: map[model.TaskID][][]model.ChannelID{}, In: map[model.TaskID][]model.ChannelID{}}
-	for _, ch := range s.channels {
+	for _, ch := range s.chanSlots {
 		w.Channels = append(w.Channels, ch.id)
 		m := -1
 		for i, mgr := range s.managers {

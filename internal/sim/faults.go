@@ -290,7 +290,6 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 		})
 	}
 	s.noteSimChurn("fault kill rewired topology")
-	s.compactChannels()
 	for _, p := range resumed {
 		s.resume(p)
 	}

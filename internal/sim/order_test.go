@@ -160,3 +160,20 @@ func TestSimOverdueDeadlineFiresNow(t *testing.T) {
 		t.Fatalf("%d records still buffered after the producer resumed", g.Buffered())
 	}
 }
+
+// TestSimStalledBatchKeepsChannelOrder: a batch arriving behind a
+// stalled batch of its channel stalls too, even when the queue has room
+// for it, so backpressure never reorders a channel.
+func TestSimStalledBatchKeepsChannelOrder(t *testing.T) {
+	h := newQueueHarness(t)
+	h.deliver(1, harnessCapacity-1, -1) // the other channel fills the queue
+	h.deliver(0, 5, -1)                 // no room: stalls
+	h.deliver(0, 1, 0)                  // a barrier: room for it, but not before the stalled batch
+	if n := len(h.chs[0].stalled); n != 2 {
+		t.Fatalf("%d batches stalled on the channel, want 2", n)
+	}
+	for h.to.queueLen() > 0 {
+		h.pop()
+	}
+	h.check()
+}

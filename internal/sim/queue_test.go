@@ -120,12 +120,13 @@ func (h *queueHarness) deliver(c, n, barrierAt int) {
 }
 
 // delivered is the model's side of one delivery: lost at a disposed
-// consumer, stalled at a queue that had no room for it, else accepted.
+// consumer, stalled behind a stalled batch of its channel or at a queue
+// that had no room for it, else accepted.
 func (h *queueHarness) delivered(c int, b modelBatch, queuedBefore int) {
 	switch {
 	case h.to.disposed:
 		h.lost += dataItems(b.items)
-	case harnessCapacity-queuedBefore < len(b.items):
+	case len(h.stalled[c]) > 0 || harnessCapacity-queuedBefore < len(b.items):
 		h.stalled[c] = append(h.stalled[c], b)
 		h.stallN[c] += int64(len(b.items))
 	default:

@@ -14,30 +14,30 @@ import (
 // happens in the producer's output gate; the channel carries batches,
 // tracks stalls (backpressure) and owns the QoS channel reporter.
 type simChannel struct {
-	id   model.ChannelID
-	edge model.EdgeKey
-	// edgeName caches edge.String() so per-sample tracing does not
+	id model.ChannelID
+	// edgeName caches id.Edge.String() so per-sample tracing does not
 	// re-render (and re-allocate) the key on the hot path; graphEdge is
 	// the edge's position in the job graph's edge list.
 	edgeName  string
 	graphEdge int
 	from      *simTask
 	to        *simTask
-	// slot is the channel's index in Sim.chanSlots (see event.n).
-	slot int32
 
-	// inflight holds the batches shipped and not yet arrived, oldest
-	// first; each has one evDeliver in the queue. stalled holds batches that arrived at a full consumer queue; the
+	// stalled holds batches that arrived at a full consumer queue; the
 	// producer is blocked while any batch is stalled.
 	stalled []batch
 
 	established bool
 	closed      bool
+	// slot is the channel's index in Sim.chanSlots (see event.n).
+	slot int32
 
 	// lastArrive is the latest delivery time scheduled on this channel;
 	// every ship clamps to it, so a batch — a checkpoint barrier, or one
 	// shipped while an earlier one pays the TCP setup — never overtakes
 	// an earlier one (per-channel FIFO, like the engine's rings).
+	// inflight holds the batches shipped and not yet arrived, oldest
+	// first; each has one evDeliver in the queue.
 	lastArrive float64
 	inflight   batchFIFO
 
@@ -69,9 +69,9 @@ func (t vtime) Before(u vtime) bool { return t < u }
 // bytes against the edge's BufferBytes; this type adds what only the
 // event loop knows — the edge's batching mode and current deadline,
 // whether an evFlushTimer is outstanding, and the flush a blocked
-// producer had to defer. Following Nephele's design, round-robin and broadcast edges
-// batch in a single producer-side buffer and key-based edges keep one
-// buffer per consumer.
+// producer had to defer. Following Nephele's design, round-robin and
+// broadcast edges batch in a single producer-side buffer and key-based
+// edges keep one buffer per consumer.
 type outGate struct {
 	*gate.Gate[*simChannel, Item, vtime, float64]
 
@@ -279,8 +279,8 @@ func (s *Sim) emit(t *simTask, edgeIdx int, it *Item) {
 
 // armFlushTimer schedules a deadline flush check of task t's pos-th gate
 // at its earliest lapsing deadline, if it has a finite one and holds
-// records; a deadline already overdue (the QoS plane shortened it) is
-// checked now.
+// records. A deadline that lapsed already (the QoS plane made it finite
+// or shorter while the gate held older records) is checked now.
 func (s *Sim) armFlushTimer(t *simTask, pos int) {
 	g := t.gates[pos]
 	at, ok := g.NextDue(g.deadline)
@@ -363,8 +363,9 @@ func (s *Sim) flushGate(g *outGate) {
 	}
 }
 
-// deliver attempts to enqueue a batch at the consumer; a full queue
-// stalls the batch and blocks the producer (backpressure).
+// deliver attempts to enqueue a batch at the consumer. A batch the
+// queue has no room for stalls and blocks the producer (backpressure);
+// so does one behind a stalled batch, which keeps the channel FIFO.
 func (s *Sim) deliver(b batch) {
 	ch := b.src
 	ch.to.inflightIn--
@@ -380,7 +381,7 @@ func (s *Sim) deliver(b batch) {
 		s.recycleBatch(b.items)
 		return
 	}
-	if s.cfg.QueueCapacityItems-ch.to.queueLen() < len(b.items) {
+	if len(ch.stalled) > 0 || s.cfg.QueueCapacityItems-ch.to.queueLen() < len(b.items) {
 		if len(ch.stalled) == 0 {
 			ch.from.blockedOut++
 		}

@@ -23,7 +23,6 @@ type Sim struct {
 
 	vertices    map[string]*simVertex
 	vertexOrder []string
-	channels    []*simChannel
 
 	// edgePos maps an edge to its position among its source vertex's
 	// outgoing edges, graphEdge to its position in the graph's edge list;
@@ -48,11 +47,11 @@ type Sim struct {
 
 	// batchPool is the free list of batch slices (see pool.go).
 	batchPool [][]Item
-	// taskSlots and chanSlots map event indices to tasks and channels.
-	// Slots are append-only and never reused, so an event scheduled
-	// before a task's disposal still resolves to that (disposed) task —
-	// same semantics a pointer field would have, without putting a
-	// pointer in every heap element.
+	// taskSlots and chanSlots map event indices to tasks and channels,
+	// in creation order. Slots are append-only and never reused, so an
+	// event scheduled before a task's disposal still resolves to that
+	// (disposed) task — same semantics a pointer field would have,
+	// without putting a pointer in every heap element.
 	taskSlots []*simTask
 	chanSlots []*simChannel
 	// partials is reused across adjustment ticks.
@@ -82,7 +81,6 @@ type Sim struct {
 	killedItems         int64
 	respawnedTasks      int
 	poolExhaustedEvents int
-	closedChannels      int
 	scaleUps            int
 	scaleDowns          int
 	retiredBusy         float64
@@ -275,6 +273,11 @@ func (s *Sim) bootstrap() error {
 		}
 		v.peak = len(v.tasks)
 	}
+	n := 0
+	for _, e := range g.Edges() {
+		n += len(s.vertices[e.Source].tasks) * len(s.vertices[e.Target].tasks)
+	}
+	s.chanSlots = make([]*simChannel, 0, n)
 	for _, e := range g.Edges() {
 		pos := s.edgePos[e.Key()]
 		for _, p := range s.vertices[e.Source].tasks {
@@ -448,7 +451,7 @@ func (s *Sim) measurementTick() {
 			t.history.Report(&rep)
 		}
 	}
-	for _, ch := range s.channels {
+	for _, ch := range s.chanSlots {
 		if !ch.closed {
 			rep := ch.reporter.Flush()
 			ch.history.Report(&rep)

@@ -117,8 +117,8 @@ func (s *Sim) initialGateDeadline(ec EdgeConfig, edge model.EdgeKey) float64 {
 // wire creates channels from producer p, through its outPos gate, to
 // each of cs in order, and adds them to the gate as one consumer
 // snapshot. Each channel is registered with the managers' round-robin
-// and appended to its consumer's in list, s.channels and s.chanSlots as
-// it is created, so wiring producer by producer gives the producer-major
+// and appended to its consumer's in list and to s.chanSlots as it is
+// created, so wiring producer by producer gives the producer-major
 // layout every simulated figure depends on.
 func (s *Sim) wire(p *simTask, outPos int, cs []*simTask) {
 	g := p.gates[outPos]
@@ -126,7 +126,6 @@ func (s *Sim) wire(p *simTask, outPos int, cs []*simTask) {
 	for _, c := range cs {
 		ch := &simChannel{
 			id:        model.ChannelID{Edge: g.edge, Producer: p.id.Index, Consumer: c.id.Index},
-			edge:      g.edge,
 			edgeName:  s.edgeNames[g.graphEdge],
 			graphEdge: g.graphEdge,
 			from:      p,
@@ -136,7 +135,6 @@ func (s *Sim) wire(p *simTask, outPos int, cs []*simTask) {
 		ch.reporter = *qos.NewChannelReporter(ch.id)
 		ch.history = s.nextManager().RegisterChannel()
 		c.in = append(c.in, ch)
-		s.channels = append(s.channels, ch)
 		s.chanSlots = append(s.chanSlots, ch)
 		s.wired = append(s.wired, ch)
 	}
@@ -220,7 +218,7 @@ func (v *simVertex) removeTasks(n int) {
 // and counted.
 func (s *Sim) unrouteChannel(ch *simChannel, killed bool) {
 	for _, g := range ch.from.gates {
-		if g.edge != ch.edge {
+		if g.edge != ch.id.Edge {
 			continue
 		}
 		g.Remove(ch)
@@ -266,21 +264,4 @@ func (v *simVertex) finalizeRemoval(t *simTask) {
 			}
 		}
 	}
-	s.compactChannels()
-}
-
-// compactChannels drops closed channels from the registry (amortized).
-func (s *Sim) compactChannels() {
-	s.closedChannels++
-	if s.closedChannels < 256 || s.closedChannels*2 < len(s.channels) {
-		return
-	}
-	alive := s.channels[:0]
-	for _, ch := range s.channels {
-		if !ch.closed {
-			alive = append(alive, ch)
-		}
-	}
-	s.channels = alive
-	s.closedChannels = 0
 }
