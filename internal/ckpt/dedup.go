@@ -3,6 +3,8 @@ package ckpt
 import (
 	"math/bits"
 	"sync"
+
+	"nephelix/internal/model"
 )
 
 // DedupTable tracks which (source, offset) pairs a sink vertex has
@@ -30,6 +32,21 @@ type DedupTable struct {
 // NewDedupTable returns an empty table.
 func NewDedupTable() *DedupTable {
 	return &DedupTable{windows: make(map[int32]*OffsetWindow)}
+}
+
+// SinkDedups builds one dedup table per sink vertex of g (a vertex with
+// no out-edges), shared by all the vertex's tasks: by vertex name, and in
+// g's vertex order for the coordinator.
+func SinkDedups(g *model.JobGraph) (byVertex map[string]*DedupTable, all []*DedupTable) {
+	byVertex = make(map[string]*DedupTable)
+	for _, jv := range g.Vertices() {
+		if len(g.OutEdges(jv.Name)) == 0 {
+			d := NewDedupTable()
+			byVertex[jv.Name] = d
+			all = append(all, d)
+		}
+	}
+	return byVertex, all
 }
 
 // Admit records a delivery of (src, off) and reports whether it is the

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"nephelix/internal/ckpt"
-	"nephelix/internal/obs"
-)
+import "nephelix/internal/ckpt"
 
 // This file is the engine's driver of the checkpoint protocol. The
 // protocol itself — offset logs and their registry, the barrier
@@ -25,20 +22,6 @@ type logEntry struct {
 	edge int32
 }
 
-// sinkDedups builds one dedup table per sink vertex (no out-edges),
-// shared by all the vertex's tasks.
-func sinkDedups(spec *JobSpec) (byVertex map[string]*ckpt.DedupTable, all []*ckpt.DedupTable) {
-	byVertex = make(map[string]*ckpt.DedupTable)
-	for _, jv := range spec.graph.Vertices() {
-		if len(spec.graph.OutEdges(jv.Name)) == 0 {
-			d := ckpt.NewDedupTable()
-			byVertex[jv.Name] = d
-			all = append(all, d)
-		}
-	}
-	return byVertex, all
-}
-
 // roundDone hands a completed round to the master loop (any task
 // goroutine: the one whose ack completed it).
 func (ex *execution) roundDone(r ckpt.Round, complete bool) {
@@ -56,17 +39,9 @@ func (ex *execution) roundDone(r ckpt.Round, complete bool) {
 // reportCheckpoint forwards what became of a round, if anything did, to
 // telemetry and the flight recorder (master loop only).
 func (ex *execution) reportCheckpoint(o ckpt.Outcome, ok bool) {
-	if !ok {
-		return
+	if ok {
+		ex.cfg.Telemetry.ObserveCheckpoint(ex.Now(), o, ex.cfg.Recorder)
 	}
-	ex.cfg.Telemetry.ObserveCheckpoint(ex.Now(), o.Duration, o.Interval, o.MaxStall, o.Committed)
-	if !o.Committed {
-		ex.recordLifecycle(obs.KindCheckpointAbort, obs.Lifecycle{CheckpointID: o.ID, Reason: o.Reason})
-		return
-	}
-	ex.recordLifecycle(obs.KindCheckpointCommit, obs.Lifecycle{
-		CheckpointID: o.ID, DurationSeconds: o.Duration, CommittedOffsets: o.Offsets,
-	})
 }
 
 // requestReplayAll asks every live source to re-emit its log's

@@ -225,7 +225,7 @@ func (e *Engine) build(spec *JobSpec, probes *probe.ProbeSet) (*execution, error
 		// Logs and dedup tables must exist before bootstrap creates tasks.
 		ex.logs = ckpt.NewRegistry[logEntry](ckpt.ReplayBufferEntries)
 		var dedups []*ckpt.DedupTable
-		ex.dedups, dedups = sinkDedups(spec)
+		ex.dedups, dedups = ckpt.SinkDedups(spec.graph)
 		ex.coord = ckpt.NewCoordinator[*task](ex.ckptStore, ex.logs, dedups)
 		ex.ckptDone = make(chan ckpt.Round, 1)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"nephelix/internal/ckpt"
 	"nephelix/internal/core"
 	"nephelix/internal/model"
 	"nephelix/internal/obs/ts"
@@ -89,24 +90,31 @@ func NewTelemetry(pointsPerSeries int) *Telemetry {
 	return t
 }
 
-// ObserveCheckpoint records one finished barrier checkpoint: its
-// injection-to-commit duration, the interval since the previous commit,
-// and the worst barrier-alignment stall any task reported. Aborted
-// checkpoints only bump the abort counter.
-func (t *Telemetry) ObserveCheckpoint(now, duration, interval, stall float64, committed bool) {
+// ObserveCheckpoint records what became of one barrier checkpoint: a
+// commit or abort lifecycle event on rec and, for a commit, its
+// injection-to-commit duration, the interval since the previous commit
+// and the worst barrier-alignment stall any task reported on t (an
+// abort only bumps t's abort counter). Either of t and rec may be nil.
+func (t *Telemetry) ObserveCheckpoint(now float64, o ckpt.Outcome, rec *Recorder) {
+	if !o.Committed {
+		rec.RecordLifecycle(now, KindCheckpointAbort, Lifecycle{CheckpointID: o.ID, Reason: o.Reason})
+		if t != nil {
+			t.ckptAborted.Add(now, 1)
+		}
+		return
+	}
+	rec.RecordLifecycle(now, KindCheckpointCommit, Lifecycle{
+		CheckpointID: o.ID, DurationSeconds: o.Duration, CommittedOffsets: o.Offsets,
+	})
 	if t == nil {
 		return
 	}
-	if !committed {
-		t.ckptAborted.Add(now, 1)
-		return
-	}
 	t.ckptCommitted.Add(now, 1)
-	t.ckptDuration.Set(now, duration)
-	if interval > 0 {
-		t.ckptInterval.Set(now, interval)
+	t.ckptDuration.Set(now, o.Duration)
+	if o.Interval > 0 {
+		t.ckptInterval.Set(now, o.Interval)
 	}
-	t.ckptStall.Set(now, stall)
+	t.ckptStall.Set(now, o.MaxStall)
 }
 
 // AddReplayed counts records re-emitted from source replay buffers

@@ -209,9 +209,6 @@ type edgePartial struct {
 type PartialSummary struct {
 	vertices map[string]*vertexPartial
 	edges    map[model.EdgeKey]*edgePartial
-	// parallelism is the vertex parallelism observed by the reporting
-	// manager (informational; the master knows the authoritative value).
-	parallelism map[string]int
 	// waits holds the adjustment interval's queue-wait window per vertex
 	// (see Manager.waits); nil when no task tracks queue waits.
 	waits map[string]*sketch.Sketch
@@ -220,9 +217,8 @@ type PartialSummary struct {
 // NewPartialSummary returns an empty partial summary.
 func NewPartialSummary() *PartialSummary {
 	return &PartialSummary{
-		vertices:    make(map[string]*vertexPartial),
-		edges:       make(map[model.EdgeKey]*edgePartial),
-		parallelism: make(map[string]int),
+		vertices: make(map[string]*vertexPartial),
+		edges:    make(map[model.EdgeKey]*edgePartial),
 	}
 }
 
@@ -290,11 +286,6 @@ func (p *PartialSummary) Merge(o *PartialSummary) {
 		ep.sumChannelLatency += oep.sumChannelLatency
 		ep.sumBatchLatency += oep.sumBatchLatency
 	}
-	for name, par := range o.parallelism {
-		if par > p.parallelism[name] {
-			p.parallelism[name] = par
-		}
-	}
 	for name, w := range o.waits {
 		if p.waits == nil {
 			p.waits = make(map[string]*sketch.Sketch, len(o.waits))
@@ -318,10 +309,7 @@ func (p *PartialSummary) Finalize(parallelism map[string]int) *Summary {
 			continue
 		}
 		n := float64(vp.taskCount)
-		par, ok := parallelism[name]
-		if !ok {
-			par = p.parallelism[name]
-		}
+		par := parallelism[name]
 		if par <= 0 {
 			par = vp.taskCount
 		}

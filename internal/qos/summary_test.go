@@ -116,11 +116,6 @@ func TestFinalizeParallelismFallback(t *testing.T) {
 	if got := s.Vertices["v"].Parallelism; got != 2 {
 		t.Errorf("fallback parallelism: got %d, want observed task count 2", got)
 	}
-	p.parallelism["v"] = 7
-	s = p.Finalize(nil)
-	if got := s.Vertices["v"].Parallelism; got != 7 {
-		t.Errorf("recorded parallelism: got %d, want 7", got)
-	}
 }
 
 func TestSummaryCovers(t *testing.T) {

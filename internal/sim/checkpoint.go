@@ -53,15 +53,9 @@ func (s *Sim) initGuarantees() {
 		suppress: s.cfg.Guarantee.Dedup(),
 		logs:     ckpt.NewRegistry[replayItem](ckpt.ReplayBufferEntries),
 		store:    ckpt.NewMemStore(1),
-		dedups:   make(map[string]*ckpt.DedupTable),
 	}
 	var dedups []*ckpt.DedupTable
-	for _, jv := range s.cfg.Graph.Vertices() {
-		if len(s.cfg.Graph.OutEdges(jv.Name)) == 0 {
-			g.dedups[jv.Name] = ckpt.NewDedupTable()
-			dedups = append(dedups, g.dedups[jv.Name])
-		}
-	}
+	g.dedups, dedups = ckpt.SinkDedups(s.cfg.Graph)
 	g.coord = ckpt.NewCoordinator[*simTask](g.store, g.logs, dedups)
 	s.guar = g
 }
@@ -79,21 +73,9 @@ func (s *Sim) detachSrcLog(t *simTask) {
 // reportCkpt forwards what became of a round to telemetry and the
 // flight recorder.
 func (s *Sim) reportCkpt(o ckpt.Outcome, ok bool) {
-	if !ok {
-		return
+	if ok {
+		s.cfg.Telemetry.ObserveCheckpoint(s.now, o, s.cfg.Recorder)
 	}
-	s.cfg.Telemetry.ObserveCheckpoint(s.now, o.Duration, o.Interval, o.MaxStall, o.Committed)
-	if s.cfg.Recorder == nil {
-		return
-	}
-	if !o.Committed {
-		s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointAbort,
-			obs.Lifecycle{CheckpointID: o.ID, Reason: o.Reason})
-		return
-	}
-	s.cfg.Recorder.RecordLifecycle(s.now, obs.KindCheckpointCommit, obs.Lifecycle{
-		CheckpointID: o.ID, DurationSeconds: o.Duration, CommittedOffsets: o.Offsets,
-	})
 }
 
 // noteSimChurn records a topology change: any in-flight checkpoint

@@ -14,15 +14,41 @@ type simDataplane struct {
 	busy   []obs.TaskBusy // scratch, reused across scrapes
 }
 
+// edgeFlow is a job edge's data-plane totals in items: pushes into a
+// consumer's queue, pushes that hit a full one (a stalled batch is
+// re-accepted — and re-counted as pushed — once space frees), pops.
+type edgeFlow struct {
+	pushes, pushFails, pops int64
+}
+
+// closeChannel closes ch and adds its counters to its edge's retired
+// totals, so the data plane's totals stay cumulative while the scraper
+// walks only the open channels. A closed channel's counters can still
+// move — a producer that finished draining leaves batches in flight,
+// which arrive and pop afterwards — and each such change goes to the
+// retired totals as it happens.
+func (s *Sim) closeChannel(ch *simChannel) {
+	if ch.closed {
+		return
+	}
+	ch.closed = true
+	r := &s.retired[ch.graphEdge]
+	r.pushes += ch.accepted
+	r.pushFails += ch.stallItems
+	r.pops += ch.popped
+}
+
 // scrapeDataplane samples the simulated data plane and feeds telemetry
 // (one snapshot per adjustment interval). No-op without telemetry.
 //
-// Per-edge occupancy is what the channel counters attribute to the
+// Per-edge occupancy is what the open channels attribute to their
 // consumer's shared input queue plus the items currently stalled at
 // that queue; capacity is QueueCapacityItems times the consumer's task
 // count — an upper bound, since inbound edges of a vertex share the
-// per-task queue. Channels of killed consumers are excluded from the
-// occupancy walk (their residual attributed items never pop).
+// per-task queue. A channel is open while both its tasks live, and it
+// is then in its consumer's in list: the walk covers exactly the open
+// channels, so a killed consumer's residual attributed items, which
+// never pop, are not counted.
 func (s *Sim) scrapeDataplane() {
 	if s.cfg.Telemetry == nil {
 		return
@@ -42,56 +68,42 @@ func (s *Sim) scrapeDataplane() {
 	}
 
 	// One entry per job edge, in graph order (the snapshot keeps the
-	// slice); an edge no channel was ever made for stays unnamed.
-	edges := make([]obs.DataplaneEdge, len(s.cfg.Graph.Edges()))
-	for _, ch := range s.chanSlots {
-		de := &edges[ch.graphEdge]
-		if de.Edge == "" {
-			de.Edge, de.Producer, de.Consumer = ch.edgeName, ch.id.Edge.Source, ch.id.Edge.Target
+	// slice), starting from its closed channels' totals.
+	snap.Edges = make([]obs.DataplaneEdge, len(s.retired))
+	for i, e := range s.cfg.Graph.Edges() {
+		r := s.retired[i]
+		snap.Edges[i] = obs.DataplaneEdge{
+			Edge: s.edgeNames[i], Producer: e.Source, Consumer: e.Target,
+			Pushes: uint64(r.pushes), PushFails: uint64(r.pushFails), Pops: uint64(r.pops),
 		}
-		de.Pushes += uint64(ch.accepted)
-		de.PushFails += uint64(ch.stallItems)
-		de.Pops += uint64(ch.popped)
-		if ch.closed {
-			continue
+		if v := s.vertices[e.Target]; v != nil {
+			snap.Edges[i].Capacity = s.cfg.QueueCapacityItems * len(v.tasks)
 		}
-		de.Rings++
-		de.Occupancy += int(max(0, ch.accepted-ch.popped))
-		for _, b := range ch.stalled {
-			de.Occupancy += len(b.items)
-		}
-		de.HighWater = max(de.HighWater, int(ch.highWater))
 	}
 
-	// Busy totals of every live task (active, then draining in id order).
+	// Busy totals of every live task; the counters and occupancy of its
+	// open input channels.
 	busy := dp.busy[:0]
-	add := func(t *simTask) {
+	s.eachLiveTask(func(t *simTask) {
 		if t.name == "" {
 			t.name = t.id.String()
 		}
 		busy = append(busy, obs.TaskBusy{Vertex: t.id.Vertex, Task: t.name, Seconds: t.busyAccum})
-	}
-	for _, name := range s.vertexOrder {
-		v := s.vertices[name]
-		for _, t := range v.tasks {
-			add(t)
+		for _, ch := range t.in {
+			de := &snap.Edges[ch.graphEdge]
+			de.Rings++
+			de.Pushes += uint64(ch.accepted)
+			de.PushFails += uint64(ch.stallItems)
+			de.Pops += uint64(ch.popped)
+			de.Occupancy += int(max(0, ch.accepted-ch.popped))
+			for _, b := range ch.stalled {
+				de.Occupancy += len(b.items)
+			}
+			de.HighWater = max(de.HighWater, int(ch.highWater))
 		}
-		for _, t := range sortedDraining(v.draining) {
-			add(t)
-		}
-	}
+	})
 	dp.busy = busy
 
-	snap.Edges = edges[:0]
-	for _, de := range edges {
-		if de.Edge == "" {
-			continue
-		}
-		if v := s.vertices[de.Consumer]; v != nil {
-			de.Capacity = s.cfg.QueueCapacityItems * len(v.tasks)
-		}
-		snap.Edges = append(snap.Edges, de)
-	}
 	dp.rates.Derive(snap.Edges, busy, interval)
 	dp.lastAt = s.now
 

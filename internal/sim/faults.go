@@ -244,7 +244,7 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 			resumed = append(resumed, ch.from)
 		}
 		s.unrouteChannel(ch, true)
-		ch.closed = true
+		s.closeChannel(ch)
 	}
 	t.in = nil
 	t.stalledInBatches = 0
@@ -262,7 +262,7 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 				}
 				ch.stalled = nil
 			}
-			ch.closed = true
+			s.closeChannel(ch)
 			to := ch.to
 			for i, c := range to.in {
 				if c == ch {

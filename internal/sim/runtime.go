@@ -51,7 +51,9 @@ type simChannel struct {
 	// re-counted as accepted — once space frees). highWater tracks the
 	// worst attributed occupancy. These feed scrapeDataplane so sim
 	// attributions are comparable with the engine's ring counters, in
-	// item units rather than the engine's batch units.
+	// item units rather than the engine's batch units. Once the channel
+	// is closed (closeChannel), every further change to the first three
+	// also goes to its edge's retired totals.
 	accepted   int64
 	popped     int64
 	stallItems int64
@@ -187,7 +189,9 @@ func (t *simTask) queueLen() int { return t.queue.n }
 // its last item.
 func (s *Sim) popQueue(t *simTask, serve bool) {
 	head, hdr := t.queue.peek()
-	hdr.src.popped++
+	if hdr.src.popped++; hdr.src.closed {
+		s.retired[hdr.src.graphEdge].pops++
+	}
 	if serve {
 		t.svcItem, t.svcHdr = *head, *hdr
 	}
@@ -387,7 +391,9 @@ func (s *Sim) deliver(b batch) {
 		}
 		ch.stalled = append(ch.stalled, b)
 		ch.to.stalledInBatches++
-		ch.stallItems += int64(len(b.items))
+		if ch.stallItems += int64(len(b.items)); ch.closed {
+			s.retired[ch.graphEdge].pushFails += int64(len(b.items))
+		}
 		return
 	}
 	s.acceptBatch(b)
@@ -411,7 +417,9 @@ func (s *Sim) acceptBatch(b batch) {
 		to.reporter.RecordArrival(s.now)
 	}
 	to.queue.push(b) // the array itself: popQueue returns it to the pool
-	ch.accepted += int64(len(b.items))
+	if ch.accepted += int64(len(b.items)); ch.closed {
+		s.retired[ch.graphEdge].pushes += int64(len(b.items))
+	}
 	if occ := ch.accepted - ch.popped; occ > ch.highWater {
 		ch.highWater = occ
 	}

@@ -30,6 +30,9 @@ type Sim struct {
 	edgePos   map[model.EdgeKey]int
 	graphEdge map[model.EdgeKey]int
 	edgeNames []string
+	// retired holds each edge's data-plane totals over its closed
+	// channels by that position (see closeChannel).
+	retired []edgeFlow
 	// wired is wire's scratch list of one producer's new channels.
 	wired []*simChannel
 
@@ -241,6 +244,7 @@ func (s *Sim) bootstrap() error {
 		s.graphEdge[e.Key()] = i
 		s.edgeNames = append(s.edgeNames, e.Key().String())
 	}
+	s.retired = make([]edgeFlow, len(s.edgeNames))
 	for _, jv := range g.Vertices() {
 		outs := g.OutEdges(jv.Name)
 		for i, ek := range outs {
@@ -438,25 +442,17 @@ func (s *Sim) parallelismMap() map[string]int {
 	return m
 }
 
-// measurementTick flushes every reporter into its manager.
+// measurementTick flushes every reporter into its manager: each live
+// task's and each of its open input channels'.
 func (s *Sim) measurementTick() {
-	for _, name := range s.vertexOrder {
-		v := s.vertices[name]
-		for _, t := range v.tasks {
-			rep := t.reporter.Flush()
-			t.history.Report(&rep)
-		}
-		for _, t := range sortedDraining(v.draining) {
-			rep := t.reporter.Flush()
-			t.history.Report(&rep)
-		}
-	}
-	for _, ch := range s.chanSlots {
-		if !ch.closed {
+	s.eachLiveTask(func(t *simTask) {
+		rep := t.reporter.Flush()
+		t.history.Report(&rep)
+		for _, ch := range t.in {
 			rep := ch.reporter.Flush()
 			ch.history.Report(&rep)
 		}
-	}
+	})
 }
 
 // adjustmentTick runs the master's adjustment interval; a failed step
@@ -508,7 +504,7 @@ func (r simRuntime) Scale(vertex string, delta int) error {
 func (r simRuntime) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 	s := r.s
 	s.deadlines = deadlines
-	forTask := func(t *simTask) {
+	s.eachLiveTask(func(t *simTask) {
 		for pos, g := range t.gates {
 			if g.mode != BatchAdaptive {
 				continue
@@ -524,14 +520,20 @@ func (r simRuntime) SetDeadlines(deadlines map[model.EdgeKey]float64) {
 				s.armFlushTimer(t, pos)
 			}
 		}
-	}
+	})
+}
+
+// eachLiveTask calls f on every live task: per vertex in graph order,
+// the active tasks, then the draining ones in id order, so float sums
+// and RNG draws over them are the same every run.
+func (s *Sim) eachLiveTask(f func(*simTask)) {
 	for _, name := range s.vertexOrder {
 		v := s.vertices[name]
 		for _, t := range v.tasks {
-			forTask(t)
+			f(t)
 		}
 		for _, t := range sortedDraining(v.draining) {
-			forTask(t)
+			f(t)
 		}
 	}
 }
@@ -553,15 +555,7 @@ func sortedDraining(m map[*simTask]struct{}) []*simTask {
 // then draining in id order, so the float sum is the same every run.
 func (s *Sim) busySum() float64 {
 	sum := s.retiredBusy
-	for _, name := range s.vertexOrder {
-		v := s.vertices[name]
-		for _, t := range v.tasks {
-			sum += t.busyAccum
-		}
-		for _, t := range sortedDraining(v.draining) {
-			sum += t.busyAccum
-		}
-	}
+	s.eachLiveTask(func(t *simTask) { sum += t.busyAccum })
 	return sum
 }
 

@@ -247,12 +247,12 @@ func (v *simVertex) finalizeRemoval(t *simTask) {
 	t.history.Forget()
 	// Close and unregister the task's channels (both directions).
 	for _, ch := range t.in {
-		ch.closed = true
+		s.closeChannel(ch)
 		ch.history.Forget()
 	}
 	for _, g := range t.gates {
 		for _, ch := range g.Consumers() {
-			ch.closed = true
+			s.closeChannel(ch)
 			ch.history.Forget()
 			// Remove from the consumer's in-list.
 			to := ch.to
