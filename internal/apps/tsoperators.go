@@ -231,13 +231,14 @@ type tsVertex struct {
 }
 
 // simOperator runs an operator as a sim.Behavior. A tweet's topic is its
-// Item.Key; a list's Key is a payloads token, its samples are Origins.
+// Item.Key; a list's Key is the payloads token of the list and its samples.
 type simOperator struct {
 	op       tsOperator
 	v        *tsVertex
 	payloads *topicListPayloads
 	ctx      *sim.TaskContext
-	in       *sim.Item // the item in process, or a closing window's samples
+	in       *sim.Item // the item in process (nil while a window closes)
+	origins  []float64 // the sampled emit times of the list in process or the closing window
 	msg      tsMsg
 }
 
@@ -247,16 +248,17 @@ func (a *simOperator) ServiceTime(rng *rand.Rand, it *sim.Item) float64 {
 
 func (a *simOperator) Process(ctx *sim.TaskContext, it *sim.Item) {
 	kind := it.Kind
-	a.ctx, a.in = ctx, it
+	a.ctx, a.in, a.origins = ctx, it, nil
 	a.msg = tsMsg{kind: kind, topic: it.Key, score: workload.SentimentNeutral} // tweets here have no text
 	if kind == kindTopicList {
-		a.msg.list = a.payloads.get(it.Key)
+		l := a.payloads.get(it.Key)
+		a.msg.list, a.origins = l.list, l.origins
 	}
 	a.op.process(&a.msg, a)
 	switch end := a.v.ends[kind]; {
 	case end == nil:
 	case kind == kindTopicList:
-		for _, origin := range it.Origins {
+		for _, origin := range a.origins {
 			end.Record(ctx.Now() - origin)
 		}
 	case it.Sampled:
@@ -271,7 +273,7 @@ func (a *simOperator) emit(m *tsMsg) {
 		return
 	}
 	out := sim.Item{EmitTime: a.ctx.Now(), Size: itemBytes[kindTopicList], Kind: kindTopicList,
-		Key: a.payloads.put(m.list), Origins: a.in.Origins, Sampled: a.in.Sampled}
+		Key: a.payloads.put(m.list, a.origins), Sampled: len(a.origins) > 0}
 	a.ctx.Emit(0, &out)
 }
 
@@ -283,27 +285,25 @@ type simWindow struct {
 	*simOperator
 	win     tsWindowed
 	window  float64
-	origins []float64 // sampled emit times: read-write latency across the window
-	closing sim.Item  // carries origins while the window closes
+	samples []float64 // the open window's sampled emit times: read-write latency across it
 }
 
 var _ sim.TimerBehavior = (*simWindow)(nil)
 
 func (w *simWindow) Process(ctx *sim.TaskContext, it *sim.Item) {
 	w.simOperator.Process(ctx, it)
-	if it.Sampled && len(w.origins) < maxOrigins {
-		if w.origins == nil {
-			w.origins = make([]float64, 0, 8) // a typical window's samples; leaves with its list item
+	if it.Sampled && len(w.samples) < maxOrigins {
+		if w.samples == nil {
+			w.samples = make([]float64, 0, 8) // a typical window's samples; leaves with its list
 		}
-		w.origins = append(w.origins, it.EmitTime)
+		w.samples = append(w.samples, it.EmitTime)
 	}
 }
 
 func (w *simWindow) TimerInterval() float64 { return w.window }
 
 func (w *simWindow) OnTimer(ctx *sim.TaskContext) {
-	w.closing = sim.Item{Origins: w.origins, Sampled: len(w.origins) > 0}
-	w.ctx, w.in, w.origins = ctx, &w.closing, nil
+	w.ctx, w.in, w.origins, w.samples = ctx, nil, w.samples, nil
 	w.win.closeWindow(w.simOperator)
 }
 
@@ -315,20 +315,27 @@ func (w *simWindow) OnTimer(ctx *sim.TaskContext) {
 // window.
 type topicListPayloads struct {
 	next  uint64
-	lists map[uint64][]uint64
+	lists map[uint64]topicList
+}
+
+// topicList is one payload: a list and the sampled emit times of the
+// tweets it was counted from, which its consumers' probes read.
+type topicList struct {
+	list    []uint64
+	origins []float64
 }
 
 // payloadWindow bounds the number of outstanding list payloads.
 const payloadWindow = 8192
 
 func newTopicListPayloads() *topicListPayloads {
-	return &topicListPayloads{lists: make(map[uint64][]uint64)}
+	return &topicListPayloads{lists: make(map[uint64]topicList)}
 }
 
-// put stores a list and returns its token.
-func (p *topicListPayloads) put(list []uint64) uint64 {
+// put stores a list and its samples and returns their token.
+func (p *topicListPayloads) put(list []uint64, origins []float64) uint64 {
 	p.next++
-	p.lists[p.next] = list
+	p.lists[p.next] = topicList{list, origins}
 	if p.next > payloadWindow {
 		delete(p.lists, p.next-payloadWindow)
 	}
@@ -337,7 +344,7 @@ func (p *topicListPayloads) put(list []uint64) uint64 {
 
 // get reads a list without consuming it (broadcast edges deliver the same
 // token to many consumers).
-func (p *topicListPayloads) get(token uint64) []uint64 {
+func (p *topicListPayloads) get(token uint64) topicList {
 	return p.lists[token]
 }
 

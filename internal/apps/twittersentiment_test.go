@@ -200,20 +200,20 @@ func TestTopKKeys(t *testing.T) {
 
 func TestTopicListPayloads(t *testing.T) {
 	p := newTopicListPayloads()
-	tok := p.put([]uint64{1, 2, 3})
-	if got := p.get(tok); len(got) != 3 {
-		t.Fatalf("get: %v", got)
+	tok := p.put([]uint64{1, 2, 3}, []float64{0.5})
+	if got := p.get(tok); len(got.list) != 3 || len(got.origins) != 1 {
+		t.Fatalf("get: %+v", got)
 	}
-	// Broadcast: repeated reads see the same list.
-	if got := p.get(tok); len(got) != 3 {
-		t.Fatalf("second get: %v", got)
+	// Broadcast: repeated reads see the same list and samples.
+	if got := p.get(tok); len(got.list) != 3 || len(got.origins) != 1 {
+		t.Fatalf("second get: %+v", got)
 	}
-	// Eviction window.
-	first := p.put([]uint64{9})
+	// Eviction window: the samples leave with their list.
+	first := p.put([]uint64{9}, []float64{1, 2})
 	for i := 0; i < payloadWindow+1; i++ {
-		p.put([]uint64{uint64(i)})
+		p.put([]uint64{uint64(i)}, nil)
 	}
-	if got := p.get(first); got != nil {
+	if got := p.get(first); got.list != nil || got.origins != nil {
 		t.Error("old payload not evicted")
 	}
 }
@@ -269,11 +269,11 @@ func TestBuildTwitterSentimentNeedsScheduleOrReplay(t *testing.T) {
 // topic set — under an allocation budget: whole-run allocations per
 // emitted tweet, set-up and per-row bookkeeping included. What is left
 // per item is the payload lists (one per window and per merge) and the
-// sampled Origins slices, and the control plane's per-interval summaries
+// windows' sampled emit times, and the control plane's per-interval summaries
 // and sequence walks (0.18 at this scale, of which the lists are 0.07 and
 // model.Sequence.Vertices/Edges copies 0.05); the job sat at 0.42 while
 // the filter rebuilt its set with make(map) for every list and at 0.22
-// while the topic counts were a map and Origins grew by doubling.
+// while the topic counts were a map and the samples grew by doubling.
 func TestTwitterSentimentAllocsPerItem(t *testing.T) {
 	var items float64
 	allocs := testing.AllocsPerRun(1, func() {

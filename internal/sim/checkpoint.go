@@ -11,8 +11,8 @@ import (
 // lives once in internal/ckpt and is shared with the engine (see
 // DESIGN.md "Processing guarantees"). What is simulator-specific is how
 // the protocol meets the event loop: a recurring evCheckpoint event
-// injects, barriers are special items shipped through Sim.ship (clamped
-// to per-channel FIFO) and consumed at the queue head at zero service
+// injects, barriers are marker batches shipped through Sim.ship (one
+// FIFO per channel) and consumed at the queue head at zero service
 // cost, a task blocked in a send defers its barrier to resume(), the
 // completing ack commits inline, and a respawn replays through
 // Sim.emit. All on the deterministic event loop: the same seed yields
@@ -131,7 +131,7 @@ func (s *Sim) checkpointTick() {
 }
 
 // forwardBarrier flushes t's gates (pre-barrier data must precede the
-// marker in channel FIFO order) and ships one barrier item to every
+// marker in channel FIFO order) and ships one barrier marker to every
 // consumer channel — all of them regardless of wiring pattern, because
 // alignment counts producers, not partitions. A task blocked in a send
 // defers to resume(). A source acknowledges here, at emission, with its
@@ -147,8 +147,7 @@ func (s *Sim) forwardBarrier(t *simTask, id int64) {
 	}
 	for _, g := range t.gates {
 		for _, ch := range g.Consumers() {
-			b := append(s.getBatch(), Item{barrier: id, BufferTime: s.now})
-			s.ship(ch, b, 0)
+			s.ship(ch, append(s.getBatch(), Item{}), 0, id)
 		}
 	}
 	if t.srcLog != nil {
@@ -156,7 +155,7 @@ func (s *Sim) forwardBarrier(t *simTask, id int64) {
 	}
 }
 
-// handleBarrier processes one barrier item reaching the head of t's
+// handleBarrier processes one barrier marker reaching the head of t's
 // input queue (maybeStart): per-producer FIFO guarantees every
 // pre-barrier item of that producer was enqueued — and, being ahead in
 // the queue, serviced — before the marker, so counting to the expected
@@ -222,16 +221,4 @@ func (s *Sim) replayLog(t *simTask) {
 			Vertex: t.vtx.jv.Name, Task: t.id.String(), CommittedOffsets: uint64(n),
 		})
 	}
-}
-
-// dataItems counts the non-barrier items of a batch, so fault-loss
-// accounting never counts control markers as lost records.
-func dataItems(batch []Item) int64 {
-	n := int64(0)
-	for i := range batch {
-		if batch[i].barrier == 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -26,7 +26,8 @@ type edgeFlow struct {
 // walks only the open channels. A closed channel's counters can still
 // move — a producer that finished draining leaves batches in flight,
 // which arrive and pop afterwards — and each such change goes to the
-// retired totals as it happens.
+// retired totals as it happens. A closed channel lets go of its slot
+// once its FIFO is empty (here or in popBatch).
 func (s *Sim) closeChannel(ch *simChannel) {
 	if ch.closed {
 		return
@@ -36,6 +37,9 @@ func (s *Sim) closeChannel(ch *simChannel) {
 	r.pushes += ch.accepted
 	r.pushFails += ch.stallItems
 	r.pops += ch.popped
+	if ch.fifo.len() == 0 {
+		s.chanSlots[ch.slot] = nil
+	}
 }
 
 // scrapeDataplane samples the simulated data plane and feeds telemetry
@@ -96,8 +100,8 @@ func (s *Sim) scrapeDataplane() {
 			de.PushFails += uint64(ch.stallItems)
 			de.Pops += uint64(ch.popped)
 			de.Occupancy += int(max(0, ch.accepted-ch.popped))
-			for _, b := range ch.stalled {
-				de.Occupancy += len(b.items)
+			for i := range ch.arrived {
+				de.Occupancy += len(ch.fifo.at(i).items)
 			}
 			de.HighWater = max(de.HighWater, int(ch.highWater))
 		}

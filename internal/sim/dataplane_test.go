@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"nephelix/internal/obs"
@@ -23,6 +24,7 @@ func TestSimEdgeTotalsSurviveChannelClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	channels := slices.Clone(s.chanSlots) // every channel of the run: it scales by hand, and only down
 	const edge = "src->server"
 	scrape := func() obs.DataplaneEdge {
 		t.Helper()
@@ -91,7 +93,7 @@ func TestSimEdgeTotalsSurviveChannelClose(t *testing.T) {
 	s.scrapeDataplane()
 	for _, de := range cfg.Telemetry.Dataplane().Edges {
 		var pushes, fails, pops uint64
-		for _, ch := range s.chanSlots {
+		for _, ch := range channels {
 			if ch.edgeName == de.Edge {
 				pushes += uint64(ch.accepted)
 				fails += uint64(ch.stallItems)

@@ -34,7 +34,7 @@ const (
 	evTimer
 	// evFlushTimer is a deadline flush check of producer task t's gate n.
 	evFlushTimer
-	// evDeliver is the arrival of the oldest in-flight batch of channel
+	// evDeliver is the arrival of the oldest batch in transit on channel
 	// n (Sim.chanSlots), shipped by task t.
 	evDeliver
 	// evServiceDone is the service completion of task t; the item in
@@ -66,9 +66,10 @@ const (
 // around, so every extra field costs a move and any pointer field would
 // cost GC write-barrier work per move. Its operands are plain indices
 // into append-only tables (Sim.taskSlots, Sim.chanSlots: slots are never
-// reused, so a stale event resolves to the same, now-disposed task or
-// closed channel a pointer would have); what a delivery carries waits on
-// its channel.
+// reused, so a stale event resolves to the same, now-disposed task a
+// pointer would have; a channel's slot is nil once no batch is left on
+// it, and no event names it then); what a delivery carries waits on its
+// channel.
 type event struct {
 	at  float64
 	seq uint64
@@ -320,7 +321,7 @@ func (s *Sim) dispatch(ev *event) {
 	case evFlushTimer:
 		s.flushTimerFire(s.taskSlots[ev.tslot], int(ev.n))
 	case evDeliver:
-		s.deliver(s.chanSlots[ev.n].inflight.pop())
+		s.deliver(s.chanSlots[ev.n])
 	case evServiceDone:
 		s.serviceDone(s.taskSlots[ev.tslot])
 	case evMeasure:

@@ -208,12 +208,7 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 	lostBefore := s.killedItems
 	s.accountUsage() // integrate usage before the task count drops
 	v := t.vtx
-	for i, x := range v.tasks {
-		if x == t {
-			v.tasks = append(v.tasks[:i], v.tasks[i+1:]...)
-			break
-		}
-	}
+	v.tasks = slices.DeleteFunc(v.tasks, func(x *simTask) bool { return x == t })
 	delete(v.draining, t)
 	t.disposed = true
 	t.killed = true
@@ -224,52 +219,33 @@ func (s *Sim) killTask(t *simTask, unplace bool) {
 
 	// Queued input dies with the task (barrier markers are control
 	// traffic, not lost records).
-	s.killedItems += t.queue.dataItems()
-	for _, b := range t.queue.drain() {
+	held, records := t.queue.drain()
+	s.killedItems += records
+	for _, b := range held {
 		s.recycleBatch(b.items)
 	}
 
 	// Inbound channels: stalled batches die, their producers unblock and
 	// resume; the channel leaves the producer's routing and stops
-	// reporting.
+	// reporting. Batches still in transit are dropped as they arrive.
 	var resumed []*simTask
 	for _, ch := range t.in {
-		if len(ch.stalled) > 0 {
-			for _, b := range ch.stalled {
-				s.killedItems += dataItems(b.items)
-				s.recycleBatch(b.items)
-			}
-			ch.stalled = nil
-			ch.from.blockedOut--
+		if s.dropStalled(ch) {
 			resumed = append(resumed, ch.from)
 		}
 		s.unrouteChannel(ch, true)
 		s.closeChannel(ch)
 	}
 	t.in = nil
-	t.stalledInBatches = 0
 
 	// Outbound gates: buffered output and batches stalled at consumers
 	// die; channels close and leave the consumers' in-lists.
 	for _, g := range t.gates {
 		s.killedItems += int64(g.Buffered())
 		for _, ch := range g.Consumers() {
-			if len(ch.stalled) > 0 {
-				for _, b := range ch.stalled {
-					s.killedItems += dataItems(b.items)
-					ch.to.stalledInBatches--
-					s.recycleBatch(b.items)
-				}
-				ch.stalled = nil
-			}
+			s.dropStalled(ch)
 			s.closeChannel(ch)
-			to := ch.to
-			for i, c := range to.in {
-				if c == ch {
-					to.in = append(to.in[:i], to.in[i+1:]...)
-					break
-				}
-			}
+			ch.to.in = slices.DeleteFunc(ch.to.in, func(c *simChannel) bool { return c == ch })
 		}
 	}
 	t.gates = nil

@@ -6,7 +6,8 @@ import "nephelix/internal/obs"
 // An item is written once, into its producer's gate buffer; the buffer's
 // array then travels to the consumer, which reads the item in place.
 // What is true of the whole array — when it shipped, on which channel,
-// when it arrived — is in its batch header, not here.
+// when it arrived, whether it is a barrier marker — is in its batch
+// header, not here.
 type Item struct {
 	// EmitTime is the virtual time the item (or its oldest ancestor)
 	// entered the constrained sequence at a source; end-to-end latency
@@ -25,11 +26,6 @@ type Item struct {
 	// Key selects the partition for key-based wiring and carries
 	// application payload identity (e.g. the candidate number or topic).
 	Key uint64
-	// Origins carries the sampled EmitTimes of items aggregated into this
-	// one (windowed operators), so sequence latency with read-write
-	// semantics stays measurable across aggregation. Nil for ordinary
-	// items.
-	Origins []float64
 
 	// Src and Offset are the item's lineage under processing
 	// guarantees: the source partition (0 = untracked, e.g. guarantees
@@ -39,12 +35,6 @@ type Item struct {
 	Src    int32
 	Offset uint64
 
-	// barrier marks checkpoint-barrier markers (the checkpoint id);
-	// zero for data items. Barriers ride the regular channels so
-	// per-channel FIFO keeps the cut consistent, but are consumed by
-	// the alignment logic instead of the behavior.
-	barrier int64
-
 	// span is the item's trace span (nil unless the item descends from a
 	// head-sampled emission and tracing is on). It travels with the
 	// value copy and is inherited by items emitted while processing a
@@ -52,15 +42,15 @@ type Item struct {
 	span *obs.Span
 }
 
-// release drops the references an item slot holds (Origins, the trace
-// span) once its item has moved on, so a slot awaiting reuse pins
-// nothing; the scalar fields are left to be overwritten.
-func (it *Item) release() { it.Origins, it.span = nil, nil }
+// release drops the reference an item slot holds (the trace span) once
+// its item has moved on, so a slot awaiting reuse pins nothing; the
+// scalar fields are left to be overwritten.
+func (it *Item) release() { it.span = nil }
 
 // batchHeader is what every item of a shipped batch has in common. Each
-// stamp is written once, for the batch: shipped and src by ship, arrive
-// by acceptBatch. The header travels with the array — event operand,
-// stalled list, queue entry — and is copied to the consumer's service
+// stamp is written once, for the batch: shipped, src and barrier by
+// ship, arrive by acceptFront. The header travels with the array —
+// channel FIFO, queue entry — and is copied to the consumer's service
 // slot with the item being served.
 type batchHeader struct {
 	// shipped is the time the flush carrying the batch started; output
@@ -72,6 +62,19 @@ type batchHeader struct {
 	// arrive is the time the consumer's queue accepted the batch; queue
 	// wait is measured from it.
 	arrive float64
+	// barrier is a marker's checkpoint id, zero for a data batch. A
+	// marker has one placeholder item, so it takes a queue slot; the
+	// alignment logic consumes it instead of the behavior.
+	barrier int64
+}
+
+// dataItems counts a batch's items that are records, so fault-loss
+// accounting never counts a control marker as a lost record.
+func (b *batch) dataItems() int64 {
+	if b.barrier != 0 {
+		return 0
+	}
+	return int64(len(b.items))
 }
 
 // batch is a detached gate buffer on its way to, or in, a consumer's

@@ -166,10 +166,11 @@ func TestSimOverdueDeadlineFiresNow(t *testing.T) {
 // for it, so backpressure never reorders a channel.
 func TestSimStalledBatchKeepsChannelOrder(t *testing.T) {
 	h := newQueueHarness(t)
-	h.deliver(1, harnessCapacity-1, -1) // the other channel fills the queue
-	h.deliver(0, 5, -1)                 // no room: stalls
-	h.deliver(0, 1, 0)                  // a barrier: room for it, but not before the stalled batch
-	if n := len(h.chs[0].stalled); n != 2 {
+	h.deliver(1, harnessCapacity-1) // the other channel fills the queue
+	h.deliver(0, 5)                 // no room: stalls
+	h.ship(0, 1, true)              // a barrier marker: room for it, but not before the stalled batch
+	h.arrive(0)
+	if n := h.chs[0].arrived; n != 2 {
 		t.Fatalf("%d batches stalled on the channel, want 2", n)
 	}
 	for h.to.queueLen() > 0 {

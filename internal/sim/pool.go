@@ -26,8 +26,7 @@ func (s *Sim) getBatch() []Item {
 }
 
 // recycleBatch returns a dropped batch to the free list. Its items are
-// released first so recycled capacity does not pin Origins slices, trace
-// spans or channel references.
+// released first so recycled capacity does not pin trace spans.
 func (s *Sim) recycleBatch(b []Item) {
 	for i := range b {
 		b[i].release()

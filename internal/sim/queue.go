@@ -4,7 +4,7 @@ package sim
 // storage: it restarts at the front of its slice when it empties, and
 // grows only while less than half of the slice is a consumed prefix;
 // otherwise the live part slides down. A task's input queue and a
-// channel's in-flight batches are each one.
+// channel's shipped batches are each one.
 type batchFIFO struct {
 	batches []batch
 	head    int // index of the oldest batch
@@ -20,8 +20,14 @@ func (f *batchFIFO) push(b batch) {
 	f.batches = append(f.batches, b)
 }
 
+// at returns the i-th oldest batch in place (i < len).
+func (f *batchFIFO) at(i int) *batch { return &f.batches[f.head+i] }
+
 // front returns the oldest batch in place (the FIFO must not be empty).
-func (f *batchFIFO) front() *batch { return &f.batches[f.head] }
+func (f *batchFIFO) front() *batch { return f.at(0) }
+
+// len is the number of batches queued.
+func (f *batchFIFO) len() int { return len(f.batches) - f.head }
 
 // pop removes the oldest batch and returns it.
 func (f *batchFIFO) pop() batch {
@@ -72,19 +78,13 @@ func (q *taskQueue) advance() (done []Item) {
 	return q.pop().items
 }
 
-// dataItems counts the queued non-barrier items.
-func (q *taskQueue) dataItems() int64 {
-	n, pos := int64(0), q.pos
-	for _, b := range q.batches[q.head:] {
-		n += dataItems(b.items[pos:])
-		pos = 0
+// drain empties the queue and returns the batches it still held and the
+// records among their unread items (only a data batch is read in part).
+func (q *taskQueue) drain() (held []batch, records int64) {
+	held, records = q.batches[q.head:], -int64(q.pos)
+	for i := range held {
+		records += held[i].dataItems()
 	}
-	return n
-}
-
-// drain empties the queue and returns the batches it still held.
-func (q *taskQueue) drain() []batch {
-	held := q.batches[q.head:]
 	*q = taskQueue{}
-	return held
+	return held, records
 }

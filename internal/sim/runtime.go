@@ -11,8 +11,9 @@ import (
 )
 
 // simChannel is one producer→consumer communication path. Buffering
-// happens in the producer's output gate; the channel carries batches,
-// tracks stalls (backpressure) and owns the QoS channel reporter.
+// happens in the producer's output gate; the channel carries batches in
+// one FIFO from ship to acceptance, stalls them under backpressure and
+// owns the QoS channel reporter.
 type simChannel struct {
 	id model.ChannelID
 	// edgeName caches id.Edge.String() so per-sample tracing does not
@@ -23,23 +24,20 @@ type simChannel struct {
 	from      *simTask
 	to        *simTask
 
-	// stalled holds batches that arrived at a full consumer queue; the
-	// producer is blocked while any batch is stalled.
-	stalled []batch
-
 	established bool
 	closed      bool
 	// slot is the channel's index in Sim.chanSlots (see event.n).
 	slot int32
 
-	// lastArrive is the latest delivery time scheduled on this channel;
-	// every ship clamps to it, so a batch — a checkpoint barrier, or one
-	// shipped while an earlier one pays the TCP setup — never overtakes
-	// an earlier one (per-channel FIFO, like the engine's rings).
-	// inflight holds the batches shipped and not yet arrived, oldest
-	// first; each has one evDeliver in the queue.
+	// fifo holds the batches shipped and not yet accepted, oldest first,
+	// like the engine's ring: the first arrived have arrived and stall,
+	// blocking the producer, until the front one fits the queue; each
+	// other one is in transit with one evDeliver queued. Every ship
+	// clamps to lastArrive, the latest delivery scheduled, so no batch
+	// overtakes an earlier one, not even during the TCP setup.
+	fifo       batchFIFO
+	arrived    int
 	lastArrive float64
-	inflight   batchFIFO
 
 	reporter qos.ChannelReporter
 	history  qos.ChannelHandle // the reporter's registration with its manager
@@ -52,8 +50,8 @@ type simChannel struct {
 	// worst attributed occupancy. These feed scrapeDataplane so sim
 	// attributions are comparable with the engine's ring counters, in
 	// item units rather than the engine's batch units. Once the channel
-	// is closed (closeChannel), every further change to the first three
-	// also goes to its edge's retired totals.
+	// is closed (closeChannel), every further change to accepted and
+	// popped also goes to its edge's retired totals; it never stalls.
 	accepted   int64
 	popped     int64
 	stallItems int64
@@ -126,7 +124,7 @@ type simTask struct {
 	in    []*simChannel // incoming channels
 
 	// inflightIn counts batches in transit to this task; stalledInBatches
-	// counts batches stalled on inbound channels.
+	// counts batches stalled on inbound channels (their arrived batches).
 	inflightIn       int
 	stalledInBatches int
 
@@ -337,15 +335,16 @@ func (s *Sim) shipBatch(to []*simChannel, items []Item, bytes int) {
 	}
 	last := len(to) - 1
 	for _, ch := range to[:last] {
-		s.ship(ch, append(s.getBatch(), items...), bytes)
+		s.ship(ch, append(s.getBatch(), items...), bytes, 0)
 	}
-	s.ship(to[last], items, bytes)
+	s.ship(to[last], items, bytes, 0)
 }
 
 // ship charges the producer the flush CPU cost, stamps the batch shipped
-// now on ch, queues it on the channel and schedules its delivery after
-// the network transit time, but not before the channel's previous one.
-func (s *Sim) ship(ch *simChannel, items []Item, bytes int) {
+// now on ch (a barrier marker if barrier is not zero), queues it on the
+// channel and schedules its delivery after the network transit time, but
+// not before the channel's previous one.
+func (s *Sim) ship(ch *simChannel, items []Item, bytes int, barrier int64) {
 	ch.from.pendingOverhead += s.cfg.Costs.FlushCPU
 	transit := s.cfg.Costs.NetFixed + s.cfg.Costs.NetPerByte*float64(bytes)
 	if !ch.established {
@@ -354,7 +353,7 @@ func (s *Sim) ship(ch *simChannel, items []Item, bytes int) {
 	}
 	ch.lastArrive = max(s.now+transit, ch.lastArrive)
 	ch.to.inflightIn++
-	ch.inflight.push(batch{items: items, batchHeader: batchHeader{shipped: s.now, src: ch}})
+	ch.fifo.push(batch{items: items, batchHeader: batchHeader{shipped: s.now, src: ch, barrier: barrier}})
 	s.schedule(ch.lastArrive, evDeliver, ch.from.slot, ch.slot)
 }
 
@@ -367,53 +366,63 @@ func (s *Sim) flushGate(g *outGate) {
 	}
 }
 
-// deliver attempts to enqueue a batch at the consumer. A batch the
-// queue has no room for stalls and blocks the producer (backpressure);
-// so does one behind a stalled batch, which keeps the channel FIFO.
-func (s *Sim) deliver(b batch) {
-	ch := b.src
-	ch.to.inflightIn--
-	if ch.to.disposed {
-		// The consumer is gone: finished draining before the batch
-		// arrived, or killed by a fault. Account accordingly (barrier
-		// markers are control traffic, not lost records).
-		if ch.to.killed {
-			s.killedItems += dataItems(b.items)
+// deliver is the arrival of ch's oldest batch in transit: a consumer
+// that is gone drops it; otherwise it stalls, blocking the producer
+// (backpressure), unless it is the front batch and fits the queue. A
+// batch on a closed channel outlived its producer and is in no in list
+// that retryStalled walks, so the consumer takes it at once, room or not.
+func (s *Sim) deliver(ch *simChannel) {
+	to := ch.to
+	to.inflightIn--
+	if to.disposed {
+		// Drained, or killed with the stalled batches; a marker is no
+		// lost record.
+		b := s.popBatch(ch)
+		if to.killed {
+			s.killedItems += b.dataItems()
 		} else {
-			s.droppedItems += dataItems(b.items)
+			s.droppedItems += b.dataItems()
 		}
 		s.recycleBatch(b.items)
 		return
 	}
-	if len(ch.stalled) > 0 || s.cfg.QueueCapacityItems-ch.to.queueLen() < len(b.items) {
-		if len(ch.stalled) == 0 {
-			ch.from.blockedOut++
-		}
-		ch.stalled = append(ch.stalled, b)
-		ch.to.stalledInBatches++
-		if ch.stallItems += int64(len(b.items)); ch.closed {
-			s.retired[ch.graphEdge].pushFails += int64(len(b.items))
-		}
+	ch.arrived++
+	if ch.arrived == 1 && (ch.closed || s.fits(ch)) {
+		s.acceptFront(ch)
 		return
 	}
-	s.acceptBatch(b)
+	if ch.arrived == 1 {
+		ch.from.blockedOut++
+	}
+	to.stalledInBatches++
+	ch.stallItems += int64(len(ch.fifo.at(ch.arrived - 1).items))
 }
 
-// acceptBatch stamps a delivered batch arrived now, enqueues it and kicks
-// the consumer.
-func (s *Sim) acceptBatch(b batch) {
-	ch := b.src
+// fits reports whether ch's consumer has room for its front batch.
+func (s *Sim) fits(ch *simChannel) bool {
+	return s.cfg.QueueCapacityItems-ch.to.queueLen() >= len(ch.fifo.front().items)
+}
+
+// popBatch takes ch's oldest batch off its FIFO. A closed channel left
+// empty lets go of its slot: no event can name it any more.
+func (s *Sim) popBatch(ch *simChannel) batch {
+	b := ch.fifo.pop()
+	if ch.closed && ch.fifo.len() == 0 {
+		s.chanSlots[ch.slot] = nil
+	}
+	return b
+}
+
+// acceptFront takes ch's front batch, which has arrived, into the
+// consumer's queue, stamps it arrived now and kicks the consumer.
+func (s *Sim) acceptFront(ch *simChannel) {
+	ch.arrived--
+	b := s.popBatch(ch)
 	to := ch.to
 	to.pendingOverhead += s.cfg.Costs.ReceiveCPU
 	b.arrive = s.now
-	// Every data item is one arrival. Barrier markers, which exist only
-	// under a guarantee, are not workload and must not skew the QoS
-	// plane's rates.
-	arrivals := len(b.items)
-	if s.guar != nil {
-		arrivals = int(dataItems(b.items))
-	}
-	for ; arrivals > 0; arrivals-- {
+	// Every record is one arrival; a marker is no workload.
+	for arrivals := b.dataItems(); arrivals > 0; arrivals-- {
 		to.reporter.RecordArrival(s.now)
 	}
 	to.queue.push(b) // the array itself: popQueue returns it to the pool
@@ -426,28 +435,43 @@ func (s *Sim) acceptBatch(b batch) {
 	s.maybeStart(to)
 }
 
-// retryStalled re-attempts stalled deliveries on the consumer's inbound
-// channels after queue space freed up.
+// retryStalled accepts stalled batches on the consumer's inbound
+// channels, front first, after queue space freed up; a channel whose
+// stall ends resumes its producer.
 func (s *Sim) retryStalled(to *simTask) {
 	if to.stalledInBatches == 0 {
 		return
 	}
 	for _, ch := range to.in {
-		for len(ch.stalled) > 0 {
-			b := ch.stalled[0]
-			if s.cfg.QueueCapacityItems-to.queueLen() < len(b.items) {
+		for ch.arrived > 0 {
+			if !s.fits(ch) {
 				return
 			}
-			ch.stalled[0] = batch{}
-			ch.stalled = ch.stalled[1:]
 			to.stalledInBatches--
-			s.acceptBatch(b)
-			if len(ch.stalled) == 0 {
+			s.acceptFront(ch)
+			if ch.arrived == 0 {
 				ch.from.blockedOut--
 				s.resume(ch.from)
 			}
 		}
 	}
+}
+
+// dropStalled discards ch's stalled batches when a kill takes down
+// either end: their records are lost, and the producer is no longer
+// blocked on ch. It reports whether there were any.
+func (s *Sim) dropStalled(ch *simChannel) bool {
+	if ch.arrived == 0 {
+		return false
+	}
+	for ; ch.arrived > 0; ch.arrived-- {
+		b := s.popBatch(ch)
+		s.killedItems += b.dataItems()
+		ch.to.stalledInBatches--
+		s.recycleBatch(b.items)
+	}
+	ch.from.blockedOut--
+	return true
 }
 
 // resume wakes a producer whose last stalled batch was delivered.
@@ -492,8 +516,8 @@ func (s *Sim) maybeStart(t *simTask) {
 	// logic at zero service cost; every pre-barrier item of the
 	// barrier's producer was queued — and therefore serviced — first.
 	for t.queueLen() > 0 {
-		head, _ := t.queue.peek()
-		id := head.barrier
+		_, hdr := t.queue.peek()
+		id := hdr.barrier
 		if id == 0 {
 			break
 		}
@@ -520,7 +544,7 @@ func (s *Sim) maybeStart(t *simTask) {
 	if st < 0 {
 		st = 0
 	}
-	// Mark busy before retrying stalled deliveries: acceptBatch calls
+	// Mark busy before retrying stalled deliveries: acceptFront calls
 	// back into maybeStart, which must not start a second concurrent
 	// service on this task.
 	t.busy = true

@@ -53,8 +53,9 @@ type Sim struct {
 	// taskSlots and chanSlots map event indices to tasks and channels,
 	// in creation order. Slots are append-only and never reused, so an
 	// event scheduled before a task's disposal still resolves to that
-	// (disposed) task — same semantics a pointer field would have,
-	// without putting a pointer in every heap element.
+	// (disposed) task, as a pointer would, without a pointer in every
+	// event. A closed channel's slot is set to nil once no batch is left
+	// on it: every evDeliver names a batch still on its channel.
 	taskSlots []*simTask
 	chanSlots []*simChannel
 	// partials is reused across adjustment ticks.

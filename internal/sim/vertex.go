@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"nephelix/internal/gate"
 	"nephelix/internal/model"
@@ -254,14 +255,8 @@ func (v *simVertex) finalizeRemoval(t *simTask) {
 		for _, ch := range g.Consumers() {
 			s.closeChannel(ch)
 			ch.history.Forget()
-			// Remove from the consumer's in-list.
-			to := ch.to
-			for i, c := range to.in {
-				if c == ch {
-					to.in = append(to.in[:i], to.in[i+1:]...)
-					break
-				}
-			}
+			ch.to.in = slices.DeleteFunc(ch.to.in, func(c *simChannel) bool { return c == ch })
 		}
 	}
+	t.in, t.gates = nil, nil
 }
