@@ -8,10 +8,13 @@ import (
 // parker is the one park/wake protocol of the engine. Its owner is one
 // task goroutine, a worker's scan loop or a source's pacing loop (the
 // parker sits in the task, where producers reach it through their
-// channelRef). Wakers are producers that pushed into the owner's rings,
-// and the master: a flush, barrier or replay request, a drain, the end of
-// input. Nothing driven by time wakes an owner: it parks on its own
-// timer, reset to no later than its next flush deadline (emitter.parkFor).
+// channelRef), or either blocked on a full ring (emitter.await). Wakers
+// are producers that pushed into the owner's rings; the consumer of the
+// ring the owner is blocked on, once it has drained it halfway or died;
+// and the master: a flush, barrier or replay request, a drain, the end
+// of input. Nothing driven by time wakes an owner: it parks on its own
+// timer, reset to no later than its next flush deadline (emitter.parkFor)
+// or, blocked, to the measurement interval.
 //
 // The owner publishes parked, re-checks a readiness predicate, and only
 // then blocks; a waker makes its work visible (a ring push, a flag

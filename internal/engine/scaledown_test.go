@@ -103,10 +103,10 @@ func TestEngineScaleDownBroadcastNoSilentLoss(t *testing.T) {
 	ex.mu.Lock()
 	w0, w1 := ex.vertices["work"].tasks[0], ex.vertices["work"].tasks[1]
 	ex.mu.Unlock()
-	// A failed push into work[0]'s ring: the source spins there with
-	// work[1]'s copy of the batch in hand.
+	// A stall on work[0]'s ring: the source parks there with work[1]'s
+	// copy of the batch in hand.
 	waitUntil(t, "the source to stall on work[0]'s full ring", 5*time.Second, func() bool {
-		return w0.ringsSnapshot()[0].Stats().PushFails > 0
+		return w0.inputs()[0].ring.Stats().PushFails > 0
 	})
 	if err := ex.Scale("work", -1); err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestEngineScaleDownBroadcastNoSilentLoss(t *testing.T) {
 	exec.Stop()
 	waitDone(t, exec, 20*time.Second)
 	left := 0
-	for _, r := range w1.ringsSnapshot() {
-		for b, ok := r.Drain(); ok; b, ok = r.Drain() {
+	for _, ref := range w1.inputs() {
+		for b, ok := ref.ring.Drain(); ok; b, ok = ref.ring.Drain() {
 			left += len(b.items)
 		}
 	}

@@ -39,12 +39,10 @@ func (t *task) pace() {
 	e := t.lane
 	sched := t.src.Schedule
 
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	resetTimer(timer, time.Hour)
+	defer e.parkTimer().Stop()
 	// park blocks for d, or until the lane's next flush deadline or the
 	// master wakes it.
-	park := func(d time.Duration) { t.pk.park(e.requested, timer, e.parkFor(d, e.now), nil) }
+	park := func(d time.Duration) { t.pk.park(e.requested, e.parkTimer(), e.parkFor(d, e.now), nil) }
 	// nap waits until the schedule's next emission, which no flush
 	// deadline precedes and no waker needs to cut short: the master's
 	// requests are flags the next round reads, at most napWait later. It
@@ -141,8 +139,8 @@ func (t *task) pace() {
 	}
 }
 
-// requested is a source's park predicate: the master asked it for
-// something.
+// requested reports whether the master asked the lane for something: a
+// source's park predicate, and part of a blocked producer's (unblocked).
 func (e *emitter) requested() bool {
 	return e.flushReq.Load() || e.barrierReq.Load() != 0 || e.replayReq.Load() || e.t.draining.Load()
 }

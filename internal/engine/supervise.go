@@ -65,8 +65,9 @@ func (ex *execution) handleTaskFailure(f taskFailure, stopping bool) {
 	// goroutine no longer pops (reportFailure runs during its unwind), so
 	// Drain cannot race a Pop.
 	lostByEdge := make(map[model.EdgeKey]int64)
-	for _, r := range f.t.ringsSnapshot() {
-		r.Close()
+	for _, ref := range f.t.inputs() {
+		ref.cut()
+		r := ref.ring
 		for {
 			b, ok := r.Drain()
 			if !ok {
