@@ -105,7 +105,7 @@ func TestScaleUpAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringBytes := allocated(func() { ringSink = ring.New[batch](ex.cfg.QueueCapacity) })
+	ringBytes := allocated(func() { ringSink = ring.New[batch](min(ex.cfg.QueueCapacity, ringDepth)) })
 	var got []uint64
 	for i := 0; i < ups; i++ {
 		got = append(got, allocated(func() {
